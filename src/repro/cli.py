@@ -35,6 +35,7 @@ import inspect
 import json
 import sys
 import warnings
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 from repro.evaluation.adaptation import run_adaptation
@@ -59,6 +60,7 @@ from repro.evaluation.reporting import (
 from repro.evaluation.resilience import run_fault_recall
 from repro.engine import EngineConfig, engine_names, engine_scope
 from repro.faults import parse_fault_plan, plan_scope
+from repro.overlay.adapt import AdaptConfig, adapt_scope
 from repro.overlay.registry import overlay_names, overlay_scope, resolve_overlay
 from repro.obs import TraceRecorder, tracing
 from repro.obs.profile import (
@@ -547,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bulk-build per-level CAN grids at 10^5-peer scale and "
         "report publish/query throughput plus peak RSS",
     )
-    _add_common_args(scale_parser)
+    _add_run_args(scale_parser)
     scale_parser.add_argument(
         "--spheres-per-peer", type=int, default=2, metavar="N",
         help="cluster spheres published per peer per level (default: 2)",
@@ -603,6 +605,38 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
+    _add_run_args(parser)
+    parser.add_argument(
+        "--republish",
+        choices=("none", "delta", "full"),
+        default="none",
+        help="staleness remedy between fig10c insert steps: none (paper "
+        "scenario), delta (epoch-delta round per mutated peer), or full "
+        "(withdraw + republish from scratch)",
+    )
+    parser.add_argument(
+        "--adapt",
+        action="store_true",
+        help="enable the load-adaptation control loop on every network "
+        "the command builds (zone rebalancing, replication retuning, "
+        "quality-scored multicast; see docs/architecture.md)",
+    )
+    parser.add_argument(
+        "--overlay",
+        choices=overlay_names(),
+        default=None,
+        help="overlay backend for every network the command builds "
+        "(default: can); for the matrix command this restricts the "
+        "sweep to one backend",
+    )
+
+
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """Flags every command honours, ``scale-bench`` included.
+
+    ``scale-bench`` builds bare CAN grids, not a ``HyperMNetwork``, so it
+    takes none of the network-shaping flags of :func:`_add_common_args`.
+    """
     parser.add_argument(
         "--scale",
         choices=sorted(_SCALES),
@@ -621,14 +655,6 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
         help="also sketch the series as an ASCII chart",
     )
     parser.add_argument(
-        "--republish",
-        choices=("none", "delta", "full"),
-        default="none",
-        help="staleness remedy between fig10c insert steps: none (paper "
-        "scenario), delta (epoch-delta round per mutated peer), or full "
-        "(withdraw + republish from scratch)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit machine-readable JSON (series + metrics snapshot)",
@@ -640,21 +666,6 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
         help="run the experiment on a lossy fabric: a FaultPlan spec like "
         "'loss=0.1,delay=0.005,dup=0.01,seed=3' applied to every network "
         "the command builds (see docs/faults.md)",
-    )
-    parser.add_argument(
-        "--adapt",
-        action="store_true",
-        help="enable the load-adaptation control loop on every network "
-        "the command builds (zone rebalancing, replication retuning, "
-        "quality-scored multicast; see docs/architecture.md)",
-    )
-    parser.add_argument(
-        "--overlay",
-        choices=overlay_names(),
-        default=None,
-        help="overlay backend for every network the command builds "
-        "(default: can); for the matrix command this restricts the "
-        "sweep to one backend",
     )
     parser.add_argument(
         "--engine",
@@ -970,47 +981,24 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{'scale-bench':14s} 10^5-peer bulk publish + engine-plane "
               "query throughput")
         return 0
-    if getattr(args, "adapt", False):
-        # Ambient adaptation: every HyperMNetwork the command builds
-        # attaches a controller (see repro.overlay.adapt.adapt_scope).
-        from repro.overlay.adapt import AdaptConfig, adapt_scope
-
-        with adapt_scope(AdaptConfig()):
-            return _run_with_overlay(args)
-    return _run_with_overlay(args)
-
-
-def _run_with_overlay(args) -> int:
-    name = getattr(args, "overlay", None)
-    if name:
-        # Ambient backend: every HyperMNetwork the command builds adopts
-        # this overlay factory (see repro.overlay.registry.overlay_scope).
-        with overlay_scope(resolve_overlay(name)):
-            return _run_with_faults(args)
-    return _run_with_faults(args)
-
-
-def _run_with_faults(args) -> int:
-    spec = getattr(args, "fault_plan", None)
-    if spec:
-        # Ambient fault plan: every Network the command builds installs
-        # a fresh injector from it (see repro.faults.plan_scope).
-        with plan_scope(parse_fault_plan(spec)):
-            return _run_with_engine(args)
-    return _run_with_engine(args)
-
-
-def _run_with_engine(args) -> int:
-    name = getattr(args, "engine", None)
-    if name:
-        # Ambient engine: every HyperMNetwork the command builds runs on
-        # this engine (see repro.engine.registry.engine_scope).
-        config = EngineConfig(
-            engine=name, workers=max(getattr(args, "workers", 2), 1)
-        )
-        with engine_scope(config):
-            return _dispatch(args)
-    return _dispatch(args)
+    with ExitStack() as scopes:
+        # Ambient run context: every network the command builds adopts
+        # the requested controller, overlay backend, fault plan and
+        # execution engine (see each package's ``*_scope``). scale-bench
+        # builds no HyperMNetwork and has no --adapt / --overlay.
+        if getattr(args, "adapt", False):
+            scopes.enter_context(adapt_scope(AdaptConfig()))
+        if getattr(args, "overlay", None):
+            scopes.enter_context(overlay_scope(resolve_overlay(args.overlay)))
+        if args.fault_plan:
+            scopes.enter_context(
+                plan_scope(parse_fault_plan(args.fault_plan))
+            )
+        if args.engine:
+            scopes.enter_context(engine_scope(EngineConfig(
+                engine=args.engine, workers=max(args.workers, 1)
+            )))
+        return _dispatch(args)
 
 
 def _dispatch(args) -> int:

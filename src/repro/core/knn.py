@@ -14,10 +14,14 @@ queries until the discovered spheres are expected to supply ``k`` items
 (or the query covers the whole key space), then invert Eq. 8 over what was
 found — every probe's hops are charged to the index cost.
 
-Query translation (the per-level DWT + key-space mapping) is shared with
-the range path through :func:`repro.core.queries._query_keys`'s per-query
-cache, so the exact-refinement follow-up range queries reuse the k-NN
-query's translated spheres instead of re-decomposing the vector.
+Candidates come from a *candidate source* (:mod:`repro.core.queries`):
+:func:`knn_query` walks the overlays (:class:`~repro.core.queries.
+RoutedSource`), the serving tier hands :func:`run_knn` its cached
+co-located store source, and both run this one driver. Query translation
+is shared with the range path through :func:`repro.core.queries.
+level_plan`'s cache, so the exact-refinement follow-up range queries
+reuse the k-NN query's translated spheres instead of re-decomposing the
+vector.
 """
 
 from __future__ import annotations
@@ -28,19 +32,23 @@ import numpy as np
 
 from repro.clustering.spheres import ClusterSphere
 from repro.core.queries import (
-    _default_origin,
-    _query_keys,
+    RoutedSource,
     contact_peers,
+    level_plan,
+    range_query,
+    resolve_origin,
+    score_peers,
     send_response,
 )
 from repro.core.results import KnnResult, sort_items_by_distance
-from repro.core.scoring import aggregate_scores, level_scores, rank_peers
+from repro.core.scoring import _candidate_columns, level_scores, rank_peers
 from repro.exceptions import QueryError
 from repro.geometry.epsilon import estimate_epsilon_for_k, expected_items
 from repro.obs import flight as obs_flight
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
 from repro.utils.validation import check_vector
+from repro.wavelets.bounds import coefficient_interval, radius_scale
 
 #: First probe radius, as a fraction of the key-space diagonal.
 _INITIAL_PROBE_FRACTION = 0.05
@@ -54,44 +62,37 @@ def _spheres_from_entries(entries) -> list[ClusterSphere]:
 
 
 def _discover_level(
-    overlay, origin_node: int, key: np.ndarray, k: float
-) -> tuple[float, list, int]:
-    """Expanding probes at one level; returns (epsilon, entries, hops).
+    source, index: int, level, key: np.ndarray, k: float
+) -> tuple[float, object, int]:
+    """Expanding probes at one level; returns (epsilon, candidates, hops).
 
     Doubles the probe radius until the discovered cluster spheres are
     expected (Eq. 8) to contain ``k`` items, then inverts Eq. 8 for the
-    final radius and issues the definitive range query.
+    final radius and issues the definitive look-up.
     """
     diagonal = math.sqrt(key.shape[0])
     eps = _INITIAL_PROBE_FRACTION * diagonal
     hops = 0
     probes = 0
-    entries: list = []
-    recorder = obs_trace.state.recorder
     while True:
-        receipt = overlay.range_query(origin_node, key, eps)
-        hops += receipt.total_hops
+        candidates, probe_hops = source.probe(index, level, key, eps)
+        hops += probe_hops
         probes += 1
-        entries = receipt.entries
-        spheres = _spheres_from_entries(entries)
+        spheres = _spheres_from_entries(candidates)
         if spheres and expected_items(eps, spheres, key) >= k:
             break
         if eps >= diagonal:
             break
         eps = min(2.0 * eps, diagonal)
-    spheres = _spheres_from_entries(entries)
-    if not spheres:
-        recorder.annotate(probes=probes)
-        return eps, entries, hops
-    eps_star = estimate_epsilon_for_k(k, spheres, key)
-    if eps_star < eps:
-        receipt = overlay.range_query(origin_node, key, eps_star)
-        hops += receipt.total_hops
-        probes += 1
-        recorder.annotate(probes=probes)
-        return eps_star, receipt.entries, hops
-    recorder.annotate(probes=probes)
-    return eps, entries, hops
+    if spheres:
+        eps_star = estimate_epsilon_for_k(k, spheres, key)
+        if eps_star < eps:
+            eps = eps_star
+            candidates, probe_hops = source.probe(index, level, key, eps)
+            hops += probe_hops
+            probes += 1
+    obs_trace.state.recorder.annotate(probes=probes)
+    return eps, candidates, hops
 
 
 def _peers_to_contact(
@@ -108,6 +109,193 @@ def _peers_to_contact(
         if cumulative >= k:
             break
     return selected
+
+
+def _peer_lower_bounds(
+    dimensionality: int, plan: dict, discovered: dict, epsilon_per_level: dict
+) -> dict[int, float]:
+    """Per-peer lower bounds on original-space item distance.
+
+    At each level, a peer's items lie inside its published cluster
+    spheres (in key space), so ``max(0, ||q_key − center|| − radius)``
+    lower-bounds the key-space distance to any item in that cluster;
+    clusters *outside* the discovery radius ``ε_l`` are at key
+    distance > ``ε_l``, so the per-peer level bound is the minimum of
+    its visible clusters' bounds capped at ``ε_l``. Key-space
+    distances convert to original-space lower bounds via the inverse
+    Theorem 3.1 contraction (``× (hi − lo) / radius_scale``; the
+    ``[0,1]`` clip only shrinks key distances, which keeps the bound
+    sound), and the per-level bounds combine by max. Soundness
+    assumes published summaries cover the peers' current items — the
+    paper's model, and the serving tier's steady state.
+    """
+    bounds: dict[int, float] = {}
+    for level, (center, __) in plan.items():
+        sphere_keys, radii, __, peer_ids, ___ = _candidate_columns(
+            discovered[level], center.shape[0]
+        )
+        eps_l = float(epsilon_per_level[level])
+        lo, hi = coefficient_interval(level)
+        to_original = (hi - lo) / radius_scale(dimensionality, level)
+        level_bounds: dict[int, float] = {}
+        if len(peer_ids):
+            diff = sphere_keys - center
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            row_bounds = np.maximum(dist - radii, 0.0)
+            order = np.argsort(peer_ids, kind="stable")
+            sorted_ids = peer_ids[order]
+            starts = np.flatnonzero(
+                np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]
+            )
+            per_peer = np.minimum.reduceat(row_bounds[order], starts)
+            level_bounds = {
+                int(pid): float(lb)
+                for pid, lb in zip(
+                    sorted_ids[starts], per_peer, strict=True
+                )
+            }
+        for peer_id in set(bounds) | set(level_bounds):
+            level_lb = min(level_bounds.get(peer_id, eps_l), eps_l)
+            candidate = level_lb * to_original
+            if candidate > bounds.get(peer_id, 0.0):
+                bounds[peer_id] = candidate
+    return bounds
+
+
+def run_knn(
+    network,
+    query: np.ndarray,
+    k: int,
+    plan: dict,
+    source,
+    *,
+    origin: int,
+    c: float = 1.0,
+    top_p: int | None = None,
+    aggregation: str | None = None,
+    early_stop: bool = False,
+) -> tuple[KnnResult, int]:
+    """Figure 5 over any candidate source: ``(result, peers skipped)``.
+
+    The driver behind :func:`knn_query` and the serving tier. With
+    ``early_stop`` the ranked peers are contacted one at a time and the
+    loop ends once the remaining peers' Theorem 3.1 distance lower bounds
+    (:func:`_peer_lower_bounds`) prove none can improve the current top
+    ``k`` — top-k distances stay exact, the skipped peers' traffic is
+    saved. Without it all selected peers go out in one
+    :func:`~repro.core.queries.contact_peers` call, because a relay
+    fan-out cannot be cut short.
+    """
+    if k < 1:
+        raise QueryError(f"k must be >= 1, got {k}")
+    if c <= 0:
+        raise QueryError(f"C must be > 0, got {c}")
+    recorder = obs_trace.state.recorder
+    per_level: dict = {}
+    epsilon_per_level: dict = {}
+    discovered: dict = {}
+    index_hops = 0
+    for index, (level, (key, __)) in enumerate(plan.items()):
+        with recorder.span(
+            f"sphere_filter[{level}]", level=str(level)
+        ) as span:
+            eps_l, candidates, hops = _discover_level(
+                source, index, level, key, float(k)
+            )
+            index_hops += hops
+            epsilon_per_level[level] = eps_l
+            discovered[level] = candidates
+            stats: dict = {}
+            per_level[level] = level_scores(
+                candidates, key, eps_l, stats=stats
+            )
+            span.set(
+                epsilon=eps_l,
+                candidates=stats["candidates"],
+                pruned=stats["pruned"],
+                surviving=stats["surviving"],
+                peers=len(per_level[level]),
+                hops=hops,
+            )
+
+    aggregated = score_peers(
+        per_level, aggregation or network.config.aggregation
+    )
+    selected = _peers_to_contact(rank_peers(aggregated), k, top_p)
+    groups = [selected]
+    suffix_min: list[float] = []
+    if early_stop and selected:
+        groups = [[pair] for pair in selected]
+        bounds = _peer_lower_bounds(
+            network.dimensionality, plan, discovered, epsilon_per_level
+        )
+        # suffix_min[i] = tightest bound among peers i..end: the
+        # termination test must prove *every* remaining peer useless.
+        suffix_min = [0.0] * len(selected)
+        running = math.inf
+        for position in range(len(selected) - 1, -1, -1):
+            running = min(running, bounds.get(selected[position][0], 0.0))
+            suffix_min[position] = running
+
+    items: list = []
+    contacted: list[int] = []
+    failed: list[int] = []
+    messages = 0
+    skipped = 0
+    # Shares are allocated over the peers the querier *planned* to use;
+    # requests to departed peers are simply lost (MANET churn).
+    score_sum = sum(score for __, score in selected)
+    with recorder.span("contact_peers") as contact_span:
+        for position, group in enumerate(groups):
+            if suffix_min and len(items) >= k and suffix_min[position] > (
+                sorted(item.distance for item in items)[k - 1]
+            ):
+                skipped = len(selected) - position
+                break
+            reached, request_messages, lost = contact_peers(
+                network, group, origin_peer=origin, max_peers=None
+            )
+            messages += request_messages
+            failed.extend(lost)
+            contacted.extend(reached)
+            reached = set(reached)
+            for peer_id, score in group:
+                if peer_id not in reached:
+                    continue
+                if score_sum > 0:
+                    share = score / score_sum
+                else:
+                    share = 1.0 / max(len(selected), 1)
+                no_items = int(math.ceil(c * k * share))
+                supplied = network.peers[peer_id].nearest_items(
+                    query, no_items
+                )
+                delivered, response_messages = send_response(
+                    network, origin, peer_id, len(supplied)
+                )
+                messages += response_messages
+                if not delivered:
+                    failed.append(peer_id)  # reply lost despite retries
+                    continue
+                items.extend(supplied)
+        contact_span.set(
+            selected=len(selected),
+            reached=len(contacted),
+            failed=len(failed),
+            messages=messages,
+            items=len(items),
+        )
+    result = KnnResult(
+        items=sort_items_by_distance(items),
+        requested_k=k,
+        epsilon_per_level=epsilon_per_level,
+        peer_scores=aggregated,
+        peers_contacted=contacted,
+        failed_contacts=failed,
+        index_hops=index_hops,
+        retrieval_messages=messages,
+    )
+    return result, skipped
 
 
 def knn_query(
@@ -151,16 +339,7 @@ def knn_query(
         wider peer contacts; see :func:`refine_to_exact`.
     """
     query = check_vector(query, "query", dim=network.dimensionality)
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
-    if c <= 0:
-        raise QueryError(f"C must be > 0, got {c}")
-    origin = _default_origin(network) if origin_peer is None else origin_peer
-    if origin not in network.peers:
-        raise QueryError(f"unknown origin peer {origin}")
-    if not network.peers[origin].online:
-        raise QueryError(f"origin peer {origin} has left the network")
-
+    origin = resolve_origin(network, origin_peer)
     recorder = obs_trace.state.recorder
     with recorder.span(
         "query", type="knn", k=k, c=float(c), origin=origin
@@ -168,95 +347,26 @@ def knn_query(
         "query", type="knn", origin=origin
     ):
         with recorder.span("translate", levels=len(network.levels)):
-            keys = _query_keys(network, query)
-        per_level: dict = {}
-        epsilon_per_level: dict = {}
-        index_hops = 0
-        for level in network.levels:
-            overlay = network.overlays[level]
-            origin_node = network.overlay_node(level, origin)
-            with recorder.span(
-                f"sphere_filter[{level}]", level=str(level)
-            ) as span:
-                eps_l, entries, hops = _discover_level(
-                    overlay, origin_node, keys[level], float(k)
-                )
-                index_hops += hops
-                epsilon_per_level[level] = eps_l
-                stats: dict = {}
-                per_level[level] = level_scores(
-                    entries, keys[level], eps_l, stats=stats
-                )
-                span.set(
-                    epsilon=eps_l,
-                    candidates=stats["candidates"],
-                    pruned=stats["pruned"],
-                    surviving=stats["surviving"],
-                    peers=len(per_level[level]),
-                    hops=hops,
-                )
-
-        policy = aggregation or network.config.aggregation
-        with recorder.span("score", policy=policy) as span:
-            aggregated = aggregate_scores(per_level, policy=policy)
-            span.set(peers_scored=len(aggregated))
-        ranked = rank_peers(aggregated)
-        selected = _peers_to_contact(ranked, k, top_p)
-        items = []
-        with recorder.span("contact_peers") as contact_span:
-            contacted, messages, failed = contact_peers(
-                network, selected, origin_peer=origin, max_peers=None
-            )
-            reached = set(contacted)
-            # Shares are allocated over the peers the querier *planned* to
-            # use; requests to departed peers are simply lost (MANET churn).
-            score_sum = sum(score for __, score in selected)
-            for peer_id, score in selected:
-                if peer_id not in reached:
-                    continue
-                if score_sum > 0:
-                    share = score / score_sum
-                else:
-                    share = 1.0 / max(len(selected), 1)
-                no_items = int(math.ceil(c * k * share))
-                supplied = network.peers[peer_id].nearest_items(
-                    query, no_items
-                )
-                delivered, response_messages = send_response(
-                    network, origin, peer_id, len(supplied)
-                )
-                messages += response_messages
-                if not delivered:
-                    failed.append(peer_id)  # reply lost despite retries
-                    continue
-                items.extend(supplied)
-            contact_span.set(
-                selected=len(selected),
-                reached=len(contacted),
-                failed=len(failed),
-                messages=messages,
-                items=len(items),
-            )
-        query_span.set(index_hops=index_hops, items=len(items))
+            plan = level_plan(network.dimensionality, network.levels, query)
+        result, __ = run_knn(
+            network, query, k, plan, RoutedSource(network, origin),
+            origin=origin, c=c, top_p=top_p, aggregation=aggregation,
+        )
+        query_span.set(index_hops=result.index_hops, items=len(result.items))
     metrics = obs_registry.metrics()
     metrics.counter("query.knn.count").inc()
-    metrics.counter("query.knn.items").inc(len(items))
-    metrics.counter("query.knn.failed_contacts").inc(len(failed))
-    metrics.histogram("query.knn.index_hops").observe(index_hops)
-    metrics.histogram("query.knn.peers_contacted").observe(len(contacted))
-    result = KnnResult(
-        items=sort_items_by_distance(items),
-        requested_k=k,
-        epsilon_per_level=epsilon_per_level,
-        peer_scores=aggregated,
-        peers_contacted=contacted,
-        failed_contacts=failed,
-        index_hops=index_hops,
-        retrieval_messages=messages,
+    metrics.counter("query.knn.items").inc(len(result.items))
+    metrics.counter("query.knn.failed_contacts").inc(
+        len(result.failed_contacts)
+    )
+    metrics.histogram("query.knn.index_hops").observe(result.index_hops)
+    metrics.histogram("query.knn.peers_contacted").observe(
+        len(result.peers_contacted)
     )
     if exact:
         return refine_to_exact(
-            network, query, result, origin_peer=origin, aggregation=policy
+            network, query, result, origin_peer=origin,
+            aggregation=aggregation or network.config.aggregation,
         )
     return result
 
@@ -283,8 +393,6 @@ def refine_to_exact(
     the refinement degrades gracefully to best-effort (the radius-doubling
     loop is bounded).
     """
-    from repro.core.queries import range_query as run_range_query
-
     k = result.requested_k
     ordered = sort_items_by_distance(result.items)
     if len(ordered) >= k:
@@ -295,7 +403,7 @@ def refine_to_exact(
         radius = 0.1
     radius = max(radius, 1e-9)
 
-    refined = run_range_query(
+    refined = range_query(
         network, query, radius, origin_peer=origin_peer,
         aggregation=aggregation,
     )
@@ -303,7 +411,7 @@ def refine_to_exact(
     while len(refined.items) < min(k, network.total_items) and guard:
         guard -= 1
         radius *= 2.0
-        refined = run_range_query(
+        refined = range_query(
             network, query, radius, origin_peer=origin_peer,
             aggregation=aggregation,
         )

@@ -3,18 +3,33 @@
 A range query runs in two phases:
 
 * **Index phase** — the query is translated into each published wavelet
-  subspace (Theorem 3.1 scales its radius by ``2^-(log d - l)/2``), an
-  overlay range query collects every cluster sphere the scaled query
-  intersects, and Eq. 1 scores each peer; scores aggregate across levels
-  by minimum. Theorem 4.1 guarantees no true answer's peer is pruned.
+  subspace (Theorem 3.1 scales its radius by ``2^-(log d - l)/2``), every
+  cluster sphere the scaled query intersects is collected, and Eq. 1
+  scores each peer; scores aggregate across levels by minimum.
+  Theorem 4.1 guarantees no true answer's peer is pruned.
 * **Retrieval phase** — the top-scoring peers are contacted directly and
   filter their items with the *original* query, so precision is 100%;
   recall is bounded only by how many peers are contacted.
+
+The index phase is written once, as ``plan → candidates → score →
+aggregate``: :func:`level_plan` translates the query, a *candidate
+source* fetches each level's spheres, :func:`repro.core.scoring.
+level_scores` evaluates Eq. 1 and :func:`score_peers` joins the levels.
+Where candidates come from is the only thing that varies. A source is
+any object with ``fetch(index, level, key, radius) -> Fetched`` (one
+level of a range plan) and ``probe(index, level, key, radius) ->
+(candidates, hops)`` (one k-NN discovery look-up):
+:class:`RoutedSource` walks the overlays as the paper's protocol does,
+and :class:`repro.serve.batch.StoreSource` reads the co-located,
+generation-cached level stores (``index_hops == 0``). The k-NN driver
+(:mod:`repro.core.knn`), the serving tier and the scale harness are
+built from the same pieces.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,10 +58,10 @@ def _translate_query_cached(levels: tuple, query_bytes: bytes) -> tuple:
     The key is the raw query bytes plus the level tuple, so repeated
     queries with the same vector — the k-NN heuristic followed by its
     exact refinement, recall sweeps re-running one query against many
-    ``max_peers`` settings — skip the DWT and affine mapping entirely.
-    Cached arrays are marked read-only: every consumer treats them as
-    values, and the flag turns an accidental in-place edit into an error
-    instead of silent cache corruption.
+    ``max_peers`` settings, a hot served stream — skip the DWT and affine
+    mapping entirely. Cached arrays are marked read-only: every consumer
+    treats them as values, and the flag turns an accidental in-place edit
+    into an error instead of silent cache corruption.
     """
     query = np.frombuffer(query_bytes, dtype=np.float64)
     decomposition = decompose(query)
@@ -58,163 +73,153 @@ def _translate_query_cached(levels: tuple, query_bytes: bytes) -> tuple:
     return tuple(keys)
 
 
-def _query_keys(network, query: np.ndarray) -> dict:
-    """Translate ``query`` into each published level's key space.
+def translation_cache_info() -> dict:
+    """Counters of the (process-wide) query translation cache, JSON-safe."""
+    info = _translate_query_cached.cache_info()
+    return {
+        "size": info.currsize,
+        "capacity": info.maxsize,
+        "hits": info.hits,
+        "misses": info.misses,
+    }
 
-    Shared by the range and k-NN paths (and by the k-NN exact refinement's
-    repeated range queries) through a per-query LRU cache.
+
+def resolve_origin(network, origin_peer: int | None) -> int:
+    """The querying peer: ``origin_peer``, or the first online peer."""
+    if origin_peer is None:
+        for peer_id, peer in network.peers.items():
+            if peer.online:
+                return peer_id
+        raise EmptyNetworkError("network has no online peers")
+    if origin_peer not in network.peers:
+        raise QueryError(f"unknown origin peer {origin_peer}")
+    if not network.peers[origin_peer].online:
+        raise QueryError(f"origin peer {origin_peer} has left the network")
+    return origin_peer
+
+
+def level_plan(
+    dimensionality: int, levels, query: np.ndarray,
+    epsilon: float | None = None,
+) -> dict:
+    """Translate a query into every level: ``{level: (key, radius)}``.
+
+    ``key`` is the query centre in the level's key space (memoized DWT +
+    affine map) and ``radius`` the Theorem 3.1 key-space radius of an
+    ``epsilon`` ball (scaled by ``2^-(log d - l)/2``); ``None`` when no
+    ``epsilon`` is given — the k-NN driver discovers its own radii.
     """
     query = np.ascontiguousarray(query, dtype=np.float64)
-    levels = tuple(network.levels)
-    return dict(zip(levels, _translate_query_cached(levels, query.tobytes())))
+    levels = tuple(levels)
+    keys = _translate_query_cached(levels, query.tobytes())
+    return {
+        level: (key, None if epsilon is None else key_space_radius(
+            epsilon * radius_scale(dimensionality, level), level
+        ))
+        for level, key in zip(levels, keys)
+    }
 
 
-def _default_origin(network) -> int:
-    for peer_id, peer in network.peers.items():
-        if peer.online:
-            return peer_id
-    raise EmptyNetworkError("network has no online peers")
+class Fetched(NamedTuple):
+    """One level's candidate spheres plus what fetching them cost."""
+
+    #: A :class:`repro.index.CandidateSet`; ``None`` when the level's
+    #: reply was lost despite retries and the query must degrade.
+    candidates: object
+    #: Overlay hops charged, re-queries included.
+    hops: int = 0
+    attempts: int = 1
+    routing_hops: int = 0
+    flood_hops: int = 0
 
 
-def _level_query_with_retries(overlay, origin_node, key, radius, injector):
-    """One level's overlay range query under a fault injector.
+class RoutedSource:
+    """Candidates by overlay walk from the origin peer's node.
 
-    The overlay walk itself is synchronous; what loss can claim is the
-    aggregated reply flowing back to the querier. Each lost reply costs a
-    timeout, a capped-backoff wait, and a full re-query (hops re-charged)
-    until the retry budget runs out. Returns ``(receipt_or_None, hops,
-    attempts)`` — ``None`` means the level went unanswered and the query
-    must degrade.
+    The paper's protocol: a multicast range query per level collects
+    every cluster sphere the query ball intersects, and its hops are the
+    index cost. Given the range ``plan`` up front, a parallel engine
+    computes every mask-capable level's intersection mask in one batched
+    exchange (a single epoch barrier) for the walks to consume.
     """
-    policy = injector.plan.retry
-    hops = 0
-    for attempt in range(1, policy.max_attempts + 1):
-        wait = policy.wait_before_attempt(attempt)
-        if wait > 0.0:
-            injector.count("retries")
-            scheduler = overlay.fabric.scheduler
-            scheduler.run_until(scheduler.now + wait)
-        receipt = overlay.range_query(origin_node, key, radius)
-        hops += receipt.total_hops
-        if not injector.index_response_lost():
-            return receipt, hops, attempt
-        injector.count("timeouts")
-    return None, hops, policy.max_attempts
 
+    def __init__(self, network, origin_peer: int, plan: dict | None = None):
+        self.network = network
+        self.origin_peer = origin_peer
+        self._premasks = self._premask(plan) if plan is not None else {}
 
-def _premask_levels(network, keys, epsilon: float) -> dict | None:
-    """Fan the per-level intersection masks out to the shard workers.
+    def _premask(self, plan: dict) -> dict:
+        """``{level index: mask}`` from the shard workers, if any.
 
-    Returns ``{level index: mask}`` when the network runs a parallel
-    engine, else ``None`` (the serial path computes masks inline inside
-    each overlay — byte-identical to the pre-engine code). One batched
-    exchange covers every mask-capable level, so the whole index phase
-    costs a single epoch barrier; the masks are consumed by the same
-    flood walk either way, and min-aggregation stays the only join
-    point, running after this barrier.
+        Skipped under an active fault injector: the faulted path re-runs
+        level queries with retries, and a premask computed before the
+        retry loop could go stale against mid-query store mutations.
+        """
+        network = self.network
+        injector = network.fabric.faults
+        if not network.engine.parallel or not (
+            injector is None or injector.passthrough
+        ):
+            return {}
+        tasks = [
+            (index, key, radius)
+            for index, (level, (key, radius)) in enumerate(plan.items())
+            if network.overlays[level].supports_premask
+        ]
+        if not tasks:
+            return {}
+        masks = network.engine.masks(tasks)
+        return {task[0]: mask for task, mask in zip(tasks, masks)}
 
-    Skipped under an active fault injector: the faulted path re-runs
-    level queries with retries, and a premask computed before the
-    retry loop could go stale against mid-query store mutations.
-    """
-    engine = getattr(network, "engine", None)
-    if engine is None or not engine.parallel:
-        return None
-    injector = getattr(network.fabric, "faults", None)
-    if injector is not None and not injector.passthrough:
-        return None
-    tasks = []
-    task_levels = []
-    for index, level in enumerate(network.levels):
-        overlay = network.overlays[level]
-        if not getattr(overlay, "supports_premask", False):
-            continue
-        scaled = epsilon * radius_scale(network.dimensionality, level)
-        radius = key_space_radius(scaled, level)
-        tasks.append((index, keys[level], radius))
-        task_levels.append(index)
-    if not tasks:
-        return None
-    masks = engine.masks(tasks)
-    return dict(zip(task_levels, masks))
+    def _walk(self, level, key, radius, mask=None):
+        overlay = self.network.overlays[level]
+        node = self.network.overlay_node(level, self.origin_peer)
+        if mask is None:
+            return overlay.range_query(node, key, radius)
+        return overlay.range_query(node, key, radius, mask=mask)
 
+    def probe(self, index: int, level, key, radius: float):
+        """One walk, never lost: ``(candidates, hops)`` (k-NN discovery)."""
+        receipt = self._walk(level, key, radius)
+        return receipt.entries, receipt.total_hops
 
-def index_phase(
-    network,
-    query: np.ndarray,
-    epsilon: float,
-    *,
-    origin_peer: int,
-    aggregation: str | None = None,
-    info: dict | None = None,
-) -> tuple[dict[int, float], int]:
-    """Run the index phase; returns (aggregated peer scores, index hops).
+    def fetch(self, index: int, level, key, radius: float) -> Fetched:
+        """One level of a range plan, re-queried while its reply is lost.
 
-    ``info``, when given, is filled with the degradation accounting the
-    fault-aware callers need: ``levels_total``, ``levels_answered`` (a
-    level goes unanswered when its index reply is lost despite retries),
-    and ``index_attempts``. On a clean fabric every level answers on the
-    first attempt and the behaviour is identical to the pre-fault code.
-    """
-    recorder = obs_trace.state.recorder
-    injector = getattr(network.fabric, "faults", None)
-    with recorder.span("translate", levels=len(network.levels)):
-        keys = _query_keys(network, query)
-    premasks = _premask_levels(network, keys, epsilon)
-    per_level: dict = {}
-    hops = 0
-    levels_answered = 0
-    index_attempts = 0
-    for index, level in enumerate(network.levels):
-        overlay = network.overlays[level]
-        origin_node = network.overlay_node(level, origin_peer)
-        scaled = epsilon * radius_scale(network.dimensionality, level)
-        radius = key_space_radius(scaled, level)
-        with recorder.span(
-            f"sphere_filter[{level}]", level=str(level)
-        ) as span:
-            if injector is None or injector.passthrough:
-                if premasks is not None and index in premasks:
-                    receipt = overlay.range_query(
-                        origin_node, keys[level], radius,
-                        mask=premasks[index],
-                    )
-                else:
-                    receipt = overlay.range_query(
-                        origin_node, keys[level], radius
-                    )
-                level_hops, attempts = receipt.total_hops, 1
-            else:
-                receipt, level_hops, attempts = _level_query_with_retries(
-                    overlay, origin_node, keys[level], radius, injector
+        The overlay walk itself is synchronous; what loss can claim is
+        the aggregated reply flowing back to the querier. Each lost reply
+        costs a timeout, a capped-backoff wait, and a full re-query (hops
+        re-charged) until the retry budget runs out.
+        """
+        injector = self.network.fabric.faults
+        if injector is None or injector.passthrough:
+            receipt = self._walk(level, key, radius, self._premasks.get(index))
+            return Fetched(
+                receipt.entries, receipt.total_hops, 1,
+                receipt.routing_hops, receipt.flood_hops,
+            )
+        policy = injector.plan.retry
+        hops = 0
+        for attempt in range(1, policy.max_attempts + 1):
+            wait = policy.wait_before_attempt(attempt)
+            if wait > 0.0:
+                injector.count("retries")
+                scheduler = self.network.fabric.scheduler
+                scheduler.run_until(scheduler.now + wait)
+            receipt = self._walk(level, key, radius)
+            hops += receipt.total_hops
+            if not injector.index_response_lost():
+                return Fetched(
+                    receipt.entries, hops, attempt,
+                    receipt.routing_hops, receipt.flood_hops,
                 )
-            hops += level_hops
-            index_attempts += attempts
-            if receipt is None:
-                # Level reply lost despite retries: score without it.
-                # Min-aggregation over fewer levels only *admits* extra
-                # candidates (Theorem 4.1 direction stays safe).
-                span.set(radius=radius, unanswered=True, attempts=attempts)
-                continue
-            levels_answered += 1
-            stats: dict = {}
-            per_level[level] = level_scores(
-                receipt.entries, keys[level], radius, stats=stats
-            )
-            span.set(
-                radius=radius,
-                candidates=stats["candidates"],
-                pruned=stats["pruned"],
-                surviving=stats["surviving"],
-                peers=len(per_level[level]),
-                routing_hops=receipt.routing_hops,
-                flood_hops=receipt.flood_hops,
-            )
-    if info is not None:
-        info["levels_total"] = len(network.levels)
-        info["levels_answered"] = levels_answered
-        info["index_attempts"] = index_attempts
-    policy = aggregation or network.config.aggregation
+            injector.count("timeouts")
+        return Fetched(None, hops, policy.max_attempts)
+
+
+def score_peers(per_level: dict, policy: str) -> dict[int, float]:
+    """Steps s1/s2's join: aggregate per-level Eq. 1 dicts across levels."""
+    recorder = obs_trace.state.recorder
     with recorder.span("score", policy=policy) as span:
         aggregated = aggregate_scores(per_level, policy=policy)
         if recorder.enabled:
@@ -231,7 +236,75 @@ def index_phase(
                     sum(values) / len(values) if values else 0.0
                 ),
             )
-    return aggregated, hops
+    return aggregated
+
+
+def index_phase(
+    network,
+    query: np.ndarray,
+    epsilon: float,
+    *,
+    origin_peer: int,
+    aggregation: str | None = None,
+    info: dict | None = None,
+    source=None,
+) -> tuple[dict[int, float], int]:
+    """Run the index phase; returns (aggregated peer scores, index hops).
+
+    ``source`` is where candidates come from (module docstring); the
+    default walks the overlays from ``origin_peer``. ``info``, when
+    given, is filled with the degradation accounting the fault-aware
+    callers need: ``levels_total``, ``levels_answered`` (a level goes
+    unanswered when its index reply is lost despite retries), and
+    ``index_attempts``. On a clean fabric every level answers on the
+    first attempt.
+    """
+    recorder = obs_trace.state.recorder
+    with recorder.span("translate", levels=len(network.levels)):
+        plan = level_plan(
+            network.dimensionality, network.levels, query, epsilon
+        )
+    if source is None:
+        source = RoutedSource(network, origin_peer, plan)
+    per_level: dict = {}
+    hops = 0
+    levels_answered = 0
+    index_attempts = 0
+    for index, (level, (key, radius)) in enumerate(plan.items()):
+        with recorder.span(
+            f"sphere_filter[{level}]", level=str(level)
+        ) as span:
+            got = source.fetch(index, level, key, radius)
+            hops += got.hops
+            index_attempts += got.attempts
+            if got.candidates is None:
+                # Level reply lost despite retries: score without it.
+                # Min-aggregation over fewer levels only *admits* extra
+                # candidates (Theorem 4.1 direction stays safe).
+                span.set(
+                    radius=radius, unanswered=True, attempts=got.attempts
+                )
+                continue
+            levels_answered += 1
+            stats: dict = {}
+            per_level[level] = level_scores(
+                got.candidates, key, radius, stats=stats
+            )
+            span.set(
+                radius=radius,
+                candidates=stats["candidates"],
+                pruned=stats["pruned"],
+                surviving=stats["surviving"],
+                peers=len(per_level[level]),
+                routing_hops=got.routing_hops,
+                flood_hops=got.flood_hops,
+            )
+    if info is not None:
+        info["levels_total"] = len(plan)
+        info["levels_answered"] = levels_answered
+        info["index_attempts"] = index_attempts
+    policy = aggregation or network.config.aggregation
+    return score_peers(per_level, policy), hops
 
 
 def contact_peers(
@@ -250,7 +323,7 @@ def contact_peers(
     Offline peers (MANET churn) still consume a contact attempt — the
     querier learns of the failure only after the request times out — but
     return nothing. Response traffic is charged separately, sized by the
-    items actually returned (:func:`charge_response`).
+    items actually returned (:func:`send_response`).
 
     Under a fault injector each request goes through
     :func:`repro.faults.resilience.reliable_send` (timeout, capped
@@ -270,8 +343,8 @@ def contact_peers(
     flat scheme. Retrieval endpoints may also move off level 0 to each
     peer's least-loaded overlay interface.
     """
-    injector = getattr(network.fabric, "faults", None)
-    controller = getattr(network, "adaptation", None)
+    injector = network.fabric.faults
+    controller = network.adaptation
     attempts = [peer_id for peer_id, __ in ranked]
     if max_peers is not None:
         attempts = attempts[:max_peers]
@@ -345,32 +418,16 @@ def contact_peers(
     return reached, messages, failed
 
 
-def charge_response(network, origin_peer: int, peer_id: int, n_items: int) -> int:
-    """Charge one response message carrying ``n_items`` result vectors.
-
-    Each item ships its full vector plus id/distance metadata; an empty
-    response is still an acknowledgement (header-sized). Returns how many
-    messages were charged (0 when the peer answers itself).
-    """
-    level0 = network.levels[0]
-    origin_node = network.overlay_node(level0, origin_peer)
-    target_node = network.overlay_node(level0, peer_id)
-    if target_node == origin_node:
-        return 0
-    size = vector_message_size(
-        network.dimensionality * max(n_items, 0), scalars=2 * n_items
-    )
-    network.fabric.transmit(target_node, origin_node, MessageKind.DATA, size)
-    return 1
-
-
 def send_response(
     network, origin_peer: int, peer_id: int, n_items: int, *, items=None
 ) -> tuple[bool, int]:
-    """Fault-aware :func:`charge_response`: ``(delivered, messages)``.
+    """Charge one response carrying ``n_items`` result vectors.
 
-    With no injector installed this is exactly one charged response
-    message (always delivered). With one, the responding peer retries per
+    Returns ``(delivered, messages)``. Each item ships its full vector
+    plus id/distance metadata; an empty response is still an
+    acknowledgement (header-sized); a peer answering itself sends
+    nothing. With no injector installed this is exactly one charged
+    response message (always delivered). With one, the responding peer retries per
     the plan's :class:`~repro.faults.plan.RetryPolicy`; an undelivered
     response means the querier never sees the items — the caller drops
     them and degrades the query's confidence.
@@ -383,8 +440,8 @@ def send_response(
     re-paying the full vector payload every round. Delivery is recorded
     only when the frame actually arrives.
     """
-    injector = getattr(network.fabric, "faults", None)
-    controller = getattr(network, "adaptation", None)
+    injector = network.fabric.faults
+    controller = network.adaptation
     level0 = network.levels[0]
     if controller is not None and controller.config.balance_interfaces:
         origin_node = controller.retrieval_node(origin_peer)
@@ -441,7 +498,7 @@ def retrieval_phase(
     messages, attempted)``.
     """
     recorder = obs_trace.state.recorder
-    injector = getattr(network.fabric, "faults", None)
+    injector = network.fabric.faults
     items = []
     answered: list[int] = []
     with recorder.span("contact_peers") as contact_span:
@@ -473,6 +530,39 @@ def retrieval_phase(
     return items, answered, failed, messages, attempted
 
 
+def finish_range(
+    network,
+    query: np.ndarray,
+    epsilon: float,
+    aggregated: dict[int, float],
+    *,
+    origin_peer: int,
+    max_peers: int | None,
+    index_hops: int = 0,
+    levels_answered: int | None = None,
+) -> RangeQueryResult:
+    """Retrieval phase + result assembly for one scored range query."""
+    items, answered, failed, messages, attempted = retrieval_phase(
+        network, rank_peers(aggregated), query, epsilon,
+        origin_peer=origin_peer, max_peers=max_peers,
+    )
+    n_levels = len(network.levels)
+    confidence = partial_confidence(
+        n_levels if levels_answered is None else levels_answered,
+        n_levels, len(answered), attempted,
+    )
+    return RangeQueryResult(
+        items=sort_items_by_distance(items),
+        peer_scores=aggregated,
+        peers_contacted=answered,
+        failed_contacts=failed,
+        index_hops=index_hops,
+        retrieval_messages=messages,
+        confidence=confidence,
+        degraded=confidence < 1.0,
+    )
+
+
 def range_query(
     network,
     query: np.ndarray,
@@ -502,14 +592,9 @@ def range_query(
     """
     query = check_vector(query, "query", dim=network.dimensionality)
     check_positive(epsilon, "epsilon", strict=False)
-    origin = _default_origin(network) if origin_peer is None else origin_peer
-    if origin not in network.peers:
-        raise QueryError(f"unknown origin peer {origin}")
-    if not network.peers[origin].online:
-        raise QueryError(f"origin peer {origin} has left the network")
+    origin = resolve_origin(network, origin_peer)
 
     recorder = obs_trace.state.recorder
-    injector = getattr(network.fabric, "faults", None)
     fault_info: dict = {}
     with recorder.span(
         "query", type="range", epsilon=float(epsilon), origin=origin
@@ -520,56 +605,43 @@ def range_query(
             network, query, epsilon, origin_peer=origin,
             aggregation=aggregation, info=fault_info,
         )
-        ranked = rank_peers(aggregated)
-        items, answered, failed, messages, attempted = retrieval_phase(
-            network, ranked, query, epsilon,
-            origin_peer=origin, max_peers=max_peers,
+        result = finish_range(
+            network, query, epsilon, aggregated,
+            origin_peer=origin, max_peers=max_peers, index_hops=index_hops,
+            levels_answered=fault_info["levels_answered"],
         )
-        confidence = partial_confidence(
-            fault_info.get("levels_answered", len(network.levels)),
-            fault_info.get("levels_total", len(network.levels)),
-            len(answered),
-            attempted,
-        )
-        degraded = confidence < 1.0
-        query_span.set(
-            index_hops=index_hops,
-            items=len(items),
-            peers_contacted=len(answered),
-        )
-        flight_op.set(
-            index_hops=index_hops,
-            items=len(items),
-            peers_contacted=len(answered),
-        )
+        summary = {
+            "index_hops": index_hops,
+            "items": len(result.items),
+            "peers_contacted": len(result.peers_contacted),
+        }
+        query_span.set(**summary)
+        flight_op.set(**summary)
     metrics = obs_registry.metrics()
     metrics.counter("query.range.count").inc()
-    metrics.counter("query.range.items").inc(len(items))
-    metrics.counter("query.range.failed_contacts").inc(len(failed))
+    metrics.counter("query.range.items").inc(len(result.items))
+    metrics.counter("query.range.failed_contacts").inc(
+        len(result.failed_contacts)
+    )
     metrics.histogram("query.range.index_hops").observe(index_hops)
-    metrics.histogram("query.range.peers_contacted").observe(len(answered))
-    metrics.histogram("query.range.retrieval_messages").observe(messages)
+    metrics.histogram("query.range.peers_contacted").observe(
+        len(result.peers_contacted)
+    )
+    metrics.histogram("query.range.retrieval_messages").observe(
+        result.retrieval_messages
+    )
+    injector = network.fabric.faults
     if injector is not None and not injector.passthrough:
         # Fault-only telemetry: recorded solely when faults can actually
         # fire, so null-plan metric snapshots stay byte-identical.
-        metrics.histogram("query.range.confidence").observe(confidence)
-        if degraded:
+        metrics.histogram("query.range.confidence").observe(result.confidence)
+        if result.degraded:
             metrics.counter("query.range.degraded").inc()
-    controller = getattr(network, "adaptation", None)
-    if controller is not None:
+    if network.adaptation is not None:
         # Epoch tick last: any zone rebalance or replication retune the
         # controller triggers can no longer affect this query's results.
-        controller.note_query()
-    return RangeQueryResult(
-        items=sort_items_by_distance(items),
-        peer_scores=aggregated,
-        peers_contacted=answered,
-        failed_contacts=failed,
-        index_hops=index_hops,
-        retrieval_messages=messages,
-        confidence=confidence,
-        degraded=degraded,
-    )
+        network.adaptation.note_query()
+    return result
 
 
 def point_query(

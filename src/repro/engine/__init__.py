@@ -6,8 +6,7 @@ package splits into:
 * :mod:`repro.engine.base` — the :class:`Engine` contract,
   :class:`EngineConfig`, and the single-sourced shard kernels;
 * :mod:`repro.engine.serial` — :class:`SerialScheduler` (the discrete-
-  event clock, bit-identical to the pre-engine
-  ``repro.net.events.Scheduler``) and the inline :class:`SerialEngine`;
+  event clock) and the inline :class:`SerialEngine`;
 * :mod:`repro.engine.sharded` — :class:`ShardedEngine` /
   :class:`ShardedScheduler`: level (or row-region) shards on forked
   worker processes reading the level stores' shared-memory columns

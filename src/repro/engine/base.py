@@ -12,7 +12,7 @@ An :class:`Engine` owns both halves of that story:
 * **Scheduler plane** — :meth:`Engine.create_scheduler` yields the
   discrete-event scheduler the network fabric drives. Every scheduler
   satisfies :class:`SchedulerProtocol`; the serial one is bit-identical
-  to the pre-engine ``repro.net.events.Scheduler``.
+  to the pre-engine scheduler.
 * **Shard plane** — :meth:`Engine.register_store` attaches one
   :class:`repro.index.LevelStore` per shard key (the level index), and
   :meth:`Engine.masks` / :meth:`Engine.score_levels` fan batched tasks

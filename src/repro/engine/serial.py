@@ -1,12 +1,11 @@
 """The serial engine: the event queue and scheduler moved from ``repro.net``.
 
-:class:`SerialScheduler` is the simulator's clock, bit-identical to the
-pre-engine ``repro.net.events.Scheduler`` (which now re-exports it): a
-minimal but complete discrete-event core where events are ``(time, seq)``
-ordered in a binary heap; ``seq`` breaks ties FIFO so simultaneous events
-run in scheduling order (deterministic replays). The paper describes the
-same design: every message goes to an event queue which is periodically
-emptied to simulate parallel execution.
+:class:`SerialScheduler` is the simulator's clock: a minimal but complete
+discrete-event core where events are ``(time, seq)`` ordered in a binary
+heap; ``seq`` breaks ties FIFO so simultaneous events run in scheduling
+order (deterministic replays). The paper describes the same design: every
+message goes to an event queue which is periodically emptied to simulate
+parallel execution.
 
 :class:`SerialEngine` is the default execution engine — every shard task
 runs inline in the calling process, so results are byte-for-byte the

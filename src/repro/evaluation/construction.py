@@ -16,7 +16,7 @@ network with a scheduler class and an event queue":
   paper's conference-room scenario) transmissions serialize and the
   makespan is the total airtime.
 
-Both schedules are run through :class:`repro.net.events.Scheduler`.
+Both schedules are run through :class:`repro.engine.serial.SerialScheduler`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from repro.core.baselines import NaiveCANPublisher
 from repro.core.network import HyperMConfig
+from repro.engine.serial import SerialScheduler
 from repro.evaluation.workloads import build_markov_network
-from repro.net.events import Scheduler
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import check_positive
 
@@ -89,7 +89,7 @@ def _simulate_schedules(
     parallel makespan, shared-channel makespan).
     """
     # Parallel (spatial reuse): each peer chains its own operations.
-    scheduler = Scheduler()
+    scheduler = SerialScheduler()
     completion: dict[int, float] = {}
 
     def chain(peer_id: int, costs: list[float], index: int) -> None:
@@ -106,7 +106,7 @@ def _simulate_schedules(
     parallel_makespan = max(completion.values(), default=0.0)
 
     # Shared channel: one collision domain, FIFO over all operations.
-    serial = Scheduler()
+    serial = SerialScheduler()
     cursor = {"t": 0.0}
     for costs in per_peer_costs.values():
         for cost in costs:

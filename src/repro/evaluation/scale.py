@@ -22,25 +22,29 @@ Plus one machine-relative ratio CI can gate: ``bulk_speedup``, the
 wall-clock ratio of protocol-grown (routed joins + routed inserts)
 versus bulk (grid + :func:`bulk_publish`) construction at a small equal
 size on the same machine. When the sharded engine is selected, the first
-``parity_queries`` queries are recomputed inline and compared at 1e-9 —
-the sharded path must be an execution strategy, never a different
-answer.
+``parity_queries`` queries are recomputed on a :class:`~repro.engine.
+SerialEngine` over the same stores and compared at 1e-9 — the sharded
+path must be an execution strategy, never a different answer.
+
+The query side is the pipeline of :mod:`repro.core.queries` with the
+engine plane in the candidate + score seat: :func:`~repro.core.queries.
+level_plan` translates, :meth:`Engine.score_levels` masks and scores each
+level, :func:`~repro.core.queries.score_peers` joins them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.scoring import aggregate_scores, level_scores
-from repro.engine import EngineConfig, create_engine, gather_block, store_mask
+from repro.core.queries import level_plan, score_peers
+from repro.engine import EngineConfig, SerialEngine, create_engine
 from repro.exceptions import ValidationError
 from repro.net.network import Network
 from repro.obs import registry as obs_registry
 from repro.obs.rss import rss_snapshot
 from repro.overlay.can import CANNetwork, build_grid_can, bulk_publish
 from repro.utils.rng import ensure_rng
-from repro.wavelets.bounds import key_space_radius, radius_scale, to_unit_cube
-from repro.wavelets.multiresolution import decompose, publication_levels
+from repro.wavelets.multiresolution import publication_levels
 
 
 def _clock():
@@ -48,12 +52,13 @@ def _clock():
 
 
 def _sphere_batch(levels, n_peers, spheres_per_peer, rng):
-    """Synthetic per-level sphere columns: keys, radii, peer ids.
+    """Synthetic per-level sphere columns: keys, radii, items, peer ids.
 
-    Keys are uniform in each level's key space and radii uniform in
-    ``[0, 0.05]`` — the publication *cost* being measured is independent
-    of where a real summary's centroids land, and uniform keys exercise
-    every grid cell.
+    Keys are uniform in each level's key space, radii uniform in
+    ``[0, 0.05]`` and item counts cycle through ``1..32`` — the
+    publication *cost* being measured is independent of where a real
+    summary's centroids land, uniform keys exercise every grid cell, and
+    non-zero counts keep Eq. 1 scores (hence the parity check) non-zero.
     """
     n_spheres = n_peers * spheres_per_peer
     peer_ids = np.repeat(np.arange(n_peers, dtype=np.int64), spheres_per_peer)
@@ -62,10 +67,13 @@ def _sphere_batch(levels, n_peers, spheres_per_peer, rng):
         keys = rng.random((n_spheres, level.dimensionality))
         radii = 0.05 * rng.random(n_spheres)
         batches[level] = (keys, radii)
-    return peer_ids, batches
+    items = 1.0 + np.arange(n_spheres) % 32
+    return peer_ids, items, batches
 
 
-def _build_and_publish(levels, n_peers, peer_ids, batches, *, fabric, rng):
+def _build_and_publish(
+    levels, n_peers, peer_ids, items, batches, *, fabric, rng
+):
     """Grid-build every level overlay and bulk-publish all spheres.
 
     Returns ``(overlays, plans, build_s, publish_s)``. Peer ``i`` is
@@ -94,65 +102,28 @@ def _build_and_publish(levels, n_peers, peer_ids, batches, *, fabric, rng):
         origins = plan.node_id_offset + peer_ids
         bulk_publish(
             overlays[level], plan, keys, radii,
-            peer_ids=peer_ids, origins=origins,
+            peer_ids=peer_ids, origins=origins, items=items,
         )
     publish_s = clock() - start
     return overlays, plans, build_s, publish_s
 
 
-def _translate_queries(queries, levels):
-    """Map each d-dim query into every level's key space (one DWT each)."""
-    per_query = []
-    for query in queries:
-        decomposition = decompose(query)
-        per_query.append({
-            level: np.clip(to_unit_cube(decomposition[level], level), 0.0, 1.0)
-            for level in levels
-        })
-    return per_query
-
-
-def _level_radii(dimensionality, levels, epsilon):
-    return {
-        level: key_space_radius(
-            epsilon * radius_scale(dimensionality, level), level
-        )
-        for level in levels
-    }
-
-
-def _engine_query(engine, levels, keys_by_level, radii):
+def _engine_scores(engine, plan: dict) -> dict:
     """One index-phase query on the engine plane; returns peer scores."""
     tasks = [
-        (index, keys_by_level[level], radii[level])
-        for index, level in enumerate(levels)
+        (index, key, radius)
+        for index, (key, radius) in enumerate(plan.values())
     ]
-    per_level = dict(zip(levels, engine.score_levels(tasks)))
-    return aggregate_scores(per_level, policy="min")
+    return score_peers(dict(zip(plan, engine.score_levels(tasks))), "min")
 
 
-def _inline_query(stores, levels, keys_by_level, radii):
-    """The serial oracle: same kernels, straight on the parent's columns."""
-    per_level = {}
-    for level in levels:
-        store = stores[level]
-        mask = store_mask(store, keys_by_level[level], radii[level])
-        block = gather_block(store, mask)
-        per_level[level] = level_scores(
-            block, keys_by_level[level], radii[level]
-        )
-    return aggregate_scores(per_level, policy="min")
-
-
-def _score_parity(engine_scores, inline_scores, tolerance=1e-9):
+def _score_parity(engine_scores, inline_scores):
     """Max |delta| between two peer-score dicts; infinite on set mismatch."""
     if set(engine_scores) != set(inline_scores):
         return float("inf")
-    if not engine_scores:
-        return 0.0
     return max(
-        abs(engine_scores[peer] - inline_scores[peer])
-        for peer in engine_scores
+        (abs(engine_scores[p] - inline_scores[p]) for p in engine_scores),
+        default=0.0,
     )
 
 
@@ -223,21 +194,22 @@ def run_scale_bench(
     engine_obj = create_engine(config)
     try:
         fabric = Network(scheduler=engine_obj.create_scheduler())
-        peer_ids, batches = _sphere_batch(
+        peer_ids, items, batches = _sphere_batch(
             levels, n_peers, spheres_per_peer, rng
         )
         overlays, plans, build_s, publish_s = _build_and_publish(
-            levels, n_peers, peer_ids, batches, fabric=fabric, rng=rng
+            levels, n_peers, peer_ids, items, batches, fabric=fabric, rng=rng
         )
-        stores = {
-            level: overlays[level].level_store for level in levels
-        }
+        oracle = SerialEngine()
         for index, level in enumerate(levels):
-            engine_obj.register_store(index, stores[level])
+            engine_obj.register_store(index, overlays[level].level_store)
+            oracle.register_store(index, overlays[level].level_store)
 
         queries = rng.random((n_queries, dimensionality))
-        translated = _translate_queries(queries, levels)
-        radii = _level_radii(dimensionality, levels, epsilon)
+        query_plans = [
+            level_plan(dimensionality, levels, query, epsilon)
+            for query in queries
+        ]
 
         # Parity first (outside the timed window): the engine must agree
         # with the inline oracle before its throughput means anything.
@@ -245,10 +217,10 @@ def run_scale_bench(
         if engine_obj.parallel and parity_queries > 0:
             worst = 0.0
             checked = min(parity_queries, n_queries)
-            for keys_by_level in translated[:checked]:
+            for plan in query_plans[:checked]:
                 delta = _score_parity(
-                    _engine_query(engine_obj, levels, keys_by_level, radii),
-                    _inline_query(stores, levels, keys_by_level, radii),
+                    _engine_scores(engine_obj, plan),
+                    _engine_scores(oracle, plan),
                 )
                 worst = max(worst, delta)
             if not worst <= 1e-9:
@@ -260,10 +232,8 @@ def run_scale_bench(
 
         start = clock()
         peers_ranked = 0
-        for keys_by_level in translated:
-            peers_ranked += len(
-                _engine_query(engine_obj, levels, keys_by_level, radii)
-            )
+        for plan in query_plans:
+            peers_ranked += len(_engine_scores(engine_obj, plan))
         query_s = clock() - start
 
         small = min(baseline_peers, n_peers)

@@ -7,8 +7,9 @@ Three arms over one published Markov-corpus network:
   its own per-level overlay walk and BLAS pass.
 * **Batched** — the same request stream through
   :meth:`repro.serve.ServeEngine.execute_batch` in fixed-size batches:
-  one stacked intersection GEMM per level per batch, generation-keyed
-  candidate/translation caches, query-log mining. Measured twice: a
+  the same query pipeline over the co-located candidate source — one
+  stacked intersection GEMM per level per batch, a generation-keyed
+  candidate cache, query-log mining. Measured twice: a
   *steady-state* arm (warm engine on a Zipf-skewed hot stream — the
   serving tier as deployed) and a *cold* arm (fresh engine, distinct
   queries — pure batching with every cache missing).
@@ -24,6 +25,7 @@ speedups are pure execution strategy, never a different answer.
 from __future__ import annotations
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 
@@ -176,14 +178,7 @@ def run_serve_bench(
                     lambda: _run_batches(engine, hot_requests, batch_size)
                 )
         cold_engine = ServeEngine(
-            network,
-            ServeConfig(
-                max_queue=base_serve.max_queue,
-                max_inflight=base_serve.max_inflight,
-                max_batch=base_serve.max_batch,
-                batch_window=base_serve.batch_window,
-                mine_queries=False,
-            ),
+            network, replace(base_serve, mine_queries=False)
         )
         pair["cold_seq"] = _timed(lambda: [
             network.range_query(r.query, r.epsilon, max_peers=r.max_peers)

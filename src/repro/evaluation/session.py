@@ -21,9 +21,9 @@ from repro.core.baselines import CentralizedIndex
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.datasets.histograms import generate_histograms
 from repro.datasets.partition import partition_among_peers
+from repro.engine.serial import SerialScheduler
 from repro.evaluation.metrics import precision_recall
 from repro.exceptions import ValidationError
-from repro.net.events import Scheduler
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
@@ -114,7 +114,7 @@ class SessionSimulator:
         root = ensure_rng(rng)
         (self._data_rng, self._part_rng, self._net_rng,
          self._event_rng) = spawn_rngs(root, 4)
-        self.scheduler = Scheduler()
+        self.scheduler = SerialScheduler()
         self.outcome = SessionOutcome()
         self.network: HyperMNetwork | None = None
         self._offline: list[int] = []

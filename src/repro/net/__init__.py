@@ -4,7 +4,8 @@ The paper evaluates on a simulated network: "We implemented CAN … and
 simulated the parallel behavior of a peer-to-peer network with a scheduler
 class and an event queue" (Section 5.2). This package is that substrate:
 
-* :mod:`repro.net.events` — the event queue / scheduler;
+* :mod:`repro.engine.serial` — the event queue / scheduler (re-exported
+  here as ``SerialScheduler`` / ``Event``);
 * :mod:`repro.net.messages` — typed messages with byte sizes;
 * :mod:`repro.net.energy` — a radio energy model (tx/rx per byte), backing
   the paper's energy-efficiency claims with measurable numbers;
@@ -12,14 +13,14 @@ class and an event queue" (Section 5.2). This package is that substrate:
 * :mod:`repro.net.network` — the network fabric that overlays send through.
 """
 
+from repro.engine.serial import Event, SerialScheduler
 from repro.net.energy import EnergyModel
-from repro.net.events import Event, Scheduler
 from repro.net.messages import Message, MessageKind
 from repro.net.metrics import NetworkMetrics, OperationMetrics
 from repro.net.network import Network
 
 __all__ = [
-    "Scheduler",
+    "SerialScheduler",
     "Event",
     "Message",
     "MessageKind",

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.engine.serial import SerialScheduler
 from repro.exceptions import ValidationError
 from repro.faults import state as faults_state
 from repro.faults.injector import FaultInjector
 from repro.net.energy import EnergyLedger, EnergyModel
-from repro.net.events import Scheduler
 from repro.net.messages import Message, MessageKind
 from repro.net.metrics import NetworkMetrics
 from repro.net.node import SimNode
@@ -53,7 +53,7 @@ class Network:
         #: The fabric clock. An execution engine may inject its own
         #: scheduler (``repro.engine``); the default is the serial one,
         #: byte-identical to the pre-engine behaviour.
-        self.scheduler = scheduler if scheduler is not None else Scheduler()
+        self.scheduler = scheduler if scheduler is not None else SerialScheduler()
         self.energy = EnergyLedger(model=energy_model or EnergyModel())
         self.metrics = NetworkMetrics()
         self.load = LoadLedger()

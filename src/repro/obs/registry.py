@@ -3,7 +3,7 @@
 Counters, gauges, and histograms keyed by name plus optional labels, with
 a :class:`Timer` context manager for phase timing. Nothing here touches
 ``time.monotonic`` directly — every clock is an injectable zero-argument
-callable, so the discrete-event :class:`repro.net.events.Scheduler` can
+callable, so the discrete-event :class:`repro.engine.serial.SerialScheduler` can
 drive timers with *simulated* seconds (``clock=lambda: scheduler.now``)
 just as easily as ``time.perf_counter`` drives them with real ones.
 

@@ -128,6 +128,10 @@ class Overlay(abc.ABC):
     #: zone section instead of fabricating zero-volume rows.
     zone_geometry = False
 
+    #: True when ``range_query`` accepts a precomputed store-wide
+    #: intersection ``mask=`` from a parallel execution engine.
+    supports_premask = False
+
     @property
     @abc.abstractmethod
     def dimensionality(self) -> int:

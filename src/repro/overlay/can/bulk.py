@@ -184,13 +184,16 @@ def bulk_publish(
     peer_ids=None,
     origins=None,
     values=None,
+    items=None,
     charge: bool = True,
 ) -> BulkPublishReport:
     """Publish ``n`` spheres into a bulk-built CAN in vectorised passes.
 
     One :meth:`LevelStore.bulk_add` appends every row (single generation
     bump), one :meth:`GridPlan.owner_nodes` gather finds the owners, and
-    memberships land grouped per owner. ``origins``, when given, is the
+    memberships land grouped per owner. ``items`` is the per-sphere item
+    count column Eq. 1 weighs by (zeros when omitted, so every score is
+    0.0 — fine for cost measurements only). ``origins``, when given, is the
     per-sphere publishing node id; traffic is charged as one INSERT
     frame per sphere from origin to owner through
     :meth:`Network.transmit_bulk` (owners deliver to themselves when
@@ -198,7 +201,9 @@ def bulk_publish(
     """
     keys = np.asarray(keys, dtype=np.float64)
     store = can.level_store
-    rows = store.bulk_add(keys, radii, peer_ids=peer_ids, values=values)
+    rows = store.bulk_add(
+        keys, radii, items=items, peer_ids=peer_ids, values=values
+    )
     owners = plan.owner_nodes(keys)
     order = np.argsort(owners, kind="stable")
     sorted_owners = owners[order]

@@ -2,12 +2,13 @@
 
 An asyncio front door over :class:`repro.core.network.HyperMNetwork`:
 admission control with explicit shedding, batch coalescing into stacked
-per-level intersection passes, generation-keyed candidate/translation
-caches, query-log mining with cache pre-warming, k-NN top-k early
-termination, and an open-loop load generator. See ``docs/serving.md``.
+per-level intersection passes, a generation-keyed candidate cache,
+query-log mining with cache pre-warming, k-NN top-k early termination,
+and an open-loop load generator. See ``docs/serving.md``.
 """
 
-from repro.serve.cache import CandidateCache, TranslationCache, candidate_key
+from repro.serve.batch import StoreSource
+from repro.serve.cache import CandidateCache, candidate_key
 from repro.serve.engine import (
     KnnRequest,
     RangeRequest,
@@ -27,7 +28,7 @@ __all__ = [
     "ServeConfig",
     "ServeEngine",
     "ServeResponse",
-    "TranslationCache",
+    "StoreSource",
     "candidate_key",
     "run_open_loop",
 ]

@@ -17,24 +17,19 @@ store's boundary band (near-boundary pairs re-resolve exactly in both
 paths), so masks — hence candidate rows, hence Eq. 1 scores — are
 bit-identical to the sequential path. The property suite pins both the
 set equality (Theorem 4.1) and the 1e-9 score parity.
+
+:class:`StoreSource` packages both look-ups — single and batched — as the
+co-located *candidate source* of the query pipeline
+(:mod:`repro.core.queries`): no overlay routing, so ``index_hops == 0``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.queries import Fetched
 from repro.index import CandidateSet
 from repro.serve.cache import CandidateCache, candidate_key
-from repro.wavelets.bounds import key_space_radius, radius_scale
-
-
-def level_radii(network, epsilon: float) -> list[float]:
-    """Per-level key-space radii for one query radius (Theorem 3.1)."""
-    d = network.dimensionality
-    return [
-        key_space_radius(epsilon * radius_scale(d, level), level)
-        for level in network.levels
-    ]
 
 
 def fresh_candidates(store, key: np.ndarray, radius: float) -> CandidateSet:
@@ -43,52 +38,80 @@ def fresh_candidates(store, key: np.ndarray, radius: float) -> CandidateSet:
     return store.candidate_set(np.flatnonzero(mask))
 
 
-def batched_candidates(
-    network,
-    plans: list[dict],
-    cache: CandidateCache | None,
-) -> list[dict]:
-    """Resolve a batch of per-level lookups with one GEMM per level.
+class StoreSource:
+    """Candidates straight from the level stores, generation-cached.
 
-    ``plans`` holds one ``{level: (key, radius)}`` dict per query; the
-    return value mirrors it as ``{level: CandidateSet}``. Per level, the
-    batch is first served from ``cache`` (generation-checked), duplicate
-    misses are deduplicated, and the surviving distinct lookups go
-    through one stacked :meth:`~repro.index.LevelStore.intersection_masks`
-    pass. Every query bumps its candidates' heat — cached or not — so
-    the adaptation controller's demand signal counts served queries, not
-    mask computations.
+    The serving tier's candidate source: every look-up is a store-wide
+    mask pass (or a fresh ``cache`` hit) on the co-located index, charges
+    no hops and cannot be lost. Every look-up bumps its candidates' heat
+    — cached or not — so the adaptation controller's demand signal
+    counts served queries, not mask computations.
     """
-    out: list[dict] = [{} for __ in plans]
-    for level_index, level in enumerate(network.levels):
-        store = network.overlays[level].level_store
-        wanted: list = []  # (plan position, cache key)
-        resolved: dict = {}
-        missing: dict = {}  # cache key -> (key, radius), insertion-ordered
-        for position, plan in enumerate(plans):
-            key, radius = plan[level]
-            ck = candidate_key(level_index, key, radius)
-            wanted.append((position, ck))
-            if ck in resolved or ck in missing:
-                continue
-            cached = cache.lookup(ck) if cache is not None else None
-            if cached is not None:
-                resolved[ck] = cached
-            else:
-                missing[ck] = (key, radius)
-        if missing:
-            centers = np.stack([key for key, __ in missing.values()])
-            radii = np.asarray(
-                [radius for __, radius in missing.values()], dtype=np.float64
-            )
-            masks = store.intersection_masks(centers, radii)
-            for row, ck in enumerate(missing):
-                candidates = store.candidate_set(np.flatnonzero(masks[row]))
-                resolved[ck] = candidates
-                if cache is not None:
-                    cache.store(ck, candidates)
-        for position, ck in wanted:
-            candidates = resolved[ck]
-            store.bump_heat(candidates.rows)
-            out[position][level] = candidates
-    return out
+
+    def __init__(self, network, cache: CandidateCache | None = None):
+        self.network = network
+        self.cache = cache
+
+    def probe(self, index: int, level, key: np.ndarray, radius: float):
+        """One cached single-query look-up: ``(candidates, 0 hops)``."""
+        store = self.network.overlays[level].level_store
+        ck = candidate_key(index, key, radius)
+        candidates = self.cache.lookup(ck) if self.cache is not None else None
+        if candidates is None:
+            candidates = fresh_candidates(store, key, radius)
+            if self.cache is not None:
+                self.cache.store(ck, candidates)
+        store.bump_heat(candidates.rows)
+        return candidates, 0
+
+    def fetch(self, index: int, level, key: np.ndarray, radius: float):
+        """One level of a range plan (:class:`repro.core.queries.Fetched`)."""
+        return Fetched(self.probe(index, level, key, radius)[0])
+
+    def fetch_batch(self, plans: list[dict]) -> list[dict]:
+        """Resolve a batch of range plans with one GEMM per level.
+
+        ``plans`` holds one ``{level: (key, radius)}`` dict per query; the
+        return value mirrors it as ``{level: CandidateSet}``. Per level,
+        the batch is first served from the cache (generation-checked),
+        duplicate misses are deduplicated, and the surviving distinct
+        lookups go through one stacked
+        :meth:`~repro.index.LevelStore.intersection_masks` pass.
+        """
+        cache = self.cache
+        out: list[dict] = [{} for __ in plans]
+        for level_index, level in enumerate(self.network.levels):
+            store = self.network.overlays[level].level_store
+            wanted: list = []  # (plan position, cache key)
+            resolved: dict = {}
+            missing: dict = {}  # cache key -> (key, radius), in order
+            for position, plan in enumerate(plans):
+                key, radius = plan[level]
+                ck = candidate_key(level_index, key, radius)
+                wanted.append((position, ck))
+                if ck in resolved or ck in missing:
+                    continue
+                cached = cache.lookup(ck) if cache is not None else None
+                if cached is not None:
+                    resolved[ck] = cached
+                else:
+                    missing[ck] = (key, radius)
+            if missing:
+                centers = np.stack([key for key, __ in missing.values()])
+                radii = np.asarray(
+                    [radius for __, radius in missing.values()],
+                    dtype=np.float64,
+                )
+                masks = store.intersection_masks(centers, radii)
+                for row, ck in enumerate(missing):
+                    candidates = store.candidate_set(
+                        np.flatnonzero(masks[row])
+                    )
+                    resolved[ck] = candidates
+                    if cache is not None:
+                        cache.store(ck, candidates)
+            for position, ck in wanted:
+                candidates = resolved[ck]
+                store.bump_heat(candidates.rows)
+                out[position][level] = candidates
+        return out

@@ -1,21 +1,18 @@
 """Generation-keyed caches for the serving tier.
 
-Two caches back the batched query plane:
+:class:`CandidateCache` memoizes hot :class:`repro.index.CandidateSet`
+snapshots keyed on ``(level, query key bytes, radius)``. Staleness is
+*exact*, not heuristic: every snapshot carries the store generation it
+was taken at, every publish / delta / rebalance / compaction bumps that
+level's generation, and :meth:`CandidateCache.lookup` discards a cached
+set the moment its generation disagrees with its store — so a mutation
+in one level's store invalidates exactly that level's cached sets and
+nothing else, and a stale set is *never* served (it is re-computed,
+never raised as a :class:`repro.exceptions.StaleCandidateError`).
 
-* :class:`TranslationCache` memoizes the per-query DWT + affine key-space
-  mapping (one dict of per-level keys per distinct query vector).
-* :class:`CandidateCache` memoizes hot :class:`repro.index.CandidateSet`
-  snapshots keyed on ``(level, query key bytes, radius)``. Staleness is
-  *exact*, not heuristic: every snapshot carries the store generation it
-  was taken at, every publish / delta / rebalance / compaction bumps that
-  level's generation, and :meth:`CandidateCache.lookup` discards a cached
-  set the moment its generation disagrees with its store — so a mutation
-  in one level's store invalidates exactly that level's cached sets and
-  nothing else, and a stale set is *never* served (it is re-computed,
-  never raised as a :class:`repro.exceptions.StaleCandidateError`).
-
-Both caches are bounded LRU maps; eviction never affects correctness,
-only hit rate.
+The cache is a bounded LRU map; eviction never affects correctness, only
+hit rate. (Query translations are memoized once, process-wide, by
+:func:`repro.core.queries.level_plan`.)
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.queries import _query_keys
 from repro.exceptions import ValidationError
 from repro.index import CandidateSet
 
@@ -121,52 +117,4 @@ class CandidateCache:
             "misses": self.misses,
             "stale": self.stale,
             "evictions": self.evictions,
-        }
-
-
-class TranslationCache:
-    """Bounded LRU of per-query key translations.
-
-    Values are the ``{level: key}`` dicts produced by
-    :func:`repro.core.queries._query_keys`; keys translate immutably (the
-    DWT and affine maps are fixed per network), so entries never go
-    stale — the bound exists purely to cap memory.
-    """
-
-    __slots__ = ("_capacity", "_data", "hits", "misses")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValidationError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = int(capacity)
-        self._data: OrderedDict[bytes, dict] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def translate(self, network, query: np.ndarray) -> dict:
-        """Per-level keys for ``query``, cached on the raw vector bytes."""
-        query = np.ascontiguousarray(query, dtype=np.float64)
-        cache_key = query.tobytes()
-        keys = self._data.get(cache_key)
-        if keys is not None:
-            self._data.move_to_end(cache_key)
-            self.hits += 1
-            return keys
-        self.misses += 1
-        keys = _query_keys(network, query)
-        self._data[cache_key] = keys
-        while len(self._data) > self._capacity:
-            self._data.popitem(last=False)
-        return keys
-
-    def snapshot(self) -> dict:
-        """Counter snapshot (JSON-safe) for reports and tests."""
-        return {
-            "size": len(self._data),
-            "capacity": self._capacity,
-            "hits": self.hits,
-            "misses": self.misses,
         }

@@ -11,9 +11,10 @@
   requests inside a ``batch_window`` and executes them as one batch:
   one stacked intersection GEMM per level (:mod:`repro.serve.batch`),
   de-multiplexed into per-query Eq. 1 scores.
-* **Caching** — per-query key translations and hot candidate sets,
-  generation-keyed so publishes / deltas / rebalances invalidate exactly
-  the mutated level (:mod:`repro.serve.cache`).
+* **Caching** — hot candidate sets, generation-keyed so publishes /
+  deltas / rebalances invalidate exactly the mutated level
+  (:mod:`repro.serve.cache`); key translations are memoized by the query
+  pipeline itself (:func:`repro.core.queries.level_plan`).
 * **Mining + pre-warming** — the served log feeds a
   :class:`repro.serve.mining.QueryLogMiner`; after any store mutation
   the hottest lookups are recomputed in one stacked pass before the next
@@ -35,43 +36,28 @@ query's retrieval + ``note_query`` tick runs in admission order.
 from __future__ import annotations
 
 import asyncio
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.knn import _peers_to_contact, _spheres_from_entries
+from repro.core.knn import run_knn
 from repro.core.queries import (
-    _default_origin,
-    contact_peers,
-    retrieval_phase,
-    send_response,
+    finish_range,
+    level_plan,
+    resolve_origin,
+    score_peers,
+    translation_cache_info,
 )
-from repro.core.results import (
-    KnnResult,
-    RangeQueryResult,
-    sort_items_by_distance,
-)
-from repro.core.scoring import (
-    aggregate_scores,
-    level_scores,
-    partial_confidence,
-    rank_peers,
-)
-from repro.exceptions import QueryError, ServeError, ValidationError
-from repro.geometry.epsilon import estimate_epsilon_for_k, expected_items
+from repro.core.results import KnnResult, RangeQueryResult
+from repro.core.scoring import level_scores
+from repro.exceptions import ServeError, ValidationError
 from repro.obs import flight as obs_flight
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
-from repro.serve.batch import batched_candidates, fresh_candidates, level_radii
-from repro.serve.cache import CandidateCache, TranslationCache, candidate_key
+from repro.serve.batch import StoreSource
+from repro.serve.cache import CandidateCache
 from repro.serve.mining import QueryLogMiner
 from repro.utils.validation import check_positive, check_vector
-from repro.wavelets.bounds import coefficient_interval, radius_scale
-
-#: First k-NN probe radius as a fraction of the key-space diagonal
-#: (mirrors :data:`repro.core.knn._INITIAL_PROBE_FRACTION`).
-_INITIAL_PROBE_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -88,8 +74,6 @@ class ServeConfig:
     batch_window: float = 0.002
     #: Candidate-cache entries (per engine, across levels).
     cache_candidates: int = 256
-    #: Translation-cache entries.
-    cache_translations: int = 512
     #: Mine the query log and pre-warm invalidated hot lookups.
     mine_queries: bool = True
     #: Hot lookups re-primed per pre-warm sweep.
@@ -187,8 +171,8 @@ class ServeEngine:
     def __init__(self, network, config: ServeConfig | None = None):
         self.network = network
         self.config = config or ServeConfig()
-        self.translations = TranslationCache(self.config.cache_translations)
         self.candidates = CandidateCache(self.config.cache_candidates)
+        self.source = StoreSource(network, self.candidates)
         self.miner = (
             QueryLogMiner(grid=self.config.mining_grid)
             if self.config.mine_queries
@@ -208,7 +192,9 @@ class ServeEngine:
     def execute_batch(self, requests: list) -> list:
         """Serve a coalesced batch; one stacked mask pass per level.
 
-        Results come back in request order and match what
+        The query pipeline of :mod:`repro.core.queries` over the
+        co-located :class:`~repro.serve.batch.StoreSource`: results come
+        back in request order and match what
         :func:`repro.core.queries.range_query` /
         :func:`repro.core.knn.knn_query` return for the same inputs on
         the same network state (``index_hops`` excepted: the engine
@@ -216,6 +202,7 @@ class ServeEngine:
         """
         if not requests:
             return []
+        network = self.network
         metrics = obs_registry.metrics()
         recorder = obs_trace.state.recorder
         with recorder.span(
@@ -224,34 +211,43 @@ class ServeEngine:
             "serve_batch", size=len(requests)
         ):
             self._maybe_prewarm()
-            origins = [self._resolve_origin(req) for req in requests]
-            plans = self._range_plans(requests)
-            candidate_sets = batched_candidates(
-                self.network,
-                [plan for plan in plans if plan is not None],
-                self.candidates,
-            )
+            origins = [
+                resolve_origin(network, req.origin_peer) for req in requests
+            ]
+            plans = [self._plan(req) for req in requests]
+            ranges = [
+                position for position, req in enumerate(requests)
+                if isinstance(req, RangeRequest)
+            ]
+            fetched = self.source.fetch_batch([plans[p] for p in ranges])
             # Score every range query before any retrieval runs: scores
             # are plain dicts, so a mid-batch adaptation epoch (store
             # generation bump) cannot stale a later query's scoring.
-            scored: list = [None] * len(requests)
-            fetched = iter(candidate_sets)
-            for position, request in enumerate(requests):
-                if plans[position] is None:
-                    continue
-                scored[position] = self._score_range(
-                    request, plans[position], next(fetched)
+            scored: dict = {}
+            for position, candidates in zip(ranges, fetched, strict=True):
+                per_level = {
+                    level: level_scores(candidates[level], key, radius)
+                    for level, (key, radius) in plans[position].items()
+                }
+                scored[position] = score_peers(
+                    per_level,
+                    requests[position].aggregation
+                    or network.config.aggregation,
                 )
             results = []
             for position, request in enumerate(requests):
                 if isinstance(request, KnnRequest):
-                    results.append(self._serve_knn(request, origins[position]))
-                else:
-                    results.append(
-                        self._finish_range(
-                            request, origins[position], scored[position]
-                        )
-                    )
+                    results.append(self._knn(
+                        request, origins[position], plans[position]
+                    ))
+                    continue
+                results.append(finish_range(
+                    network, request.query, request.epsilon,
+                    scored[position], origin_peer=origins[position],
+                    max_peers=request.max_peers,
+                ))
+                if network.adaptation is not None:
+                    network.adaptation.note_query()
             self._counters.batches += 1
             self._counters.served += len(requests)
             span.set(served=len(requests))
@@ -260,259 +256,47 @@ class ServeEngine:
         metrics.histogram("serve.batch_size").observe(len(requests))
         return results
 
-    def _resolve_origin(self, request) -> int:
-        origin = request.origin_peer
-        if origin is None:
-            return _default_origin(self.network)
-        if origin not in self.network.peers:
-            raise QueryError(f"unknown origin peer {origin}")
-        if not self.network.peers[origin].online:
-            raise QueryError(f"origin peer {origin} has left the network")
-        return origin
-
-    def _range_plans(self, requests: list) -> list:
-        """Per-request ``{level: (key, radius)}`` plans (None for k-NN)."""
-        plans: list = []
-        for request in requests:
-            if isinstance(request, KnnRequest):
-                plans.append(None)
-                continue
-            query = check_vector(
-                request.query, "query", dim=self.network.dimensionality
-            )
-            check_positive(request.epsilon, "epsilon", strict=False)
-            keys = self.translations.translate(self.network, query)
-            radii = level_radii(self.network, request.epsilon)
-            plan = {
-                level: (keys[level], radii[index])
-                for index, level in enumerate(self.network.levels)
-            }
-            if self.miner is not None:
-                for index, level in enumerate(self.network.levels):
-                    self.miner.observe(
-                        str(level), index, keys[level], radii[index]
-                    )
-            plans.append(plan)
-        return plans
-
-    def _score_range(self, request, plan: dict, candidates: dict) -> dict:
-        """Eq. 1 scores for one range query from its candidate sets."""
-        per_level = {
-            level: level_scores(candidates[level], key, radius)
-            for level, (key, radius) in plan.items()
-        }
-        policy = request.aggregation or self.network.config.aggregation
-        return aggregate_scores(per_level, policy=policy)
-
-    def _finish_range(
-        self, request: RangeRequest, origin: int, aggregated: dict
-    ) -> RangeQueryResult:
-        """Retrieval phase + adaptation tick for one scored range query."""
-        ranked = rank_peers(aggregated)
-        items, answered, failed, messages, attempted = retrieval_phase(
-            self.network, ranked, request.query, request.epsilon,
-            origin_peer=origin, max_peers=request.max_peers,
-        )
-        n_levels = len(self.network.levels)
-        confidence = partial_confidence(
-            n_levels, n_levels, len(answered), attempted
-        )
-        controller = getattr(self.network, "adaptation", None)
-        if controller is not None:
-            controller.note_query()
-        return RangeQueryResult(
-            items=sort_items_by_distance(items),
-            peer_scores=aggregated,
-            peers_contacted=answered,
-            failed_contacts=failed,
-            index_hops=0,
-            retrieval_messages=messages,
-            confidence=confidence,
-            degraded=confidence < 1.0,
-        )
-
-    # -- k-NN with early termination ----------------------------------------
-
-    def _level_candidates(self, level_index: int, level, key, radius: float):
-        """One cached store-direct candidate lookup (heat-bumped)."""
-        store = self.network.overlays[level].level_store
-        ck = candidate_key(level_index, key, radius)
-        candidates = self.candidates.lookup(ck)
-        if candidates is None:
-            candidates = fresh_candidates(store, key, radius)
-            self.candidates.store(ck, candidates)
-        store.bump_heat(candidates.rows)
-        return candidates
-
-    def _discover_level(self, level_index: int, level, key, k: float):
-        """Expanding cached probes; mirrors ``core.knn._discover_level``."""
-        diagonal = math.sqrt(key.shape[0])
-        eps = _INITIAL_PROBE_FRACTION * diagonal
-        while True:
-            candidates = self._level_candidates(level_index, level, key, eps)
-            spheres = _spheres_from_entries(candidates)
-            if spheres and expected_items(eps, spheres, key) >= k:
-                break
-            if eps >= diagonal:
-                break
-            eps = min(2.0 * eps, diagonal)
-        if not spheres:
-            return eps, candidates
-        eps_star = estimate_epsilon_for_k(k, spheres, key)
-        if eps_star < eps:
-            return eps_star, self._level_candidates(
-                level_index, level, key, eps_star
-            )
-        return eps, candidates
-
-    def _peer_lower_bounds(
-        self, keys: dict, discovered: dict, epsilon_per_level: dict
-    ) -> dict[int, float]:
-        """Per-peer lower bounds on original-space item distance.
-
-        At each level, a peer's items lie inside its published cluster
-        spheres (in key space), so ``max(0, ||q_key − center|| − radius)``
-        lower-bounds the key-space distance to any item in that cluster;
-        clusters *outside* the discovery radius ``ε_l`` are at key
-        distance > ``ε_l``, so the per-peer level bound is the minimum of
-        its visible clusters' bounds capped at ``ε_l``. Key-space
-        distances convert to original-space lower bounds via the inverse
-        Theorem 3.1 contraction (``× (hi − lo) / radius_scale``; the
-        ``[0,1]`` clip only shrinks key distances, which keeps the bound
-        sound), and the per-level bounds combine by max. Soundness
-        assumes published summaries cover the peers' current items — the
-        paper's model, and the serving tier's steady state.
-        """
-        d = self.network.dimensionality
-        bounds: dict[int, float] = {}
-        for level_index, level in enumerate(self.network.levels):
-            candidates = discovered[level]
-            center = keys[level]
-            sphere_keys, radii, __, peer_ids, ___ = candidates.columns()
-            eps_l = float(epsilon_per_level[level])
-            lo, hi = coefficient_interval(level)
-            to_original = (hi - lo) / radius_scale(d, level)
-            level_bounds: dict[int, float] = {}
-            if len(peer_ids):
-                diff = sphere_keys - center
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                row_bounds = np.maximum(dist - radii, 0.0)
-                order = np.argsort(peer_ids, kind="stable")
-                sorted_ids = peer_ids[order]
-                starts = np.flatnonzero(
-                    np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]
-                )
-                per_peer = np.minimum.reduceat(row_bounds[order], starts)
-                level_bounds = {
-                    int(pid): float(lb)
-                    for pid, lb in zip(
-                        sorted_ids[starts], per_peer, strict=True
-                    )
-                }
-            for peer_id in set(bounds) | set(level_bounds):
-                level_lb = min(level_bounds.get(peer_id, eps_l), eps_l)
-                candidate = level_lb * to_original
-                if candidate > bounds.get(peer_id, 0.0):
-                    bounds[peer_id] = candidate
-        return bounds
-
-    def _serve_knn(self, request: KnnRequest, origin: int) -> KnnResult:
-        """Figure 5 k-NN over the cached store-direct index."""
+    def _plan(self, request) -> dict:
+        """One request's ``{level: (key, radius)}`` plan (k-NN: no radii)."""
+        network = self.network
         query = check_vector(
-            request.query, "query", dim=self.network.dimensionality
+            request.query, "query", dim=network.dimensionality
         )
-        k, c = request.k, request.c
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if c <= 0:
-            raise QueryError(f"C must be > 0, got {c}")
-        keys = self.translations.translate(self.network, query)
-        per_level: dict = {}
-        epsilon_per_level: dict = {}
-        discovered: dict = {}
-        for level_index, level in enumerate(self.network.levels):
-            eps_l, candidates = self._discover_level(
-                level_index, level, keys[level], float(k)
-            )
-            epsilon_per_level[level] = eps_l
-            discovered[level] = candidates
-            per_level[level] = level_scores(candidates, keys[level], eps_l)
-            if self.miner is not None:
-                self.miner.observe(str(level), level_index, keys[level], eps_l)
-        policy = request.aggregation or self.network.config.aggregation
-        aggregated = aggregate_scores(per_level, policy=policy)
-        ranked = rank_peers(aggregated)
-        selected = _peers_to_contact(ranked, k, request.top_p)
-
-        bounds: dict[int, float] = {}
-        suffix_min: list[float] = []
-        if request.early_termination and selected:
-            bounds = self._peer_lower_bounds(
-                keys, discovered, epsilon_per_level
-            )
-            # suffix_min[i] = tightest bound among peers i..end: the
-            # termination test must prove *every* remaining peer useless.
-            suffix_min = [0.0] * len(selected)
-            running = math.inf
-            for index in range(len(selected) - 1, -1, -1):
-                running = min(running, bounds.get(selected[index][0], 0.0))
-                suffix_min[index] = running
-
-        items: list = []
-        contacted: list[int] = []
-        failed: list[int] = []
-        messages = 0
-        distances: list[float] = []
-        score_sum = sum(score for __, score in selected)
-        for index, (peer_id, score) in enumerate(selected):
-            if (
-                request.early_termination
-                and len(distances) >= k
-                and suffix_min[index] > sorted(distances)[k - 1]
-            ):
-                skipped = len(selected) - index
-                self._counters.knn_early_stops += 1
-                self._counters.knn_peers_skipped += skipped
-                metrics = obs_registry.metrics()
-                metrics.counter("serve.knn.early_stops").inc()
-                metrics.histogram("serve.knn.peers_skipped").observe(skipped)
-                break
-            reached, request_messages, lost = contact_peers(
-                self.network, [(peer_id, score)],
-                origin_peer=origin, max_peers=None,
-            )
-            messages += request_messages
-            failed.extend(lost)
-            if not reached:
-                continue
-            if score_sum > 0:
-                share = score / score_sum
-            else:
-                share = 1.0 / max(len(selected), 1)
-            no_items = int(math.ceil(c * k * share))
-            supplied = self.network.peers[peer_id].nearest_items(
-                query, no_items
-            )
-            delivered, response_messages = send_response(
-                self.network, origin, peer_id, len(supplied)
-            )
-            messages += response_messages
-            if not delivered:
-                failed.append(peer_id)  # reply lost despite retries
-                continue
-            contacted.append(peer_id)
-            items.extend(supplied)
-            distances.extend(item.distance for item in supplied)
-        return KnnResult(
-            items=sort_items_by_distance(items),
-            requested_k=k,
-            epsilon_per_level=epsilon_per_level,
-            peer_scores=aggregated,
-            peers_contacted=contacted,
-            failed_contacts=failed,
-            index_hops=0,
-            retrieval_messages=messages,
+        if isinstance(request, KnnRequest):
+            return level_plan(network.dimensionality, network.levels, query)
+        check_positive(request.epsilon, "epsilon", strict=False)
+        plan = level_plan(
+            network.dimensionality, network.levels, query, request.epsilon
         )
+        self._observe(plan)
+        return plan
+
+    def _observe(self, plan: dict) -> None:
+        """Feed one served plan's per-level look-ups to the miner."""
+        if self.miner is None:
+            return
+        for index, (level, (key, radius)) in enumerate(plan.items()):
+            self.miner.observe(str(level), index, key, radius)
+
+    def _knn(self, request: KnnRequest, origin: int, plan: dict) -> KnnResult:
+        """Figure 5 k-NN over the cached store-direct index."""
+        result, skipped = run_knn(
+            self.network, request.query, request.k, plan, self.source,
+            origin=origin, c=request.c, top_p=request.top_p,
+            aggregation=request.aggregation,
+            early_stop=request.early_termination,
+        )
+        self._observe({
+            level: (key, result.epsilon_per_level[level])
+            for level, (key, __) in plan.items()
+        })
+        if skipped:
+            self._counters.knn_early_stops += 1
+            self._counters.knn_peers_skipped += skipped
+            metrics = obs_registry.metrics()
+            metrics.counter("serve.knn.early_stops").inc()
+            metrics.histogram("serve.knn.peers_skipped").observe(skipped)
+        return result
 
     # -- pre-warming ---------------------------------------------------------
 
@@ -683,7 +467,7 @@ class ServeEngine:
             "knn_peers_skipped": counters.knn_peers_skipped,
             "waiting": self._waiting,
             "candidate_cache": self.candidates.snapshot(),
-            "translation_cache": self.translations.snapshot(),
+            "translation_cache": translation_cache_info(),
         }
         if self.miner is not None:
             summary["miner"] = self.miner.snapshot()

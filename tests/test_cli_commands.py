@@ -119,3 +119,94 @@ class TestCliServeBench:
         assert payload["load"]["requests"] == 16
         saved = json.loads(out_path.read_text())
         assert saved["benchmark"] == "query_serve"
+
+
+class TestRunScopes:
+    """``main`` enters every requested ambient scope on one ExitStack."""
+
+    @staticmethod
+    def _ambient():
+        from repro.engine import active_engine_config
+        from repro.faults import state as faults_state
+        from repro.overlay.adapt import active_adapt_config
+        from repro.overlay.registry import active_overlay_factory
+
+        return {
+            "adapt": active_adapt_config(),
+            "overlay": active_overlay_factory(),
+            "plan": faults_state.active_plan(),
+            "engine": active_engine_config(),
+        }
+
+    def test_all_scopes_active_during_dispatch_and_unwound_after(
+        self, monkeypatch
+    ):
+        from repro import cli
+        from repro.overlay.registry import resolve_overlay
+
+        before = self._ambient()
+        seen = {}
+
+        def dispatch(args):
+            seen.update(self._ambient())
+            return 0
+
+        monkeypatch.setattr(cli, "_dispatch", dispatch)
+        assert main([
+            "fig9", "--adapt", "--overlay", "ring",
+            "--fault-plan", "loss=0.1,seed=3",
+            "--engine", "sharded", "--workers", "3",
+        ]) == 0
+        assert seen["adapt"] is not None
+        assert seen["overlay"] is resolve_overlay("ring")
+        assert seen["plan"].loss == 0.1
+        assert (seen["engine"].engine, seen["engine"].workers) == (
+            "sharded", 3
+        )
+        assert self._ambient() == before
+
+    def test_no_flags_enters_no_scope(self, monkeypatch):
+        from repro import cli
+
+        before = self._ambient()
+        seen = {}
+        monkeypatch.setattr(
+            cli, "_dispatch", lambda args: seen.update(self._ambient()) or 0
+        )
+        assert main(["fig9"]) == 0
+        assert seen == before
+
+    def test_scopes_unwind_when_the_command_raises(self, monkeypatch):
+        from repro import cli
+
+        before = self._ambient()
+
+        def dispatch(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_dispatch", dispatch)
+        with pytest.raises(RuntimeError):
+            main(["fig9", "--adapt", "--overlay", "baton", "--engine", "serial"])
+        assert self._ambient() == before
+
+    @pytest.mark.parametrize(
+        "flag", [["--adapt"], ["--overlay", "ring"], ["--republish", "delta"]]
+    )
+    def test_scale_bench_rejects_network_flags(self, flag, capsys):
+        # scale-bench builds bare CAN grids, not a HyperMNetwork: the
+        # network-shaping flags are an argparse error, not ignored.
+        with pytest.raises(SystemExit) as raised:
+            main(["scale-bench", "--peers", "32", *flag])
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_scale_bench_keeps_run_flags(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args([
+            "scale-bench", "--peers", "32", "--seed", "4", "--json",
+            "--engine", "sharded", "--workers", "2",
+            "--fault-plan", "loss=0",
+        ])
+        assert (args.engine, args.workers, args.seed) == ("sharded", 2, 4)
+        assert not hasattr(args, "adapt")

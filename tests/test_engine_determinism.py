@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.faults import FaultPlan, plan_scope
-from repro.net.events import Event, Scheduler
+from repro.engine.serial import Event, SerialScheduler
 from repro.net.messages import MessageKind
 from repro.net.network import Network
 from repro.net.node import SimNode
@@ -32,7 +32,7 @@ from repro.obs.flight import FlightRecorder, flight_recording
 
 class TestSameTickTieBreaking:
     def test_same_time_fires_in_scheduling_order(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         fired = []
         for tag in range(8):
             sched.schedule_at(2.0, lambda t=tag: fired.append(t))
@@ -40,7 +40,7 @@ class TestSameTickTieBreaking:
         assert fired == list(range(8))
 
     def test_interleaved_times_keep_per_tick_fifo(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         fired = []
         # Schedule out of chronological order; ties must still respect
         # the order the schedule_* calls were made in.
@@ -53,7 +53,7 @@ class TestSameTickTieBreaking:
         assert fired == ["a1", "a2", "a3", "c1", "c2"]
 
     def test_mid_run_scheduling_joins_the_tail_of_its_tick(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         fired = []
 
         def first():
@@ -68,7 +68,7 @@ class TestSameTickTieBreaking:
         assert fired == ["first", "second", "late"]
 
     def test_cancelled_events_do_not_consume_order(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         fired = []
         keep = []
         for tag in range(6):
@@ -80,7 +80,7 @@ class TestSameTickTieBreaking:
         assert fired == [0, 2, 3, 5]
 
     def test_seq_is_monotonic_across_ticks(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         events = [sched.schedule_at(float(t % 3), lambda: None)
                   for t in range(9)]
         seqs = [event.seq for event in events]

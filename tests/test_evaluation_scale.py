@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.queries import level_plan
+from repro.core.scoring import level_scores_scalar
+from repro.engine import SerialEngine
 from repro.evaluation.scale import run_scale_bench
 from repro.exceptions import ValidationError
+from repro.overlay.can import build_grid_can, bulk_publish
+from repro.wavelets.multiresolution import publication_levels
 
 
 def _small(**overrides):
@@ -72,6 +79,82 @@ class TestRunner:
     def test_validation(self, kwargs):
         with pytest.raises(ValidationError):
             _small(**kwargs)
+
+
+class TestItemCounts:
+    """``bulk_publish`` forwards item counts, so Eq. 1 scores are real."""
+
+    N_PEERS, DIM = 64, 16
+
+    def _grid(self, level, rng, *, with_items):
+        n = 2 * self.N_PEERS
+        keys = rng.random((n, level.dimensionality))
+        radii = 0.05 + 0.2 * rng.random(n)
+        items = 1.0 + np.arange(n) % 7
+        peer_ids = np.repeat(np.arange(self.N_PEERS), 2)
+        can, plan = build_grid_can(level.dimensionality, self.N_PEERS, rng=0)
+        bulk_publish(
+            can, plan, keys, radii, peer_ids=peer_ids,
+            items=items if with_items else None,
+        )
+        entries = [
+            SimpleNamespace(
+                key=keys[row], radius=float(radii[row]),
+                value=SimpleNamespace(
+                    peer_id=int(peer_ids[row]), items=float(items[row])
+                ),
+            )
+            for row in range(n)
+        ]
+        return can.level_store, entries
+
+    def test_counts_reach_engine_scores(self):
+        rng = np.random.default_rng(5)
+        levels = publication_levels(self.DIM, 3)
+        engine = SerialEngine()
+        entries = {}
+        for index, level in enumerate(levels):
+            store, entries[level] = self._grid(level, rng, with_items=True)
+            engine.register_store(index, store)
+        plan = level_plan(self.DIM, levels, rng.random(self.DIM), 0.4)
+        tasks = [
+            (index, key, radius)
+            for index, (key, radius) in enumerate(plan.values())
+        ]
+        for level, scores in zip(levels, engine.score_levels(tasks)):
+            key, radius = plan[level]
+            oracle = level_scores_scalar(entries[level], key, radius)
+            assert scores.keys() == oracle.keys()
+            assert any(value > 0.0 for value in scores.values())
+            for peer, value in scores.items():
+                assert value == pytest.approx(oracle[peer], abs=1e-9)
+
+    def test_default_stays_at_zero_counts(self):
+        level = publication_levels(self.DIM, 1)[0]
+        store, __ = self._grid(
+            level, np.random.default_rng(6), with_items=False
+        )
+        engine = SerialEngine()
+        engine.register_store(0, store)
+        key = np.full(level.dimensionality, 0.5)
+        (scores,) = engine.score_levels([(0, key, 0.5)])
+        assert scores and set(scores.values()) == {0.0}
+
+    def test_sharded_parity_compares_nonzero_scores(self, monkeypatch):
+        from repro.evaluation import scale
+
+        seen = []
+        real = scale._score_parity
+
+        def spy(engine_scores, oracle_scores):
+            seen.append(max(engine_scores.values(), default=0.0))
+            return real(engine_scores, oracle_scores)
+
+        monkeypatch.setattr(scale, "_score_parity", spy)
+        report = _small(engine="sharded", workers=2, epsilon=0.6)
+        assert report["parity"]["checked"] == 4
+        assert report["parity"]["max_abs_delta"] <= 1e-9
+        assert max(seen) > 0.0
 
 
 class TestCli:

@@ -1,10 +1,14 @@
 """Unit tests for the k-NN heuristic's internal machinery."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.core.knn import _discover_level, _peers_to_contact
+from repro.core.queries import RoutedSource
 from repro.core.results import ClusterRecord
 from repro.overlay.can import CANNetwork
+from repro.serve.batch import StoreSource
 
 
 class TestPeersToContact:
@@ -30,13 +34,24 @@ class TestPeersToContact:
 
 
 class TestDiscoverLevel:
-    def _overlay_with_clusters(self, spheres):
-        can = CANNetwork(2, rng=0)
-        ids = can.grow(8)
+    """The one discovery loop, over both candidate sources."""
+
+    LEVEL = "A"
+
+    def _sources(self, spheres, *, nodes=8, seed=0):
+        can = CANNetwork(2, rng=seed)
+        ids = can.grow(nodes)
         for i, (center, radius, items) in enumerate(spheres):
-            record = ClusterRecord(peer_id=i % 3, items=items, level_name="A")
+            record = ClusterRecord(
+                peer_id=i % 3, items=items, level_name=self.LEVEL
+            )
             can.insert(ids[0], center, record, radius=radius)
-        return can, ids[0]
+        network = SimpleNamespace(
+            overlays={self.LEVEL: can},
+            overlay_node=lambda level, peer_id: ids[0],
+            fabric=can.fabric,
+        )
+        return RoutedSource(network, origin_peer=0), StoreSource(network)
 
     def test_finds_enough_clusters(self):
         spheres = [
@@ -44,30 +59,39 @@ class TestDiscoverLevel:
             ([0.55, 0.5], 0.05, 40),
             ([0.9, 0.9], 0.02, 40),
         ]
-        overlay, origin = self._overlay_with_clusters(spheres)
-        eps, entries, hops = _discover_level(
-            overlay, origin, np.array([0.5, 0.5]), 10.0
-        )
-        assert eps > 0
-        assert entries  # found the nearby clusters
-        assert hops >= 0
+        found = []
+        for source in self._sources(spheres):
+            eps, entries, hops = _discover_level(
+                source, 0, self.LEVEL, np.array([0.5, 0.5]), 10.0
+            )
+            assert eps > 0
+            assert len(entries)  # found the nearby clusters
+            assert hops >= 0
+            found.append((eps, sorted(e.value.items for e in entries)))
+        assert found[0] == found[1]
 
     def test_empty_overlay_returns_no_entries(self):
-        can = CANNetwork(2, rng=1)
-        ids = can.grow(4)
-        eps, entries, hops = _discover_level(
-            can, ids[0], np.array([0.5, 0.5]), 5.0
-        )
-        assert len(entries) == 0
+        for source in self._sources([], nodes=4, seed=1):
+            eps, entries, hops = _discover_level(
+                source, 0, self.LEVEL, np.array([0.5, 0.5]), 5.0
+            )
+            assert len(entries) == 0
 
     def test_probes_expand_until_coverage(self):
         # A single far-away cluster: discovery must expand to reach it.
         spheres = [([0.95, 0.95], 0.02, 100)]
-        overlay, origin = self._overlay_with_clusters(spheres)
-        eps, entries, __ = _discover_level(
-            overlay, origin, np.array([0.05, 0.05]), 5.0
-        )
-        assert len(entries) == 1
+        for source in self._sources(spheres):
+            eps, entries, __ = _discover_level(
+                source, 0, self.LEVEL, np.array([0.05, 0.05]), 5.0
+            )
+            assert len(entries) == 1
+
+    def test_store_source_charges_no_hops(self):
+        spheres = [([0.95, 0.95], 0.02, 100)]
+        routed, store = self._sources(spheres)
+        key = np.array([0.05, 0.05])
+        assert _discover_level(store, 0, self.LEVEL, key, 5.0)[2] == 0
+        assert _discover_level(routed, 0, self.LEVEL, key, 5.0)[2] > 0
 
 
 class TestKnnEdgeCases:

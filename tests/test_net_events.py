@@ -3,12 +3,12 @@
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.net.events import Scheduler
+from repro.engine.serial import SerialScheduler
 
 
 class TestScheduler:
     def test_chronological_order(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         fired = []
         sched.schedule_after(3.0, lambda: fired.append("c"))
         sched.schedule_after(1.0, lambda: fired.append("a"))
@@ -17,7 +17,7 @@ class TestScheduler:
         assert fired == ["a", "b", "c"]
 
     def test_fifo_tie_break(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         fired = []
         for tag in "abc":
             sched.schedule_at(1.0, lambda t=tag: fired.append(t))
@@ -25,7 +25,7 @@ class TestScheduler:
         assert fired == ["a", "b", "c"]
 
     def test_clock_advances(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         times = []
         sched.schedule_after(2.5, lambda: times.append(sched.now))
         sched.run()
@@ -33,7 +33,7 @@ class TestScheduler:
         assert sched.now == 2.5
 
     def test_cancellation(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         fired = []
         event = sched.schedule_after(1.0, lambda: fired.append("x"))
         event.cancel()
@@ -41,7 +41,7 @@ class TestScheduler:
         assert fired == []
 
     def test_events_scheduled_during_run(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         fired = []
 
         def first():
@@ -54,7 +54,7 @@ class TestScheduler:
         assert sched.now == 2.0
 
     def test_run_until(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         fired = []
         sched.schedule_at(1.0, lambda: fired.append(1))
         sched.schedule_at(5.0, lambda: fired.append(5))
@@ -66,7 +66,7 @@ class TestScheduler:
         assert fired == [1, 5]
 
     def test_max_events_guard(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
 
         def rearm():
             sched.schedule_after(1.0, rearm)
@@ -76,7 +76,7 @@ class TestScheduler:
         assert count == 25
 
     def test_past_scheduling_rejected(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         sched.schedule_at(5.0, lambda: None)
         sched.run()
         with pytest.raises(ValidationError):
@@ -84,10 +84,10 @@ class TestScheduler:
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValidationError):
-            Scheduler().schedule_after(-1.0, lambda: None)
+            SerialScheduler().schedule_after(-1.0, lambda: None)
 
     def test_len_counts_pending(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         e1 = sched.schedule_after(1.0, lambda: None)
         sched.schedule_after(2.0, lambda: None)
         assert len(sched) == 2

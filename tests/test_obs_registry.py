@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.net.events import Scheduler
+from repro.engine.serial import SerialScheduler
 from repro.obs.registry import (
     MetricsRegistry,
     metrics,
@@ -94,7 +94,7 @@ class TestTimer:
     def test_timer_uses_injected_simulated_clock(self):
         """A registry clocked by the discrete-event Scheduler measures
         virtual seconds, not wall time."""
-        sched = Scheduler()
+        sched = SerialScheduler()
         reg = MetricsRegistry(clock=lambda: sched.now)
         sched.schedule_after(3.5, lambda: None)
         with reg.timer("run"):

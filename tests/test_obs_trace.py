@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.net.events import Scheduler
+from repro.engine.serial import SerialScheduler
 from repro.obs.profile import flame_summary, phase_rows, span_tree
 from repro.obs.trace import (
     NULL_RECORDER,
@@ -62,7 +62,7 @@ class TestSchedulerInterplay:
         """Two events at the same virtual time each open+close their own
         span inside their callback; the spans must come out as siblings
         (depth 0), never nested into each other."""
-        sched = Scheduler()
+        sched = SerialScheduler()
         rec = TraceRecorder(clock=lambda: sched.now)
 
         def handler(name):
@@ -81,7 +81,7 @@ class TestSchedulerInterplay:
         assert rec.spans[0].start == rec.spans[1].start == 1.0
 
     def test_span_timestamps_follow_virtual_clock(self):
-        sched = Scheduler()
+        sched = SerialScheduler()
         rec = TraceRecorder(clock=lambda: sched.now)
         span_ctx = rec.span("window")
         span = span_ctx.__enter__()

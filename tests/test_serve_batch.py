@@ -5,7 +5,7 @@ Pins the two facts the serving tier rests on:
 * :meth:`LevelStore.intersection_masks` is row-for-row identical to the
   scalar :meth:`LevelStore.intersection_mask` (the GEMM's float drift is
   absorbed by the shared boundary band), tombstones included.
-* :func:`repro.serve.batch.batched_candidates` resolves exactly the
+* :meth:`repro.serve.batch.StoreSource.fetch_batch` resolves exactly the
   candidate sets the sequential overlay walk yields (the replication
   invariant: live rows under the mask == the visited zones' union), and
   every request bumps candidate heat — cached or freshly computed.
@@ -21,7 +21,8 @@ from repro.core.results import ClusterRecord
 from repro.evaluation.workloads import build_markov_network, sample_queries
 from repro.exceptions import ValidationError
 from repro.index import LevelStore
-from repro.serve.batch import batched_candidates, fresh_candidates, level_radii
+from repro.core.queries import level_plan
+from repro.serve.batch import StoreSource, fresh_candidates
 from repro.serve.cache import CandidateCache
 from repro.wavelets.bounds import key_space_radius, radius_scale
 
@@ -129,27 +130,26 @@ def served_workload():
 
 
 def _plans(network, queries, epsilon):
-    from repro.core.queries import _query_keys
-
-    plans = []
-    for query in queries:
-        keys = _query_keys(network, query)
-        radii = level_radii(network, epsilon)
-        plans.append({
-            level: (keys[level], radii[index])
-            for index, level in enumerate(network.levels)
-        })
-    return plans
+    return [
+        level_plan(network.dimensionality, network.levels, query, epsilon)
+        for query in queries
+    ]
 
 
 class TestBatchedCandidates:
     def test_level_radii_matches_theorem_31_scaling(self, served_workload):
         network = served_workload.network
         d = network.dimensionality
-        radii = level_radii(network, 0.3)
-        for index, level in enumerate(network.levels):
+        plan = level_plan(d, network.levels, served_workload.data[0], 0.3)
+        assert list(plan) == list(network.levels)
+        for level, (__, radius) in plan.items():
             expected = key_space_radius(0.3 * radius_scale(d, level), level)
-            assert radii[index] == expected
+            assert radius == expected
+        # k-NN plans carry keys only: the driver discovers its own radii.
+        keys_only = level_plan(d, network.levels, served_workload.data[0])
+        for level, (key, radius) in keys_only.items():
+            assert radius is None
+            assert np.array_equal(key, plan[level][0])
 
     def test_equals_fresh_candidates_per_plan(self, served_workload):
         network = served_workload.network
@@ -157,7 +157,7 @@ class TestBatchedCandidates:
             served_workload.data, 6, rng=np.random.default_rng(2)
         )
         plans = _plans(network, queries, 0.3)
-        batched = batched_candidates(network, plans, CandidateCache(64))
+        batched = StoreSource(network, CandidateCache(64)).fetch_batch(plans)
         for plan, resolved in zip(plans, batched):
             for level, (key, radius) in plan.items():
                 store = network.overlays[level].level_store
@@ -174,13 +174,13 @@ class TestBatchedCandidates:
         # Same query twice in one batch: duplicates dedupe *before* the
         # cache, so the pass costs one miss per level and no hits.
         plans = _plans(network, [queries[0], queries[0]], 0.3)
-        batched_candidates(network, plans, cache)
+        StoreSource(network, cache).fetch_batch(plans)
         stats = cache.snapshot()
         n_levels = len(network.levels)
         assert stats["misses"] == n_levels
         assert stats["hits"] == 0
         # Same batch again: one deduped cache hit per level, no misses.
-        batched_candidates(network, plans, cache)
+        StoreSource(network, cache).fetch_batch(plans)
         stats = cache.snapshot()
         assert stats["misses"] == n_levels
         assert stats["hits"] == n_levels
@@ -194,7 +194,7 @@ class TestBatchedCandidates:
         level = network.levels[0]
         store = network.overlays[level].level_store
         before = store._heat.copy()
-        resolved = batched_candidates(network, plans, CandidateCache(64))
+        resolved = StoreSource(network, CandidateCache(64)).fetch_batch(plans)
         rows = resolved[0][level].rows
         delta = store._heat - before
         if len(rows):
@@ -206,7 +206,7 @@ class TestBatchedCandidates:
             served_workload.data, 2, rng=np.random.default_rng(5)
         )
         plans = _plans(network, queries, 0.2)
-        batched = batched_candidates(network, plans, None)
+        batched = StoreSource(network).fetch_batch(plans)
         assert len(batched) == 2
         for plan, resolved in zip(plans, batched):
             for level, (key, radius) in plan.items():

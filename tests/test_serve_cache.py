@@ -7,7 +7,6 @@ from repro.core.results import ClusterRecord
 from repro.exceptions import ValidationError
 from repro.index import LevelStore
 from repro.serve import CandidateCache, QueryLogMiner, candidate_key
-from repro.serve.cache import TranslationCache
 
 
 def _store_with_rows(n: int, d: int = 3, seed: int = 0):
@@ -96,26 +95,6 @@ class TestCandidateCache:
         )
         assert cache.drop_stale() == 3
         assert len(cache) == 0
-
-
-class TestTranslationCache:
-    def test_hits_on_repeat_queries(self, tiny_histogram_workload):
-        network = tiny_histogram_workload.network
-        cache = TranslationCache(8)
-        query = tiny_histogram_workload.data[0]
-        first = cache.translate(network, query)
-        second = cache.translate(network, query)
-        assert first is second
-        assert cache.snapshot()["hits"] == 1
-        for level in network.levels:
-            assert level in first
-
-    def test_bounded(self, tiny_histogram_workload):
-        network = tiny_histogram_workload.network
-        cache = TranslationCache(2)
-        for row in tiny_histogram_workload.data[:5]:
-            cache.translate(network, row)
-        assert len(cache) == 2
 
 
 class TestQueryLogMiner:

@@ -306,6 +306,21 @@ class TestSnapshot:
         assert snap["served"] == 3
         assert snap["candidate_cache"]["capacity"] == 256
         assert snap["translation_cache"]["size"] >= 1
+        assert set(snap["translation_cache"]) == {
+            "hits", "misses", "size", "capacity"
+        }
+
+    def test_repeated_query_registers_a_translation_hit(
+        self, workload, queries
+    ):
+        engine = ServeEngine(workload.network)
+        request = RangeRequest(query=queries[0], epsilon=0.2)
+        engine.execute(request)
+        before = engine.snapshot()["translation_cache"]
+        engine.execute(request)
+        after = engine.snapshot()["translation_cache"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
 
 
 class TestInjectableClock:

@@ -102,6 +102,17 @@ def pick_query(entries, d: int, rng: np.random.Generator):
     return center, eps
 
 
+def scored(*args, **kwargs):
+    """``level_scores`` plus every peer's total.
+
+    ``level_scores`` defers the Eq. 1 kernel until totals are asked for;
+    the timed arms ask for all of them, so the speedups still cover it.
+    """
+    table = level_scores(*args, **kwargs)
+    table.totals()
+    return table
+
+
 def time_best_of(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -163,12 +174,12 @@ def run_scoring(args) -> int:
         # every call (there is no re-stacking cache any more).
         with recorder.span("list", spheres=args.spheres):
             list_s = time_best_of(
-                lambda: level_scores(entries, center, eps), args.repeats
+                lambda: scored(entries, center, eps), args.repeats
             )
         # Store path: zero-copy from the columnar store via CandidateSet.
         with recorder.span("store", spheres=args.spheres):
             store_s = time_best_of(
-                lambda: level_scores(
+                lambda: scored(
                     store.candidate_set(candidates.rows), center, eps
                 ),
                 args.repeats,
@@ -267,15 +278,15 @@ def seed_index_phase(legacy, visited, center, eps, stats=None):
 
     Reproduces the pre-store range query over the same visited node set
     (per-node ``e.intersects`` Python loops, ``id(entry)`` dedup) followed
-    by ``level_scores`` over the collected list — which now stacks the
-    list into arrays on every call.
+    by ``level_scores`` (all totals taken) over the collected list —
+    which now stacks the list into arrays on every call.
     """
     seen: dict[int, StoredEntry] = {}
     for node_id in visited:
         for entry in legacy[node_id]:
             if entry.intersects(center, eps):
                 seen.setdefault(id(entry), entry)
-    return level_scores(list(seen.values()), center, eps, stats=stats)
+    return scored(list(seen.values()), center, eps, stats=stats)
 
 
 def run_index_phase(args) -> int:
@@ -292,9 +303,7 @@ def run_index_phase(args) -> int:
 
     def store_index_phase(stats=None):
         receipt = can.range_query(origin, center, eps)
-        return receipt, level_scores(
-            receipt.entries, center, eps, stats=stats
-        )
+        return receipt, scored(receipt.entries, center, eps, stats=stats)
 
     # Correctness gates: the two pipelines must see the same candidates,
     # produce identical filter accounting, and agree with the scalar

@@ -28,13 +28,14 @@ built from the same pieces.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.results import RangeQueryResult, sort_items_by_distance
 from repro.core.scoring import (
+    LevelScoreTable,
     aggregate_scores,
     level_scores,
     partial_confidence,
@@ -218,14 +219,17 @@ class RoutedSource:
 
 
 def score_peers(per_level: dict, policy: str) -> dict[int, float]:
-    """Steps s1/s2's join: aggregate per-level Eq. 1 dicts across levels."""
+    """Steps s1/s2's join: aggregate per-level Eq. 1 tables across levels."""
     recorder = obs_trace.state.recorder
     with recorder.span("score", policy=policy) as span:
         aggregated = aggregate_scores(per_level, policy=policy)
         if recorder.enabled:
-            candidates = set()
-            for scores in per_level.values():
-                candidates.update(scores)
+            # Peer arrays only: counting must not force Eq. 1 for the
+            # peers the join just dropped.
+            candidates = reduce(np.union1d, (
+                LevelScoreTable.of(scores).peers
+                for scores in per_level.values()
+            ), np.empty(0, dtype=np.int64))
             values = sorted(aggregated.values())
             span.set(
                 peers_scored=len(aggregated),

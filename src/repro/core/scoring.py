@@ -6,33 +6,36 @@ sphere times the cluster's item count::
 
     Score_l(p) = sum_c  Vol(sphere_c ∩ sphere_q) / Vol(sphere_c) * items_c
 
-:func:`level_scores` evaluates this with the vectorized kernels in
-:mod:`repro.geometry.batch`. Overlay range queries return a
-:class:`repro.index.CandidateSet` — row indices into the level's shared
-columnar store — so the key/radius/item arrays are gathered straight from
-the store columns with no per-entry Python loop and no re-stacking cache
-(the columnar block *is*
-the store, and the candidate set's generation tag raises
-:class:`repro.exceptions.StaleCandidateError` instead of silently scoring
-withdrawn entries). Centre distances come from one BLAS matvec, every
-cluster sphere is scored in a single ``intersection_fraction_batch`` call,
-and the per-peer sums reduce with a ``bincount`` over unique peer ids.
-Plain entry lists are still accepted (stacked fresh per call) for tests
-and legacy callers. :func:`level_scores_scalar` keeps the original
+Cross-level aggregation uses the paper's *minimum-score* policy by default
+(Section 3.2): a peer must look relevant at **every** level; Theorem 4.1
+guarantees this prunes no true range-query answers (``sum`` and
+``product`` serve the ablation benchmarks). Most spheres a level returns
+belong to peers another level drops, so the cheap predicate (presence at
+every level) runs before the expensive one (the lens-volume kernel):
+
+* :func:`level_scores` filters one level's candidates — a
+  :class:`repro.index.CandidateSet` or :class:`repro.index.ColumnBlock`
+  gathered from the level's columnar store (a stale set raises
+  :class:`repro.exceptions.StaleCandidateError` here), or a plain entry
+  list stacked fresh per call — down to the spheres meeting the query
+  ball and returns a :class:`LevelScoreTable`: the sorted peers present
+  plus copies of the surviving rows, Eq. 1 not yet evaluated.
+* :func:`aggregate_scores` intersects the levels' peer arrays, asks each
+  table for the :meth:`~LevelScoreTable.totals` of the common peers only
+  (one ``intersection_fraction_batch`` call over their rows, summed per
+  peer by ``bincount`` in row order) and builds a plain ``dict`` for the
+  aggregated answer alone.
+
+A table is also a read-only ``Mapping`` that evaluates every peer once on
+``[]`` / ``items()`` / ``==``. :func:`level_scores_scalar` keeps the
 one-sphere-at-a-time path as the numerical oracle — the property tests
 and the scoring microbenchmark pin the two to 1e-9, with identical
 candidate/pruned/surviving accounting.
-
-Cross-level aggregation uses the paper's *minimum-score* policy by default
-(Section 3.2): a peer must look relevant at **every** level; Theorem 4.1
-guarantees this prunes no true range-query answers. ``sum`` and
-``product`` aggregators are provided for the ablation benchmarks.
-:func:`aggregate_scores` stacks the per-level dicts into aligned arrays
-once and reduces them with one vectorized min/sum/product pass over the
-common-peer intersection.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -70,9 +73,7 @@ def _candidate_columns(entries, d: int):
     stacked fresh per call — no caching, so dropped entries can never be
     scored from a stale block.
     """
-    if isinstance(entries, CandidateSet):
-        return entries.columns()
-    if isinstance(entries, ColumnBlock):
+    if isinstance(entries, (CandidateSet, ColumnBlock)):
         return entries.columns()
     n = len(entries)
     keys = np.empty((n, d), dtype=np.float64)
@@ -88,13 +89,88 @@ def _candidate_columns(entries, d: int):
     return keys, radii, items, peer_ids, np.einsum("ij,ij->i", keys, keys)
 
 
+class LevelScoreTable(Mapping):
+    """One level's ``{peer: Eq. 1 score}``, evaluated only when asked.
+
+    ``peers`` is the sorted, unique id array of the peers with a sphere
+    meeting the query ball. The table holds every peer's total (the
+    eager form, for scores computed elsewhere) or the surviving ``rows``
+    it would sum — ``(inverse, radii, dists, items, eps, d)``, ``inverse``
+    giving each row's position in ``peers`` — and runs the kernel in
+    :meth:`totals`. Its arrays are its own, never views of store columns.
+    """
+
+    __slots__ = ("peers", "_totals", "_rows", "_scores")
+
+    def __init__(self, peers: np.ndarray, totals=None, rows=None):
+        self.peers = peers
+        self._totals = totals
+        self._rows = rows
+        self._scores = None
+
+    @classmethod
+    def of(cls, scores: Mapping) -> "LevelScoreTable":
+        """``scores`` itself when a table, else an eager table over it."""
+        if isinstance(scores, cls):
+            return scores
+        n = len(scores)
+        peers = np.fromiter(scores.keys(), dtype=np.int64, count=n)
+        totals = np.fromiter(scores.values(), dtype=np.float64, count=n)
+        order = np.argsort(peers)
+        return cls(peers[order], totals[order])
+
+    def totals(self, common: np.ndarray | None = None) -> np.ndarray:
+        """Eq. 1 totals of ``common`` (sorted, all in ``peers``; default all).
+
+        A proper subset costs the kernel only over the rows of those
+        peers; each total is bit-identical to the full evaluation's
+        because ``bincount`` still adds a peer's rows in row order.
+        """
+        if common is None or common.size == self.peers.size:
+            if self._totals is None:
+                self._totals = self._eq1(slice(None))
+            return self._totals
+        where = np.searchsorted(self.peers, common)
+        if self._totals is not None:
+            return self._totals[where]
+        wanted = np.zeros(self.peers.size, dtype=bool)
+        wanted[where] = True
+        return self._eq1(wanted[self._rows[0]])[where]
+
+    def _eq1(self, keep) -> np.ndarray:
+        """Per-peer sums of fraction x items over the rows ``keep`` selects."""
+        inverse, radii, dists, items, eps, d = self._rows
+        fractions = intersection_fraction_batch(
+            radii[keep], eps, dists[keep], d
+        )
+        np.maximum(fractions, MIN_INTERSECTING_FRACTION,
+                   where=fractions <= 0.0, out=fractions)
+        return np.bincount(
+            inverse[keep], weights=fractions * items[keep],
+            minlength=self.peers.size,
+        )
+
+    def __len__(self) -> int:
+        return int(self.peers.size)
+
+    def __iter__(self):
+        return iter(self.peers.tolist())
+
+    def __getitem__(self, peer):
+        if self._scores is None:
+            self._scores = dict(zip(
+                self.peers.tolist(), self.totals().tolist(), strict=True
+            ))
+        return self._scores[peer]
+
+
 def level_scores(
     entries: list,
     query_center: np.ndarray,
     query_radius: float,
     *,
     stats: dict | None = None,
-) -> dict[int, float]:
+) -> LevelScoreTable:
     """Eq. 1 scores per peer for one level's index-query results (batched).
 
     Parameters
@@ -102,8 +178,9 @@ def level_scores(
     entries:
         The overlay range query's results at this level: a
         :class:`repro.index.CandidateSet` (consumed zero-copy from the
-        shared level store) or a plain list of entries whose ``value``
-        is a :class:`repro.core.results.ClusterRecord`.
+        shared level store), a :class:`repro.index.ColumnBlock` (its
+        ``dists``, when set, are the centre distances) or a plain list of
+        entries whose ``value`` is a :class:`repro.core.results.ClusterRecord`.
     query_center / query_radius:
         The query sphere, already translated into this level's key space.
     stats:
@@ -116,38 +193,27 @@ def level_scores(
     query_center = np.asarray(query_center, dtype=np.float64)
     d = int(query_center.shape[0])
     n = len(entries)
-    if n == 0:
-        _fill_stats(stats, 0, 0)
-        return {}
-
-    keys, radii, items, peer_ids, key_sq = _candidate_columns(entries, d)
-    # ||k - q||^2 = ||k||^2 - 2 k.q + ||q||^2 — one BLAS matvec instead of
-    # materialising the (n, d) difference matrix (at d = 512 the subtraction
-    # alone costs more than the whole Eq. 1 kernel).
-    d2 = key_sq - 2.0 * (keys @ query_center)
-    d2 += float(query_center @ query_center)
-    np.maximum(d2, 0.0, out=d2)
-    dists = np.sqrt(d2)
+    if isinstance(entries, ColumnBlock) and entries.dists is not None:
+        radii, items, peer_ids = entries.radii, entries.items, entries.peer_ids
+        dists = entries.dists
+    else:
+        keys, radii, items, peer_ids, key_sq = _candidate_columns(entries, d)
+        # ||k - q||^2 = ||k||^2 - 2 k.q + ||q||^2 — one BLAS matvec instead
+        # of materialising the (n, d) difference matrix (at d = 512 the
+        # subtraction alone costs more than the whole Eq. 1 kernel).
+        d2 = key_sq - 2.0 * (keys @ query_center)
+        d2 += float(query_center @ query_center)
+        np.maximum(d2, 0.0, out=d2)
+        dists = np.sqrt(d2)
     intersecting = spheres_intersect_batch(radii, query_radius, dists)
     pruned = n - int(np.count_nonzero(intersecting))
     _fill_stats(stats, n, pruned)
-    if pruned == n:
-        return {}
-
-    fractions = intersection_fraction_batch(
-        radii[intersecting], query_radius, dists[intersecting], d
-    )
-    np.maximum(fractions, MIN_INTERSECTING_FRACTION, where=fractions <= 0.0,
-               out=fractions)
-    contributions = fractions * items[intersecting]
-    unique_peers, inverse = np.unique(
-        peer_ids[intersecting], return_inverse=True
-    )
-    totals = np.bincount(inverse, weights=contributions)
-    return {
-        int(peer): float(total)
-        for peer, total in zip(unique_peers, totals)
-    }
+    peers, inverse = np.unique(peer_ids[intersecting], return_inverse=True)
+    # Boolean indexing copies, so the table outlives any store mutation.
+    return LevelScoreTable(peers, rows=(
+        inverse, radii[intersecting], dists[intersecting],
+        items[intersecting], float(query_radius), d,
+    ))
 
 
 def level_scores_scalar(
@@ -185,12 +251,13 @@ def level_scores_scalar(
 def aggregate_scores(
     per_level: dict, *, policy: str = "min"
 ) -> dict[int, float]:
-    """Combine per-level score dicts into one global peer score.
+    """Combine per-level scores into one global ``{peer_id: score}``.
 
     Parameters
     ----------
     per_level:
-        Mapping ``level -> {peer_id: score}``.
+        Mapping ``level -> scores``, each a :class:`LevelScoreTable` or
+        a plain ``{peer_id: score}`` mapping.
     policy:
         ``"min"`` (paper default — peer must appear at every level),
         ``"sum"`` or ``"product"`` (ablations; both also require presence
@@ -202,32 +269,22 @@ def aggregate_scores(
         raise ValidationError(
             f"unknown aggregation policy {policy!r}; use min, sum or product"
         )
-    # Stack each level's dict into sorted (peers, scores) arrays once, then
-    # reduce over the common-peer intersection in one vectorized pass.
-    levels = []
-    for scores in per_level.values():
-        n = len(scores)
-        peers = np.fromiter(scores.keys(), dtype=np.int64, count=n)
-        values = np.fromiter(scores.values(), dtype=np.float64, count=n)
-        order = np.argsort(peers)
-        levels.append((peers[order], values[order]))
-    common = levels[0][0]
-    for peers, __ in levels[1:]:
-        common = np.intersect1d(common, peers, assume_unique=True)
-        if common.size == 0:
-            return {}
-    stacked = np.empty((len(levels), common.size), dtype=np.float64)
-    for i, (peers, values) in enumerate(levels):
-        stacked[i] = values[np.searchsorted(peers, common)]
+    # Join first, score second: only peers present at every level can
+    # come out, so only their rows go through the Eq. 1 kernel.
+    tables = [LevelScoreTable.of(scores) for scores in per_level.values()]
+    common = tables[0].peers
+    for table in tables[1:]:
+        common = np.intersect1d(common, table.peers, assume_unique=True)
+    if common.size == 0:
+        return {}
+    stacked = np.stack([table.totals(common) for table in tables])
     if policy == "min":
         reduced = stacked.min(axis=0)
     elif policy == "sum":
         reduced = stacked.sum(axis=0)
     else:
         reduced = np.prod(stacked, axis=0)
-    return {
-        int(peer): float(score) for peer, score in zip(common, reduced)
-    }
+    return dict(zip(common.tolist(), reduced.tolist(), strict=True))
 
 
 def rank_peers(aggregated: dict[int, float]) -> list[tuple[int, float]]:

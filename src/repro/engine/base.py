@@ -26,6 +26,7 @@ engines is by construction, not by test luck.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -82,14 +83,18 @@ class EngineConfig:
             )
 
 
-def store_mask(store, center: np.ndarray, radius: float) -> np.ndarray:
-    """Store-wide intersection mask — the per-level shard task, inline."""
-    return store.intersection_mask(center, radius)
+def store_mask(
+    store, center: np.ndarray, radius: float, *, dists=None
+) -> np.ndarray:
+    """Store-wide intersection mask — the per-level shard task, inline;
+    ``dists`` (``store.n_rows`` float64 slots) receives the distances."""
+    return store.intersection_mask(center, radius, dists=dists)
 
 
-def gather_block(store, mask: np.ndarray):
-    """Gather the rows surviving ``mask`` into a scoring ColumnBlock."""
-    return store.column_block(np.nonzero(mask)[0])
+def gather_block(store, mask: np.ndarray, *, dists=None):
+    """Gather the rows surviving ``mask`` into a scoring ColumnBlock
+    (of the mask pass's ``dists`` instead of keys, when given)."""
+    return store.column_block(np.nonzero(mask)[0], dists=dists)
 
 
 class Engine(ABC):
@@ -122,9 +127,10 @@ class Engine(ABC):
         task order."""
 
     @abstractmethod
-    def score_levels(self, tasks) -> list[dict]:
+    def score_levels(self, tasks) -> list[Mapping]:
         """Mask + Eq. 1 scores for ``(key, center, radius)`` tasks;
-        returns ``{peer_id: score}`` per task after the barrier."""
+        returns a :class:`repro.core.scoring.LevelScoreTable` per task
+        after the barrier."""
 
     @abstractmethod
     def barrier(self) -> None:

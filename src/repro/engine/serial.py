@@ -18,6 +18,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from repro.engine.base import Engine, EngineConfig, gather_block, store_mask
 from repro.exceptions import ValidationError
 
@@ -162,8 +164,9 @@ class SerialEngine(Engine):
         out = []
         for shard_key, center, radius in tasks:
             store = self._stores[shard_key]
-            mask = store_mask(store, center, radius)
-            block = gather_block(store, mask)
+            dists = np.empty(store.n_rows)
+            mask = store_mask(store, center, radius, dists=dists)
+            block = gather_block(store, mask, dists=dists)
             out.append(level_scores(block, center, radius))
             self._tasks_run += 1
         return out

@@ -31,9 +31,11 @@ import atexit
 import functools
 import multiprocessing as mp
 import weakref
+from collections.abc import Mapping
 
 import numpy as np
 
+from repro.core.scoring import LevelScoreTable, level_scores
 from repro.engine.base import Engine, EngineConfig
 from repro.engine.serial import SerialScheduler
 from repro.exceptions import StaleCandidateError, ValidationError
@@ -89,7 +91,6 @@ def _detach(attachment: dict) -> None:
 
 def _run_task(attached: dict, task: tuple):
     """Worker side: one mask or mask+score task over a row range."""
-    from repro.core.scoring import level_scores
     from repro.index.store import ColumnBlock, intersection_mask_columns
 
     mode, shard_key, manifest, size, generation, center, radius, span = task
@@ -100,24 +101,25 @@ def _run_task(attached: dict, task: tuple):
         attached[shard_key] = _attach_columns(manifest)
     columns = attached[shard_key]["columns"]
     start, stop = (0, size) if span is None else span
-    keys = columns["_keys"][start:stop]
-    key_sq = columns["_key_sq"][start:stop]
     radii = columns["_radii"][start:stop]
-    live = columns["_live"][start:stop]
+    dists = np.empty(stop - start)
     mask = intersection_mask_columns(
-        keys, key_sq, radii, live, center, radius
+        columns["_keys"][start:stop], columns["_key_sq"][start:stop],
+        radii, columns["_live"][start:stop], center, radius, dists=dists,
     )
     if mode == "mask":
         return (generation, mask)
     rows = np.nonzero(mask)[0]
     block = ColumnBlock(
-        keys=keys[rows],
         radii=radii[rows],
         items=columns["_items"][start:stop][rows],
         peer_ids=columns["_peer_ids"][start:stop][rows],
-        key_sq=key_sq[rows],
+        dists=dists[rows],
     )
-    return (generation, level_scores(block, center, radius))
+    # Eager arrays cross the pipe: the deferred table's row arrays are
+    # more bytes than its totals, and a dict pickles slower than either.
+    table = level_scores(block, center, radius)
+    return (generation, (table.peers, table.totals()))
 
 
 def _worker_main(conn) -> None:
@@ -300,17 +302,24 @@ class ShardedEngine(Engine):
                     parts[0] if len(parts) == 1 else np.concatenate(parts)
                 )
             else:
-                merged: dict[int, float] = {}
-                for part in parts:
-                    for peer, score in part.items():
-                        merged[peer] = merged.get(peer, 0.0) + score
-                results.append(merged)
+                peers, totals = parts[0]
+                if len(parts) > 1:
+                    # Eq. 1 is additive over the disjoint row slabs.
+                    peers, inverse = np.unique(
+                        np.concatenate([part[0] for part in parts]),
+                        return_inverse=True,
+                    )
+                    totals = np.bincount(
+                        inverse,
+                        weights=np.concatenate([part[1] for part in parts]),
+                    )
+                results.append(LevelScoreTable(peers, totals))
         return results
 
     def masks(self, tasks) -> list[np.ndarray]:
         return self._exchange("mask", tasks)
 
-    def score_levels(self, tasks) -> list[dict]:
+    def score_levels(self, tasks) -> list[Mapping]:
         return self._exchange("score", tasks)
 
     def barrier(self) -> None:

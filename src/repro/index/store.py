@@ -55,17 +55,21 @@ class ColumnBlock:
     workers gather these arrays straight out of the shared-memory
     columns and hand them to :func:`repro.core.scoring.level_scores`,
     which scores them exactly as it scores a candidate set — same
-    arrays, same kernel, bit-identical floats.
+    arrays, same kernel. A block gathered right after a mask pass
+    carries that pass's centre distances as ``dists`` instead of the key
+    matrix (``keys`` and ``key_sq`` are then ``None``), so scoring
+    repeats neither the gather nor the matvec.
     """
 
-    keys: np.ndarray
     radii: np.ndarray
     items: np.ndarray
     peer_ids: np.ndarray
-    key_sq: np.ndarray
+    keys: np.ndarray | None = None
+    key_sq: np.ndarray | None = None
+    dists: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return int(self.keys.shape[0])
+        return int(self.radii.shape[0])
 
     def columns(self):
         """``(keys, radii, items, peer_ids, key_sq)`` — scoring order."""
@@ -79,6 +83,8 @@ def intersection_mask_columns(
     live: np.ndarray,
     center: np.ndarray,
     radius: float,
+    *,
+    dists: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-row intersection mask over raw column slices.
 
@@ -86,7 +92,9 @@ def intersection_mask_columns(
     extracted so engine workers can run it against shared-memory column
     views without holding a :class:`LevelStore`. The columns must
     already be sliced to the row range under test; the caller guarantees
-    they come from one consistent generation.
+    they come from one consistent generation. ``dists``, when given, is
+    a float64 array of one slot per row that receives every row's centre
+    distance (boundary-band rows exact) for the scorer to reuse.
     """
     center = np.asarray(center, dtype=np.float64)
     if keys.shape[0] == 0:
@@ -94,7 +102,7 @@ def intersection_mask_columns(
     d2 = key_sq - 2.0 * (keys @ center)
     d2 += float(center @ center)
     np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2)
+    dist = np.sqrt(d2, out=dists)
     boundary = radii + float(radius)
     near = np.abs(dist - boundary) <= _BOUNDARY_BAND
     if near.any():
@@ -778,15 +786,23 @@ class LevelStore:
         self.generation += 1
         return rows
 
-    def column_block(self, rows: np.ndarray) -> ColumnBlock:
-        """Gather a scoring :class:`ColumnBlock` for the given rows."""
+    def column_block(
+        self, rows: np.ndarray, *, dists: np.ndarray | None = None
+    ) -> ColumnBlock:
+        """Gather a scoring :class:`ColumnBlock` for the given rows.
+
+        ``dists`` is the store-wide distance array an
+        :meth:`intersection_mask` pass filled for the same query; the
+        block then carries ``dists[rows]`` and skips the key gather.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         return ColumnBlock(
-            keys=self._keys[rows],
             radii=self._radii[rows],
             items=self._items[rows],
             peer_ids=self._peer_ids[rows],
-            key_sq=self._key_sq[rows],
+            keys=self._keys[rows] if dists is None else None,
+            key_sq=self._key_sq[rows] if dists is None else None,
+            dists=None if dists is None else dists[rows],
         )
 
     def _incref(self, row: int) -> None:
@@ -1075,7 +1091,8 @@ class LevelStore:
         return rows[mask]
 
     def intersection_mask(
-        self, center: np.ndarray, radius: float
+        self, center: np.ndarray, radius: float, *,
+        dists: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-row intersection mask for one query over the *whole* store.
 
@@ -1086,6 +1103,7 @@ class LevelStore:
         magnitude once replication multiplies the membership count.
         Same boundary-band exact re-resolution as
         :meth:`intersecting_rows`, so the two filters always agree.
+        ``dists`` (``n_rows`` float64 slots) receives the distances.
         """
         size = self._size
         if size == 0:
@@ -1097,6 +1115,7 @@ class LevelStore:
             self._live[:size],
             center,
             radius,
+            dists=dists,
         )
 
     def intersection_masks(

@@ -220,9 +220,10 @@ class ServeEngine:
                 if isinstance(req, RangeRequest)
             ]
             fetched = self.source.fetch_batch([plans[p] for p in ranges])
-            # Score every range query before any retrieval runs: scores
-            # are plain dicts, so a mid-batch adaptation epoch (store
-            # generation bump) cannot stale a later query's scoring.
+            # Score every range query before any retrieval runs: the
+            # level tables own copies of their rows and the join below
+            # ends in a plain dict, so a mid-batch adaptation epoch
+            # (store generation bump) cannot stale a later query's scoring.
             scored: dict = {}
             for position, candidates in zip(ranges, fetched, strict=True):
                 per_level = {

@@ -7,6 +7,8 @@ filtering and scoring must match the scalar ``StoredEntry.intersects`` /
 ``level_scores_scalar`` oracle to 1e-9.
 """
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,7 +203,7 @@ class TestCandidateSetStaleness:
         store, __, candidates = self._candidates(rng)
         assert not candidates.is_stale()
         scores = level_scores(candidates, rng.random(3), 0.8)
-        assert isinstance(scores, dict)
+        assert isinstance(scores, Mapping)
 
     def test_mutation_staletes_outstanding_sets(self, rng):
         store, m, candidates = self._candidates(rng)

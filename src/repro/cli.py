@@ -723,7 +723,8 @@ def _cmd_stats(args) -> int:
 
     Surfaces :meth:`HyperMNetwork.stats` — including the per-level
     columnar store health (live rows, tombstones, generation,
-    compactions) — without writing a script.
+    compactions, mask passes and the rows each scanned) — without
+    writing a script.
     """
     from repro.evaluation.workloads import build_markov_network
 
@@ -780,11 +781,14 @@ def _cmd_stats(args) -> int:
             store["tombstones"],
             store["generation"],
             store["compactions"],
+            store["mask_queries"],
+            store["rows_scanned"] // max(store["mask_queries"], 1),
         ])
     print(format_table(
         [
             "level", "nodes", "stored", "distinct", "repl",
             "live", "tombstones", "generation", "compactions",
+            "masks", "scanned/mask",
         ],
         rows,
         title="per-level store health",
@@ -923,6 +927,10 @@ def _cmd_scale_bench(args) -> int:
             ["peers/s (build+publish)", f"{report['peers_per_s']:.0f}"],
             ["spheres/s (publish)", f"{report['spheres_per_s']:.0f}"],
             ["queries/s (index phase)", f"{report['queries_per_s']:.0f}"],
+            ["rows scanned / query (of "
+             f"{report['spheres_published']})",
+             "-" if report["rows_scanned_per_query"] is None
+             else f"{report['rows_scanned_per_query']:.0f}"],
             ["mean peers ranked", f"{report['mean_peers_ranked']:.1f}"],
             ["bulk speedup (vs routed)", f"{report['bulk_speedup']:.1f}x"],
             ["parity checked / max delta",

@@ -193,7 +193,10 @@ def level_scores(
     query_center = np.asarray(query_center, dtype=np.float64)
     d = int(query_center.shape[0])
     n = len(entries)
-    if isinstance(entries, ColumnBlock) and entries.dists is not None:
+    from_mask_pass = (
+        isinstance(entries, ColumnBlock) and entries.dists is not None
+    )
+    if from_mask_pass:
         radii, items, peer_ids = entries.radii, entries.items, entries.peer_ids
         dists = entries.dists
     else:
@@ -208,11 +211,16 @@ def level_scores(
     intersecting = spheres_intersect_batch(radii, query_radius, dists)
     pruned = n - int(np.count_nonzero(intersecting))
     _fill_stats(stats, n, pruned)
-    peers, inverse = np.unique(peer_ids[intersecting], return_inverse=True)
-    # Boolean indexing copies, so the table outlives any store mutation.
+    if pruned or not from_mask_pass:
+        # Boolean indexing copies, so the table outlives any store
+        # mutation. A mask pass's block is gathered copies already:
+        # with nothing pruned the table takes them as they are.
+        radii, dists, items, peer_ids = (
+            column[intersecting] for column in (radii, dists, items, peer_ids)
+        )
+    peers, inverse = np.unique(peer_ids, return_inverse=True)
     return LevelScoreTable(peers, rows=(
-        inverse, radii[intersecting], dists[intersecting],
-        items[intersecting], float(query_radius), d,
+        inverse, radii, dists, items, float(query_radius), d,
     ))
 
 

@@ -61,10 +61,10 @@ class EngineConfig:
 
     ``shard_by`` picks the partitioning axis: ``"level"`` assigns whole
     overlay levels to workers (the paper's natural decomposition);
-    ``"region"`` splits each level's rows into contiguous slabs — under
-    grid bulk construction row order follows zone-cell order, so slabs
-    approximate the GeoP2P-style region partition and keep every worker
-    busy even when levels < workers.
+    ``"region"`` splits each level's rows into contiguous slabs, which
+    keeps every worker busy even when levels < workers. Rows lie in
+    publication order, so a slab is no key-space region; each worker
+    grids its slab with its own :class:`repro.index.CellDirectory`.
     """
 
     engine: str = "serial"
@@ -86,8 +86,9 @@ class EngineConfig:
 def store_mask(
     store, center: np.ndarray, radius: float, *, dists=None
 ) -> np.ndarray:
-    """Store-wide intersection mask — the per-level shard task, inline;
-    ``dists`` (``store.n_rows`` float64 slots) receives the distances."""
+    """Per-row intersection mask — the per-level shard task, inline;
+    ``dists`` (``store.n_rows`` float64 slots) receives centre distances,
+    valid where the mask is True."""
     return store.intersection_mask(center, radius, dists=dists)
 
 

@@ -158,7 +158,11 @@ class SerialEngine(Engine):
         return out
 
     def score_levels(self, tasks):
-        """Mask + Eq. 1 level scores, computed inline per task."""
+        """Mask + Eq. 1 level scores, computed inline per task.
+
+        The mask pass fills ``dists`` only where its mask is True —
+        exactly the rows :func:`gather_block` then reads.
+        """
         from repro.core.scoring import level_scores
 
         out = []

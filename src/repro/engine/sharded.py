@@ -52,8 +52,9 @@ def _attach_columns(manifest: dict):
         blocks[name] = block
         columns[name] = np.ndarray(shape, dtype=np.dtype(dtype),
                                    buffer=block.buf)
+    # directories: span -> CellDirectory over it, all of one generation.
     return {"epoch": manifest["epoch"], "blocks": blocks,
-            "columns": columns}
+            "columns": columns, "generation": None, "directories": {}}
 
 
 def _mute_shm_tracking() -> None:
@@ -80,6 +81,7 @@ def _mute_shm_tracking() -> None:
 
 
 def _detach(attachment: dict) -> None:
+    attachment["directories"].clear()  # identity directories are views
     attachment["columns"].clear()
     for block in attachment["blocks"].values():
         try:
@@ -91,7 +93,7 @@ def _detach(attachment: dict) -> None:
 
 def _run_task(attached: dict, task: tuple):
     """Worker side: one mask or mask+score task over a row range."""
-    from repro.index.store import ColumnBlock, intersection_mask_columns
+    from repro.index.store import CellDirectory, ColumnBlock
 
     mode, shard_key, manifest, size, generation, center, radius, span = task
     if manifest is not None:
@@ -99,14 +101,22 @@ def _run_task(attached: dict, task: tuple):
         if old is not None:
             _detach(old)
         attached[shard_key] = _attach_columns(manifest)
-    columns = attached[shard_key]["columns"]
+    attachment = attached[shard_key]
+    columns = attachment["columns"]
+    directories = attachment["directories"]
+    if attachment["generation"] != generation:
+        directories.clear()
+        attachment["generation"] = generation
     start, stop = (0, size) if span is None else span
     radii = columns["_radii"][start:stop]
+    directory = directories.get(span)
+    if directory is None:
+        directory = directories[span] = CellDirectory.build(
+            columns["_keys"][start:stop], columns["_key_sq"][start:stop],
+            radii, columns["_live"][start:stop],
+        )
     dists = np.empty(stop - start)
-    mask = intersection_mask_columns(
-        columns["_keys"][start:stop], columns["_key_sq"][start:stop],
-        radii, columns["_live"][start:stop], center, radius, dists=dists,
-    )
+    mask, __ = directory.mask(center, radius, dists=dists)
     if mode == "mask":
         return (generation, mask)
     rows = np.nonzero(mask)[0]

@@ -230,11 +230,18 @@ def run_scale_bench(
                 )
             parity = {"checked": checked, "max_abs_delta": worst}
 
+        stores = [overlays[level].level_store for level in levels]
+        scanned_before = sum(store.rows_scanned for store in stores)
         start = clock()
         peers_ranked = 0
         for plan in query_plans:
             peers_ranked += len(_engine_scores(engine_obj, plan))
         query_s = clock() - start
+        # Shard workers scan their own directories and report nothing
+        # back: the stores' counters see only inline passes.
+        rows_scanned = None if engine_obj.parallel else (
+            sum(store.rows_scanned for store in stores) - scanned_before
+        ) / n_queries
 
         small = min(baseline_peers, n_peers)
         base_dim = levels[-1].dimensionality
@@ -272,6 +279,7 @@ def run_scale_bench(
             "spheres_per_s": n_spheres / max(publish_s, 1e-12),
             "query_s": query_s,
             "queries_per_s": n_queries / max(query_s, 1e-12),
+            "rows_scanned_per_query": rows_scanned,
             "mean_peers_ranked": peers_ranked / n_queries,
             "baseline_peers": small,
             "routed_small_s": routed_s,

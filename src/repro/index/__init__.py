@@ -9,18 +9,18 @@ without re-stacking. See ``docs/architecture.md`` for the design.
 
 from repro.index.store import (
     CandidateSet,
+    CellDirectory,
     ColumnBlock,
     LevelStore,
     NodeMembership,
     StoredEntryView,
-    intersection_mask_columns,
 )
 
 __all__ = [
     "CandidateSet",
+    "CellDirectory",
     "ColumnBlock",
     "LevelStore",
     "NodeMembership",
     "StoredEntryView",
-    "intersection_mask_columns",
 ]

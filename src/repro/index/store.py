@@ -42,14 +42,29 @@ from repro.geometry.intersection import spheres_intersect
 _INITIAL_CAPACITY = 64
 
 #: Width of the exact re-resolution band around sphere boundaries (see
-#: :meth:`LevelStore.intersection_mask`); module-level so the extracted
-#: :func:`intersection_mask_columns` kernel and the store share one value.
+#: :meth:`CellDirectory.mask`); module-level so the mask kernel and the
+#: serve tier's stacked :meth:`LevelStore.intersection_masks` share it.
 _BOUNDARY_BAND = 1e-5
+
+#: Compaction triggers when tombstones exceed this fraction of used rows…
+_COMPACT_FRACTION = 0.25
+
+#: …and at least this many rows are dead (tiny stores never bother).
+_COMPACT_MIN_TOMBSTONES = 64
+
+#: Columns shorter than this get no cell grid: one pass over the rows as
+#: they lie costs less than picking cells, gathering and scattering
+#: (measured break-even: 4–8k rows at d = 1…4 with ~0.1-wide queries).
+_DIRECTORY_MIN_ROWS = 4096
+
+#: Rows per :class:`CellDirectory` grid cell the cell count aims for.
+_DIRECTORY_CELL_ROWS = 16
 
 
 @dataclass(frozen=True)
 class ColumnBlock:
-    """A raw ``(keys, radii, items, peer_ids, key_sq)`` scoring block.
+    """A raw scoring block: ``radii``, ``items``, ``peer_ids``, then
+    either ``keys`` + ``key_sq`` or the centre distances ``dists``.
 
     The process-boundary twin of :meth:`CandidateSet.columns`: engine
     workers gather these arrays straight out of the shared-memory
@@ -58,7 +73,8 @@ class ColumnBlock:
     arrays, same kernel. A block gathered right after a mask pass
     carries that pass's centre distances as ``dists`` instead of the key
     matrix (``keys`` and ``key_sq`` are then ``None``), so scoring
-    repeats neither the gather nor the matvec.
+    repeats neither the gather nor the matvec; its arrays are gathered
+    copies the scorer may keep.
     """
 
     radii: np.ndarray
@@ -76,47 +92,185 @@ class ColumnBlock:
         return self.keys, self.radii, self.items, self.peer_ids, self.key_sq
 
 
-def intersection_mask_columns(
-    keys: np.ndarray,
-    key_sq: np.ndarray,
-    radii: np.ndarray,
-    live: np.ndarray,
-    center: np.ndarray,
-    radius: float,
-    *,
-    dists: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-row intersection mask over raw column slices.
+class CellDirectory:
+    """Mask columns in grid-cell order, so a query scans only nearby rows.
 
-    The computational core of :meth:`LevelStore.intersection_mask`,
-    extracted so engine workers can run it against shared-memory column
-    views without holding a :class:`LevelStore`. The columns must
-    already be sliced to the row range under test; the caller guarantees
-    they come from one consistent generation. ``dists``, when given, is
-    a float64 array of one slot per row that receives every row's centre
-    distance (boundary-band rows exact) for the scorer to reuse.
+    Paper §4 needs only the stored spheres whose centre lies within
+    ``r + ρ`` of the query key. The directory buckets the rows of one
+    consistent set of ``keys / key_sq / radii / live`` columns on a
+    uniform power-of-two grid over the unit key cube (cells per axis
+    dealt round-robin from axis 0, about :data:`_DIRECTORY_CELL_ROWS`
+    rows a cell; keys outside the cube land in the face cells), keeps
+    cell-ordered copies of the columns, the permutation ``rows`` back to
+    the caller's row order and a CSR ``offsets`` table over the
+    row-major cell codes. :meth:`mask` then runs the one mask kernel
+    over the cells meeting the query ball's bounding box.
+
+    Constructed directly it is the one-cell *identity* directory over
+    the given arrays — no copies, ``rows`` is ``None``, every query
+    scans every row; :meth:`build` grids columns of
+    :data:`_DIRECTORY_MIN_ROWS` rows or more. Either way it is a
+    snapshot: the owner rebuilds it when the columns change.
     """
-    center = np.asarray(center, dtype=np.float64)
-    if keys.shape[0] == 0:
-        return np.empty(0, dtype=bool)
-    d2 = key_sq - 2.0 * (keys @ center)
-    d2 += float(center @ center)
-    np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2, out=dists)
-    boundary = radii + float(radius)
-    near = np.abs(dist - boundary) <= _BOUNDARY_BAND
-    if near.any():
-        diff = keys[near] - center
-        dist[near] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    mask = spheres_intersect_batch(radii, float(radius), dist)
-    mask &= live
-    return mask
 
-#: Compaction triggers when tombstones exceed this fraction of used rows…
-_COMPACT_FRACTION = 0.25
+    __slots__ = ("keys", "key_sq", "radii", "live", "rows", "shape",
+                 "offsets", "reach")
 
-#: …and at least this many rows are dead (tiny stores never bother).
-_COMPACT_MIN_TOMBSTONES = 64
+    def __init__(self, keys: np.ndarray, key_sq: np.ndarray,
+                 radii: np.ndarray, live: np.ndarray):
+        self.keys = keys
+        self.key_sq = key_sq
+        self.radii = radii
+        self.live = live
+        self.rows: np.ndarray | None = None
+        #: Cells per gridded axis (the leading ``len(shape)`` axes).
+        self.shape: tuple[int, ...] = ()
+        self.offsets = np.array([0, keys.shape[0]], dtype=np.int64)
+        #: How far past the query radius a stored centre can still hit.
+        self.reach = 0.0
+
+    @classmethod
+    def build(cls, keys: np.ndarray, key_sq: np.ndarray,
+              radii: np.ndarray, live: np.ndarray) -> "CellDirectory":
+        """Grid the columns; under the row floor, the identity directory."""
+        n, d = keys.shape
+        if n < _DIRECTORY_MIN_ROWS:
+            return cls(keys, key_sq, radii, live)
+        bits = (n // _DIRECTORY_CELL_ROWS).bit_length() - 1
+        base, extra = divmod(bits, d)
+        shape = tuple(
+            2 ** (base + (axis < extra)) for axis in range(min(d, bits))
+        )
+        cells = _cell_coords(keys[:, : len(shape)], shape)
+        codes = cells[:, 0]
+        for axis in range(1, len(shape)):
+            codes = codes * shape[axis] + cells[:, axis]
+        # Stable, so a cell's rows stay in ascending row order.
+        order = np.argsort(codes, kind="stable")
+        directory = cls(keys[order], key_sq[order], radii[order], live[order])
+        directory.rows = order
+        directory.shape = shape
+        directory.offsets = np.zeros(2 ** bits + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(codes, minlength=2 ** bits),
+            out=directory.offsets[1:],
+        )
+        directory.reach = _BOUNDARY_BAND + float(
+            radii.max(where=live, initial=0.0)
+        )
+        return directory
+
+    @property
+    def n_cells(self) -> int:
+        """Grid cells (1 for the identity directory)."""
+        return int(self.offsets.size) - 1
+
+    def _meeting(self, center: np.ndarray, radius: float):
+        """Positions of the rows in cells meeting the query ball's box.
+
+        The cells meeting ``center ± (radius + reach)`` are one
+        contiguous run of cell codes per combination of the leading
+        axes: a slice when that is a single run, else the runs'
+        positions concatenated.
+        """
+        shape = self.shape
+        k = len(shape)
+        everything = slice(0, int(self.offsets[-1]))
+        if k == 0:
+            return everything
+        reach = radius + self.reach
+        lo = _cell_coords(center[:k] - reach, shape).tolist()
+        hi = _cell_coords(center[:k] + reach, shape).tolist()
+        # A trailing axis the box spans whole only lengthens the runs
+        # of the axis before it.
+        fold = 1
+        while k and lo[k - 1] == 0 and hi[k - 1] == shape[k - 1] - 1:
+            k -= 1
+            fold *= shape[k]
+        if k == 0:
+            return everything
+        heads = np.zeros(1, dtype=np.int64)
+        for axis in range(k - 1):
+            heads = (
+                heads[:, None] * shape[axis]
+                + np.arange(lo[axis], hi[axis] + 1)
+            ).ravel()
+        heads *= shape[k - 1] * fold
+        begin = self.offsets[heads + lo[k - 1] * fold]
+        end = self.offsets[heads + (hi[k - 1] + 1) * fold]
+        if begin.size == 1:
+            return slice(int(begin[0]), int(end[0]))
+        lengths = end - begin
+        stops = np.cumsum(lengths)
+        return np.repeat(begin - (stops - lengths), lengths) + np.arange(
+            stops[-1]
+        )
+
+    def mask(
+        self, center: np.ndarray, radius: float, *,
+        dists: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, int]:
+        """Per-row intersection mask for one query, and the rows scanned.
+
+        The one mask kernel — the level store, the shard workers and
+        the gathered-rows filter all land here. One BLAS pass
+        ``k·k − 2k·c + c·c`` over the selected rows; distances within
+        :data:`_BOUNDARY_BAND` of a sphere boundary are recomputed
+        exactly, because the expansion loses ~sqrt(eps·d) absolute
+        accuracy to cancellation (an exact-match point lookup gives
+        ~1e-8 instead of 0), far coarser than the 1e-12
+        ``INTERSECTION_SLACK``; so the mask matches the scalar
+        ``StoredEntryView.intersects`` oracle. The mask is in the
+        caller's row order, tombstones False. ``dists``, when given, is
+        a float64 array of one slot per row; it receives the centre
+        distance of every scanned row, so it is valid wherever the mask
+        is True and untouched elsewhere.
+        """
+        center = np.asarray(center, dtype=np.float64)
+        radius = float(radius)
+        out = np.zeros(self.live.shape[0], dtype=bool)
+        sel = self._meeting(center, radius)
+        keys = _pick(self.keys, sel)
+        scanned = keys.shape[0]
+        if scanned == 0:
+            return out, 0
+        radii = _pick(self.radii, sel)
+        d2 = _pick(self.key_sq, sel) - 2.0 * (keys @ center)
+        d2 += float(center @ center)
+        np.maximum(d2, 0.0, out=d2)
+        dist = np.sqrt(d2, out=d2)
+        near = np.abs(dist - (radii + radius)) <= _BOUNDARY_BAND
+        if near.any():
+            diff = keys[near] - center
+            dist[near] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        hit = spheres_intersect_batch(radii, radius, dist)
+        hit &= _pick(self.live, sel)
+        target = sel if self.rows is None else _pick(self.rows, sel)
+        out[target] = hit
+        if dists is not None:
+            dists[target] = dist
+        return out, scanned
+
+
+def _pick(column: np.ndarray, sel) -> np.ndarray:
+    """``column[sel]``: a view for a slice, ``take`` for positions (several
+    times faster than fancy-indexing the rows of a 2-D column)."""
+    if isinstance(sel, slice):
+        return column[sel]
+    return column.take(sel, axis=0)
+
+
+def _cell_coords(points: np.ndarray, shape: tuple) -> np.ndarray:
+    """Grid cell per axis of ``points``, clamped to the face cells.
+
+    Monotone in every coordinate, which is what makes the box test in
+    :meth:`CellDirectory._meeting` conservative. ``fmax``/``fmin``
+    (not ``clip``) so a NaN coordinate picks cell 0 instead of an
+    undefined integer — its distance is NaN and never intersects.
+    """
+    shape = np.asarray(shape, dtype=np.float64)
+    cells = np.floor(points * shape)
+    return np.fmin(np.fmax(cells, 0.0), shape - 1.0).astype(np.int64)
 
 
 class StoredEntryView:
@@ -444,6 +598,11 @@ class LevelStore:
         self._next_entry_id = 0
         self.generation = 0
         self.compactions = 0
+        self.directory_builds = 0
+        self.mask_queries = 0
+        self.rows_scanned = 0
+        self._directory: CellDirectory | None = None
+        self._directory_generation = -1
         self._keys = np.empty((0, self._dim), dtype=np.float64)
         self._key_sq = np.empty(0, dtype=np.float64)
         self._radii = np.empty(0, dtype=np.float64)
@@ -511,6 +670,12 @@ class LevelStore:
             "generation": self.generation,
             "compactions": self.compactions,
             "next_entry_id": self._next_entry_id,
+            "directory_cells": (
+                1 if self._directory is None else self._directory.n_cells
+            ),
+            "directory_builds": self.directory_builds,
+            "mask_queries": self.mask_queries,
+            "rows_scanned": self.rows_scanned,
         }
 
     # -- membership registry -------------------------------------------------
@@ -791,9 +956,11 @@ class LevelStore:
     ) -> ColumnBlock:
         """Gather a scoring :class:`ColumnBlock` for the given rows.
 
-        ``dists`` is the store-wide distance array an
-        :meth:`intersection_mask` pass filled for the same query; the
-        block then carries ``dists[rows]`` and skips the key gather.
+        ``dists`` is the ``n_rows``-slot distance array an
+        :meth:`intersection_mask` pass filled for the same query (valid
+        where its mask is True, which is where ``rows`` must come
+        from); the block then carries ``dists[rows]`` and skips the key
+        gather.
         """
         rows = np.asarray(rows, dtype=np.int64)
         return ColumnBlock(
@@ -1055,68 +1222,71 @@ class LevelStore:
 
     # -- the hot path --------------------------------------------------------
 
-    #: Distances this close to the disjointness boundary are recomputed
-    #: exactly: the BLAS expansion ``k·k − 2k·c + c·c`` loses ~sqrt(eps·d)
-    #: absolute accuracy to cancellation (an exact-match point lookup gives
-    #: ~1e-8 instead of 0), far coarser than the 1e-12 INTERSECTION_SLACK.
-    _BOUNDARY_BAND = _BOUNDARY_BAND
-
     def intersecting_rows(
         self, rows: np.ndarray, center: np.ndarray, radius: float
     ) -> np.ndarray:
         """Subset of ``rows`` whose spheres intersect the query sphere.
 
-        One gathered BLAS distance pass plus the shared
-        :func:`repro.geometry.batch.spheres_intersect_batch` predicate —
-        the vectorized replacement for the per-entry ``intersects`` loop.
-        Rows whose distance lands within :data:`_BOUNDARY_BAND` of the
-        boundary are re-resolved with the exact difference norm, so the
-        returned set matches the scalar ``StoredEntry.intersects`` oracle.
+        :meth:`CellDirectory.mask` over the gathered rows — the
+        vectorized replacement for the per-entry ``intersects`` loop,
+        and the same kernel as :meth:`intersection_mask`, so the two
+        filters always agree.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return rows
-        center = np.asarray(center, dtype=np.float64)
-        keys = self._keys[rows]
-        d2 = self._key_sq[rows] - 2.0 * (keys @ center)
-        d2 += float(center @ center)
-        np.maximum(d2, 0.0, out=d2)
-        dist = np.sqrt(d2)
-        boundary = self._radii[rows] + float(radius)
-        near = np.abs(dist - boundary) <= self._BOUNDARY_BAND
-        if near.any():
-            diff = keys[near] - center
-            dist[near] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        mask = spheres_intersect_batch(self._radii[rows], float(radius), dist)
-        return rows[mask]
+        gathered = CellDirectory(
+            self._keys[rows], self._key_sq[rows], self._radii[rows],
+            self._live[rows],
+        )
+        return rows[gathered.mask(center, radius)[0]]
+
+    def _cell_directory(self) -> CellDirectory:
+        """The directory over the current columns, built once per generation.
+
+        Whole and lazy: the first mask after any mutation pays one
+        rebuild. Under :data:`_DIRECTORY_MIN_ROWS` there is nothing to
+        build or keep — the identity directory is views of the columns.
+        """
+        if self._directory_generation != self.generation:
+            size = self._size
+            directory = CellDirectory.build(
+                self._keys[:size], self._key_sq[:size], self._radii[:size],
+                self._live[:size],
+            )
+            if directory.rows is None:
+                self._directory = None
+                return directory
+            self._directory = directory
+            self._directory_generation = self.generation
+            self.directory_builds += 1
+        return self._directory
 
     def intersection_mask(
         self, center: np.ndarray, radius: float, *,
         dists: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Per-row intersection mask for one query over the *whole* store.
+        """Per-row intersection mask (``n_rows`` booleans) for one query.
 
-        One contiguous BLAS pass over the full key matrix (tombstones
-        masked out), so a range query computes it once and every visited
-        node reduces to a boolean gather of its membership rows —
-        columnar layout beats per-node key gathers by an order of
-        magnitude once replication multiplies the membership count.
-        Same boundary-band exact re-resolution as
-        :meth:`intersecting_rows`, so the two filters always agree.
-        ``dists`` (``n_rows`` float64 slots) receives the distances.
+        Computed once per range query, so every visited node reduces to
+        a boolean gather of its membership rows. The store's
+        :class:`CellDirectory` confines the pass to the grid cells the
+        query ball can reach; rows elsewhere (and tombstones) are False
+        without being looked at. ``dists`` (``n_rows`` float64 slots)
+        receives centre distances and is valid where the mask is True.
         """
-        size = self._size
-        if size == 0:
-            return np.empty(0, dtype=bool)
-        return intersection_mask_columns(
-            self._keys[:size],
-            self._key_sq[:size],
-            self._radii[:size],
-            self._live[:size],
-            center,
-            radius,
-            dists=dists,
+        center = np.asarray(center, dtype=np.float64)
+        if center.shape != (self._dim,):
+            raise ValidationError(
+                f"center shape {center.shape} does not match store "
+                f"dimensionality {self._dim}"
+            )
+        mask, scanned = self._cell_directory().mask(
+            center, radius, dists=dists
         )
+        self.mask_queries += 1
+        self.rows_scanned += scanned
+        return mask
 
     def intersection_masks(
         self, centers: np.ndarray, radii: np.ndarray
@@ -1156,7 +1326,7 @@ class LevelStore:
         np.maximum(d2, 0.0, out=d2)
         dist = np.sqrt(d2)
         boundary = self._radii[:size][None, :] + radii[:, None]
-        near = np.abs(dist - boundary) <= self._BOUNDARY_BAND
+        near = np.abs(dist - boundary) <= _BOUNDARY_BAND
         if near.any():
             q_idx, r_idx = np.nonzero(near)
             diff = keys[r_idx] - centers[q_idx]

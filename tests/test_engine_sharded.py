@@ -155,6 +155,41 @@ class TestShardedParity:
             by_level.close()
             by_region.close()
 
+    @pytest.mark.parametrize("shard_by", ["level", "region"])
+    def test_gridded_shards_match_serial_across_generations(self, shard_by):
+        """Above the directory row floor the workers grid their spans;
+        answers still match the inline kernel, before and after the
+        store mutates (the workers rebuild on the new generation)."""
+        # 2 workers: region slabs of 4 500 rows are gridded, level
+        # shards grid the whole 9 000-row store.
+        stores = {0: _populated_store(n=9000, dim=2, seed=11)}
+        engine = ShardedEngine(
+            EngineConfig(engine="sharded", workers=2, shard_by=shard_by)
+        )
+        try:
+            self._register(engine, stores)
+            store = stores[0]
+            for round_ in range(3):
+                tasks = self._tasks(stores, seed=20 + round_)
+                for (key, center, radius), mask, scores in zip(
+                    tasks, engine.masks(tasks), engine.score_levels(tasks)
+                ):
+                    expected = store_mask(store, center, radius)
+                    np.testing.assert_array_equal(mask, expected)
+                    block = gather_block(store, expected)
+                    inline = level_scores(block, center, radius)
+                    assert set(scores) == set(inline)
+                    for peer, score in inline.items():
+                        assert scores[peer] == pytest.approx(score, abs=1e-9)
+                # Mutate between rounds: a moved key, a tombstone, a row.
+                store.update_entry(
+                    store.entry_id_of(3 + round_), key=np.array([0.5, 0.5])
+                )
+                store.remove_entry(store.entry_id_of(100 + round_))
+                store.add(np.array([0.25, 0.75]), 0.1, None)
+        finally:
+            engine.close()
+
     def test_empty_store_yields_empty_results(self, sharded):
         sharded.register_store(0, LevelStore(2))
         masks = sharded.masks([(0, np.array([0.5, 0.5]), 0.3)])

@@ -171,3 +171,44 @@ class TestSnapshotSemantics:
         store.remove_entry(store.entry_id_of(0))
         with pytest.raises(StaleCandidateError):
             level_scores(candidates, center, 0.7)
+
+    def test_mask_pass_block_is_taken_as_is_and_stays_a_snapshot(self):
+        """A block gathered from a mask pass is copies already: with
+        nothing pruned the table keeps them (no second set of copies),
+        the accounting is unchanged, and store writes still cannot
+        reach it."""
+        rng = np.random.default_rng(15)
+        store, __, center = _level(rng, 60, 3, np.arange(8))
+        dists = np.empty(store.n_rows)
+        mask = store.intersection_mask(center, 0.4, dists=dists)
+        assert 0 < mask.sum() < store.n_rows
+        block = store.column_block(np.nonzero(mask)[0], dists=dists)
+        stats: dict = {}
+        table = level_scores(block, center, 0.4, stats=stats)
+        assert stats == {
+            "candidates": len(block), "pruned": 0, "surviving": len(block),
+        }
+        __, radii, table_dists, items, *___ = table._rows
+        assert radii is block.radii
+        assert table_dists is block.dists
+        assert items is block.items
+        assert not np.shares_memory(radii, store._radii)
+        expected = table.totals().copy()
+        store.update_entry(
+            store.entry_id_of(int(np.nonzero(mask)[0][0])), radius=0.9
+        )
+        np.testing.assert_array_equal(
+            level_scores(block, center, 0.4).totals(), expected
+        )
+
+    def test_block_with_pruned_rows_is_still_copied(self):
+        rng = np.random.default_rng(16)
+        store, __, center = _level(rng, 60, 3, np.arange(8))
+        dists = np.empty(store.n_rows)
+        store.intersection_mask(center, 3.0, dists=dists)  # every row
+        block = store.column_block(np.arange(store.n_rows), dists=dists)
+        stats: dict = {}
+        table = level_scores(block, center, 0.2, stats=stats)
+        assert stats["pruned"] > 0
+        assert table._rows[1].shape[0] == stats["surviving"]
+        assert table._rows[1] is not block.radii

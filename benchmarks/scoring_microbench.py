@@ -52,7 +52,8 @@ import numpy as np
 from repro.core.results import ClusterRecord
 from repro.core.scoring import level_scores, level_scores_scalar
 from repro.index import LevelStore
-from repro.obs import TraceRecorder, tracing
+from repro.obs import TraceRecorder
+from repro.runtime import run_context
 from repro.obs.profile import phase_rows
 from repro.overlay.base import StoredEntry
 
@@ -164,7 +165,7 @@ def run_scoring(args) -> int:
     scalar_n = min(args.scalar_subset or args.spheres, args.spheres)
     scalar_entries = entries[:scalar_n]
     recorder = TraceRecorder()
-    with tracing(recorder):
+    with run_context(tracer=recorder):
         with recorder.span("scalar", spheres=scalar_n):
             scalar_s = time_best_of(
                 lambda: level_scores_scalar(scalar_entries, center, eps),
@@ -335,7 +336,7 @@ def run_index_phase(args) -> int:
         return 1
 
     recorder = TraceRecorder()
-    with tracing(recorder):
+    with run_context(tracer=recorder):
         with recorder.span("seed_path", spheres=args.spheres):
             seed_s = time_best_of(
                 lambda: seed_index_phase(legacy, visited, center, eps),

@@ -37,7 +37,7 @@ def _run_churn():
         target = int(round(fail_fraction * len(network.peers)))
         while len(departed) < target:
             peer_id = candidates[len(departed)]
-            network.remove_peer(peer_id)
+            network.depart(peer_id)
             departed.append(peer_id)
         # Ground truth over the items still reachable (surviving peers).
         truth_index = CentralizedIndex.from_network_online_only(network)

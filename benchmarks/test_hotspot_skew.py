@@ -56,10 +56,11 @@ import numpy as np
 from repro.core.network import HyperMConfig
 from repro.evaluation.adaptation import skewed_query_points
 from repro.evaluation.workloads import build_markov_network
-from repro.obs.flight import FlightRecorder, flight_recording
+from repro.obs.flight import FlightRecorder
 from repro.obs.loadmap import build_loadmap
-from repro.obs.registry import metrics_scope
-from repro.obs.trace import TraceRecorder, tracing
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import TraceRecorder
+from repro.runtime import run_context
 from repro.overlay.adapt import AdaptConfig
 
 DEFAULTS = {
@@ -121,8 +122,9 @@ def _run_workload(cfg: dict, *, instrumented: bool):
 
     if instrumented:
         flight = FlightRecorder()
-        with metrics_scope(), tracing(TraceRecorder()), \
-                flight_recording(flight):
+        with run_context(
+            metrics=MetricsRegistry(), tracer=TraceRecorder(), flight=flight
+        ):
             elapsed = timed_body()
     else:
         flight = None

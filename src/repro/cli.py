@@ -35,7 +35,6 @@ import inspect
 import json
 import sys
 import warnings
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 from repro.evaluation.adaptation import run_adaptation
@@ -58,11 +57,11 @@ from repro.evaluation.reporting import (
     series_to_table,
 )
 from repro.evaluation.resilience import run_fault_recall
-from repro.engine import EngineConfig, engine_names, engine_scope
-from repro.faults import parse_fault_plan, plan_scope
-from repro.overlay.adapt import AdaptConfig, adapt_scope
-from repro.overlay.registry import overlay_names, overlay_scope, resolve_overlay
-from repro.obs import TraceRecorder, tracing
+from repro.engine import EngineConfig, engine_names
+from repro.faults import parse_fault_plan
+from repro.overlay.adapt import AdaptConfig
+from repro.overlay.registry import overlay_names, resolve_overlay
+from repro.obs import MetricsRegistry, TraceRecorder
 from repro.obs.profile import (
     flame_summary,
     phase_rows,
@@ -70,7 +69,7 @@ from repro.obs.profile import (
     top_spans,
     top_spans_table,
 )
-from repro.obs.registry import metrics_scope
+from repro.runtime import run_context
 from repro.utils.ascii_plot import line_chart
 from repro.utils.tables import format_table
 
@@ -408,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Regenerate the Hyper-M paper's experiments.",
     )
+    # Run-context flags a command does not take read as unset in main().
+    parser.set_defaults(adapt=False, overlay=None, fault_plan=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
 
@@ -550,6 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report publish/query throughput plus peak RSS",
     )
     _add_run_args(scale_parser)
+    scale_parser.set_defaults(peers=2048)  # no --scale preset to size it
     scale_parser.add_argument(
         "--spheres-per-peer", type=int, default=2, metavar="N",
         help="cluster spheres published per peer per level (default: 2)",
@@ -607,6 +609,25 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
     _add_run_args(parser)
     parser.add_argument(
+        "--scale",
+        choices=sorted(_SCALES),
+        default="quick",
+        help="parameter preset (quick: seconds; paper: minutes)",
+    )
+    parser.add_argument(
+        "--plot",
+        action="store_true",
+        help="also sketch the series as an ASCII chart",
+    )
+    parser.add_argument(
+        "--fault-plan",
+        default=None,
+        metavar="SPEC",
+        help="run the experiment on a lossy fabric: a FaultPlan spec like "
+        "'loss=0.1,delay=0.005,dup=0.01,seed=3' applied to every network "
+        "the command builds (see docs/faults.md)",
+    )
+    parser.add_argument(
         "--republish",
         choices=("none", "delta", "full"),
         default="none",
@@ -634,15 +655,10 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     """Flags every command honours, ``scale-bench`` included.
 
-    ``scale-bench`` builds bare CAN grids, not a ``HyperMNetwork``, so it
-    takes none of the network-shaping flags of :func:`_add_common_args`.
+    ``scale-bench`` bulk-builds bare CAN grids on a clean fabric — no
+    ``HyperMNetwork``, no scale preset, no chart — so it takes none of
+    the flags :func:`_add_common_args` adds on top of these.
     """
-    parser.add_argument(
-        "--scale",
-        choices=sorted(_SCALES),
-        default="quick",
-        help="parameter preset (quick: seconds; paper: minutes)",
-    )
     parser.add_argument(
         "--peers", type=int, default=None, help="override the peer count"
     )
@@ -650,22 +666,9 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=0, help="master random seed"
     )
     parser.add_argument(
-        "--plot",
-        action="store_true",
-        help="also sketch the series as an ASCII chart",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit machine-readable JSON (series + metrics snapshot)",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC",
-        help="run the experiment on a lossy fabric: a FaultPlan spec like "
-        "'loss=0.1,delay=0.005,dup=0.01,seed=3' applied to every network "
-        "the command builds (see docs/faults.md)",
     )
     parser.add_argument(
         "--engine",
@@ -708,7 +711,7 @@ def _emit(args, out: ExperimentOutput, metrics_snapshot: dict) -> None:
 def _cmd_trace(args) -> int:
     builder, __ = _COMMANDS[args.experiment]
     recorder = TraceRecorder()
-    with metrics_scope(), tracing(recorder):
+    with run_context(metrics=MetricsRegistry(), tracer=recorder):
         builder(args)
     path = args.out or f"trace-{args.experiment}.jsonl"
     count = recorder.write_jsonl(path)
@@ -729,7 +732,7 @@ def _cmd_stats(args) -> int:
     from repro.evaluation.workloads import build_markov_network
 
     params = _common(args)
-    with metrics_scope():
+    with run_context(metrics=MetricsRegistry()):
         workload, __ = build_markov_network(
             n_peers=params["n_peers"],
             items_per_peer=params["items_per_peer"],
@@ -740,7 +743,7 @@ def _cmd_stats(args) -> int:
         for peer_id in list(network.peers)[:departures]:
             # Clean departures (summaries withdrawn) so the store health
             # table actually shows tombstone/compaction activity.
-            network.remove_peer(peer_id, withdraw_summaries=True)
+            network.depart(peer_id, withdraw_summaries=True)
         stats = network.stats()
     if getattr(args, "json", False):
         payload = {
@@ -836,12 +839,12 @@ def _cmd_serve_bench(args) -> int:
 
     Same runner as ``benchmarks/test_query_serve.py`` (which adds the CI
     gates); this command exposes it interactively with the scale presets
-    and ambient overlay/fault/adapt scopes.
+    and the run context the flags select.
     """
     from repro.evaluation.serving import run_serve_bench
 
     params = _common(args)
-    with metrics_scope():
+    with run_context(metrics=MetricsRegistry()):
         report = run_serve_bench(
             n_peers=params["n_peers"],
             items_per_peer=params["items_per_peer"],
@@ -898,10 +901,9 @@ def _cmd_scale_bench(args) -> int:
     """
     from repro.evaluation.scale import run_scale_bench
 
-    params = _common(args)
-    with metrics_scope():
+    with run_context(metrics=MetricsRegistry()):
         report = run_scale_bench(
-            n_peers=params["n_peers"],
+            n_peers=args.peers,
             spheres_per_peer=args.spheres_per_peer,
             n_queries=args.queries,
             epsilon=args.epsilon,
@@ -947,7 +949,8 @@ def _cmd_scale_bench(args) -> int:
 def _cmd_profile(args) -> int:
     builder, __ = _COMMANDS[args.experiment]
     recorder = TraceRecorder()
-    with metrics_scope() as registry, tracing(recorder):
+    registry = MetricsRegistry()
+    with run_context(metrics=registry, tracer=recorder):
         builder(args)
     if getattr(args, "json", False):
         payload = {
@@ -989,23 +992,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{'scale-bench':14s} 10^5-peer bulk publish + engine-plane "
               "query throughput")
         return 0
-    with ExitStack() as scopes:
-        # Ambient run context: every network the command builds adopts
-        # the requested controller, overlay backend, fault plan and
-        # execution engine (see each package's ``*_scope``). scale-bench
-        # builds no HyperMNetwork and has no --adapt / --overlay.
-        if getattr(args, "adapt", False):
-            scopes.enter_context(adapt_scope(AdaptConfig()))
-        if getattr(args, "overlay", None):
-            scopes.enter_context(overlay_scope(resolve_overlay(args.overlay)))
-        if args.fault_plan:
-            scopes.enter_context(
-                plan_scope(parse_fault_plan(args.fault_plan))
-            )
-        if args.engine:
-            scopes.enter_context(engine_scope(EngineConfig(
-                engine=args.engine, workers=max(args.workers, 1)
-            )))
+    # Every network the command builds adopts the controller, overlay
+    # backend, fault plan and execution engine the flags select.
+    with run_context(
+        adapt=AdaptConfig() if args.adapt else None,
+        overlay=resolve_overlay(args.overlay) if args.overlay else None,
+        fault_plan=(
+            parse_fault_plan(args.fault_plan) if args.fault_plan else None
+        ),
+        engine=EngineConfig(
+            engine=args.engine, workers=max(args.workers, 1)
+        ) if args.engine else None,
+    ):
         return _dispatch(args)
 
 
@@ -1044,11 +1042,12 @@ def _dispatch(args) -> int:
             return 0
         for name, (builder, __) in _COMMANDS.items():
             print(f"\n### {name}")
-            with metrics_scope():
+            with run_context(metrics=MetricsRegistry()):
                 print(builder(args).text)
         return 0
     builder, __ = _COMMANDS[args.command]
-    with metrics_scope() as registry:
+    registry = MetricsRegistry()
+    with run_context(metrics=registry):
         out = builder(args)
     _emit(args, out, registry.snapshot())
     return 0

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import runtime
 from repro.clustering.kmeans import kmeans
 from repro.clustering.spheres import ClusterSphere, spheres_from_clustering
 from repro.exceptions import ClusteringError
-from repro.obs import trace as obs_trace
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import check_matrix
 from repro.wavelets.multiresolution import (
@@ -90,7 +90,7 @@ def summarize_peer_data(
         raise ClusteringError(f"n_clusters must be >= 1, got {n_clusters}")
     n = data.shape[0]
     levels = tuple(publication_levels(data.shape[1], levels_used))
-    recorder = obs_trace.state.recorder
+    recorder = runtime.current.tracer
     with recorder.span("dwt", items=n, dimensionality=data.shape[1]):
         decomposition = decompose_dataset(data)
     child_rngs = spawn_rngs(ensure_rng(rng), len(levels))

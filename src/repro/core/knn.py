@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+from repro import runtime
 from repro.clustering.spheres import ClusterSphere
 from repro.core.queries import (
     RoutedSource,
@@ -44,9 +45,7 @@ from repro.core.results import KnnResult, sort_items_by_distance
 from repro.core.scoring import _candidate_columns, level_scores, rank_peers
 from repro.exceptions import QueryError
 from repro.geometry.epsilon import estimate_epsilon_for_k, expected_items
-from repro.obs import flight as obs_flight
 from repro.obs import registry as obs_registry
-from repro.obs import trace as obs_trace
 from repro.utils.validation import check_vector
 from repro.wavelets.bounds import coefficient_interval, radius_scale
 
@@ -91,7 +90,7 @@ def _discover_level(
             candidates, probe_hops = source.probe(index, level, key, eps)
             hops += probe_hops
             probes += 1
-    obs_trace.state.recorder.annotate(probes=probes)
+    runtime.current.tracer.annotate(probes=probes)
     return eps, candidates, hops
 
 
@@ -190,7 +189,7 @@ def run_knn(
         raise QueryError(f"k must be >= 1, got {k}")
     if c <= 0:
         raise QueryError(f"C must be > 0, got {c}")
-    recorder = obs_trace.state.recorder
+    recorder = runtime.current.tracer
     per_level: dict = {}
     epsilon_per_level: dict = {}
     discovered: dict = {}
@@ -340,10 +339,10 @@ def knn_query(
     """
     query = check_vector(query, "query", dim=network.dimensionality)
     origin = resolve_origin(network, origin_peer)
-    recorder = obs_trace.state.recorder
+    recorder = runtime.current.tracer
     with recorder.span(
         "query", type="knn", k=k, c=float(c), origin=origin
-    ) as query_span, obs_flight.state.recorder.operation(
+    ) as query_span, runtime.current.flight.operation(
         "query", type="knn", origin=origin
     ):
         with recorder.span("translate", levels=len(network.levels)):

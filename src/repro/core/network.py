@@ -6,18 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import runtime
 from repro.core.peer import HyperMPeer
 from repro.core.results import ClusterRecord, DisseminationReport
-from repro.engine.registry import active_engine_config, create_engine
+from repro.engine.registry import create_engine
 from repro.exceptions import ValidationError
 from repro.net.network import Network
-from repro.obs import flight as obs_flight
 from repro.obs import registry as obs_registry
-from repro.obs import trace as obs_trace
-from repro.overlay.adapt import AdaptationController, active_adapt_config
-from repro.overlay.base import maintenance_plane
+from repro.overlay.adapt import AdaptationController
 from repro.overlay.can import CANNetwork
-from repro.overlay.registry import active_overlay_factory
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.wavelets.bounds import key_space_radius, to_unit_cube
 from repro.wavelets.multiresolution import Level, publication_levels
@@ -83,9 +80,9 @@ class HyperMNetwork:
         peer's clustering.
     overlay_factory:
         Callable ``(dimensionality, *, fabric, rng, node_id_offset) ->
-        Overlay``. When ``None``, the ambient factory installed by the
-        CLI's ``--overlay`` flag (:mod:`repro.overlay.registry`) wins,
-        then :class:`repro.overlay.can.CANNetwork`. Any registered
+        Overlay``. When ``None``, the run context's ``overlay`` (the
+        CLI's ``--overlay`` flag; :mod:`repro.runtime`) wins, then
+        :class:`repro.overlay.can.CANNetwork`. Any registered
         backend (ring, BATON, VBI, Kademlia) demonstrates overlay
         independence.
 
@@ -117,13 +114,13 @@ class HyperMNetwork:
         )
         self.dimensionality = int(dimensionality)
         #: Execution engine (``repro.engine``): explicit argument, else
-        #: the ambient ``--engine`` selection, else serial. The engine
+        #: the run context's ``--engine`` selection, else serial. The engine
         #: provides the fabric's scheduler and, when parallel, the
         #: per-level shard fan-out for the index phase.
         self.engine = create_engine(
             engine_config
             if engine_config is not None
-            else active_engine_config()
+            else runtime.current.engine
         )
         self.fabric = (
             fabric
@@ -131,7 +128,7 @@ class HyperMNetwork:
             else Network(scheduler=self.engine.create_scheduler())
         )
         self._rng = ensure_rng(rng)
-        factory = overlay_factory or active_overlay_factory() or CANNetwork
+        factory = overlay_factory or runtime.current.overlay or CANNetwork
         overlay_rngs = spawn_rngs(self._rng, len(self.levels))
         self.overlays = {
             level: factory(
@@ -146,17 +143,16 @@ class HyperMNetwork:
         }
         if self.engine.parallel:
             for index, level in enumerate(self.levels):
-                store = getattr(self.overlays[level], "level_store", None)
-                if store is not None:
-                    self.engine.register_store(index, store)
+                self.engine.register_store(
+                    index, self.overlays[level].level_store
+                )
         self.peers: dict[int, HyperMPeer] = {}
         #: Optional load-adaptation controller (``repro.overlay.adapt``);
-        #: installed by :meth:`enable_adaptation` or ambiently by the
-        #: CLI's ``--adapt`` flag via :func:`adapt_scope`.
+        #: installed by :meth:`enable_adaptation`, or here when the run
+        #: context carries a config (the CLI's ``--adapt`` flag).
         self.adaptation: AdaptationController | None = None
-        ambient = active_adapt_config()
-        if ambient is not None:
-            self.enable_adaptation(ambient)
+        if runtime.current.adapt is not None:
+            self.enable_adaptation(runtime.current.adapt)
         self._overlay_node: dict[tuple[Level, int], int] = {}
         #: ``(level, peer_id) -> {sid -> entry_id}``: which overlay entry
         #: each published sphere (by its epoch-state sphere id) lives at.
@@ -250,12 +246,6 @@ class HyperMNetwork:
                 overlay.leave(node_id)
         if withdraw_summaries:
             self.withdraw_summaries(peer_id)
-
-    def remove_peer(
-        self, peer_id: int, *, withdraw_summaries: bool = False
-    ) -> None:
-        """Backwards-compatible alias for :meth:`depart` (clean-only)."""
-        self.depart(peer_id, withdraw_summaries=withdraw_summaries)
 
     def withdraw_summaries(self, peer_id: int, *, charge: bool = False) -> int:
         """Drop every published cluster record of ``peer_id``; returns the
@@ -372,10 +362,10 @@ class HyperMNetwork:
         network's dimensionality and levels.
         """
         peer = self.peers[peer_id]
-        recorder = obs_trace.state.recorder
+        recorder = runtime.current.tracer
         with recorder.span(
             "publish", peer=peer_id
-        ) as publish_span, obs_flight.state.recorder.operation(
+        ) as publish_span, runtime.current.flight.operation(
             "publish", peer=peer_id
         ) as flight_op:
             if summary is None:
@@ -473,13 +463,13 @@ class HyperMNetwork:
         a full re-clustering expressed as remove-all + insert-all.
         """
         peer = self.peers[peer_id]
-        recorder = obs_trace.state.recorder
+        recorder = runtime.current.tracer
         metrics = obs_registry.metrics()
         with recorder.span(
             "publish_delta", peer=peer_id
-        ) as delta_span, obs_flight.state.recorder.operation(
+        ) as delta_span, runtime.current.flight.operation(
             "publish_delta", peer=peer_id
-        ) as flight_op:
+        ):
             with recorder.span("delta_build", peer=peer_id) as build_span:
                 delta = peer.build_delta(
                     n_clusters=self.config.n_clusters,
@@ -503,7 +493,7 @@ class HyperMNetwork:
             report = DisseminationReport(items_published=items_changed)
             bytes_before = self.fabric.metrics.total_bytes
             energy_before = self.fabric.energy.total
-            self._apply_delta(peer_id, delta, report, recorder, flight_op)
+            self._apply_delta(peer_id, delta, report, recorder)
             report.bytes_sent = self.fabric.metrics.total_bytes - bytes_before
             report.energy = self.fabric.energy.total - energy_before
             delta_span.set(
@@ -535,8 +525,7 @@ class HyperMNetwork:
         return report
 
     def _apply_delta(
-        self, peer_id: int, delta, report: DisseminationReport, recorder,
-        flight_op,
+        self, peer_id: int, delta, report: DisseminationReport, recorder
     ) -> None:
         """Apply one :class:`SummaryDelta` to every level overlay.
 
@@ -547,20 +536,11 @@ class HyperMNetwork:
         while the peer was away, or tombstoned by the failure detector —
         are *revived* with a normal insert, so a delta round always leaves
         the overlays covering the peer's full published state.
-
-        Maintenance operations dispatch through
-        :func:`repro.overlay.base.maintenance_plane`. A backend without
-        the plane degrades to store-direct (uncharged) updates — and
-        that degradation is metered, never silent: the
-        ``publish.delta.fallback_full`` counter is bumped and the
-        publish-delta flight operation is annotated with the backend
-        class.
         """
         peer = self.peers[peer_id]
         state = peer.epoch_state
         for level in self.levels:
             overlay = self.overlays[level]
-            plane = maintenance_plane(overlay)
             store = overlay.level_store
             origin = self.overlay_node(level, peer_id)
             level_delta = delta.per_level[level]
@@ -581,16 +561,10 @@ class HyperMNetwork:
                 ]
                 retract_hops = 0
                 if live_doomed:
-                    if plane is not None:
-                        retract_hops = plane.retract_entries(
-                            origin, live_doomed
-                        )
-                        report.routing_hops += retract_hops
-                    else:
-                        self._note_delta_fallback(flight_op, overlay)
-                        for eid in live_doomed:
-                            store.remove_entry(eid)
-                        store.maybe_compact()
+                    retract_hops = overlay.retract_entries(
+                        origin, live_doomed
+                    )
+                    report.routing_hops += retract_hops
                 report.spheres_removed += len(level_delta.removed)
 
                 # 2. in-place updates; dead entries fall through to revival.
@@ -608,18 +582,11 @@ class HyperMNetwork:
                     patches.append((eid, radius, record))
                 patch_hops = extend_hops = 0
                 if patches:
-                    if plane is not None:
-                        patch_hops, extend_hops = plane.patch_entries(
-                            origin, patches
-                        )
-                        report.routing_hops += patch_hops
-                        report.replica_hops += extend_hops
-                    else:
-                        self._note_delta_fallback(flight_op, overlay)
-                        for eid, radius, record in patches:
-                            store.update_entry(
-                                eid, radius=radius, value=record
-                            )
+                    patch_hops, extend_hops = overlay.patch_entries(
+                        origin, patches
+                    )
+                    report.routing_hops += patch_hops
+                    report.replica_hops += extend_hops
                     report.spheres_updated += len(patches)
 
                 # 3. inserts: new spheres, plus revivals of dead entries.
@@ -661,20 +628,6 @@ class HyperMNetwork:
                     routing_hops=routing,
                     replica_hops=extend_hops + replicas,
                 )
-
-    @staticmethod
-    def _note_delta_fallback(flight_op, overlay) -> None:
-        """Meter a maintenance-plane miss during delta application.
-
-        Bumps ``publish.delta.fallback_full`` and annotates the current
-        publish-delta flight operation so a deployment quietly running
-        degraded maintenance shows up in every metrics snapshot and
-        flight export.
-        """
-        obs_registry.metrics().counter("publish.delta.fallback_full").inc()
-        flight_op.set(
-            fallback_full=True, overlay=type(overlay).__name__
-        )
 
     def republish_peer(
         self, peer_id: int, *, full: bool = False

@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro import runtime
 from repro.core.results import RangeQueryResult, sort_items_by_distance
 from repro.core.scoring import (
     LevelScoreTable,
@@ -44,9 +45,7 @@ from repro.core.scoring import (
 from repro.exceptions import EmptyNetworkError, QueryError
 from repro.faults.resilience import reliable_send, tombstone_peer
 from repro.net.messages import MessageKind, vector_message_size
-from repro.obs import flight as obs_flight
 from repro.obs import registry as obs_registry
-from repro.obs import trace as obs_trace
 from repro.utils.validation import check_positive, check_vector
 from repro.wavelets.bounds import key_space_radius, radius_scale, to_unit_cube
 from repro.wavelets.multiresolution import decompose
@@ -220,7 +219,7 @@ class RoutedSource:
 
 def score_peers(per_level: dict, policy: str) -> dict[int, float]:
     """Steps s1/s2's join: aggregate per-level Eq. 1 tables across levels."""
-    recorder = obs_trace.state.recorder
+    recorder = runtime.current.tracer
     with recorder.span("score", policy=policy) as span:
         aggregated = aggregate_scores(per_level, policy=policy)
         if recorder.enabled:
@@ -263,7 +262,7 @@ def index_phase(
     ``index_attempts``. On a clean fabric every level answers on the
     first attempt.
     """
-    recorder = obs_trace.state.recorder
+    recorder = runtime.current.tracer
     with recorder.span("translate", levels=len(network.levels)):
         plan = level_plan(
             network.dimensionality, network.levels, query, epsilon
@@ -501,7 +500,7 @@ def retrieval_phase(
     return identical item sets. Returns ``(items, answered, failed,
     messages, attempted)``.
     """
-    recorder = obs_trace.state.recorder
+    recorder = runtime.current.tracer
     injector = network.fabric.faults
     items = []
     answered: list[int] = []
@@ -598,11 +597,11 @@ def range_query(
     check_positive(epsilon, "epsilon", strict=False)
     origin = resolve_origin(network, origin_peer)
 
-    recorder = obs_trace.state.recorder
+    recorder = runtime.current.tracer
     fault_info: dict = {}
     with recorder.span(
         "query", type="range", epsilon=float(epsilon), origin=origin
-    ) as query_span, obs_flight.state.recorder.operation(
+    ) as query_span, runtime.current.flight.operation(
         "query", type="range", origin=origin
     ) as flight_op:
         aggregated, index_hops = index_phase(

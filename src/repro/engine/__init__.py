@@ -11,8 +11,8 @@ package splits into:
   :class:`ShardedScheduler`: level (or row-region) shards on forked
   worker processes reading the level stores' shared-memory columns
   zero-copy, synchronized by epoch barriers;
-* :mod:`repro.engine.registry` — the ``--engine`` name registry and the
-  ambient ``engine_scope`` idiom, mirroring ``overlay_scope``.
+* :mod:`repro.engine.registry` — the ``--engine`` name registry; the
+  selection itself travels in the run context (:mod:`repro.runtime`).
 
 See ``docs/scaling.md`` for the shard topology, barrier protocol, and
 shared-memory lifecycle.
@@ -28,12 +28,9 @@ from repro.engine.base import (
 from repro.engine.registry import (
     DEFAULT_ENGINE,
     ENGINES,
-    active_engine_config,
     create_engine,
     engine_names,
-    engine_scope,
     resolve_engine,
-    set_active_engine_config,
 )
 from repro.engine.serial import Event, SerialEngine, SerialScheduler
 from repro.engine.sharded import ShardedEngine, ShardedScheduler
@@ -49,12 +46,9 @@ __all__ = [
     "SerialScheduler",
     "ShardedEngine",
     "ShardedScheduler",
-    "active_engine_config",
     "create_engine",
     "engine_names",
-    "engine_scope",
     "gather_block",
     "resolve_engine",
-    "set_active_engine_config",
     "store_mask",
 ]

@@ -1,20 +1,12 @@
-"""Engine registry + ambient selection scope (the ``--engine`` flag).
+"""Engine registry: the ``--engine`` name -> class map.
 
-Mirrors :mod:`repro.overlay.registry` exactly: a name -> class map, a
-module-global ambient selection, and a context manager the CLI wraps the
-whole command in, so every :class:`repro.core.network.HyperMNetwork`
-built inside the scope picks up the selected engine without threading a
-parameter through each call site.
-
-The ambient value is an :class:`repro.engine.base.EngineConfig` (not an
-engine instance): each network builds its *own* engine from the config,
-the same way each network builds its own adaptation controller from the
-ambient :func:`repro.adapt.active_adapt_config`.
+The selection travels in the run context (``runtime.current.engine``) as
+an :class:`repro.engine.base.EngineConfig`, not an engine instance: each
+:class:`repro.core.network.HyperMNetwork` builds its *own* engine from
+the config, the same way each builds its own adaptation controller.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from repro.engine.base import EngineConfig
 from repro.engine.serial import SerialEngine
@@ -50,28 +42,3 @@ def create_engine(config: EngineConfig | None = None):
     """Build an engine instance from ``config`` (default: serial)."""
     config = config or EngineConfig()
     return resolve_engine(config.engine)(config)
-
-
-_active: EngineConfig | None = None
-
-
-def active_engine_config() -> EngineConfig | None:
-    """The ambient engine selection, or ``None`` for the default."""
-    return _active
-
-
-def set_active_engine_config(config: EngineConfig | None) -> None:
-    """Install ``config`` as the ambient engine selection."""
-    global _active
-    _active = config
-
-
-@contextmanager
-def engine_scope(config: EngineConfig | None):
-    """Run a block with ``config`` as the ambient engine selection."""
-    previous = _active
-    set_active_engine_config(config)
-    try:
-        yield
-    finally:
-        set_active_engine_config(previous)

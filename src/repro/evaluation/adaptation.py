@@ -21,7 +21,8 @@ from repro.core.network import HyperMConfig
 from repro.datasets.skewed import generate_skewed_dataset
 from repro.evaluation.workloads import build_markov_network
 from repro.obs.loadmap import build_loadmap
-from repro.overlay.adapt import AdaptConfig, adapt_scope
+from repro.overlay.adapt import AdaptConfig
+from repro.runtime import run_context
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,14 @@ def run_adaptation(
     ``config`` overrides the adapted arm's full operating point;
     otherwise the default :class:`AdaptConfig` runs with the given
     ``epoch_queries`` cadence. Construction happens under
-    ``adapt_scope(None)`` so an ambient ``--adapt`` flag cannot leak
+    ``run_context(adapt=None)`` so an ambient ``--adapt`` flag cannot leak
     into the clean arm.
     """
     seed = int(rng)
     adapted_config = config or AdaptConfig(epoch_queries=epoch_queries)
     rows: list[AdaptationRow] = []
     for mode in ("clean", "adapted"):
-        with adapt_scope(None):
+        with run_context(adapt=None):
             workload, __ = build_markov_network(
                 n_peers=n_peers,
                 items_per_peer=items_per_peer,

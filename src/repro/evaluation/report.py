@@ -29,12 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.evaluation.workloads import build_markov_network
-from repro.obs.flight import FlightRecorder, flight_recording
+from repro.obs.flight import FlightRecorder
 from repro.obs.loadmap import build_loadmap
 from repro.obs.profile import phase_rows
-from repro.obs.registry import metrics_scope
+from repro.obs.registry import MetricsRegistry
 from repro.obs.rss import rss_snapshot
-from repro.obs.trace import TraceRecorder, tracing
+from repro.obs.trace import TraceRecorder
+from repro.runtime import run_context
 from repro.utils.rng import ensure_rng
 from repro.utils.tables import format_table
 
@@ -79,8 +80,8 @@ def run_report(
     generator = ensure_rng(seed if rng is None else rng)
     recorder = TraceRecorder()
     flight = FlightRecorder(capacity=flight_capacity)
-    with metrics_scope() as registry, tracing(recorder), \
-            flight_recording(flight):
+    registry = MetricsRegistry()
+    with run_context(metrics=registry, tracer=recorder, flight=flight):
         workload, dissemination = build_markov_network(
             n_peers=n_peers,
             items_per_peer=items_per_peer,

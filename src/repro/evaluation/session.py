@@ -190,7 +190,7 @@ class SessionSimulator:
         online = self._online_peers()
         if len(online) > 2:
             victim = int(self._event_rng.choice(online))
-            self.network.remove_peer(victim)
+            self.network.depart(victim)
             self._offline.append(victim)
             self.outcome.departures += 1
         self._schedule(

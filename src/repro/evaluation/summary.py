@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, is_dataclass
 
+from repro import runtime
 from repro.evaluation.dissemination import (
     run_fig8a,
     run_fig8b,
@@ -27,8 +28,7 @@ from repro.evaluation.reporting import (
     rows_to_table,
     series_to_table,
 )
-from repro.obs import trace as obs_trace
-from repro.obs.registry import metrics_scope
+from repro.obs.registry import MetricsRegistry
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
@@ -58,16 +58,16 @@ class ExperimentReport:
 
 
 def _scoped(name: str, thunk):
-    """Run ``thunk`` under a fresh metrics scope and an experiment span.
+    """Run ``thunk`` under a fresh metrics registry and an experiment span.
 
     Returns ``(result, metrics snapshot)`` so each experiment's report
     carries only its own publish/query counters.
     """
-    recorder = obs_trace.state.recorder
-    with metrics_scope() as scoped:
-        with recorder.span(f"experiment[{name}]"):
+    registry = MetricsRegistry()
+    with runtime.run_context(metrics=registry):
+        with runtime.current.tracer.span(f"experiment[{name}]"):
             result = thunk()
-    return result, scoped.snapshot()
+    return result, registry.snapshot()
 
 
 def _rows_report(name, title, rows) -> ExperimentReport:

@@ -61,7 +61,7 @@ def build_markov_network(
 
     Returns ``(workload, dissemination_report)``; the report is ``None``
     when ``publish`` is false. ``overlay_factory`` selects the overlay
-    backend (default: the ambient ``--overlay`` choice, else CAN).
+    backend (default: the run context's ``--overlay`` choice, else CAN).
     """
     generator = ensure_rng(rng)
     data_rng, part_rng, net_rng = spawn_rngs(generator, 3)

@@ -13,8 +13,9 @@ scenario:
 * :func:`reliable_send` / :func:`crash_peer` / :func:`tombstone_peer` —
   retry/backoff, abrupt crash without overlay cleanup, and stale-sphere
   tombstoning (:mod:`repro.faults.resilience`).
-* :func:`plan_scope` — ambient plan installation for CLI/experiment
-  plumbing (:mod:`repro.faults.state`).
+
+A plan reaches fabrics built deep inside experiment runners through the
+run context: ``run_context(fault_plan=plan)`` (:mod:`repro.runtime`).
 
 See ``docs/faults.md`` for the fault model, the retry semantics, and the
 graceful-degradation contract (query confidence).
@@ -33,7 +34,6 @@ from repro.faults.resilience import (
     reliable_send,
     tombstone_peer,
 )
-from repro.faults.state import active_plan, plan_scope, set_active_plan
 
 __all__ = [
     "FaultPlan",
@@ -47,7 +47,4 @@ __all__ = [
     "reliable_send",
     "crash_peer",
     "tombstone_peer",
-    "active_plan",
-    "plan_scope",
-    "set_active_plan",
 ]

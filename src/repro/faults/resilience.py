@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import runtime
 from repro.exceptions import ValidationError
 from repro.faults.plan import RetryPolicy
 from repro.net.messages import MessageKind
-from repro.obs import flight as obs_flight
 from repro.obs import registry as obs_registry
 
 
@@ -70,7 +70,7 @@ def reliable_send(
     events fire and partitions heal), and retries until delivered or the
     budget is spent.
     """
-    injector = getattr(fabric, "faults", None)
+    injector = fabric.faults
     if injector is None:
         fabric.transmit(source, destination, kind, size_bytes)
         return SendOutcome(
@@ -91,7 +91,7 @@ def reliable_send(
             # Tag the retry's flight edge with its attempt number, so
             # the routing tree distinguishes backoff re-sends from the
             # first transmission (no-op when recording is off).
-            obs_flight.state.recorder.mark_retry(attempt)
+            runtime.current.flight.mark_retry(attempt)
         message = fabric.transmit(source, destination, kind, size_bytes)
         if message.delivered:
             return SendOutcome(
@@ -124,7 +124,7 @@ def crash_peer(network, peer_id: int) -> None:
     :class:`repro.faults.plan.FaultPlan` first); abrupt failure is routed
     exclusively through this function.
     """
-    injector = getattr(network.fabric, "faults", None)
+    injector = network.fabric.faults
     if injector is None:
         raise ValidationError(
             "abrupt crashes require a fault injector: call "
@@ -156,7 +156,7 @@ def tombstone_peer(network, peer_id: int) -> int:
         obs_registry.metrics().counter("faults.tombstoned_entries").inc(
             removed
         )
-        injector = getattr(network.fabric, "faults", None)
+        injector = network.fabric.faults
         if injector is not None:
             injector.count("tombstoned_entries", removed)
     return removed

@@ -442,15 +442,6 @@ class NodeMembership:
         self._cache = None
         return dropped
 
-    def drop_where(self, predicate) -> int:
-        """Drop member rows whose :class:`StoredEntryView` matches; count."""
-        doomed = [
-            row
-            for row in sorted(self._rows)
-            if predicate(StoredEntryView(self._store, row))
-        ]
-        return self.discard_many(doomed)
-
     def intersecting_rows(self, center: np.ndarray, radius: float) -> np.ndarray:
         """Member rows whose spheres intersect the query sphere (batched)."""
         return self._store.intersecting_rows(self.rows(), center, radius)

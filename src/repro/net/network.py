@@ -11,16 +11,14 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro import runtime
 from repro.engine.serial import SerialScheduler
 from repro.exceptions import ValidationError
-from repro.faults import state as faults_state
 from repro.faults.injector import FaultInjector
 from repro.net.energy import EnergyLedger, EnergyModel
 from repro.net.messages import Message, MessageKind
 from repro.net.metrics import NetworkMetrics
 from repro.net.node import SimNode
-from repro.obs import flight as obs_flight
-from repro.obs import trace as obs_trace
 from repro.obs.loadmap import LoadLedger
 
 
@@ -35,7 +33,7 @@ class Network:
         Virtual seconds one overlay hop takes (used in scheduled mode).
     fault_plan:
         Optional :class:`repro.faults.plan.FaultPlan`; when given (or
-        when a plan is ambient via :func:`repro.faults.plan_scope`), a
+        when the run context carries one, ``runtime.current.fault_plan``), a
         fresh :class:`repro.faults.injector.FaultInjector` is installed
         and every :meth:`transmit` passes through it.
     """
@@ -59,10 +57,10 @@ class Network:
         self.load = LoadLedger()
         self.hop_latency = hop_latency
         self._nodes: dict[int, SimNode] = {}
-        self.faults = None
-        plan = fault_plan if fault_plan is not None else faults_state.active_plan()
-        if plan is not None:
-            self.install_faults(plan)
+        self.install_faults(
+            fault_plan if fault_plan is not None
+            else runtime.current.fault_plan
+        )
 
     def install_faults(self, plan_or_injector):
         """Install a fault injector (from a plan or prebuilt); returns it.
@@ -164,14 +162,14 @@ class Network:
             retransmits=retransmits, duplicates=duplicates,
             dropped=not message.delivered,
         )
-        recorder = obs_trace.state.recorder
+        recorder = runtime.current.tracer
         if recorder.enabled:
             counts = {"messages": 1, "hops": 1, "bytes": size_bytes}
             if retransmits:
                 counts["retransmits"] = retransmits
                 counts["bytes"] += size_bytes * retransmits
             recorder.add(**counts)
-        flight = obs_flight.state.recorder
+        flight = runtime.current.flight
         if flight.enabled:
             stamp = flight.record(
                 kind.value, source, destination, size_bytes,
@@ -219,7 +217,7 @@ class Network:
             kind, n_frames, size_bytes * n_frames
         )
         self.load.charge_bulk(senders, receivers, size_bytes)
-        recorder = obs_trace.state.recorder
+        recorder = runtime.current.tracer
         if recorder.enabled:
             recorder.add(
                 messages=n_frames, hops=n_frames,

@@ -2,9 +2,9 @@
 
 Coordinated pieces (see ``docs/observability.md``):
 
-* :mod:`repro.obs.registry` — a process-wide but injectable metrics
-  registry (counters, gauges, histograms, timers) with deterministic
-  snapshots; clocks are injectable so simulated time can drive timers.
+* :mod:`repro.obs.registry` — the metrics registry (counters, gauges,
+  histograms, timers) with deterministic snapshots; clocks are
+  injectable so simulated time can drive timers.
 * :mod:`repro.obs.trace` — structured span trees for every publish and
   query (``publish → dwt → kmeans[level] → can_insert[level]``; ``query →
   translate → sphere_filter[level] → score → contact_peers``) with JSONL
@@ -22,6 +22,9 @@ Coordinated pieces (see ``docs/observability.md``):
   :func:`~repro.obs.loadmap.build_loadmap`.
 * :mod:`repro.obs.schema` — validators for the exported trace/flight
   JSONL records and ``repro report`` JSON (also a CLI for CI gating).
+
+Which registry and recorders are live is part of the run context
+(:mod:`repro.runtime`): ``run_context(metrics=..., tracer=..., flight=...)``.
 """
 
 from repro.obs.flight import (
@@ -30,10 +33,7 @@ from repro.obs.flight import (
     HopEdge,
     NullFlightRecorder,
     Operation,
-    flight_recorder,
-    flight_recording,
     read_flight_jsonl,
-    set_flight_recorder,
 )
 from repro.obs.loadmap import LoadLedger, NodeLoad, build_loadmap
 from repro.obs.profile import (
@@ -51,8 +51,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     Timer,
     metrics,
-    metrics_scope,
-    set_metrics,
 )
 from repro.obs.rss import peak_rss_bytes, peak_rss_mb, rss_snapshot
 from repro.obs.trace import (
@@ -61,9 +59,6 @@ from repro.obs.trace import (
     Span,
     TraceRecorder,
     read_jsonl,
-    recorder,
-    set_recorder,
-    tracing,
 )
 
 __all__ = [
@@ -85,23 +80,15 @@ __all__ = [
     "TraceRecorder",
     "build_loadmap",
     "flame_summary",
-    "flight_recorder",
-    "flight_recording",
     "metrics",
-    "metrics_scope",
     "peak_rss_bytes",
     "peak_rss_mb",
     "phase_rows",
     "phase_table",
     "read_flight_jsonl",
     "read_jsonl",
-    "recorder",
     "rss_snapshot",
-    "set_flight_recorder",
-    "set_metrics",
-    "set_recorder",
     "span_tree",
     "top_spans",
     "top_spans_table",
-    "tracing",
 ]

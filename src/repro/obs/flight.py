@@ -16,9 +16,10 @@ holes.
 Recording is **off by default**: the active recorder is a
 :class:`NullFlightRecorder` whose every operation is a no-op, so the
 disabled hot path costs a single attribute check per transmit. Enable it
-with :func:`flight_recording`::
+by putting a recorder in the run context (:mod:`repro.runtime`)::
 
-    with flight_recording() as rec:
+    rec = FlightRecorder()
+    with run_context(flight=rec):
         network.publish_all()
         network.range_query(q, 0.1)
     rec.write_jsonl("flight.jsonl")
@@ -576,51 +577,3 @@ def read_flight_jsonl(path) -> tuple[list[dict], list[dict]]:
             else:
                 edges.append(record)
     return edges, ops
-
-
-class _FlightState:
-    """Mutable holder so the fabric can bind the attribute once."""
-
-    __slots__ = ("recorder",)
-
-    def __init__(self) -> None:
-        self.recorder = NULL_FLIGHT_RECORDER
-
-
-#: Process-wide flight-recording state (mirrors ``repro.obs.trace.state``).
-state = _FlightState()
-
-
-def flight_recorder() -> object:
-    """The currently active flight recorder (a null one when off)."""
-    return state.recorder
-
-
-def set_flight_recorder(rec) -> object:
-    """Install ``rec`` (``None`` disables recording); returns the previous."""
-    previous = state.recorder
-    state.recorder = rec if rec is not None else NULL_FLIGHT_RECORDER
-    return previous
-
-
-class flight_recording:
-    """Context manager enabling flight recording for a block.
-
-    >>> with flight_recording() as rec:
-    ...     with rec.operation("demo"):
-    ...         _ = rec.record("data", 0, 1, 32, t=0.0)
-    >>> [e.status for e in rec.edges]
-    ['sent']
-    """
-
-    def __init__(self, rec: FlightRecorder | None = None):
-        self._rec = rec if rec is not None else FlightRecorder()
-        self._previous = None
-
-    def __enter__(self) -> FlightRecorder:
-        self._previous = set_flight_recorder(self._rec)
-        return self._rec
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        set_flight_recorder(self._previous)
-        return False

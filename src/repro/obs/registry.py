@@ -1,4 +1,4 @@
-"""A process-wide (but injectable) metrics registry.
+"""The metrics registry (the live one is ``runtime.current.metrics``).
 
 Counters, gauges, and histograms keyed by name plus optional labels, with
 a :class:`Timer` context manager for phase timing. Nothing here touches
@@ -14,7 +14,6 @@ experiment reports diff cleanly across runs.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Callable
 
 from repro.exceptions import ValidationError
@@ -190,33 +189,11 @@ class MetricsRegistry:
         }
 
 
-#: The process-wide default registry; swap it with :func:`metrics_scope`.
-_active = MetricsRegistry()
+# Imported down here because ``repro.runtime`` builds its default context
+# from the MetricsRegistry defined above.
+from repro import runtime  # noqa: E402
 
 
 def metrics() -> MetricsRegistry:
-    """The currently active registry (instrumentation writes here)."""
-    return _active
-
-
-def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the active one; returns the previous."""
-    global _active
-    previous = _active
-    _active = registry
-    return previous
-
-
-@contextmanager
-def metrics_scope(registry: MetricsRegistry | None = None):
-    """Temporarily route instrumentation into ``registry`` (fresh by default).
-
-    Gives each experiment run an isolated snapshot without threading a
-    registry through every call signature.
-    """
-    scoped = registry if registry is not None else MetricsRegistry()
-    previous = set_metrics(scoped)
-    try:
-        yield scoped
-    finally:
-        set_metrics(previous)
+    """The run context's registry (instrumentation writes here)."""
+    return runtime.current.metrics

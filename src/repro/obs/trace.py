@@ -11,10 +11,12 @@ while the span is open.
 Tracing is **off by default**: the active recorder is a
 :class:`NullRecorder` whose ``span()`` hands back one shared no-op
 context manager, so instrumented hot paths cost a single attribute check
-(``state.recorder.enabled``) plus, at most, one no-op call per
-operation. Enable it with :func:`tracing`::
+(``runtime.current.tracer.enabled``) plus, at most, one no-op call per
+operation. Enable it by putting a recorder in the run context
+(:mod:`repro.runtime`)::
 
-    with tracing() as rec:
+    rec = TraceRecorder()
+    with run_context(tracer=rec):
         network.range_query(q, 0.1)
     rec.write_jsonl("trace.jsonl")
     print(rec.flame())
@@ -266,51 +268,3 @@ def read_jsonl(path) -> list[dict]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-class _ObsState:
-    """Mutable holder so instrumented modules can bind the attribute once."""
-
-    __slots__ = ("recorder",)
-
-    def __init__(self) -> None:
-        self.recorder = NULL_RECORDER
-
-
-#: Process-wide tracing state. Hot paths read ``state.recorder.enabled``.
-state = _ObsState()
-
-
-def recorder():
-    """The currently active recorder (a :class:`NullRecorder` when off)."""
-    return state.recorder
-
-
-def set_recorder(rec) -> object:
-    """Install ``rec`` (``None`` disables tracing); returns the previous."""
-    previous = state.recorder
-    state.recorder = rec if rec is not None else NULL_RECORDER
-    return previous
-
-
-class tracing:
-    """Context manager enabling tracing for a block.
-
-    >>> with tracing() as rec:
-    ...     with rec.span("demo"):
-    ...         pass
-    >>> [s.name for s in rec.spans]
-    ['demo']
-    """
-
-    def __init__(self, rec: TraceRecorder | None = None):
-        self._rec = rec if rec is not None else TraceRecorder()
-        self._previous = None
-
-    def __enter__(self) -> TraceRecorder:
-        self._previous = set_recorder(self._rec)
-        return self._rec
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        set_recorder(self._previous)
-        return False

@@ -22,22 +22,19 @@ BATON, the ring and Kademlia index multi-dimensional keys through the
 Z-order machinery shared in :mod:`repro.overlay.morton`; the VBI-tree
 partitions the multi-dimensional space directly.
 
-Capabilities beyond the minimal data-plane contract are expressed as
-*planes* (:mod:`repro.overlay.base`): the maintenance plane (in-place
-delta publication) and the adaptation plane (the load-adaptation control
-surface). :mod:`repro.overlay.registry` maps CLI names to backends and
-carries the ambient ``--overlay`` selection.
+In-place delta publication is part of the :class:`Overlay` contract; the
+one optional capability is the adaptation *plane* (the load-adaptation
+control surface, :mod:`repro.overlay.base`). :mod:`repro.overlay.registry`
+maps CLI names to backends.
 """
 
 from repro.overlay.base import (
     AdaptationPlane,
     InsertReceipt,
-    MaintenancePlane,
     Overlay,
     RangeReceipt,
     StoredEntry,
     adaptation_plane,
-    maintenance_plane,
 )
 from repro.overlay.baton import BatonNetwork
 from repro.overlay.can import CANNetwork, Zone
@@ -45,7 +42,6 @@ from repro.overlay.kademlia import KademliaNetwork
 from repro.overlay.registry import (
     OVERLAYS,
     overlay_names,
-    overlay_scope,
     resolve_overlay,
 )
 from repro.overlay.ring import RingNetwork
@@ -56,9 +52,7 @@ __all__ = [
     "StoredEntry",
     "InsertReceipt",
     "RangeReceipt",
-    "MaintenancePlane",
     "AdaptationPlane",
-    "maintenance_plane",
     "adaptation_plane",
     "CANNetwork",
     "Zone",
@@ -68,6 +62,5 @@ __all__ = [
     "KademliaNetwork",
     "OVERLAYS",
     "overlay_names",
-    "overlay_scope",
     "resolve_overlay",
 ]

@@ -44,15 +44,13 @@ same seed and fault plan the decision sequence is bit-identical across
 runs (all inputs are deterministic ledgers and all iteration orders are
 explicitly sorted).
 
-The ambient :func:`adapt_scope` mirrors :mod:`repro.faults.state`: the
-CLI's ``--adapt`` flag makes a config ambient, and
-:class:`repro.core.network.HyperMNetwork` checks
-:func:`active_adapt_config` at construction time.
+The CLI's ``--adapt`` flag puts a config in the run context
+(``runtime.current.adapt``), which
+:class:`repro.core.network.HyperMNetwork` reads at construction time.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
@@ -406,33 +404,3 @@ class AdaptationController:
                 len(entries) for entries in self._boosted.values()
             ),
         }
-
-
-# -- ambient config (mirrors repro.faults.state) ------------------------------
-
-_active: AdaptConfig | None = None
-
-
-def active_adapt_config() -> AdaptConfig | None:
-    """The config new networks should adopt (``None`` = no adaptation)."""
-    return _active
-
-
-def set_active_adapt_config(
-    config: AdaptConfig | None,
-) -> AdaptConfig | None:
-    """Install ``config`` as the ambient config; returns the previous one."""
-    global _active
-    previous = _active
-    _active = config
-    return previous
-
-
-@contextmanager
-def adapt_scope(config: AdaptConfig | None):
-    """Make ``config`` ambient for the duration of the block."""
-    previous = set_active_adapt_config(config)
-    try:
-        yield config
-    finally:
-        set_active_adapt_config(previous)

@@ -1,27 +1,20 @@
-"""Abstract overlay interface, capability planes, and shared receipt types.
+"""Abstract overlay interface, the adaptation plane, and receipt types.
 
 Hyper-M "works independently of the underlying overlay structure" (paper
 contribution 1); this interface is the contract it relies on: insert a
-(possibly sphere-shaped) keyed entry, and find all entries intersecting a
-query sphere, with hop accounting for both.
+(possibly sphere-shaped) keyed entry, find all entries intersecting a
+query sphere, and maintain published entries in place (patch live ones,
+retract dead ones, extend a grown sphere's replica set — what the delta
+publish pipeline, :meth:`HyperMNetwork.publish_delta`, runs on), with
+hop accounting throughout.
 
-Beyond the minimal :class:`Overlay` data-plane contract, two optional
-*capability planes* formalise what used to be ``hasattr`` duck-typing:
-
-* :class:`MaintenancePlane` — in-place index maintenance: patch live
-  entries, retract dead ones, and extend a grown sphere's replica set.
-  The delta publish pipeline (:meth:`HyperMNetwork.publish_delta`)
-  dispatches on this plane; a backend without it degrades to
-  store-direct updates, and that degradation is **metered** (a
-  ``overlay.plane.maintenance.missing`` counter), never silent.
-* :class:`AdaptationPlane` — the load-adaptation control surface: a
-  per-node load snapshot, hot-owner rebalancing, and replication
-  boost/shed. :class:`repro.overlay.adapt.AdaptationController`
-  dispatches on this plane the same metered way.
-
-Callers never ``hasattr``-probe an overlay: they go through
-:func:`maintenance_plane` / :func:`adaptation_plane`, which return the
-typed plane or ``None`` while counting every miss.
+One *capability plane* stays optional: :class:`AdaptationPlane`, the
+load-adaptation control surface (a per-node load snapshot, hot-owner
+rebalancing, replication boost/shed) that only CAN and Kademlia
+implement. :class:`repro.overlay.adapt.AdaptationController` never
+``hasattr``-probes an overlay for it: it goes through
+:func:`adaptation_plane`, which returns the typed plane or a *metered*
+``None`` (the ``overlay.plane.adaptation.missing`` counter).
 """
 
 from __future__ import annotations
@@ -32,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry.intersection import spheres_intersect
+from repro.index import LevelStore
+from repro.obs import registry as obs_registry
 from repro.utils.validation import check_positive, check_vector
 
 
@@ -45,8 +40,7 @@ class StoredEntry:
     Overlay storage itself lives in the columnar
     :class:`repro.index.LevelStore`; this object type remains as the
     scalar parity oracle (its :meth:`intersects` is the reference
-    predicate the store's batch filter is pinned to) and as the input
-    shape for legacy ``add_entry`` callers.
+    predicate the store's batch filter is pinned to).
     """
 
     key: np.ndarray
@@ -132,6 +126,11 @@ class Overlay(abc.ABC):
     #: intersection ``mask=`` from a parallel execution engine.
     supports_premask = False
 
+    #: The columnar :class:`repro.index.LevelStore` holding every
+    #: published entry of this overlay; nodes hold row memberships into
+    #: it. Every backend's constructor sets it.
+    level_store: LevelStore
+
     @property
     @abc.abstractmethod
     def dimensionality(self) -> int:
@@ -158,14 +157,8 @@ class Overlay(abc.ABC):
     def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
         """Point query: entries stored at the owner of ``key`` that contain it."""
 
-
-class MaintenancePlane(abc.ABC):
-    """In-place index maintenance: the delta publish pipeline's contract.
-
-    A backend implementing this plane lets :meth:`publish_delta` patch
-    and retract published entries without a withdraw + republish round.
-    All three operations account their traffic on the shared fabric.
-    """
+    # -- in-place maintenance (the delta publish pipeline) -------------------
+    # All three account their traffic on the shared fabric.
 
     @abc.abstractmethod
     def patch_entries(self, origin: int, patches: list) -> tuple[int, int]:
@@ -233,33 +226,18 @@ class AdaptationPlane(abc.ABC):
         """Drop a cold row's boosted replicas; returns the shedding ids."""
 
 
-def _count_missing(plane: str, overlay) -> None:
-    from repro.obs import registry as obs_registry
-
-    metrics = obs_registry.metrics()
-    metrics.counter(f"overlay.plane.{plane}.missing").inc()
-    metrics.counter(
-        f"overlay.plane.{plane}.missing.{type(overlay).__name__}"
-    ).inc()
-
-
-def maintenance_plane(overlay) -> MaintenancePlane | None:
-    """The overlay's maintenance plane, or a *metered* ``None``.
-
-    Every miss increments ``overlay.plane.maintenance.missing`` (plus a
-    per-backend-class counter), so a deployment quietly running on
-    degraded full-republish maintenance is visible in any metrics
-    snapshot.
-    """
-    if isinstance(overlay, MaintenancePlane):
-        return overlay
-    _count_missing("maintenance", overlay)
-    return None
-
-
 def adaptation_plane(overlay) -> AdaptationPlane | None:
-    """The overlay's adaptation plane, or a *metered* ``None``."""
+    """The overlay's adaptation plane, or a *metered* ``None``.
+
+    Every miss increments ``overlay.plane.adaptation.missing`` (plus a
+    per-backend-class counter), so a deployment whose control loop is
+    quietly skipped is visible in any metrics snapshot.
+    """
     if isinstance(overlay, AdaptationPlane):
         return overlay
-    _count_missing("adaptation", overlay)
+    metrics = obs_registry.metrics()
+    metrics.counter("overlay.plane.adaptation.missing").inc()
+    metrics.counter(
+        f"overlay.plane.adaptation.missing.{type(overlay).__name__}"
+    ).inc()
     return None

@@ -6,6 +6,7 @@ from collections import deque
 
 import numpy as np
 
+from repro import runtime
 from repro.exceptions import EmptyNetworkError, OverlayError, ValidationError
 from repro.index import LevelStore
 from repro.net.messages import (
@@ -14,12 +15,9 @@ from repro.net.messages import (
     vector_message_size,
 )
 from repro.net.network import Network
-from repro.obs import flight as obs_flight
-from repro.obs import trace as obs_trace
 from repro.overlay.base import (
     AdaptationPlane,
     InsertReceipt,
-    Overlay,
     RangeReceipt,
 )
 from repro.overlay.can.node import CANNode
@@ -30,7 +28,7 @@ from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive, check_unit_cube, check_vector
 
 
-class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
+class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
     """A CAN overlay over the simulated MANET fabric.
 
     Parameters
@@ -140,7 +138,7 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
             check_vector(point, "point", dim=self._dim), "point"
         )
         entry_id = int(self._rng.choice(list(self._nodes)))
-        with obs_flight.state.recorder.operation("join", node=node_id):
+        with runtime.current.flight.operation("join", node=node_id):
             owner_id, path = route_to_owner(
                 self, entry_id, point, penalty=self.route_penalty
             )
@@ -393,7 +391,7 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
             given, kept = upper, lower
         else:
             given, kept = lower, upper
-        with obs_flight.state.recorder.operation(
+        with runtime.current.flight.operation(
             "rebalance", node=node_id, target=target_id
         ) as flight_op:
             hot.set_zones(self._replace_zone(hot.zones, zone, kept))
@@ -452,7 +450,7 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
         """
         key = check_unit_cube(check_vector(key, "key", dim=self._dim), "key")
         check_positive(radius, "radius", strict=False)
-        with obs_flight.state.recorder.operation("insert", origin=origin):
+        with runtime.current.flight.operation("insert", origin=origin):
             owner_id, path = route_to_owner(
                 self, origin, key, penalty=self.route_penalty
             )
@@ -507,7 +505,7 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
     def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
         """Point query: entries at the owner of ``key`` whose spheres contain it."""
         key = check_vector(key, "key", dim=self._dim)
-        with obs_flight.state.recorder.operation("lookup", origin=origin):
+        with runtime.current.flight.operation("lookup", origin=origin):
             owner_id, path = route_to_owner(
                 self, origin, key, penalty=self.route_penalty
             )
@@ -545,7 +543,7 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
         """
         center = check_vector(center, "center", dim=self._dim)
         check_positive(radius, "radius", strict=False)
-        with obs_flight.state.recorder.operation(
+        with runtime.current.flight.operation(
             "range_query", origin=origin
         ) as flight_op:
             owner_id, path = route_to_owner(
@@ -592,7 +590,7 @@ class CANNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
             flight_op.set(zones_visited=len(order))
         for node_id in order:
             self.fabric.load.note_query_hit(node_id)
-        recorder = obs_trace.state.recorder
+        recorder = runtime.current.tracer
         if recorder.enabled:
             recorder.add(
                 flood_hops=flood_hops, zones_visited=len(order)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro import runtime
 from repro.net.messages import MessageKind, vector_message_size
-from repro.obs import trace as obs_trace
 
 
 def replicate_sphere(network, owner_id: int, row: int) -> list[int]:
@@ -49,7 +49,7 @@ def replicate_sphere(network, owner_id: int, row: int) -> list[int]:
             network.node(neighbor_id).add_row(row)
             replicas.append(neighbor_id)
             queue.append(neighbor_id)
-    recorder = obs_trace.state.recorder
+    recorder = runtime.current.tracer
     if recorder.enabled:
         recorder.add(replica_hops=len(replicas))
     return replicas
@@ -90,7 +90,7 @@ def extend_replication(network, row: int, holder_ids) -> list[int]:
             network.node(neighbor_id).add_row(row)
             added.append(neighbor_id)
             queue.append(neighbor_id)
-    recorder = obs_trace.state.recorder
+    recorder = runtime.current.tracer
     if recorder.enabled and added:
         recorder.add(replica_hops=len(added))
     return added
@@ -137,7 +137,7 @@ def boost_replication(network, row: int, extra: int) -> list[int]:
         )
         if network.node(node_id).add_row(row):
             added.append(node_id)
-    recorder = obs_trace.state.recorder
+    recorder = runtime.current.tracer
     if recorder.enabled and added:
         recorder.add(replica_hops=len(added))
     return added

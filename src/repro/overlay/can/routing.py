@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import runtime
 from repro.exceptions import RoutingError
-from repro.obs import trace as obs_trace
 
 
 def _snapshot_distance(zones, point: np.ndarray) -> float:
@@ -73,7 +73,7 @@ def route_to_owner(
             )
         current = network.node(stack[-1])
         if current.contains(point):
-            recorder = obs_trace.state.recorder
+            recorder = runtime.current.tracer
             if recorder.enabled:
                 recorder.add(
                     routing_hops=len(path), routing_backtracks=backtracks

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import runtime
 from repro.exceptions import EmptyNetworkError, ValidationError
 from repro.index import LevelStore
 from repro.net.messages import (
@@ -38,11 +39,9 @@ from repro.net.messages import (
     vector_message_size,
 )
 from repro.net.network import Network
-from repro.obs import flight as obs_flight
 from repro.overlay.base import (
     AdaptationPlane,
     InsertReceipt,
-    Overlay,
     RangeReceipt,
 )
 from repro.overlay.maintenance import StoreMaintenancePlane
@@ -61,7 +60,7 @@ K_BUCKET_SIZE = 20
 LOOKUP_CONCURRENCY = 3
 
 
-class KademliaNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
+class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
     """A Kademlia XOR-metric DHT over the simulated MANET fabric.
 
     Parameters mirror the other backends: ``dimensionality`` is the key
@@ -534,7 +533,7 @@ class KademliaNetwork(Overlay, StoreMaintenancePlane, AdaptationPlane):
             row for row in hot.membership.rows()
             if row not in target.membership
         ]
-        with obs_flight.state.recorder.operation(
+        with runtime.current.flight.operation(
             "rebalance", node=node_id, target=target_id
         ) as flight_op:
             size = HEADER_BYTES

@@ -1,8 +1,9 @@
-"""Store-backed maintenance plane shared by every overlay backend.
+"""Store-backed in-place maintenance shared by every overlay backend.
 
 The delta publish pipeline needs three operations from an overlay —
 patch live entries in place, retract dead ones, extend a grown sphere's
-replica set (:class:`repro.overlay.base.MaintenancePlane`). Because all
+replica set (the maintenance part of :class:`repro.overlay.base.Overlay`).
+Because all
 backends store entries as shared :class:`repro.index.LevelStore` rows
 with per-node memberships, the first two are backend-independent: find
 the holders of the touched rows, send each one batched scalar
@@ -20,18 +21,18 @@ or one scalar per retracted entry id.
 
 from __future__ import annotations
 
+from repro import runtime
 from repro.net.messages import BYTES_PER_SCALAR, HEADER_BYTES, MessageKind
-from repro.obs import flight as obs_flight
-from repro.overlay.base import MaintenancePlane
+from repro.overlay.base import Overlay
 
 
-class StoreMaintenancePlane(MaintenancePlane):
-    """Maintenance plane over shared-store row memberships.
+class StoreMaintenancePlane(Overlay):
+    """An :class:`Overlay` with maintenance over shared-store row memberships.
 
-    Mixin for overlays exposing ``self._nodes`` (``{id: node}`` with
+    Base for overlays exposing ``self._nodes`` (``{id: node}`` with
     ``.membership`` row sets), ``self.node(id)``, ``self.level_store``,
-    and ``self.fabric``. Subclasses implement only
-    :meth:`~repro.overlay.base.MaintenancePlane.extend_replication`.
+    and ``self.fabric``. Of the maintenance operations, subclasses
+    implement only :meth:`~repro.overlay.base.Overlay.extend_replication`.
     """
 
     def patch_entries(
@@ -53,7 +54,7 @@ class StoreMaintenancePlane(MaintenancePlane):
         """
         if not patches:
             return (0, 0)
-        with obs_flight.state.recorder.operation("patch", origin=origin):
+        with runtime.current.flight.operation("patch", origin=origin):
             store = self.level_store
             rows = [store.row_of(entry_id) for entry_id, __, __ in patches]
             row_set = set(rows)
@@ -106,7 +107,7 @@ class StoreMaintenancePlane(MaintenancePlane):
         """
         if not entry_ids:
             return 0
-        with obs_flight.state.recorder.operation("retract", origin=origin):
+        with runtime.current.flight.operation("retract", origin=origin):
             store = self.level_store
             rows = {
                 store.row_of(entry_id)

@@ -21,7 +21,7 @@ from repro.index import LevelStore
 from repro.net.messages import MessageKind, vector_message_size
 from repro.net.network import Network
 from repro.net.node import SimNode
-from repro.overlay.base import InsertReceipt, Overlay, RangeReceipt
+from repro.overlay.base import InsertReceipt, RangeReceipt
 from repro.overlay.maintenance import StoreMaintenancePlane
 from repro.overlay.storage import StoreBackedNode
 from repro.utils.rng import ensure_rng
@@ -123,7 +123,7 @@ class MortonNode(SimNode, StoreBackedNode):
         self._init_storage()
 
 
-class MortonOverlayBase(Overlay, StoreMaintenancePlane, abc.ABC):
+class MortonOverlayBase(StoreMaintenancePlane, abc.ABC):
     """Insert/lookup/range-query logic over any Morton-ordered partition.
 
     Subclasses supply:

@@ -1,4 +1,4 @@
-"""The overlay backend registry: name → class, plus the ambient default.
+"""The overlay backend registry: name → class.
 
 The paper's first contribution is that Hyper-M "works independently of
 the underlying overlay structure"; this registry is where that claim
@@ -7,15 +7,12 @@ becomes operational. Every registered backend satisfies the
 parametrized contract suite), so any of them can back a
 :class:`repro.core.network.HyperMNetwork`.
 
-The ambient scope mirrors :func:`repro.overlay.adapt.adapt_scope`: the
-CLI's ``--overlay`` flag installs a factory for the duration of a run,
-and ``HyperMNetwork`` consults :func:`active_overlay_factory` at
+The CLI's ``--overlay`` flag puts the resolved class in the run context
+(``runtime.current.overlay``), which ``HyperMNetwork`` reads at
 construction time when no explicit ``overlay_factory`` is given.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from repro.exceptions import ValidationError
 from repro.overlay.baton import BatonNetwork
@@ -59,31 +56,3 @@ def overlay_name_of(factory) -> str:
         if cls is factory:
             return name
     return getattr(factory, "__name__", str(factory))
-
-
-# -- ambient factory (mirrors repro.overlay.adapt.adapt_scope) ----------------
-
-_active: type | None = None
-
-
-def active_overlay_factory() -> type | None:
-    """The factory new networks should adopt (``None`` = CAN default)."""
-    return _active
-
-
-def set_active_overlay_factory(factory: type | None) -> type | None:
-    """Install ``factory`` as the ambient default; returns the previous one."""
-    global _active
-    previous = _active
-    _active = factory
-    return previous
-
-
-@contextmanager
-def overlay_scope(factory: type | None):
-    """Make ``factory`` the ambient overlay default for the block."""
-    previous = set_active_overlay_factory(factory)
-    try:
-        yield factory
-    finally:
-        set_active_overlay_factory(previous)

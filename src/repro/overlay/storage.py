@@ -9,14 +9,12 @@ the storage surface every overlay node class shares:
   ``rows_intersecting``) used by the overlay protocols, where node-local
   filtering is one vectorized ``spheres_intersect_batch`` call over the
   node's row slice;
-* the legacy entry surface (``store`` / ``add_entry`` /
-  ``entries_intersecting`` / ``drop_entries``) kept for tests and external
-  callers, returning :class:`repro.index.StoredEntryView` objects.
+* the entry-view surface (``store`` / ``entries_intersecting``) that
+  point lookups and the load-weight experiment read, returning
+  :class:`repro.index.StoredEntryView` objects.
 
 Nodes constructed inside an overlay are attached to the overlay's shared
-store via :meth:`attach_store`. A node constructed standalone (unit tests
-build ``MortonNode(1)`` directly) lazily creates a private store sized
-from its first entry, so the legacy surface keeps working unattached.
+store via :meth:`attach_store`; a node holds nothing before that.
 """
 
 from __future__ import annotations
@@ -47,12 +45,7 @@ class StoreBackedNode:
 
     @property
     def level_store(self) -> LevelStore | None:
-        """The backing store, or None before attachment/first entry."""
-        return self._level_store
-
-    def _ensure_store(self, dimensionality: int) -> LevelStore:
-        if self._level_store is None:
-            self.attach_store(LevelStore(dimensionality))
+        """The backing store, or None before attachment."""
         return self._level_store
 
     # -- row surface (overlay protocols) ---------------------------------------
@@ -87,25 +80,14 @@ class StoreBackedNode:
             return np.empty(0, dtype=np.int64)
         return self.membership.rows_matching(mask)
 
-    # -- legacy entry surface ---------------------------------------------------
+    # -- entry-view surface ------------------------------------------------------
 
     @property
     def store(self) -> list[StoredEntryView]:
-        """Held entries as read views (legacy ``node.store`` surface)."""
+        """Held entries as read views."""
         if self.membership is None:
             return []
         return self.membership.entries()
-
-    def add_entry(self, entry) -> None:
-        """Store a published entry (legacy surface; takes a ``StoredEntry``).
-
-        Appends a fresh row to the node's store — standalone nodes get a
-        private store sized from the entry's key. Overlay code paths use
-        :meth:`add_row` with the shared store instead.
-        """
-        key = np.asarray(entry.key, dtype=np.float64)
-        store = self._ensure_store(key.shape[0])
-        self.membership.add(store.add(key, entry.radius, entry.value))
 
     def entries_intersecting(self, center, radius) -> list[StoredEntryView]:
         """Held entries whose spheres intersect the query sphere, as views."""
@@ -118,16 +100,6 @@ class StoreBackedNode:
                 np.asarray(center, dtype=np.float64), radius
             )
         ]
-
-    def drop_entries(self, predicate) -> int:
-        """Release held entries matching ``predicate``; returns how many.
-
-        The predicate receives a :class:`StoredEntryView`; rows released
-        by their last holder are tombstoned in the shared store.
-        """
-        if self.membership is None:
-            return 0
-        return self.membership.drop_where(predicate)
 
     @property
     def load(self) -> int:

@@ -33,7 +33,7 @@ from repro.exceptions import EmptyNetworkError, RoutingError, ValidationError
 from repro.index import LevelStore
 from repro.net.messages import MessageKind, vector_message_size
 from repro.net.network import Network
-from repro.overlay.base import InsertReceipt, Overlay, RangeReceipt
+from repro.overlay.base import InsertReceipt, RangeReceipt
 from repro.overlay.can.zone import Zone
 from repro.overlay.maintenance import StoreMaintenancePlane
 from repro.overlay.morton import MortonNode
@@ -63,7 +63,7 @@ class _VirtualNode:
     manager_id: int = -1  # peer managing this virtual node
 
 
-class VBITree(Overlay, StoreMaintenancePlane):
+class VBITree(StoreMaintenancePlane):
     """The VBI-tree overlay.
 
     Joins split the largest leaf region KD-style (cycling dimensions with

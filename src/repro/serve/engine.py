@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import runtime
 from repro.core.knn import run_knn
 from repro.core.queries import (
     finish_range,
@@ -51,9 +52,7 @@ from repro.core.queries import (
 from repro.core.results import KnnResult, RangeQueryResult
 from repro.core.scoring import level_scores
 from repro.exceptions import ServeError, ValidationError
-from repro.obs import flight as obs_flight
 from repro.obs import registry as obs_registry
-from repro.obs import trace as obs_trace
 from repro.serve.batch import StoreSource
 from repro.serve.cache import CandidateCache
 from repro.serve.mining import QueryLogMiner
@@ -204,10 +203,10 @@ class ServeEngine:
             return []
         network = self.network
         metrics = obs_registry.metrics()
-        recorder = obs_trace.state.recorder
+        recorder = runtime.current.tracer
         with recorder.span(
             "serve_batch", size=len(requests)
-        ) as span, obs_flight.state.recorder.operation(
+        ) as span, runtime.current.flight.operation(
             "serve_batch", size=len(requests)
         ):
             self._maybe_prewarm()

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.faults import FaultPlan, plan_scope
+from repro.faults import FaultPlan
 from repro.net.messages import MessageKind, vector_message_size
 from repro.net.network import Network
 from repro.overlay.can import (
@@ -27,6 +27,7 @@ from repro.overlay.can import (
     bulk_publish,
     grid_shape,
 )
+from repro.runtime import run_context
 
 
 class TestGridShape:
@@ -163,7 +164,7 @@ class TestBulkPublish:
 
     def test_bulk_transmit_rejects_an_active_fault_plan(self):
         rng = np.random.default_rng(3)
-        with plan_scope(FaultPlan(loss=0.2, seed=1)):
+        with run_context(fault_plan=FaultPlan(loss=0.2, seed=1)):
             can, plan = build_grid_can(2, 4)
             keys = rng.random((5, 2))
             with pytest.raises(ValidationError, match="clean-fabric"):
@@ -171,7 +172,7 @@ class TestBulkPublish:
 
     def test_bulk_transmit_allows_a_null_fault_plan(self):
         rng = np.random.default_rng(3)
-        with plan_scope(FaultPlan(loss=0.0, seed=1)):
+        with run_context(fault_plan=FaultPlan(loss=0.0, seed=1)):
             can, plan = build_grid_can(2, 4)
             keys = rng.random((5, 2))
             report = bulk_publish(can, plan, keys, 0.05 * rng.random(5))

@@ -201,13 +201,13 @@ class TestPeerChurn:
         query = network.peers[2].data[0]
         before = network.range_query(query, 0.8)
         assert any(i.peer_id == 2 for i in before.items)
-        network.remove_peer(2)
+        network.depart(2)
         after = network.range_query(query, 0.8)
         assert not any(i.peer_id == 2 for i in after.items)
 
     def test_index_survives_departures(self, network, rng):
-        network.remove_peer(1)
-        network.remove_peer(4)
+        network.depart(1)
+        network.depart(4)
         query = rng.random(16)
         result = network.range_query(query, 0.8)
         assert result.index_hops >= 0  # index queries still route
@@ -215,14 +215,14 @@ class TestPeerChurn:
         assert set(result.peers_contacted) <= online
 
     def test_withdraw_summaries_cleans_index(self, network):
-        network.remove_peer(3, withdraw_summaries=True)
+        network.depart(3, withdraw_summaries=True)
         for level, overlay in network.overlays.items():
             for node_id in overlay.node_ids:
                 for entry in overlay.node(node_id).store:
                     assert entry.value.peer_id != 3
 
     def test_abrupt_departure_leaves_dangling_summaries(self, network):
-        network.remove_peer(3)
+        network.depart(3)
         dangling = 0
         for overlay in network.overlays.values():
             for node_id in overlay.node_ids:
@@ -234,17 +234,17 @@ class TestPeerChurn:
         assert dangling > 0
 
     def test_query_from_departed_peer_rejected(self, network, rng):
-        network.remove_peer(0)
+        network.depart(0)
         with pytest.raises(QueryError):
             network.range_query(rng.random(16), 0.5, origin_peer=0)
 
     def test_knn_skips_offline_peers(self, network, rng):
-        network.remove_peer(2)
+        network.depart(2)
         result = network.knn_query(rng.random(16), 5)
         assert 2 not in result.peers_contacted
 
     def test_default_origin_skips_offline(self, network, rng):
-        network.remove_peer(0)
+        network.depart(0)
         result = network.range_query(rng.random(16), 0.5)
         assert result is not None
 
@@ -252,4 +252,4 @@ class TestPeerChurn:
         from repro.exceptions import ValidationError
 
         with pytest.raises(ValidationError):
-            network.remove_peer(99)
+            network.depart(99)

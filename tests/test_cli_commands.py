@@ -122,79 +122,20 @@ class TestCliServeBench:
 
 
 class TestRunScopes:
-    """``main`` enters every requested ambient scope on one ExitStack."""
-
-    @staticmethod
-    def _ambient():
-        from repro.engine import active_engine_config
-        from repro.faults import state as faults_state
-        from repro.overlay.adapt import active_adapt_config
-        from repro.overlay.registry import active_overlay_factory
-
-        return {
-            "adapt": active_adapt_config(),
-            "overlay": active_overlay_factory(),
-            "plan": faults_state.active_plan(),
-            "engine": active_engine_config(),
-        }
-
-    def test_all_scopes_active_during_dispatch_and_unwound_after(
-        self, monkeypatch
-    ):
-        from repro import cli
-        from repro.overlay.registry import resolve_overlay
-
-        before = self._ambient()
-        seen = {}
-
-        def dispatch(args):
-            seen.update(self._ambient())
-            return 0
-
-        monkeypatch.setattr(cli, "_dispatch", dispatch)
-        assert main([
-            "fig9", "--adapt", "--overlay", "ring",
-            "--fault-plan", "loss=0.1,seed=3",
-            "--engine", "sharded", "--workers", "3",
-        ]) == 0
-        assert seen["adapt"] is not None
-        assert seen["overlay"] is resolve_overlay("ring")
-        assert seen["plan"].loss == 0.1
-        assert (seen["engine"].engine, seen["engine"].workers) == (
-            "sharded", 3
-        )
-        assert self._ambient() == before
-
-    def test_no_flags_enters_no_scope(self, monkeypatch):
-        from repro import cli
-
-        before = self._ambient()
-        seen = {}
-        monkeypatch.setattr(
-            cli, "_dispatch", lambda args: seen.update(self._ambient()) or 0
-        )
-        assert main(["fig9"]) == 0
-        assert seen == before
-
-    def test_scopes_unwind_when_the_command_raises(self, monkeypatch):
-        from repro import cli
-
-        before = self._ambient()
-
-        def dispatch(args):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(cli, "_dispatch", dispatch)
-        with pytest.raises(RuntimeError):
-            main(["fig9", "--adapt", "--overlay", "baton", "--engine", "serial"])
-        assert self._ambient() == before
+    """Flags exist only where they are read (the run-context tests
+    themselves live in ``tests/test_runtime.py``)."""
 
     @pytest.mark.parametrize(
-        "flag", [["--adapt"], ["--overlay", "ring"], ["--republish", "delta"]]
+        "flag", [
+            ["--adapt"], ["--overlay", "ring"], ["--republish", "delta"],
+            ["--fault-plan", "loss=0.1"], ["--plot"], ["--scale", "paper"],
+        ]
     )
     def test_scale_bench_rejects_network_flags(self, flag, capsys):
-        # scale-bench builds bare CAN grids, not a HyperMNetwork: the
-        # network-shaping flags are an argparse error, not ignored.
+        # scale-bench bulk-builds bare CAN grids on a clean fabric, not a
+        # HyperMNetwork: the network-shaping flags, the scale preset and
+        # the chart are an argparse error, not ignored (--fault-plan used
+        # to get as far as a traceback out of Network.transmit_bulk).
         with pytest.raises(SystemExit) as raised:
             main(["scale-bench", "--peers", "32", *flag])
         assert raised.value.code == 2
@@ -206,7 +147,9 @@ class TestRunScopes:
         args = build_parser().parse_args([
             "scale-bench", "--peers", "32", "--seed", "4", "--json",
             "--engine", "sharded", "--workers", "2",
-            "--fault-plan", "loss=0",
         ])
         assert (args.engine, args.workers, args.seed) == ("sharded", 2, 4)
-        assert not hasattr(args, "adapt")
+        # No such flags here, so main() reads them as unset.
+        assert (args.adapt, args.overlay, args.fault_plan) == (
+            False, None, None
+        )

@@ -104,9 +104,9 @@ class TestTraceCommand:
         assert any(name.startswith("can_insert[") for name in names)
 
     def test_tracing_is_disabled_again_after_trace_run(self):
-        from repro.obs.trace import state
+        from repro import runtime
 
-        assert state.recorder.enabled is False
+        assert runtime.current.tracer.enabled is False
 
 
 class TestAllJson:

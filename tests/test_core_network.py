@@ -152,6 +152,7 @@ class TestDepartureSemantics:
             for level, overlay in network.overlays.items()
         }
         network.depart(2)
+        assert not network.peers[2].online
         for level, overlay in network.overlays.items():
             assert len(overlay.node_ids) == counts[level] - 1
 
@@ -160,13 +161,6 @@ class TestDepartureSemantics:
         result = network.range_query(rng.random(16), 0.6)
         online = {p for p, peer in network.peers.items() if peer.online}
         assert set(result.peers_contacted) <= online
-
-    def test_remove_peer_is_depart_alias(self, network):
-        network.remove_peer(3)
-        assert not network.peers[3].online
-        for overlay in network.overlays.values():
-            # The alias stays clean: the zones were handed off.
-            assert len(overlay.node_ids) == network.n_peers - 1
 
     def test_depart_never_leaves_crashed_nodes(self, network):
         """Clean departure must not touch the fault injector's registry."""

@@ -22,12 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.network import HyperMConfig, HyperMNetwork
-from repro.faults import FaultPlan, plan_scope
+from repro.faults import FaultPlan
 from repro.engine.serial import Event, SerialScheduler
 from repro.net.messages import MessageKind
 from repro.net.network import Network
 from repro.net.node import SimNode
-from repro.obs.flight import FlightRecorder, flight_recording
+from repro.obs.flight import FlightRecorder
+from repro.runtime import run_context
 
 
 class TestSameTickTieBreaking:
@@ -149,8 +150,9 @@ def _build_network(seed=0, n_peers=5, dim=16):
 def _faulted_run(seed=0, loss=0.15, fault_seed=7, n_queries=5):
     """One end-to-end faulted run; returns every replayable signal."""
     flight = FlightRecorder(capacity=50_000)
-    with plan_scope(FaultPlan(loss=loss, seed=fault_seed)), \
-            flight_recording(flight):
+    with run_context(
+        fault_plan=FaultPlan(loss=loss, seed=fault_seed), flight=flight
+    ):
         network = _build_network(seed=seed)
         rng = np.random.default_rng(seed + 99)
         results = []

@@ -13,16 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import runtime
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.core.scoring import level_scores
 from repro.engine import (
     EngineConfig,
     SerialEngine,
     ShardedEngine,
-    active_engine_config,
     create_engine,
     engine_names,
-    engine_scope,
     gather_block,
     resolve_engine,
     store_mask,
@@ -66,17 +65,17 @@ class TestRegistry:
         assert not engine.parallel
 
     def test_scope_installs_and_restores(self):
-        assert active_engine_config() is None
+        assert runtime.current.engine is None
         config = EngineConfig(engine="sharded", workers=3)
-        with engine_scope(config):
-            assert active_engine_config() is config
-        assert active_engine_config() is None
+        with runtime.run_context(engine=config):
+            assert runtime.current.engine is config
+        assert runtime.current.engine is None
 
     def test_scope_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with engine_scope(EngineConfig()):
+            with runtime.run_context(engine=EngineConfig()):
                 raise RuntimeError("boom")
-        assert active_engine_config() is None
+        assert runtime.current.engine is None
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="workers"):
@@ -85,7 +84,9 @@ class TestRegistry:
             EngineConfig(shard_by="random")
 
     def test_network_adopts_ambient_engine(self):
-        with engine_scope(EngineConfig(engine="sharded", workers=2)):
+        with runtime.run_context(
+            engine=EngineConfig(engine="sharded", workers=2)
+        ):
             network = HyperMNetwork(8, HyperMConfig(levels_used=2))
         try:
             assert network.engine.name == "sharded"

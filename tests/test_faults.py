@@ -15,13 +15,13 @@ from repro.faults import (
     RetryPolicy,
     crash_peer,
     parse_fault_plan,
-    plan_scope,
     reliable_send,
     tombstone_peer,
 )
 from repro.faults.injector import REACTIVE_KINDS
 from repro.net.messages import MessageKind
 from repro.net.network import Network
+from repro.runtime import run_context
 
 
 class TestFaultPlan:
@@ -294,7 +294,7 @@ class TestCrashAndTombstone:
 
 class TestPlanScope:
     def test_network_picks_up_ambient_plan(self):
-        with plan_scope(FaultPlan(loss=0.25, seed=9)):
+        with run_context(fault_plan=FaultPlan(loss=0.25, seed=9)):
             fabric = Network()
         assert fabric.faults is not None
         assert fabric.faults.plan.loss == pytest.approx(0.25)
@@ -304,15 +304,15 @@ class TestPlanScope:
         assert fabric.faults is None
 
     def test_scope_restores_previous(self):
-        with plan_scope(FaultPlan(loss=0.1)):
-            with plan_scope(FaultPlan(loss=0.2)):
+        with run_context(fault_plan=FaultPlan(loss=0.1)):
+            with run_context(fault_plan=FaultPlan(loss=0.2)):
                 assert Network().faults.plan.loss == pytest.approx(0.2)
             assert Network().faults.plan.loss == pytest.approx(0.1)
         assert Network().faults is None
 
 
 def test_explicit_plan_beats_ambient():
-    with plan_scope(FaultPlan(loss=0.1)):
+    with run_context(fault_plan=FaultPlan(loss=0.1)):
         fabric = Network(fault_plan=FaultPlan(loss=0.4))
     assert fabric.faults.plan.loss == pytest.approx(0.4)
 

@@ -22,7 +22,8 @@ from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.core.scoring import partial_confidence
 from repro.exceptions import ValidationError
 from repro.faults import FaultPlan, crash_peer
-from repro.obs.registry import metrics_scope
+from repro.obs.registry import MetricsRegistry
+from repro.runtime import run_context
 
 
 def _build(seed=0, n_peers=5, dim=16):
@@ -102,7 +103,8 @@ class TestReplayDeterminism:
 
 class TestZeroFaultIdentity:
     def _run(self, install_null):
-        with metrics_scope() as registry:
+        registry = MetricsRegistry()
+        with run_context(metrics=registry):
             network = _build(seed=11)
             if install_null:
                 network.fabric.install_faults(FaultPlan())

@@ -48,7 +48,7 @@ class TestFullLifecycle:
 
         # Phase 2: three peers depart abruptly.
         for peer_id in (1, 4, 7):
-            network.remove_peer(peer_id)
+            network.depart(peer_id)
         surviving_truth = CentralizedIndex.from_network_online_only(
             network
         ).range_search(query, 0.15)

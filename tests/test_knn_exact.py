@@ -54,7 +54,7 @@ class TestExactKnn:
 
     def test_exact_under_churn_is_best_effort(self):
         network, rng = build(seed=4)
-        network.remove_peer(2)
+        network.depart(2)
         query = rng.random(16)
         result = network.knn_query(query, 10, exact=True)
         # All retrieved items come from online peers; no crash, k items

@@ -33,7 +33,7 @@ class TestStats:
 
     def test_reflects_churn(self, rng):
         net = self._network(rng)
-        net.remove_peer(2)
+        net.depart(2)
         stats = net.stats()
         assert stats["online_peers"] == 3
         assert stats["peers"] == 4

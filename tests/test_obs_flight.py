@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import runtime
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.faults import FaultPlan
 from repro.net.messages import MessageKind
@@ -25,10 +26,7 @@ from repro.obs.flight import (
     NULL_FLIGHT_RECORDER,
     FlightRecorder,
     NullFlightRecorder,
-    flight_recorder,
-    flight_recording,
     read_flight_jsonl,
-    set_flight_recorder,
 )
 
 
@@ -245,8 +243,8 @@ class TestExport:
 
 class TestGlobalState:
     def test_default_is_null_recorder(self):
-        assert flight_recorder() is NULL_FLIGHT_RECORDER
-        assert not flight_recorder().enabled
+        assert runtime.current.flight is NULL_FLIGHT_RECORDER
+        assert not runtime.current.flight.enabled
 
     def test_null_recorder_is_inert(self):
         null = NullFlightRecorder()
@@ -258,26 +256,24 @@ class TestGlobalState:
 
     def test_context_manager_installs_and_restores(self):
         rec = FlightRecorder(clock=_Ticker())
-        with flight_recording(rec) as active:
-            assert active is rec
-            assert flight_recorder() is rec
-        assert flight_recorder() is NULL_FLIGHT_RECORDER
+        with runtime.run_context(flight=rec):
+            assert runtime.current.flight is rec
+        assert runtime.current.flight is NULL_FLIGHT_RECORDER
 
     def test_set_flight_recorder_roundtrip(self):
+        outer = FlightRecorder(clock=_Ticker())
         rec = FlightRecorder(clock=_Ticker())
-        previous = set_flight_recorder(rec)
-        try:
-            assert flight_recorder() is rec
-        finally:
-            set_flight_recorder(previous)
-        assert flight_recorder() is previous
+        with runtime.run_context(flight=outer):
+            with runtime.run_context(flight=rec):
+                assert runtime.current.flight is rec
+            assert runtime.current.flight is outer
 
     def test_transmit_stamps_message_causal_fields(self):
         fabric = Network()
         fabric.register(SimNode(1))
         fabric.register(SimNode(2))
         rec = FlightRecorder(clock=_Ticker())
-        with flight_recording(rec):
+        with runtime.run_context(flight=rec):
             with rec.operation("lookup") as op:
                 message = fabric.transmit(1, 2, MessageKind.LOOKUP, 40)
         assert message.trace_id == op.trace_id
@@ -362,7 +358,7 @@ def _assert_flight_matches_metrics(rec, net):
 class TestMetricsInvariant:
     def test_clean_fabric_publish_and_query(self):
         rec = FlightRecorder()
-        with flight_recording(rec):
+        with runtime.run_context(flight=rec):
             net = _build(seed=2)
             _run_queries(net, seed=2)
         assert not rec.evicted_edges, "ring too small for the workload"
@@ -372,7 +368,7 @@ class TestMetricsInvariant:
 
     def test_delta_republish_maps_onto_publish_delta_bucket(self):
         rec = FlightRecorder()
-        with flight_recording(rec):
+        with runtime.run_context(flight=rec):
             net = _build(seed=4)
             peer = net.peers[1]
             rng = np.random.default_rng(99)
@@ -398,7 +394,7 @@ class TestMetricsInvariant:
             loss=loss, duplication=duplication, seed=fault_seed
         )
         rec = FlightRecorder()
-        with flight_recording(rec):
+        with runtime.run_context(flight=rec):
             net = _build(seed=3, plan=plan)
             _run_queries(net, seed=fault_seed)
         assert not rec.evicted_edges, "ring too small for the workload"
@@ -407,7 +403,7 @@ class TestMetricsInvariant:
     def test_lossy_fabric_tags_retries_with_attempts(self):
         plan = FaultPlan(loss=0.4, seed=7)
         rec = FlightRecorder()
-        with flight_recording(rec):
+        with runtime.run_context(flight=rec):
             net = _build(seed=3, plan=plan)
             _run_queries(net, n=8, seed=7)
         assert net.fabric.metrics.total_retransmits > 0
@@ -416,7 +412,7 @@ class TestMetricsInvariant:
         _assert_flight_matches_metrics(rec, net)
 
     def test_query_hits_marked_on_load_ledger(self):
-        with flight_recording(FlightRecorder()):
+        with runtime.run_context(flight=FlightRecorder()):
             net = _build(seed=5)
             _run_queries(net, seed=5)
         snapshot = net.fabric.load.snapshot()

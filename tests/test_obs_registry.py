@@ -4,12 +4,8 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.engine.serial import SerialScheduler
-from repro.obs.registry import (
-    MetricsRegistry,
-    metrics,
-    metrics_scope,
-    set_metrics,
-)
+from repro.obs.registry import MetricsRegistry, metrics
+from repro.runtime import run_context
 
 
 class TestCounter:
@@ -114,7 +110,8 @@ class TestTimer:
 class TestActiveRegistry:
     def test_metrics_scope_swaps_and_restores(self):
         outer = metrics()
-        with metrics_scope() as scoped:
+        scoped = MetricsRegistry()
+        with run_context(metrics=scoped):
             assert metrics() is scoped
             assert scoped is not outer
             metrics().counter("inner").inc()
@@ -124,9 +121,9 @@ class TestActiveRegistry:
     def test_set_metrics_returns_previous(self):
         outer = metrics()
         replacement = MetricsRegistry()
-        previous = set_metrics(replacement)
-        try:
-            assert previous is outer
+        with run_context(metrics=replacement):
             assert metrics() is replacement
-        finally:
-            set_metrics(outer)
+            with run_context(metrics=MetricsRegistry()):
+                assert metrics() is not replacement
+            assert metrics() is replacement
+        assert metrics() is outer

@@ -20,7 +20,7 @@ from repro.evaluation.report import (
     render_markdown,
     run_report,
 )
-from repro.obs.flight import FlightRecorder, flight_recording
+from repro.obs.flight import FlightRecorder
 from repro.obs.loadmap import build_loadmap
 from repro.obs.schema import (
     check_flight_record,
@@ -31,6 +31,7 @@ from repro.obs.schema import (
     check_trace_record,
     main as schema_main,
 )
+from repro.runtime import run_context
 
 REPORT_KNOBS = {
     "n_peers": 5,
@@ -52,7 +53,7 @@ def flight_artifacts():
         8, HyperMConfig(levels_used=2, n_clusters=2), rng=1
     )
     rec = FlightRecorder()
-    with flight_recording(rec):
+    with run_context(flight=rec):
         data = np.random.default_rng(2).random((2, 10, 8))
         for rows in data:
             net.add_peer(rows)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import runtime
 from repro.engine.serial import SerialScheduler
 from repro.obs.profile import flame_summary, phase_rows, span_tree
 from repro.obs.trace import (
@@ -12,9 +13,6 @@ from repro.obs.trace import (
     NullRecorder,
     TraceRecorder,
     read_jsonl,
-    set_recorder,
-    state,
-    tracing,
 )
 
 
@@ -111,26 +109,22 @@ class TestNullRecorder:
         assert first is second is NULL_SPAN
 
     def test_default_global_recorder_is_null(self):
-        assert state.recorder.enabled is False
+        assert runtime.current.tracer.enabled is False
 
     def test_set_recorder_none_restores_null(self):
         rec = TraceRecorder()
-        previous = set_recorder(rec)
-        try:
-            assert state.recorder is rec
-        finally:
-            set_recorder(previous)
-        assert state.recorder.enabled is False
+        with runtime.run_context(tracer=rec):
+            assert runtime.current.tracer is rec
+        assert runtime.current.tracer is NULL_RECORDER
 
 
 class TestTracingContext:
     def test_tracing_installs_and_restores(self):
         rec = TraceRecorder()
-        assert state.recorder.enabled is False
-        with tracing(rec) as active:
-            assert active is rec
-            assert state.recorder is rec
-        assert state.recorder.enabled is False
+        assert runtime.current.tracer.enabled is False
+        with runtime.run_context(tracer=rec):
+            assert runtime.current.tracer is rec
+        assert runtime.current.tracer.enabled is False
 
 
 class TestJsonlRoundTrip:
@@ -143,7 +137,7 @@ class TestJsonlRoundTrip:
         wl = tiny_histogram_workload
         query = wl.ground_truth.data[3]
         rec = TraceRecorder()
-        with tracing(rec):
+        with runtime.run_context(tracer=rec):
             result = wl.network.range_query(query, 0.15, max_peers=4)
 
         path = tmp_path / "trace.jsonl"
@@ -200,9 +194,9 @@ class TestNoOpOverheadPath:
     ):
         """With the default NullRecorder installed the instrumented query
         path must behave identically and record nothing."""
-        assert state.recorder.enabled is False
+        assert runtime.current.tracer.enabled is False
         wl = tiny_histogram_workload
         query = wl.ground_truth.data[0]
         result = wl.network.range_query(query, 0.12, max_peers=4)
-        assert state.recorder.enabled is False
+        assert runtime.current.tracer.enabled is False
         assert result.item_ids is not None

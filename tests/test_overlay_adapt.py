@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import runtime
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.core.results import ClusterRecord
 from repro.core.scoring import level_scores
@@ -26,8 +27,6 @@ from repro.obs.loadmap import build_loadmap
 from repro.overlay.adapt import (
     AdaptConfig,
     AdaptationController,
-    active_adapt_config,
-    adapt_scope,
 )
 from repro.overlay.can import CANNetwork
 from repro.overlay.can.replication import boost_replication, shed_replication
@@ -280,12 +279,12 @@ class TestControllerUnits:
         )
 
     def test_ambient_scope_enables_adaptation(self):
-        assert active_adapt_config() is None
-        with adapt_scope(AdaptConfig(epoch_queries=5)):
+        assert runtime.current.adapt is None
+        with runtime.run_context(adapt=AdaptConfig(epoch_queries=5)):
             net = _build(seed=1)
             assert net.adaptation is not None
             assert net.adaptation.config.epoch_queries == 5
-        assert active_adapt_config() is None
+        assert runtime.current.adapt is None
         clean = _build(seed=1)
         assert clean.adaptation is None
 

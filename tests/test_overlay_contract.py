@@ -138,10 +138,13 @@ class TestCapabilityPlanes:
     """Which backend exposes which plane — and metered degradation."""
 
     def test_every_backend_has_a_maintenance_plane(self, overlay):
-        from repro.overlay.base import MaintenancePlane, maintenance_plane
+        # In-place maintenance is part of the Overlay contract; every
+        # backend gets it from the shared store-backed implementation.
+        from repro.overlay.maintenance import StoreMaintenancePlane
 
-        assert isinstance(overlay, MaintenancePlane)
-        assert maintenance_plane(overlay) is overlay
+        assert isinstance(overlay, StoreMaintenancePlane)
+        assert overlay.patch_entries(overlay.node_ids[0], []) == (0, 0)
+        assert overlay.retract_entries(overlay.node_ids[0], []) == 0
 
     def test_adaptation_plane_presence(self, overlay):
         from repro.overlay.base import AdaptationPlane, adaptation_plane
@@ -153,12 +156,13 @@ class TestCapabilityPlanes:
 
     def test_missing_plane_is_metered(self):
         from repro.obs import registry as obs_registry
-        from repro.obs.registry import metrics_scope
+        from repro.obs.registry import MetricsRegistry
         from repro.overlay.base import adaptation_plane
+        from repro.runtime import run_context
 
         ring = RingNetwork(2, rng=0)
         ring.grow(4)
-        with metrics_scope():
+        with run_context(metrics=MetricsRegistry()):
             assert adaptation_plane(ring) is None
             metrics = obs_registry.metrics()
             assert metrics.counter(

@@ -102,14 +102,3 @@ class TestMortonNode:
         assert store.n_live == 1  # one row, two memberships — no copies
         assert a.store[0].entry_id == b.store[0].entry_id
 
-    def test_drop_entries(self):
-        from repro.overlay.base import StoredEntry
-
-        node = MortonNode(1)
-        for v in range(5):
-            node.add_entry(
-                StoredEntry(key=np.array([v / 10]), radius=0.0, value=v)
-            )
-        removed = node.drop_entries(lambda e: e.value % 2 == 0)
-        assert removed == 3
-        assert node.load == 2

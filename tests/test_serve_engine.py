@@ -326,10 +326,11 @@ class TestSnapshot:
 class TestInjectableClock:
     def test_timed_uses_the_ambient_metrics_clock(self):
         from repro.evaluation.serving import _timed
-        from repro.obs.registry import MetricsRegistry, metrics_scope
+        from repro.obs.registry import MetricsRegistry
+        from repro.runtime import run_context
 
         ticks = iter([10.0, 10.25])
-        with metrics_scope(MetricsRegistry(clock=lambda: next(ticks))):
+        with run_context(metrics=MetricsRegistry(clock=lambda: next(ticks))):
             elapsed = _timed(lambda: None)
         assert elapsed == 0.25
 

@@ -76,7 +76,7 @@ class TestWithdrawnSpheresNeverScored:
         # its summaries stay in the index, handed to surviving nodes.
         level = network.levels[0]
         center = rng.random(level.dimensionality)
-        network.remove_peer(1)
+        network.depart(1)
         overlay, receipt = _query_receipt(network, level, center, 8.0)
         scores = level_scores(receipt.entries, center, 8.0)
         assert 1 in scores
@@ -89,15 +89,15 @@ class TestChurnInvariants:
             str(level): overlay.level_store.n_live
             for level, overlay in network.overlays.items()
         }
-        network.remove_peer(0)
-        network.remove_peer(4)
+        network.depart(0)
+        network.depart(4)
         for level, overlay in network.overlays.items():
             # Zone handoff moves memberships; it never drops rows.
             assert overlay.level_store.n_live == before[str(level)]
         _verify_all_stores(network)
 
     def test_withdraw_after_leave(self, network):
-        network.remove_peer(2)
+        network.depart(2)
         removed = network.withdraw_summaries(2)
         assert removed > 0
         for overlay in network.overlays.values():
@@ -163,7 +163,7 @@ class TestChurnInvariants:
         _verify_all_stores(network)
 
     def test_churned_stores_still_answer_queries(self, network, rng):
-        network.remove_peer(0, withdraw_summaries=True)
+        network.depart(0, withdraw_summaries=True)
         network.withdraw_summaries(1)
         network.republish_peer(3)
         _verify_all_stores(network)

@@ -12,16 +12,15 @@ Headline numbers: ``peers_per_s`` (build + publish), ``queries_per_s``
 (index phase), and ``resources.peak_rss_mb``. The CI-gated ratio is
 ``bulk_speedup`` — wall clock of protocol-grown construction (routed
 joins + routed inserts) over bulk construction at a small equal size on
-the same machine, so it compares across runners like the other speedup
-fields in ``compare_bench.py``.
+the same machine.
 
 Gates: bulk construction beats routed construction by >= the gate
-(default 5x — the measured ratio is ~40x even at 192 peers, and grows
-with n); when the sharded engine is selected its scores must match the
-inline oracle at 1e-9 (checked inside the runner *before* timing — a
-divergent sharded path raises rather than reporting). The 20% regression
-gate against the committed ``BENCH_scale.json`` does the precise
-tracking.
+(default 5x; the ratio falls whenever the routed protocol gets faster —
+the CAN zone table cut it to about a third — so it is a floor, not a
+tracked number, and CI no longer compares it with the committed
+``BENCH_scale.json``); when the sharded engine is selected its scores
+must match the inline oracle at 1e-9 (checked inside the runner *before*
+timing — a divergent sharded path raises rather than reporting).
 
 Usage::
 

@@ -142,9 +142,7 @@ def build_grid_can(
     for cell in range(n_cells):
         node_id = node_id_offset + cell
         node = CANNode(node_id, Zone(lows[cell].copy(), highs[cell].copy()))
-        node.attach_store(can.level_store)
-        can._nodes[node_id] = node
-        can.fabric.register(node)
+        can._admit(node)
         nodes.append(node)
     can._next_id = node_id_offset + n_cells
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro import runtime
@@ -21,7 +19,8 @@ from repro.overlay.base import (
     RangeReceipt,
 )
 from repro.overlay.can.node import CANNode
-from repro.overlay.can.routing import route_to_owner
+from repro.overlay.can.routing import flood, route_to_owner
+from repro.overlay.can.table import ZoneTable
 from repro.overlay.can.zone import Zone
 from repro.overlay.maintenance import StoreMaintenancePlane
 from repro.utils.rng import ensure_rng
@@ -77,6 +76,9 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         self._next_id = int(node_id_offset)
         #: The shared columnar index for this overlay (one per level).
         self.level_store = LevelStore(self._dim)
+        #: Every zone as array rows (see :meth:`zone_table`); ``None``
+        #: until first asked for and again after any topology mutation.
+        self._zone_table: ZoneTable | None = None
         #: Optional ``node_id -> float`` quality penalty installed by the
         #: adaptation controller: routing and flooding prefer low-penalty
         #: nodes among otherwise-equal choices. ``None`` (the default)
@@ -105,6 +107,12 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
     def __len__(self) -> int:
         return len(self._nodes)
 
+    def zone_table(self) -> ZoneTable:
+        """The current zones as one table, built on first use."""
+        if self._zone_table is None:
+            self._zone_table = ZoneTable(self._nodes)
+        return self._zone_table
+
     # -- membership -----------------------------------------------------------
 
     def grow(self, n_nodes: int) -> list[int]:
@@ -126,10 +134,7 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         node_id = self._next_id
         self._next_id += 1
         if not self._nodes:
-            node = CANNode(node_id, Zone.full(self._dim))
-            node.attach_store(self.level_store)
-            self._nodes[node_id] = node
-            self.fabric.register(node)
+            self._admit(CANNode(node_id, Zone.full(self._dim)))
             return node_id
 
         if point is None:
@@ -164,11 +169,16 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
                 new_zone, owner_zone = lower, upper
             new_node = CANNode(node_id, new_zone)
             owner.set_zone(owner_zone)
-        new_node.attach_store(self.level_store)
-        self._nodes[node_id] = new_node
-        self.fabric.register(new_node)
+        self._admit(new_node)
         self._handoff_state(owner, new_node)
         return node_id
+
+    def _admit(self, node: CANNode) -> None:
+        """Make ``node`` a member: shared store, fabric, a fresh zone table."""
+        node.attach_store(self.level_store)
+        self._nodes[node.node_id] = node
+        self.fabric.register(node)
+        self._zone_table = None
 
     def _handoff_state(self, owner: CANNode, new_node: CANNode) -> None:
         """Redistribute entries and rebuild neighbour links after a join."""
@@ -230,6 +240,7 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         """
         leaving = self.node(node_id)
         del self._nodes[node_id]
+        self._zone_table = None
         if not self._nodes:
             # Last node took the whole key space (and every entry) with it.
             leaving.membership.clear()
@@ -330,6 +341,7 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
 
     def _rebuild_all_neighbors(self) -> None:
         """Recompute every neighbour table from zone geometry."""
+        self._zone_table = None
         nodes = list(self._nodes.values())
         for node in nodes:
             node.neighbors = {}
@@ -433,9 +445,9 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         point = check_vector(point, "point", dim=self._dim)
         if not self._nodes:
             raise EmptyNetworkError("overlay has no nodes")
-        for node in self._nodes.values():
-            if node.contains(point):
-                return node.node_id
+        for node_id, key in self.zone_table().routing_keys(point).items():
+            if key < 0.0:
+                return node_id
         raise OverlayError(f"no zone contains {point!r}; zones do not tile?")
 
     def insert(
@@ -561,29 +573,17 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
             # then filters its membership with a boolean gather.
             if mask is None:
                 mask = self.level_store.intersection_mask(center, radius)
-            row_arrays: list[np.ndarray] = []
-            visited = {owner_id}
             order = [owner_id]
-            flood_hops = 0
-            queue = deque([owner_id])
-            while queue:
-                current_id = queue.popleft()
-                current = self.node(current_id)
-                row_arrays.append(current.rows_matching(mask))
-                for neighbor_id, zones in current.neighbors.items():
-                    if neighbor_id in visited:
-                        continue
-                    if not any(
-                        z.intersects_sphere(center, radius) for z in zones
-                    ):
-                        continue
-                    visited.add(neighbor_id)
-                    order.append(neighbor_id)
-                    self.fabric.transmit(
-                        current_id, neighbor_id, MessageKind.RANGE_QUERY, size
-                    )
-                    flood_hops += 1
-                    queue.append(neighbor_id)
+            meets = self.zone_table().meeting(center, radius)
+            for sender_id, neighbor_id in flood(self, [owner_id], meets):
+                self.fabric.transmit(
+                    sender_id, neighbor_id, MessageKind.RANGE_QUERY, size
+                )
+                order.append(neighbor_id)
+            flood_hops = len(order) - 1
+            row_arrays = [
+                self.node(node_id).rows_matching(mask) for node_id in order
+            ]
             self.fabric.finish_operation(
                 MessageKind.RANGE_QUERY, len(path) + flood_hops
             )

@@ -66,10 +66,6 @@ class CANNode(SimNode, StoreBackedNode):
             zone.intersects_sphere(center, radius) for zone in self.zones
         )
 
-    def torus_distance_to(self, point: np.ndarray) -> float:
-        """Min torus distance from any owned zone to ``point``."""
-        return min(zone.torus_distance_to(point) for zone in self.zones)
-
     # -- neighbour maintenance ----------------------------------------------
 
     def set_zones(self, zones: list[Zone]) -> None:

@@ -10,10 +10,30 @@ replication overhead Figure 8a measures.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro import runtime
 from repro.net.messages import MessageKind, vector_message_size
+from repro.overlay.can.routing import flood
+
+
+def _spread_row(network, row: int, holder_ids) -> list[int]:
+    """Flood ``row`` from its holders to every other sphere-overlapping node.
+
+    Each newly covered node receives one ``REPLICATE`` message and adds
+    the *same* store row to its membership — replication is
+    multi-membership, not object copies. Returns the new holder ids.
+    """
+    store = network.level_store
+    key = store.key_of(row)
+    size = vector_message_size(key.shape[0], scalars=2)
+    meets = network.zone_table().meeting(key, store.radius_of(row))
+    added: list[int] = []
+    for sender_id, neighbor_id in flood(network, holder_ids, meets):
+        network.fabric.transmit(
+            sender_id, neighbor_id, MessageKind.REPLICATE, size
+        )
+        network.node(neighbor_id).add_row(row)
+        added.append(neighbor_id)
+    return added
 
 
 def replicate_sphere(network, owner_id: int, row: int) -> list[int]:
@@ -21,34 +41,10 @@ def replicate_sphere(network, owner_id: int, row: int) -> list[int]:
 
     Breadth-first over neighbour links, crossing only nodes whose zones
     intersect the row's sphere (that region is convex, so it is connected
-    in the neighbour graph). Each replica node adds the *same* store row to
-    its membership — replication is multi-membership, not object copies.
-    Returns the replica node ids (owner excluded); one ``REPLICATE`` hop is
-    charged per replica.
+    in the neighbour graph). Returns the replica node ids (owner
+    excluded); one ``REPLICATE`` hop is charged per replica.
     """
-    store = network.level_store
-    key = store.key_of(row)
-    radius = store.radius_of(row)
-    fabric = network.fabric
-    size = vector_message_size(key.shape[0], scalars=2)
-    visited = {owner_id}
-    replicas: list[int] = []
-    queue = deque([owner_id])
-    while queue:
-        current_id = queue.popleft()
-        current = network.node(current_id)
-        for neighbor_id, zones in current.neighbors.items():
-            if neighbor_id in visited:
-                continue
-            if not any(
-                z.intersects_sphere(key, radius) for z in zones
-            ):
-                continue
-            visited.add(neighbor_id)
-            fabric.transmit(current_id, neighbor_id, MessageKind.REPLICATE, size)
-            network.node(neighbor_id).add_row(row)
-            replicas.append(neighbor_id)
-            queue.append(neighbor_id)
+    replicas = _spread_row(network, row, [owner_id])
     recorder = runtime.current.tracer
     if recorder.enabled:
         recorder.add(replica_hops=len(replicas))
@@ -62,34 +58,10 @@ def extend_replication(network, row: int, holder_ids) -> list[int]:
     overlap zones whose nodes do not yet hold the row. Breadth-first from
     *all* current holders (their union already covers the old sphere, and
     the grown intersection region is convex, hence connected through
-    them), each newly covered node receives one ``REPLICATE`` message and
-    adds the same store row. Existing holders are never re-sent anything
-    — that is the saving over tombstone + re-insert. Returns the new
-    replica node ids.
+    them). Existing holders are never re-sent anything — that is the
+    saving over tombstone + re-insert. Returns the new replica node ids.
     """
-    store = network.level_store
-    key = store.key_of(row)
-    radius = store.radius_of(row)
-    fabric = network.fabric
-    size = vector_message_size(key.shape[0], scalars=2)
-    visited = set(holder_ids)
-    added: list[int] = []
-    queue = deque(visited)
-    while queue:
-        current_id = queue.popleft()
-        current = network.node(current_id)
-        for neighbor_id, zones in current.neighbors.items():
-            if neighbor_id in visited:
-                continue
-            if not any(
-                z.intersects_sphere(key, radius) for z in zones
-            ):
-                continue
-            visited.add(neighbor_id)
-            fabric.transmit(current_id, neighbor_id, MessageKind.REPLICATE, size)
-            network.node(neighbor_id).add_row(row)
-            added.append(neighbor_id)
-            queue.append(neighbor_id)
+    added = _spread_row(network, row, holder_ids)
     recorder = runtime.current.tracer
     if recorder.enabled and added:
         recorder.add(replica_hops=len(added))

@@ -10,26 +10,21 @@ recover with perimeter/expanding-ring strategies; we use depth-first
 backtracking, which is guaranteed to reach the owner on the (connected)
 neighbour graph. Backtrack traversals are real messages and are counted
 as hops.
+
+Both walks here — the routed one and the breadth-first :func:`flood`
+that range queries and sphere replication share — take their geometry
+from one :class:`~repro.overlay.can.table.ZoneTable` pass per operation
+and then only look node ids up.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from repro import runtime
-from repro.exceptions import RoutingError
-
-
-def _snapshot_distance(zones, point: np.ndarray) -> float:
-    """Min torus distance from a neighbour's zone-set snapshot to ``point``.
-
-    A zone that outright contains the point gets distance -1 so it always
-    sorts first (torus distance would report 0 for seam-touching zones
-    that do *not* contain it).
-    """
-    if any(zone.contains(point) for zone in zones):
-        return -1.0
-    return min(zone.torus_distance_to(point) for zone in zones)
+from repro.exceptions import RoutingError, ValidationError
 
 
 def route_to_owner(
@@ -41,11 +36,11 @@ def route_to_owner(
     ----------
     network:
         A :class:`repro.overlay.can.network.CANNetwork` (duck-typed: needs
-        ``node()`` and ``node_ids``).
+        ``node()``, ``node_ids`` and ``zone_table()``).
     start_id:
         Node where the message originates.
     point:
-        Target key in the unit cube.
+        Target key in the unit cube (:class:`ValidationError` otherwise).
     penalty:
         Optional ``node_id -> float`` quality penalty used as a
         *secondary* sort key: among equally-near next hops the walk
@@ -61,6 +56,11 @@ def route_to_owner(
         ``path`` is the full message trajectory excluding the start node
         (backtracking steps included) — ``len(path)`` is the hop count.
     """
+    keys = network.zone_table().routing_keys(point)
+    if min(keys.values()) >= 0.0:
+        raise ValidationError(
+            f"no zone contains {point!r}: it lies outside the unit cube"
+        )
     visited = {start_id}
     stack = [start_id]
     path: list[int] = []
@@ -71,25 +71,25 @@ def route_to_owner(
             raise RoutingError(
                 f"routing exceeded {max_steps} steps towards {point!r}"
             )
-        current = network.node(stack[-1])
-        if current.contains(point):
+        current_id = stack[-1]
+        if keys[current_id] < 0.0:
             recorder = runtime.current.tracer
             if recorder.enabled:
                 recorder.add(
                     routing_hops=len(path), routing_backtracks=backtracks
                 )
-            return current.node_id, path
-        candidates = sorted(
+            return current_id, path
+        candidates = [
             (
-                _snapshot_distance(zones, point),
+                keys[node_id],
                 penalty(node_id) if penalty is not None else 0.0,
                 node_id,
             )
-            for node_id, zones in current.neighbors.items()
+            for node_id in network.node(current_id).neighbors
             if node_id not in visited
-        )
+        ]
         if candidates:
-            *__, next_id = candidates[0]
+            *__, next_id = min(candidates)
             visited.add(next_id)
             stack.append(next_id)
             path.append(next_id)
@@ -101,3 +101,22 @@ def route_to_owner(
     raise RoutingError(
         f"no route to the owner of {point!r}: neighbour graph disconnected?"
     )
+
+
+def flood(network, seeds, meets: set[int]):
+    """Breadth-first flood from ``seeds`` across the nodes in ``meets``.
+
+    Yields one ``(sender_id, receiver_id)`` edge per newly reached node,
+    in message order; the caller charges the fabric. ``meets`` is
+    :meth:`ZoneTable.meeting` for the flooded ball — a convex region,
+    hence connected in the neighbour graph, so the flood is complete.
+    """
+    visited = set(seeds)
+    queue = deque(visited)
+    while queue:
+        current_id = queue.popleft()
+        for neighbor_id in network.node(current_id).neighbors:
+            if neighbor_id in meets and neighbor_id not in visited:
+                visited.add(neighbor_id)
+                queue.append(neighbor_id)
+                yield current_id, neighbor_id

@@ -7,7 +7,11 @@ overlay's global invariants hold:
 * zones tile the key space exactly (volume 1, unique owner per point);
 * neighbour tables are symmetric and geometrically correct;
 * every inserted object remains retrievable by a range query;
-* routing reaches the true owner from any start node.
+* routing reaches the true owner from any start node;
+* the zone table (built by the routing invariant after every step, so a
+  mutation that forgot to drop it leaves it stale) lists exactly the
+  current zones, and every neighbour snapshot equals that neighbour's
+  current zone set — the property that lets one table replace them.
 """
 
 import numpy as np
@@ -22,6 +26,7 @@ from hypothesis.stateful import (
 
 from repro.overlay.can import CANNetwork
 from repro.overlay.can.routing import route_to_owner
+from tests.can_reference import table_is_current
 
 coords = st.floats(min_value=0.0, max_value=1.0)
 
@@ -45,6 +50,14 @@ class CANMachine(RuleBasedStateMachine):
     def leave(self, pick):
         ids = self.can.node_ids
         self.can.leave(ids[pick % len(ids)])
+
+    @rule(
+        pick=st.integers(min_value=0, max_value=10**6),
+        fraction=st.sampled_from([0.5, 0.3]),
+    )
+    def rebalance(self, pick, fraction):
+        ids = self.can.node_ids
+        self.can.rebalance_zone(ids[pick % len(ids)], fraction=fraction)
 
     @rule(x=coords, y=coords, pick=st.integers(min_value=0, max_value=10**6))
     def insert_point(self, x, y, pick):
@@ -117,6 +130,20 @@ class CANMachine(RuleBasedStateMachine):
         start = self.can.node_ids[0]
         owner, __ = route_to_owner(self.can, start, p)
         assert owner == expected
+
+    @invariant()
+    def zone_table_is_current(self):
+        assert table_is_current(self.can)
+
+    @invariant()
+    def neighbor_snapshots_are_current(self):
+        for nid in self.can.node_ids:
+            for neighbor_id, snapshot in self.can.node(nid).neighbors.items():
+                current = self.can.node(neighbor_id).zones
+                assert len(snapshot) == len(current)
+                for seen, zone in zip(snapshot, current):
+                    assert np.array_equal(seen.lows, zone.lows)
+                    assert np.array_equal(seen.highs, zone.highs)
 
 
 TestCANStateful = CANMachine.TestCase

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import EmptyNetworkError, ValidationError
+from repro.exceptions import EmptyNetworkError, RoutingError, ValidationError
 from repro.net.messages import MessageKind
 from repro.overlay.can import CANNetwork
 from repro.overlay.can.routing import route_to_owner
@@ -106,6 +106,28 @@ class TestRouting:
             p = rng.random(32)
             owner, __path = route_to_owner(can, can.node_ids[0], p)
             assert can.node(owner).zone.contains(p)
+
+    @pytest.mark.parametrize("point", [[1.5, 0.5], [0.5, -0.01]])
+    def test_point_outside_cube_rejected_before_the_walk(
+        self, small_can, point
+    ):
+        # No zone contains it: that is known before any hop, so no walk
+        # (it used to backtrack through every node) and no message.
+        origin = small_can.node_ids[0]
+        before = small_can.fabric.metrics.total_messages
+        with pytest.raises(ValidationError, match="outside the unit cube"):
+            small_can.lookup(origin, point)
+        with pytest.raises(ValidationError, match="outside the unit cube"):
+            small_can.range_query(origin, point, 0.1)
+        assert small_can.fabric.metrics.total_messages == before
+
+    def test_disconnected_neighbour_graph_is_a_routing_error(self, small_can):
+        origin = small_can.node_ids[0]
+        point = small_can.node(small_can.node_ids[-1]).zone.center
+        for node_id in small_can.node_ids:
+            small_can.node(node_id).neighbors = {}
+        with pytest.raises(RoutingError, match="disconnected"):
+            small_can.lookup(origin, point)
 
 
 class TestInsertLookup:

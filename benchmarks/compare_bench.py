@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Compare a fresh benchmark report against the committed baseline.
 
-The microbenchmarks (``benchmarks/scoring_microbench.py``) emit JSON
-reports whose headline numbers are *speedups* — ratios of the seed
-implementation's time to the optimised path's time on the same machine.
+The ratio benchmarks (``benchmarks/test_hotspot_skew.py``,
+``benchmarks/test_overlay_matrix.py``, …) emit JSON reports whose
+headline numbers are *speedups* — ratios of a baseline arm's cost to the
+optimised arm's on the same machine.
 Ratios are what make cross-machine comparison meaningful: CI runners are
 slower than the laptops that produced the committed baselines, but both
 measure the same relative win, so a shrinking ratio is a genuine code
@@ -11,8 +12,8 @@ regression rather than runner noise.
 
 Usage::
 
-    python benchmarks/compare_bench.py BENCH_scoring.json \
-        fresh_BENCH_scoring.json --max-regression 0.20
+    python benchmarks/compare_bench.py BENCH_hotspot.json \
+        fresh_BENCH_hotspot.json --max-regression 0.20
 
 Exits non-zero when any compared speedup field in the fresh report is
 more than ``--max-regression`` (default 20%) below the baseline. Fields
@@ -33,7 +34,7 @@ import sys
 
 #: Headline ratio fields compared when present in both reports.
 SPEEDUP_FIELDS = (
-    "speedup", "cold_speedup", "list_speedup", "bytes_speedup",
+    "speedup", "cold_speedup", "bytes_speedup",
     "hops_speedup", "adapt_skew_speedup", "bulk_speedup",
 )
 

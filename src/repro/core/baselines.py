@@ -85,7 +85,7 @@ class ItemCANPublisher:
         receipt = self.overlay.range_query(
             origin, query[: self.key_dims], epsilon
         )
-        ids = {entry.value[1] for entry in receipt.entries}
+        ids = {item_id for __, item_id in receipt.entries.values()}
         return ids, receipt.total_hops
 
 

@@ -42,7 +42,7 @@ from repro.core.queries import (
     send_response,
 )
 from repro.core.results import KnnResult, sort_items_by_distance
-from repro.core.scoring import _candidate_columns, level_scores, rank_peers
+from repro.core.scoring import level_scores, rank_peers
 from repro.exceptions import QueryError
 from repro.geometry.epsilon import estimate_epsilon_for_k, expected_items
 from repro.obs import registry as obs_registry
@@ -53,10 +53,13 @@ from repro.wavelets.bounds import coefficient_interval, radius_scale
 _INITIAL_PROBE_FRACTION = 0.05
 
 
-def _spheres_from_entries(entries) -> list[ClusterSphere]:
+def _spheres_from_entries(candidates) -> list[ClusterSphere]:
+    keys, radii, items, __, ___ = candidates.columns()
     return [
-        ClusterSphere(centroid=e.key, radius=e.radius, items=e.value.items)
-        for e in entries
+        ClusterSphere(centroid=key, radius=radius, items=count)
+        for key, radius, count in zip(
+            keys, radii.tolist(), items.tolist(), strict=True
+        )
     ]
 
 
@@ -130,9 +133,7 @@ def _peer_lower_bounds(
     """
     bounds: dict[int, float] = {}
     for level, (center, __) in plan.items():
-        sphere_keys, radii, __, peer_ids, ___ = _candidate_columns(
-            discovered[level], center.shape[0]
-        )
+        sphere_keys, radii, __, peer_ids, ___ = discovered[level].columns()
         eps_l = float(epsilon_per_level[level])
         lo, hi = coefficient_interval(level)
         to_original = (hi - lo) / radius_scale(dimensionality, level)

@@ -16,10 +16,10 @@ every level) runs before the expensive one (the lens-volume kernel):
 * :func:`level_scores` filters one level's candidates — a
   :class:`repro.index.CandidateSet` or :class:`repro.index.ColumnBlock`
   gathered from the level's columnar store (a stale set raises
-  :class:`repro.exceptions.StaleCandidateError` here), or a plain entry
-  list stacked fresh per call — down to the spheres meeting the query
-  ball and returns a :class:`LevelScoreTable`: the sorted peers present
-  plus copies of the surviving rows, Eq. 1 not yet evaluated.
+  :class:`repro.exceptions.StaleCandidateError` here) — down to the
+  spheres meeting the query ball and returns a :class:`LevelScoreTable`:
+  the sorted peers present plus copies of the surviving rows, Eq. 1 not
+  yet evaluated.
 * :func:`aggregate_scores` intersects the levels' peer arrays, asks each
   table for the :meth:`~LevelScoreTable.totals` of the common peers only
   (one ``intersection_fraction_batch`` call over their rows, summed per
@@ -28,8 +28,8 @@ every level) runs before the expensive one (the lens-volume kernel):
 
 A table is also a read-only ``Mapping`` that evaluates every peer once on
 ``[]`` / ``items()`` / ``==``. :func:`level_scores_scalar` keeps the
-one-sphere-at-a-time path as the numerical oracle — the property tests
-and the scoring microbenchmark pin the two to 1e-9, with identical
+one-sphere-at-a-time path over entry objects as the numerical oracle —
+the property tests pin the two to 1e-9, with identical
 candidate/pruned/surviving accounting.
 """
 
@@ -62,31 +62,6 @@ def _fill_stats(stats: dict | None, candidates: int, pruned: int) -> None:
         stats["candidates"] = candidates
         stats["pruned"] = pruned
         stats["surviving"] = candidates - pruned
-
-
-def _candidate_columns(entries, d: int):
-    """``(keys, radii, items, peer_ids, key_sq)`` for a candidate set.
-
-    A :class:`repro.index.CandidateSet` yields its store columns zero-copy
-    (one memoized fancy-index gather; raises ``StaleCandidateError`` when
-    the store has mutated since the range query). A plain entry list is
-    stacked fresh per call — no caching, so dropped entries can never be
-    scored from a stale block.
-    """
-    if isinstance(entries, (CandidateSet, ColumnBlock)):
-        return entries.columns()
-    n = len(entries)
-    keys = np.empty((n, d), dtype=np.float64)
-    radii = np.empty(n, dtype=np.float64)
-    items = np.empty(n, dtype=np.float64)
-    peer_ids = np.empty(n, dtype=np.int64)
-    for i, entry in enumerate(entries):
-        keys[i] = entry.key
-        radii[i] = entry.radius
-        record = entry.value
-        items[i] = record.items
-        peer_ids[i] = record.peer_id
-    return keys, radii, items, peer_ids, np.einsum("ij,ij->i", keys, keys)
 
 
 class LevelScoreTable(Mapping):
@@ -165,7 +140,7 @@ class LevelScoreTable(Mapping):
 
 
 def level_scores(
-    entries: list,
+    entries: CandidateSet | ColumnBlock,
     query_center: np.ndarray,
     query_radius: float,
     *,
@@ -178,9 +153,9 @@ def level_scores(
     entries:
         The overlay range query's results at this level: a
         :class:`repro.index.CandidateSet` (consumed zero-copy from the
-        shared level store), a :class:`repro.index.ColumnBlock` (its
-        ``dists``, when set, are the centre distances) or a plain list of
-        entries whose ``value`` is a :class:`repro.core.results.ClusterRecord`.
+        shared level store; stale → ``StaleCandidateError``) or a
+        :class:`repro.index.ColumnBlock` (its ``dists``, when set, are
+        the centre distances).
     query_center / query_radius:
         The query sphere, already translated into this level's key space.
     stats:
@@ -200,7 +175,7 @@ def level_scores(
         radii, items, peer_ids = entries.radii, entries.items, entries.peer_ids
         dists = entries.dists
     else:
-        keys, radii, items, peer_ids, key_sq = _candidate_columns(entries, d)
+        keys, radii, items, peer_ids, key_sq = entries.columns()
         # ||k - q||^2 = ||k||^2 - 2 k.q + ||q||^2 — one BLAS matvec instead
         # of materialising the (n, d) difference matrix (at d = 512 the
         # subtraction alone costs more than the whole Eq. 1 kernel).

@@ -270,9 +270,10 @@ def _hyperm_weighted_loads(network: HyperMNetwork) -> list[float]:
     }
     for level, overlay in network.overlays.items():
         for node_id in overlay.node_ids:
-            node = overlay.node(node_id)
-            weight = sum(entry.value.items for entry in node.store)
-            loads[node_to_peer[node_id]] += weight
+            rows = overlay.node(node_id).membership.rows()
+            loads[node_to_peer[node_id]] += float(
+                overlay.level_store.items_of(rows).sum()
+            )
     return list(loads.values())
 
 

@@ -13,7 +13,6 @@ from repro.index.store import (
     ColumnBlock,
     LevelStore,
     NodeMembership,
-    StoredEntryView,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "ColumnBlock",
     "LevelStore",
     "NodeMembership",
-    "StoredEntryView",
 ]

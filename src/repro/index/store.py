@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.exceptions import StaleCandidateError, ValidationError
 from repro.geometry.batch import spheres_intersect_batch
-from repro.geometry.intersection import spheres_intersect
 
 #: Initial column capacity (rows) of an empty store.
 _INITIAL_CAPACITY = 64
@@ -220,7 +219,7 @@ class CellDirectory:
         accuracy to cancellation (an exact-match point lookup gives
         ~1e-8 instead of 0), far coarser than the 1e-12
         ``INTERSECTION_SLACK``; so the mask matches the scalar
-        ``StoredEntryView.intersects`` oracle. The mask is in the
+        ``StoredEntry.intersects`` oracle. The mask is in the
         caller's row order, tombstones False. ``dists``, when given, is
         a float64 array of one slot per row; it receives the centre
         distance of every scanned row, so it is valid wherever the mask
@@ -271,74 +270,6 @@ def _cell_coords(points: np.ndarray, shape: tuple) -> np.ndarray:
     shape = np.asarray(shape, dtype=np.float64)
     cells = np.floor(points * shape)
     return np.fmin(np.fmax(cells, 0.0), shape - 1.0).astype(np.int64)
-
-
-class StoredEntryView:
-    """A lightweight read view of one live store row.
-
-    Mirrors the attribute surface of the legacy
-    :class:`repro.overlay.base.StoredEntry` (``key`` / ``radius`` /
-    ``value`` / ``intersects``) so existing call sites and tests keep
-    working, and adds the stable :attr:`entry_id` that replaces ``id()``
-    identity everywhere.
-    """
-
-    __slots__ = ("_store", "_row")
-
-    def __init__(self, store: "LevelStore", row: int):
-        self._store = store
-        self._row = int(row)
-
-    @property
-    def row(self) -> int:
-        """Row index in the backing store (valid until the next compaction)."""
-        return self._row
-
-    @property
-    def entry_id(self) -> int:
-        """Stable id assigned at publication; survives compaction."""
-        return int(self._store._entry_ids[self._row])
-
-    @property
-    def key(self) -> np.ndarray:
-        """The entry's key point (a copy; the column stays immutable)."""
-        return self._store._keys[self._row].copy()
-
-    @property
-    def radius(self) -> float:
-        """Extent radius (0 for point entries)."""
-        return float(self._store._radii[self._row])
-
-    @property
-    def value(self) -> object:
-        """The opaque payload stored at publication."""
-        return self._store._values[self._row]
-
-    @property
-    def peer_id(self) -> int:
-        """Publishing peer id (−1 when the payload carries none)."""
-        return int(self._store._peer_ids[self._row])
-
-    @property
-    def items(self) -> float:
-        """Item count carried by the payload (0 when it carries none)."""
-        return float(self._store._items[self._row])
-
-    def intersects(self, center: np.ndarray, radius: float) -> bool:
-        """Scalar sphere-intersection test (same boundary as the batch path)."""
-        dist = float(
-            np.linalg.norm(
-                self._store._keys[self._row]
-                - np.asarray(center, dtype=np.float64)
-            )
-        )
-        return spheres_intersect(self.radius, radius, dist)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"StoredEntryView(entry_id={self.entry_id}, "
-            f"radius={self.radius:.4g}, value={self.value!r})"
-        )
 
 
 class NodeMembership:
@@ -458,11 +389,6 @@ class NodeMembership:
             return rows
         return rows[mask[rows]]
 
-    def entries(self) -> list[StoredEntryView]:
-        """Member rows as entry views (back-compat iteration surface)."""
-        store = self._store
-        return [StoredEntryView(store, row) for row in self.rows()]
-
     def _remap(self, mapping: np.ndarray) -> None:
         """Rewrite member rows through a compaction ``old -> new`` map."""
         self._rows = {
@@ -474,11 +400,13 @@ class NodeMembership:
 class CandidateSet:
     """One range query's surviving rows: store ref + rows + generation.
 
-    The lightweight result the overlays hand to scoring: no entry objects,
-    just row indices into the shared columns plus the store generation at
-    snapshot time. Iteration and indexing yield
-    :class:`StoredEntryView` objects, so legacy consumers (tests, k-NN
-    sphere building, baselines) keep working unchanged.
+    The result every overlay ``lookup`` and ``range_query`` hands back:
+    no entry objects, just row indices into the shared columns plus the
+    store generation at snapshot time. Consumers read :meth:`columns`
+    (scoring, k-NN sphere building), :meth:`values` (payloads) or
+    :attr:`rows` with the store's per-row accessors; all but ``rows`` and
+    ``len`` raise :class:`~repro.exceptions.StaleCandidateError` once the
+    store has mutated.
     """
 
     __slots__ = ("_store", "_rows", "_generation", "_columns")
@@ -552,17 +480,14 @@ class CandidateSet:
             )
         return self._columns
 
+    def values(self) -> list:
+        """The candidate rows' payloads, in row order."""
+        self.ensure_fresh()
+        values = self._store._values
+        return [values[row] for row in self._rows.tolist()]
+
     def __len__(self) -> int:
         return int(self._rows.size)
-
-    def __iter__(self):
-        self.ensure_fresh()
-        store = self._store
-        return (StoredEntryView(store, int(row)) for row in self._rows)
-
-    def __getitem__(self, index: int) -> StoredEntryView:
-        self.ensure_fresh()
-        return StoredEntryView(self._store, int(self._rows[index]))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -1180,10 +1105,6 @@ class LevelStore:
     def entry_id_of(self, row: int) -> int:
         """Stable entry id of a row."""
         return int(self._entry_ids[int(row)])
-
-    def view(self, row: int) -> StoredEntryView:
-        """Entry view of one row."""
-        return StoredEntryView(self, int(row))
 
     def key_of(self, row: int) -> np.ndarray:
         """Key of one row (read view; do not mutate)."""

@@ -15,10 +15,10 @@ Two halves:
   load-aware replication and GeoP2P-style zone rebalancing consume.
 
 The ledger is deliberately dependency-free (it knows nothing about CAN
-or Hyper-M); ``build_loadmap`` duck-types over any network exposing
-``overlays``/``fabric``/``overlay_node`` the way
-:class:`repro.core.network.HyperMNetwork` does, so there is no import
-cycle between ``repro.obs`` and ``repro.core``.
+or Hyper-M); ``build_loadmap`` reads a
+:class:`repro.core.network.HyperMNetwork` through its attributes only
+and imports nothing from ``repro.core``, so there is no import cycle
+between ``repro.obs`` and ``repro.core``.
 """
 
 from __future__ import annotations
@@ -189,9 +189,8 @@ def build_loadmap(network, *, top_k: int = 10) -> dict:
     Parameters
     ----------
     network:
-        A :class:`repro.core.network.HyperMNetwork` (or anything exposing
-        ``overlays`` ``{level: overlay}``, a shared ``fabric``, ``peers``,
-        and ``overlay_node(level, peer_id)``).
+        A :class:`repro.core.network.HyperMNetwork`: its ``overlays``,
+        shared ``fabric``, ``peers`` and peer-to-overlay-node table.
     top_k:
         Hotspot ranking depth.
 
@@ -218,63 +217,56 @@ def build_loadmap(network, *, top_k: int = 10) -> dict:
     are always present, computed from the same per-node ledger records.
     """
     fabric = network.fabric
-    ledger = getattr(fabric, "load", None) or LoadLedger()
+    ledger = fabric.load
     energy = fabric.energy
 
-    node_peer: dict[int, int] = {}
-    for (level, peer_id), node_id in getattr(
-        network, "_overlay_node", {}
-    ).items():
-        node_peer[node_id] = peer_id
+    node_peer: dict[int, int] = {
+        node_id: peer_id
+        for (level, peer_id), node_id in network._overlay_node.items()
+    }
 
     zone_rows: list[dict] = []
     peer_rows: dict[int, dict] = {}
     generations: dict[str, int] = {}
     sphere_heat: dict[str, dict] = {}
     for level, overlay in network.overlays.items():
-        store = getattr(overlay, "level_store", None)
-        generations[str(level)] = (
-            int(store.generation) if store is not None else 0
-        )
-        if store is not None and hasattr(store, "sphere_heat"):
-            heat = store.sphere_heat()
-            top = sorted(
-                heat.items(), key=lambda pair: (-pair[1], pair[0])
-            )[:top_k]
-            sphere_heat[str(level)] = {
-                "total": int(sum(heat.values())),
-                "spheres": len(heat),
-                "top": [
-                    {
-                        "entry_id": entry_id,
-                        "heat": count,
-                        "peer": int(
-                            store.view(store.row_of(entry_id)).peer_id
-                        ),
-                    }
-                    for entry_id, count in top
-                ],
-            }
+        store = overlay.level_store
+        generations[str(level)] = int(store.generation)
+        heat = store.sphere_heat()
+        top = sorted(
+            heat.items(), key=lambda pair: (-pair[1], pair[0])
+        )[:top_k]
+        publishers = store.column_block(
+            [store.row_of(entry_id) for entry_id, __ in top]
+        ).peer_ids.tolist()
+        sphere_heat[str(level)] = {
+            "total": int(sum(heat.values())),
+            "spheres": len(heat),
+            "top": [
+                {"entry_id": entry_id, "heat": count, "peer": peer}
+                for (entry_id, count), peer in zip(
+                    top, publishers, strict=True
+                )
+            ],
+        }
         # Zone rows only exist where the overlay partitions the key space
         # into geometric zones (CAN); zoneless substrates (ring arcs,
         # tree ranges, XOR buckets) contribute no zone rows rather than
         # fabricated zero-volume ones. Per-peer aggregation below always
         # runs from the same per-node records, so peer rows and their
         # skew statistics stay complete on every backend.
-        has_zones = bool(getattr(overlay, "zone_geometry", False))
+        has_zones = overlay.zone_geometry
         for node_id in sorted(overlay.node_ids):
             node = overlay.node(node_id)
-            load = ledger.node_load(node_id)
-            zones = getattr(node, "zones", ())
             row = {
                 "level": str(level),
                 "node": node_id,
                 "peer": node_peer.get(node_id),
-                "zones": len(zones),
-                "volume": float(getattr(node, "volume", 0.0)),
-                "store_rows": int(getattr(node, "load", 0)),
+                "zones": len(node.zones) if has_zones else 0,
+                "volume": float(node.volume) if has_zones else 0.0,
+                "store_rows": node.load,
                 "energy": energy.node_energy(node_id),
-                **load.to_record(),
+                **ledger.node_load(node_id).to_record(),
             }
             if has_zones:
                 zone_rows.append(row)
@@ -283,11 +275,7 @@ def build_loadmap(network, *, top_k: int = 10) -> dict:
                 continue
             slot = peer_rows.setdefault(peer_id, {
                 "peer": peer_id,
-                "online": bool(
-                    getattr(
-                        network.peers.get(peer_id), "online", True
-                    )
-                ) if hasattr(network, "peers") else True,
+                "online": network.peers[peer_id].online,
                 "nodes": 0, "store_rows": 0, "energy": 0.0,
                 "msgs_in": 0, "msgs_out": 0,
                 "bytes_in": 0, "bytes_out": 0,

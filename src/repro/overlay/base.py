@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry.intersection import spheres_intersect
-from repro.index import LevelStore
+from repro.index import CandidateSet, LevelStore
 from repro.obs import registry as obs_registry
 from repro.utils.validation import check_positive, check_vector
 
@@ -95,14 +95,13 @@ class InsertReceipt:
 class RangeReceipt:
     """Accounting and results for one range query.
 
-    ``entries`` is a :class:`repro.index.CandidateSet` for store-backed
-    overlay range queries (row indices into the shared level store plus
-    the store generation at snapshot time) or a plain list of entries for
-    point lookups and legacy callers; both support iteration, indexing
-    and ``len``, yielding objects with ``key`` / ``radius`` / ``value``.
+    ``entries`` is always a :class:`repro.index.CandidateSet` — row
+    indices into the shared level store plus the store generation at
+    snapshot time — for ``range_query`` and ``lookup`` alike; read it
+    through ``columns()`` / ``values()`` / ``rows``.
     """
 
-    entries: object = field(default_factory=list)
+    entries: CandidateSet
     routing_hops: int = 0
     flood_hops: int = 0
     nodes_visited: list = field(default_factory=list)

@@ -100,12 +100,6 @@ class BatonNetwork(MortonOverlayBase):
 
     # -- membership -----------------------------------------------------------
 
-    def grow(self, n_nodes: int) -> list[int]:
-        """Add ``n_nodes`` nodes in level order."""
-        if n_nodes < 1:
-            raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
-        return [self.join() for __ in range(n_nodes)]
-
     def join(self) -> int:
         """Add one node at the next level-order tree slot.
 
@@ -120,9 +114,7 @@ class BatonNetwork(MortonOverlayBase):
         count = len(self._nodes)
         level, pos = self._next_free_slot()
         node = BatonNode(node_id, level, pos)
-        node.attach_store(self.level_store)
-        self._nodes[node_id] = node
-        self.fabric.register(node)
+        self._admit(node)
         self._by_position[(level, pos)] = node_id
 
         if count == 0:
@@ -146,7 +138,7 @@ class BatonNetwork(MortonOverlayBase):
                 key = store.key_of(row)
                 radius = store.radius_of(row)
                 return holder.owns(self.scalar_key(key)) or (
-                    radius > 0 and self._sphere_touches(key, radius, holder)
+                    radius > 0 and holder.node_id in self._cover(key, radius)
                 )
 
             parent_rows = parent.membership.rows()
@@ -158,13 +150,6 @@ class BatonNetwork(MortonOverlayBase):
             parent.membership.discard_many(released)
         self._rebuild_tables()
         return node_id
-
-    def _sphere_touches(self, key, radius: float, node: BatonNode) -> bool:
-        """Does the sphere's Morton interval cover touch the node's range?"""
-        for node_id in self._sphere_interval_nodes(key, radius):
-            if node_id == node.node_id:
-                return True
-        return False
 
     @staticmethod
     def _slot_for_index(index: int) -> tuple[int, int]:

@@ -6,13 +6,11 @@ import numpy as np
 
 from repro import runtime
 from repro.exceptions import EmptyNetworkError, OverlayError, ValidationError
-from repro.index import LevelStore
 from repro.net.messages import (
     HEADER_BYTES,
     MessageKind,
     vector_message_size,
 )
-from repro.net.network import Network
 from repro.overlay.base import (
     AdaptationPlane,
     InsertReceipt,
@@ -23,59 +21,37 @@ from repro.overlay.can.routing import flood, route_to_owner
 from repro.overlay.can.table import ZoneTable
 from repro.overlay.can.zone import Zone
 from repro.overlay.maintenance import StoreMaintenancePlane
-from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive, check_unit_cube, check_vector
 
 
 class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
     """A CAN overlay over the simulated MANET fabric.
 
-    Parameters
-    ----------
-    dimensionality:
-        Dimensionality ``m`` of the key space (the unit cube/torus).
-    fabric:
-        Shared :class:`repro.net.network.Network` for hop/energy accounting.
-        Multiple overlays (Hyper-M runs one per wavelet level) can share one
-        fabric so totals aggregate naturally.
-    rng:
-        Seed or generator driving random join points.
-    node_id_offset:
-        First node id to allocate — lets several overlays share a fabric
-        without id collisions.
+    Constructor parameters are the shared ones of
+    :class:`~repro.overlay.maintenance.StoreMaintenancePlane`; the key
+    space is the unit cube read as a torus, and ``rng`` drives the random
+    join points.
 
     Examples
     --------
     >>> can = CANNetwork(2, rng=0)
     >>> ids = can.grow(8)
     >>> receipt = can.insert(ids[0], [0.2, 0.7], "item")
-    >>> can.lookup(ids[3], [0.2, 0.7]).entries[0].value
-    'item'
+    >>> can.lookup(ids[3], [0.2, 0.7]).entries.values()
+    ['item']
     """
 
     #: CAN partitions the key space into geometric zones, so
     #: ``build_loadmap`` emits per-zone rows for it.
     zone_geometry = True
 
-    def __init__(
-        self,
-        dimensionality: int,
-        *,
-        fabric: Network | None = None,
-        rng=None,
-        node_id_offset: int = 0,
-    ):
-        if dimensionality < 1:
-            raise ValidationError(
-                f"dimensionality must be >= 1, got {dimensionality}"
-            )
-        self._dim = int(dimensionality)
-        self.fabric = fabric if fabric is not None else Network()
-        self._rng = ensure_rng(rng)
-        self._nodes: dict[int, CANNode] = {}
-        self._next_id = int(node_id_offset)
-        #: The shared columnar index for this overlay (one per level).
-        self.level_store = LevelStore(self._dim)
+    def __init__(self, dimensionality, *, fabric=None, rng=None, node_id_offset=0):
+        super().__init__(
+            dimensionality,
+            fabric=fabric,
+            rng=rng,
+            node_id_offset=node_id_offset,
+        )
         #: Every zone as array rows (see :meth:`zone_table`); ``None``
         #: until first asked for and again after any topology mutation.
         self._zone_table: ZoneTable | None = None
@@ -85,41 +61,23 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         #: keeps the historical, adaptation-free behaviour bit-identical.
         self.route_penalty = None
 
-    # -- Overlay interface ----------------------------------------------------
-
-    @property
-    def dimensionality(self) -> int:
-        """Dimensionality of the key space."""
-        return self._dim
-
-    @property
-    def node_ids(self) -> list[int]:
-        """Ids of all member nodes."""
-        return list(self._nodes)
-
-    def node(self, node_id: int) -> CANNode:
-        """Look up a member node."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise ValidationError(f"unknown CAN node {node_id}") from None
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def zone_table(self) -> ZoneTable:
         """The current zones as one table, built on first use."""
         if self._zone_table is None:
             self._zone_table = ZoneTable(self._nodes)
         return self._zone_table
 
-    # -- membership -----------------------------------------------------------
+    # -- backend hooks ----------------------------------------------------------
 
-    def grow(self, n_nodes: int) -> list[int]:
-        """Add ``n_nodes`` nodes (bootstrapping if empty); returns their ids."""
-        if n_nodes < 1:
-            raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
-        return [self.join() for _ in range(n_nodes)]
+    def _locate(self, origin: int, point: np.ndarray) -> tuple[int, list[int]]:
+        """Greedy torus routing (with backtracking) to ``point``'s zone owner."""
+        return route_to_owner(self, origin, point, penalty=self.route_penalty)
+
+    def _cover(self, center: np.ndarray, radius: float) -> set[int]:
+        """Ids of the nodes with a zone meeting the (Euclidean) ball."""
+        return self.zone_table().meeting(center, radius)
+
+    # -- membership -----------------------------------------------------------
 
     def join(self, point: np.ndarray | None = None) -> int:
         """Add one node owning the zone containing ``point`` (random default).
@@ -144,14 +102,11 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         )
         entry_id = int(self._rng.choice(list(self._nodes)))
         with runtime.current.flight.operation("join", node=node_id):
-            owner_id, path = route_to_owner(
-                self, entry_id, point, penalty=self.route_penalty
+            owner_id, path = self._locate(entry_id, point)
+            self._charge_route(
+                entry_id, path, MessageKind.JOIN,
+                vector_message_size(self._dim),
             )
-            size = vector_message_size(self._dim)
-            prev = entry_id
-            for hop_id in path:
-                self.fabric.transmit(prev, hop_id, MessageKind.JOIN, size)
-                prev = hop_id
             self.fabric.finish_operation(MessageKind.JOIN, len(path))
 
         owner = self.node(owner_id)
@@ -174,10 +129,8 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         return node_id
 
     def _admit(self, node: CANNode) -> None:
-        """Make ``node`` a member: shared store, fabric, a fresh zone table."""
-        node.attach_store(self.level_store)
-        self._nodes[node.node_id] = node
-        self.fabric.register(node)
+        """Make ``node`` a member; its zones invalidate the zone table."""
+        super()._admit(node)
         self._zone_table = None
 
     def _handoff_state(self, owner: CANNode, new_node: CANNode) -> None:
@@ -463,14 +416,11 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         key = check_unit_cube(check_vector(key, "key", dim=self._dim), "key")
         check_positive(radius, "radius", strict=False)
         with runtime.current.flight.operation("insert", origin=origin):
-            owner_id, path = route_to_owner(
-                self, origin, key, penalty=self.route_penalty
+            owner_id, path = self._locate(origin, key)
+            self._charge_route(
+                origin, path, MessageKind.INSERT,
+                vector_message_size(self._dim, scalars=2),
             )
-            size = vector_message_size(self._dim, scalars=2)
-            prev = origin
-            for hop_id in path:
-                self.fabric.transmit(prev, hop_id, MessageKind.INSERT, size)
-                prev = hop_id
             row = self.level_store.add(key, float(radius), value)
             self.node(owner_id).add_row(row)
             replicas: list[int] = []
@@ -515,22 +465,9 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         return shed_replication(self, row)
 
     def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
-        """Point query: entries at the owner of ``key`` whose spheres contain it."""
-        key = check_vector(key, "key", dim=self._dim)
+        """The shared point query, recorded as one flight operation."""
         with runtime.current.flight.operation("lookup", origin=origin):
-            owner_id, path = route_to_owner(
-                self, origin, key, penalty=self.route_penalty
-            )
-            size = vector_message_size(self._dim)
-            prev = origin
-            for hop_id in path:
-                self.fabric.transmit(prev, hop_id, MessageKind.LOOKUP, size)
-                prev = hop_id
-            entries = self.node(owner_id).entries_intersecting(key, 0.0)
-            self.fabric.finish_operation(MessageKind.LOOKUP, len(path))
-        return RangeReceipt(
-            entries=entries, routing_hops=len(path), nodes_visited=[owner_id]
-        )
+            return super().lookup(origin, key)
 
     #: Engines may hand this overlay a precomputed store-wide mask.
     supports_premask = True
@@ -558,24 +495,18 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         with runtime.current.flight.operation(
             "range_query", origin=origin
         ) as flight_op:
-            owner_id, path = route_to_owner(
-                self, origin, center, penalty=self.route_penalty
-            )
+            owner_id, path = self._locate(origin, center)
             size = vector_message_size(self._dim, scalars=1)
-            prev = origin
-            for hop_id in path:
-                self.fabric.transmit(
-                    prev, hop_id, MessageKind.RANGE_QUERY, size
-                )
-                prev = hop_id
+            self._charge_route(origin, path, MessageKind.RANGE_QUERY, size)
 
             # One store-wide intersection pass per query; each visited node
             # then filters its membership with a boolean gather.
             if mask is None:
                 mask = self.level_store.intersection_mask(center, radius)
             order = [owner_id]
-            meets = self.zone_table().meeting(center, radius)
-            for sender_id, neighbor_id in flood(self, [owner_id], meets):
+            for sender_id, neighbor_id in flood(
+                self, [owner_id], self._cover(center, radius)
+            ):
                 self.fabric.transmit(
                     sender_id, neighbor_id, MessageKind.RANGE_QUERY, size
                 )
@@ -603,10 +534,6 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         )
 
     # -- introspection ----------------------------------------------------------
-
-    def loads(self) -> dict[int, int]:
-        """Stored-entry count per node (Figure 9's distribution metric)."""
-        return {node_id: node.load for node_id, node in self._nodes.items()}
 
     def zones(self) -> dict[int, Zone]:
         """Zone per node (single-zone nodes; see :meth:`all_zones`)."""

@@ -30,7 +30,7 @@ class CANNode(SimNode, StoreBackedNode):
     membership:
         Row indices (into the overlay's shared level store) of the entries
         this node holds: everything whose key falls in (or whose sphere
-        overlaps) its zones. The legacy ``store`` property views them.
+        overlaps) its zones.
     """
 
     def __init__(self, node_id: int, zone: Zone):
@@ -96,4 +96,4 @@ class CANNode(SimNode, StoreBackedNode):
 
     # -- storage --------------------------------------------------------------
     # Inherited from StoreBackedNode: membership rows into the overlay's
-    # shared level store, plus the legacy entry-view surface.
+    # shared level store.

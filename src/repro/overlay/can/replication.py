@@ -25,9 +25,9 @@ def _spread_row(network, row: int, holder_ids) -> list[int]:
     store = network.level_store
     key = store.key_of(row)
     size = vector_message_size(key.shape[0], scalars=2)
-    meets = network.zone_table().meeting(key, store.radius_of(row))
+    cover = network._cover(key, store.radius_of(row))
     added: list[int] = []
-    for sender_id, neighbor_id in flood(network, holder_ids, meets):
+    for sender_id, neighbor_id in flood(network, holder_ids, cover):
         network.fabric.transmit(
             sender_id, neighbor_id, MessageKind.REPLICATE, size
         )

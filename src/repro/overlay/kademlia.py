@@ -20,8 +20,11 @@ keeps Theorem 4.1 completeness: any point of a query/entry intersection
 lies in a cell covered by *both* bounding boxes, so the cell's owner
 holds the entry and is visited by the query.
 
-The backend implements the full capability contract: the shared
-:class:`~repro.overlay.maintenance.StoreMaintenancePlane` plus
+The data plane is the shared one of
+:class:`~repro.overlay.maintenance.StoreMaintenancePlane`; this module
+supplies its hooks (``_locate`` = the iterative lookup, ``_cover`` = the
+covering cells' owners, and a star-shaped ``_charge_route``: the origin
+sends every probe itself), the range walk, and
 :class:`~repro.overlay.base.AdaptationPlane` (XOR-nearest hot-owner
 offload, load-ranked replication boost/shed).
 """
@@ -32,18 +35,12 @@ import numpy as np
 
 from repro import runtime
 from repro.exceptions import EmptyNetworkError, ValidationError
-from repro.index import LevelStore
 from repro.net.messages import (
     HEADER_BYTES,
     MessageKind,
     vector_message_size,
 )
-from repro.net.network import Network
-from repro.overlay.base import (
-    AdaptationPlane,
-    InsertReceipt,
-    RangeReceipt,
-)
+from repro.overlay.base import AdaptationPlane, RangeReceipt
 from repro.overlay.maintenance import StoreMaintenancePlane
 from repro.overlay.morton import (
     MortonNode,
@@ -51,8 +48,7 @@ from repro.overlay.morton import (
     covering_intervals,
     morton_code,
 )
-from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_positive, check_unit_cube, check_vector
+from repro.utils.validation import check_positive, check_vector
 
 #: Maximum contacts per k-bucket (Kademlia's ``k``).
 K_BUCKET_SIZE = 20
@@ -74,30 +70,20 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
     >>> kad = KademliaNetwork(2, rng=0)
     >>> ids = kad.grow(8)
     >>> receipt = kad.insert(ids[0], [0.2, 0.7], "item")
-    >>> kad.lookup(ids[3], [0.2, 0.7]).entries[0].value
-    'item'
+    >>> kad.lookup(ids[3], [0.2, 0.7]).entries.values()
+    ['item']
     """
 
-    def __init__(
-        self,
-        dimensionality: int,
-        *,
-        fabric: Network | None = None,
-        rng=None,
-        node_id_offset: int = 0,
-    ):
-        if dimensionality < 1:
-            raise ValidationError(
-                f"dimensionality must be >= 1, got {dimensionality}"
-            )
-        self._dim = int(dimensionality)
+    def __init__(self, dimensionality, *, fabric=None, rng=None, node_id_offset=0):
+        super().__init__(
+            dimensionality,
+            fabric=fabric,
+            rng=rng,
+            node_id_offset=node_id_offset,
+        )
         self._bits = bits_per_dim(self._dim)
         self._key_bits = self._dim * self._bits
         self._key_space = 1 << self._key_bits
-        self.fabric = fabric if fabric is not None else Network()
-        self._rng = ensure_rng(rng)
-        self._nodes: dict[int, MortonNode] = {}
-        self._next_id = int(node_id_offset)
         #: ``node_id -> B-bit Kademlia id`` (distinct across members).
         self._kad_ids: dict[int, int] = {}
         #: Per-node routing table: ``node_id -> [bucket 0 … bucket B-1]``,
@@ -108,32 +94,6 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
         #: modelled, same as the other backends' link tables).
         self._buckets: dict[int, list[list[int]]] = {}
         self._contacts: dict[int, list[int]] = {}
-        #: The shared columnar index for this overlay (one per level).
-        self.level_store = LevelStore(self._dim)
-
-    # -- Overlay interface ----------------------------------------------------
-
-    @property
-    def dimensionality(self) -> int:
-        """Dimensionality of the original key space."""
-        return self._dim
-
-    @property
-    def node_ids(self) -> list[int]:
-        """Ids of all member nodes."""
-        return list(self._nodes)
-
-    def node(self, node_id: int) -> MortonNode:
-        """Look up a member node."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise ValidationError(
-                f"unknown Kademlia node {node_id}"
-            ) from None
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
     def kad_id(self, node_id: int) -> int:
         """The ``B``-bit Kademlia id of a member node."""
@@ -146,12 +106,6 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
         return [list(bucket) for bucket in self._buckets[node_id]]
 
     # -- membership -----------------------------------------------------------
-
-    def grow(self, n_nodes: int) -> list[int]:
-        """Add ``n_nodes`` nodes (bootstrapping if empty); returns their ids."""
-        if n_nodes < 1:
-            raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
-        return [self.join() for __ in range(n_nodes)]
 
     def join(self) -> int:
         """Add one node under a fresh random Kademlia id.
@@ -169,18 +123,16 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
             kad = int(self._rng.integers(self._key_space))
             if kad not in self._kad_ids.values():
                 break
-        node = MortonNode(node_id)
-        node.attach_store(self.level_store)
         bootstrap = None
         if self._nodes:
             bootstrap = int(self._rng.choice(list(self._nodes)))
-        self._nodes[node_id] = node
+        node = MortonNode(node_id)
+        self._admit(node)
         self._kad_ids[node_id] = kad
-        self.fabric.register(node)
         self._rebuild_tables()
         if bootstrap is not None:
             __, probes = self._iterative_lookup(bootstrap, kad)
-            self._charge_probes(
+            self._charge_route(
                 bootstrap, probes, MessageKind.JOIN,
                 vector_message_size(self._dim),
             )
@@ -295,9 +247,7 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
         rec(0, 0, list(kad))
         return out
 
-    def _sphere_cell_owners(
-        self, key: np.ndarray, radius: float
-    ) -> list[int]:
+    def _cover(self, key: np.ndarray, radius: float) -> list[int]:
         """Owners of all Morton cells covering the sphere's bounding box."""
         lows = np.clip(key - radius, 0.0, 1.0)
         highs = np.clip(key + radius, 0.0, 1.0)
@@ -325,7 +275,7 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
         radius = store.radius_of(row)
         targets = {self._owner_of_code(morton_code(key, self._bits))}
         if radius > 0.0:
-            targets.update(self._sphere_cell_owners(key, radius))
+            targets.update(self._cover(key, radius))
         return targets
 
     # -- iterative routing ------------------------------------------------------
@@ -384,63 +334,18 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
             owner = true_owner
         return owner, probes
 
-    def _charge_probes(
-        self, origin: int, probes: list[int], kind, size: int
+    def _locate(self, origin: int, point: np.ndarray) -> tuple[int, list[int]]:
+        """Iterative lookup of the XOR owner of ``point``'s Morton code."""
+        return self._iterative_lookup(origin, morton_code(point, self._bits))
+
+    def _charge_route(
+        self, origin: int, hops: list[int], kind: MessageKind, size: int
     ) -> None:
-        for target in probes:
+        """A star, not a chain: the origin sends every probe itself."""
+        for target in hops:
             self.fabric.transmit(origin, target, kind, size)
 
-    # -- data plane -------------------------------------------------------------
-
-    def insert(
-        self, origin: int, key: np.ndarray, value: object, *, radius: float = 0.0
-    ) -> InsertReceipt:
-        """Publish an entry at the XOR owner of its Morton code.
-
-        Spheres replicate to the owner of every Morton cell covering
-        their bounding box (the XOR analogue of Figure 6 replication);
-        replication is multi-membership of one shared store row.
-        """
-        key = check_unit_cube(check_vector(key, "key", dim=self._dim), "key")
-        check_positive(radius, "radius", strict=False)
-        code = morton_code(key, self._bits)
-        owner_id, probes = self._iterative_lookup(origin, code)
-        size = vector_message_size(self._dim, scalars=2)
-        self._charge_probes(origin, probes, MessageKind.INSERT, size)
-        row = self.level_store.add(key, float(radius), value)
-        self.node(owner_id).add_row(row)
-        replicas = 0
-        if radius > 0.0:
-            for node_id in self._sphere_cell_owners(key, radius):
-                if node_id == owner_id:
-                    continue
-                self.fabric.transmit(
-                    owner_id, node_id, MessageKind.REPLICATE, size
-                )
-                self.node(node_id).add_row(row)
-                replicas += 1
-        receipt = InsertReceipt(
-            owner=owner_id, routing_hops=len(probes), replicas=replicas
-        )
-        self.fabric.finish_operation(MessageKind.INSERT, receipt.total_hops)
-        return receipt
-
-    def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
-        """Point query at the XOR owner of ``key``'s Morton code."""
-        key = check_vector(key, "key", dim=self._dim)
-        code = morton_code(np.clip(key, 0.0, 1.0), self._bits)
-        owner_id, probes = self._iterative_lookup(origin, code)
-        self._charge_probes(
-            origin, probes, MessageKind.LOOKUP,
-            vector_message_size(self._dim),
-        )
-        entries = self.node(owner_id).entries_intersecting(key, 0.0)
-        self.fabric.finish_operation(MessageKind.LOOKUP, len(probes))
-        return RangeReceipt(
-            entries=entries,
-            routing_hops=len(probes),
-            nodes_visited=[owner_id],
-        )
+    # -- range walk --------------------------------------------------------------
 
     def range_query(
         self, origin: int, center: np.ndarray, radius: float
@@ -455,9 +360,7 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
         center = check_vector(center, "center", dim=self._dim)
         check_positive(radius, "radius", strict=False)
         size = vector_message_size(self._dim, scalars=1)
-        targets = self._sphere_cell_owners(
-            np.clip(center, 0.0, 1.0), radius
-        )
+        targets = self._cover(np.clip(center, 0.0, 1.0), radius)
         mask = self.level_store.intersection_mask(center, radius)
         row_arrays: list[np.ndarray] = []
         visited: list[int] = []
@@ -466,7 +369,7 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
             __, probes = self._iterative_lookup(
                 origin, self._kad_ids[node_id]
             )
-            self._charge_probes(
+            self._charge_route(
                 origin, probes, MessageKind.RANGE_QUERY, size
             )
             routing_hops += len(probes)
@@ -479,27 +382,6 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
             flood_hops=0,
             nodes_visited=visited,
         )
-
-    # -- maintenance plane -------------------------------------------------------
-
-    def extend_replication(self, row: int, holder_ids) -> list[int]:
-        """Replicate a grown row to newly covered XOR cell owners."""
-        store = self.level_store
-        key = np.clip(store.key_of(row), 0.0, 1.0)
-        radius = store.radius_of(row)
-        holders = set(holder_ids)
-        source = min(holders)
-        size = vector_message_size(self._dim, scalars=2)
-        added: list[int] = []
-        for node_id in self._sphere_cell_owners(key, radius):
-            if node_id in holders:
-                continue
-            self.fabric.transmit(
-                source, node_id, MessageKind.REPLICATE, size
-            )
-            self.node(node_id).add_row(row)
-            added.append(node_id)
-        return added
 
     # -- adaptation plane --------------------------------------------------------
 
@@ -618,7 +500,3 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
         for node in self._nodes.values():
             rows.update(node.membership.rows())
         return sorted(rows)
-
-    def loads(self) -> dict[int, int]:
-        """Stored-entry count per node."""
-        return {node_id: node.load for node_id, node in self._nodes.items()}

@@ -16,16 +16,13 @@ import bisect
 
 import numpy as np
 
-from repro.exceptions import EmptyNetworkError, ValidationError
-from repro.index import LevelStore
+from repro.exceptions import EmptyNetworkError
 from repro.net.messages import MessageKind, vector_message_size
-from repro.net.network import Network
 from repro.net.node import SimNode
-from repro.overlay.base import InsertReceipt, RangeReceipt
+from repro.overlay.base import RangeReceipt
 from repro.overlay.maintenance import StoreMaintenancePlane
 from repro.overlay.storage import StoreBackedNode
-from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_positive, check_unit_cube, check_vector
+from repro.utils.validation import check_positive, check_vector
 
 
 def bits_per_dim(dimensionality: int) -> int:
@@ -123,42 +120,27 @@ class MortonNode(SimNode, StoreBackedNode):
         self._init_storage()
 
 
-class MortonOverlayBase(StoreMaintenancePlane, abc.ABC):
-    """Insert/lookup/range-query logic over any Morton-ordered partition.
+class MortonOverlayBase(StoreMaintenancePlane):
+    """The backend hooks and range walk of any Morton-ordered partition.
 
-    Subclasses supply:
+    Ownership is by scalar Morton key, a sphere's cover is the owners of
+    its bounding box's covering intervals, and a range query routes to
+    each of them. Subclasses supply:
 
     * :meth:`_route` — the overlay's routing algorithm;
     * :meth:`_range_starts` — the current partition of ``[0, 1)`` as a
       sorted list of ``(start, node_id)`` pairs (node owns from its start
       to the next node's).
-
-    The shared :class:`~repro.overlay.maintenance.StoreMaintenancePlane`
-    makes every Morton-ordered backend delta-publish-capable;
-    :meth:`extend_replication` below completes that plane with interval
-    geometry.
     """
 
-    def __init__(
-        self,
-        dimensionality: int,
-        *,
-        fabric: Network | None = None,
-        rng=None,
-        node_id_offset: int = 0,
-    ):
-        if dimensionality < 1:
-            raise ValidationError(
-                f"dimensionality must be >= 1, got {dimensionality}"
-            )
-        self._dim = int(dimensionality)
+    def __init__(self, dimensionality, *, fabric=None, rng=None, node_id_offset=0):
+        super().__init__(
+            dimensionality,
+            fabric=fabric,
+            rng=rng,
+            node_id_offset=node_id_offset,
+        )
         self._bits = bits_per_dim(self._dim)
-        self.fabric = fabric if fabric is not None else Network()
-        self._rng = ensure_rng(rng)
-        self._nodes: dict[int, MortonNode] = {}
-        self._next_id = int(node_id_offset)
-        #: The shared columnar index for this overlay (one per level).
-        self.level_store = LevelStore(self._dim)
 
     # -- abstract hooks ---------------------------------------------------
 
@@ -172,37 +154,13 @@ class MortonOverlayBase(StoreMaintenancePlane, abc.ABC):
 
     # -- shared plumbing -----------------------------------------------------
 
-    @property
-    def dimensionality(self) -> int:
-        """Dimensionality of the original key space."""
-        return self._dim
-
-    @property
-    def node_ids(self) -> list[int]:
-        """Ids of all member nodes."""
-        return list(self._nodes)
-
-    def node(self, node_id: int) -> MortonNode:
-        """Look up a member node."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise ValidationError(
-                f"unknown {type(self).__name__} node {node_id}"
-            ) from None
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def scalar_key(self, point: np.ndarray) -> float:
         """The Morton key of a unit-cube point at this overlay's resolution."""
         return morton_key(point, self._bits)
 
-    def _charge_path(self, origin: int, path: list[int], kind, size: int) -> None:
-        prev = origin
-        for hop_id in path:
-            self.fabric.transmit(prev, hop_id, kind, size)
-            prev = hop_id
+    def _locate(self, origin: int, point: np.ndarray) -> tuple[int, list[int]]:
+        """Route to the owner of ``point``'s Morton key."""
+        return self._route(origin, self.scalar_key(point))
 
     def _interval_owner_ids(self, lo: float, hi: float) -> list[int]:
         """Ids of nodes whose ranges overlap the key interval ``[lo, hi)``."""
@@ -220,9 +178,7 @@ class MortonOverlayBase(StoreMaintenancePlane, abc.ABC):
             owners.append(ids[idx])
         return owners
 
-    def _sphere_interval_nodes(
-        self, key: np.ndarray, radius: float
-    ) -> list[int]:
+    def _cover(self, key: np.ndarray, radius: float) -> list[int]:
         """Ids of all nodes owning Morton intervals covering the sphere's box."""
         lows = np.clip(key - radius, 0.0, 1.0)
         highs = np.clip(key + radius, 0.0, 1.0)
@@ -235,51 +191,7 @@ class MortonOverlayBase(StoreMaintenancePlane, abc.ABC):
                     owners.append(node_id)
         return owners
 
-    # -- data plane -------------------------------------------------------------
-
-    def insert(
-        self, origin: int, key: np.ndarray, value: object, *, radius: float = 0.0
-    ) -> InsertReceipt:
-        """Publish an entry; spheres replicate across their Morton cover.
-
-        The entry becomes one row of the shared level store; replication
-        is multi-membership of that row at every covering node.
-        """
-        key = check_unit_cube(check_vector(key, "key", dim=self._dim), "key")
-        check_positive(radius, "radius", strict=False)
-        owner_id, path = self._route(origin, self.scalar_key(key))
-        size = vector_message_size(self._dim, scalars=2)
-        self._charge_path(origin, path, MessageKind.INSERT, size)
-        row = self.level_store.add(key, float(radius), value)
-        self.node(owner_id).add_row(row)
-        replicas = 0
-        if radius > 0.0:
-            for node_id in self._sphere_interval_nodes(key, radius):
-                if node_id == owner_id:
-                    continue
-                self.fabric.transmit(
-                    owner_id, node_id, MessageKind.REPLICATE, size
-                )
-                self.node(node_id).add_row(row)
-                replicas += 1
-        receipt = InsertReceipt(
-            owner=owner_id, routing_hops=len(path), replicas=replicas
-        )
-        self.fabric.finish_operation(MessageKind.INSERT, receipt.total_hops)
-        return receipt
-
-    def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
-        """Point query at the Morton owner of ``key``."""
-        key = check_vector(key, "key", dim=self._dim)
-        owner_id, path = self._route(origin, self.scalar_key(key))
-        self._charge_path(
-            origin, path, MessageKind.LOOKUP, vector_message_size(self._dim)
-        )
-        entries = self.node(owner_id).entries_intersecting(key, 0.0)
-        self.fabric.finish_operation(MessageKind.LOOKUP, len(path))
-        return RangeReceipt(
-            entries=entries, routing_hops=len(path), nodes_visited=[owner_id]
-        )
+    # -- range walk --------------------------------------------------------------
 
     def range_query(
         self, origin: int, center: np.ndarray, radius: float
@@ -288,9 +200,7 @@ class MortonOverlayBase(StoreMaintenancePlane, abc.ABC):
         center = check_vector(center, "center", dim=self._dim)
         check_positive(radius, "radius", strict=False)
         size = vector_message_size(self._dim, scalars=1)
-        targets = self._sphere_interval_nodes(
-            np.clip(center, 0.0, 1.0), radius
-        )
+        targets = self._cover(np.clip(center, 0.0, 1.0), radius)
         # One store-wide intersection pass per query; each visited node
         # then filters its membership with a boolean gather.
         mask = self.level_store.intersection_mask(center, radius)
@@ -299,7 +209,7 @@ class MortonOverlayBase(StoreMaintenancePlane, abc.ABC):
         routing_hops = 0
         for node_id in targets:
             __, path = self._route(origin, self._node_start_key(node_id))
-            self._charge_path(origin, path, MessageKind.RANGE_QUERY, size)
+            self._charge_route(origin, path, MessageKind.RANGE_QUERY, size)
             routing_hops += len(path)
             visited.append(node_id)
             row_arrays.append(self.node(node_id).rows_matching(mask))
@@ -315,37 +225,3 @@ class MortonOverlayBase(StoreMaintenancePlane, abc.ABC):
         """The start of ``node_id``'s range (a key that routes to it)."""
         starts, ids = self._range_starts()
         return starts[ids.index(node_id)]
-
-    # -- maintenance plane -------------------------------------------------------
-
-    def extend_replication(self, row: int, holder_ids) -> list[int]:
-        """Replicate a grown row to newly covered Morton-interval owners.
-
-        Recomputes the sphere's interval cover at its post-growth radius
-        and sends one ``REPLICATE`` message (key + radius + payload
-        scalars, same size as insert-time replication) from the
-        lowest-id current holder to every covering node not yet holding
-        the row. Existing holders keep their copies untouched.
-        """
-        store = self.level_store
-        key = store.key_of(row)
-        radius = store.radius_of(row)
-        holders = set(holder_ids)
-        source = min(holders)
-        size = vector_message_size(self._dim, scalars=2)
-        added: list[int] = []
-        for node_id in self._sphere_interval_nodes(
-            np.clip(key, 0.0, 1.0), radius
-        ):
-            if node_id in holders:
-                continue
-            self.fabric.transmit(source, node_id, MessageKind.REPLICATE, size)
-            self.node(node_id).add_row(row)
-            added.append(node_id)
-        return added
-
-    # -- introspection -----------------------------------------------------------
-
-    def loads(self) -> dict[int, int]:
-        """Stored-entry count per node."""
-        return {node_id: node.load for node_id, node in self._nodes.items()}

@@ -20,14 +20,13 @@ import bisect
 
 import numpy as np
 
-from repro.exceptions import RoutingError
+from repro.exceptions import EmptyNetworkError, RoutingError
 from repro.overlay.morton import (
     MortonNode,
     MortonOverlayBase,
     covering_intervals,  # noqa: F401  (re-exported: part of the public API)
     morton_key,  # noqa: F401  (re-exported)
 )
-from repro.utils.validation import check_positive  # noqa: F401
 
 
 class RingNode(MortonNode):
@@ -72,23 +71,12 @@ class RingNetwork(MortonOverlayBase):
             position = float(self._rng.random())
             while position in self._positions:  # pragma: no cover
                 position = float(self._rng.random())
-        node = RingNode(node_id, position)
-        node.attach_store(self.level_store)
-        self._nodes[node_id] = node
-        self.fabric.register(node)
+        self._admit(RingNode(node_id, position))
         at = bisect.bisect_left(self._positions, position)
         self._positions.insert(at, position)
         self._ids_by_position.insert(at, node_id)
         self._rebuild_fingers()
         return node_id
-
-    def grow(self, n_nodes: int) -> list[int]:
-        """Add ``n_nodes`` nodes at random ring positions."""
-        from repro.exceptions import ValidationError
-
-        if n_nodes < 1:
-            raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
-        return [self.join() for __ in range(n_nodes)]
 
     def leave(self, node_id: int) -> None:
         """Gracefully remove ``node_id``: its predecessor absorbs its arc.
@@ -131,8 +119,6 @@ class RingNetwork(MortonOverlayBase):
 
     def _owner_at(self, key: float) -> int:
         """Node owning ring position ``key`` (arc starts at node position)."""
-        from repro.exceptions import EmptyNetworkError
-
         if not self._positions:
             raise EmptyNetworkError("ring has no nodes")
         at = bisect.bisect_right(self._positions, key) - 1

@@ -1,17 +1,14 @@
 """Store-backed node storage: the bridge between nodes and the level store.
 
-Overlay nodes no longer own ``list[StoredEntry]`` objects. Each node holds
-a :class:`repro.index.NodeMembership` — a set of row indices into the
+An overlay node owns no entry objects. It holds a
+:class:`repro.index.NodeMembership` — a set of row indices into the
 overlay's shared :class:`repro.index.LevelStore` — and this mixin provides
-the storage surface every overlay node class shares:
-
-* row-level operations (``add_row`` / ``absorb_rows`` /
-  ``rows_intersecting``) used by the overlay protocols, where node-local
-  filtering is one vectorized ``spheres_intersect_batch`` call over the
-  node's row slice;
-* the entry-view surface (``store`` / ``entries_intersecting``) that
-  point lookups and the load-weight experiment read, returning
-  :class:`repro.index.StoredEntryView` objects.
+the row-level storage surface every overlay node class shares
+(``add_row`` / ``absorb_rows`` / ``rows_intersecting`` /
+``rows_matching``), where node-local filtering is one vectorized
+``spheres_intersect_batch`` call over the node's row slice. Whatever else
+a caller wants of a held entry it reads from the store by row
+(``key_of`` / ``radius_of`` / ``value_of`` / ``items_of``).
 
 Nodes constructed inside an overlay are attached to the overlay's shared
 store via :meth:`attach_store`; a node holds nothing before that.
@@ -22,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import OverlayError
-from repro.index import LevelStore, NodeMembership, StoredEntryView
+from repro.index import LevelStore, NodeMembership
 
 
 class StoreBackedNode:
@@ -79,27 +76,6 @@ class StoreBackedNode:
         if self.membership is None or not len(self.membership):
             return np.empty(0, dtype=np.int64)
         return self.membership.rows_matching(mask)
-
-    # -- entry-view surface ------------------------------------------------------
-
-    @property
-    def store(self) -> list[StoredEntryView]:
-        """Held entries as read views."""
-        if self.membership is None:
-            return []
-        return self.membership.entries()
-
-    def entries_intersecting(self, center, radius) -> list[StoredEntryView]:
-        """Held entries whose spheres intersect the query sphere, as views."""
-        if self.membership is None:
-            return []
-        store = self._level_store
-        return [
-            StoredEntryView(store, int(row))
-            for row in self.rows_intersecting(
-                np.asarray(center, dtype=np.float64), radius
-            )
-        ]
 
     @property
     def load(self) -> int:

@@ -30,15 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import EmptyNetworkError, RoutingError, ValidationError
-from repro.index import LevelStore
 from repro.net.messages import MessageKind, vector_message_size
-from repro.net.network import Network
-from repro.overlay.base import InsertReceipt, RangeReceipt
+from repro.overlay.base import RangeReceipt
 from repro.overlay.can.zone import Zone
 from repro.overlay.maintenance import StoreMaintenancePlane
 from repro.overlay.morton import MortonNode
-from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_positive, check_unit_cube, check_vector
+from repro.utils.validation import check_positive, check_vector
 
 
 class VBILeaf(MortonNode):
@@ -73,56 +70,16 @@ class VBITree(StoreMaintenancePlane):
     sibling is internal), mirroring the protocol used for BATON.
     """
 
-    def __init__(
-        self,
-        dimensionality: int,
-        *,
-        fabric: Network | None = None,
-        rng=None,
-        node_id_offset: int = 0,
-    ):
-        if dimensionality < 1:
-            raise ValidationError(
-                f"dimensionality must be >= 1, got {dimensionality}"
-            )
-        self._dim = int(dimensionality)
-        self.fabric = fabric if fabric is not None else Network()
-        self._rng = ensure_rng(rng)
-        self._nodes: dict[int, VBILeaf] = {}
-        self._next_id = int(node_id_offset)
+    def __init__(self, dimensionality, *, fabric=None, rng=None, node_id_offset=0):
+        super().__init__(
+            dimensionality,
+            fabric=fabric,
+            rng=rng,
+            node_id_offset=node_id_offset,
+        )
         self._tree: dict[int, _VirtualNode] = {}
-        #: The shared columnar index for this overlay (one per level).
-        self.level_store = LevelStore(self._dim)
-
-    # -- Overlay interface ----------------------------------------------------
-
-    @property
-    def dimensionality(self) -> int:
-        """Dimensionality of the key space."""
-        return self._dim
-
-    @property
-    def node_ids(self) -> list[int]:
-        """Ids of all member peers."""
-        return list(self._nodes)
-
-    def node(self, node_id: int) -> VBILeaf:
-        """Look up a member peer."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise ValidationError(f"unknown VBI node {node_id}") from None
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
     # -- membership -----------------------------------------------------------
-
-    def grow(self, n_nodes: int) -> list[int]:
-        """Add ``n_nodes`` peers; returns their ids."""
-        if n_nodes < 1:
-            raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
-        return [self.join() for __ in range(n_nodes)]
 
     def join(self) -> int:
         """Add one peer by splitting the largest (shallowest) leaf region."""
@@ -130,10 +87,7 @@ class VBITree(StoreMaintenancePlane):
         self._next_id += 1
         if not self._nodes:
             leaf = VBILeaf(node_id, Zone.full(self._dim))
-            leaf.attach_store(self.level_store)
-            leaf.tree_index = 0
-            self._nodes[node_id] = leaf
-            self.fabric.register(leaf)
+            self._admit(leaf)
             self._tree[0] = _VirtualNode(
                 region=leaf.region, leaf_id=node_id, manager_id=node_id
             )
@@ -150,9 +104,7 @@ class VBITree(StoreMaintenancePlane):
         left_region, right_region = parent_vn.region.split(split_dim)
 
         new_leaf = VBILeaf(node_id, right_region)
-        new_leaf.attach_store(self.level_store)
-        self._nodes[node_id] = new_leaf
-        self.fabric.register(new_leaf)
+        self._admit(new_leaf)
         old_leaf.region = left_region
 
         left_index, right_index = 2 * target_index + 1, 2 * target_index + 2
@@ -278,7 +230,7 @@ class VBITree(StoreMaintenancePlane):
 
     # -- routing ----------------------------------------------------------------
 
-    def _route(self, start_id: int, point: np.ndarray) -> tuple[int, list[int]]:
+    def _locate(self, start_id: int, point: np.ndarray) -> tuple[int, list[int]]:
         """Climb to the lowest covering ancestor, then descend.
 
         Each step moves between *managing peers*; consecutive virtual
@@ -324,51 +276,7 @@ class VBITree(StoreMaintenancePlane):
         hop_to(owner)
         return owner, path
 
-    # -- data plane ----------------------------------------------------------------
-
-    def insert(
-        self, origin: int, key: np.ndarray, value: object, *, radius: float = 0.0
-    ) -> InsertReceipt:
-        """Publish an entry; spheres replicate to every intersecting leaf.
-
-        The entry becomes one row of the shared level store; replication
-        is multi-membership of that row at every intersecting leaf.
-        """
-        key = check_unit_cube(check_vector(key, "key", dim=self._dim), "key")
-        check_positive(radius, "radius", strict=False)
-        owner_id, path = self._route(origin, key)
-        size = vector_message_size(self._dim, scalars=2)
-        self._charge_path(origin, path, MessageKind.INSERT, size)
-        row = self.level_store.add(key, float(radius), value)
-        self.node(owner_id).add_row(row)
-        replicas = 0
-        if radius > 0.0:
-            for leaf_id in self._leaves_intersecting(key, radius):
-                if leaf_id == owner_id:
-                    continue
-                self.fabric.transmit(
-                    owner_id, leaf_id, MessageKind.REPLICATE, size
-                )
-                self.node(leaf_id).add_row(row)
-                replicas += 1
-        receipt = InsertReceipt(
-            owner=owner_id, routing_hops=len(path), replicas=replicas
-        )
-        self.fabric.finish_operation(MessageKind.INSERT, receipt.total_hops)
-        return receipt
-
-    def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
-        """Point query at the leaf owning ``key``."""
-        key = check_vector(key, "key", dim=self._dim)
-        owner_id, path = self._route(origin, key)
-        self._charge_path(
-            origin, path, MessageKind.LOOKUP, vector_message_size(self._dim)
-        )
-        entries = self.node(owner_id).entries_intersecting(key, 0.0)
-        self.fabric.finish_operation(MessageKind.LOOKUP, len(path))
-        return RangeReceipt(
-            entries=entries, routing_hops=len(path), nodes_visited=[owner_id]
-        )
+    # -- range walk --------------------------------------------------------------
 
     def range_query(
         self, origin: int, center: np.ndarray, radius: float
@@ -383,10 +291,11 @@ class VBITree(StoreMaintenancePlane):
         center = check_vector(center, "center", dim=self._dim)
         check_positive(radius, "radius", strict=False)
         size = vector_message_size(self._dim, scalars=1)
-        owner_id, path = self._route(origin, np.clip(center, 0.0, 1.0))
-        self._charge_path(origin, path, MessageKind.RANGE_QUERY, size)
+        in_cube = np.clip(center, 0.0, 1.0)
+        owner_id, path = self._locate(origin, in_cube)
+        self._charge_route(origin, path, MessageKind.RANGE_QUERY, size)
 
-        targets = self._leaves_intersecting(np.clip(center, 0, 1), radius)
+        targets = self._cover(in_cube, radius)
         # One store-wide intersection pass per query; each visited node
         # then filters its membership with a boolean gather.
         mask = self.level_store.intersection_mask(center, radius)
@@ -413,9 +322,7 @@ class VBITree(StoreMaintenancePlane):
             nodes_visited=visited,
         )
 
-    def _leaves_intersecting(
-        self, center: np.ndarray, radius: float
-    ) -> list[int]:
+    def _cover(self, center: np.ndarray, radius: float) -> list[int]:
         """Leaf ids whose regions intersect the (Euclidean) ball."""
         out: list[int] = []
         stack = [0] if self._tree else []
@@ -430,44 +337,7 @@ class VBITree(StoreMaintenancePlane):
                 stack.extend(vn.children)
         return out
 
-    def _charge_path(self, origin: int, path: list[int], kind, size: int) -> None:
-        prev = origin
-        for hop_id in path:
-            self.fabric.transmit(prev, hop_id, kind, size)
-            prev = hop_id
-
-    # -- maintenance plane -------------------------------------------------------
-
-    def extend_replication(self, row: int, holder_ids) -> list[int]:
-        """Replicate a grown row to newly intersected leaves.
-
-        Recomputes the sphere's leaf cover at its post-growth radius and
-        sends one ``REPLICATE`` message (same size as insert-time
-        replication) from the lowest-id current holder to every
-        intersecting leaf not yet holding the row.
-        """
-        store = self.level_store
-        key = store.key_of(row)
-        radius = store.radius_of(row)
-        holders = set(holder_ids)
-        source = min(holders)
-        size = vector_message_size(self._dim, scalars=2)
-        added: list[int] = []
-        for leaf_id in self._leaves_intersecting(
-            np.clip(key, 0.0, 1.0), radius
-        ):
-            if leaf_id in holders:
-                continue
-            self.fabric.transmit(source, leaf_id, MessageKind.REPLICATE, size)
-            self.node(leaf_id).add_row(row)
-            added.append(leaf_id)
-        return added
-
     # -- introspection -----------------------------------------------------------
-
-    def loads(self) -> dict[int, int]:
-        """Stored-entry count per peer."""
-        return {node_id: node.load for node_id, node in self._nodes.items()}
 
     def total_region_volume(self) -> float:
         """Sum of leaf region volumes — 1.0 exactly when regions tile."""

@@ -92,7 +92,7 @@ class CANMachine(RuleBasedStateMachine):
     def range_query_is_complete(self, x, y, radius):
         center = np.array([x, y])
         receipt = self.can.range_query(self.can.node_ids[0], center, radius)
-        got = {e.value for e in receipt.entries}
+        got = set(receipt.entries.values())
         for value, key in self.inserted.items():
             if float(np.linalg.norm(key - center)) <= radius - 1e-9:
                 assert value in got, (value, key, center, radius)

@@ -8,6 +8,7 @@ from repro.exceptions import QueryError
 from repro.overlay.can import CANNetwork
 from repro.overlay.can.zone import Zone
 from repro.overlay.ring import RingNetwork
+from tests.rows import held_values
 
 
 def make_zone(lows, highs):
@@ -87,9 +88,9 @@ class TestCANLeave:
             can.leave(int(rng.choice(can.node_ids)))
         held = set()
         for nid in can.node_ids:
-            for entry in can.node(nid).store:
-                if isinstance(entry.value, int):
-                    held.add(entry.value)
+            for value in held_values(can, nid):
+                if isinstance(value, int):
+                    held.add(value)
         assert held == set(range(50))
 
     def test_range_queries_complete_after_leaves(self):
@@ -102,7 +103,7 @@ class TestCANLeave:
             radius = rng.uniform(0.1, 0.3)
             receipt = can.range_query(can.node_ids[0], center, radius)
             got = sorted(
-                e.value for e in receipt.entries if isinstance(e.value, int)
+                v for v in receipt.entries.values() if isinstance(v, int)
             )
             want = sorted(
                 i
@@ -142,7 +143,7 @@ class TestCANLeave:
             can.leave(nid)
         last = can.node_ids[0]
         assert np.isclose(can.node(last).zone.volume, 1.0)
-        assert any(e.value == "x" for e in can.node(last).store)
+        assert "x" in held_values(can, last)
 
     def test_leave_last_node_empties_overlay(self):
         can = CANNetwork(2, rng=2)
@@ -163,9 +164,9 @@ class TestRingLeave:
             ring.leave(nid)
         held = set()
         for nid in ring.node_ids:
-            for entry in ring.node(nid).store:
-                if isinstance(entry.value, int):
-                    held.add(entry.value)
+            for value in held_values(ring, nid):
+                if isinstance(value, int):
+                    held.add(value)
         assert held == set(range(30))
 
     def test_queries_complete_after_leaves(self):
@@ -179,7 +180,9 @@ class TestRingLeave:
             ring.leave(nid)
         center = np.array([0.5, 0.5])
         receipt = ring.range_query(ring.node_ids[0], center, 0.25)
-        got = sorted(e.value for e in receipt.entries if isinstance(e.value, int))
+        got = sorted(
+            v for v in receipt.entries.values() if isinstance(v, int)
+        )
         want = sorted(
             i for i, p in enumerate(points)
             if np.linalg.norm(p - center) <= 0.25 + 1e-12
@@ -218,8 +221,8 @@ class TestPeerChurn:
         network.depart(3, withdraw_summaries=True)
         for level, overlay in network.overlays.items():
             for node_id in overlay.node_ids:
-                for entry in overlay.node(node_id).store:
-                    assert entry.value.peer_id != 3
+                for record in held_values(overlay, node_id):
+                    assert record.peer_id != 3
 
     def test_abrupt_departure_leaves_dangling_summaries(self, network):
         network.depart(3)
@@ -228,8 +231,8 @@ class TestPeerChurn:
             for node_id in overlay.node_ids:
                 dangling += sum(
                     1
-                    for entry in overlay.node(node_id).store
-                    if entry.value.peer_id == 3
+                    for record in held_values(overlay, node_id)
+                    if record.peer_id == 3
                 )
         assert dangling > 0
 

@@ -7,6 +7,7 @@ from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.exceptions import ValidationError
 from repro.overlay.ring import RingNetwork
 from repro.wavelets.multiresolution import Level
+from tests.rows import held_values
 
 
 class TestConfig:
@@ -103,8 +104,8 @@ class TestPublication:
         overlay = net.overlays[level]
         peer_ids = set()
         for node_id in overlay.node_ids:
-            for entry in overlay.node(node_id).store:
-                peer_ids.add(entry.value.peer_id)
+            for record in held_values(overlay, node_id):
+                peer_ids.add(record.peer_id)
         assert peer_ids == {0, 1}
 
     def test_merge_reports(self, rng):

@@ -14,6 +14,7 @@ from repro.core.scoring import (
 )
 from repro.exceptions import ValidationError
 from repro.geometry.intersection import INTERSECTION_SLACK
+from repro.index import LevelStore
 from repro.overlay.base import StoredEntry
 
 
@@ -25,20 +26,28 @@ def entry(peer_id, key, radius, items):
     )
 
 
+def stored(entries, d=None):
+    """``entries`` as a candidate set over a fresh store: what the batched
+    ``level_scores`` takes (the scalar oracle keeps the entry list)."""
+    store = LevelStore(d if d is not None else entries[0].key.shape[0])
+    rows = [store.add(e.key, e.radius, e.value) for e in entries]
+    return store.candidate_set(np.asarray(rows, dtype=np.int64))
+
+
 class TestLevelScores:
     def test_full_containment_counts_all_items(self):
         entries = [entry(1, [0.5, 0.5], 0.1, 40)]
-        scores = level_scores(entries, np.array([0.5, 0.5]), 0.5)
+        scores = level_scores(stored(entries), np.array([0.5, 0.5]), 0.5)
         assert np.isclose(scores[1], 40.0)
 
     def test_disjoint_contributes_nothing(self):
         entries = [entry(1, [0.1, 0.1], 0.05, 40)]
-        scores = level_scores(entries, np.array([0.9, 0.9]), 0.05)
+        scores = level_scores(stored(entries), np.array([0.9, 0.9]), 0.05)
         assert 1 not in scores
 
     def test_partial_overlap_scales_items(self):
         entries = [entry(1, [0.5, 0.5], 0.2, 100)]
-        scores = level_scores(entries, np.array([0.6, 0.5]), 0.2)
+        scores = level_scores(stored(entries), np.array([0.6, 0.5]), 0.2)
         assert 0 < scores[1] < 100
 
     def test_multiple_clusters_same_peer_sum(self):
@@ -46,7 +55,7 @@ class TestLevelScores:
             entry(2, [0.5, 0.5], 0.1, 10),
             entry(2, [0.52, 0.5], 0.1, 20),
         ]
-        scores = level_scores(entries, np.array([0.5, 0.5]), 0.5)
+        scores = level_scores(stored(entries), np.array([0.5, 0.5]), 0.5)
         assert np.isclose(scores[2], 30.0)
 
     def test_tangential_touch_gets_floor_not_zero(self):
@@ -54,7 +63,7 @@ class TestLevelScores:
         would violate the no-false-dismissal guarantee."""
         entries = [entry(3, [0.5, 0.5], 0.1, 10)]
         # Tangent: distance = radius + query radius exactly.
-        scores = level_scores(entries, np.array([0.7, 0.5]), 0.1)
+        scores = level_scores(stored(entries), np.array([0.7, 0.5]), 0.1)
         assert scores.get(3, 0.0) > 0.0
 
 
@@ -86,7 +95,7 @@ class TestBatchScalarParity:
         center = rng.uniform(0.0, 1.0, d)
         batch_stats: dict = {}
         scalar_stats: dict = {}
-        batch = level_scores(entries, center, eps, stats=batch_stats)
+        batch = level_scores(stored(entries), center, eps, stats=batch_stats)
         scalar = level_scores_scalar(entries, center, eps, stats=scalar_stats)
         assert batch_stats == scalar_stats
         assert set(batch) == set(scalar)
@@ -100,7 +109,7 @@ class TestBatchScalarParity:
         center = rng.uniform(0.0, 1.0, d)
         batch_stats: dict = {}
         scalar_stats: dict = {}
-        batch = level_scores(entries, center, 2.0, stats=batch_stats)
+        batch = level_scores(stored(entries), center, 2.0, stats=batch_stats)
         scalar = level_scores_scalar(entries, center, 2.0, stats=scalar_stats)
         assert batch_stats == scalar_stats
         assert set(batch) == set(scalar)
@@ -110,7 +119,7 @@ class TestBatchScalarParity:
     def test_empty_entries(self):
         batch_stats: dict = {}
         scalar_stats: dict = {}
-        assert level_scores([], np.zeros(2), 0.5, stats=batch_stats) == {}
+        assert level_scores(stored([], d=2), np.zeros(2), 0.5, stats=batch_stats) == {}
         assert level_scores_scalar([], np.zeros(2), 0.5, stats=scalar_stats) == {}
         assert batch_stats == scalar_stats == {
             "candidates": 0, "pruned": 0, "surviving": 0
@@ -121,7 +130,7 @@ class TestBatchScalarParity:
         center = np.array([0.1, 0.1])
         batch_stats: dict = {}
         scalar_stats: dict = {}
-        assert level_scores(entries, center, 0.05, stats=batch_stats) == {}
+        assert level_scores(stored(entries), center, 0.05, stats=batch_stats) == {}
         assert level_scores_scalar(entries, center, 0.05, stats=scalar_stats) == {}
         assert batch_stats == scalar_stats
         assert batch_stats["pruned"] == 2
@@ -139,7 +148,7 @@ class TestBatchScalarParity:
             entries = [entry(7, [b, 0.0], r, 10)]
             batch_stats: dict = {}
             scalar_stats: dict = {}
-            batch = level_scores(entries, center, eps, stats=batch_stats)
+            batch = level_scores(stored(entries), center, eps, stats=batch_stats)
             scalar = level_scores_scalar(entries, center, eps, stats=scalar_stats)
             assert batch_stats == scalar_stats
             assert (7 in batch) is survives

@@ -55,12 +55,12 @@ class TestLevelStoreBasics:
         store = LevelStore(4)
         key = rng.random(4)
         row = store.add(key, 0.25, _record(7, items=42))
-        view = store.view(row)
-        assert np.allclose(view.key, key)
-        assert view.radius == 0.25
-        assert view.peer_id == 7
-        assert view.items == 42.0
-        assert view.value.level_name == "A"
+        assert np.allclose(store.key_of(row), key)
+        assert store.radius_of(row) == 0.25
+        block = store.column_block([row])
+        assert block.peer_ids.tolist() == [7]
+        assert block.items.tolist() == [42.0]
+        assert store.value_of(row).level_name == "A"
 
     def test_dimension_mismatch_rejected(self, rng):
         store = LevelStore(4)
@@ -212,7 +212,7 @@ class TestCandidateSetStaleness:
         with pytest.raises(StaleCandidateError):
             candidates.columns()
         with pytest.raises(StaleCandidateError):
-            list(candidates)
+            candidates.values()
 
     def test_withdrawal_staletes_outstanding_sets(self, rng):
         store, m, candidates = self._candidates(rng)
@@ -365,7 +365,7 @@ class TestBatchedRemoval:
             int(store.entry_id_of(int(row))): (
                 tuple(store.key_of(int(row))),
                 store.radius_of(int(row)),
-                store.view(int(row)).peer_id,
+                int(store.column_block([row]).peer_ids[0]),
             )
             for row in store.live_rows()
         }
@@ -484,7 +484,7 @@ class TestChurnProperties:
             row = store.row_of(entry_id)
             assert tuple(store.key_of(row)) == key
             assert store.radius_of(row) == radius
-            assert store.view(row).peer_id == peer
+            assert store.column_block([row]).peer_ids.tolist() == [peer]
         for index, membership in enumerate(memberships):
             got = {
                 int(store.entry_id_of(int(row)))

@@ -15,6 +15,7 @@ from repro.overlay.kademlia import (
     KademliaNetwork,
     LOOKUP_CONCURRENCY,
 )
+from tests.rows import held_values
 
 
 @pytest.fixture
@@ -104,10 +105,10 @@ class TestChurn:
         for __ in range(5):
             net.leave(net.node_ids[-1])
         held = {
-            entry.value
+            value
             for nid in net.node_ids
-            for entry in net.node(nid).store
-            if isinstance(entry.value, int)
+            for value in held_values(net, nid)
+            if isinstance(value, int)
         }
         assert held == set(range(30))
         net.level_store.verify_integrity()
@@ -130,7 +131,7 @@ class TestChurn:
         center = np.array([0.5, 0.5])
         radius = 0.35
         receipt = net.range_query(net.node_ids[0], center, radius)
-        got = {e.value for e in receipt.entries if isinstance(e.value, int)}
+        got = {v for v in receipt.entries.values() if isinstance(v, int)}
         want = {
             i
             for i, p in enumerate(points)
@@ -158,22 +159,20 @@ class TestAdaptationPlane:
         # Replication, not handoff: the hot node keeps serving its rows.
         assert net.loads()[hot] == loads[hot]
         held = {
-            entry.value
+            value
             for nid in net.node_ids
-            for entry in net.node(nid).store
-            if isinstance(entry.value, int)
+            for value in held_values(net, nid)
+            if isinstance(value, int)
         }
         assert held == set(range(40))
 
     def test_boost_and_shed_replication(self, net):
         net.insert(net.node_ids[0], [0.5, 0.5], "hot", radius=0.1)
-        row = net.level_store.row_of(
-            next(
-                e.entry_id
-                for nid in net.node_ids
-                for e in net.node(nid).store
-                if e.value == "hot"
-            )
+        row = next(
+            int(r)
+            for nid in net.node_ids
+            for r in net.node(nid).membership.rows()
+            if net.level_store.value_of(r) == "hot"
         )
         holders_before = sum(
             1 for nid in net.node_ids

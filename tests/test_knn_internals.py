@@ -67,7 +67,7 @@ class TestDiscoverLevel:
             assert eps > 0
             assert len(entries)  # found the nearby clusters
             assert hops >= 0
-            found.append((eps, sorted(e.value.items for e in entries)))
+            found.append((eps, sorted(r.items for r in entries.values())))
         assert found[0] == found[1]
 
     def test_empty_overlay_returns_no_entries(self):

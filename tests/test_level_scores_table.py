@@ -24,6 +24,7 @@ from repro.core.scoring import (
 from repro.exceptions import StaleCandidateError
 from repro.geometry.batch import spheres_intersect_batch
 from repro.index import LevelStore
+from tests.rows import scalar_entries
 
 POLICIES = ("min", "sum", "product")
 
@@ -71,7 +72,7 @@ class TestAggregationParity:
             __, candidates, center = _level(rng, n, 1 + level, peers)
             tables[level] = level_scores(candidates, center, eps)
             scalars[level] = level_scores_scalar(
-                list(candidates), center, eps
+                scalar_entries(candidates), center, eps
             )
         # A single level is the degraded query: every peer comes out.
         mixed = {

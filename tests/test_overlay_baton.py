@@ -6,6 +6,7 @@ import pytest
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.exceptions import ValidationError
 from repro.overlay.baton import BatonNetwork
+from tests.rows import held_values
 
 
 @pytest.fixture
@@ -88,7 +89,7 @@ class TestRoutingAndData:
         ids = baton.node_ids
         baton.insert(ids[0], [0.3, 0.7], "payload")
         receipt = baton.lookup(ids[9], [0.3, 0.7])
-        assert [e.value for e in receipt.entries] == ["payload"]
+        assert receipt.entries.values() == ["payload"]
 
     def test_range_completeness(self, baton, rng):
         points = rng.random((60, 2))
@@ -100,7 +101,7 @@ class TestRoutingAndData:
             radius = float(rng.uniform(0.05, 0.3))
             receipt = baton.range_query(ids[0], center, radius)
             got = sorted(
-                e.value for e in receipt.entries if isinstance(e.value, int)
+                v for v in receipt.entries.values() if isinstance(v, int)
             )
             want = sorted(
                 i
@@ -115,7 +116,7 @@ class TestRoutingAndData:
         assert receipt.replicas >= 1
         # Found when querying near the sphere edge.
         out = baton.range_query(ids[3], np.array([0.68, 0.5]), 0.05)
-        assert any(e.value == "s" for e in out.entries)
+        assert "s" in out.entries.values()
 
 
 class TestJoinSplitsRanges:
@@ -129,9 +130,9 @@ class TestJoinSplitsRanges:
         net.grow(10)
         held = set()
         for nid in net.node_ids:
-            for entry in net.node(nid).store:
-                if isinstance(entry.value, int):
-                    held.add(entry.value)
+            for value in held_values(net, nid):
+                if isinstance(value, int):
+                    held.add(value)
         assert held == set(range(30))
 
     def test_entries_live_at_their_owner(self):
@@ -144,7 +145,7 @@ class TestJoinSplitsRanges:
         net.grow(8)
         for i, p in enumerate(points):
             receipt = net.lookup(net.node_ids[0], p)
-            assert any(e.value == i for e in receipt.entries)
+            assert i in receipt.entries.values()
 
 
 class TestLeave:
@@ -190,7 +191,7 @@ class TestLeave:
         center = np.array([0.5, 0.5])
         receipt = net.range_query(net.node_ids[0], center, 0.4)
         got = sorted(
-            e.value for e in receipt.entries if isinstance(e.value, int)
+            v for v in receipt.entries.values() if isinstance(v, int)
         )
         want = sorted(
             i

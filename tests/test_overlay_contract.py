@@ -12,6 +12,8 @@ delta repair leaves the index bit-equivalent to from-scratch publication
 import numpy as np
 import pytest
 
+from repro.exceptions import StaleCandidateError, ValidationError
+from repro.index import CandidateSet
 from repro.net.messages import MessageKind
 from repro.overlay import (
     BatonNetwork,
@@ -21,6 +23,7 @@ from repro.overlay import (
     VBITree,
 )
 from repro.overlay.base import Overlay
+from tests.rows import held_values
 
 FACTORIES = [
     CANNetwork, BatonNetwork, VBITree, RingNetwork, KademliaNetwork,
@@ -49,13 +52,13 @@ class TestContract:
     def test_lookup_roundtrip(self, overlay):
         overlay.insert(overlay.node_ids[1], [0.25, 0.75], "payload")
         receipt = overlay.lookup(overlay.node_ids[5], [0.25, 0.75])
-        assert "payload" in [e.value for e in receipt.entries]
+        assert "payload" in receipt.entries.values()
 
     def test_lookup_from_every_node(self, overlay):
         overlay.insert(overlay.node_ids[0], [0.5, 0.5], "x")
         for start in overlay.node_ids:
             receipt = overlay.lookup(start, [0.5, 0.5])
-            assert any(e.value == "x" for e in receipt.entries), start
+            assert "x" in receipt.entries.values(), start
 
     def test_range_query_completeness(self, overlay, rng):
         points = rng.random((50, 2))
@@ -64,7 +67,7 @@ class TestContract:
         center = np.array([0.5, 0.5])
         radius = 0.3
         receipt = overlay.range_query(overlay.node_ids[0], center, radius)
-        got = {e.value for e in receipt.entries if isinstance(e.value, int)}
+        got = {v for v in receipt.entries.values() if isinstance(v, int)}
         want = {
             i
             for i, p in enumerate(points)
@@ -80,14 +83,14 @@ class TestContract:
         receipt = overlay.range_query(
             overlay.node_ids[7], np.array([0.66, 0.5]), 0.05
         )
-        assert any(e.value == "sphere" for e in receipt.entries)
+        assert "sphere" in receipt.entries.values()
 
     def test_zero_radius_range_query(self, overlay):
         overlay.insert(overlay.node_ids[3], [0.3, 0.3], "pt")
         receipt = overlay.range_query(
             overlay.node_ids[0], np.array([0.3, 0.3]), 0.0
         )
-        assert any(e.value == "pt" for e in receipt.entries)
+        assert "pt" in receipt.entries.values()
 
     def test_traffic_is_charged(self, overlay):
         before = overlay.fabric.metrics.total_messages
@@ -115,9 +118,9 @@ class TestContract:
             overlay.leave(overlay.node_ids[-1])
         held = set()
         for nid in overlay.node_ids:
-            for entry in overlay.node(nid).store:
-                if isinstance(entry.value, int):
-                    held.add(entry.value)
+            for value in held_values(overlay, nid):
+                if isinstance(value, int):
+                    held.add(value)
         assert held == set(range(30))
 
     def test_join_after_leave(self, overlay):
@@ -128,10 +131,60 @@ class TestContract:
         assert receipt.owner in overlay.node_ids
 
     def test_out_of_cube_insert_rejected(self, overlay):
-        from repro.exceptions import ValidationError
-
         with pytest.raises(ValidationError):
             overlay.insert(overlay.node_ids[0], [1.4, 0.2], "x")
+
+    def test_out_of_cube_lookup_rejected_before_any_message(self, overlay):
+        # One rule on every backend: a bad key is a bad argument, caught
+        # before the walk (not a clipped answer, not a "broken graph").
+        before = overlay.fabric.metrics.total_messages
+        with pytest.raises(ValidationError, match="unit cube"):
+            overlay.lookup(overlay.node_ids[0], [1.05, 0.5])
+        assert overlay.fabric.metrics.total_messages == before
+
+    def test_receipts_carry_candidate_sets(self, overlay):
+        overlay.insert(overlay.node_ids[0], [0.4, 0.4], "s", radius=0.1)
+        origin = overlay.node_ids[3]
+        for receipt in (
+            overlay.lookup(origin, [0.4, 0.4]),
+            overlay.range_query(origin, np.array([0.4, 0.4]), 0.2),
+        ):
+            assert isinstance(receipt.entries, CandidateSet)
+            assert receipt.entries.store is overlay.level_store
+
+    def test_lookup_matches_brute_force_scan(self, overlay, rng):
+        for i, p in enumerate(rng.random((40, 2))):
+            overlay.insert(
+                overlay.node_ids[i % 12], p, i,
+                radius=float(rng.uniform(0.0, 0.3)),
+            )
+        store = overlay.level_store
+        for key in rng.random((10, 2)):
+            receipt = overlay.lookup(overlay.node_ids[0], key)
+            containing = [
+                store.value_of(row)
+                for row in store.live_rows()
+                if np.linalg.norm(store.key_of(row) - key)
+                <= store.radius_of(row)
+            ]
+            assert sorted(receipt.entries.values()) == sorted(containing)
+
+    def test_lookup_result_goes_stale_on_update(self, overlay):
+        overlay.insert(overlay.node_ids[0], [0.4, 0.4], "s", radius=0.1)
+        store = overlay.level_store
+        found = overlay.lookup(overlay.node_ids[3], [0.4, 0.4]).entries
+        assert found.values() == ["s"]
+        store.update_entry(int(found.entry_ids[0]), radius=0.2)
+        with pytest.raises(StaleCandidateError):
+            found.values()
+
+    def test_member_accessors(self, overlay):
+        assert len(overlay) == len(overlay.node_ids) == 12
+        assert overlay.loads() == dict.fromkeys(overlay.node_ids, 0)
+        with pytest.raises(ValidationError, match="n_nodes"):
+            overlay.grow(0)
+        with pytest.raises(ValidationError, match="unknown"):
+            overlay.node(10_000)
 
 
 class TestCapabilityPlanes:

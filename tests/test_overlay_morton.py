@@ -100,5 +100,6 @@ class TestMortonNode:
         b.add_row(row)
         assert a.load == b.load == 1
         assert store.n_live == 1  # one row, two memberships — no copies
-        assert a.store[0].entry_id == b.store[0].entry_id
+        (row_a,), (row_b,) = a.membership.rows(), b.membership.rows()
+        assert store.entry_id_of(row_a) == store.entry_id_of(row_b)
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.exceptions import ValidationError
 from repro.overlay.vbi import VBITree
+from tests.rows import held_values
 
 
 @pytest.fixture
@@ -65,7 +66,7 @@ class TestRoutingAndData:
         for __ in range(20):
             p = rng.random(2)
             for start in list(vbi.node_ids)[:4]:
-                owner, path = vbi._route(start, p)
+                owner, path = vbi._locate(start, p)
                 assert vbi.node(owner).region.contains(p)
                 assert len(path) <= 2 * len(vbi._tree)
 
@@ -73,7 +74,7 @@ class TestRoutingAndData:
         ids = vbi.node_ids
         vbi.insert(ids[0], [0.3, 0.7], "payload")
         receipt = vbi.lookup(ids[7], [0.3, 0.7])
-        assert [e.value for e in receipt.entries] == ["payload"]
+        assert receipt.entries.values() == ["payload"]
 
     def test_range_completeness(self, vbi, rng):
         points = rng.random((60, 2))
@@ -85,7 +86,7 @@ class TestRoutingAndData:
             radius = float(rng.uniform(0.05, 0.35))
             receipt = vbi.range_query(ids[0], center, radius)
             got = sorted(
-                e.value for e in receipt.entries if isinstance(e.value, int)
+                v for v in receipt.entries.values() if isinstance(v, int)
             )
             want = sorted(
                 i
@@ -99,7 +100,7 @@ class TestRoutingAndData:
         radius = 0.3
         vbi.insert(vbi.node_ids[0], center, "s", radius=radius)
         for nid, leaf in vbi._nodes.items():
-            holds = any(e.value == "s" for e in leaf.store)
+            holds = "s" in held_values(vbi, nid)
             overlaps = leaf.region.intersects_sphere(center, radius)
             assert holds == overlaps
 
@@ -110,7 +111,7 @@ class TestRoutingAndData:
         hops = []
         for __ in range(30):
             start = int(rng.choice(tree.node_ids))
-            __owner, path = tree._route(start, rng.random(2))
+            __owner, path = tree._locate(start, rng.random(2))
             hops.append(len(path))
         assert np.mean(hops) <= 14  # ~2·log2(64) manager transitions
 
@@ -169,7 +170,7 @@ class TestLeave:
         center = np.array([0.5, 0.5])
         receipt = tree.range_query(tree.node_ids[0], center, 0.4)
         got = sorted(
-            e.value for e in receipt.entries if isinstance(e.value, int)
+            v for v in receipt.entries.values() if isinstance(v, int)
         )
         want = sorted(
             i
@@ -182,9 +183,9 @@ class TestLeave:
     def _assert_all_items_present(tree, n):
         held = set()
         for nid in tree.node_ids:
-            for entry in tree.node(nid).store:
-                if isinstance(entry.value, int):
-                    held.add(entry.value)
+            for value in held_values(tree, nid):
+                if isinstance(value, int):
+                    held.add(value)
         assert held == set(range(n))
 
 

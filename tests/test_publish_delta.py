@@ -262,9 +262,8 @@ class TestLevelStorePatch:
         store, entry_id = self._insert_one(small_can)
         assert store.has_entry(entry_id)
         row = store.update_entry(entry_id, radius=0.25, value="patched")
-        view = store.view(row)
-        assert view.radius == 0.25
-        assert view.value == "patched"
+        assert store.radius_of(row) == 0.25
+        assert store.value_of(row) == "patched"
 
     def test_update_entry_validations(self, small_can):
         store, entry_id = self._insert_one(small_can)

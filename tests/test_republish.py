@@ -6,6 +6,7 @@ import pytest
 from repro.core.baselines import CentralizedIndex
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.evaluation.metrics import precision_recall
+from tests.rows import held_values
 
 
 @pytest.fixture
@@ -41,13 +42,16 @@ class TestRepublish:
         for level, overlay in net.overlays.items():
             total_items = 0
             seen = set()
+            store = overlay.level_store
             for node_id in overlay.node_ids:
-                for entry in overlay.node(node_id).store:
+                for row in overlay.node(node_id).membership.rows():
                     # Replicas of one row share a stable entry id, so the
                     # dedup no longer leans on CPython object identity.
-                    if entry.value.peer_id == 2 and entry.entry_id not in seen:
-                        seen.add(entry.entry_id)
-                        total_items += entry.value.items
+                    record = store.value_of(row)
+                    entry_id = store.entry_id_of(row)
+                    if record.peer_id == 2 and entry_id not in seen:
+                        seen.add(entry_id)
+                        total_items += record.items
             assert total_items == 60, str(level)
 
     @staticmethod
@@ -57,8 +61,8 @@ class TestRepublish:
             for node_id in overlay.node_ids:
                 count += sum(
                     1
-                    for e in overlay.node(node_id).store
-                    if e.value.peer_id == peer_id
+                    for record in held_values(overlay, node_id)
+                    if record.peer_id == peer_id
                 )
         return count
 

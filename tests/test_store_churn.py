@@ -67,8 +67,8 @@ class TestWithdrawnSpheresNeverScored:
             store = overlay.level_store
             assert store.rows_for_peer(3).size == 0
             for node_id in overlay.node_ids:
-                for entry in overlay.node(node_id).store:
-                    assert entry.peer_id != 3
+                rows = overlay.node(node_id).membership.rows()
+                assert 3 not in store.column_block(rows).peer_ids
         _verify_all_stores(network)
 
     def test_abrupt_leave_keeps_summaries_scorable(self, network, rng):

@@ -17,6 +17,7 @@ from hypothesis.stateful import (
 
 from repro.overlay.baton import BatonNetwork
 from repro.overlay.vbi import VBITree
+from tests.rows import held_values
 
 coords = st.floats(min_value=0.0, max_value=1.0)
 
@@ -60,7 +61,7 @@ class _TreeOverlayMachine(RuleBasedStateMachine):
     def range_query_is_complete(self, x, y, radius):
         center = np.array([x, y])
         receipt = self.net.range_query(self.net.node_ids[0], center, radius)
-        got = {e.value for e in receipt.entries}
+        got = set(receipt.entries.values())
         for value, key in self.inserted.items():
             if float(np.linalg.norm(key - center)) <= radius - 1e-9:
                 assert value in got, (value, key, center, radius)
@@ -69,8 +70,7 @@ class _TreeOverlayMachine(RuleBasedStateMachine):
     def all_items_stored_somewhere(self):
         held = set()
         for nid in self.net.node_ids:
-            for entry in self.net.node(nid).store:
-                held.add(entry.value)
+            held.update(held_values(self.net, nid))
         assert set(self.inserted) <= held
 
     @invariant()
@@ -79,7 +79,7 @@ class _TreeOverlayMachine(RuleBasedStateMachine):
         p = rng.random(2)
         start = self.net.node_ids[0]
         if isinstance(self.net, VBITree):
-            owner, __ = self.net._route(start, p)
+            owner, __ = self.net._locate(start, p)
             assert self.net.node(owner).region.contains(p)
         else:
             key = self.net.scalar_key(p)

@@ -46,7 +46,7 @@ from repro.core.scoring import level_scores, rank_peers
 from repro.exceptions import QueryError
 from repro.geometry.epsilon import estimate_epsilon_for_k, expected_items
 from repro.obs import registry as obs_registry
-from repro.utils.validation import check_vector
+from repro.utils.validation import check_peer_budget, check_vector
 from repro.wavelets.bounds import coefficient_interval, radius_scale
 
 #: First probe radius, as a fraction of the key-space diagonal.
@@ -190,6 +190,7 @@ def run_knn(
         raise QueryError(f"k must be >= 1, got {k}")
     if c <= 0:
         raise QueryError(f"C must be > 0, got {c}")
+    check_peer_budget(top_p, "top_p")
     recorder = runtime.current.tracer
     per_level: dict = {}
     epsilon_per_level: dict = {}
@@ -324,8 +325,9 @@ def knn_query(
         ``C * k`` split proportionally to peer scores; raising it trades
         precision for recall (Section 6.1 quantifies the trade).
     top_p:
-        Contact exactly this many top peers; default picks the smallest
-        ``P`` whose cumulative score covers ``k`` expected items.
+        Contact exactly this many top peers (a non-negative integer);
+        default picks the smallest ``P`` whose cumulative score covers
+        ``k`` expected items.
     origin_peer:
         Peer issuing the query.
     aggregation:

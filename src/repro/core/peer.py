@@ -12,7 +12,13 @@ from repro.clustering.incremental import (
 from repro.clustering.summaries import PeerSummary, summarize_peer_data
 from repro.core.results import RetrievedItem, distances_to_query
 from repro.exceptions import ValidationError
+from repro.index.store import _BOUNDARY_BAND
 from repro.utils.validation import check_matrix, check_unit_cube, check_vector
+
+
+def _row_norms_sq(data: np.ndarray) -> np.ndarray:
+    """``‖x‖²`` of every row (the constant term of the search prefilter)."""
+    return np.einsum("ij,ij->i", data, data)
 
 
 class HyperMPeer:
@@ -47,6 +53,10 @@ class HyperMPeer:
             )
         self.peer_id = int(peer_id)
         self.data = data
+        #: ``‖x‖²`` per row of ``data``, kept in step with it by the only
+        #: three places that assign ``data`` (here, ``add_items``,
+        #: ``remove_items``); :meth:`range_search` prefilters with it.
+        self._data_sq = _row_norms_sq(data)
         self.item_ids = item_ids
         self.summary: PeerSummary | None = None
         #: Items added after publication (Figure 10c staleness experiments):
@@ -217,6 +227,9 @@ class HyperMPeer:
                 f"{collisions[:5].tolist()}"
             )
         self.data = np.vstack([self.data, new_data])
+        self._data_sq = np.concatenate(
+            [self._data_sq, _row_norms_sq(new_data)]
+        )
         self.item_ids = np.concatenate([self.item_ids, new_ids])
 
     def remove_items(self, item_ids) -> int:
@@ -241,6 +254,7 @@ class HyperMPeer:
         if self.epoch_state is not None and published.size:
             self.epoch_state.note_removals(published)
         self.data = np.delete(self.data, positions, axis=0)
+        self._data_sq = np.delete(self._data_sq, positions)
         self.item_ids = np.delete(self.item_ids, positions)
         self.unpublished_from -= int(published.size)
         return int(positions.size)
@@ -253,17 +267,33 @@ class HyperMPeer:
         This is the second query phase: once a peer is contacted directly,
         it filters with the original query, which is why Hyper-M's range
         precision is 100%.
+
+        Most contacted peers hold nothing in range, so the scan is the
+        index mask kernel's idiom: one matvec ``‖x‖² − 2 x·q + ‖q‖²``
+        over every row, widened by the store's ``_BOUNDARY_BAND``, then
+        the exact :func:`~repro.core.results.distances_to_query` on the
+        survivors only. The expansion loses ~``eps·√d·(‖x‖ + ‖q‖)²`` on
+        d² to cancellation (≈ 5e-12 at d = 512 in the unit cube), well
+        under the band's reach even at ``radius = 0`` (1e-5² =
+        1e-10; docs/performance.md has the bound), so no row within
+        ``radius + 1e-12`` is dropped; what is returned — ids, row order,
+        distances — is bit for bit the full scan's.
         """
         query = check_vector(query, "query", dim=self.dimensionality)
-        dists = distances_to_query(self.data, query)
-        hits = np.flatnonzero(dists <= radius + 1e-12)
+        d2 = self._data_sq - 2.0 * (self.data @ query)
+        d2 += float(query @ query)
+        reach = radius + _BOUNDARY_BAND
+        near = np.flatnonzero(d2 <= reach * reach)
+        dists = distances_to_query(self.data[near], query)
+        keep = dists <= radius + 1e-12
         return [
             RetrievedItem(
-                item_id=int(self.item_ids[i]),
-                peer_id=self.peer_id,
-                distance=float(dists[i]),
+                item_id=item_id, peer_id=self.peer_id, distance=distance
             )
-            for i in hits
+            for item_id, distance in zip(
+                self.item_ids[near[keep]].tolist(), dists[keep].tolist(),
+                strict=True,
+            )
         ]
 
     def nearest_items(self, query: np.ndarray, count: int) -> list[RetrievedItem]:

@@ -46,7 +46,11 @@ from repro.exceptions import EmptyNetworkError, QueryError
 from repro.faults.resilience import reliable_send, tombstone_peer
 from repro.net.messages import MessageKind, vector_message_size
 from repro.obs import registry as obs_registry
-from repro.utils.validation import check_positive, check_vector
+from repro.utils.validation import (
+    check_peer_budget,
+    check_positive,
+    check_vector,
+)
 from repro.wavelets.bounds import key_space_radius, radius_scale, to_unit_cube
 from repro.wavelets.multiresolution import decompose
 
@@ -587,7 +591,9 @@ def range_query(
         Query radius in the original space.
     max_peers:
         Contact at most this many of the top-scoring peers (the paper's
-        Figure 10a x-axis); ``None`` contacts every positive-score peer.
+        Figure 10a x-axis); ``None`` contacts every positive-score peer,
+        ``0`` nobody. Anything but ``None`` or a non-negative integer is
+        rejected before any message is charged.
     origin_peer:
         Peer issuing the query (defaults to the first peer).
     aggregation:
@@ -595,6 +601,7 @@ def range_query(
     """
     query = check_vector(query, "query", dim=network.dimensionality)
     check_positive(epsilon, "epsilon", strict=False)
+    check_peer_budget(max_peers, "max_peers")
     origin = resolve_origin(network, origin_peer)
 
     recorder = runtime.current.tracer

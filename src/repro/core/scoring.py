@@ -69,10 +69,11 @@ class LevelScoreTable(Mapping):
 
     ``peers`` is the sorted, unique id array of the peers with a sphere
     meeting the query ball. The table holds every peer's total (the
-    eager form, for scores computed elsewhere) or the surviving ``rows``
-    it would sum — ``(inverse, radii, dists, items, eps, d)``, ``inverse``
-    giving each row's position in ``peers`` — and runs the kernel in
-    :meth:`totals`. Its arrays are its own, never views of store columns.
+    eager form, for scores computed elsewhere or already evaluated in
+    full) or the surviving ``rows`` it would sum — ``(inverse, radii,
+    dists, items, eps, d)``, ``inverse`` giving each row's position in
+    ``peers`` — and runs the kernel in :meth:`totals`. Its arrays are
+    its own, never views of store columns.
     """
 
     __slots__ = ("peers", "_totals", "_rows", "_scores")
@@ -100,10 +101,14 @@ class LevelScoreTable(Mapping):
         A proper subset costs the kernel only over the rows of those
         peers; each total is bit-identical to the full evaluation's
         because ``bincount`` still adds a peer's rows in row order.
+        Once every peer is evaluated the row copies are released: each
+        later answer is a take from the totals (what lets the serving
+        tier keep an evaluated table per cached look-up).
         """
         if common is None or common.size == self.peers.size:
             if self._totals is None:
                 self._totals = self._eq1(slice(None))
+                self._rows = None
             return self._totals
         where = np.searchsorted(self.peers, common)
         if self._totals is not None:

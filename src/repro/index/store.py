@@ -41,8 +41,10 @@ from repro.geometry.batch import spheres_intersect_batch
 _INITIAL_CAPACITY = 64
 
 #: Width of the exact re-resolution band around sphere boundaries (see
-#: :meth:`CellDirectory.mask`); module-level so the mask kernel and the
-#: serve tier's stacked :meth:`LevelStore.intersection_masks` share it.
+#: :meth:`CellDirectory.mask`); module-level so the mask kernel, the
+#: serve tier's stacked :meth:`LevelStore.intersection_masks` and the
+#: peer-side prefilter (:meth:`repro.core.peer.HyperMPeer.range_search`)
+#: share it.
 _BOUNDARY_BAND = 1e-5
 
 #: Compaction triggers when tombstones exceed this fraction of used rows…

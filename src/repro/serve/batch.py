@@ -1,10 +1,14 @@
 """Batched index phase: one stacked mask pass per level per batch.
 
 The sequential index phase (:func:`repro.core.queries.index_phase`) pays
-one BLAS matvec per query per level. Here a whole batch's per-level
-lookups collapse into a single :meth:`repro.index.LevelStore.
-intersection_masks` GEMM, de-multiplexed per query afterwards — the
-amortization the columnar store was built for.
+one BLAS matvec and one Eq. 1 evaluation per query per level. Here the
+batch's per-level look-ups the cache does not hold collapse into a
+single :meth:`repro.index.LevelStore.intersection_masks` GEMM,
+de-multiplexed per look-up afterwards — the amortization the columnar
+store was built for — and each look-up is scored once
+(:meth:`repro.serve.cache.Lookup.table`) and kept with its candidates:
+its table depends on nothing but ``(store generation, level, key,
+radius)``, so the per-request work left is the cross-level join.
 
 Why store-direct candidates equal the overlay walk's: an entry is
 replicated into every zone its sphere overlaps, and a range query visits
@@ -16,7 +20,7 @@ rounding difference versus the per-query matvec is absorbed by the
 store's boundary band (near-boundary pairs re-resolve exactly in both
 paths), so masks — hence candidate rows, hence Eq. 1 scores — are
 bit-identical to the sequential path. The property suite pins both the
-set equality (Theorem 4.1) and the 1e-9 score parity.
+set equality (Theorem 4.1) and the score parity.
 
 :class:`StoreSource` packages both look-ups — single and batched — as the
 co-located *candidate source* of the query pipeline
@@ -28,18 +32,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.queries import Fetched
-from repro.index import CandidateSet
-from repro.serve.cache import CandidateCache, candidate_key
+from repro.serve.cache import CandidateCache, Lookup, candidate_key
 
 
-def fresh_candidates(store, key: np.ndarray, radius: float) -> CandidateSet:
-    """One store-direct candidate set (single-query mask pass)."""
+def fresh_candidates(store, key: np.ndarray, radius: float) -> Lookup:
+    """One store-direct look-up (single-query mask pass)."""
     mask = store.intersection_mask(key, radius)
-    return store.candidate_set(np.flatnonzero(mask))
+    return Lookup(store, key, radius, np.flatnonzero(mask))
 
 
 class StoreSource:
-    """Candidates straight from the level stores, generation-cached.
+    """Look-ups straight from the level stores, generation-cached.
 
     The serving tier's candidate source: every look-up is a store-wide
     mask pass (or a fresh ``cache`` hit) on the co-located index, charges
@@ -56,62 +59,72 @@ class StoreSource:
         """One cached single-query look-up: ``(candidates, 0 hops)``."""
         store = self.network.overlays[level].level_store
         ck = candidate_key(index, key, radius)
-        candidates = self.cache.lookup(ck) if self.cache is not None else None
-        if candidates is None:
-            candidates = fresh_candidates(store, key, radius)
+        found = self.cache.lookup(ck) if self.cache is not None else None
+        if found is None:
+            found = fresh_candidates(store, key, radius)
             if self.cache is not None:
-                self.cache.store(ck, candidates)
-        store.bump_heat(candidates.rows)
-        return candidates, 0
+                self.cache.store(ck, found)
+        store.bump_heat(found.candidates.rows)
+        return found.candidates, 0
 
     def fetch(self, index: int, level, key: np.ndarray, radius: float):
         """One level of a range plan (:class:`repro.core.queries.Fetched`)."""
         return Fetched(self.probe(index, level, key, radius)[0])
 
+    def resolve(self, level_index: int, missing: dict) -> dict:
+        """Compute one level's ``missing`` look-ups in one stacked pass.
+
+        ``{cache key: (key, radius)}`` in, ``{cache key: Lookup}`` out,
+        each stored in the cache in that order. No heat, no hit/miss
+        accounting: :meth:`fetch_batch`'s miss branch and the engine's
+        pre-warmer both build their entries here.
+        """
+        level = self.network.levels[level_index]
+        store = self.network.overlays[level].level_store
+        centers = np.stack([key for key, __ in missing.values()])
+        radii = np.asarray(
+            [radius for __, radius in missing.values()], dtype=np.float64
+        )
+        masks = store.intersection_masks(centers, radii)
+        resolved = {}
+        for mask, (ck, (key, radius)) in zip(
+            masks, missing.items(), strict=True
+        ):
+            resolved[ck] = Lookup(store, key, radius, np.flatnonzero(mask))
+            if self.cache is not None:
+                self.cache.store(ck, resolved[ck])
+        return resolved
+
     def fetch_batch(self, plans: list[dict]) -> list[dict]:
         """Resolve a batch of range plans with one GEMM per level.
 
         ``plans`` holds one ``{level: (key, radius)}`` dict per query; the
-        return value mirrors it as ``{level: CandidateSet}``. Per level,
-        the batch is first served from the cache (generation-checked),
-        duplicate misses are deduplicated, and the surviving distinct
-        lookups go through one stacked
-        :meth:`~repro.index.LevelStore.intersection_masks` pass.
+        return value mirrors it as ``{level: LevelScoreTable}``, ready for
+        :func:`repro.core.queries.score_peers`. Per level, the batch is
+        first served from the cache (generation-checked), duplicate
+        misses are deduplicated, and the surviving distinct look-ups go
+        through one stacked pass (:meth:`resolve`). A look-up's table is
+        scored the first time a plan asks and shared, read-only, after.
         """
         cache = self.cache
         out: list[dict] = [{} for __ in plans]
         for level_index, level in enumerate(self.network.levels):
             store = self.network.overlays[level].level_store
-            wanted: list = []  # (plan position, cache key)
+            wanted = [candidate_key(level_index, *plan[level]) for plan in plans]
             resolved: dict = {}
             missing: dict = {}  # cache key -> (key, radius), in order
-            for position, plan in enumerate(plans):
-                key, radius = plan[level]
-                ck = candidate_key(level_index, key, radius)
-                wanted.append((position, ck))
+            for ck, plan in zip(wanted, plans, strict=True):
                 if ck in resolved or ck in missing:
                     continue
                 cached = cache.lookup(ck) if cache is not None else None
                 if cached is not None:
                     resolved[ck] = cached
                 else:
-                    missing[ck] = (key, radius)
+                    missing[ck] = plan[level]
             if missing:
-                centers = np.stack([key for key, __ in missing.values()])
-                radii = np.asarray(
-                    [radius for __, radius in missing.values()],
-                    dtype=np.float64,
-                )
-                masks = store.intersection_masks(centers, radii)
-                for row, ck in enumerate(missing):
-                    candidates = store.candidate_set(
-                        np.flatnonzero(masks[row])
-                    )
-                    resolved[ck] = candidates
-                    if cache is not None:
-                        cache.store(ck, candidates)
-            for position, ck in wanted:
-                candidates = resolved[ck]
-                store.bump_heat(candidates.rows)
-                out[position][level] = candidates
+                resolved.update(self.resolve(level_index, missing))
+            for tables, ck in zip(out, wanted, strict=True):
+                found = resolved[ck]
+                store.bump_heat(found.candidates.rows)
+                tables[level] = found.table()
         return out

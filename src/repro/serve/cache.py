@@ -1,14 +1,18 @@
 """Generation-keyed caches for the serving tier.
 
-:class:`CandidateCache` memoizes hot :class:`repro.index.CandidateSet`
-snapshots keyed on ``(level, query key bytes, radius)``. Staleness is
-*exact*, not heuristic: every snapshot carries the store generation it
-was taken at, every publish / delta / rebalance / compaction bumps that
-level's generation, and :meth:`CandidateCache.lookup` discards a cached
-set the moment its generation disagrees with its store — so a mutation
-in one level's store invalidates exactly that level's cached sets and
-nothing else, and a stale set is *never* served (it is re-computed,
-never raised as a :class:`repro.exceptions.StaleCandidateError`).
+:class:`CandidateCache` memoizes hot per-level look-ups keyed on
+``(level, query key bytes, radius)``. An entry is a :class:`Lookup`: the
+:class:`repro.index.CandidateSet` snapshot the mask pass found and, from
+the first time a range plan asks, its Eq. 1 table evaluated for every
+peer (``peers`` + ``totals``, no row copies). Both are pure functions of
+the key plus the store generation, and staleness is *exact*, not
+heuristic: every snapshot carries the store generation it was taken at,
+every publish / delta / rebalance / compaction bumps that level's
+generation, and :meth:`CandidateCache.lookup` discards an entry the
+moment its generation disagrees with its store — so a mutation in one
+level's store invalidates exactly that level's entries and nothing
+else, and a stale entry is *never* served (it is re-computed, never
+raised as a :class:`repro.exceptions.StaleCandidateError`).
 
 The cache is a bounded LRU map; eviction never affects correctness, only
 hit rate. (Query translations are memoized once, process-wide, by
@@ -21,8 +25,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.core.scoring import LevelScoreTable, level_scores
 from repro.exceptions import ValidationError
-from repro.index import CandidateSet
 
 #: Cache key for one per-level candidate lookup:
 #: ``(level position, query key bytes, key-space radius)``.
@@ -34,8 +38,43 @@ def candidate_key(level_index: int, key: np.ndarray, radius: float) -> Candidate
     return (int(level_index), key.tobytes(), float(radius))
 
 
+class Lookup:
+    """One per-level look-up, resolved: what a cache entry holds.
+
+    ``candidates`` is the generation-tagged snapshot of the store rows
+    whose spheres meet the query ball. :meth:`table` scores them once —
+    k-NN discovery probes only read ``candidates`` and never pay for it.
+    """
+
+    __slots__ = ("candidates", "_key", "_radius", "_table")
+
+    def __init__(self, store, key: np.ndarray, radius: float, rows: np.ndarray):
+        self.candidates = store.candidate_set(rows)
+        self._key = key
+        self._radius = radius
+        self._table: LevelScoreTable | None = None
+
+    def is_stale(self) -> bool:
+        """True once the store has mutated since the snapshot."""
+        return self.candidates.is_stale()
+
+    def table(self) -> LevelScoreTable:
+        """The look-up's Eq. 1 table, every peer evaluated, built once.
+
+        Full rather than join-subset evaluation because the table
+        outlives the request: whichever peers a later request's other
+        levels join to, their totals are a take from this one, bit-equal
+        to the subset evaluation (:meth:`LevelScoreTable.totals`).
+        Build it while the candidates are fresh (``StaleCandidateError``).
+        """
+        if self._table is None:
+            self._table = level_scores(self.candidates, self._key, self._radius)
+            self._table.totals()
+        return self._table
+
+
 class CandidateCache:
-    """Bounded LRU of generation-tagged :class:`CandidateSet` snapshots."""
+    """Bounded LRU of generation-tagged :class:`Lookup` entries."""
 
     __slots__ = ("_capacity", "_data", "hits", "misses", "stale", "evictions")
 
@@ -43,7 +82,7 @@ class CandidateCache:
         if capacity < 1:
             raise ValidationError(f"capacity must be >= 1, got {capacity}")
         self._capacity = int(capacity)
-        self._data: OrderedDict[CandidateKey, CandidateSet] = OrderedDict()
+        self._data: OrderedDict[CandidateKey, Lookup] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.stale = 0
@@ -57,10 +96,10 @@ class CandidateCache:
         """Maximum cached entries."""
         return self._capacity
 
-    def lookup(self, key: CandidateKey) -> CandidateSet | None:
-        """Return a *fresh* cached set or None, with hit/miss accounting.
+    def lookup(self, key: CandidateKey) -> Lookup | None:
+        """Return a *fresh* cached entry or None, with hit/miss accounting.
 
-        A cached set whose store has mutated since the snapshot is
+        An entry whose store has mutated since the snapshot is
         dropped here — the generation check is what turns "cache" from a
         staleness hazard into exact invalidation.
         """
@@ -77,7 +116,7 @@ class CandidateCache:
         self.hits += 1
         return cached
 
-    def peek(self, key: CandidateKey) -> CandidateSet | None:
+    def peek(self, key: CandidateKey) -> Lookup | None:
         """Like :meth:`lookup` but without hit/miss accounting.
 
         The pre-warmer uses this to decide what needs recomputing; a
@@ -92,9 +131,9 @@ class CandidateCache:
             return None
         return cached
 
-    def store(self, key: CandidateKey, candidates: CandidateSet) -> None:
-        """Insert (or refresh) one snapshot, evicting LRU entries past cap."""
-        self._data[key] = candidates
+    def store(self, key: CandidateKey, entry: Lookup) -> None:
+        """Insert (or refresh) one entry, evicting LRU entries past cap."""
+        self._data[key] = entry
         self._data.move_to_end(key)
         while len(self._data) > self._capacity:
             self._data.popitem(last=False)

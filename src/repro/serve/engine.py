@@ -9,12 +9,14 @@
   unbounded latency tail); admitted requests always complete.
 * **Coalescing** — each dispatcher collects up to ``max_batch`` waiting
   requests inside a ``batch_window`` and executes them as one batch:
-  one stacked intersection GEMM per level (:mod:`repro.serve.batch`),
-  de-multiplexed into per-query Eq. 1 scores.
-* **Caching** — hot candidate sets, generation-keyed so publishes /
-  deltas / rebalances invalidate exactly the mutated level
-  (:mod:`repro.serve.cache`); key translations are memoized by the query
-  pipeline itself (:func:`repro.core.queries.level_plan`).
+  one stacked intersection GEMM per level over the look-ups the cache
+  does not hold (:mod:`repro.serve.batch`), each look-up's Eq. 1 table
+  scored once and shared, and a per-query join of those tables.
+* **Caching** — hot look-ups (candidate rows *and* their Eq. 1 score
+  table), generation-keyed so publishes / deltas / rebalances
+  invalidate exactly the mutated level (:mod:`repro.serve.cache`); key
+  translations are memoized by the query pipeline itself
+  (:func:`repro.core.queries.level_plan`).
 * **Mining + pre-warming** — the served log feeds a
   :class:`repro.serve.mining.QueryLogMiner`; after any store mutation
   the hottest lookups are recomputed in one stacked pass before the next
@@ -27,10 +29,11 @@ execution at once, which is the degree a real deployment (with compute
 off the event loop) would tune.
 
 Ordering semantics match the sequential plane: every query's Eq. 1
-scores are computed against the store state at batch start (scores are
-plain dicts, so an adaptation epoch fired mid-batch by an earlier
-query's retrieval cannot stale a later query's scoring), and each
-query's retrieval + ``note_query`` tick runs in admission order.
+scores are computed against the store state at batch start (the level
+tables are evaluated arrays and each query's scores a plain dict of its
+own, so an adaptation epoch fired mid-batch by an earlier query's
+retrieval cannot stale a later query's scoring), and each query's
+retrieval + ``note_query`` tick runs in admission order.
 """
 
 from __future__ import annotations
@@ -50,13 +53,16 @@ from repro.core.queries import (
     translation_cache_info,
 )
 from repro.core.results import KnnResult, RangeQueryResult
-from repro.core.scoring import level_scores
 from repro.exceptions import ServeError, ValidationError
 from repro.obs import registry as obs_registry
 from repro.serve.batch import StoreSource
 from repro.serve.cache import CandidateCache
 from repro.serve.mining import QueryLogMiner
-from repro.utils.validation import check_positive, check_vector
+from repro.utils.validation import (
+    check_peer_budget,
+    check_positive,
+    check_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -192,8 +198,11 @@ class ServeEngine:
         """Serve a coalesced batch; one stacked mask pass per level.
 
         The query pipeline of :mod:`repro.core.queries` over the
-        co-located :class:`~repro.serve.batch.StoreSource`: results come
-        back in request order and match what
+        co-located :class:`~repro.serve.batch.StoreSource`, which hands
+        every range request its per-level Eq. 1 tables (cached with the
+        look-up's candidates, scored once per store generation); here
+        they are only joined, into a fresh ``peer_scores`` dict per
+        result. Results come back in request order and match what
         :func:`repro.core.queries.range_query` /
         :func:`repro.core.knn.knn_query` return for the same inputs on
         the same network state (``index_hops`` excepted: the engine
@@ -219,21 +228,19 @@ class ServeEngine:
                 if isinstance(req, RangeRequest)
             ]
             fetched = self.source.fetch_batch([plans[p] for p in ranges])
-            # Score every range query before any retrieval runs: the
-            # level tables own copies of their rows and the join below
-            # ends in a plain dict, so a mid-batch adaptation epoch
-            # (store generation bump) cannot stale a later query's scoring.
-            scored: dict = {}
-            for position, candidates in zip(ranges, fetched, strict=True):
-                per_level = {
-                    level: level_scores(candidates[level], key, radius)
-                    for level, (key, radius) in plans[position].items()
-                }
-                scored[position] = score_peers(
-                    per_level,
+            # Join every range query before any retrieval runs: the
+            # level tables are evaluated arrays of their own and the
+            # join ends in a plain dict per request, so a mid-batch
+            # adaptation epoch (store generation bump) cannot stale a
+            # later query's scoring.
+            scored = {
+                position: score_peers(
+                    tables,
                     requests[position].aggregation
                     or network.config.aggregation,
                 )
+                for position, tables in zip(ranges, fetched, strict=True)
+            }
             results = []
             for position, request in enumerate(requests):
                 if isinstance(request, KnnRequest):
@@ -263,8 +270,10 @@ class ServeEngine:
             request.query, "query", dim=network.dimensionality
         )
         if isinstance(request, KnnRequest):
+            check_peer_budget(request.top_p, "top_p")
             return level_plan(network.dimensionality, network.levels, query)
         check_positive(request.epsilon, "epsilon", strict=False)
+        check_peer_budget(request.max_peers, "max_peers")
         plan = level_plan(
             network.dimensionality, network.levels, query, request.epsilon
         )
@@ -316,30 +325,22 @@ class ServeEngine:
     def prewarm(self) -> int:
         """Recompute the miner's hottest missing lookups, stacked per level.
 
-        Returns how many candidate sets were primed. Heat is *not*
-        bumped here — pre-warming is speculative compute, not demand.
+        Returns how many look-ups were primed. Heat is *not* bumped and
+        nothing is scored here — pre-warming is speculative compute, not
+        demand; the first range plan to hit a primed entry scores it.
         """
         if self.miner is None:
             return 0
-        hot = self.miner.hot_keys(self.config.prewarm_keys)
-        by_level: dict[int, list] = {}
-        for ck in hot:
+        by_level: dict[int, dict] = {}
+        for ck in self.miner.hot_keys(self.config.prewarm_keys):
             if self.candidates.peek(ck) is None:
-                by_level.setdefault(ck[0], []).append(ck)
-        primed = 0
-        for level_index, cache_keys in by_level.items():
-            level = self.network.levels[level_index]
-            store = self.network.overlays[level].level_store
-            centers = np.stack([
-                np.frombuffer(ck[1], dtype=np.float64) for ck in cache_keys
-            ])
-            radii = np.asarray([ck[2] for ck in cache_keys], dtype=np.float64)
-            masks = store.intersection_masks(centers, radii)
-            for row, ck in enumerate(cache_keys):
-                self.candidates.store(
-                    ck, store.candidate_set(np.flatnonzero(masks[row]))
+                by_level.setdefault(ck[0], {})[ck] = (
+                    np.frombuffer(ck[1], dtype=np.float64), ck[2]
                 )
-                primed += 1
+        primed = sum(
+            len(self.source.resolve(level_index, missing))
+            for level_index, missing in by_level.items()
+        )
         if primed:
             self._counters.prewarmed += primed
             obs_registry.metrics().counter("serve.prewarm.keys").inc(primed)

@@ -44,6 +44,26 @@ def check_probability(value: float, name: str) -> float:
     return float(value)
 
 
+def check_peer_budget(value, name: str) -> int | None:
+    """Validate a contact budget: ``None`` (no limit) or an integer >= 0.
+
+    NumPy integers pass; ``bool`` and floats do not — the budget is used
+    as a slice bound, where a negative value would silently drop peers
+    from the low end of the ranking instead of limiting the top.
+    """
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < 0
+    ):
+        raise ValidationError(
+            f"{name} must be None or a non-negative integer, got {value!r}"
+        )
+    return int(value)
+
+
 def check_power_of_two(value: int, name: str) -> int:
     """Validate that ``value`` is a positive integer power of two."""
     if value != int(value) or value < 1:

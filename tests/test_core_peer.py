@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.peer import HyperMPeer
 from repro.exceptions import ValidationError
@@ -69,6 +71,84 @@ class TestRangeSearch:
     def test_dimension_mismatch(self, peer):
         with pytest.raises(Exception):
             peer.range_search(np.zeros(4), 0.1)
+
+
+def _brute_force(peer, query, radius):
+    """The reference scan: every row's norm, slack 1e-12, row order."""
+    dists = np.linalg.norm(peer.data - query, axis=1)
+    return [
+        (int(peer.item_ids[i]), peer.peer_id, float(dists[i]))
+        for i in np.flatnonzero(dists <= radius + 1e-12)
+    ]
+
+
+def _assert_search_is_the_brute_force_scan(peer, rng):
+    """Same ids, same row order, ``==`` on the floats, at the hard radii."""
+    held = peer.data[rng.integers(0, peer.n_items)]
+    for query in (held, rng.random(peer.dimensionality)):
+        dists = np.linalg.norm(peer.data - query, axis=1)
+        exact = float(dists[rng.integers(0, peer.n_items)])
+        radii = [
+            0.0,  # with ``held``: the row itself, at distance exactly 0
+            exact,
+            float(np.nextafter(exact, -np.inf)),
+            float(np.nextafter(exact, np.inf)),
+            exact - 3e-12,  # past the 1e-12 slack on either side
+            exact + 3e-12,
+            float(np.median(dists)),
+            float(dists.max()) + 1.0,
+        ]
+        for radius in radii:
+            found = [
+                (hit.item_id, hit.peer_id, hit.distance)
+                for hit in peer.range_search(query, radius)
+            ]
+            assert found == _brute_force(peer, query, radius)
+
+
+class TestRangeSearchBits:
+    """``range_search`` *is* ``norm(data - q, axis=1) <= r + 1e-12``.
+
+    Pinned bit for bit (ids, order, distances) so the search may change
+    how it finds the rows but never which rows or what it reports; the
+    repeats after ``add_items`` / ``remove_items`` are what catch any
+    per-row state kept beside ``data`` going stale.
+    """
+
+    @given(
+        d=st.sampled_from([2, 16, 128, 512]),
+        n=st.integers(1, 48),
+        seed=st.integers(0, 10_000),
+    )
+    def test_equals_brute_force_through_adds_and_removes(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        peer = HyperMPeer(3, rng.random((n, d)), np.arange(1000, 1000 + n))
+        _assert_search_is_the_brute_force_scan(peer, rng)
+        added = int(rng.integers(1, 9))
+        peer.add_items(rng.random((added, d)), np.arange(5000, 5000 + added))
+        _assert_search_is_the_brute_force_scan(peer, rng)
+        doomed = rng.choice(
+            peer.item_ids, size=int(rng.integers(1, peer.n_items)),
+            replace=False,
+        )
+        peer.remove_items(doomed)
+        _assert_search_is_the_brute_force_scan(peer, rng)
+
+    def test_duplicate_rows_and_cube_corners(self):
+        # Exact-match look-ups where cancellation in an expanded
+        # ``|x|^2 - 2x.q + |q|^2`` is worst: the largest norms the unit
+        # cube allows, at the largest dimensionality the repo uses.
+        data = np.ones((6, 512))
+        data[3] = np.nextafter(1.0, 0.0)
+        data[4, :7] = 1.0 - 1e-9
+        peer = HyperMPeer(9, data)
+        for row in range(6):
+            for radius in (0.0, 1e-12, 1e-9, 1e-6, 1e-4):
+                found = [
+                    (hit.item_id, hit.peer_id, hit.distance)
+                    for hit in peer.range_search(data[row], radius)
+                ]
+                assert found == _brute_force(peer, data[row], radius)
 
 
 class TestNearestItems:

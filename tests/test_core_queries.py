@@ -1,10 +1,11 @@
 """Tests for range/point query processing — including the paper's central
 no-false-dismissal guarantee, checked end-to-end."""
 
+import numpy as np
 import pytest
 
 from repro.core.baselines import CentralizedIndex
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, ValidationError
 from repro.evaluation.metrics import precision_recall
 
 
@@ -76,6 +77,36 @@ class TestRangeQueries:
             wl.network.range_query(
                 wl.ground_truth.data[0], 0.1, origin_peer=999
             )
+
+    @pytest.mark.parametrize("budget", [-1, -3, 2.0, True, "2"])
+    def test_bad_peer_budget_rejected_before_any_message(
+        self, tiny_histogram_workload, budget
+    ):
+        """A negative budget used to slice the *lowest*-ranked peer off
+        (``ranked[:-1]``) and report full confidence."""
+        wl = tiny_histogram_workload
+        query = wl.ground_truth.data[0]
+        metrics = wl.network.fabric.metrics
+        before = metrics.total_messages
+        with pytest.raises(ValidationError, match="max_peers"):
+            wl.network.range_query(query, 0.12, max_peers=budget)
+        with pytest.raises(ValidationError, match="top_p"):
+            wl.network.knn_query(query, 5, top_p=budget)
+        assert metrics.total_messages == before
+
+    def test_zero_and_numpy_peer_budgets_are_legal(
+        self, tiny_histogram_workload
+    ):
+        wl = tiny_histogram_workload
+        query = wl.ground_truth.data[0]
+        nobody = wl.network.range_query(query, 0.12, max_peers=0)
+        assert nobody.peers_contacted == [] and nobody.items == []
+        assert nobody.peer_scores  # the index phase still ran
+        assert wl.network.knn_query(query, 5, top_p=0).peers_contacted == []
+        two = wl.network.range_query(query, 0.12, max_peers=np.int64(2))
+        assert two.peers_contacted == wl.network.range_query(
+            query, 0.12, max_peers=2
+        ).peers_contacted
 
     def test_aggregation_override(self, tiny_histogram_workload):
         wl = tiny_histogram_workload

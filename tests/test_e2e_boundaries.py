@@ -71,7 +71,7 @@ def test_single_call_sites_are_patchable():
     }
     assert "repro.core.queries" in held["aggregate_scores"]
     assert "repro.core.queries" in held["level_scores"]
-    assert "repro.serve.engine" in held["level_scores"]
+    assert "repro.serve.cache" in held["level_scores"]
     assert "repro.core.queries" in held["retrieval_phase"]
 
 

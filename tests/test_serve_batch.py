@@ -7,8 +7,9 @@ Pins the two facts the serving tier rests on:
   absorbed by the shared boundary band), tombstones included.
 * :meth:`repro.serve.batch.StoreSource.fetch_batch` resolves exactly the
   candidate sets the sequential overlay walk yields (the replication
-  invariant: live rows under the mask == the visited zones' union), and
-  every request bumps candidate heat — cached or freshly computed.
+  invariant: live rows under the mask == the visited zones' union),
+  hands back their Eq. 1 tables, and every request bumps candidate heat
+  — cached or freshly computed.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.exceptions import ValidationError
 from repro.index import LevelStore
 from repro.core.queries import level_plan
 from repro.serve.batch import StoreSource, fresh_candidates
-from repro.serve.cache import CandidateCache
+from repro.serve.cache import CandidateCache, candidate_key
 from repro.wavelets.bounds import key_space_radius, radius_scale
 
 
@@ -136,6 +137,12 @@ def _plans(network, queries, epsilon):
     ]
 
 
+def _assert_same_table(table, expected):
+    """Same peers, bit-equal Eq. 1 totals."""
+    assert np.array_equal(table.peers, expected.peers)
+    assert np.array_equal(table.totals(), expected.totals())
+
+
 class TestBatchedCandidates:
     def test_level_radii_matches_theorem_31_scaling(self, served_workload):
         network = served_workload.network
@@ -157,13 +164,23 @@ class TestBatchedCandidates:
             served_workload.data, 6, rng=np.random.default_rng(2)
         )
         plans = _plans(network, queries, 0.3)
-        batched = StoreSource(network, CandidateCache(64)).fetch_batch(plans)
-        for plan, resolved in zip(plans, batched):
-            for level, (key, radius) in plan.items():
+        cache = CandidateCache(64)
+        batched = StoreSource(network, cache).fetch_batch(plans)
+        for plan, tables in zip(plans, batched):
+            for index, (level, (key, radius)) in enumerate(plan.items()):
                 store = network.overlays[level].level_store
                 expected = fresh_candidates(store, key, radius)
-                assert np.array_equal(resolved[level].rows, expected.rows)
-                assert resolved[level].generation == expected.generation
+                held = cache.peek(candidate_key(index, key, radius))
+                assert np.array_equal(
+                    held.candidates.rows, expected.candidates.rows
+                )
+                assert (
+                    held.candidates.generation
+                    == expected.candidates.generation
+                )
+                # The request got the entry's own table, fully evaluated.
+                assert tables[level] is held.table()
+                _assert_same_table(tables[level], expected.table())
 
     def test_cache_dedupes_within_and_across_batches(self, served_workload):
         network = served_workload.network
@@ -194,8 +211,8 @@ class TestBatchedCandidates:
         level = network.levels[0]
         store = network.overlays[level].level_store
         before = store._heat.copy()
-        resolved = StoreSource(network, CandidateCache(64)).fetch_batch(plans)
-        rows = resolved[0][level].rows
+        StoreSource(network, CandidateCache(64)).fetch_batch(plans)
+        rows = fresh_candidates(store, *plans[0][level]).candidates.rows
         delta = store._heat - before
         if len(rows):
             assert (delta[rows] == 2).all()  # both requests counted
@@ -208,8 +225,8 @@ class TestBatchedCandidates:
         plans = _plans(network, queries, 0.2)
         batched = StoreSource(network).fetch_batch(plans)
         assert len(batched) == 2
-        for plan, resolved in zip(plans, batched):
+        for plan, tables in zip(plans, batched):
             for level, (key, radius) in plan.items():
                 store = network.overlays[level].level_store
                 expected = fresh_candidates(store, key, radius)
-                assert np.array_equal(resolved[level].rows, expected.rows)
+                _assert_same_table(tables[level], expected.table())

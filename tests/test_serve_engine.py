@@ -15,10 +15,12 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core import scoring as core_scoring
 from repro.core.network import HyperMConfig
 from repro.evaluation.workloads import build_markov_network, sample_queries
 from repro.exceptions import QueryError, ServeError, ValidationError
 from repro.serve import KnnRequest, RangeRequest, ServeConfig, ServeEngine
+from repro.serve import cache as serve_cache
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,118 @@ class TestRangeParity:
                 RangeRequest(query=queries[0], epsilon=0.1, origin_peer=999)
             )
         assert engine.execute_batch([]) == []
+
+
+    @pytest.mark.parametrize("budget", [-1, 1.0, False])
+    def test_bad_peer_budget_fails_the_batch_at_planning(
+        self, workload, queries, budget
+    ):
+        engine = ServeEngine(workload.network)
+        good = RangeRequest(query=queries[0], epsilon=0.3)
+        metrics = workload.network.fabric.metrics
+        before = metrics.total_messages
+        for bad in (
+            RangeRequest(query=queries[1], epsilon=0.3, max_peers=budget),
+            KnnRequest(query=queries[1], k=3, top_p=budget),
+        ):
+            with pytest.raises(ValidationError):
+                engine.execute_batch([good, bad])
+        assert metrics.total_messages == before
+        assert engine.execute(
+            RangeRequest(query=queries[0], epsilon=0.3, max_peers=0)
+        ).peers_contacted == []
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Swap ``module.name`` for a wrapper that logs each call's args."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestScoreOncePerLookup:
+    """A look-up's Eq. 1 table lives with its cached candidates.
+
+    The table is a pure function of (store generation, level, key,
+    radius), so a cache hit serves it as is; the results stay ``==`` —
+    bit for bit — to a sequential ``range_query``.
+    """
+
+    @staticmethod
+    def _requests(queries):
+        return [
+            RangeRequest(query=q, epsilon=0.3, max_peers=3) for q in queries
+        ]
+
+    @staticmethod
+    def _assert_equals_sequential(network, requests, served):
+        assert any(result.peer_scores for result in served)
+        for request, result in zip(requests, served):
+            sequential = network.range_query(
+                request.query, request.epsilon, max_peers=request.max_peers
+            )
+            assert result.peer_scores == sequential.peer_scores
+            assert result.peers_contacted == sequential.peers_contacted
+            assert _item_ids(result) == _item_ids(sequential)
+
+    def test_repeat_batch_scores_nothing(
+        self, workload, queries, monkeypatch
+    ):
+        network = workload.network
+        engine = ServeEngine(network)
+        requests = self._requests(queries)
+        first = engine.execute_batch(requests)
+        scored = _count_calls(monkeypatch, serve_cache, "level_scores")
+        kernel = _count_calls(
+            monkeypatch, core_scoring, "intersection_fraction_batch"
+        )
+        second = engine.execute_batch(requests)
+        assert scored == [] and kernel == []
+        for before, after in zip(first, second):
+            assert after.peer_scores == before.peer_scores
+        self._assert_equals_sequential(network, requests, second)
+
+    def test_publish_delta_rescores(self, workload, queries, monkeypatch):
+        network = workload.network
+        engine = ServeEngine(network)
+        requests = self._requests(queries)
+        engine.execute_batch(requests)
+        peer_id = next(iter(network.peers))
+        network.peers[peer_id].add_items(
+            np.random.default_rng(41).random((5, network.dimensionality)),
+            np.arange(910_000, 910_005),
+        )
+        network.publish_delta(peer_id)
+        stale_before = engine.candidates.stale
+        scored = _count_calls(monkeypatch, serve_cache, "level_scores")
+        served = engine.execute_batch(requests)
+        assert engine.candidates.stale > stale_before
+        assert scored  # the mutated levels' tables were rebuilt
+        self._assert_equals_sequential(network, requests, served)
+
+    def test_each_result_owns_its_scores(self, workload, queries):
+        engine = ServeEngine(workload.network)
+        request = RangeRequest(query=queries[0], epsilon=0.3)
+        first, second = engine.execute_batch([request, request])
+        assert first.peer_scores and first.peer_scores == second.peer_scores
+        assert first.peer_scores is not second.peer_scores
+        first.peer_scores.clear()  # a caller's edit reaches nobody else
+        assert engine.execute(request).peer_scores == second.peer_scores
+
+    def test_knn_discovery_probes_build_no_table(
+        self, workload, queries, monkeypatch
+    ):
+        engine = ServeEngine(workload.network)
+        scored = _count_calls(monkeypatch, serve_cache, "level_scores")
+        engine.execute_batch([KnnRequest(query=q, k=3) for q in queries[:4]])
+        assert len(engine.candidates) > 0  # the probes went through the cache
+        assert scored == []
 
 
 class TestKnnParity:

@@ -82,3 +82,32 @@ def flood_order(network, seeds, center, radius) -> list[int]:
             reached.append(neighbor_id)
             queue.append(neighbor_id)
     return reached
+
+
+def grid_neighbor_order(counts, node_id_offset=0) -> dict[int, list[int]]:
+    """Insertion order of every bulk-grid node's neighbour table.
+
+    Per dimension, cell by cell, the +1 edge then its reverse — the
+    order ``build_grid_can`` has always wired them in. A dict keeps a
+    key's first insertion position, and routing breaks distance ties by
+    that position, so the order is routing state, not an accident.
+    """
+    n_cells = int(np.prod(counts))
+    order: dict[int, list[int]] = {
+        node_id_offset + cell: [] for cell in range(n_cells)
+    }
+
+    def note(node_id: int, neighbor_id: int) -> None:
+        if neighbor_id not in order[node_id]:
+            order[node_id].append(neighbor_id)
+
+    for dim, extent in enumerate(counts):
+        if extent < 2:
+            continue
+        for cell in range(n_cells):
+            index = list(np.unravel_index(cell, counts))
+            index[dim] = (index[dim] + 1) % extent
+            up = int(np.ravel_multi_index(index, counts))
+            note(node_id_offset + cell, node_id_offset + up)
+            note(node_id_offset + up, node_id_offset + cell)
+    return order

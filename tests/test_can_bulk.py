@@ -28,6 +28,9 @@ from repro.overlay.can import (
     grid_shape,
 )
 from repro.runtime import run_context
+from tests import can_reference as reference
+
+GRIDS = [(1, 8), (2, 16), (2, 8), (3, 32), (4, 16), (2, 1), (1, 2), (16, 64)]
 
 
 class TestGridShape:
@@ -97,6 +100,111 @@ class TestBuildGridCan:
         plan = GridPlan(counts=(4, 4), node_id_offset=0)
         with pytest.raises(ValidationError, match="shape"):
             plan.owner_nodes(np.zeros((3, 3)))
+
+
+class TestGridBits:
+    """The grid's exact state: box bits, neighbour order, shared snapshots."""
+
+    @pytest.mark.parametrize("dim,n", GRIDS)
+    def test_zone_bits_are_the_closed_form(self, dim, n):
+        can, plan = build_grid_can(dim, n, node_id_offset=700)
+        counts = np.asarray(plan.counts, dtype=np.float64)
+        for cell in range(plan.n_cells):
+            index = np.asarray(np.unravel_index(cell, plan.counts))
+            zone = can.node(700 + cell).zone
+            assert zone.lows.tolist() == (index / counts).tolist()
+            assert zone.highs.tolist() == ((index + 1) / counts).tolist()
+            assert zone.lows.dtype == zone.highs.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                zone.lows[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                zone.highs[0] = 1.0
+
+    @pytest.mark.parametrize("dim,n", GRIDS)
+    def test_neighbor_insertion_order(self, dim, n):
+        can, plan = build_grid_can(dim, n, node_id_offset=40)
+        expected = reference.grid_neighbor_order(plan.counts, 40)
+        assert can.node_ids == list(expected)
+        for node_id, order in expected.items():
+            assert list(can.node(node_id).neighbors) == order
+
+    @pytest.mark.parametrize("dim,n", GRIDS)
+    def test_snapshots_share_the_owner_zone_objects(self, dim, n):
+        can, __ = build_grid_can(dim, n)
+        for node_id in can.node_ids:
+            for other, snapshot in can.node(node_id).neighbors.items():
+                zones = can.node(other).zones
+                assert isinstance(snapshot, tuple)
+                assert len(snapshot) == len(zones) == 1
+                assert snapshot[0] is zones[0]
+
+
+class TestBulkPublishTwins:
+    """``bulk_publish`` against the per-row / per-frame paths it batches."""
+
+    N = 90
+
+    def _inputs(self, dim=2, seed=11):
+        rng = np.random.default_rng(seed)
+        keys = rng.random((self.N, dim))
+        keys[:6] = keys[6:12]  # several spheres on one key, one owner
+        keys[12] = 1.0  # the outer corner clamps into the last cell
+        radii = 0.05 * rng.random(self.N)
+        peer_ids = np.arange(self.N, dtype=np.int64) % 7
+        return keys, radii, peer_ids
+
+    def test_memberships_match_per_owner_add_many(self):
+        keys, radii, peer_ids = self._inputs()
+        can, plan = build_grid_can(2, 16, node_id_offset=300)
+        bulk_publish(can, plan, keys, radii, peer_ids=peer_ids)
+
+        twin, twin_plan = build_grid_can(2, 16, node_id_offset=300)
+        store = twin.level_store
+        rows = store.bulk_add(keys, radii, peer_ids=peer_ids)
+        owners = twin_plan.owner_nodes(keys)
+        for owner in np.unique(owners).tolist():
+            twin.node(owner).membership.add_many(rows[owners == owner])
+
+        for node_id in twin.node_ids:
+            np.testing.assert_array_equal(
+                can.node(node_id).membership.rows(),
+                twin.node(node_id).membership.rows(),
+            )
+        assert can.level_store.health() == store.health()
+        assert can.level_store.generation == store.generation
+        can.level_store.verify_integrity()
+
+    def test_ledgers_match_a_per_frame_transmit_loop(self):
+        keys, radii, peer_ids = self._inputs()
+        can, plan = build_grid_can(2, 16, node_id_offset=300)
+        origins = 300 + (np.arange(self.N, dtype=np.int64) * 5) % plan.n_cells
+        report = bulk_publish(
+            can, plan, keys, radii, peer_ids=peer_ids, origins=origins
+        )
+
+        twin, twin_plan = build_grid_can(2, 16, node_id_offset=300)
+        size = vector_message_size(2, scalars=2)
+        owners = twin_plan.owner_nodes(keys)
+        for origin, owner in zip(origins.tolist(), owners.tolist()):
+            twin.fabric.transmit(origin, owner, MessageKind.INSERT, size)
+        assert report.messages == self.N
+
+        ours, theirs = can.fabric.load.per_node, twin.fabric.load.per_node
+        assert set(ours) == set(theirs)
+        for node_id, slot in theirs.items():
+            assert ours[node_id].to_record() == slot.to_record()
+        ours, theirs = can.fabric.energy.per_node, twin.fabric.energy.per_node
+        assert set(ours) == set(theirs)
+        for node_id, drain in theirs.items():
+            assert ours[node_id] == pytest.approx(drain, rel=1e-9)
+        assert can.fabric.energy.total == pytest.approx(
+            twin.fabric.energy.total, rel=1e-9
+        )
+        insert = can.fabric.metrics.kind(MessageKind.INSERT)
+        twin_insert = twin.fabric.metrics.kind(MessageKind.INSERT)
+        assert (insert.messages, insert.bytes) == (
+            twin_insert.messages, twin_insert.bytes
+        )
 
 
 class TestBulkPublish:

@@ -329,25 +329,6 @@ class NodeMembership:
                 added += 1
         return added
 
-    def add_rows_array(self, rows: np.ndarray) -> int:
-        """Vectorized :meth:`add_many` for freshly bulk-appended rows.
-
-        The rows must be live; duplicates against current holdings are
-        filtered here, so callers can hand over raw
-        :meth:`LevelStore.bulk_add` row batches. One ``np.add.at``
-        refcount pass replaces per-row ``_incref`` calls.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return 0
-        fresh = [int(row) for row in rows if int(row) not in self._rows]
-        if not fresh:
-            return 0
-        self._rows.update(fresh)
-        self._cache = None
-        self._store._incref_bulk(np.asarray(fresh, dtype=np.int64))
-        return len(fresh)
-
     def discard(self, row: int) -> bool:
         """Drop one row; returns False if it was not held."""
         row = int(row)
@@ -809,17 +790,14 @@ class LevelStore:
         self.generation += 1
         return row
 
-    def bulk_add(self, keys, radii, *, items=None, peer_ids=None,
-                 values=None) -> np.ndarray:
-        """Append ``n`` entries in one vectorized pass; returns their rows.
+    def check_bulk(self, keys, radii, *, items=None, peer_ids=None,
+                   values=None) -> tuple:
+        """Validate one :meth:`bulk_add` batch without appending it.
 
-        The scale-harness fast path: one capacity check, one slice write
-        per column, one generation bump for the whole batch — versus
-        ``n`` :meth:`add` calls each paying Python-level column stores
-        and a generation bump. ``items``/``peer_ids`` are passed as
-        columns (there are no per-entry payload objects to mirror them
-        from); ``values`` defaults to ``None`` payloads, which scoring
-        never touches.
+        Raises whatever ``bulk_add`` would and changes nothing, so a
+        caller with other state to change first (``bulk_publish``
+        charges the fabric) can ask before it does. Returns the coerced
+        ``(keys, radii, items, peer_ids)`` columns.
         """
         keys = np.asarray(keys, dtype=np.float64)
         if keys.ndim != 2 or keys.shape[1] != self._dim:
@@ -828,8 +806,6 @@ class LevelStore:
                 f"dimensionality {self._dim}"
             )
         n = keys.shape[0]
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
         radii = np.broadcast_to(
             np.asarray(radii, dtype=np.float64), (n,)
         )
@@ -845,6 +821,26 @@ class LevelStore:
             raise ValidationError(
                 f"values length {len(values)} does not match {n} keys"
             )
+        return keys, radii, items_col, peer_col
+
+    def bulk_add(self, keys, radii, *, items=None, peer_ids=None,
+                 values=None) -> np.ndarray:
+        """Append ``n`` entries in one vectorized pass; returns their rows.
+
+        The scale-harness fast path: one capacity check, one slice write
+        per column, one generation bump for the whole batch — versus
+        ``n`` :meth:`add` calls each paying Python-level column stores
+        and a generation bump. ``items``/``peer_ids`` are passed as
+        columns (there are no per-entry payload objects to mirror them
+        from); ``values`` defaults to ``None`` payloads, which scoring
+        never touches.
+        """
+        keys, radii, items_col, peer_col = self.check_bulk(
+            keys, radii, items=items, peer_ids=peer_ids, values=values
+        )
+        n = keys.shape[0]
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
         if self._size + n > self._capacity:
             self._grow_to(self._size + n)
         start = self._size
@@ -889,6 +885,34 @@ class LevelStore:
             key_sq=self._key_sq[rows] if dists is None else None,
             dists=None if dists is None else dists[rows],
         )
+
+    def assign_rows(self, memberships, rows, starts) -> int:
+        """Land grouped rows on their memberships in one refcount pass.
+
+        Group ``i`` — ``rows[starts[i]:starts[i + 1]]`` — goes to
+        ``memberships[i]``. The whole batch must be live, checked before
+        any membership changes. Rows a membership already holds are
+        skipped, not double-counted, exactly as sequential
+        :meth:`NodeMembership.add_many` calls would; one
+        :meth:`_incref_bulk` covers everything newly held. Returns how
+        many holdings were new.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        bounds = np.asarray(starts, dtype=np.int64).tolist()
+        if len(bounds) != len(memberships) + 1:
+            raise ValidationError("starts must bracket one group per membership")
+        if not np.all(self._live[rows]):
+            raise ValidationError("cannot assign tombstoned rows")
+        flat = rows.tolist()
+        fresh: list[int] = []
+        for membership, start, stop in zip(memberships, bounds, bounds[1:]):
+            new = set(flat[start:stop]) - membership._rows
+            if new:
+                membership._rows |= new
+                membership._cache = None
+                fresh.extend(new)
+        self._incref_bulk(np.asarray(fresh, dtype=np.int64))
+        return len(fresh)
 
     def _incref(self, row: int) -> None:
         if not self._live[row]:

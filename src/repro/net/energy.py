@@ -66,32 +66,23 @@ class EnergyLedger:
         self.per_node[receiver] = self.per_node.get(receiver, 0.0) + rx
         self.total += tx + rx
 
-    def charge_bulk(self, senders, receivers, size_bytes: int) -> None:
+    def charge_bulk(self, sent, received, size_bytes: int) -> None:
         """Charge many equal-sized hops at once (scale harness).
 
-        ``senders``/``receivers`` are parallel node-id arrays, one entry
-        per frame. Per-node attribution collapses to one update per
-        *distinct* node (``np.unique``), so the hot-spot statistics in
-        :meth:`snapshot` stay exact while the cost is O(nodes), not
-        O(frames).
+        ``sent`` / ``received`` are each ``(ids, counts)``: the distinct
+        nodes and the frames each transmitted / received — the collapse
+        :meth:`repro.net.network.Network.transmit_bulk` computes once
+        for every ledger — so the hot-spot statistics in :meth:`snapshot`
+        stay exact while the cost is O(nodes), not O(frames).
         """
-        import numpy as np
-
-        senders = np.asarray(senders, dtype=np.int64)
-        receivers = np.asarray(receivers, dtype=np.int64)
-        if senders.shape != receivers.shape:
-            raise ValueError("senders and receivers must align")
-        if senders.size == 0:
-            return
         tx = self.model.tx_cost(size_bytes)
         rx = self.model.rx_cost(size_bytes)
-        for ids, cost in ((senders, tx), (receivers, rx)):
-            unique, counts = np.unique(ids, return_counts=True)
-            for node_id, count in zip(unique.tolist(), counts.tolist()):
+        for (ids, counts), cost in ((sent, tx), (received, rx)):
+            for node_id, count in zip(ids, counts):
                 self.per_node[node_id] = (
                     self.per_node.get(node_id, 0.0) + cost * count
                 )
-        self.total += (tx + rx) * senders.size
+        self.total += (tx + rx) * sum(sent[1])
 
     def node_energy(self, node_id: int) -> float:
         """Energy drained from ``node_id`` so far (µJ)."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro import runtime
 from repro.engine.serial import SerialScheduler
 from repro.exceptions import ValidationError
@@ -194,11 +196,16 @@ class Network:
         The scale-harness companion to :meth:`transmit`: metrics, energy,
         and per-node load all receive exactly the totals the equivalent
         per-frame ``transmit`` loop would have produced, at O(distinct
-        nodes) Python cost. Restricted to the clean fabric — bulk
-        construction models an orchestrated bootstrap, which the fault
-        injector (per-message verdicts) cannot meaningfully perturb — and
-        to accounting-only mode (no delivery callbacks). Returns the
-        number of frames charged.
+        nodes) Python cost: each side is collapsed once to ``(ids,
+        counts)`` — distinct node ids ascending, frames each — and both
+        ledgers are charged from that one collapse. Everything is checked
+        before any ledger is touched, endpoints by the rule and wording
+        of :meth:`transmit` (one membership test per *distinct* id).
+        Restricted to the clean fabric — bulk construction models an
+        orchestrated bootstrap, which the fault injector (per-message
+        verdicts) cannot meaningfully perturb — and to accounting-only
+        mode (no delivery callbacks). Returns the number of frames
+        charged.
         """
         if self.faults is not None and not self.faults.passthrough:
             raise ValidationError(
@@ -207,16 +214,27 @@ class Network:
             )
         if size_bytes < 0:
             raise ValidationError(f"size_bytes must be >= 0, got {size_bytes}")
-        n_frames = len(senders)
-        if len(receivers) != n_frames:
+        senders = np.asarray(senders, dtype=np.int64)
+        receivers = np.asarray(receivers, dtype=np.int64)
+        if senders.ndim != 1 or senders.shape != receivers.shape:
             raise ValidationError("senders and receivers must align")
+        n_frames = senders.size
         if n_frames == 0:
             return 0
-        self.energy.charge_bulk(senders, receivers, size_bytes)
+        collapsed = []
+        for endpoints, role in ((senders, "source"), (receivers, "destination")):
+            ids, counts = np.unique(endpoints, return_counts=True)
+            ids = ids.tolist()
+            if not all(map(self._nodes.__contains__, ids)):  # C-speed pass
+                unknown = next(i for i in ids if i not in self._nodes)
+                raise ValidationError(f"unknown {role} node {unknown}")
+            collapsed.append((ids, counts.tolist()))
+        sent, received = collapsed
+        self.energy.charge_bulk(sent, received, size_bytes)
         self.metrics.record_bulk_transmit(
             kind, n_frames, size_bytes * n_frames
         )
-        self.load.charge_bulk(senders, receivers, size_bytes)
+        self.load.charge_bulk(sent, received, size_bytes)
         recorder = runtime.current.tracer
         if recorder.enabled:
             recorder.add(

@@ -118,27 +118,21 @@ class LoadLedger:
         dst.retransmits += retransmits
         dst.duplicates += duplicates
 
-    def charge_bulk(self, senders, receivers, size_bytes: int) -> None:
+    def charge_bulk(self, sent, received, size_bytes: int) -> None:
         """Account many equal-sized delivered frames at once.
 
-        The bulk-construction counterpart of :meth:`charge`: per-node
-        totals land in the same counters, collapsed to one update per
-        distinct endpoint (O(nodes), not O(frames)). Bulk traffic is
-        clean by construction — no retransmits, duplicates, or drops.
+        The bulk-construction counterpart of :meth:`charge`: ``sent`` /
+        ``received`` are each ``(ids, counts)`` — every distinct endpoint
+        and its frame count, collapsed once by the fabric for every
+        ledger — and per-node totals land in the same counters: O(nodes),
+        not O(frames). Bulk traffic is clean by construction — no
+        retransmits, duplicates, or drops.
         """
-        import numpy as np
-
-        senders = np.asarray(senders, dtype=np.int64)
-        receivers = np.asarray(receivers, dtype=np.int64)
-        if senders.size == 0:
-            return
-        out_ids, out_counts = np.unique(senders, return_counts=True)
-        for node_id, count in zip(out_ids.tolist(), out_counts.tolist()):
+        for node_id, count in zip(*sent):
             slot = self._slot(node_id)
             slot.msgs_out += count
             slot.bytes_out += size_bytes * count
-        in_ids, in_counts = np.unique(receivers, return_counts=True)
-        for node_id, count in zip(in_ids.tolist(), in_counts.tolist()):
+        for node_id, count in zip(*received):
             slot = self._slot(node_id)
             slot.msgs_in += count
             slot.bytes_in += size_bytes * count

@@ -16,10 +16,11 @@ state directly:
   adjacency (±1 per dimension, torus wrap) instead of O(n²) geometry
   scans — validated against :meth:`CANNetwork._rebuild_all_neighbors`
   in the test suite;
-* :func:`bulk_publish` — vectorised sphere publication:
-  :meth:`LevelStore.bulk_add` appends every row in one pass, owners come
-  from one ``floor(key · counts)`` gather, memberships land via
-  :meth:`NodeMembership.add_rows_array`, and traffic is accounted
+* :func:`bulk_publish` — vectorised sphere publication: everything is
+  validated before anything changes, then :meth:`LevelStore.bulk_add`
+  appends every row in one pass, owners come from one
+  ``floor(key · counts)`` gather, memberships land in one
+  :meth:`LevelStore.assign_rows` refcount pass, and traffic is accounted
   through the fabric's batched :meth:`~repro.net.network.Network.transmit_bulk`.
 
 Fidelity notes. Bulk publication places each sphere at its key's owner
@@ -47,6 +48,7 @@ from repro.net.messages import MessageKind, vector_message_size
 from repro.overlay.can.network import CANNetwork
 from repro.overlay.can.node import CANNode
 from repro.overlay.can.zone import Zone
+from repro.utils.validation import check_matrix, check_unit_cube
 
 
 def grid_shape(dimensionality: int, n_nodes: int) -> tuple[int, ...]:
@@ -122,7 +124,8 @@ def build_grid_can(
     from a protocol-grown one for the data and query planes (zones tile
     the cube, neighbour tables satisfy the CAN neighbour relation, the
     shared level store is attached), plus the :class:`GridPlan` that
-    maps keys to owners analytically.
+    maps keys to owners analytically. The cells are validated like any
+    zone, all at once (:meth:`Zone.from_rows`).
     """
     counts = grid_shape(dimensionality, n_nodes)
     n_cells = int(np.prod(counts))
@@ -134,14 +137,14 @@ def build_grid_can(
     cell_index = np.stack(
         np.unravel_index(np.arange(n_cells), counts), axis=1
     )
-    lows = cell_index / counts_arr
-    highs = (cell_index + 1) / counts_arr
+    zones = Zone.from_rows(
+        cell_index / counts_arr, (cell_index + 1) / counts_arr
+    )
     nodes: list[CANNode] = []
     # Populate the overlay directly (same-package bootstrap): each cell
     # becomes one node, registered on the fabric like a joined node.
-    for cell in range(n_cells):
-        node_id = node_id_offset + cell
-        node = CANNode(node_id, Zone(lows[cell].copy(), highs[cell].copy()))
+    for cell, zone in enumerate(zones):
+        node = CANNode(node_id_offset + cell, zone)
         can._admit(node)
         nodes.append(node)
     can._next_id = node_id_offset + n_cells
@@ -189,44 +192,58 @@ def bulk_publish(
 
     One :meth:`LevelStore.bulk_add` appends every row (single generation
     bump), one :meth:`GridPlan.owner_nodes` gather finds the owners, and
-    memberships land grouped per owner. ``items`` is the per-sphere item
+    memberships land grouped per owner in one
+    :meth:`LevelStore.assign_rows` pass. ``items`` is the per-sphere item
     count column Eq. 1 weighs by (zeros when omitted, so every score is
     0.0 — fine for cost measurements only). ``origins``, when given, is the
     per-sphere publishing node id; traffic is charged as one INSERT
     frame per sphere from origin to owner through
     :meth:`Network.transmit_bulk` (owners deliver to themselves when
     ``origins`` is omitted — the orchestrated local-placement bootstrap).
+
+    A batch is refused whole, before the store, a membership or a ledger
+    changes: keys must be finite and in the unit cube as for a routed
+    insert, ``origins`` one registered node per sphere, and the fabric
+    clean when ``charge``. An empty batch publishes nothing.
     """
-    keys = np.asarray(keys, dtype=np.float64)
-    store = can.level_store
-    rows = store.bulk_add(
-        keys, radii, items=items, peer_ids=peer_ids, values=values
+    keys = check_unit_cube(
+        check_matrix(keys, "keys", dim=can.dimensionality, min_rows=0), "keys"
     )
+    store = can.level_store
+    store.check_bulk(keys, radii, items=items, peer_ids=peer_ids, values=values)
     owners = plan.owner_nodes(keys)
+    senders = owners if origins is None else np.asarray(
+        origins, dtype=np.int64
+    )
+    if senders.shape != owners.shape:
+        raise ValidationError("origins must name one node per sphere")
+    if owners.size == 0:
+        return BulkPublishReport(0, 0, 0, 0)
     order = np.argsort(owners, kind="stable")
     sorted_owners = owners[order]
-    sorted_rows = rows[order]
-    boundaries = np.flatnonzero(np.diff(sorted_owners)) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [sorted_owners.size]))
-    for start, stop in zip(starts, stops):
-        can.node(int(sorted_owners[start])).membership.add_rows_array(
-            sorted_rows[start:stop]
-        )
-    messages = bytes_sent = 0
-    if charge and rows.size:
-        size = vector_message_size(can.dimensionality, scalars=2)
-        senders = owners if origins is None else np.asarray(
-            origins, dtype=np.int64
-        )
+    starts = np.concatenate(
+        ([0], np.flatnonzero(np.diff(sorted_owners)) + 1, [owners.size])
+    )
+    memberships = [
+        can.node(owner).membership
+        for owner in sorted_owners[starts[:-1]].tolist()
+    ]
+    size = vector_message_size(can.dimensionality, scalars=2)
+    messages = 0
+    if charge:
+        # The last call that can refuse, and it does before it charges:
+        # as in a routed insert, validate, then charge, then store.
         messages = can.fabric.transmit_bulk(
             MessageKind.INSERT, senders, owners, size
         )
-        bytes_sent = messages * size
         can.fabric.finish_operation(MessageKind.INSERT, messages)
+    rows = store.bulk_add(
+        keys, radii, items=items, peer_ids=peer_ids, values=values
+    )
+    store.assign_rows(memberships, rows[order], starts)
     return BulkPublishReport(
         spheres=int(rows.size),
-        nodes_touched=int(starts.size),
+        nodes_touched=len(memberships),
         messages=int(messages),
-        bytes_sent=int(bytes_sent),
+        bytes_sent=int(messages * size),
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.utils.validation import check_vector
+from repro.utils.validation import check_matrix, check_vector
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,11 @@ class Zone:
 
     The upper boundary ``highs == 1.0`` is treated as closed so the zones
     jointly cover every point of ``[0, 1]^m``.
+
+    Every zone is validated: ``Zone(lows, highs)`` checks one box,
+    :meth:`from_rows` checks ``n`` boxes in one array pass. There is no
+    constructor that skips the check. Both adopt and freeze the arrays
+    they are given.
     """
 
     lows: np.ndarray
@@ -37,6 +42,34 @@ class Zone:
         highs.setflags(write=False)
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
+
+    @classmethod
+    def from_rows(cls, lows: np.ndarray, highs: np.ndarray) -> list["Zone"]:
+        """One zone per row of two ``(n, d)`` arrays, validated once.
+
+        The whole-array form of ``__post_init__``: the same predicates
+        (finite, equal shape, ``0 <= lows < highs <= 1``) raising the
+        same exception types, applied to all ``n`` boxes in one pass
+        instead of ``n`` times. Each zone's ``lows`` / ``highs`` are
+        read-only row views of the two frozen arrays.
+        """
+        lows = check_matrix(lows, "lows")
+        highs = check_matrix(highs, "highs", dim=lows.shape[1])
+        if highs.shape != lows.shape:
+            raise ValidationError("lows and highs must have one row per zone")
+        if np.any(lows < 0.0) or np.any(highs > 1.0) or np.any(lows >= highs):
+            raise ValidationError(
+                "zone must satisfy 0 <= lows < highs <= 1 in every dimension"
+            )
+        lows.setflags(write=False)
+        highs.setflags(write=False)
+        zones = []
+        for low, high in zip(lows, highs):
+            zone = object.__new__(cls)
+            object.__setattr__(zone, "lows", low)
+            object.__setattr__(zone, "highs", high)
+            zones.append(zone)
+        return zones
 
     # -- basic geometry ------------------------------------------------------
 

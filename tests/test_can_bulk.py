@@ -17,16 +17,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ValidationError
+from repro.exceptions import DimensionalityError, ValidationError
 from repro.faults import FaultPlan
+from repro.index import LevelStore
 from repro.net.messages import MessageKind, vector_message_size
 from repro.net.network import Network
 from repro.overlay.can import (
+    BulkPublishReport,
     GridPlan,
     build_grid_can,
     bulk_publish,
     grid_shape,
 )
+from repro.overlay.can.zone import Zone
 from repro.runtime import run_context
 from tests import can_reference as reference
 
@@ -296,3 +299,138 @@ class TestBulkPublish:
             MessageKind.INSERT, np.array([], dtype=np.int64),
             np.array([], dtype=np.int64), 8,
         ) == 0
+
+
+class TestBulkPublishRefusesBeforeMutating:
+    """A refused batch leaves the store, memberships and ledgers as found."""
+
+    N = 5
+
+    def _grid(self, n=4, **kwargs):
+        can, plan = build_grid_can(2, n, **kwargs)
+        rng = np.random.default_rng(3)
+        return can, plan, rng.random((self.N, 2)), 0.05 * rng.random(self.N)
+
+    def _assert_untouched(self, can):
+        store = can.level_store
+        assert store.n_rows == 0
+        assert store.generation == 0
+        assert all(
+            len(can.node(node_id).membership) == 0 for node_id in can.node_ids
+        )
+        fabric = can.fabric
+        assert fabric.metrics.total_messages == 0
+        assert fabric.load.per_node == {}
+        assert fabric.energy.per_node == {}
+        assert fabric.energy.total == 0.0
+
+    def test_misaligned_origins(self):
+        can, plan, keys, radii = self._grid()
+        with pytest.raises(ValidationError, match="one node per sphere"):
+            bulk_publish(can, plan, keys, radii, origins=np.array([0, 1]))
+        self._assert_untouched(can)
+
+    def test_active_fault_plan(self):
+        with run_context(fault_plan=FaultPlan(loss=0.2, seed=1)):
+            can, plan, keys, radii = self._grid()
+            with pytest.raises(ValidationError, match="clean-fabric"):
+                bulk_publish(can, plan, keys, radii)
+        self._assert_untouched(can)
+
+    def test_origins_that_are_not_on_the_fabric(self):
+        can, plan, keys, radii = self._grid(node_id_offset=50)
+        origins = 50 + np.arange(self.N)  # a 4-cell grid: 54 is nobody
+        with pytest.raises(ValidationError, match="unknown source node 54"):
+            bulk_publish(can, plan, keys, radii, origins=origins)
+        self._assert_untouched(can)
+        bulk_publish(can, plan, keys, radii, origins=origins, charge=False)
+        assert can.level_store.n_rows == self.N  # nothing is charged to 54
+
+    @pytest.mark.parametrize("bad", [
+        [np.nan, 0.5], [np.inf, 0.5], [1.7, -0.2], [0.5, 1.0 + 1e-6],
+    ])
+    def test_keys_routed_insert_would_refuse(self, bad):
+        can, plan, __, __ = self._grid()
+        with pytest.raises(ValidationError):
+            can.insert(can.node_ids[0], np.asarray(bad), None)
+        with pytest.raises(ValidationError):
+            bulk_publish(can, plan, np.array([[0.2, 0.2], bad]), 0.01)
+        self._assert_untouched(can)
+
+    def test_keys_of_the_wrong_shape(self):
+        can, plan, keys, radii = self._grid()
+        with pytest.raises(DimensionalityError):
+            bulk_publish(can, plan, np.zeros((self.N, 3)), radii)
+        with pytest.raises(ValidationError, match="2-D"):
+            bulk_publish(can, plan, keys[0], radii[0])
+        self._assert_untouched(can)
+
+    def test_columns_the_store_refuses(self):
+        can, plan, keys, radii = self._grid()
+        with pytest.raises(ValidationError, match="radii"):
+            bulk_publish(can, plan, keys, -radii - 0.01)
+        with pytest.raises(ValidationError, match="values"):
+            bulk_publish(can, plan, keys, radii, values=[None])
+        self._assert_untouched(can)
+
+    def test_a_plan_from_another_grid(self):
+        can, __, keys, radii = self._grid()
+        __, other = build_grid_can(2, 64)
+        with pytest.raises(ValidationError, match="unknown CANNetwork node"):
+            bulk_publish(can, other, np.full((1, 2), 0.99), 0.01)
+        self._assert_untouched(can)
+
+    def test_an_empty_batch_publishes_nothing(self):
+        can, plan, keys, radii = self._grid()
+        for origins in (None, np.empty(0, dtype=np.int64)):
+            report = bulk_publish(
+                can, plan, np.empty((0, 2)), np.empty(0), origins=origins
+            )
+            assert report == BulkPublishReport(0, 0, 0, 0)
+        self._assert_untouched(can)
+        assert can.fabric.metrics.kind(MessageKind.INSERT).per_op_hops.count == 0
+
+    def test_keys_within_tolerance_are_clipped_like_routed_inserts(self):
+        can, plan, __, __ = self._grid()
+        keys = np.array([[1.0 + 5e-10, -5e-10]])
+        bulk_publish(can, plan, keys, 0.01)
+        assert can.level_store.key_of(0).tolist() == [1.0, 0.0]
+        assert 0 in can.node(can.owner_of(np.array([1.0, 0.0]))).membership
+
+
+class TestWorkCounts:
+    """The gain, held by counts rather than by a wall-clock gate."""
+
+    def test_grid_build_validates_no_zone_one_by_one(self, monkeypatch):
+        calls = []
+        original = Zone.__post_init__
+        monkeypatch.setattr(
+            Zone, "__post_init__",
+            lambda self: (calls.append(1), original(self))[1],
+        )
+        Zone.full(2)
+        assert calls == [1]  # the counter sees a per-object validation
+        can, __ = build_grid_can(2, 256)
+        assert len(can) == 256
+        assert calls == [1]
+
+    def test_one_refcount_pass_and_no_sort_per_ledger(self, monkeypatch):
+        can, plan = build_grid_can(2, 64)
+        rng = np.random.default_rng(5)
+        calls = {"incref": 0, "unique": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            LevelStore, "_incref_bulk",
+            counted("incref", LevelStore._incref_bulk),
+        )
+        monkeypatch.setattr(np, "unique", counted("unique", np.unique))
+        bulk_publish(can, plan, rng.random((500, 2)), 0.01)
+        # One collapse per side, shared by both ledgers.
+        assert calls == {"incref": 1, "unique": 2}
+        can.level_store.verify_integrity()

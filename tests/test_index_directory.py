@@ -182,7 +182,7 @@ class TestRebuildPerGeneration:
             peer_ids=np.arange(FLOOR + 50) % 9,
         )
         member = store.new_membership()
-        member.add_rows_array(rows)
+        store.assign_rows([member], rows, [0, rows.size])
         assert store.directory_builds == 0  # lazy: nothing asked yet
         self._check(store, rng, 1)
 

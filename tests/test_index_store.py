@@ -139,6 +139,111 @@ class TestMembershipRefcounts:
         store.verify_integrity()
 
 
+class TestBulkLanding:
+    """The calls ``bulk_publish`` brackets ``bulk_add`` with.
+
+    ``check_bulk`` asks first; ``assign_rows`` is sequential ``add_many``
+    with one refcount pass.
+    """
+
+    def test_check_bulk_validates_without_appending(self, rng):
+        store = LevelStore(2)
+        keys = rng.random((3, 2))
+        __, radii, items, peers = store.check_bulk(keys, 0.1, peer_ids=7)
+        assert radii.tolist() == [0.1] * 3
+        assert items.tolist() == [0.0] * 3 and peers.tolist() == [7] * 3
+        for bad in (
+            dict(keys=rng.random((3, 3)), radii=0.1),
+            dict(keys=keys, radii=[0.1, -0.1, 0.1]),
+            dict(keys=keys, radii=0.1, values=[None]),
+        ):
+            with pytest.raises(ValidationError):
+                store.check_bulk(**bad)
+            with pytest.raises(ValidationError):
+                store.bulk_add(**bad)
+        assert store.n_rows == 0 and store.generation == 0
+
+    def _twins(self, rng, n_rows=24, n_members=5):
+        stores = []
+        for __ in range(2):
+            store = LevelStore(2, compact_min_tombstones=10**9)
+            store.bulk_add(np.full((n_rows, 2), 0.5), 0.1)
+            members = [store.new_membership() for __ in range(n_members)]
+            stores.append((store, members))
+        # Some rows are held before the batch arrives, the same on both.
+        for index in range(n_members):
+            held = rng.choice(n_rows, int(rng.integers(0, 6)), replace=False)
+            for __, members in stores:
+                members[index].add_many(held.tolist())
+        return stores
+
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_sequential_add_many(self, seed):
+        rng = np.random.default_rng(seed)
+        (store, members), (twin, twin_members) = self._twins(rng)
+        # Random groups: empty ones, a row in two groups, a row twice in
+        # one group, one membership named by two groups.
+        sizes = rng.integers(0, 7, int(rng.integers(1, 9)))
+        targets = rng.integers(0, len(members), sizes.size).tolist()
+        rows = rng.integers(0, store.n_rows, int(sizes.sum()))
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+
+        expected = sum(
+            twin_members[target].add_many(rows[start:stop].tolist())
+            for target, start, stop in zip(targets, starts, starts[1:])
+        )
+        landed = store.assign_rows(
+            [members[target] for target in targets], rows, starts
+        )
+
+        assert landed == expected
+        for ours, theirs in zip(members, twin_members):
+            np.testing.assert_array_equal(ours.rows(), theirs.rows())
+        np.testing.assert_array_equal(store._refcounts[: store.n_rows],
+                                      twin._refcounts[: twin.n_rows])
+        assert store.generation == twin.generation
+        store.verify_integrity()
+
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_a_tombstoned_row_refuses_the_whole_batch(self, seed):
+        rng = np.random.default_rng(seed)
+        (store, members), __ = self._twins(rng)
+        holder = store.new_membership()
+        dead = int(rng.integers(store.n_rows))
+        holder.add(dead)
+        for member in members:
+            member.discard(dead)
+        holder.discard(dead)  # last holder lets go: tombstoned
+        rows = rng.permutation(store.n_rows)[:12]
+        rows[int(rng.integers(rows.size))] = dead
+        before = [member.rows().tolist() for member in members]
+        refcounts = store._refcounts[: store.n_rows].copy()
+        generation = store.generation
+        with pytest.raises(ValidationError, match="tombstoned"):
+            store.assign_rows(members[:3], rows, [0, 4, 8, 12])
+        assert [member.rows().tolist() for member in members] == before
+        np.testing.assert_array_equal(
+            store._refcounts[: store.n_rows], refcounts
+        )
+        assert store.generation == generation
+
+    def test_starts_must_bracket_every_group(self, rng):
+        (store, members), __ = self._twins(rng)
+        with pytest.raises(ValidationError, match="starts"):
+            store.assign_rows(members[:2], np.arange(4), [0, 4])
+        store.verify_integrity()
+
+    def test_an_empty_batch_changes_nothing(self, rng):
+        (store, members), __ = self._twins(rng)
+        generation = store.generation
+        assert store.assign_rows([], np.empty(0, dtype=np.int64), [0]) == 0
+        assert store.assign_rows(members[:1], [], [0, 0]) == 0
+        assert store.generation == generation
+        store.verify_integrity()
+
+
 class TestCompaction:
     def _store_with_tombstones(self, rng, n=40, doomed=20):
         store = LevelStore(3, compact_min_tombstones=1, compact_fraction=0.1)

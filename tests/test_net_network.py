@@ -102,6 +102,19 @@ class TestNetworkFabric:
         with pytest.raises(ValidationError):
             net.transmit(99, 1, MessageKind.DATA, 10)
 
+    def test_bulk_refuses_unknown_nodes_before_charging(self):
+        net = Network()
+        net.register(SimNode(0))
+        with pytest.raises(ValidationError, match="unknown source node 999"):
+            net.transmit_bulk(MessageKind.INSERT, [0, 999, 0], [0, 0, 0], 8)
+        with pytest.raises(
+            ValidationError, match="unknown destination node 7"
+        ):
+            net.transmit_bulk(MessageKind.INSERT, [0, 0], [0, 7], 8)
+        assert net.metrics.total_messages == 0
+        assert net.energy.per_node == {} and net.energy.total == 0.0
+        assert net.load.per_node == {}
+
     def test_scheduled_delivery(self):
         net = Network(hop_latency=0.5)
         net.register(SimNode(1))

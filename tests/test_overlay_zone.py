@@ -149,3 +149,79 @@ class TestNeighborRelation:
         z = Zone(lows, highs)
         lower, upper = z.split()
         assert lower.is_neighbor(upper)
+
+
+class TestFromRows:
+    """``Zone.from_rows``: ``n`` validated boxes from one array check."""
+
+    #: ``(lows, highs)`` pairs ``Zone()`` refuses for some row.
+    BAD_ROWS = [
+        ([[0.0, np.nan]], [[0.5, 0.5]]),
+        ([[0.0, 0.0]], [[0.5, np.inf]]),
+        ([[-0.1, 0.0]], [[0.5, 0.5]]),
+        ([[0.0, 0.0]], [[0.5, 1.5]]),
+        ([[0.5, 0.0]], [[0.5, 1.0]]),  # lows == highs: an empty box
+        ([[0.6, 0.0]], [[0.5, 1.0]]),
+        ([[0.0, 0.0]], [[0.5]]),  # ragged
+    ]
+
+    @pytest.mark.parametrize("lows,highs", BAD_ROWS)
+    def test_refuses_what_the_constructor_refuses(self, lows, highs):
+        with pytest.raises(ValidationError) as one:
+            make_zone(lows[0], highs[0])
+        good_lows = [[0.0] * len(lows[0])] * 2
+        good_highs = [[1.0] * len(highs[0])] * 2
+        # The bad box sits between good ones: every row is checked.
+        with pytest.raises(ValidationError) as many:
+            Zone.from_rows(good_lows[:1] + lows + good_lows[1:],
+                           good_highs[:1] + highs + good_highs[1:])
+        assert type(many.value) is type(one.value)
+
+    def test_refuses_non_matrix_input(self):
+        with pytest.raises(ValidationError, match="2-D"):
+            Zone.from_rows(np.zeros(3), np.ones(3))
+        with pytest.raises(ValidationError, match="2-D"):
+            Zone.from_rows(np.zeros((2, 3)), np.ones(3))
+        with pytest.raises(ValidationError, match="one row per zone"):
+            Zone.from_rows(np.zeros((2, 3)), np.ones((3, 3)))
+        with pytest.raises(ValidationError, match="at least 1 row"):
+            Zone.from_rows(np.zeros((0, 3)), np.ones((0, 3)))
+
+    def test_rows_are_frozen_views(self):
+        lows, highs = np.zeros((4, 2)), np.ones((4, 2))
+        zones = Zone.from_rows(lows, highs)
+        assert len(zones) == 4
+        for zone in zones:
+            assert zone.lows.base is lows and zone.highs.base is highs
+            with pytest.raises(ValueError, match="read-only"):
+                zone.lows[0] = 0.5
+            with pytest.raises(ValueError, match="cannot set WRITEABLE"):
+                zone.highs.setflags(write=True)
+        with pytest.raises(ValueError, match="read-only"):
+            lows[0, 0] = 0.5  # the arrays are adopted, as Zone() adopts
+
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(1, 5))
+    def test_agrees_with_the_constructor(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        n = 6
+        lows = np.round(rng.random((n, dim)) * 0.6, 2)  # ties and seams
+        lows[rng.random((n, dim)) < 0.2] = 0.0
+        highs = np.minimum(lows + 0.05 + np.round(rng.random((n, dim)), 2), 1.0)
+        built = Zone.from_rows(lows.copy(), highs.copy())
+        single = [Zone(lows[i].copy(), highs[i].copy()) for i in range(n)]
+        points = np.concatenate([rng.random((4, dim)), lows[:2], highs[:2]])
+        for a, b in zip(built, single):
+            assert a.lows.tobytes() == b.lows.tobytes()
+            assert a.highs.tobytes() == b.highs.tobytes()
+            assert a.dimensionality == b.dimensionality == dim
+            for point in points:
+                assert a.contains(point) == b.contains(point)
+                assert a.euclidean_distance_to(point) == (
+                    b.euclidean_distance_to(point)
+                )
+                assert a.torus_distance_to(point) == b.torus_distance_to(point)
+            for half_a, half_b in zip(a.split(), b.split()):
+                assert half_a.lows.tobytes() == half_b.lows.tobytes()
+                assert half_a.highs.tobytes() == half_b.highs.tobytes()
+            for other_a, other_b in zip(built, single):
+                assert a.is_neighbor(other_a) == b.is_neighbor(other_b)

@@ -17,8 +17,14 @@ Two questions in one run:
    workload runs twice more — once with every observability plane on
    (metrics registry, span tracing, flight recorder) and once with all
    of them off (the null-recorder hot path). Both are timed min-of-N on
-   identically rebuilt networks; the ratio is the full-instrumentation
-   overhead (gate: <= 1.10, i.e. < 10%).
+   identically rebuilt networks. The gate is the *absolute* cost,
+   ``(instrumented - baseline) / fabric frames`` in microseconds per
+   frame (gate: <= 14; ten runs on the 2-core box read 7.7-9.2, median
+   8.6): the planes hook every frame, so that is what they cost, and it
+   does not move when a perf PR shrinks the uninstrumented denominator
+   (0.356 s when the old 10% ratio gate was set, 0.226 s now — the
+   ratio read +3% to +14% on unchanged code). The on/off ratio is still
+   printed and saved.
 
 3. **Does adaptation fix the hotspot?** The identical publish+query
    workload runs once more with an
@@ -34,11 +40,12 @@ Usage::
 
     PYTHONPATH=src python benchmarks/test_hotspot_skew.py
     PYTHONPATH=src python benchmarks/test_hotspot_skew.py \
-        --max-overhead 0.10 --min-skew 1.5 --max-adapted-skew 8.0 \
+        --max-overhead-us 14 --min-skew 1.5 --max-adapted-skew 8.0 \
         --max-adapted-gini 0.6 --min-adapt-improvement 2.0 \
         --out BENCH_hotspot.json
 
-or under pytest (same gates, table saved to ``benchmarks/results``)::
+or under pytest (same gates; the seed-stable lines are saved to
+``benchmarks/results``, the wall-clock line goes to stdout only)::
 
     PYTHONPATH=src python -m pytest benchmarks/test_hotspot_skew.py -s
 """
@@ -197,6 +204,7 @@ def run_benchmark(config: dict | None = None) -> dict:
     zone_bytes = loadmap["skew"]["zone_bytes"]
     top_zone = loadmap["hotspots"]["zones"][0]
     histograms = flight.per_op_histograms()
+    frames = network.fabric.metrics.total_messages
     adapted = _run_adapted(cfg)
     improvement = (
         zone_bytes["max_over_mean"] / adapted["zone_max_over_mean"]
@@ -209,6 +217,10 @@ def run_benchmark(config: dict | None = None) -> dict:
         "baseline_s": min(baseline_s),
         "instrumented_s": min(instrumented_s),
         "overhead": min(ratios),
+        "frames": frames,
+        "overhead_us_per_frame": (
+            (min(instrumented_s) - min(baseline_s)) / frames * 1e6
+        ),
         "max_zone_bytes": int(zone_bytes["max"]),
         "zone_gini": zone_bytes["gini"],
         "zone_max_over_mean": zone_bytes["max_over_mean"],
@@ -250,7 +262,7 @@ def run_benchmark(config: dict | None = None) -> dict:
 def check_gates(
     report: dict,
     *,
-    max_overhead: float,
+    max_overhead_us: float,
     min_skew: float,
     max_adapted_skew: float = 8.0,
     max_adapted_gini: float = 0.6,
@@ -258,11 +270,11 @@ def check_gates(
 ) -> list[str]:
     """Return gate-failure messages (empty means every gate passed)."""
     failures = []
-    if report["overhead"] > 1.0 + max_overhead:
+    if report["overhead_us_per_frame"] > max_overhead_us:
         failures.append(
             f"full instrumentation costs "
-            f"{report['overhead'] - 1.0:+.1%}, above the "
-            f"{max_overhead:.0%} gate"
+            f"{report['overhead_us_per_frame']:.1f} us per frame, above "
+            f"the {max_overhead_us:.1f} us gate"
         )
     if report["zone_max_over_mean"] < min_skew:
         failures.append(
@@ -292,6 +304,7 @@ def check_gates(
 
 
 def _render(report: dict) -> str:
+    """The seed-stable lines — what ``benchmarks/results`` commits."""
     top = report["top_zone"]
     return (
         "hotspot-skew benchmark — skewed range queries on a Markov corpus\n"
@@ -306,21 +319,31 @@ def _render(report: dict) -> str:
         f"({report['adapt_skew_speedup']:.2f}x better; "
         f"{report['adapt_splits']} splits, {report['adapt_boosts']} boosts, "
         f"{report['adapt_sheds']} sheds)\n"
+        f"  instrumented run: {report['frames']} frames, "
+        f"{report['flight_edges']} flight edges"
+    )
+
+
+def _render_timing(report: dict) -> str:
+    """The wall-clock line: stdout and ``--out`` JSON only, never committed."""
+    return (
         f"  instrumentation: {report['baseline_s']:.3f}s off vs "
         f"{report['instrumented_s']:.3f}s on "
         f"({report['overhead'] - 1.0:+.1%} overhead, "
-        f"{report['flight_edges']} flight edges)"
+        f"{report['overhead_us_per_frame']:.1f} us per frame)"
     )
 
 
 def test_hotspot_skew_gates(record_table):
-    """Skewed queries concentrate load; instrumentation < 10%; adaptation
-    flattens the hotspot at least 2x (and under the absolute skew caps)."""
+    """Skewed queries concentrate load; instrumentation <= 14 us a frame;
+    adaptation flattens the hotspot at least 2x (and under the absolute
+    skew caps)."""
     report = run_benchmark()
     record_table("hotspot_skew", _render(report))
+    print(_render_timing(report))
     failures = check_gates(
         report,
-        max_overhead=0.10,
+        max_overhead_us=14.0,
         min_skew=1.5,
         max_adapted_skew=8.0,
         max_adapted_gini=0.6,
@@ -331,7 +354,7 @@ def test_hotspot_skew_gates(record_table):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-overhead", type=float, default=0.10)
+    parser.add_argument("--max-overhead-us", type=float, default=14.0)
     parser.add_argument("--min-skew", type=float, default=1.5)
     parser.add_argument("--max-adapted-skew", type=float, default=8.0)
     parser.add_argument("--max-adapted-gini", type=float, default=0.6)
@@ -340,13 +363,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     report = run_benchmark()
     print(_render(report))
+    print(_render_timing(report))
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     print(f"[saved to {args.out}]")
     failures = check_gates(
         report,
-        max_overhead=args.max_overhead,
+        max_overhead_us=args.max_overhead_us,
         min_skew=args.min_skew,
         max_adapted_skew=args.max_adapted_skew,
         max_adapted_gini=args.max_adapted_gini,

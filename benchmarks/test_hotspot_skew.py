@@ -8,7 +8,7 @@ Two questions in one run:
    *skewed* subset of the corpus (the few largest clusters, via
    :func:`repro.datasets.skewed.generate_skewed_dataset`) — the query
    pattern GeoP2P-style workloads produce. The
-   :class:`repro.obs.loadmap.LoadLedger` fused by ``build_loadmap``
+   :class:`repro.net.metrics.LoadLedger` fused by ``build_loadmap``
    yields the headline numbers: the hottest zone's byte volume and the
    Gini / max-over-mean skew of per-zone traffic. A skewed workload must
    produce measurable concentration (gate: zone-bytes max/mean >= 1.5).

@@ -7,16 +7,25 @@ class and an event queue" (Section 5.2). This package is that substrate:
 * :mod:`repro.engine.serial` — the event queue / scheduler (re-exported
   here as ``SerialScheduler`` / ``Event``);
 * :mod:`repro.net.messages` — typed messages with byte sizes;
-* :mod:`repro.net.energy` — a radio energy model (tx/rx per byte), backing
+* :mod:`repro.net.metrics` — the frame ledger: one integer row per
+  message kind and one per node, written once per frame by the fabric,
+  plus the ``fabric.metrics`` / ``fabric.load`` views that read them;
+* :mod:`repro.net.energy` — a radio energy model (tx/rx per byte) and the
+  ``fabric.energy`` view that prices the same rows at read time, backing
   the paper's energy-efficiency claims with measurable numbers;
-* :mod:`repro.net.metrics` — hop/message/byte counters;
-* :mod:`repro.net.network` — the network fabric that overlays send through.
+* :mod:`repro.net.network` — the network fabric that overlays send
+  through, and the ledger's only writer.
 """
 
 from repro.engine.serial import Event, SerialScheduler
-from repro.net.energy import EnergyModel
+from repro.net.energy import EnergyLedger, EnergyModel
 from repro.net.messages import Message, MessageKind
-from repro.net.metrics import NetworkMetrics, OperationMetrics
+from repro.net.metrics import (
+    LoadLedger,
+    NetworkMetrics,
+    NodeLoad,
+    OperationMetrics,
+)
 from repro.net.network import Network
 
 __all__ = [
@@ -24,8 +33,11 @@ __all__ = [
     "Event",
     "Message",
     "MessageKind",
+    "EnergyLedger",
     "EnergyModel",
+    "LoadLedger",
     "NetworkMetrics",
+    "NodeLoad",
     "OperationMetrics",
     "Network",
 ]

@@ -9,7 +9,7 @@ strategies, and those are robust to the exact constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.validation import check_positive
 
@@ -50,43 +50,57 @@ class EnergyModel:
         return self.tx_cost(size_bytes) + self.rx_cost(size_bytes)
 
 
-@dataclass
 class EnergyLedger:
-    """Accumulated energy per node plus a network-wide total."""
+    """Radio energy, read off the frame ledger's integer rows.
 
-    model: EnergyModel = field(default_factory=EnergyModel)
-    per_node: dict = field(default_factory=dict)
-    total: float = 0.0
+    The model is linear, so drain *is* ``cost × count``: nothing is
+    accumulated here. ``metrics`` and ``load`` are the fabric's
+    :class:`~repro.net.metrics.NetworkMetrics` and
+    :class:`~repro.net.metrics.LoadLedger`; the radio pays for every
+    primary frame and every link retransmit, on both endpoints, and for
+    no injected duplicate (see :class:`~repro.net.metrics.NodeLoad`).
+    """
 
-    def charge_hop(self, sender: int, receiver: int, size_bytes: int) -> None:
-        """Charge one hop: tx on ``sender``, rx on ``receiver``."""
-        tx = self.model.tx_cost(size_bytes)
-        rx = self.model.rx_cost(size_bytes)
-        self.per_node[sender] = self.per_node.get(sender, 0.0) + tx
-        self.per_node[receiver] = self.per_node.get(receiver, 0.0) + rx
-        self.total += tx + rx
+    def __init__(self, model: EnergyModel, metrics, load):
+        self.model = model
+        self._metrics = metrics
+        self._load = load
 
-    def charge_bulk(self, sent, received, size_bytes: int) -> None:
-        """Charge many equal-sized hops at once (scale harness).
+    @property
+    def total(self) -> float:
+        """Network-wide drain (µJ): one pass over the per-kind rows."""
+        frames = size = 0
+        for row in self._metrics.by_kind.values():
+            frames += row.messages + row.retransmits
+            size += row.bytes + row.retransmit_bytes
+        model = self.model
+        return (
+            (model.tx_fixed + model.rx_fixed) * frames
+            + (model.tx_per_byte + model.rx_per_byte) * size
+        )
 
-        ``sent`` / ``received`` are each ``(ids, counts)``: the distinct
-        nodes and the frames each transmitted / received — the collapse
-        :meth:`repro.net.network.Network.transmit_bulk` computes once
-        for every ledger — so the hot-spot statistics in :meth:`snapshot`
-        stay exact while the cost is O(nodes), not O(frames).
-        """
-        tx = self.model.tx_cost(size_bytes)
-        rx = self.model.rx_cost(size_bytes)
-        for (ids, counts), cost in ((sent, tx), (received, rx)):
-            for node_id, count in zip(ids, counts):
-                self.per_node[node_id] = (
-                    self.per_node.get(node_id, 0.0) + cost * count
-                )
-        self.total += (tx + rx) * sum(sent[1])
+    def _drain(self, row) -> float:
+        model = self.model
+        return (
+            model.tx_fixed * (row.msgs_out + row.tx_msgs_adjust)
+            + model.tx_per_byte * (row.bytes_out + row.tx_bytes_adjust)
+            + model.rx_fixed * (row.msgs_in + row.rx_msgs_adjust)
+            + model.rx_per_byte * (row.bytes_in + row.rx_bytes_adjust)
+        )
+
+    @property
+    def per_node(self) -> dict[int, float]:
+        """``{node_id: drain}`` for every node the radio has billed."""
+        return {
+            node_id: self._drain(row)
+            for node_id, row in self._load.per_node.items()
+            if row.msgs_out or row.msgs_in or row.drops
+        }
 
     def node_energy(self, node_id: int) -> float:
         """Energy drained from ``node_id`` so far (µJ)."""
-        return self.per_node.get(node_id, 0.0)
+        row = self._load.per_node.get(node_id)
+        return self._drain(row) if row is not None else 0.0
 
     def snapshot(self) -> dict:
         """Deterministic summary for reports: total plus spread statistics.

@@ -1,7 +1,18 @@
-"""Hop, message, and byte counters — the quantities the paper's figures plot."""
+"""The frame ledger: the fabric's integer counters and their read-side views.
+
+:meth:`repro.net.network.Network.transmit` (and ``transmit_bulk``) write
+each frame exactly once, into two tables of plain integers: one
+:class:`OperationMetrics` row per message kind and one :class:`NodeLoad`
+row per endpoint. Nothing else accumulates. :class:`NetworkMetrics`
+(``fabric.metrics``) and :class:`LoadLedger` (``fabric.load``) hold the
+tables and read them; :class:`repro.net.energy.EnergyLedger`
+(``fabric.energy``) prices the same rows at read time. None of the three
+has a write method for traffic — the fabric is the only writer.
+"""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.net.messages import MessageKind
@@ -10,7 +21,7 @@ from repro.utils.stats import RunningStats
 
 @dataclass
 class OperationMetrics:
-    """Counters for one operation category (insert, query, …).
+    """The per-kind row (insert, query, …).
 
     ``messages``/``hops``/``bytes`` count *primary* transmissions only —
     the per-kind totals the paper's Figure 8 benchmarks report. Traffic a
@@ -27,73 +38,22 @@ class OperationMetrics:
     duplicates: int = 0
     per_op_hops: RunningStats = field(default_factory=RunningStats)
 
-    def record_transmit(self, size_bytes: int) -> None:
-        """Record a single hop transmission."""
-        self.messages += 1
-        self.hops += 1
-        self.bytes += size_bytes
-
-    def record_bulk(self, count: int, bytes_total: int) -> None:
-        """Record ``count`` one-hop frames in one pass (scale harness)."""
-        self.messages += count
-        self.hops += count
-        self.bytes += bytes_total
-
-    def record_retransmits(self, count: int, size_bytes: int) -> None:
-        """Record ``count`` link-layer retransmissions of one frame."""
-        self.retransmits += count
-        self.retransmit_bytes += count * size_bytes
-
-    def record_duplicates(self, count: int) -> None:
-        """Record ``count`` injector-duplicated deliveries."""
-        self.duplicates += count
-
-    def finish_operation(self, hops: int) -> None:
-        """Record a completed logical operation taking ``hops`` total hops."""
-        self.per_op_hops.add(float(hops))
-
 
 @dataclass
 class NetworkMetrics:
     """Network-wide counters, split by message kind."""
 
-    by_kind: dict[MessageKind, OperationMetrics] = field(default_factory=dict)
+    by_kind: dict[MessageKind, OperationMetrics] = field(
+        default_factory=lambda: defaultdict(OperationMetrics)
+    )
 
-    def _bucket(self, kind: MessageKind) -> OperationMetrics:
-        bucket = self.by_kind.get(kind)
-        if bucket is None:
-            bucket = OperationMetrics()
-            self.by_kind[kind] = bucket
-        return bucket
-
-    def record_transmit(self, kind: MessageKind, size_bytes: int) -> None:
-        """Record one hop of a message of the given kind."""
-        self._bucket(kind).record_transmit(size_bytes)
-
-    def record_bulk_transmit(
-        self, kind: MessageKind, count: int, bytes_total: int
-    ) -> None:
-        """Record ``count`` one-hop frames of ``kind`` in one pass.
-
-        The bulk-construction fast path: totals land in exactly the same
-        buckets per-frame :meth:`record_transmit` calls would fill, with
-        O(1) Python work instead of O(frames).
-        """
-        self._bucket(kind).record_bulk(count, bytes_total)
-
-    def record_retransmits(
-        self, kind: MessageKind, count: int, size_bytes: int
-    ) -> None:
-        """Record fault-injected link retransmissions (separate bucket)."""
-        self._bucket(kind).record_retransmits(count, size_bytes)
-
-    def record_duplicates(self, kind: MessageKind, count: int) -> None:
-        """Record fault-injected duplicate deliveries (separate bucket)."""
-        self._bucket(kind).record_duplicates(count)
+    def kind(self, kind: MessageKind) -> OperationMetrics:
+        """Counters for ``kind`` (zeroed bucket when never used)."""
+        return self.by_kind[kind]
 
     def finish_operation(self, kind: MessageKind, hops: int) -> None:
         """Record a completed logical operation of the given kind."""
-        self._bucket(kind).finish_operation(hops)
+        self.kind(kind).per_op_hops.add(float(hops))
 
     @property
     def total_messages(self) -> int:
@@ -119,10 +79,6 @@ class NetworkMetrics:
     def total_duplicates(self) -> int:
         """All fault-injected duplicate deliveries across kinds."""
         return sum(b.duplicates for b in self.by_kind.values())
-
-    def kind(self, kind: MessageKind) -> OperationMetrics:
-        """Counters for ``kind`` (zeroed bucket when never used)."""
-        return self._bucket(kind)
 
     def snapshot(self) -> dict[str, dict]:
         """Plain-dict summary for reports.
@@ -151,3 +107,98 @@ class NetworkMetrics:
                 row["duplicates"] = b.duplicates
             out[kind.value] = row
         return out
+
+
+class NodeLoad:
+    """The per-node row: traffic counters for one fabric node.
+
+    The first eight slots are the load view (:meth:`to_record`). Under a
+    fault injector the load and the radio disagree by design — the load
+    counts injected duplicates the radio is never billed for, and a
+    dropped frame bills the receiver's radio without giving it a
+    ``msgs_in`` — so the last four slots keep *radio-billed minus
+    load-counted* frames and bytes per direction. They are touched only
+    on a retransmitted, duplicated or dropped frame and are all zero on
+    a clean fabric, where energy is priced from the load counters alone.
+    """
+
+    __slots__ = (
+        "msgs_in", "msgs_out", "bytes_in", "bytes_out",
+        "retransmits", "duplicates", "drops", "query_hits",
+        "tx_msgs_adjust", "tx_bytes_adjust",
+        "rx_msgs_adjust", "rx_bytes_adjust",
+    )
+
+    def __init__(self) -> None:
+        self.msgs_in = self.msgs_out = self.bytes_in = self.bytes_out = 0
+        self.retransmits = self.duplicates = self.drops = self.query_hits = 0
+        self.tx_msgs_adjust = self.tx_bytes_adjust = 0
+        self.rx_msgs_adjust = self.rx_bytes_adjust = 0
+
+    @property
+    def bytes_total(self) -> int:
+        """Bytes moved through this node's radio in either direction."""
+        return self.bytes_in + self.bytes_out
+
+    def to_record(self) -> dict:
+        """JSON-safe flat counters."""
+        return {
+            "msgs_in": self.msgs_in,
+            "msgs_out": self.msgs_out,
+            "bytes_in": self.bytes_in,
+            "bytes_out": self.bytes_out,
+            "retransmits": self.retransmits,
+            "duplicates": self.duplicates,
+            "drops": self.drops,
+            "query_hits": self.query_hits,
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"NodeLoad(in={self.msgs_in}, out={self.msgs_out}, "
+            f"bytes={self.bytes_total})"
+        )
+
+
+class LoadLedger:
+    """Per-node traffic view over the rows the fabric writes.
+
+    ``per_node[node_id]`` creates the zeroed row on first touch — that is
+    how the fabric writes; readers go through :meth:`node_load` /
+    :meth:`bytes_total`, which never create one.
+    """
+
+    __slots__ = ("per_node",)
+
+    def __init__(self) -> None:
+        self.per_node: dict[int, NodeLoad] = defaultdict(NodeLoad)
+
+    def note_query_hit(self, node_id: int, n: int = 1) -> None:
+        """Mark ``node_id`` as visited by a range-query flood."""
+        self.per_node[node_id].query_hits += n
+
+    def node_load(self, node_id: int) -> NodeLoad:
+        """Counters for ``node_id`` (zeroed when never touched)."""
+        return self.per_node.get(node_id) or NodeLoad()
+
+    def bytes_total(self, node_id: int) -> int:
+        """Bytes ``node_id``'s radio has moved in either direction."""
+        row = self.per_node.get(node_id)
+        return row.bytes_total if row is not None else 0
+
+    def least_loaded(self, node_id: int) -> tuple[int, int]:
+        """Sort key: least-loaded first, node id as the tie-break."""
+        return self.bytes_total(node_id), node_id
+
+    def snapshot(self) -> dict:
+        """Ledger-wide totals (per-node detail lives in the loadmap)."""
+        rows = self.per_node.values()
+        return {
+            "nodes": len(rows),
+            "msgs": sum(r.msgs_out for r in rows),
+            "bytes": sum(r.bytes_out for r in rows),
+            "retransmits": sum(r.retransmits for r in rows),
+            "duplicates": sum(r.duplicates for r in rows),
+            "drops": sum(r.drops for r in rows),
+            "query_hits": sum(r.query_hits for r in rows),
+        }

@@ -1,10 +1,12 @@
 """The network fabric: transmission accounting and scheduled delivery.
 
 Overlays send every overlay-hop through :meth:`Network.transmit`, which
-charges the energy ledger, updates metrics, and (optionally) schedules the
-delivery callback on the event queue. Synchronous accounting plus an
-event-driven delivery mode covers both fast benchmarking and the paper's
-"parallel behaviour" simulation.
+writes the frame once into the fabric's integer rows (per kind, per
+endpoint — :mod:`repro.net.metrics`) and (optionally) schedules the
+delivery callback on the event queue. ``fabric.metrics``, ``fabric.load``
+and ``fabric.energy`` are read-side views of that one write. Synchronous
+accounting plus an event-driven delivery mode covers both fast
+benchmarking and the paper's "parallel behaviour" simulation.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from repro.exceptions import ValidationError
 from repro.faults.injector import FaultInjector
 from repro.net.energy import EnergyLedger, EnergyModel
 from repro.net.messages import Message, MessageKind
-from repro.net.metrics import NetworkMetrics
+from repro.net.metrics import LoadLedger, NetworkMetrics
 from repro.net.node import SimNode
-from repro.obs.loadmap import LoadLedger
 
 
 class Network:
@@ -54,9 +55,11 @@ class Network:
         #: scheduler (``repro.engine``); the default is the serial one,
         #: byte-identical to the pre-engine behaviour.
         self.scheduler = scheduler if scheduler is not None else SerialScheduler()
-        self.energy = EnergyLedger(model=energy_model or EnergyModel())
         self.metrics = NetworkMetrics()
         self.load = LoadLedger()
+        self.energy = EnergyLedger(
+            energy_model or EnergyModel(), self.metrics, self.load
+        )
         self.hop_latency = hop_latency
         self._nodes: dict[int, SimNode] = {}
         self.install_faults(
@@ -104,6 +107,62 @@ class Network:
 
     # -- transmission -------------------------------------------------------
 
+    def _charge(
+        self, kind, sent, received, size_bytes,
+        retransmits=0, duplicates=0, dropped=False,
+    ) -> None:
+        """The one write of the frame ledger.
+
+        ``sent`` / ``received`` each yield ``(node_id, count)`` — a node
+        that transmitted / was addressed and its primary frames — and
+        every primary frame carries the same ``retransmits``,
+        ``duplicates`` and ``dropped`` verdict. Per-kind totals count the
+        primary frame only (Figure 8's cost), fault overhead goes in its
+        own buckets. The load view counts every frame on the air,
+        duplicates included, and gives a dropped frame's receiver no
+        ``msgs_in``; the radio bills primaries and retransmits on both
+        endpoints whether or not the frame arrived, so a faulty frame
+        also books that difference (see
+        :class:`~repro.net.metrics.NodeLoad`).
+        """
+        on_air = 1 + retransmits + duplicates
+        heard = 0 if dropped else on_air
+        faulty = on_air > 1 or dropped
+        rows = self.load.per_node
+        primaries = 0
+        for node_id, count in sent:
+            row = rows[node_id]
+            frames = count * on_air
+            row.msgs_out += frames
+            row.bytes_out += frames * size_bytes
+            primaries += count
+            if faulty:
+                row.retransmits += count * retransmits
+                row.duplicates += count * duplicates
+                row.drops += count * dropped
+                row.tx_msgs_adjust -= count * duplicates
+                row.tx_bytes_adjust -= count * duplicates * size_bytes
+        for node_id, count in received:
+            row = rows[node_id]
+            frames = count * heard
+            row.msgs_in += frames
+            row.bytes_in += frames * size_bytes
+            if faulty:
+                row.retransmits += count * retransmits
+                row.duplicates += count * duplicates
+                row.drops += count * dropped
+                unheard = count * (1 + retransmits) - frames
+                row.rx_msgs_adjust += unheard
+                row.rx_bytes_adjust += unheard * size_bytes
+        bucket = self.metrics.by_kind[kind]
+        bucket.messages += primaries
+        bucket.hops += primaries
+        bucket.bytes += primaries * size_bytes
+        if faulty:
+            bucket.retransmits += primaries * retransmits
+            bucket.retransmit_bytes += primaries * retransmits * size_bytes
+            bucket.duplicates += primaries * duplicates
+
     def transmit(
         self,
         source: int,
@@ -115,9 +174,10 @@ class Network:
     ) -> Message:
         """Send one overlay hop from ``source`` to ``destination``.
 
-        Charges energy and metrics immediately. When ``deliver`` is given,
-        the callback is scheduled ``hop_latency`` in the virtual future
-        (event-driven mode); otherwise accounting-only (synchronous mode).
+        Writes the frame to the ledger immediately. When ``deliver`` is
+        given, the callback is scheduled ``hop_latency`` in the virtual
+        future (event-driven mode); otherwise accounting-only
+        (synchronous mode).
 
         When a fault injector is installed every message passes through
         it: query-plane messages may come back ``delivered=False`` (the
@@ -148,21 +208,9 @@ class Network:
             extra_delay = verdict.extra_delay
             copies = verdict.copies
         duplicates = max(0, copies - 1)
-        # Per-kind totals count the primary frame only (Figure 8's cost);
-        # fault-induced link retransmits go in their own bucket. The radio
-        # still pays for every physical frame, so energy charges all of
-        # them — exactly the pre-split total.
-        for __ in range(1 + retransmits):
-            self.energy.charge_hop(source, destination, size_bytes)
-        self.metrics.record_transmit(kind, size_bytes)
-        if retransmits:
-            self.metrics.record_retransmits(kind, retransmits, size_bytes)
-        if duplicates:
-            self.metrics.record_duplicates(kind, duplicates)
-        self.load.charge(
-            source, destination, size_bytes,
-            retransmits=retransmits, duplicates=duplicates,
-            dropped=not message.delivered,
+        self._charge(
+            kind, ((source, 1),), ((destination, 1),), size_bytes,
+            retransmits, duplicates, not message.delivered,
         )
         recorder = runtime.current.tracer
         if recorder.enabled:
@@ -193,14 +241,14 @@ class Network:
     ) -> int:
         """Account many equal-sized one-hop frames in one batched pass.
 
-        The scale-harness companion to :meth:`transmit`: metrics, energy,
-        and per-node load all receive exactly the totals the equivalent
-        per-frame ``transmit`` loop would have produced, at O(distinct
-        nodes) Python cost: each side is collapsed once to ``(ids,
-        counts)`` — distinct node ids ascending, frames each — and both
-        ledgers are charged from that one collapse. Everything is checked
-        before any ledger is touched, endpoints by the rule and wording
-        of :meth:`transmit` (one membership test per *distinct* id).
+        The scale-harness companion to :meth:`transmit`, and the same
+        write: each side is collapsed once to ``(id, count)`` pairs —
+        distinct node ids ascending, frames each — and handed to the
+        :meth:`_charge` every single frame goes through, so the ledger
+        rows read exactly what the per-frame loop would have left, at
+        O(distinct nodes) Python cost. Everything is checked before a
+        row is touched, endpoints by the rule and wording of
+        :meth:`transmit` (one membership test per *distinct* id).
         Restricted to the clean fabric — bulk construction models an
         orchestrated bootstrap, which the fault injector (per-message
         verdicts) cannot meaningfully perturb — and to accounting-only
@@ -228,13 +276,8 @@ class Network:
             if not all(map(self._nodes.__contains__, ids)):  # C-speed pass
                 unknown = next(i for i in ids if i not in self._nodes)
                 raise ValidationError(f"unknown {role} node {unknown}")
-            collapsed.append((ids, counts.tolist()))
-        sent, received = collapsed
-        self.energy.charge_bulk(sent, received, size_bytes)
-        self.metrics.record_bulk_transmit(
-            kind, n_frames, size_bytes * n_frames
-        )
-        self.load.charge_bulk(sent, received, size_bytes)
+            collapsed.append(zip(ids, counts.tolist()))
+        self._charge(kind, *collapsed, size_bytes)
         recorder = runtime.current.tracer
         if recorder.enabled:
             recorder.add(

@@ -16,10 +16,11 @@ Coordinated pieces (see ``docs/observability.md``):
   a bounded ring buffer, reconstructable into per-operation routing
   trees (drops, retries, and duplicates appear as tagged edges). Off by
   default with the same null-recorder idiom as tracing.
-* :mod:`repro.obs.loadmap` — per-zone / per-peer load accounting (the
-  always-on :class:`~repro.obs.loadmap.LoadLedger` on the fabric) and
+* :mod:`repro.obs.loadmap` — per-zone / per-peer load accounting:
   generation-tagged hotspot/skew snapshots via
-  :func:`~repro.obs.loadmap.build_loadmap`.
+  :func:`~repro.obs.loadmap.build_loadmap`, read off the fabric's
+  always-on frame ledger (:mod:`repro.net.metrics`; ``LoadLedger`` and
+  ``NodeLoad`` are re-exported here).
 * :mod:`repro.obs.schema` — validators for the exported trace/flight
   JSONL records and ``repro report`` JSON (also a CLI for CI gating).
 
@@ -27,6 +28,7 @@ Which registry and recorders are live is part of the run context
 (:mod:`repro.runtime`): ``run_context(metrics=..., tracer=..., flight=...)``.
 """
 
+from repro.net.metrics import LoadLedger, NodeLoad
 from repro.obs.flight import (
     NULL_FLIGHT_RECORDER,
     FlightRecorder,
@@ -35,7 +37,7 @@ from repro.obs.flight import (
     Operation,
     read_flight_jsonl,
 )
-from repro.obs.loadmap import LoadLedger, NodeLoad, build_loadmap
+from repro.obs.loadmap import build_loadmap
 from repro.obs.profile import (
     flame_summary,
     phase_rows,

@@ -1,167 +1,23 @@
 """Zone and peer load accounting: who pays for dissemination, and how unevenly.
 
-Two halves:
+:func:`build_loadmap` is a *reader* of the fabric's frame ledger
+(:mod:`repro.net.metrics` — the per-node :class:`NodeLoad` rows the
+fabric writes once per frame, seen through ``fabric.load`` and priced by
+``fabric.energy``). It fuses those rows with overlay geometry (zones,
+store rows held) and the level stores' generation counters into one
+generation-tagged snapshot: per-zone and per-peer rows, top-k hotspot
+rankings, and Gini / max-over-mean skew statistics. This is the signal
+ROADMAP's load-aware replication and GeoP2P-style zone rebalancing
+consume.
 
-* :class:`LoadLedger` — an always-on per-fabric-node traffic ledger the
-  :class:`repro.net.network.Network` charges on every transmit (messages
-  and bytes in/out, retransmits, duplicates, drops) plus query-hit marks
-  from the overlay flood path. Dict bumps only — the same cost class as
-  the energy ledger that already runs on every hop.
-* :func:`build_loadmap` — fuses the ledger with overlay geometry
-  (zones, store rows held), the :class:`~repro.net.energy.EnergyLedger`,
-  and the level stores' generation counters into one generation-tagged
-  snapshot: per-zone and per-peer rows, top-k hotspot rankings, and
-  Gini / max-over-mean skew statistics. This is the signal ROADMAP's
-  load-aware replication and GeoP2P-style zone rebalancing consume.
-
-The ledger is deliberately dependency-free (it knows nothing about CAN
-or Hyper-M); ``build_loadmap`` reads a
-:class:`repro.core.network.HyperMNetwork` through its attributes only
-and imports nothing from ``repro.core``, so there is no import cycle
-between ``repro.obs`` and ``repro.core``.
+``build_loadmap`` reads a :class:`repro.core.network.HyperMNetwork`
+through its attributes only and imports nothing from ``repro.core``, so
+there is no import cycle between ``repro.obs`` and ``repro.core``.
 """
 
 from __future__ import annotations
 
 from repro.utils.stats import gini
-
-
-class NodeLoad:
-    """Traffic counters for one fabric node."""
-
-    __slots__ = (
-        "msgs_in", "msgs_out", "bytes_in", "bytes_out",
-        "retransmits", "duplicates", "drops", "query_hits",
-    )
-
-    def __init__(self) -> None:
-        self.msgs_in = 0
-        self.msgs_out = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.retransmits = 0
-        self.duplicates = 0
-        self.drops = 0
-        self.query_hits = 0
-
-    @property
-    def bytes_total(self) -> int:
-        """Bytes moved through this node's radio in either direction."""
-        return self.bytes_in + self.bytes_out
-
-    def to_record(self) -> dict:
-        """JSON-safe flat counters."""
-        return {
-            "msgs_in": self.msgs_in,
-            "msgs_out": self.msgs_out,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "retransmits": self.retransmits,
-            "duplicates": self.duplicates,
-            "drops": self.drops,
-            "query_hits": self.query_hits,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"NodeLoad(in={self.msgs_in}, out={self.msgs_out}, "
-            f"bytes={self.bytes_total})"
-        )
-
-
-class LoadLedger:
-    """Per-node traffic ledger, charged by the fabric on every transmit."""
-
-    __slots__ = ("per_node",)
-
-    def __init__(self) -> None:
-        self.per_node: dict[int, NodeLoad] = {}
-
-    def _slot(self, node_id: int) -> NodeLoad:
-        slot = self.per_node.get(node_id)
-        if slot is None:
-            slot = NodeLoad()
-            self.per_node[node_id] = slot
-        return slot
-
-    def charge(
-        self,
-        source: int,
-        destination: int,
-        size_bytes: int,
-        *,
-        retransmits: int = 0,
-        duplicates: int = 0,
-        dropped: bool = False,
-    ) -> None:
-        """Account one transmit: the primary frame plus tagged extras.
-
-        Retransmits and duplicates burn radio on both endpoints (their
-        bytes are included in the in/out totals) but are also counted in
-        their own buckets so hotspot reports can separate useful traffic
-        from fault-induced overhead. A dropped frame still costs the
-        sender its transmission; the receiver never gets it.
-        """
-        frames = 1 + retransmits + duplicates
-        src = self._slot(source)
-        src.msgs_out += frames
-        src.bytes_out += size_bytes * frames
-        src.retransmits += retransmits
-        src.duplicates += duplicates
-        dst = self._slot(destination)
-        if dropped:
-            src.drops += 1
-            dst.drops += 1
-        else:
-            dst.msgs_in += frames
-            dst.bytes_in += size_bytes * frames
-        dst.retransmits += retransmits
-        dst.duplicates += duplicates
-
-    def charge_bulk(self, sent, received, size_bytes: int) -> None:
-        """Account many equal-sized delivered frames at once.
-
-        The bulk-construction counterpart of :meth:`charge`: ``sent`` /
-        ``received`` are each ``(ids, counts)`` — every distinct endpoint
-        and its frame count, collapsed once by the fabric for every
-        ledger — and per-node totals land in the same counters: O(nodes),
-        not O(frames). Bulk traffic is clean by construction — no
-        retransmits, duplicates, or drops.
-        """
-        for node_id, count in zip(*sent):
-            slot = self._slot(node_id)
-            slot.msgs_out += count
-            slot.bytes_out += size_bytes * count
-        for node_id, count in zip(*received):
-            slot = self._slot(node_id)
-            slot.msgs_in += count
-            slot.bytes_in += size_bytes * count
-
-    def note_query_hit(self, node_id: int, n: int = 1) -> None:
-        """Mark ``node_id`` as visited by a range-query flood."""
-        self._slot(node_id).query_hits += n
-
-    def node_load(self, node_id: int) -> NodeLoad:
-        """Counters for ``node_id`` (zeroed when never touched)."""
-        return self.per_node.get(node_id) or NodeLoad()
-
-    def snapshot(self) -> dict:
-        """Ledger-wide totals (per-node detail lives in the loadmap)."""
-        return {
-            "nodes": len(self.per_node),
-            "msgs": sum(s.msgs_out for s in self.per_node.values()),
-            "bytes": sum(s.bytes_out for s in self.per_node.values()),
-            "retransmits": sum(
-                s.retransmits for s in self.per_node.values()
-            ),
-            "duplicates": sum(
-                s.duplicates for s in self.per_node.values()
-            ),
-            "drops": sum(s.drops for s in self.per_node.values()),
-            "query_hits": sum(
-                s.query_hits for s in self.per_node.values()
-            ),
-        }
 
 
 def _skew(values: list[float]) -> dict:

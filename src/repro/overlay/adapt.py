@@ -23,7 +23,7 @@ along four axes:
   round.
 * **Quality-scored multicast** — retrieval requests fan out through a
   small relay tree rooted at the highest-quality peers (fewest
-  retransmits/drops in the :class:`~repro.obs.loadmap.LoadLedger`),
+  retransmits/drops in the :class:`~repro.net.metrics.LoadLedger`),
   responses carry only item vectors the querier has not already
   received, and each peer serves retrieval from its least-loaded
   overlay interface instead of always its level-0 node.
@@ -224,9 +224,7 @@ class AdaptationController:
             nodes.append(node_id)
         if not nodes:
             return network.overlay_node(network.levels[0], peer_id)
-        return min(
-            nodes, key=lambda nid: (ledger.node_load(nid).bytes_total, nid)
-        )
+        return min(nodes, key=ledger.least_loaded)
 
     # -- quality-scored multicast ---------------------------------------------
 

@@ -200,11 +200,8 @@ class AdaptationPlane(abc.ABC):
 
     def load_snapshot(self) -> dict[int, int]:
         """Deterministic ``{node_id: total bytes moved}`` load map."""
-        ledger = self.fabric.load
-        return {
-            node_id: ledger.node_load(node_id).bytes_total
-            for node_id in self.node_ids
-        }
+        bytes_total = self.fabric.load.bytes_total
+        return {node_id: bytes_total(node_id) for node_id in self.node_ids}
 
     @abc.abstractmethod
     def rebalance_hot(

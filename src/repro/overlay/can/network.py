@@ -328,10 +328,9 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         hot = self.node(node_id)
         zone = max(hot.zones, key=lambda z: (z.volume, tuple(z.lows)))
         if target_id is None:
-            ledger = self.fabric.load
             candidates = sorted(
                 (nid for nid in hot.neighbors if nid in self._nodes),
-                key=lambda nid: (ledger.node_load(nid).bytes_total, nid),
+                key=self.fabric.load.least_loaded,
             )
             if not candidates:
                 return None

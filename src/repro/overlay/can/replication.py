@@ -94,11 +94,7 @@ def boost_replication(network, row: int, extra: int) -> list[int]:
         for neighbor_id in network.node(holder_id).neighbors:
             if neighbor_id not in holders:
                 frontier.add(neighbor_id)
-    ledger = network.fabric.load
-    chosen = sorted(
-        frontier,
-        key=lambda nid: (ledger.node_load(nid).bytes_total, nid),
-    )[:extra]
+    chosen = sorted(frontier, key=network.fabric.load.least_loaded)[:extra]
     added: list[int] = []
     for node_id in chosen:
         source = next(

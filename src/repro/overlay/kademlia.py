@@ -453,10 +453,9 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
         )
         if not holders:
             return []
-        ledger = self.fabric.load
         chosen = sorted(
             (nid for nid in self._nodes if nid not in holders),
-            key=lambda nid: (ledger.node_load(nid).bytes_total, nid),
+            key=self.fabric.load.least_loaded,
         )[:extra]
         added: list[int] = []
         for node_id in chosen:

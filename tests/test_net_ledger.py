@@ -1,0 +1,204 @@
+"""The frame ledger: one write per frame; energy, metrics, load are views.
+
+Differential tests of the fabric against :mod:`tests.ledger_oracle`,
+which replays the three per-frame write formulas the fabric used to run
+(sequential float adds for energy, per-kind counters, per-node load):
+every integer exactly, every energy figure to 1e-12 relative.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.faults.injector import Verdict
+from repro.net import MessageKind, NodeLoad
+from tests.ledger_oracle import (
+    ReplayOracle,
+    fabric,
+    kind_counts,
+    load_records,
+)
+
+REL = 1e-12
+KINDS = (
+    MessageKind.INSERT, MessageKind.REPLICATE, MessageKind.RANGE_QUERY,
+    MessageKind.DATA,
+)
+
+
+def _random_frames(seed: int, n_nodes: int, n_frames: int, lossy: bool):
+    """Seeded ``(source, destination, kind, size, verdict)`` tuples."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for __ in range(n_frames):
+        source, destination = (int(v) for v in rng.integers(n_nodes, size=2))
+        kind = KINDS[int(rng.integers(len(KINDS)))]
+        size = int(rng.integers(0, 2000))
+        verdict = Verdict()
+        if lossy and rng.random() < 0.4:
+            verdict = Verdict(
+                delivered=bool(rng.random() < 0.6),
+                copies=1 + int(rng.random() < 0.3),
+                retransmits=int(rng.integers(0, 4)),
+            )
+        frames.append((source, destination, kind, size, verdict))
+    return frames
+
+
+def _drive(frames, n_nodes: int, lossy: bool):
+    """Run ``frames`` through a fabric and through the replay oracle."""
+    verdicts = [frame[4] for frame in frames] if lossy else None
+    net = fabric(n_nodes, verdicts)
+    oracle = ReplayOracle(net.energy.model)
+    for i, (source, destination, kind, size, verdict) in enumerate(frames):
+        net.transmit(source, destination, kind, size)
+        oracle.frame(source, destination, kind, size, verdict)
+        if i % 7 == 0:
+            net.load.note_query_hit(destination)
+            oracle.query_hit(destination)
+    return net, oracle
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["clean", "lossy"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+class TestAgainstReplayOracle:
+    N_NODES = 24
+    N_FRAMES = 1500
+
+    def _run(self, seed, lossy):
+        frames = _random_frames(seed, self.N_NODES, self.N_FRAMES, lossy)
+        if lossy:  # the sequence really exercises every fault bucket
+            verdicts = [frame[4] for frame in frames]
+            assert any(v.retransmits for v in verdicts)
+            assert any(v.copies > 1 for v in verdicts)
+            assert any(not v.delivered for v in verdicts)
+        return _drive(frames, self.N_NODES, lossy)
+
+    def test_integers_are_exact(self, seed, lossy):
+        net, oracle = self._run(seed, lossy)
+        assert kind_counts(net) == oracle.by_kind
+        assert load_records(net) == oracle.load
+        assert net.load.snapshot() == oracle.load_snapshot()
+        assert list(net.load.per_node) == list(oracle.load)
+
+    def test_energy_within_1e12(self, seed, lossy):
+        net, oracle = self._run(seed, lossy)
+        assert net.energy.total == pytest.approx(
+            oracle.energy_total, rel=REL
+        )
+        per_node = net.energy.per_node
+        assert set(per_node) == set(oracle.energy_per_node)
+        for node_id, drain in oracle.energy_per_node.items():
+            assert per_node[node_id] == pytest.approx(drain, rel=REL)
+            assert net.energy.node_energy(node_id) == per_node[node_id]
+        snapshot, expected = net.energy.snapshot(), oracle.energy_snapshot()
+        assert snapshot["nodes_charged"] == expected["nodes_charged"]
+        for key, value in expected.items():
+            assert snapshot[key] == pytest.approx(value, rel=REL)
+
+    def test_total_is_the_sum_over_nodes(self, seed, lossy):
+        net, __ = self._run(seed, lossy)
+        assert net.energy.total == pytest.approx(
+            sum(net.energy.per_node.values()), rel=REL
+        )
+
+
+class TestViews:
+    def test_a_query_hit_alone_bills_no_energy(self):
+        net = fabric(3)
+        net.load.note_query_hit(2)
+        assert net.load.node_load(2).query_hits == 1
+        assert net.energy.per_node == {}
+        assert net.energy.node_energy(2) == 0.0
+        assert net.energy.snapshot()["nodes_charged"] == 0
+
+    def test_a_dropped_frame_still_bills_the_receivers_radio(self):
+        net = fabric(2, [Verdict(delivered=False, retransmits=1)])
+        net.transmit(0, 1, MessageKind.RANGE_QUERY, 100)
+        model = net.energy.model
+        assert net.load.node_load(1).msgs_in == 0
+        assert net.energy.node_energy(1) == pytest.approx(
+            2 * model.rx_cost(100), rel=REL
+        )
+
+    def test_a_duplicate_is_counted_by_the_load_but_never_billed(self):
+        net = fabric(2, [Verdict(copies=2)])
+        net.transmit(0, 1, MessageKind.INSERT, 100)
+        model = net.energy.model
+        assert net.load.node_load(0).msgs_out == 2
+        assert net.energy.node_energy(0) == pytest.approx(
+            model.tx_cost(100), rel=REL
+        )
+        assert net.energy.total == pytest.approx(
+            model.hop_cost(100), rel=REL
+        )
+
+    def test_radio_corrections_stay_zero_on_a_clean_fabric(self):
+        frames = _random_frames(5, 8, 200, lossy=False)
+        net, __ = _drive(frames, 8, lossy=False)
+        for row in net.load.per_node.values():
+            assert (
+                row.tx_msgs_adjust, row.tx_bytes_adjust,
+                row.rx_msgs_adjust, row.rx_bytes_adjust,
+            ) == (0, 0, 0, 0)
+
+    def test_total_energy_reads_kinds_not_nodes(self):
+        """``energy.total`` is O(kinds): 1e5 touched nodes, none visited."""
+
+        class CountingRows(dict):
+            visits = 0
+
+            def _visit(self, view):
+                CountingRows.visits += 1
+                return view
+
+            def __iter__(self):
+                return self._visit(super().__iter__())
+
+            def values(self):
+                return self._visit(super().values())
+
+            def items(self):
+                return self._visit(super().items())
+
+        net = fabric(2)
+        net.transmit(0, 1, MessageKind.INSERT, 64)
+        net.transmit(1, 0, MessageKind.DATA, 512)
+        rows = CountingRows(net.load.per_node)
+        for node_id in range(2, 100_002):
+            rows[node_id] = NodeLoad()
+        net.load.per_node = rows
+        model = net.energy.model
+        expected = model.hop_cost(64) + model.hop_cost(512)
+        assert net.energy.total == pytest.approx(expected, rel=REL)
+        assert CountingRows.visits == 0
+        assert len(net.metrics.by_kind) == 2
+        net.energy.snapshot()  # the per-node statistics do walk the rows
+        assert CountingRows.visits > 0
+
+
+class TestBulkIsTheSameWrite:
+    def test_bulk_equals_the_per_frame_loop_in_all_three_views(self):
+        rng = np.random.default_rng(11)
+        n_nodes, n_frames, size = 40, 3000, 72
+        senders = rng.integers(n_nodes, size=n_frames)
+        receivers = rng.integers(n_nodes, size=n_frames)
+        bulk, loop = fabric(n_nodes), fabric(n_nodes)
+        for net in (bulk, loop):  # earlier traffic the batch lands on
+            net.transmit(3, 4, MessageKind.JOIN, 10)
+        charged = bulk.transmit_bulk(
+            MessageKind.INSERT, senders, receivers, size
+        )
+        for source, destination in zip(senders.tolist(), receivers.tolist()):
+            loop.transmit(source, destination, MessageKind.INSERT, size)
+        assert charged == n_frames
+        assert kind_counts(bulk) == kind_counts(loop)
+        assert bulk.metrics.snapshot() == loop.metrics.snapshot()
+        assert load_records(bulk) == load_records(loop)
+        assert bulk.load.snapshot() == loop.load.snapshot()
+        assert bulk.energy.total == loop.energy.total
+        assert bulk.energy.per_node == loop.energy.per_node
+        assert bulk.energy.snapshot() == pytest.approx(
+            loop.energy.snapshot(), rel=REL
+        )

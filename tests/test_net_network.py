@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.net.energy import EnergyLedger, EnergyModel
+from repro.net.energy import EnergyModel
 from repro.net.messages import (
     BYTES_PER_COORD,
     HEADER_BYTES,
@@ -13,6 +13,7 @@ from repro.net.messages import (
 from repro.net.metrics import NetworkMetrics
 from repro.net.network import Network
 from repro.net.node import SimNode
+from tests.ledger_oracle import fabric
 
 
 class TestMessageSizes:
@@ -40,10 +41,10 @@ class TestEnergyModel:
         assert model.tx_cost(5) == 15.0
 
     def test_ledger_accumulates(self):
-        ledger = EnergyLedger(model=EnergyModel(
-            tx_per_byte=1, rx_per_byte=1, tx_fixed=0, rx_fixed=0))
-        ledger.charge_hop(1, 2, 100)
-        ledger.charge_hop(2, 3, 50)
+        net = fabric(4, tx_per_byte=1, rx_per_byte=1, tx_fixed=0, rx_fixed=0)
+        net.transmit(1, 2, MessageKind.DATA, 100)
+        net.transmit(2, 3, MessageKind.DATA, 50)
+        ledger = net.energy
         assert ledger.node_energy(1) == 100
         assert ledger.node_energy(2) == 100 + 50
         assert ledger.node_energy(3) == 50
@@ -56,10 +57,11 @@ class TestEnergyModel:
 
 class TestNetworkMetrics:
     def test_transmit_counting(self):
-        metrics = NetworkMetrics()
-        metrics.record_transmit(MessageKind.INSERT, 100)
-        metrics.record_transmit(MessageKind.INSERT, 50)
-        metrics.record_transmit(MessageKind.LOOKUP, 10)
+        net = fabric(2)
+        net.transmit(0, 1, MessageKind.INSERT, 100)
+        net.transmit(0, 1, MessageKind.INSERT, 50)
+        net.transmit(1, 0, MessageKind.LOOKUP, 10)
+        metrics = net.metrics
         assert metrics.total_messages == 3
         assert metrics.total_hops == 3
         assert metrics.total_bytes == 160
@@ -72,9 +74,9 @@ class TestNetworkMetrics:
         assert metrics.kind(MessageKind.INSERT).per_op_hops.mean == 4.0
 
     def test_snapshot(self):
-        metrics = NetworkMetrics()
-        metrics.record_transmit(MessageKind.JOIN, 10)
-        snap = metrics.snapshot()
+        net = fabric(2)
+        net.transmit(0, 1, MessageKind.JOIN, 10)
+        snap = net.metrics.snapshot()
         assert snap["join"]["messages"] == 1
 
 

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.network import HyperMConfig, HyperMNetwork
-from repro.obs.loadmap import LoadLedger, NodeLoad, build_loadmap
+from repro.faults.injector import Verdict
+from repro.net import LoadLedger, MessageKind, NodeLoad
+from repro.obs.loadmap import build_loadmap
 from repro.utils.stats import gini
+from tests.ledger_oracle import fabric
 
 
 class TestGini:
@@ -31,19 +34,25 @@ class TestGini:
 
 
 class TestLoadLedger:
+    """The load view of frames written through ``Network.transmit``."""
+
+    @staticmethod
+    def _transmit(net, source, destination, size):
+        net.transmit(source, destination, MessageKind.INSERT, size)
+
     def test_clean_charge(self):
-        ledger = LoadLedger()
-        ledger.charge(1, 2, 100)
-        src, dst = ledger.node_load(1), ledger.node_load(2)
+        net = fabric(3)
+        self._transmit(net, 1, 2, 100)
+        src, dst = net.load.node_load(1), net.load.node_load(2)
         assert (src.msgs_out, src.bytes_out) == (1, 100)
         assert (dst.msgs_in, dst.bytes_in) == (1, 100)
         assert (src.msgs_in, dst.msgs_out) == (0, 0)
         assert src.drops == dst.drops == 0
 
     def test_retransmits_and_duplicates_burn_both_radios(self):
-        ledger = LoadLedger()
-        ledger.charge(1, 2, 10, retransmits=2, duplicates=1)
-        src, dst = ledger.node_load(1), ledger.node_load(2)
+        net = fabric(3, [Verdict(retransmits=2, copies=2)])
+        self._transmit(net, 1, 2, 10)
+        src, dst = net.load.node_load(1), net.load.node_load(2)
         # 1 primary + 2 retransmits + 1 duplicate = 4 frames on the air.
         assert (src.msgs_out, src.bytes_out) == (4, 40)
         assert (dst.msgs_in, dst.bytes_in) == (4, 40)
@@ -51,9 +60,9 @@ class TestLoadLedger:
         assert src.duplicates == dst.duplicates == 1
 
     def test_dropped_frame_costs_sender_only(self):
-        ledger = LoadLedger()
-        ledger.charge(1, 2, 100, dropped=True)
-        src, dst = ledger.node_load(1), ledger.node_load(2)
+        net = fabric(3, [Verdict(delivered=False)])
+        self._transmit(net, 1, 2, 100)
+        src, dst = net.load.node_load(1), net.load.node_load(2)
         assert (src.msgs_out, src.bytes_out) == (1, 100)
         assert (dst.msgs_in, dst.bytes_in) == (0, 0)
         assert src.drops == dst.drops == 1
@@ -74,12 +83,14 @@ class TestLoadLedger:
         }
 
     def test_snapshot_totals(self):
-        ledger = LoadLedger()
-        ledger.charge(1, 2, 10)
-        ledger.charge(2, 3, 20, retransmits=1)
-        ledger.charge(3, 1, 30, dropped=True)
-        ledger.note_query_hit(2)
-        assert ledger.snapshot() == {
+        net = fabric(
+            4, [Verdict(), Verdict(retransmits=1), Verdict(delivered=False)]
+        )
+        self._transmit(net, 1, 2, 10)
+        self._transmit(net, 2, 3, 20)
+        self._transmit(net, 3, 1, 30)
+        net.load.note_query_hit(2)
+        assert net.load.snapshot() == {
             "nodes": 3,
             "msgs": 1 + 2 + 1,
             "bytes": 10 + 40 + 30,

@@ -5,7 +5,7 @@ more peers are contacted, and more clusters per peer helps.
 """
 
 from repro.evaluation.effectiveness import run_fig10a
-from repro.evaluation.reporting import series_to_table
+from repro.evaluation.experiments import EXPERIMENTS
 
 
 def test_fig10a_range_recall(benchmark, record_table):
@@ -23,15 +23,12 @@ def test_fig10a_range_recall(benchmark, record_table):
         rounds=1,
         iterations=1,
     )
-    record_table(
-        "fig10a_range_recall",
-        series_to_table(
-            {f"K_p={k}": v for k, v in out.items()},
-            x_name="peers_contacted",
-            title="Figure 10a — range recall vs peers contacted "
-            "(mean (min-max)); precision is 100% by construction",
-        ),
+    __, table = EXPERIMENTS["fig10a"].hook(
+        out,
+        title="Figure 10a — range recall vs peers contacted "
+        "(mean (min-max)); precision is 100% by construction",
     )
+    record_table("fig10a_range_recall", table)
     for series in out.values():
         assert series[-1].mean >= series[0].mean  # recall rises with P
         assert series[-1].mean > 0.9  # high recall once enough peers seen

@@ -6,8 +6,7 @@ scale in the paper).
 """
 
 from repro.evaluation.dissemination import run_fig8c
-from repro.evaluation.reporting import rows_to_table
-from repro.utils.tables import format_table
+from repro.evaluation.experiments import EXPERIMENTS
 
 
 def test_fig8c_levels(benchmark, record_table):
@@ -24,18 +23,11 @@ def test_fig8c_levels(benchmark, record_table):
         rounds=1,
         iterations=1,
     )
-    table = rows_to_table(
-        rows,
+    __, table = EXPERIMENTS["fig8c"].hook(
+        (rows, baselines),
         title="Figure 8c — hops per item vs overlay levels",
     )
-    base = format_table(
-        ["baseline", "hops_per_item"],
-        [
-            ["CAN (full dim)", baselines.can_hops_per_item],
-            ["CAN (2-d)", baselines.can2d_hops_per_item],
-        ],
-    )
-    record_table("fig8c_levels", table + "\n" + base)
+    record_table("fig8c_levels", table)
     per_level = [row.hyperm_hops_per_item for row in rows]
     assert per_level == sorted(per_level)  # cost grows with levels
     # The paper's operating point (4 levels) still beats per-item CAN.

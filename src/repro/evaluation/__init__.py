@@ -16,6 +16,9 @@ Modules
 * :mod:`repro.evaluation.serving` — batched serving-tier throughput and
   open-loop latency (the ``repro serve-bench`` runner).
 * :mod:`repro.evaluation.reporting` — paper-style series/table rendering.
+* :mod:`repro.evaluation.experiments` — the experiment table: one row per
+  experiment above, ``run_experiment`` to run a row, and the Markdown
+  report; the CLI's experiment commands are generated from it.
 """
 
 from repro.evaluation.metrics import (

@@ -121,6 +121,29 @@ class TestCliServeBench:
         assert saved["benchmark"] == "query_serve"
 
 
+@pytest.mark.slow
+class TestOutFiles:
+    """One ``--out`` writer: every report file is newline-terminated JSON."""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--peers", "5", "--queries", "2"],
+        TestCliServeBench._ARGS,
+        ["scale-bench", "--peers", "32", "--queries", "2",
+         "--baseline-peers", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_out_file_is_newline_terminated_json(
+        self, argv, tmp_path, capsys
+    ):
+        import json
+
+        path = tmp_path / "out.json"
+        assert main([*argv, "--out", str(path)]) == 0
+        text = path.read_text()
+        assert text.endswith("}\n")
+        assert json.loads(text)
+        assert f"{argv[0]}: wrote {path}" in capsys.readouterr().out
+
+
 class TestRunScopes:
     """Flags exist only where they are read (the run-context tests
     themselves live in ``tests/test_runtime.py``)."""

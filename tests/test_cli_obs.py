@@ -6,21 +6,16 @@ import warnings
 
 import pytest
 
-from repro import cli
-from repro.cli import (
-    _COMMANDS,
+from repro.cli import build_parser, main
+from repro.evaluation.experiments import (
     _SIGNATURE_CACHE,
-    _common,
+    EXPERIMENTS,
     _filter_kwargs,
-    build_parser,
-    main,
+    run_experiment,
+    scale_params,
 )
 
-RUNNERS = [
-    cli.run_fig8a, cli.run_fig8b, cli.run_fig8c, cli.run_fig9,
-    cli.run_fig10a, cli.run_fig10b, cli.run_fig10c, cli.run_c_knob,
-    cli.run_fig11,
-]
+RUNNERS = [row.runner for row in EXPERIMENTS.values()]
 
 
 class TestFilterKwargs:
@@ -29,25 +24,30 @@ class TestFilterKwargs:
         """Every registered experiment must digest the common scale/seed
         dict without warnings — silently dropping a *common* knob is fine,
         but nothing in the common dict may be flagged as unexpected."""
-        args = build_parser().parse_args(["fig8a"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kwargs = _filter_kwargs(func, _common(args))
+            kwargs = _filter_kwargs(func, scale_params("quick", seed=0))
         assert "rng" in kwargs
 
     def test_warns_on_misspelled_override(self):
-        args = build_parser().parse_args(["fig8a"])
-        params = _common(args, n_peersss=3)
+        run_fig8a = EXPERIMENTS["fig8a"].runner
+        params = dict(scale_params("quick", seed=0), n_peersss=3)
         with pytest.warns(UserWarning, match="n_peersss"):
-            kwargs = _filter_kwargs(cli.run_fig8a, params)
+            kwargs = _filter_kwargs(run_fig8a, params)
         assert "n_peersss" not in kwargs
+        # run_experiment hands undeclared keywords to the same filter.
+        with pytest.warns(UserWarning, match="n_peersss"):
+            run_experiment(
+                "fig11", scale="quick", seed=1, peers=5, n_peersss=3
+            )
 
     def test_signatures_are_cached(self):
-        _filter_kwargs(cli.run_fig11, {})
-        assert cli.run_fig11 in _SIGNATURE_CACHE
-        cached = _SIGNATURE_CACHE[cli.run_fig11]
-        _filter_kwargs(cli.run_fig11, {"rng": 0})
-        assert _SIGNATURE_CACHE[cli.run_fig11] is cached
+        run_fig11 = EXPERIMENTS["fig11"].runner
+        _filter_kwargs(run_fig11, {})
+        assert run_fig11 in _SIGNATURE_CACHE
+        cached = _SIGNATURE_CACHE[run_fig11]
+        _filter_kwargs(run_fig11, {"rng": 0})
+        assert _SIGNATURE_CACHE[run_fig11] is cached
 
 
 class TestJsonFlag:

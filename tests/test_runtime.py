@@ -124,7 +124,7 @@ class TestCliFillsTheContext:
         """Networks a stand-in command builds while ``main`` dispatches."""
         networks = []
         monkeypatch.setattr(
-            cli, "_dispatch", lambda args: networks.append(_network()) or 0
+            cli, "_cmd_experiment", lambda args: networks.append(_network()) or 0
         )
         return networks
 
@@ -176,7 +176,7 @@ class TestCliFillsTheContext:
         before = _fields()
         seen = {}
         monkeypatch.setattr(
-            cli, "_dispatch", lambda args: seen.update(_fields()) or 0
+            cli, "_cmd_experiment", lambda args: seen.update(_fields()) or 0
         )
         assert cli.main(["fig9"]) == 0
         assert seen == before
@@ -187,7 +187,7 @@ class TestCliFillsTheContext:
         def dispatch(args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "_dispatch", dispatch)
+        monkeypatch.setattr(cli, "_cmd_experiment", dispatch)
         with pytest.raises(RuntimeError):
             cli.main([
                 "fig9", "--adapt", "--overlay", "baton",

@@ -297,15 +297,17 @@ def index_phase(
             per_level[level] = level_scores(
                 got.candidates, key, radius, stats=stats
             )
-            span.set(
-                radius=radius,
-                candidates=stats["candidates"],
-                pruned=stats["pruned"],
-                surviving=stats["surviving"],
-                peers=len(per_level[level]),
-                routing_hops=got.routing_hops,
-                flood_hops=got.flood_hops,
-            )
+            if recorder.enabled:
+                # ``len`` is the table's deferred peer sort: traced only.
+                span.set(
+                    radius=radius,
+                    candidates=stats["candidates"],
+                    pruned=stats["pruned"],
+                    surviving=stats["surviving"],
+                    peers=len(per_level[level]),
+                    routing_hops=got.routing_hops,
+                    flood_hops=got.flood_hops,
+                )
     if info is not None:
         info["levels_total"] = len(plan)
         info["levels_answered"] = levels_answered

@@ -18,13 +18,13 @@ every level) runs before the expensive one (the lens-volume kernel):
   gathered from the level's columnar store (a stale set raises
   :class:`repro.exceptions.StaleCandidateError` here) — down to the
   spheres meeting the query ball and returns a :class:`LevelScoreTable`:
-  the sorted peers present plus copies of the surviving rows, Eq. 1 not
-  yet evaluated.
-* :func:`aggregate_scores` intersects the levels' peer arrays, asks each
+  copies of the surviving rows, not yet sorted by peer, Eq. 1 not yet
+  evaluated.
+* :func:`aggregate_scores` semi-joins the levels' peer ids by counting
+  (:func:`_semi_join`), sorts and intersects what is left, asks each
   table for the :meth:`~LevelScoreTable.totals` of the common peers only
   (one ``intersection_fraction_batch`` call over their rows, summed per
-  peer by ``bincount`` in row order) and builds a plain ``dict`` for the
-  aggregated answer alone.
+  peer by ``bincount`` in row order) and builds a plain ``dict``.
 
 A table is also a read-only ``Mapping`` that evaluates every peer once on
 ``[]`` / ``items()`` / ``==``. :func:`level_scores_scalar` keeps the
@@ -56,6 +56,11 @@ from repro.index import CandidateSet, ColumnBlock
 #: band.
 MIN_INTERSECTING_FRACTION = 1e-9
 
+#: The cross-level semi-join counts in one slot per id between the
+#: smallest and the largest peer id it sees; past this many slots per row
+#: joined (sparse ids) clearing them costs more than the sorts they save.
+_SPAN_PER_ROW = 8
+
 
 def _fill_stats(stats: dict | None, candidates: int, pruned: int) -> None:
     if stats is not None:
@@ -65,21 +70,23 @@ def _fill_stats(stats: dict | None, candidates: int, pruned: int) -> None:
 
 
 class LevelScoreTable(Mapping):
-    """One level's ``{peer: Eq. 1 score}``, evaluated only when asked.
+    """One level's ``{peer: Eq. 1 score}``, grouped and evaluated on demand.
 
     ``peers`` is the sorted, unique id array of the peers with a sphere
     meeting the query ball. The table holds every peer's total (the
     eager form, for scores computed elsewhere or already evaluated in
-    full) or the surviving ``rows`` it would sum — ``(inverse, radii,
-    dists, items, eps, d)``, ``inverse`` giving each row's position in
-    ``peers`` — and runs the kernel in :meth:`totals`. Its arrays are
-    its own, never views of store columns.
+    full) or the surviving ``rows`` it would sum — ``(peer_ids, radii,
+    dists, items, eps, d)``, ungrouped, in ascending row order — which
+    the first read of ``peers``, ``len``, ``[]`` or :meth:`totals`
+    sorts into ``peers`` and :meth:`totals` runs the kernel over. Its
+    arrays are its own, never views of store columns.
     """
 
-    __slots__ = ("peers", "_totals", "_rows", "_scores")
+    __slots__ = ("_peers", "_inverse", "_totals", "_rows", "_scores")
 
-    def __init__(self, peers: np.ndarray, totals=None, rows=None):
-        self.peers = peers
+    def __init__(self, peers: np.ndarray | None, totals=None, rows=None):
+        self._peers = peers
+        self._inverse = None
         self._totals = totals
         self._rows = rows
         self._scores = None
@@ -95,6 +102,14 @@ class LevelScoreTable(Mapping):
         order = np.argsort(peers)
         return cls(peers[order], totals[order])
 
+    @property
+    def peers(self) -> np.ndarray:
+        if self._peers is None:
+            self._peers, self._inverse = np.unique(
+                self._rows[0], return_inverse=True
+            )
+        return self._peers
+
     def totals(self, common: np.ndarray | None = None) -> np.ndarray:
         """Eq. 1 totals of ``common`` (sorted, all in ``peers``; default all).
 
@@ -105,30 +120,39 @@ class LevelScoreTable(Mapping):
         later answer is a take from the totals (what lets the serving
         tier keep an evaluated table per cached look-up).
         """
-        if common is None or common.size == self.peers.size:
+        peers = self.peers
+        if common is None or common.size == peers.size:
             if self._totals is None:
                 self._totals = self._eq1(slice(None))
-                self._rows = None
+                self._rows = self._inverse = None
             return self._totals
-        where = np.searchsorted(self.peers, common)
+        where = np.searchsorted(peers, common)
         if self._totals is not None:
             return self._totals[where]
-        wanted = np.zeros(self.peers.size, dtype=bool)
+        wanted = np.zeros(peers.size, dtype=bool)
         wanted[where] = True
-        return self._eq1(wanted[self._rows[0]])[where]
+        return self._eq1(wanted[self._inverse])[where]
 
     def _eq1(self, keep) -> np.ndarray:
         """Per-peer sums of fraction x items over the rows ``keep`` selects."""
-        inverse, radii, dists, items, eps, d = self._rows
+        __, radii, dists, items, eps, d = self._rows
         fractions = intersection_fraction_batch(
             radii[keep], eps, dists[keep], d
         )
         np.maximum(fractions, MIN_INTERSECTING_FRACTION,
                    where=fractions <= 0.0, out=fractions)
         return np.bincount(
-            inverse[keep], weights=fractions * items[keep],
-            minlength=self.peers.size,
+            self._inverse[keep], weights=fractions * items[keep],
+            minlength=self._peers.size,
         )
+
+    def _narrowed(self, keep: np.ndarray) -> "LevelScoreTable":
+        """A new table over the rows (eager: the peers) ``keep`` selects."""
+        if self._rows is None:
+            return LevelScoreTable(self._peers[keep], self._totals[keep])
+        *columns, eps, d = self._rows
+        rows = (*(column[keep] for column in columns), eps, d)
+        return LevelScoreTable(None, rows=rows)
 
     def __len__(self) -> int:
         return int(self.peers.size)
@@ -198,9 +222,8 @@ def level_scores(
         radii, dists, items, peer_ids = (
             column[intersecting] for column in (radii, dists, items, peer_ids)
         )
-    peers, inverse = np.unique(peer_ids, return_inverse=True)
-    return LevelScoreTable(peers, rows=(
-        inverse, radii, dists, items, float(query_radius), d,
+    return LevelScoreTable(None, rows=(
+        peer_ids, radii, dists, items, float(query_radius), d,
     ))
 
 
@@ -236,6 +259,39 @@ def level_scores_scalar(
     return scores
 
 
+def _semi_join(tables: list) -> list:
+    """New tables over the rows of the peers every table holds, unsorted.
+
+    Counting replaces sorting: smallest level first, each level's
+    peer-id column raises ``seen[id]`` only where every level before it
+    did, so the ids that reach the level count are exactly the
+    cross-level join, and the sorted join after this runs over their few
+    rows (in row order still; the caller's tables are not touched).
+    Tables all grouped already, an empty level, or ids too sparse for
+    the count array come back as they are.
+    """
+    if all(table._peers is not None for table in tables):
+        return tables
+    columns = [
+        table._peers if table._rows is None else table._rows[0]
+        for table in tables
+    ]
+    if not all(column.size for column in columns):
+        return tables
+    low = min(int(column.min()) for column in columns)
+    span = max(int(column.max()) for column in columns) - low + 1
+    if span > _SPAN_PER_ROW * sum(column.size for column in columns):
+        return tables
+    columns = [column - low for column in columns]
+    seen = np.zeros(span, dtype=np.int16)
+    for level, ids in enumerate(sorted(columns, key=len)):
+        seen[ids[seen[ids] == level]] = level + 1
+    present = seen == len(tables)
+    return [
+        table._narrowed(present[ids]) for table, ids in zip(tables, columns)
+    ]
+
+
 def aggregate_scores(
     per_level: dict, *, policy: str = "min"
 ) -> dict[int, float]:
@@ -259,7 +315,7 @@ def aggregate_scores(
         )
     # Join first, score second: only peers present at every level can
     # come out, so only their rows go through the Eq. 1 kernel.
-    tables = [LevelScoreTable.of(scores) for scores in per_level.values()]
+    tables = _semi_join(list(map(LevelScoreTable.of, per_level.values())))
     common = tables[0].peers
     for table in tables[1:]:
         common = np.intersect1d(common, table.peers, assume_unique=True)

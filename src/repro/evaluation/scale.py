@@ -21,10 +21,10 @@ Three headline numbers land in ``BENCH_scale.json``:
 Plus one machine-relative ratio CI can gate: ``bulk_speedup``, the
 wall-clock ratio of protocol-grown (routed joins + routed inserts)
 versus bulk (grid + :func:`bulk_publish`) construction at a small equal
-size on the same machine. When the sharded engine is selected, the first
-``parity_queries`` queries are recomputed on a :class:`~repro.engine.
-SerialEngine` over the same stores and compared at 1e-9 — the sharded
-path must be an execution strategy, never a different answer.
+size on the same machine. On either engine the first ``parity_queries``
+queries are recomputed by :func:`_oracle_scores` — no store, no engine,
+no ``aggregate_scores`` — and compared at 1e-9: an engine or a join is
+an execution strategy, never a different answer.
 
 The query side is the pipeline of :mod:`repro.core.queries` with the
 engine plane in the candidate + score seat: :func:`~repro.core.queries.
@@ -37,11 +37,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.queries import level_plan, score_peers
-from repro.engine import EngineConfig, SerialEngine, create_engine
+from repro.core.results import ClusterRecord
+from repro.core.scoring import level_scores_scalar
+from repro.engine import EngineConfig, create_engine
 from repro.exceptions import ValidationError
 from repro.net.network import Network
 from repro.obs import registry as obs_registry
 from repro.obs.rss import rss_snapshot
+from repro.overlay.base import StoredEntry
 from repro.overlay.can import CANNetwork, build_grid_can, bulk_publish
 from repro.utils.rng import ensure_rng
 from repro.wavelets.multiresolution import publication_levels
@@ -117,12 +120,32 @@ def _engine_scores(engine, plan: dict) -> dict:
     return score_peers(dict(zip(plan, engine.score_levels(tasks))), "min")
 
 
-def _score_parity(engine_scores, inline_scores):
+def _oracle_scores(plan: dict, peer_ids, items, batches) -> dict:
+    """The same query over the raw published columns, sharing no code
+    with the engines' mask, gather or join: a plain distance filter,
+    Eq. 1 one sphere at a time, a plain ``dict`` min-join."""
+    per_level = []
+    for level, (center, radius) in plan.items():
+        keys, radii = batches[level]
+        near = np.flatnonzero(
+            np.linalg.norm(keys - center, axis=1) <= radii + radius + 1e-6
+        )
+        per_level.append(level_scores_scalar([
+            StoredEntry(keys[row], float(radii[row]), ClusterRecord(
+                int(peer_ids[row]), float(items[row]), str(level)
+            ))
+            for row in near
+        ], center, radius))
+    common = set.intersection(*map(set, per_level))
+    return {p: min(scores[p] for scores in per_level) for p in common}
+
+
+def _score_parity(engine_scores, oracle_scores):
     """Max |delta| between two peer-score dicts; infinite on set mismatch."""
-    if set(engine_scores) != set(inline_scores):
+    if set(engine_scores) != set(oracle_scores):
         return float("inf")
     return max(
-        (abs(engine_scores[p] - inline_scores[p]) for p in engine_scores),
+        (abs(engine_scores[p] - oracle_scores[p]) for p in engine_scores),
         default=0.0,
     )
 
@@ -172,7 +195,7 @@ def run_scale_bench(
     whose wall-clock ratio (``bulk_speedup``) is the CI-gated field —
     small enough that the quadratic routed arm stays affordable,
     identical inputs on both arms. ``parity_queries`` queries are
-    double-checked inline when a parallel engine is selected.
+    double-checked against the scalar oracle on either engine.
     """
     if n_peers < 1:
         raise ValidationError(f"n_peers must be >= 1, got {n_peers}")
@@ -200,10 +223,8 @@ def run_scale_bench(
         overlays, plans, build_s, publish_s = _build_and_publish(
             levels, n_peers, peer_ids, items, batches, fabric=fabric, rng=rng
         )
-        oracle = SerialEngine()
         for index, level in enumerate(levels):
             engine_obj.register_store(index, overlays[level].level_store)
-            oracle.register_store(index, overlays[level].level_store)
 
         queries = rng.random((n_queries, dimensionality))
         query_plans = [
@@ -212,23 +233,20 @@ def run_scale_bench(
         ]
 
         # Parity first (outside the timed window): the engine must agree
-        # with the inline oracle before its throughput means anything.
-        parity = {"checked": 0, "max_abs_delta": 0.0}
-        if engine_obj.parallel and parity_queries > 0:
-            worst = 0.0
-            checked = min(parity_queries, n_queries)
-            for plan in query_plans[:checked]:
-                delta = _score_parity(
-                    _engine_scores(engine_obj, plan),
-                    _engine_scores(oracle, plan),
-                )
-                worst = max(worst, delta)
-            if not worst <= 1e-9:
-                raise ValidationError(
-                    f"sharded scoring diverged from the inline oracle "
-                    f"(max delta {worst})"
-                )
-            parity = {"checked": checked, "max_abs_delta": worst}
+        # with the scalar oracle before its throughput means anything.
+        checked = max(0, min(parity_queries, n_queries))
+        worst = 0.0
+        for plan in query_plans[:checked]:
+            worst = max(worst, _score_parity(
+                _engine_scores(engine_obj, plan),
+                _oracle_scores(plan, peer_ids, items, batches),
+            ))
+        if not worst <= 1e-9:
+            raise ValidationError(
+                f"{engine_obj.name} scoring diverged from the scalar "
+                f"oracle (max delta {worst})"
+            )
+        parity = {"checked": checked, "max_abs_delta": worst}
 
         stores = [overlays[level].level_store for level in levels]
         scanned_before = sum(store.rows_scanned for store in stores)

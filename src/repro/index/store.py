@@ -236,7 +236,10 @@ class CellDirectory:
         if scanned == 0:
             return out, 0
         radii = _pick(self.radii, sel)
-        d2 = _pick(self.key_sq, sel) - 2.0 * (keys @ center)
+        # One column: a product per row is the gemv's value (at most a
+        # zero's sign apart, which the subtraction drops).
+        dots = keys[:, 0] * center[0] if keys.shape[1] == 1 else keys @ center
+        d2 = _pick(self.key_sq, sel) - 2.0 * dots
         d2 += float(center @ center)
         np.maximum(d2, 0.0, out=d2)
         dist = np.sqrt(d2, out=d2)

@@ -41,8 +41,29 @@ class TestRunner:
         assert report["bulk_speedup"] > 0
         assert report["resources"]["peak_rss_bytes"] > 0
         assert report["fabric"]["messages"] > 0
-        # Serial runs skip the parity arm: there is nothing to diverge.
-        assert report["parity"] == {"checked": 0, "max_abs_delta": 0.0}
+        # The serial engine answers to the scalar oracle too (ISSUE 23):
+        # it shares its join with the sharded arm, so neither can vouch
+        # for the other.
+        assert report["parity"]["checked"] == 4
+        assert report["parity"]["max_abs_delta"] <= 1e-9
+
+    def test_serial_answers_to_an_oracle_that_shares_no_join(
+        self, monkeypatch
+    ):
+        """A join that loses a peer is caught on the serial engine: the
+        oracle never calls ``aggregate_scores``."""
+        from repro.core import queries
+
+        real = queries.aggregate_scores
+
+        def lossy(per_level, *, policy):
+            scores = real(per_level, policy=policy)
+            scores.pop(min(scores, default=None), None)
+            return scores
+
+        monkeypatch.setattr(queries, "aggregate_scores", lossy)
+        with pytest.raises(ValidationError, match="serial scoring diverged"):
+            _small(epsilon=0.6)
 
     def test_sharded_matches_serial_scores(self):
         serial = _small()

@@ -654,3 +654,58 @@ class TestParityProperties:
         assert set(batch) == set(scalar)
         for peer, truth in scalar.items():
             assert batch[peer] == pytest.approx(truth, rel=1e-9)
+
+
+class TestOneColumnKeys:
+    """At d = 1 the mask kernel multiplies where it used to call ``gemv``
+    (:meth:`repro.index.CellDirectory.mask`): one product per row and
+    nothing accumulated. Only the sign of a zero product can differ
+    (``gemv`` adds it to +0.0), and ``key_sq - 2 * dots`` drops that
+    sign — the squared distances are the same bits."""
+
+    EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+            -1e300, 1e-300, 1.0, -1.0]
+
+    @given(
+        keys=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from(EDGE),
+            min_size=1, max_size=64,
+        ),
+        c=st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from(EDGE),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_product_is_the_matvec(self, keys, c):
+        keys = np.array(keys, dtype=np.float64).reshape(-1, 1)
+        center = np.array([c], dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            product, matvec = keys[:, 0] * center[0], keys @ center
+            key_sq = np.einsum("ij,ij->i", keys, keys)
+            np.testing.assert_array_equal(product, matvec)
+            assert (key_sq - 2.0 * product).tobytes() == (
+                key_sq - 2.0 * matvec
+            ).tobytes()
+
+    @given(seed=st.integers(0, 500))
+    @settings(max_examples=25, deadline=None)
+    def test_mask_distances_are_the_matvec_kernels(self, seed):
+        rng = np.random.default_rng(seed)
+        store = LevelStore(1)
+        _populate(store, int(rng.integers(1, 80)), 1, rng)
+        center, eps = rng.random(1), float(rng.uniform(0.0, 0.5))
+        dists = np.full(store.n_rows, np.nan)
+        mask = store.intersection_mask(center, eps, dists=dists)
+        keys, radii = store._keys[: store.n_rows], store._radii[: store.n_rows]
+        d2 = store._key_sq[: store.n_rows] - 2.0 * (keys @ center)
+        d2 += float(center @ center)
+        expected = np.sqrt(np.maximum(d2, 0.0))
+        near = np.abs(expected - (radii + eps)) <= 1e-5
+        expected[near] = np.abs(keys[near, 0] - center[0])
+        assert dists.tobytes() == expected.tobytes()
+        assert mask.tolist() == [
+            StoredEntry(key=k, radius=float(r), value=None).intersects(
+                center, eps
+            )
+            for k, r in zip(keys, radii)
+        ]

@@ -23,7 +23,7 @@ from repro.core.scoring import (
 )
 from repro.exceptions import StaleCandidateError
 from repro.geometry.batch import spheres_intersect_batch
-from repro.index import LevelStore
+from repro.index import ColumnBlock, LevelStore
 from tests.rows import scalar_entries
 
 POLICIES = ("min", "sum", "product")
@@ -119,6 +119,18 @@ class TestPartialEvaluation:
             partial.totals(partial.peers), full.totals()
         )
 
+    def test_full_evaluation_keeps_only_peers_and_totals(self):
+        """What a cached look-up holds per table: no row copies, no
+        row-to-peer positions."""
+        rng = np.random.default_rng(17)
+        __, candidates, center = _level(rng, 200, 3, np.arange(30))
+        table = level_scores(candidates, center, 0.5)
+        table.totals(table.peers[::2])
+        assert table._rows is not None and table._inverse is not None
+        table.totals()
+        assert table._rows is None and table._inverse is None
+        assert table.totals(table.peers[::2]).size == table.peers[::2].size
+
     def test_kernel_sees_only_rows_of_joined_peers(self, monkeypatch):
         rng = np.random.default_rng(12)
         evaluated = []
@@ -213,3 +225,196 @@ class TestSnapshotSemantics:
         assert stats["pruned"] > 0
         assert table._rows[1].shape[0] == stats["surviving"]
         assert table._rows[1] is not block.radii
+
+
+def _peer_universe(kind: str, n: int, rng) -> np.ndarray:
+    """``n`` distinct peer ids of the given flavour."""
+    if kind == "dense":
+        return np.arange(n, dtype=np.int64)
+    if kind == "offset":
+        return 1_000_000 + np.arange(n, dtype=np.int64)
+    if kind == "minus-one":  # the store's "no peer" id takes part
+        return np.arange(n, dtype=np.int64) - 1
+    ids = np.unique(rng.integers(0, 2**62, size=2 * n, dtype=np.int64))
+    return rng.permutation(ids)[:n]
+
+
+def _block(rng, peer_ids: np.ndarray, d: int, max_radius: float):
+    """A keyed ``ColumnBlock`` of random spheres, one per ``peer_ids`` row."""
+    keys = rng.random((peer_ids.size, d))
+    return ColumnBlock(
+        radii=rng.uniform(0.0, max_radius, peer_ids.size),
+        items=rng.integers(1, 50, peer_ids.size).astype(np.float64),
+        peer_ids=peer_ids, keys=keys,
+        key_sq=np.einsum("ij,ij->i", keys, keys),
+    )
+
+
+def _join_blocks(rng, dims, shape, universe):
+    """Per-level ``(ColumnBlock, center)`` with 1-5 interleaved rows a peer."""
+    blocks = {}
+    for level, d in enumerate(dims):
+        if shape == "disjoint":
+            peers = universe[level::len(dims)]
+        else:
+            peers = universe[rng.random(universe.size) < 0.6]
+        if shape == "empty-level" and level == 0:
+            peers = peers[:0]
+        peer_ids = rng.permutation(
+            np.repeat(peers, rng.integers(1, 6, peers.size))
+        )
+        blocks[level] = (_block(rng, peer_ids, d, 0.4), rng.random(d))
+    return blocks
+
+
+class TestCrossLevelJoin:
+    """``aggregate_scores`` against a plain-Python join of the fully
+    evaluated levels: exact for every input form and id flavour, and the
+    caller's tables come back whole."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        dims=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=4),
+        eps=st.floats(min_value=0.05, max_value=0.9),
+        shape=st.sampled_from(["overlap", "empty-level", "disjoint"]),
+        ids=st.sampled_from(["dense", "offset", "sparse", "minus-one"]),
+    )
+    def test_every_input_form_equals_the_plain_join(
+        self, seed, dims, eps, shape, ids
+    ):
+        rng = np.random.default_rng(seed)
+        universe = _peer_universe(ids, 24, rng)
+        blocks = _join_blocks(rng, dims, shape, universe)
+
+        def fresh() -> dict:
+            return {
+                level: level_scores(block, center, eps)
+                for level, (block, center) in blocks.items()
+            }
+
+        full = {level: dict(table) for level, table in fresh().items()}
+        common = set.intersection(*(set(scores) for scores in full.values()))
+        columns = {
+            peer: [scores[peer] for scores in full.values()] for peer in common
+        }
+        if shape != "overlap" and len(dims) > 1:
+            assert not common
+        for policy in POLICIES:
+            lazy = fresh()
+            got = aggregate_scores(lazy, policy=policy)
+            assert isinstance(got, dict)
+            assert got == aggregate_scores(full, policy=policy)
+            assert got == aggregate_scores(
+                {
+                    level: full[level] if level % 2 else table
+                    for level, table in fresh().items()
+                },
+                policy=policy,
+            )
+            if policy == "min":
+                assert got == {p: min(column) for p, column in columns.items()}
+            else:
+                fold = sum if policy == "sum" else np.prod
+                _assert_scores_equal(
+                    got, {p: float(fold(c)) for p, c in columns.items()}
+                )
+            # The join narrowed nothing the caller holds.
+            for level, table in lazy.items():
+                assert table.peers.tolist() == sorted(full[level])
+                assert dict(table) == full[level]
+
+
+def _counted(monkeypatch, holder, name: str, size_of) -> list:
+    """Spy on ``holder.name``: one ``size_of(*args)`` entry per call."""
+    calls, real = [], getattr(holder, name)
+
+    def spy(*args, **kwargs):
+        calls.append(size_of(*args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(holder, name, spy)
+    return calls
+
+
+class TestWorkCounts:
+    """The gain, held by counts rather than by a wall-clock gate."""
+
+    N_PEERS = 4096
+
+    def _harness_levels(self, rng, peers=None) -> list:
+        """``level_scores`` arguments in the scale harness's shape: every
+        peer publishes two spheres a level at d = 1, 1, 2 and a level
+        keeps a third of them or fewer."""
+        if peers is None:
+            peers = np.arange(self.N_PEERS, dtype=np.int64)
+        peer_ids = np.repeat(peers, 2)
+        return [
+            (_block(rng, peer_ids, d, 0.05), rng.random(d), eps)
+            for d, eps in ((1, 0.15), (1, 0.15), (2, 0.12))
+        ]
+
+    def _spies(self, monkeypatch):
+        """Row counts handed to ``np.unique`` and to the Eq. 1 kernel."""
+        return (
+            _counted(monkeypatch, np, "unique", lambda ar, **__: len(ar)),
+            _counted(
+                monkeypatch, scoring, "intersection_fraction_batch",
+                lambda radii, *__: len(radii),
+            ),
+        )
+
+    def test_level_scores_neither_sorts_nor_scores(self, monkeypatch):
+        sorted_rows, scored_rows = self._spies(monkeypatch)
+        levels = self._harness_levels(np.random.default_rng(21))
+        tables = [level_scores(*level) for level in levels]
+        assert (sorted_rows, scored_rows) == ([], [])
+        # Read alone, a table sorts itself once and still scores nothing.
+        for __ in range(2):
+            assert all(len(table) > 100 for table in tables)
+        assert (len(sorted_rows), scored_rows) == (len(tables), [])
+
+    def test_join_sorts_and_scores_only_rows_of_joined_peers(
+        self, monkeypatch
+    ):
+        levels = self._harness_levels(np.random.default_rng(22))
+        expected = aggregate_scores(
+            {index: dict(level_scores(*level))
+             for index, level in enumerate(levels)}
+        )
+        tables = [level_scores(*level) for level in levels]
+        surviving = [table._rows[0] for table in tables]
+        sorted_rows, scored_rows = self._spies(monkeypatch)
+        assert aggregate_scores(dict(enumerate(tables))) == expected
+        sorted_rows = list(sorted_rows)  # np.isin below sorts too
+        common = np.array(sorted(expected))
+        joined = [int(np.isin(ids, common).sum()) for ids in surviving]
+        assert common.size > 0
+        assert scored_rows == joined
+        assert sorted(sorted_rows) == sorted(joined)
+        assert sum(joined) < sum(ids.size for ids in surviving) / 4
+
+    @pytest.mark.parametrize("flavour", ["all-eager", "sparse"])
+    def test_no_count_array_when_grouped_or_sparse(self, flavour, monkeypatch):
+        """Evaluated tables and ids spread over 2**40 take the sorted join
+        as it was: the semi-join hands back its input and allocates
+        nothing sized by the id span."""
+        rng = np.random.default_rng(23)
+        peers = None
+        if flavour == "sparse":
+            peers = np.sort(rng.choice(2**40, self.N_PEERS, replace=False))
+        tables = [
+            level_scores(*level) for level in self._harness_levels(rng, peers)
+        ]
+        rows = sum(table._rows[0].size for table in tables)
+        if flavour == "all-eager":
+            for table in tables:
+                table.totals()
+        allocated = _counted(
+            monkeypatch, np, "zeros", lambda shape, **__: int(np.prod(shape))
+        )
+        assert scoring._semi_join(tables) is tables
+        assert aggregate_scores(dict(enumerate(tables)))
+        assert all(size <= rows for size in allocated)
+        if flavour == "all-eager":
+            assert allocated == []

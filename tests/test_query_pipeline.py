@@ -9,9 +9,12 @@ shared functions over both sources, on CAN and on one Morton overlay,
 and pin that the source changes the cost and nothing else.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core import queries as pipeline
 from repro.core.baselines import CentralizedIndex
 from repro.core.knn import run_knn
 from repro.core.network import HyperMConfig
@@ -83,6 +86,37 @@ class TestIndexPhase:
             # Only the co-located source is free of overlay routing.
             assert stored_hops == 0
             assert routed_hops > 0
+
+    def test_untraced_routed_path_defers_the_peer_sort(
+        self, workload, queries, monkeypatch
+    ):
+        """Under the null recorder no span attribute reads ``len(table)``:
+        the tables reach the join ungrouped, scoring having spent not one
+        ``np.unique`` (the walks dedupe their rows with one each)."""
+        sorts, at_join = [], []
+        real_unique, real_join = np.unique, pipeline.aggregate_scores
+
+        def unique(*args, **kwargs):
+            sorts.append(sys._getframe(1).f_globals["__name__"])
+            return real_unique(*args, **kwargs)
+
+        def join(per_level, *, policy):
+            at_join.append((
+                sorts.count("repro.core.scoring"),
+                [table._peers is None for table in per_level.values()],
+            ))
+            return real_join(per_level, policy=policy)
+
+        monkeypatch.setattr(np, "unique", unique)
+        monkeypatch.setattr(pipeline, "aggregate_scores", join)
+        network = workload.network
+        scores, __ = index_phase(
+            network, queries[0], EPSILON,
+            origin_peer=resolve_origin(network, None),
+        )
+        assert scores
+        assert at_join == [(0, [True] * len(network.levels))]
+        assert "repro.core.scoring" in sorts  # the spy sees the join's sorts
 
     def test_info_accounting_is_source_independent(self, workload, queries):
         network = workload.network

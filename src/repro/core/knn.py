@@ -31,7 +31,6 @@ import math
 import numpy as np
 
 from repro import runtime
-from repro.clustering.spheres import ClusterSphere
 from repro.core.queries import (
     RoutedSource,
     contact_peers,
@@ -53,14 +52,10 @@ from repro.wavelets.bounds import coefficient_interval, radius_scale
 _INITIAL_PROBE_FRACTION = 0.05
 
 
-def _spheres_from_entries(candidates) -> list[ClusterSphere]:
-    keys, radii, items, __, ___ = candidates.columns()
-    return [
-        ClusterSphere(centroid=key, radius=radius, items=count)
-        for key, radius, count in zip(
-            keys, radii.tolist(), items.tolist(), strict=True
-        )
-    ]
+def _center_distances(keys: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Key-space distance from ``center`` to each row of ``keys``."""
+    diff = keys - center
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _discover_level(
@@ -72,7 +67,8 @@ def _discover_level(
     expected (Eq. 8) to contain ``k`` items, then inverts Eq. 8 for the
     final radius and issues the definitive look-up.
     """
-    diagonal = math.sqrt(key.shape[0])
+    d = key.shape[0]
+    diagonal = math.sqrt(d)
     eps = _INITIAL_PROBE_FRACTION * diagonal
     hops = 0
     probes = 0
@@ -80,14 +76,15 @@ def _discover_level(
         candidates, probe_hops = source.probe(index, level, key, eps)
         hops += probe_hops
         probes += 1
-        spheres = _spheres_from_entries(candidates)
-        if spheres and expected_items(eps, spheres, key) >= k:
+        keys, radii, items, __, ___ = candidates.columns()
+        dists = _center_distances(keys, key)
+        if len(radii) and expected_items(eps, radii, items, dists, d) >= k:
             break
         if eps >= diagonal:
             break
         eps = min(2.0 * eps, diagonal)
-    if spheres:
-        eps_star = estimate_epsilon_for_k(k, spheres, key)
+    if len(radii):
+        eps_star = estimate_epsilon_for_k(k, radii, items, dists, d)
         if eps_star < eps:
             eps = eps_star
             candidates, probe_hops = source.probe(index, level, key, eps)
@@ -139,8 +136,7 @@ def _peer_lower_bounds(
         to_original = (hi - lo) / radius_scale(dimensionality, level)
         level_bounds: dict[int, float] = {}
         if len(peer_ids):
-            diff = sphere_keys - center
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            dist = _center_distances(sphere_keys, center)
             row_bounds = np.maximum(dist - radii, 0.0)
             order = np.argsort(peer_ids, kind="stable")
             sorted_ids = peer_ids[order]
@@ -206,18 +202,20 @@ def run_knn(
             index_hops += hops
             epsilon_per_level[level] = eps_l
             discovered[level] = candidates
-            stats: dict = {}
+            stats: dict | None = {} if recorder.enabled else None
             per_level[level] = level_scores(
                 candidates, key, eps_l, stats=stats
             )
-            span.set(
-                epsilon=eps_l,
-                candidates=stats["candidates"],
-                pruned=stats["pruned"],
-                surviving=stats["surviving"],
-                peers=len(per_level[level]),
-                hops=hops,
-            )
+            if recorder.enabled:
+                # ``len`` is the table's deferred peer sort: traced only.
+                span.set(
+                    epsilon=eps_l,
+                    candidates=stats["candidates"],
+                    pruned=stats["pruned"],
+                    surviving=stats["surviving"],
+                    peers=len(per_level[level]),
+                    hops=hops,
+                )
 
     aggregated = score_peers(
         per_level, aggregation or network.config.aggregation

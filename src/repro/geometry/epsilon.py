@@ -18,35 +18,36 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from repro.clustering.spheres import ClusterSphere
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.geometry.batch import intersection_fraction_batch
 from repro.utils.validation import check_positive, check_vector
 
 
-def _sphere_arrays(
-    spheres: list[ClusterSphere], query_center: np.ndarray
+def _check_columns(
+    radii: np.ndarray, items: np.ndarray, dists: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack spheres into (radii, items, centre-distance) arrays."""
-    n = len(spheres)
-    centroids = np.empty((n, query_center.shape[0]), dtype=np.float64)
-    radii = np.empty(n, dtype=np.float64)
-    items = np.empty(n, dtype=np.float64)
-    for i, sphere in enumerate(spheres):
-        centroids[i] = sphere.centroid
-        radii[i] = sphere.radius
-        items[i] = sphere.items
-    diff = centroids - query_center
-    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """Eq. 8's columns as float64, validated once per array.
+
+    Same predicates and exception type as the sphere dataclass applies per
+    object (finite 1-D, ``radius >= 0``, ``items >= 1``), plus the alignment
+    a list of objects had by construction.
+    """
+    radii = check_vector(radii, "radii")
+    items = check_vector(items, "items")
+    dists = check_vector(dists, "dists")
+    if not radii.shape == items.shape == dists.shape:
+        raise ValidationError("radii, items and dists must be aligned")
+    if np.any(radii < 0) or np.any(items < 1):
+        raise ValidationError("radii must be >= 0 and items >= 1")
     return radii, items, dists
 
 
 def expected_items(
     epsilon: float,
-    spheres: list[ClusterSphere],
-    query_center: np.ndarray,
-    *,
-    d: int | None = None,
+    radii: np.ndarray,
+    items: np.ndarray,
+    dists: np.ndarray,
+    d: int,
 ) -> float:
     """Eq. 8 right-hand side: expected items inside a radius-``epsilon`` query.
 
@@ -59,30 +60,28 @@ def expected_items(
     ----------
     epsilon:
         Query radius.
-    spheres:
-        Reachable cluster spheres (all in the same subspace).
-    query_center:
-        Query point in that subspace.
+    radii, items, dists:
+        One row per reachable cluster sphere (all in the same subspace):
+        its radius, its item count and the distance from its centre to
+        the query point — the columns a look-up returns, not objects.
     d:
-        Dimensionality used for the volume formulas; defaults to the
-        subspace dimensionality.
+        Dimensionality of that subspace, used for the volume formulas.
     """
     check_positive(epsilon, "epsilon", strict=False)
-    query_center = check_vector(query_center, "query_center")
-    if not spheres:
+    radii, items, dists = _check_columns(radii, items, dists)
+    if not radii.size:
         return 0.0
-    dim = d if d is not None else query_center.shape[0]
-    radii, items, dists = _sphere_arrays(spheres, query_center)
-    fractions = intersection_fraction_batch(radii, epsilon, dists, dim)
+    fractions = intersection_fraction_batch(radii, epsilon, dists, d)
     return float(fractions @ items)
 
 
 def estimate_epsilon_for_k(
     k: float,
-    spheres: list[ClusterSphere],
-    query_center: np.ndarray,
+    radii: np.ndarray,
+    items: np.ndarray,
+    dists: np.ndarray,
+    d: int,
     *,
-    d: int | None = None,
     tol: float = 1e-6,
     method: str = "brentq",
     max_iter: int = 200,
@@ -96,6 +95,8 @@ def estimate_epsilon_for_k(
 
     Parameters
     ----------
+    radii, items, dists, d:
+        The reachable spheres' columns, as for :func:`expected_items`.
     method:
         ``"brentq"`` (default, bracketed, always converges on monotone
         input) or ``"newton"`` (the paper's named method, with bisection
@@ -103,19 +104,19 @@ def estimate_epsilon_for_k(
     """
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
-    query_center = check_vector(query_center, "query_center")
-    if not spheres or k == 0:
+    if method not in ("brentq", "newton"):
+        raise ValidationError(f"unknown method {method!r}; use 'brentq' or 'newton'")
+    radii, items, dists = _check_columns(radii, items, dists)
+    if not radii.size or k == 0:
         return 0.0
-    dim = d if d is not None else query_center.shape[0]
-    radii, items, dists = _sphere_arrays(spheres, query_center)
     total_items = float(items.sum())
     eps_max = float((dists + radii).max())
     if k >= total_items:
         return float(eps_max)
 
     def gap(eps: float) -> float:
-        # Arrays are stacked once; each root-finding step is one kernel call.
-        fractions = intersection_fraction_batch(radii, eps, dists, dim)
+        # Columns are checked once; each root-finding step is one kernel call.
+        fractions = intersection_fraction_batch(radii, eps, dists, d)
         return float(fractions @ items) - k
 
     if gap(eps_max) <= 0.0:
@@ -126,9 +127,7 @@ def estimate_epsilon_for_k(
         return 0.0
     if method == "brentq":
         return float(brentq(gap, 0.0, eps_max, xtol=tol, maxiter=max_iter))
-    if method == "newton":
-        return _safeguarded_newton(gap, 0.0, eps_max, tol, max_iter)
-    raise ValidationError(f"unknown method {method!r}; use 'brentq' or 'newton'")
+    return _safeguarded_newton(gap, 0.0, eps_max, tol, max_iter)
 
 
 def _safeguarded_newton(

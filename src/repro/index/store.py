@@ -389,7 +389,7 @@ class CandidateSet:
     The result every overlay ``lookup`` and ``range_query`` hands back:
     no entry objects, just row indices into the shared columns plus the
     store generation at snapshot time. Consumers read :meth:`columns`
-    (scoring, k-NN sphere building), :meth:`values` (payloads) or
+    (scoring, k-NN's Eq. 8 columns), :meth:`values` (payloads) or
     :attr:`rows` with the store's per-row accessors; all but ``rows`` and
     ``len`` raise :class:`~repro.exceptions.StaleCandidateError` once the
     store has mutated.
@@ -441,7 +441,7 @@ class CandidateSet:
         """Gather ``(keys, radii, items, peer_ids, key_sq)`` for the rows.
 
         The gather is one vectorized fancy-index per column (no Python
-        per-entry loop) and is memoized: scoring and k-NN sphere building
+        per-entry loop) and is memoized: scoring and k-NN discovery (Eq. 8)
         share the same arrays. When the rows form a dense range — the
         common case for a wide query over a freshly-compacted store — the
         gather degenerates to zero-copy column slices.

@@ -14,6 +14,8 @@ import sys
 import numpy as np
 import pytest
 
+from repro.clustering.spheres import ClusterSphere
+from repro.core import knn as knn_driver
 from repro.core import queries as pipeline
 from repro.core.baselines import CentralizedIndex
 from repro.core.knn import run_knn
@@ -27,6 +29,7 @@ from repro.core.queries import (
 )
 from repro.evaluation.workloads import build_markov_network, sample_queries
 from repro.exceptions import EmptyNetworkError, QueryError
+from repro.index.store import CandidateSet
 from repro.overlay import CANNetwork, RingNetwork
 from repro.serve import CandidateCache, StoreSource
 
@@ -69,6 +72,29 @@ def _same_scores(left: dict, right: dict) -> bool:
     )
 
 
+def _spy_on_the_join(monkeypatch):
+    """``(sorts, at_join)``: every ``np.unique`` by calling module, and at
+    each cross-level join scoring's count so far plus, per table, whether
+    it arrived ungrouped."""
+    sorts, at_join = [], []
+    real_unique, real_join = np.unique, pipeline.aggregate_scores
+
+    def unique(*args, **kwargs):
+        sorts.append(sys._getframe(1).f_globals["__name__"])
+        return real_unique(*args, **kwargs)
+
+    def join(per_level, *, policy):
+        at_join.append((
+            sorts.count("repro.core.scoring"),
+            [table._peers is None for table in per_level.values()],
+        ))
+        return real_join(per_level, policy=policy)
+
+    monkeypatch.setattr(np, "unique", unique)
+    monkeypatch.setattr(pipeline, "aggregate_scores", join)
+    return sorts, at_join
+
+
 class TestIndexPhase:
     def test_identical_peer_scores(self, workload, queries):
         network = workload.network
@@ -93,22 +119,7 @@ class TestIndexPhase:
         """Under the null recorder no span attribute reads ``len(table)``:
         the tables reach the join ungrouped, scoring having spent not one
         ``np.unique`` (the walks dedupe their rows with one each)."""
-        sorts, at_join = [], []
-        real_unique, real_join = np.unique, pipeline.aggregate_scores
-
-        def unique(*args, **kwargs):
-            sorts.append(sys._getframe(1).f_globals["__name__"])
-            return real_unique(*args, **kwargs)
-
-        def join(per_level, *, policy):
-            at_join.append((
-                sorts.count("repro.core.scoring"),
-                [table._peers is None for table in per_level.values()],
-            ))
-            return real_join(per_level, policy=policy)
-
-        monkeypatch.setattr(np, "unique", unique)
-        monkeypatch.setattr(pipeline, "aggregate_scores", join)
+        sorts, at_join = _spy_on_the_join(monkeypatch)
         network = workload.network
         scores, __ = index_phase(
             network, queries[0], EPSILON,
@@ -213,6 +224,69 @@ class TestKnnDriver:
             driven, __ = self._run(network, query, None, early_stop=False)
             assert public.item_ids == driven.item_ids
             assert public.index_hops == driven.index_hops
+
+
+    def test_untraced_knn_query_defers_the_peer_sort(
+        self, workload, queries, monkeypatch
+    ):
+        """``run_knn`` reads ``len(table)`` for its span attributes only
+        when traced, so k-NN's tables reach the join ungrouped too (and
+        take the counting semi-join instead of sorting every level)."""
+        sorts, at_join = _spy_on_the_join(monkeypatch)
+        network = workload.network
+        result = network.knn_query(queries[0], K)
+        assert result.peer_scores
+        assert at_join == [(0, [True] * len(network.levels))]
+        assert "repro.core.scoring" in sorts  # the spy sees the join's sorts
+
+    def test_discovery_reads_columns_and_builds_no_sphere_objects(
+        self, workload, queries, monkeypatch
+    ):
+        """Work counts of one routed ``knn_query``: per widening probe one
+        ``columns()`` read and one distance pass, shared by the Eq. 8
+        stopping test and its inversion; the final ``ε*`` look-up goes to
+        scoring unread; no row is wrapped in a sphere object."""
+        probes, gathers, passes, built = [], [], [], []
+        real_probe = RoutedSource.probe
+        real_columns = CandidateSet.columns
+        real_distances = knn_driver._center_distances
+        real_post_init = ClusterSphere.__post_init__
+
+        def probe(self, index, level, key, eps):
+            probes.append((index, eps))
+            return real_probe(self, index, level, key, eps)
+
+        def columns(self):
+            gathers.append(sys._getframe(1).f_globals["__name__"])
+            return real_columns(self)
+
+        def distances(keys, center):
+            passes.append(len(keys))
+            return real_distances(keys, center)
+
+        def post_init(self):
+            built.append(self)
+            real_post_init(self)
+
+        monkeypatch.setattr(RoutedSource, "probe", probe)
+        monkeypatch.setattr(CandidateSet, "columns", columns)
+        monkeypatch.setattr(knn_driver, "_center_distances", distances)
+        monkeypatch.setattr(ClusterSphere, "__post_init__", post_init)
+        network = workload.network
+        result = network.knn_query(queries[0], K)
+        assert result.items
+        # A probe narrower than its level's previous one is the final
+        # look-up at the inverted radius; every other probe widens.
+        final = sum(
+            index == previous_index and eps < previous_eps
+            for (previous_index, previous_eps), (index, eps)
+            in zip(probes, probes[1:])
+        )
+        widening = len(probes) - final
+        assert final > 0 and widening >= len(network.levels)
+        assert len(passes) == widening
+        assert gathers.count("repro.core.knn") == widening
+        assert built == []
 
 
 class TestResolveOrigin:

@@ -34,7 +34,7 @@ import argparse
 import json
 import sys
 
-from repro.engine import EngineConfig, engine_names
+from repro.engine import engine_names
 from repro.evaluation.experiments import (
     EXPERIMENTS,
     SCALES,
@@ -73,9 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate the Hyper-M paper's experiments.",
     )
     # Run-context flags a command does not take read as unset in main().
-    parser.set_defaults(
-        adapt=False, overlay=None, fault_plan=None, engine=None
-    )
+    parser.set_defaults(adapt=False, overlay=None, fault_plan=None)
     sub = parser.add_subparsers(dest="command", required=True)
     listing = []
 
@@ -234,6 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_args(scale_parser)
     scale_parser.set_defaults(peers=2048)  # no --scale preset to size it
     scale_parser.add_argument(
+        "--engine",
+        choices=engine_names(),
+        default="serial",
+        help="execution engine of the query phase (default: serial); "
+        "'sharded' fans per-level index work out to worker processes "
+        "over shared memory (see docs/scaling.md)",
+    )
+    scale_parser.add_argument(
+        "--workers", type=_worker_count, default=2, metavar="N",
+        help="worker processes for the sharded engine (default: 2)",
+    )
+    scale_parser.add_argument(
         "--spheres-per-peer", type=int, default=2, metavar="N",
         help="cluster spheres published per peer per level (default: 2)",
     )
@@ -321,18 +331,14 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="emit machine-readable JSON (series + metrics snapshot)",
     )
-    parser.add_argument(
-        "--engine",
-        choices=engine_names(),
-        default=None,
-        help="execution engine for every network the command builds "
-        "(default: serial); 'sharded' fans per-level index work out to "
-        "worker processes over shared memory (see docs/scaling.md)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker processes for the sharded engine (default: 2)",
-    )
+
+
+def _worker_count(text: str) -> int:
+    """``--workers``: an int >= 1, else an argparse error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _json_default(value):
@@ -584,8 +590,8 @@ def _cmd_scale_bench(args) -> int:
             spheres_per_peer=args.spheres_per_peer,
             n_queries=args.queries,
             epsilon=args.epsilon,
-            engine=args.engine or "serial",
-            workers=max(args.workers, 1),
+            engine=args.engine,
+            workers=args.workers,
             seed=args.seed,
             baseline_peers=args.baseline_peers,
         )
@@ -646,16 +652,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # Every network the command builds adopts the controller, overlay
-    # backend, fault plan and execution engine the flags select.
+    # backend and fault plan the flags select.
     with run_context(
         adapt=AdaptConfig() if args.adapt else None,
         overlay=resolve_overlay(args.overlay) if args.overlay else None,
         fault_plan=(
             parse_fault_plan(args.fault_plan) if args.fault_plan else None
         ),
-        engine=EngineConfig(
-            engine=args.engine, workers=max(args.workers, 1)
-        ) if args.engine else None,
     ):
         return args.func(args)
 

@@ -9,7 +9,6 @@ import numpy as np
 from repro import runtime
 from repro.core.peer import HyperMPeer
 from repro.core.results import ClusterRecord, DisseminationReport
-from repro.engine.registry import create_engine
 from repro.exceptions import ValidationError
 from repro.net.network import Network
 from repro.obs import registry as obs_registry
@@ -106,27 +105,13 @@ class HyperMNetwork:
         fabric: Network | None = None,
         rng=None,
         overlay_factory=None,
-        engine_config=None,
     ):
         self.config = config or HyperMConfig()
         self.levels: list[Level] = publication_levels(
             dimensionality, self.config.levels_used
         )
         self.dimensionality = int(dimensionality)
-        #: Execution engine (``repro.engine``): explicit argument, else
-        #: the run context's ``--engine`` selection, else serial. The engine
-        #: provides the fabric's scheduler and, when parallel, the
-        #: per-level shard fan-out for the index phase.
-        self.engine = create_engine(
-            engine_config
-            if engine_config is not None
-            else runtime.current.engine
-        )
-        self.fabric = (
-            fabric
-            if fabric is not None
-            else Network(scheduler=self.engine.create_scheduler())
-        )
+        self.fabric = fabric if fabric is not None else Network()
         self._rng = ensure_rng(rng)
         factory = overlay_factory or runtime.current.overlay or CANNetwork
         overlay_rngs = spawn_rngs(self._rng, len(self.levels))
@@ -141,11 +126,6 @@ class HyperMNetwork:
                 zip(self.levels, overlay_rngs)
             )
         }
-        if self.engine.parallel:
-            for index, level in enumerate(self.levels):
-                self.engine.register_store(
-                    index, self.overlays[level].level_store
-                )
         self.peers: dict[int, HyperMPeer] = {}
         #: Optional load-adaptation controller (``repro.overlay.adapt``);
         #: installed by :meth:`enable_adaptation`, or here when the run
@@ -158,15 +138,6 @@ class HyperMNetwork:
         #: each published sphere (by its epoch-state sphere id) lives at.
         #: The delta pipeline patches/retracts these entries in place.
         self._published_entries: dict[tuple[Level, int], dict[int, int]] = {}
-
-    def close(self) -> None:
-        """Release the execution engine (workers + shared memory).
-
-        A no-op for the serial engine; sharded networks should be closed
-        (or used via ``with``-style engine scopes) so worker processes
-        and shm blocks never outlive the experiment.
-        """
-        self.engine.close()
 
     def enable_adaptation(self, config=None) -> AdaptationController:
         """Attach a load-adaptation controller (idempotent per config).

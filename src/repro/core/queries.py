@@ -142,45 +142,17 @@ class RoutedSource:
 
     The paper's protocol: a multicast range query per level collects
     every cluster sphere the query ball intersects, and its hops are the
-    index cost. Given the range ``plan`` up front, a parallel engine
-    computes every mask-capable level's intersection mask in one batched
-    exchange (a single epoch barrier) for the walks to consume.
+    index cost.
     """
 
-    def __init__(self, network, origin_peer: int, plan: dict | None = None):
+    def __init__(self, network, origin_peer: int):
         self.network = network
         self.origin_peer = origin_peer
-        self._premasks = self._premask(plan) if plan is not None else {}
 
-    def _premask(self, plan: dict) -> dict:
-        """``{level index: mask}`` from the shard workers, if any.
-
-        Skipped under an active fault injector: the faulted path re-runs
-        level queries with retries, and a premask computed before the
-        retry loop could go stale against mid-query store mutations.
-        """
-        network = self.network
-        injector = network.fabric.faults
-        if not network.engine.parallel or not (
-            injector is None or injector.passthrough
-        ):
-            return {}
-        tasks = [
-            (index, key, radius)
-            for index, (level, (key, radius)) in enumerate(plan.items())
-            if network.overlays[level].supports_premask
-        ]
-        if not tasks:
-            return {}
-        masks = network.engine.masks(tasks)
-        return {task[0]: mask for task, mask in zip(tasks, masks)}
-
-    def _walk(self, level, key, radius, mask=None):
+    def _walk(self, level, key, radius):
         overlay = self.network.overlays[level]
         node = self.network.overlay_node(level, self.origin_peer)
-        if mask is None:
-            return overlay.range_query(node, key, radius)
-        return overlay.range_query(node, key, radius, mask=mask)
+        return overlay.range_query(node, key, radius)
 
     def probe(self, index: int, level, key, radius: float):
         """One walk, never lost: ``(candidates, hops)`` (k-NN discovery)."""
@@ -197,7 +169,7 @@ class RoutedSource:
         """
         injector = self.network.fabric.faults
         if injector is None or injector.passthrough:
-            receipt = self._walk(level, key, radius, self._premasks.get(index))
+            receipt = self._walk(level, key, radius)
             return Fetched(
                 receipt.entries, receipt.total_hops, 1,
                 receipt.routing_hops, receipt.flood_hops,
@@ -272,7 +244,7 @@ def index_phase(
             network.dimensionality, network.levels, query, epsilon
         )
     if source is None:
-        source = RoutedSource(network, origin_peer, plan)
+        source = RoutedSource(network, origin_peer)
     per_level: dict = {}
     hops = 0
     levels_answered = 0

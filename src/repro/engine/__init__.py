@@ -1,18 +1,19 @@
-"""The execution-engine plane: schedulers + sharded per-level fan-out.
+"""The execution-engine plane: the clock + the scale harness's fan-out.
 
-Extracted from the implicit event loop in ``repro.net`` (PR 10). The
-package splits into:
+Extracted from the implicit event loop in ``repro.net``. The protocol
+(:class:`repro.core.network.HyperMNetwork`) uses only the scheduler;
+the engines serve ``repro scale-bench`` (:mod:`repro.evaluation.scale`).
+The package splits into:
 
 * :mod:`repro.engine.base` — the :class:`Engine` contract,
   :class:`EngineConfig`, and the single-sourced shard kernels;
 * :mod:`repro.engine.serial` — :class:`SerialScheduler` (the discrete-
   event clock) and the inline :class:`SerialEngine`;
-* :mod:`repro.engine.sharded` — :class:`ShardedEngine` /
-  :class:`ShardedScheduler`: level (or row-region) shards on forked
-  worker processes reading the level stores' shared-memory columns
-  zero-copy, synchronized by epoch barriers;
-* :mod:`repro.engine.registry` — the ``--engine`` name registry; the
-  selection itself travels in the run context (:mod:`repro.runtime`).
+* :mod:`repro.engine.sharded` — :class:`ShardedEngine`: level shards on
+  forked worker processes reading the level stores' shared-memory
+  columns zero-copy, synchronized by epoch barriers;
+* :mod:`repro.engine.registry` — the ``scale-bench --engine`` name
+  registry.
 
 See ``docs/scaling.md`` for the shard topology, barrier protocol, and
 shared-memory lifecycle.
@@ -26,17 +27,15 @@ from repro.engine.base import (
     store_mask,
 )
 from repro.engine.registry import (
-    DEFAULT_ENGINE,
     ENGINES,
     create_engine,
     engine_names,
     resolve_engine,
 )
 from repro.engine.serial import Event, SerialEngine, SerialScheduler
-from repro.engine.sharded import ShardedEngine, ShardedScheduler
+from repro.engine.sharded import ShardedEngine
 
 __all__ = [
-    "DEFAULT_ENGINE",
     "ENGINES",
     "Engine",
     "EngineConfig",
@@ -45,7 +44,6 @@ __all__ = [
     "SerialEngine",
     "SerialScheduler",
     "ShardedEngine",
-    "ShardedScheduler",
     "create_engine",
     "engine_names",
     "gather_block",

@@ -1,4 +1,4 @@
-"""The execution-engine contract: scheduler plane + shard task fan-out.
+"""The execution-engine contract: shard task fan-out for the scale harness.
 
 The paper keys each wavelet level to its *own* CAN overlay; only the
 Eq. 1 min-across-levels aggregation joins them. That independence is an
@@ -7,16 +7,13 @@ query — one store-wide intersection mask plus Eq. 1 scoring over the
 surviving rows — touches exactly one level's columns, so levels can run
 on separate workers with a single barrier before the min-aggregate.
 
-An :class:`Engine` owns both halves of that story:
-
-* **Scheduler plane** — :meth:`Engine.create_scheduler` yields the
-  discrete-event scheduler the network fabric drives. Every scheduler
-  satisfies :class:`SchedulerProtocol`; the serial one is bit-identical
-  to the pre-engine scheduler.
-* **Shard plane** — :meth:`Engine.register_store` attaches one
-  :class:`repro.index.LevelStore` per shard key (the level index), and
-  :meth:`Engine.masks` / :meth:`Engine.score_levels` fan batched tasks
-  out across the shards, returning after the epoch barrier.
+An :class:`Engine` runs that story for the scale harness
+(:mod:`repro.evaluation.scale`); the protocol itself never builds one.
+:meth:`Engine.register_store` attaches one :class:`repro.index.LevelStore`
+per shard key (the level index), and :meth:`Engine.masks` /
+:meth:`Engine.score_levels` fan batched tasks out across the shards,
+returning after the epoch barrier. Either engine hands the harness's
+fabric the serial discrete-event scheduler.
 
 ``gather_block`` / ``store_mask`` are the *single-sourced* kernels both
 the inline (serial) path and the worker processes run, so parity between
@@ -57,18 +54,14 @@ class SchedulerProtocol(Protocol):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """The ``--engine`` / ``--workers`` selection, resolved.
+    """The ``scale-bench --engine`` / ``--workers`` selection, resolved.
 
-    ``shard_by`` picks the partitioning axis: ``"level"`` assigns whole
-    overlay levels to workers (the paper's natural decomposition);
-    ``"region"`` splits each level's rows into contiguous slabs, which
-    keeps every worker busy even when levels < workers. Rows lie in
-    publication order, so a slab is no key-space region; each worker
-    grids its slab with its own :class:`repro.index.CellDirectory`.
+    Shards are whole overlay levels (the paper's natural decomposition).
     """
 
     engine: str = "serial"
     workers: int = 2
+    # Only "level": the e2e benchmark harness still passes it.
     shard_by: str = "level"
 
     def __post_init__(self) -> None:
@@ -76,10 +69,9 @@ class EngineConfig:
             raise ValidationError(
                 f"workers must be >= 1, got {self.workers}"
             )
-        if self.shard_by not in ("level", "region"):
+        if self.shard_by != "level":
             raise ValidationError(
-                f"shard_by must be 'level' or 'region', got "
-                f"{self.shard_by!r}"
+                f"shard_by must be 'level', got {self.shard_by!r}"
             )
 
 
@@ -104,9 +96,8 @@ class Engine(ABC):
     #: Registry name (``--engine`` value).
     name: str = "?"
 
-    #: True when shard tasks actually leave the calling process. The
-    #: integration layer uses this to skip fan-out entirely on the
-    #: serial path, keeping it byte-identical to the pre-engine code.
+    #: True when shard tasks actually leave the calling process; the
+    #: scale harness then has no store-side scan counts to report.
     parallel: bool = False
 
     def __init__(self, config: EngineConfig) -> None:
@@ -132,10 +123,6 @@ class Engine(ABC):
         """Mask + Eq. 1 scores for ``(key, center, radius)`` tasks;
         returns a :class:`repro.core.scoring.LevelScoreTable` per task
         after the barrier."""
-
-    @abstractmethod
-    def barrier(self) -> None:
-        """Block until every worker has drained its current batch."""
 
     @abstractmethod
     def close(self) -> None:

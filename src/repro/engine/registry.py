@@ -1,10 +1,4 @@
-"""Engine registry: the ``--engine`` name -> class map.
-
-The selection travels in the run context (``runtime.current.engine``) as
-an :class:`repro.engine.base.EngineConfig`, not an engine instance: each
-:class:`repro.core.network.HyperMNetwork` builds its *own* engine from
-the config, the same way each builds its own adaptation controller.
-"""
+"""Engine registry: the ``scale-bench --engine`` name -> class map."""
 
 from __future__ import annotations
 
@@ -18,8 +12,6 @@ ENGINES: dict[str, type] = {
     "serial": SerialEngine,
     "sharded": ShardedEngine,
 }
-
-DEFAULT_ENGINE = "serial"
 
 
 def engine_names() -> list[str]:

@@ -7,9 +7,8 @@ order (deterministic replays). The paper describes the same design: every
 message goes to an event queue which is periodically emptied to simulate
 parallel execution.
 
-:class:`SerialEngine` is the default execution engine — every shard task
-runs inline in the calling process, so results are byte-for-byte the
-numbers the pre-engine code produced.
+:class:`SerialEngine` is the scale harness's default execution engine —
+every shard task runs inline in the calling process.
 """
 
 from __future__ import annotations
@@ -129,12 +128,7 @@ class SerialScheduler:
 
 
 class SerialEngine(Engine):
-    """Run every shard task inline — today's behaviour, made explicit.
-
-    ``parallel`` is False, so integration points (``index_phase``, the
-    scale harness) skip the batched fan-out entirely and walk the exact
-    pre-engine code path.
-    """
+    """Run every shard task inline, in the calling process."""
 
     name = "serial"
     parallel = False
@@ -174,9 +168,6 @@ class SerialEngine(Engine):
             out.append(level_scores(block, center, radius))
             self._tasks_run += 1
         return out
-
-    def barrier(self) -> None:
-        """No-op: inline execution is always synchronized."""
 
     def close(self) -> None:
         self._stores.clear()

@@ -9,13 +9,14 @@ result arrays cross the pipes.
 
 Barrier protocol (one *epoch* per exchange):
 
-1. the parent batches every task into per-worker outboxes — by level
-   (``shard_key % workers``) or by contiguous row slab (``region``);
+1. the parent batches every task into per-worker outboxes by level
+   (``shard_key % workers``);
 2. one pipe send per non-empty outbox (the per-tick batched cross-shard
    message exchange — never one send per task);
 3. the parent blocks until every solicited worker replies (the epoch
    barrier), reassembles results in task order, and bumps
-   :attr:`ShardedEngine.epoch`.
+   :attr:`ShardedEngine.epoch`. A failed reply is raised only after
+   every solicited reply is read, so no pipe carries an old answer.
 
 Staleness is governed by the store's existing generation counter exactly
 as for the serve caches: every task carries the generation observed at
@@ -30,7 +31,6 @@ from __future__ import annotations
 import atexit
 import functools
 import multiprocessing as mp
-import weakref
 from collections.abc import Mapping
 
 import numpy as np
@@ -52,9 +52,9 @@ def _attach_columns(manifest: dict):
         blocks[name] = block
         columns[name] = np.ndarray(shape, dtype=np.dtype(dtype),
                                    buffer=block.buf)
-    # directories: span -> CellDirectory over it, all of one generation.
+    # directory: the CellDirectory over the columns, of one generation.
     return {"epoch": manifest["epoch"], "blocks": blocks,
-            "columns": columns, "generation": None, "directories": {}}
+            "columns": columns, "generation": None, "directory": None}
 
 
 def _mute_shm_tracking() -> None:
@@ -81,7 +81,7 @@ def _mute_shm_tracking() -> None:
 
 
 def _detach(attachment: dict) -> None:
-    attachment["directories"].clear()  # identity directories are views
+    attachment["directory"] = None  # identity directories are views
     attachment["columns"].clear()
     for block in attachment["blocks"].values():
         try:
@@ -92,10 +92,10 @@ def _detach(attachment: dict) -> None:
 
 
 def _run_task(attached: dict, task: tuple):
-    """Worker side: one mask or mask+score task over a row range."""
+    """Worker side: one mask or mask+score task over a level's rows."""
     from repro.index.store import CellDirectory, ColumnBlock
 
-    mode, shard_key, manifest, size, generation, center, radius, span = task
+    mode, shard_key, manifest, size, generation, center, radius = task
     if manifest is not None:
         old = attached.pop(shard_key, None)
         if old is not None:
@@ -103,27 +103,25 @@ def _run_task(attached: dict, task: tuple):
         attached[shard_key] = _attach_columns(manifest)
     attachment = attached[shard_key]
     columns = attachment["columns"]
-    directories = attachment["directories"]
     if attachment["generation"] != generation:
-        directories.clear()
+        attachment["directory"] = None
         attachment["generation"] = generation
-    start, stop = (0, size) if span is None else span
-    radii = columns["_radii"][start:stop]
-    directory = directories.get(span)
+    radii = columns["_radii"][:size]
+    directory = attachment["directory"]
     if directory is None:
-        directory = directories[span] = CellDirectory.build(
-            columns["_keys"][start:stop], columns["_key_sq"][start:stop],
-            radii, columns["_live"][start:stop],
+        directory = attachment["directory"] = CellDirectory.build(
+            columns["_keys"][:size], columns["_key_sq"][:size],
+            radii, columns["_live"][:size],
         )
-    dists = np.empty(stop - start)
+    dists = np.empty(size)
     mask, __ = directory.mask(center, radius, dists=dists)
     if mode == "mask":
         return (generation, mask)
     rows = np.nonzero(mask)[0]
     block = ColumnBlock(
         radii=radii[rows],
-        items=columns["_items"][start:stop][rows],
-        peer_ids=columns["_peer_ids"][start:stop][rows],
+        items=columns["_items"][rows],
+        peer_ids=columns["_peer_ids"][rows],
         dists=dists[rows],
     )
     # Eager arrays cross the pipe: the deferred table's row arrays are
@@ -142,9 +140,6 @@ def _worker_main(conn) -> None:
             if message[0] == "stop":
                 conn.send(("bye",))
                 break
-            if message[0] == "sync":
-                conn.send(("ok", []))
-                continue
             try:
                 replies = [_run_task(attached, task)
                            for task in message[1]]
@@ -173,33 +168,6 @@ def _shutdown(workers) -> None:
         except (OSError, EOFError, BrokenPipeError):
             pass
     workers.clear()
-
-
-class ShardedScheduler(SerialScheduler):
-    """The sharded engine's fabric clock.
-
-    Event semantics are *identical* to :class:`SerialScheduler` — the
-    event loop stays single-writer in the parent, which is what keeps
-    replay determinism. What the subclass adds is the epoch surface:
-    :meth:`sync_shards` drains one barrier against the owning engine, so
-    fabric-driven code can align shard state with the virtual clock.
-    """
-
-    def __init__(self, engine: "ShardedEngine") -> None:
-        super().__init__()
-        self._engine = weakref.ref(engine)
-
-    @property
-    def epoch(self) -> int:
-        """Barrier epochs completed by the owning engine."""
-        engine = self._engine()
-        return engine.epoch if engine is not None else 0
-
-    def sync_shards(self) -> None:
-        """Run one explicit epoch barrier against every worker."""
-        engine = self._engine()
-        if engine is not None:
-            engine.barrier()
 
 
 class ShardedEngine(Engine):
@@ -234,15 +202,15 @@ class ShardedEngine(Engine):
 
     # -- shard plane ---------------------------------------------------------
 
-    def create_scheduler(self) -> ShardedScheduler:
-        return ShardedScheduler(self)
+    def create_scheduler(self) -> SerialScheduler:
+        return SerialScheduler()
 
     def register_store(self, shard_key: int, store) -> None:
         store.share_columns()
         self._stores[shard_key] = store
 
     def _descriptor(self, worker: int, mode: str, shard_key: int,
-                    center: np.ndarray, radius: float, span) -> tuple:
+                    center: np.ndarray, radius: float) -> tuple:
         store = self._stores[shard_key]
         manifest = None
         if self._attached_epoch[worker].get(shard_key) != store.shm_epoch:
@@ -250,7 +218,7 @@ class ShardedEngine(Engine):
             self._attached_epoch[worker][shard_key] = store.shm_epoch
         return (
             mode, shard_key, manifest, store.n_rows, store.generation,
-            np.asarray(center, dtype=np.float64), float(radius), span,
+            np.asarray(center, dtype=np.float64), float(radius),
         )
 
     def _exchange(self, mode: str, tasks) -> list:
@@ -259,71 +227,45 @@ class ShardedEngine(Engine):
             raise ValidationError("engine is closed")
         n_workers = len(self._workers)
         outboxes: list[list] = [[] for __ in range(n_workers)]
-        # slots[task index] -> list of (worker, position-in-outbox);
-        # region tasks scatter to several workers, level tasks to one.
-        slots: list[list] = []
+        # slots[task index] -> (worker, position in its outbox).
+        slots: list[tuple] = []
         for shard_key, center, radius in tasks:
-            store = self._stores[shard_key]
-            placements = []
-            if self.config.shard_by == "region" and n_workers > 1:
-                bounds = np.linspace(
-                    0, store.n_rows, n_workers + 1, dtype=np.int64
-                )
-                for worker in range(n_workers):
-                    span = (int(bounds[worker]), int(bounds[worker + 1]))
-                    if span[0] == span[1] and worker > 0:
-                        continue  # empty slab: the first carries size 0
-                    outboxes[worker].append(self._descriptor(
-                        worker, mode, shard_key, center, radius, span
-                    ))
-                    placements.append((worker, len(outboxes[worker]) - 1))
-            else:
-                worker = shard_key % n_workers
-                outboxes[worker].append(self._descriptor(
-                    worker, mode, shard_key, center, radius, None
-                ))
-                placements.append((worker, len(outboxes[worker]) - 1))
-            slots.append(placements)
+            worker = shard_key % n_workers
+            outboxes[worker].append(self._descriptor(
+                worker, mode, shard_key, center, radius
+            ))
+            slots.append((worker, len(outboxes[worker]) - 1))
         solicited = [w for w in range(n_workers) if outboxes[w]]
         for worker in solicited:  # flush: one batched send per worker
             self._workers[worker][1].send(("tasks", outboxes[worker]))
             self.tasks_dispatched += len(outboxes[worker])
         inboxes: dict[int, list] = {}
+        failures = []
         for worker in solicited:  # barrier: collect every reply
             status, payload = self._workers[worker][1].recv()
-            if status != "ok":
-                raise ValidationError(f"shard worker failed: {payload}")
-            inboxes[worker] = payload
+            if status == "ok":
+                inboxes[worker] = payload
+            else:
+                failures.append(payload)
+                # Its batch stopped part-way: resend manifests next time.
+                self._attached_epoch[worker].clear()
+        if failures:
+            raise ValidationError(
+                f"shard worker failed: {'; '.join(failures)}"
+            )
         self.epoch += 1
         results = []
-        for (shard_key, center, radius), placements in zip(tasks, slots):
+        for (shard_key, __, ___), (worker, position) in zip(tasks, slots):
             store = self._stores[shard_key]
-            parts = []
-            for worker, position in placements:
-                generation, payload = inboxes[worker][position]
-                if generation != store.generation:
-                    raise StaleCandidateError(
-                        f"shard {shard_key} reply from generation "
-                        f"{generation}, store is at {store.generation}"
-                    )
-                parts.append(payload)
-            if mode == "mask":
-                results.append(
-                    parts[0] if len(parts) == 1 else np.concatenate(parts)
+            generation, payload = inboxes[worker][position]
+            if generation != store.generation:
+                raise StaleCandidateError(
+                    f"shard {shard_key} reply from generation "
+                    f"{generation}, store is at {store.generation}"
                 )
-            else:
-                peers, totals = parts[0]
-                if len(parts) > 1:
-                    # Eq. 1 is additive over the disjoint row slabs.
-                    peers, inverse = np.unique(
-                        np.concatenate([part[0] for part in parts]),
-                        return_inverse=True,
-                    )
-                    totals = np.bincount(
-                        inverse,
-                        weights=np.concatenate([part[1] for part in parts]),
-                    )
-                results.append(LevelScoreTable(peers, totals))
+            results.append(
+                payload if mode == "mask" else LevelScoreTable(*payload)
+            )
         return results
 
     def masks(self, tasks) -> list[np.ndarray]:
@@ -331,15 +273,6 @@ class ShardedEngine(Engine):
 
     def score_levels(self, tasks) -> list[Mapping]:
         return self._exchange("score", tasks)
-
-    def barrier(self) -> None:
-        if self._closed:
-            return
-        for __, conn in self._workers:
-            conn.send(("sync",))
-        for __, conn in self._workers:
-            conn.recv()
-        self.epoch += 1
 
     def close(self) -> None:
         if self._closed:

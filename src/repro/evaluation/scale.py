@@ -184,7 +184,6 @@ def run_scale_bench(
     epsilon: float = 0.25,
     engine: str = "serial",
     workers: int = 2,
-    shard_by: str = "level",
     seed: int = 0,
     baseline_peers: int = 192,
     parity_queries: int = 4,
@@ -213,7 +212,7 @@ def run_scale_bench(
     levels = publication_levels(dimensionality, levels_used)
     clock = _clock()
 
-    config = EngineConfig(engine=engine, workers=workers, shard_by=shard_by)
+    config = EngineConfig(engine=engine, workers=workers)
     engine_obj = create_engine(config)
     try:
         fabric = Network(scheduler=engine_obj.create_scheduler())

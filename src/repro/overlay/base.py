@@ -121,10 +121,6 @@ class Overlay(abc.ABC):
     #: zone section instead of fabricating zero-volume rows.
     zone_geometry = False
 
-    #: True when ``range_query`` accepts a precomputed store-wide
-    #: intersection ``mask=`` from a parallel execution engine.
-    supports_premask = False
-
     #: The columnar :class:`repro.index.LevelStore` holding every
     #: published entry of this overlay; nodes hold row memberships into
     #: it. Every backend's constructor sets it.

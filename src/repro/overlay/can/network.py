@@ -468,12 +468,8 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         with runtime.current.flight.operation("lookup", origin=origin):
             return super().lookup(origin, key)
 
-    #: Engines may hand this overlay a precomputed store-wide mask.
-    supports_premask = True
-
     def range_query(
-        self, origin: int, center: np.ndarray, radius: float,
-        *, mask: np.ndarray | None = None,
+        self, origin: int, center: np.ndarray, radius: float
     ) -> RangeReceipt:
         """All entries whose spheres intersect the query ball.
 
@@ -482,12 +478,6 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         convex, hence connected in the neighbour graph, so flooding is
         complete. Request hops are charged; response traffic is not modelled
         (results are evaluated by precision/recall, matching the paper).
-
-        ``mask`` optionally supplies the store-wide intersection mask —
-        the BLAS-heavy half of the query — computed elsewhere (a sharded
-        engine worker runs the *same* kernel over the same shm columns,
-        so the flood below consumes bit-identical bits). It must come
-        from the store's current generation.
         """
         center = check_vector(center, "center", dim=self._dim)
         check_positive(radius, "radius", strict=False)
@@ -500,8 +490,7 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
 
             # One store-wide intersection pass per query; each visited node
             # then filters its membership with a boolean gather.
-            if mask is None:
-                mask = self.level_store.intersection_mask(center, radius)
+            mask = self.level_store.intersection_mask(center, radius)
             order = [owner_id]
             for sender_id, neighbor_id in flood(
                 self, [owner_id], self._cover(center, radius)

@@ -1,7 +1,7 @@
 """The one run context: what every network built in this process runs on.
 
 Hyper-M's protocol (summarise, publish, query) is independent of what
-runs underneath it. "Underneath" is seven values, and they live in one
+runs underneath it. "Underneath" is six values, and they live in one
 object, :data:`current`:
 
 ``overlay``
@@ -13,9 +13,6 @@ object, :data:`current`:
 ``adapt``
     :class:`~repro.overlay.adapt.AdaptConfig` new networks attach a
     controller for (``None`` = no adaptation).
-``engine``
-    :class:`~repro.engine.EngineConfig` new networks build their engine
-    from (``None`` = serial).
 ``metrics``
     The :class:`~repro.obs.registry.MetricsRegistry` instrumentation
     writes to (:func:`repro.obs.registry.metrics` returns it).
@@ -25,7 +22,7 @@ object, :data:`current`:
 ``flight``
     The flight recorder (a null one when off).
 
-``HyperMNetwork`` and ``Network`` read the first four once, at
+``HyperMNetwork`` and ``Network`` read the first three once, at
 construction; an explicit constructor argument wins over the context.
 Instrumented code reads ``runtime.current.tracer`` / ``.flight`` at every
 operation, so those stay plain attribute loads: :func:`run_context`
@@ -46,10 +43,10 @@ from repro.obs.trace import NULL_RECORDER
 
 
 class RunContext:
-    """The seven ambient values of a run; see the module docstring."""
+    """The six ambient values of a run; see the module docstring."""
 
     __slots__ = (
-        "overlay", "fault_plan", "adapt", "engine",
+        "overlay", "fault_plan", "adapt",
         "metrics", "tracer", "flight",
     )
 
@@ -57,7 +54,6 @@ class RunContext:
         self.overlay = None
         self.fault_plan = None
         self.adapt = None
-        self.engine = None
         self.metrics = MetricsRegistry()
         self.tracer = NULL_RECORDER
         self.flight = NULL_FLIGHT_RECORDER

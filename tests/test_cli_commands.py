@@ -176,3 +176,14 @@ class TestRunScopes:
         assert (args.adapt, args.overlay, args.fault_plan) == (
             False, None, None
         )
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_scale_bench_rejects_workers_below_one(self, workers, capsys):
+        # Used to be clamped to 1 silently; the report then read 1.
+        with pytest.raises(SystemExit) as raised:
+            main([
+                "scale-bench", "--peers", "32", "--engine", "sharded",
+                "--workers", workers,
+            ])
+        assert raised.value.code == 2
+        assert "--workers: must be >= 1" in capsys.readouterr().err

@@ -13,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import runtime
-from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.core.scoring import level_scores
 from repro.engine import (
     EngineConfig,
@@ -64,34 +62,13 @@ class TestRegistry:
         assert isinstance(engine, SerialEngine)
         assert not engine.parallel
 
-    def test_scope_installs_and_restores(self):
-        assert runtime.current.engine is None
-        config = EngineConfig(engine="sharded", workers=3)
-        with runtime.run_context(engine=config):
-            assert runtime.current.engine is config
-        assert runtime.current.engine is None
-
-    def test_scope_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with runtime.run_context(engine=EngineConfig()):
-                raise RuntimeError("boom")
-        assert runtime.current.engine is None
-
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="workers"):
             EngineConfig(workers=0)
         with pytest.raises(ValidationError, match="shard_by"):
             EngineConfig(shard_by="random")
-
-    def test_network_adopts_ambient_engine(self):
-        with runtime.run_context(
-            engine=EngineConfig(engine="sharded", workers=2)
-        ):
-            network = HyperMNetwork(8, HyperMConfig(levels_used=2))
-        try:
-            assert network.engine.name == "sharded"
-        finally:
-            network.close()
+        with pytest.raises(ValidationError, match="shard_by"):
+            EngineConfig(shard_by="region")
 
 
 class TestShardedParity:
@@ -130,43 +107,12 @@ class TestShardedParity:
             for peer, score in expected.items():
                 assert scores[peer] == pytest.approx(score, abs=1e-9)
 
-    def test_region_sharding_matches_level_sharding(self):
-        stores = {0: _populated_store(n=150, dim=3)}
-        by_level = ShardedEngine(EngineConfig(engine="sharded", workers=2))
-        by_region = ShardedEngine(
-            EngineConfig(engine="sharded", workers=2, shard_by="region")
-        )
-        try:
-            self._register(by_level, stores)
-            self._register(by_region, stores)
-            tasks = self._tasks(stores)
-            for level_mask, region_mask in zip(
-                by_level.masks(tasks), by_region.masks(tasks)
-            ):
-                np.testing.assert_array_equal(level_mask, region_mask)
-            for level_scored, region_scored in zip(
-                by_level.score_levels(tasks), by_region.score_levels(tasks)
-            ):
-                assert set(level_scored) == set(region_scored)
-                for peer, score in level_scored.items():
-                    assert region_scored[peer] == pytest.approx(
-                        score, abs=1e-9
-                    )
-        finally:
-            by_level.close()
-            by_region.close()
-
-    @pytest.mark.parametrize("shard_by", ["level", "region"])
-    def test_gridded_shards_match_serial_across_generations(self, shard_by):
-        """Above the directory row floor the workers grid their spans;
+    def test_gridded_shards_match_serial_across_generations(self):
+        """Above the directory row floor the workers grid their shard;
         answers still match the inline kernel, before and after the
         store mutates (the workers rebuild on the new generation)."""
-        # 2 workers: region slabs of 4 500 rows are gridded, level
-        # shards grid the whole 9 000-row store.
         stores = {0: _populated_store(n=9000, dim=2, seed=11)}
-        engine = ShardedEngine(
-            EngineConfig(engine="sharded", workers=2, shard_by=shard_by)
-        )
+        engine = ShardedEngine(EngineConfig(engine="sharded", workers=2))
         try:
             self._register(engine, stores)
             store = stores[0]
@@ -254,22 +200,27 @@ class TestShmLifecycle:
         with pytest.raises(ValidationError, match="closed"):
             engine.masks([(0, np.array([0.5, 0.5]), 0.3)])
 
-    def test_barrier_counts_epochs(self, sharded):
-        assert sharded.epoch == 0
-        sharded.barrier()
-        sharded.barrier()
-        assert sharded.epoch == 2
-
-    def test_scheduler_exposes_engine_epoch(self, sharded):
-        scheduler = sharded.create_scheduler()
-        assert scheduler.epoch == 0
-        scheduler.sync_shards()
-        assert scheduler.epoch == sharded.epoch == 1
-        # The event plane itself is the serial one.
-        fired = []
-        scheduler.schedule_after(0.5, lambda: fired.append(1))
-        scheduler.run()
-        assert fired == [1]
+    def test_failed_shard_leaves_no_reply_behind(self, sharded):
+        """One worker fails, the other answers: the exchange raises after
+        reading both replies, so the next exchange gets its own answer —
+        and the failed batch's unread manifests are sent again."""
+        stores = {
+            0: _populated_store(n=8, dim=2),
+            1: _populated_store(n=8),
+            2: _populated_store(n=8, seed=4),  # worker 0, after shard 0
+        }
+        for key, store in stores.items():
+            sharded.register_store(key, store)
+        center = np.full(3, 0.5)  # wrong length for shard 0's 2-d keys
+        with pytest.raises(ValidationError, match="shard worker failed"):
+            sharded.masks([
+                (0, center, 0.4), (2, center, 0.4), (1, np.zeros(3), 0.0),
+            ])
+        for key in (1, 2):
+            expected = store_mask(stores[key], center, 0.4)
+            assert np.count_nonzero(expected) > 0
+            (mask,) = sharded.masks([(key, center, 0.4)])
+            np.testing.assert_array_equal(mask, expected)
 
     def test_snapshot_shape(self, sharded):
         sharded.register_store(0, _populated_store(n=10, dim=2))
@@ -280,42 +231,3 @@ class TestShmLifecycle:
         assert snap["shards"] == 1
         assert snap["epochs"] == 1
         assert snap["tasks_dispatched"] >= 1
-
-
-class TestEndToEndParity:
-    """A full Hyper-M network answers identically on both engines."""
-
-    def _run(self, engine_config, seed=11, n_queries=4):
-        config = HyperMConfig(levels_used=3, n_clusters=3)
-        network = HyperMNetwork(
-            16, config, rng=seed, engine_config=engine_config
-        )
-        try:
-            data_rng = np.random.default_rng(seed + 1)
-            for __ in range(5):
-                network.add_peer(data_rng.random((20, 16)))
-            network.publish_all()
-            query_rng = np.random.default_rng(seed + 2)
-            out = []
-            for __ in range(n_queries):
-                result = network.range_query(
-                    query_rng.random(16), 0.6, max_peers=3
-                )
-                out.append(
-                    (sorted(result.item_ids), dict(result.peer_scores))
-                )
-            return out
-        finally:
-            network.close()
-
-    def test_sharded_range_query_matches_serial(self):
-        serial = self._run(EngineConfig(engine="serial"))
-        sharded = self._run(EngineConfig(engine="sharded", workers=2))
-        for (serial_items, serial_scores), (shard_items, shard_scores) in zip(
-            serial, sharded
-        ):
-            # Theorem 4.1 surface: identical retrieved item sets.
-            assert serial_items == shard_items
-            assert set(serial_scores) == set(shard_scores)
-            for peer, score in serial_scores.items():
-                assert shard_scores[peer] == pytest.approx(score, abs=1e-9)

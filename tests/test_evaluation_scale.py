@@ -75,10 +75,6 @@ class TestRunner:
         assert sharded["mean_peers_ranked"] == serial["mean_peers_ranked"]
         assert sharded["engine_snapshot"]["epochs"] > 0
 
-    def test_region_sharding_smoke(self):
-        report = _small(engine="sharded", workers=2, shard_by="region")
-        assert report["parity"]["max_abs_delta"] <= 1e-9
-
     def test_grid_recorded_per_level(self):
         report = _small()
         assert len(report["grid"]) == report["levels_used"]

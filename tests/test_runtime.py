@@ -4,7 +4,7 @@ import pytest
 
 from repro import cli, runtime
 from repro.core.network import HyperMConfig, HyperMNetwork
-from repro.engine import EngineConfig
+from repro.engine.serial import SerialScheduler
 from repro.faults import FaultPlan
 from repro.obs.flight import NULL_FLIGHT_RECORDER, FlightRecorder
 from repro.obs.registry import MetricsRegistry, metrics
@@ -16,7 +16,7 @@ from repro.overlay.ring import RingNetwork
 from repro.runtime import RunContext, run_context
 
 FIELDS = (
-    "overlay", "fault_plan", "adapt", "engine", "metrics", "tracer", "flight",
+    "overlay", "fault_plan", "adapt", "metrics", "tracer", "flight",
 )
 
 
@@ -29,7 +29,7 @@ def _network() -> HyperMNetwork:
 
 
 class TestRunContext:
-    def test_has_exactly_the_seven_fields(self):
+    def test_has_exactly_the_six_fields(self):
         assert RunContext.__slots__ == FIELDS
         with pytest.raises(AttributeError):
             RunContext().mobility = None
@@ -42,7 +42,6 @@ class TestRunContext:
             "overlay": None,
             "fault_plan": None,
             "adapt": None,
-            "engine": None,
             "tracer": NULL_RECORDER,
             "flight": NULL_FLIGHT_RECORDER,
         }
@@ -58,7 +57,7 @@ class TestRunContext:
         )
         assert network.fabric.faults is None
         assert network.adaptation is None
-        assert network.engine.name == "serial"
+        assert type(network.fabric.scheduler) is SerialScheduler
 
     def test_overrides_only_the_named_fields(self):
         before = _fields()
@@ -87,8 +86,8 @@ class TestRunContext:
     def test_restores_after_an_exception(self):
         before = _fields()
         with pytest.raises(RuntimeError):
-            with run_context(engine=EngineConfig(), metrics=MetricsRegistry()):
-                with run_context(engine=None, tracer=TraceRecorder()):
+            with run_context(adapt=AdaptConfig(), metrics=MetricsRegistry()):
+                with run_context(adapt=None, tracer=TraceRecorder()):
                     raise RuntimeError("boom")
         assert _fields() == before
 
@@ -100,20 +99,15 @@ class TestRunContext:
         assert _fields() == before
 
     def test_explicit_constructor_arguments_beat_the_context(self):
-        with run_context(
-            overlay=RingNetwork,
-            engine=EngineConfig(engine="sharded", workers=2),
-        ):
+        with run_context(overlay=RingNetwork):
             network = HyperMNetwork(
                 8, HyperMConfig(levels_used=2), rng=0,
                 overlay_factory=KademliaNetwork,
-                engine_config=EngineConfig(),
             )
         assert all(
             type(overlay) is KademliaNetwork
             for overlay in network.overlays.values()
         )
-        assert network.engine.name == "serial"
 
 
 class TestCliFillsTheContext:
@@ -143,13 +137,7 @@ class TestCliFillsTheContext:
             ) == (0.1, 3),
         ),
         (["--adapt"], lambda net: net.adaptation is not None),
-        (
-            ["--engine", "serial", "--workers", "3"],
-            lambda net: (
-                net.engine.name, net.engine.config.workers
-            ) == ("serial", 3),
-        ),
-    ], ids=["overlay", "fault-plan", "adapt", "engine"])
+    ], ids=["overlay", "fault-plan", "adapt"])
     def test_flag_reaches_a_constructed_network(self, built, flags, reached):
         before = _fields()
         assert cli.main(["fig9", *flags]) == 0
@@ -161,16 +149,22 @@ class TestCliFillsTheContext:
         assert cli.main([
             "fig9", "--adapt", "--overlay", "ring",
             "--fault-plan", "loss=0.1,seed=3",
-            "--engine", "sharded", "--workers", "2",
         ]) == 0
         (network,) = built
-        try:
-            assert network.adaptation is not None
-            assert type(network.overlays[network.levels[0]]) is RingNetwork
-            assert network.fabric.faults.plan.loss == 0.1
-            assert network.engine.name == "sharded"
-        finally:
-            network.close()
+        assert network.adaptation is not None
+        assert type(network.overlays[network.levels[0]]) is RingNetwork
+        assert network.fabric.faults.plan.loss == 0.1
+
+    @pytest.mark.parametrize(
+        "flag", [["--engine", "sharded"], ["--workers", "2"]]
+    )
+    def test_engine_flags_belong_to_scale_bench_only(self, built, flag, capsys):
+        # The protocol runs on one engine: no network takes an engine.
+        with pytest.raises(SystemExit) as raised:
+            cli.main(["fig9", *flag])
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert built == []
 
     def test_no_flags_leave_the_default_context(self, monkeypatch):
         before = _fields()
@@ -191,6 +185,6 @@ class TestCliFillsTheContext:
         with pytest.raises(RuntimeError):
             cli.main([
                 "fig9", "--adapt", "--overlay", "baton",
-                "--fault-plan", "loss=0.2", "--engine", "serial",
+                "--fault-plan", "loss=0.2",
             ])
         assert _fields() == before

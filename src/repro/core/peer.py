@@ -266,35 +266,42 @@ class HyperMPeer:
 
         This is the second query phase: once a peer is contacted directly,
         it filters with the original query, which is why Hyper-M's range
-        precision is 100%.
+        precision is 100%. The one-column case of :meth:`scan`.
+        """
+        query = check_vector(query, "query", dim=self.dimensionality)
+        return self.scan(query[None, :], np.array([radius], dtype=np.float64))[0]
+
+    def scan(self, queries: np.ndarray, radii: np.ndarray) -> list[list]:
+        """:meth:`range_search` of each validated ``(B, d)`` query row.
 
         Most contacted peers hold nothing in range, so the scan is the
-        index mask kernel's idiom: one matvec ``‖x‖² − 2 x·q + ‖q‖²``
-        over every row, widened by the store's ``_BOUNDARY_BAND``, then
-        the exact :func:`~repro.core.results.distances_to_query` on the
+        index mask kernel's idiom: one GEMM ``‖x‖² − 2 X·Qᵀ + ‖q‖²`` over
+        every row, widened by the store's ``_BOUNDARY_BAND``, then the
+        exact :func:`~repro.core.results.distances_to_query` on the
         survivors only. The expansion loses ~``eps·√d·(‖x‖ + ‖q‖)²`` on
         d² to cancellation (≈ 5e-12 at d = 512 in the unit cube), well
         under the band's reach even at ``radius = 0`` (1e-5² =
         1e-10; docs/performance.md has the bound), so no row within
-        ``radius + 1e-12`` is dropped; what is returned — ids, row order,
-        distances — is bit for bit the full scan's.
+        ``radius + 1e-12`` is dropped; what each query gets — ids, row
+        order, distances — is bit for bit the full scan's.
         """
-        query = check_vector(query, "query", dim=self.dimensionality)
-        d2 = self._data_sq - 2.0 * (self.data @ query)
-        d2 += float(query @ query)
-        reach = radius + _BOUNDARY_BAND
-        near = np.flatnonzero(d2 <= reach * reach)
-        dists = distances_to_query(self.data[near], query)
-        keep = dists <= radius + 1e-12
-        return [
-            RetrievedItem(
+        d2 = self._data_sq - 2.0 * (queries @ self.data.T)
+        d2 += _row_norms_sq(queries)[:, None]
+        reach = radii + _BOUNDARY_BAND
+        column, near = np.nonzero(d2 <= (reach * reach)[:, None])
+        found: list[list] = [[] for __ in range(radii.size)]
+        if not near.size:
+            return found
+        dists = distances_to_query(self.data[near], queries[column])
+        keep = dists <= radii[column] + 1e-12
+        for query, item_id, distance in zip(
+            column[keep].tolist(), self.item_ids[near[keep]].tolist(),
+            dists[keep].tolist(), strict=True,
+        ):
+            found[query].append(RetrievedItem(
                 item_id=item_id, peer_id=self.peer_id, distance=distance
-            )
-            for item_id, distance in zip(
-                self.item_ids[near[keep]].tolist(), dists[keep].tolist(),
-                strict=True,
-            )
-        ]
+            ))
+        return found
 
     def nearest_items(self, query: np.ndarray, count: int) -> list[RetrievedItem]:
         """The peer's ``count`` closest items to ``query`` (Figure 5 step 9)."""

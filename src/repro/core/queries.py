@@ -469,14 +469,16 @@ def retrieval_phase(
     *,
     origin_peer: int,
     max_peers: int | None,
+    searched: dict | None = None,
 ) -> tuple[list, list[int], list[int], int, int]:
     """Contact ranked peers and collect their locally-filtered items.
 
     The retrieval half of a range query, shared verbatim between
     :func:`range_query` and the batched serving tier
     (:mod:`repro.serve`), so both paths charge identical traffic and
-    return identical item sets. Returns ``(items, answered, failed,
-    messages, attempted)``.
+    return identical item sets. ``searched``, when given, holds every
+    possible contact's hits (the serving tier's one scan per peer).
+    Returns ``(items, answered, failed, messages, attempted)``.
     """
     recorder = runtime.current.tracer
     injector = network.fabric.faults
@@ -488,7 +490,10 @@ def retrieval_phase(
         )
         attempted = len(contacted) + len(failed)
         for peer_id in contacted:
-            found = network.peers[peer_id].range_search(query, epsilon)
+            if searched is None:
+                found = network.peers[peer_id].range_search(query, epsilon)
+            else:
+                found = searched[peer_id]
             delivered, response_messages = send_response(
                 network, origin_peer, peer_id, len(found), items=found
             )
@@ -521,11 +526,12 @@ def finish_range(
     max_peers: int | None,
     index_hops: int = 0,
     levels_answered: int | None = None,
+    searched: dict | None = None,
 ) -> RangeQueryResult:
     """Retrieval phase + result assembly for one scored range query."""
     items, answered, failed, messages, attempted = retrieval_phase(
         network, rank_peers(aggregated), query, epsilon,
-        origin_peer=origin_peer, max_peers=max_peers,
+        origin_peer=origin_peer, max_peers=max_peers, searched=searched,
     )
     n_levels = len(network.levels)
     confidence = partial_confidence(

@@ -25,6 +25,8 @@ every level) runs before the expensive one (the lens-volume kernel):
   table for the :meth:`~LevelScoreTable.totals` of the common peers only
   (one ``intersection_fraction_batch`` call over their rows, summed per
   peer by ``bincount`` in row order) and builds a plain ``dict``.
+* :func:`evaluate_tables` scores many tables for every peer in one kernel
+  call per ``(eps, d)``; each total is bit-identical to its table's alone.
 
 A table is also a read-only ``Mapping`` that evaluates every peer once on
 ``[]`` / ``items()`` / ``==``. :func:`level_scores_scalar` keeps the
@@ -123,28 +125,14 @@ class LevelScoreTable(Mapping):
         peers = self.peers
         if common is None or common.size == peers.size:
             if self._totals is None:
-                self._totals = self._eq1(slice(None))
-                self._rows = self._inverse = None
+                evaluate_tables([self])
             return self._totals
         where = np.searchsorted(peers, common)
         if self._totals is not None:
             return self._totals[where]
         wanted = np.zeros(peers.size, dtype=bool)
         wanted[where] = True
-        return self._eq1(wanted[self._inverse])[where]
-
-    def _eq1(self, keep) -> np.ndarray:
-        """Per-peer sums of fraction x items over the rows ``keep`` selects."""
-        __, radii, dists, items, eps, d = self._rows
-        fractions = intersection_fraction_batch(
-            radii[keep], eps, dists[keep], d
-        )
-        np.maximum(fractions, MIN_INTERSECTING_FRACTION,
-                   where=fractions <= 0.0, out=fractions)
-        return np.bincount(
-            self._inverse[keep], weights=fractions * items[keep],
-            minlength=self._peers.size,
-        )
+        return _eq1([self], [wanted[self._inverse]])[0][where]
 
     def _narrowed(self, keep: np.ndarray) -> "LevelScoreTable":
         """A new table over the rows (eager: the peers) ``keep`` selects."""
@@ -166,6 +154,52 @@ class LevelScoreTable(Mapping):
                 self.peers.tolist(), self.totals().tolist(), strict=True
             ))
         return self._scores[peer]
+
+
+def _eq1(tables: list, keeps: list) -> list:
+    """Per-peer sums of fraction x items over each table's ``keep`` rows.
+
+    One kernel call for all (they share ``(eps, d)``), then one ``bincount``
+    per table over its slice in row order: bit-identical to the table alone.
+    """
+    eps, d = tables[0]._rows[4:]
+    picked = [  # (radii, dists, items, inverse) of each table's kept rows
+        (t._rows[1][k], t._rows[2][k], t._rows[3][k], t._inverse[k])
+        for t, k in zip(tables, keeps)
+    ]
+    radii, dists, items, __ = (  # one table (the join's case) uncopied
+        picked[0] if len(picked) == 1 else map(np.concatenate, zip(*picked))
+    )
+    fractions = intersection_fraction_batch(radii, eps, dists, d)
+    np.maximum(fractions, MIN_INTERSECTING_FRACTION,
+               where=fractions <= 0.0, out=fractions)
+    weighted = fractions * items
+    sums, start = [], 0
+    for table, (*__, inverse) in zip(tables, picked):
+        sums.append(np.bincount(
+            inverse, weights=weighted[start:start + inverse.size],
+            minlength=table._peers.size,
+        ))
+        start += inverse.size
+    return sums
+
+
+def evaluate_tables(tables) -> None:
+    """Evaluate distinct tables for every peer, one kernel call per radius.
+
+    Each ``(eps, d)`` group of unevaluated tables goes through :func:`_eq1`
+    once; each table then holds ``peers`` + ``totals`` only.
+    """
+    groups: dict = {}
+    for table in tables:
+        if table._totals is None:
+            table.peers  # the deferred sort: builds the bincount inverse
+            groups.setdefault(table._rows[4:], []).append(table)
+    for group in groups.values():
+        sums = _eq1(group, [slice(None)] * len(group))
+        for table, totals in zip(group, sums):
+            table._totals = totals
+            table._rows = table._inverse = None
 
 
 def level_scores(

@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.queries import Fetched
+from repro.core.scoring import evaluate_tables
 from repro.serve.cache import CandidateCache, Lookup, candidate_key
 
 
@@ -104,7 +105,9 @@ class StoreSource:
         first served from the cache (generation-checked), duplicate
         misses are deduplicated, and the surviving distinct look-ups go
         through one stacked pass (:meth:`resolve`). A look-up's table is
-        scored the first time a plan asks and shared, read-only, after.
+        scored the first time a plan asks and shared, read-only, after;
+        a level's unscored tables are scored together, one Eq. 1 kernel
+        call per radius (:func:`repro.core.scoring.evaluate_tables`).
         """
         cache = self.cache
         out: list[dict] = [{} for __ in plans]
@@ -123,8 +126,9 @@ class StoreSource:
                     missing[ck] = plan[level]
             if missing:
                 resolved.update(self.resolve(level_index, missing))
+            scored = {ck: found.table() for ck, found in resolved.items()}
+            evaluate_tables(scored.values())
             for tables, ck in zip(out, wanted, strict=True):
-                found = resolved[ck]
-                store.bump_heat(found.candidates.rows)
-                tables[level] = found.table()
+                store.bump_heat(resolved[ck].candidates.rows)
+                tables[level] = scored[ck]
         return out

@@ -59,17 +59,18 @@ class Lookup:
         return self.candidates.is_stale()
 
     def table(self) -> LevelScoreTable:
-        """The look-up's Eq. 1 table, every peer evaluated, built once.
+        """The look-up's Eq. 1 table, built once.
 
-        Full rather than join-subset evaluation because the table
-        outlives the request: whichever peers a later request's other
-        levels join to, their totals are a take from this one, bit-equal
-        to the subset evaluation (:meth:`LevelScoreTable.totals`).
-        Build it while the candidates are fresh (``StaleCandidateError``).
+        ``StoreSource.fetch_batch`` evaluates it for every peer, together
+        with its level's other new tables. Full rather than join-subset
+        evaluation because the table outlives the request: whichever
+        peers a later request's other levels join to, their totals are a
+        take from this one, bit-equal to the subset evaluation
+        (:meth:`LevelScoreTable.totals`). Build it while the candidates
+        are fresh (``StaleCandidateError``).
         """
         if self._table is None:
             self._table = level_scores(self.candidates, self._key, self._radius)
-            self._table.totals()
         return self._table
 
 

@@ -11,7 +11,8 @@
   requests inside a ``batch_window`` and executes them as one batch:
   one stacked intersection GEMM per level over the look-ups the cache
   does not hold (:mod:`repro.serve.batch`), each look-up's Eq. 1 table
-  scored once and shared, and a per-query join of those tables.
+  scored once (one kernel call per level and radius) and shared, a
+  per-query join of those tables, and one scan per contacted peer.
 * **Caching** — hot look-ups (candidate rows *and* their Eq. 1 score
   table), generation-keyed so publishes / deltas / rebalances
   invalidate exactly the mutated level (:mod:`repro.serve.cache`); key
@@ -53,6 +54,7 @@ from repro.core.queries import (
     translation_cache_info,
 )
 from repro.core.results import KnnResult, RangeQueryResult
+from repro.core.scoring import rank_peers
 from repro.exceptions import ServeError, ValidationError
 from repro.obs import registry as obs_registry
 from repro.serve.batch import StoreSource
@@ -87,22 +89,17 @@ class ServeConfig:
     mining_grid: int = 8
 
     def __post_init__(self) -> None:
-        if self.max_queue < 1:
-            raise ValidationError(
-                f"max_queue must be >= 1, got {self.max_queue}"
-            )
-        if self.max_inflight < 1:
-            raise ValidationError(
-                f"max_inflight must be >= 1, got {self.max_inflight}"
-            )
-        if self.max_batch < 1:
-            raise ValidationError(
-                f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        if self.batch_window < 0.0:
-            raise ValidationError(
-                f"batch_window must be >= 0, got {self.batch_window}"
-            )
+        # Every numeric knob is refused here, never at first use.
+        for name, floor in (
+            ("max_queue", 1), ("max_inflight", 1), ("max_batch", 1),
+            ("batch_window", 0), ("cache_candidates", 1),
+            ("prewarm_keys", 0), ("mining_grid", 1),
+        ):
+            value = getattr(self, name)
+            if value < floor:
+                raise ValidationError(
+                    f"{name} must be >= {floor}, got {value}"
+                )
 
 
 @dataclass(frozen=True)
@@ -202,8 +199,9 @@ class ServeEngine:
         every range request its per-level Eq. 1 tables (cached with the
         look-up's candidates, scored once per store generation); here
         they are only joined, into a fresh ``peer_scores`` dict per
-        result. Results come back in request order and match what
-        :func:`repro.core.queries.range_query` /
+        result; every peer a request may contact is scanned once for the
+        batch (:meth:`_search`). Results come back in request order and
+        match what :func:`repro.core.queries.range_query` /
         :func:`repro.core.knn.knn_query` return for the same inputs on
         the same network state (``index_hops`` excepted: the engine
         co-locates the index, so no overlay routing is charged).
@@ -241,6 +239,7 @@ class ServeEngine:
                 )
                 for position, tables in zip(ranges, fetched, strict=True)
             }
+            searched = self._search(requests, scored)
             results = []
             for position, request in enumerate(requests):
                 if isinstance(request, KnnRequest):
@@ -251,7 +250,7 @@ class ServeEngine:
                 results.append(finish_range(
                     network, request.query, request.epsilon,
                     scored[position], origin_peer=origins[position],
-                    max_peers=request.max_peers,
+                    max_peers=request.max_peers, searched=searched[position],
                 ))
                 if network.adaptation is not None:
                     network.adaptation.note_query()
@@ -262,6 +261,34 @@ class ServeEngine:
         metrics.counter("serve.requests").inc(len(requests))
         metrics.histogram("serve.batch_size").observe(len(requests))
         return results
+
+    def _search(self, requests: list, scored: dict) -> dict:
+        """``{position: {peer: hits}}`` from one scan per peer for the batch.
+
+        A request contacts at most ``rank_peers(scores)[:max_peers]`` (a
+        relay plan only reorders it); exact, as no batch writes peer data.
+        """
+        columns: dict = {}  # peer -> {(query bytes, epsilon): None}, in order
+        asked = {}
+        for position, scores in scored.items():
+            request = requests[position]
+            query = np.asarray(request.query, dtype=np.float64)
+            column = (query.tobytes(), float(request.epsilon))
+            peers = [peer for peer, __ in rank_peers(scores)[:request.max_peers]]
+            asked[position] = (column, peers)
+            for peer in peers:
+                columns.setdefault(peer, {})[column] = None
+        hits = {}
+        for peer, wanted in columns.items():
+            queries = np.stack([np.frombuffer(query) for query, __ in wanted])
+            radii = np.array([epsilon for __, epsilon in wanted])
+            found = self.network.peers[peer].scan(queries, radii)
+            for column, peer_hits in zip(wanted, found, strict=True):
+                hits[peer, column] = peer_hits
+        return {
+            position: {peer: hits[peer, column] for peer in peers}
+            for position, (column, peers) in asked.items()
+        }
 
     def _plan(self, request) -> dict:
         """One request's ``{level: (key, radius)}`` plan (k-NN: no radii)."""

@@ -151,6 +151,81 @@ class TestRangeSearchBits:
                 assert found == _brute_force(peer, data[row], radius)
 
 
+def _assert_scan_is_the_brute_force_scan(peer, rng):
+    """Every column of one grouped scan is the brute-force scan, bitwise.
+
+    The batch mixes held rows and random points, repeats some queries,
+    and pairs them with the hard radii of the single-query pin.
+    """
+    held = peer.data[rng.integers(0, peer.n_items, 3)]
+    points = np.vstack([held, rng.random((3, peer.dimensionality))])
+    queries, radii = [], []
+    for query in points:
+        dists = np.linalg.norm(peer.data - query, axis=1)
+        exact = float(dists[rng.integers(0, peer.n_items)])
+        for radius in (
+            0.0, exact,
+            float(np.nextafter(exact, -np.inf)),
+            float(np.nextafter(exact, np.inf)),
+            exact - 3e-12, exact + 3e-12,
+            float(np.median(dists)),
+        ):
+            queries.append(query)
+            radii.append(radius)
+    order = rng.permutation(len(radii))
+    duplicates = rng.choice(order, size=4)
+    order = np.concatenate([order, duplicates])
+    queries = np.asarray(queries)[order]
+    radii = np.asarray(radii)[order]
+    columns = peer.scan(queries, radii)
+    assert len(columns) == radii.size
+    for query, radius, hits in zip(queries, radii, columns):
+        found = [(hit.item_id, hit.peer_id, hit.distance) for hit in hits]
+        assert found == _brute_force(peer, query, float(radius))
+
+
+class TestScanBits:
+    """The grouped scan: ``B`` queries in one pass, each column exactly
+    :meth:`range_search` (whose one-column case it is)."""
+
+    @given(
+        d=st.sampled_from([2, 16, 128, 512]),
+        n=st.integers(1, 48),
+        seed=st.integers(0, 10_000),
+    )
+    def test_each_column_equals_brute_force_through_adds_and_removes(
+        self, d, n, seed
+    ):
+        rng = np.random.default_rng(seed)
+        peer = HyperMPeer(5, rng.random((n, d)), np.arange(2000, 2000 + n))
+        _assert_scan_is_the_brute_force_scan(peer, rng)
+        added = int(rng.integers(1, 9))
+        peer.add_items(rng.random((added, d)), np.arange(7000, 7000 + added))
+        _assert_scan_is_the_brute_force_scan(peer, rng)
+        doomed = rng.choice(
+            peer.item_ids, size=int(rng.integers(1, peer.n_items)),
+            replace=False,
+        )
+        peer.remove_items(doomed)
+        _assert_scan_is_the_brute_force_scan(peer, rng)
+
+    def test_range_search_is_the_one_column_scan(self, peer, rng, monkeypatch):
+        calls = []
+        scan = HyperMPeer.scan
+
+        def spy(self, queries, radii):
+            calls.append((queries.shape, radii.tolist()))
+            return scan(self, queries, radii)
+
+        monkeypatch.setattr(HyperMPeer, "scan", spy)
+        peer.range_search(peer.data[2], 0.5)
+        assert calls == [((1, 16), [0.5])]
+
+    def test_no_survivor_gives_empty_columns(self, peer):
+        far = np.full((2, 16), 50.0)
+        assert peer.scan(far, np.array([0.0, 1.0])) == [[], []]
+
+
 class TestNearestItems:
     def test_order_and_count(self, peer, rng):
         query = rng.random(16)

@@ -163,6 +163,99 @@ class TestPartialEvaluation:
         ) / 2
 
 
+def _placed_rows(rng, eps: float, d: int, n: int):
+    """``level_scores``-shaped rows with every overlap regime at ``eps``.
+
+    Per row one of: a point sphere (``r = 0``, on either side of the
+    ball), a sphere inside the query ball, the ball inside the sphere,
+    and a proper lens.
+    """
+    regime = rng.integers(0, 4, n)
+    radii = np.zeros(n)
+    dists = rng.uniform(0.0, 1.5 * eps, n)
+    inside_query = regime == 1
+    radii[inside_query] = rng.uniform(0.0, eps / 2, inside_query.sum())
+    dists[inside_query] = rng.uniform(0.0, 1.0, inside_query.sum()) * (
+        eps - radii[inside_query]
+    )
+    inside_data = regime == 2
+    radii[inside_data] = eps + rng.uniform(0.01, 0.5, inside_data.sum())
+    dists[inside_data] = rng.uniform(0.0, 1.0, inside_data.sum()) * (
+        radii[inside_data] - eps
+    )
+    lens = regime == 3
+    radii[lens] = rng.uniform(0.01, 0.5, lens.sum())
+    low = np.abs(radii[lens] - eps)
+    dists[lens] = low + rng.uniform(0.01, 0.99, lens.sum()) * (
+        radii[lens] + eps - low
+    )
+    return (
+        rng.integers(0, 7, n).astype(np.int64), radii, dists,
+        rng.integers(1, 50, n).astype(np.float64), eps, d,
+    )
+
+
+class TestStackedEvaluation:
+    """``evaluate_tables``: many tables, one kernel call per ``(eps, d)``,
+    each total the bytes its table evaluated alone gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.1, 0.35]),
+                st.sampled_from([1, 2, 16]),
+                st.integers(0, 30),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_together_equals_alone_bytewise(self, seed, specs):
+        def tables():
+            return [
+                LevelScoreTable(None, rows=_placed_rows(
+                    np.random.default_rng([seed, position]), *spec
+                ))
+                for position, spec in enumerate(specs)
+            ]
+
+        alone = tables()
+        for table in alone:
+            table.totals()
+        together = tables()
+        together[0].totals()  # already evaluated: skipped, not rescored
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _counted(
+                patch, scoring, "intersection_fraction_batch",
+                lambda radii, eps, dists, d: (eps, d),
+            )
+            scoring.evaluate_tables(together)
+        assert sorted(calls) == sorted(
+            {(eps, d) for eps, d, __ in specs[1:]}
+        )
+        for got, expected in zip(together, alone, strict=True):
+            assert got._rows is None and got._inverse is None
+            assert got.peers.tobytes() == expected.peers.tobytes()
+            assert got.totals().tobytes() == expected.totals().tobytes()
+
+    def test_every_regime_and_empty_tables_stack(self):
+        rng = np.random.default_rng(31)
+        rows = [_placed_rows(rng, 0.3, 4, n) for n in (0, 400, 0, 250)]
+        stacked = [LevelScoreTable(None, rows=r) for r in rows]
+        scoring.evaluate_tables(stacked)
+        fractions = scoring.intersection_fraction_batch(
+            rows[1][1], 0.3, rows[1][2], 4
+        )
+        # The corpus reaches the floor, the clamp-free interior and 1.0.
+        assert (fractions == 0.0).any() and (fractions == 1.0).any()
+        assert ((fractions > 0.0) & (fractions < 1.0)).any()
+        for table, r in zip(stacked, rows):
+            alone = LevelScoreTable(None, rows=r)
+            assert table.totals().tobytes() == alone.totals().tobytes()
+        assert stacked[0].peers.size == 0 and stacked[0].totals().size == 0
+
+
 class TestSnapshotSemantics:
     def test_store_writes_after_scoring_do_not_reach_the_table(self):
         rng = np.random.default_rng(13)

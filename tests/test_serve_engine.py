@@ -11,14 +11,21 @@ pre-warming.
 """
 
 import asyncio
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from repro.core import scoring as core_scoring
 from repro.core.network import HyperMConfig
+from repro.core.peer import HyperMPeer
+from repro.core.queries import level_plan
+from repro.core.scoring import rank_peers
 from repro.evaluation.workloads import build_markov_network, sample_queries
 from repro.exceptions import QueryError, ServeError, ValidationError
+from repro.faults import FaultPlan
+from repro.obs.flight import FlightRecorder
+from repro.runtime import run_context
 from repro.serve import KnnRequest, RangeRequest, ServeConfig, ServeEngine
 from repro.serve import cache as serve_cache
 
@@ -55,6 +62,13 @@ class TestConfig:
             ServeConfig(max_batch=0)
         with pytest.raises(ValidationError):
             ServeConfig(batch_window=-0.1)
+        with pytest.raises(ValidationError):
+            ServeConfig(cache_candidates=0)
+        with pytest.raises(ValidationError):
+            ServeConfig(prewarm_keys=-1)
+        with pytest.raises(ValidationError):
+            ServeConfig(mining_grid=0, mine_queries=False)
+        assert ServeConfig(prewarm_keys=0).prewarm_keys == 0
 
 
 class TestRangeParity:
@@ -221,6 +235,167 @@ class TestScoreOncePerLookup:
         engine.execute_batch([KnnRequest(query=q, k=3) for q in queries[:4]])
         assert len(engine.candidates) > 0  # the probes went through the cache
         assert scored == []
+
+
+class TestKernelCallsPerBatch:
+    """A batch pays each kernel once, not once per request: Eq. 1 once
+    per (level, radius) over its misses, and one scan per peer it may
+    contact — with answers ``==`` sequential ``range_query``."""
+
+    def test_misses_score_in_one_call_per_level_and_radius(
+        self, workload, queries, monkeypatch
+    ):
+        network = workload.network
+        engine = ServeEngine(network, ServeConfig(mine_queries=False))
+        requests = [
+            RangeRequest(query=q, epsilon=epsilon, max_peers=3)
+            for epsilon in (0.3, 0.2) for q in queries
+        ]
+        kernel = _count_calls(
+            monkeypatch, core_scoring, "intersection_fraction_batch"
+        )
+        served = engine.execute_batch(requests)
+        lookups = {
+            (level, radius)
+            for request in requests
+            for level, (__, radius) in level_plan(
+                network.dimensionality, network.levels,
+                request.query, request.epsilon,
+            ).items()
+        }
+        assert len(kernel) == len(lookups) == 2 * len(network.levels)
+        assert sorted(args[1] for args in kernel) == sorted(
+            radius for __, radius in lookups
+        )
+        TestScoreOncePerLookup._assert_equals_sequential(
+            network, requests, served
+        )
+
+    def test_one_scan_per_contacted_peer(
+        self, workload, queries, monkeypatch
+    ):
+        network = workload.network
+        engine = ServeEngine(network)
+        requests = [
+            RangeRequest(query=q, epsilon=0.3, max_peers=3) for q in queries
+        ]
+        requests += requests[:4]  # repeats ride the same scan column
+        scans: list = []
+        scan = HyperMPeer.scan
+
+        def spy(self, batch, radii):
+            scans.append((self.peer_id, batch.shape[0]))
+            return scan(self, batch, radii)
+
+        monkeypatch.setattr(HyperMPeer, "scan", spy)
+        searched = _count_calls(monkeypatch, HyperMPeer, "range_search")
+        served = engine.execute_batch(requests)
+        assert searched == []
+        ranked: dict = {}
+        for index, result in enumerate(served):
+            for peer, __ in rank_peers(result.peer_scores)[:3]:
+                ranked.setdefault(peer, set()).add(index % len(queries))
+        contacted = {
+            peer for result in served for peer in result.peers_contacted
+        }
+        assert contacted and contacted <= set(ranked)
+        assert sorted(scans) == sorted(
+            (peer, len(columns)) for peer, columns in ranked.items()
+        )
+        TestScoreOncePerLookup._assert_equals_sequential(
+            network, requests, served
+        )
+
+
+def _twin_batches(twin: str, fault_plan, monkeypatch) -> dict:
+    """One fresh network's batch results, ledgers and flight edges.
+
+    ``twin`` is how contacted peers search: ``"grouped"`` as shipped,
+    ``"looped"`` with every grouped scan replaced by a loop of
+    single-query scans, ``"per-contact"`` with no batch scan at all —
+    each reached peer runs ``range_search`` inside the retrieval loop.
+    """
+    built, __ = build_markov_network(
+        n_peers=8,
+        items_per_peer=40,
+        dimensionality=16,
+        config=HyperMConfig(levels_used=3, n_clusters=4),
+        rng=21,
+        publish=True,
+    )
+    network = built.network
+    if fault_plan is not None:
+        network.fabric.install_faults(fault_plan)
+    batch = sample_queries(built.data, 8, rng=np.random.default_rng(22))
+    requests = [
+        RangeRequest(query=q, epsilon=epsilon, max_peers=budget)
+        for epsilon, budget in ((0.3, 3), (0.35, None))
+        for q in batch
+    ]
+    scan = HyperMPeer.scan
+
+    def looped(self, queries, radii):
+        return [
+            scan(self, query[None, :], radii[column:column + 1])[0]
+            for column, query in enumerate(queries)
+        ]
+
+    flight = FlightRecorder(capacity=100_000, clock=lambda: 0.0)
+    with monkeypatch.context() as patch, run_context(flight=flight):
+        if twin == "looped":
+            patch.setattr(HyperMPeer, "scan", looped)
+        if twin == "per-contact":
+            patch.setattr(
+                ServeEngine, "_search",
+                lambda self, requests, scored: defaultdict(lambda: None),
+            )
+        engine = ServeEngine(network)
+        served = engine.execute_batch(requests) + engine.execute_batch(
+            requests[::-1]
+        )
+    fabric = network.fabric
+    return {
+        "results": [
+            (
+                [(i.item_id, i.peer_id, i.distance) for i in result.items],
+                result.peer_scores,
+                result.retrieval_messages,
+                result.peers_contacted,
+                result.failed_contacts,
+                result.confidence,
+            )
+            for result in served
+        ],
+        "by_kind": fabric.metrics.snapshot(),
+        "load": {
+            node: row.to_record() for node, row in fabric.load.per_node.items()
+        },
+        "energy": fabric.energy.per_node,
+        "edges": [edge.to_record() for edge in flight.edges],
+    }
+
+
+class TestGroupedScanTraffic:
+    """Scanning each peer once per batch moves no frame: the retrieval
+    loop sends what it sent when every contact searched on its own."""
+
+    @pytest.mark.parametrize(
+        "fault_plan", [None, FaultPlan(loss=0.1, duplication=0.02, seed=3)],
+        ids=["clean", "lossy"],
+    )
+    def test_twins_charge_and_answer_identically(
+        self, fault_plan, monkeypatch
+    ):
+        grouped = _twin_batches("grouped", fault_plan, monkeypatch)
+        assert grouped["edges"] and grouped["results"]
+        if fault_plan is not None:  # the plan fired on retrieval frames
+            assert {"dropped", "duplicate"} <= {
+                edge["status"] for edge in grouped["edges"]
+            }
+        for twin in ("looped", "per-contact"):
+            other = _twin_batches(twin, fault_plan, monkeypatch)
+            for key in ("results", "by_kind", "load", "energy", "edges"):
+                assert grouped[key] == other[key], (twin, key)
 
 
 class TestKnnParity:

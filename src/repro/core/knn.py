@@ -41,7 +41,7 @@ from repro.core.queries import (
     send_response,
 )
 from repro.core.results import KnnResult, sort_items_by_distance
-from repro.core.scoring import level_scores, rank_peers
+from repro.core.scoring import check_policy, level_scores, rank_peers
 from repro.exceptions import QueryError
 from repro.geometry.epsilon import estimate_epsilon_for_k, expected_items
 from repro.obs import registry as obs_registry
@@ -187,6 +187,7 @@ def run_knn(
     if c <= 0:
         raise QueryError(f"C must be > 0, got {c}")
     check_peer_budget(top_p, "top_p")
+    check_policy(aggregation or network.config.aggregation)
     recorder = runtime.current.tracer
     per_level: dict = {}
     epsilon_per_level: dict = {}

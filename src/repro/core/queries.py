@@ -38,6 +38,7 @@ from repro.core.results import RangeQueryResult, sort_items_by_distance
 from repro.core.scoring import (
     LevelScoreTable,
     aggregate_scores,
+    check_policy,
     level_scores,
     partial_confidence,
     rank_peers,
@@ -573,7 +574,8 @@ def range_query(
         Contact at most this many of the top-scoring peers (the paper's
         Figure 10a x-axis); ``None`` contacts every positive-score peer,
         ``0`` nobody. Anything but ``None`` or a non-negative integer is
-        rejected before any message is charged.
+        rejected before any message is charged, as is an unknown
+        ``aggregation``.
     origin_peer:
         Peer issuing the query (defaults to the first peer).
     aggregation:
@@ -582,6 +584,7 @@ def range_query(
     query = check_vector(query, "query", dim=network.dimensionality)
     check_positive(epsilon, "epsilon", strict=False)
     check_peer_budget(max_peers, "max_peers")
+    check_policy(aggregation or network.config.aggregation)
     origin = resolve_origin(network, origin_peer)
 
     recorder = runtime.current.tracer

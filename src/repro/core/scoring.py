@@ -17,14 +17,17 @@ every level) runs before the expensive one (the lens-volume kernel):
   :class:`repro.index.CandidateSet` or :class:`repro.index.ColumnBlock`
   gathered from the level's columnar store (a stale set raises
   :class:`repro.exceptions.StaleCandidateError` here) — down to the
-  spheres meeting the query ball and returns a :class:`LevelScoreTable`:
-  copies of the surviving rows, not yet sorted by peer, Eq. 1 not yet
+  spheres meeting the query ball, or takes a store scan's
+  :class:`repro.index.Hits` as they are, and returns a
+  :class:`LevelScoreTable`: peer ids, distances and positions into
+  read-only radius/item columns, not yet sorted by peer, Eq. 1 not yet
   evaluated.
 * :func:`aggregate_scores` semi-joins the levels' peer ids by counting
   (:func:`_semi_join`), sorts and intersects what is left, asks each
   table for the :meth:`~LevelScoreTable.totals` of the common peers only
-  (one ``intersection_fraction_batch`` call over their rows, summed per
-  peer by ``bincount`` in row order) and builds a plain ``dict``.
+  (their radii and items read at the kept positions, one
+  ``intersection_fraction_batch`` call, summed per peer by ``bincount``
+  in row order) and builds a plain ``dict``.
 * :func:`evaluate_tables` scores many tables for every peer in one kernel
   call per ``(eps, d)``; each total is bit-identical to its table's alone.
 
@@ -47,7 +50,7 @@ from repro.geometry.batch import (
     spheres_intersect_batch,
 )
 from repro.geometry.intersection import intersection_fraction, spheres_intersect
-from repro.index import CandidateSet, ColumnBlock
+from repro.index import CandidateSet, ColumnBlock, Hits
 
 #: Floor applied to the per-cluster fraction of an *intersecting* cluster so
 #: a tangential touch never zeroes a peer out of the min-aggregation (which
@@ -77,11 +80,14 @@ class LevelScoreTable(Mapping):
     ``peers`` is the sorted, unique id array of the peers with a sphere
     meeting the query ball. The table holds every peer's total (the
     eager form, for scores computed elsewhere or already evaluated in
-    full) or the surviving ``rows`` it would sum — ``(peer_ids, radii,
-    dists, items, eps, d)``, ungrouped, in ascending row order — which
-    the first read of ``peers``, ``len``, ``[]`` or :meth:`totals`
-    sorts into ``peers`` and :meth:`totals` runs the kernel over. Its
-    arrays are its own, never views of store columns.
+    full) or the surviving ``rows`` it would sum — ``(peer_ids,
+    positions, dists, (radii, items, row_ids), eps, d)``, ungrouped:
+    ``positions`` index the read-only ``radii`` / ``items`` columns, and
+    ``row_ids`` (``None`` when positions already ascend in row order)
+    names each position's store row — which the first read of
+    ``peers``, ``len``, ``[]`` or :meth:`totals` sorts into ``peers``
+    and :meth:`totals` runs the kernel over. Nothing it reads is a
+    writable store column.
     """
 
     __slots__ = ("_peers", "_inverse", "_totals", "_rows", "_scores")
@@ -138,9 +144,10 @@ class LevelScoreTable(Mapping):
         """A new table over the rows (eager: the peers) ``keep`` selects."""
         if self._rows is None:
             return LevelScoreTable(self._peers[keep], self._totals[keep])
-        *columns, eps, d = self._rows
-        rows = (*(column[keep] for column in columns), eps, d)
-        return LevelScoreTable(None, rows=rows)
+        peer_ids, positions, dists, *rest = self._rows
+        return LevelScoreTable(
+            None, rows=(peer_ids[keep], positions[keep], dists[keep], *rest)
+        )
 
     def __len__(self) -> int:
         return int(self.peers.size)
@@ -159,14 +166,25 @@ class LevelScoreTable(Mapping):
 def _eq1(tables: list, keeps: list) -> list:
     """Per-peer sums of fraction x items over each table's ``keep`` rows.
 
-    One kernel call for all (they share ``(eps, d)``), then one ``bincount``
-    per table over its slice in row order: bit-identical to the table alone.
+    Radii and items are read at the kept positions only, one kernel call
+    serves all (they share ``(eps, d)``), then one ``bincount`` per table
+    over its slice in row order: bit-identical to the table alone.
     """
     eps, d = tables[0]._rows[4:]
-    picked = [  # (radii, dists, items, inverse) of each table's kept rows
-        (t._rows[1][k], t._rows[2][k], t._rows[3][k], t._inverse[k])
-        for t, k in zip(tables, keeps)
-    ]
+    picked = []  # (radii, dists, items, inverse) of each table's kept rows
+    for table, keep in zip(tables, keeps):
+        __, positions, dists, (radii, items, row_ids), *___ = table._rows
+        positions, dists = positions[keep], dists[keep]
+        inverse = table._inverse[keep]
+        if row_ids is not None:  # scan order: add each peer's terms by row
+            order = np.argsort(row_ids.take(positions))
+            positions, dists, inverse = (
+                positions[order], dists[order], inverse[order]
+            )
+        # Ascending positions, as many as the rows, are every row in order.
+        if row_ids is not None or positions.size < radii.size:
+            radii, items = radii.take(positions), items.take(positions)
+        picked.append((radii, dists, items, inverse))
     radii, dists, items, __ = (  # one table (the join's case) uncopied
         picked[0] if len(picked) == 1 else map(np.concatenate, zip(*picked))
     )
@@ -203,7 +221,7 @@ def evaluate_tables(tables) -> None:
 
 
 def level_scores(
-    entries: CandidateSet | ColumnBlock,
+    entries: CandidateSet | ColumnBlock | Hits,
     query_center: np.ndarray,
     query_radius: float,
     *,
@@ -216,9 +234,11 @@ def level_scores(
     entries:
         The overlay range query's results at this level: a
         :class:`repro.index.CandidateSet` (consumed zero-copy from the
-        shared level store; stale → ``StaleCandidateError``) or a
-        :class:`repro.index.ColumnBlock` (its ``dists``, when set, are
-        the centre distances).
+        shared level store; stale → ``StaleCandidateError``), a
+        :class:`repro.index.ColumnBlock`, or the :class:`repro.index.Hits`
+        of a store scan with this query ball (already filtered: the
+        table takes their positions and distances and reads only the
+        directory's peer ids).
     query_center / query_radius:
         The query sphere, already translated into this level's key space.
     stats:
@@ -230,34 +250,32 @@ def level_scores(
     """
     query_center = np.asarray(query_center, dtype=np.float64)
     d = int(query_center.shape[0])
+    if isinstance(entries, Hits):
+        directory, positions, dists, __ = entries
+        _fill_stats(stats, positions.size, 0)
+        return LevelScoreTable(None, rows=(
+            directory.peer_ids.take(positions), positions, dists,
+            (directory.radii, directory.items, directory.rows),
+            float(query_radius), d,
+        ))
     n = len(entries)
-    from_mask_pass = (
-        isinstance(entries, ColumnBlock) and entries.dists is not None
-    )
-    if from_mask_pass:
-        radii, items, peer_ids = entries.radii, entries.items, entries.peer_ids
-        dists = entries.dists
-    else:
-        keys, radii, items, peer_ids, key_sq = entries.columns()
-        # ||k - q||^2 = ||k||^2 - 2 k.q + ||q||^2 — one BLAS matvec instead
-        # of materialising the (n, d) difference matrix (at d = 512 the
-        # subtraction alone costs more than the whole Eq. 1 kernel).
-        d2 = key_sq - 2.0 * (keys @ query_center)
-        d2 += float(query_center @ query_center)
-        np.maximum(d2, 0.0, out=d2)
-        dists = np.sqrt(d2)
+    keys, radii, items, peer_ids, key_sq = entries.columns()
+    # ||k - q||^2 = ||k||^2 - 2 k.q + ||q||^2 — one BLAS matvec instead
+    # of materialising the (n, d) difference matrix (at d = 512 the
+    # subtraction alone costs more than the whole Eq. 1 kernel).
+    d2 = key_sq - 2.0 * (keys @ query_center)
+    d2 += float(query_center @ query_center)
+    np.maximum(d2, 0.0, out=d2)
+    dists = np.sqrt(d2)
     intersecting = spheres_intersect_batch(radii, query_radius, dists)
-    pruned = n - int(np.count_nonzero(intersecting))
-    _fill_stats(stats, n, pruned)
-    if pruned or not from_mask_pass:
-        # Boolean indexing copies, so the table outlives any store
-        # mutation. A mask pass's block is gathered copies already:
-        # with nothing pruned the table takes them as they are.
-        radii, dists, items, peer_ids = (
-            column[intersecting] for column in (radii, dists, items, peer_ids)
-        )
+    _fill_stats(stats, n, n - int(np.count_nonzero(intersecting)))
+    # Boolean indexing copies, so the table outlives any store mutation.
+    radii, dists, items, peer_ids = (
+        column[intersecting] for column in (radii, dists, items, peer_ids)
+    )
     return LevelScoreTable(None, rows=(
-        peer_ids, radii, dists, items, float(query_radius), d,
+        peer_ids, np.arange(peer_ids.size), dists, (radii, items, None),
+        float(query_radius), d,
     ))
 
 
@@ -326,6 +344,14 @@ def _semi_join(tables: list) -> list:
     ]
 
 
+def check_policy(policy: str) -> None:
+    """Raise unless :func:`aggregate_scores` knows ``policy``."""
+    if policy not in ("min", "sum", "product"):
+        raise ValidationError(
+            f"unknown aggregation policy {policy!r}; use min, sum or product"
+        )
+
+
 def aggregate_scores(
     per_level: dict, *, policy: str = "min"
 ) -> dict[int, float]:
@@ -341,12 +367,9 @@ def aggregate_scores(
         ``"sum"`` or ``"product"`` (ablations; both also require presence
         at every level to stay comparable with ``min``'s pruning).
     """
+    check_policy(policy)
     if not per_level:
         return {}
-    if policy not in ("min", "sum", "product"):
-        raise ValidationError(
-            f"unknown aggregation policy {policy!r}; use min, sum or product"
-        )
     # Join first, score second: only peers present at every level can
     # come out, so only their rows go through the Eq. 1 kernel.
     tables = _semi_join(list(map(LevelScoreTable.of, per_level.values())))

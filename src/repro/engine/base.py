@@ -15,9 +15,13 @@ per shard key (the level index), and :meth:`Engine.masks` /
 returning after the epoch barrier. Either engine hands the harness's
 fabric the serial discrete-event scheduler.
 
-``gather_block`` / ``store_mask`` are the *single-sourced* kernels both
-the inline (serial) path and the worker processes run, so parity between
-engines is by construction, not by test luck.
+Both engines run the *same* per-level kernel — one
+:meth:`repro.index.CellDirectory.hits` scan handed to
+:func:`repro.core.scoring.level_scores` — the serial one through
+:meth:`repro.index.LevelStore.hits`, the workers over their own
+directory of the shared columns, so parity between engines is by
+construction, not by test luck. ``store_mask`` / ``gather_block`` are
+the mask-and-gather steps outside that kernel (mask tasks, oracles).
 """
 
 from __future__ import annotations
@@ -75,19 +79,14 @@ class EngineConfig:
             )
 
 
-def store_mask(
-    store, center: np.ndarray, radius: float, *, dists=None
-) -> np.ndarray:
-    """Per-row intersection mask — the per-level shard task, inline;
-    ``dists`` (``store.n_rows`` float64 slots) receives centre distances,
-    valid where the mask is True."""
-    return store.intersection_mask(center, radius, dists=dists)
+def store_mask(store, center: np.ndarray, radius: float) -> np.ndarray:
+    """Per-row intersection mask — the per-level mask task, inline."""
+    return store.intersection_mask(center, radius)
 
 
-def gather_block(store, mask: np.ndarray, *, dists=None):
-    """Gather the rows surviving ``mask`` into a scoring ColumnBlock
-    (of the mask pass's ``dists`` instead of keys, when given)."""
-    return store.column_block(np.nonzero(mask)[0], dists=dists)
+def gather_block(store, mask: np.ndarray):
+    """Gather the rows surviving ``mask`` into a scoring ColumnBlock."""
+    return store.column_block(np.nonzero(mask)[0])
 
 
 class Engine(ABC):

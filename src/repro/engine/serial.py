@@ -17,9 +17,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from repro.engine.base import Engine, EngineConfig, gather_block, store_mask
+from repro.engine.base import Engine, EngineConfig, store_mask
 from repro.exceptions import ValidationError
 
 
@@ -152,20 +150,13 @@ class SerialEngine(Engine):
         return out
 
     def score_levels(self, tasks):
-        """Mask + Eq. 1 level scores, computed inline per task.
-
-        The mask pass fills ``dists`` only where its mask is True —
-        exactly the rows :func:`gather_block` then reads.
-        """
+        """One scan + an Eq. 1 level table per task, computed inline."""
         from repro.core.scoring import level_scores
 
         out = []
         for shard_key, center, radius in tasks:
             store = self._stores[shard_key]
-            dists = np.empty(store.n_rows)
-            mask = store_mask(store, center, radius, dists=dists)
-            block = gather_block(store, mask, dists=dists)
-            out.append(level_scores(block, center, radius))
+            out.append(level_scores(store.hits(center, radius), center, radius))
             self._tasks_run += 1
         return out
 

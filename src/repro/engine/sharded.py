@@ -81,7 +81,7 @@ def _mute_shm_tracking() -> None:
 
 
 def _detach(attachment: dict) -> None:
-    attachment["directory"] = None  # identity directories are views
+    attachment["directory"] = None
     attachment["columns"].clear()
     for block in attachment["blocks"].values():
         try:
@@ -92,8 +92,8 @@ def _detach(attachment: dict) -> None:
 
 
 def _run_task(attached: dict, task: tuple):
-    """Worker side: one mask or mask+score task over a level's rows."""
-    from repro.index.store import CellDirectory, ColumnBlock
+    """Worker side: one mask or scan+score task over a level's rows."""
+    from repro.index.store import _DIRECTORY_COLUMNS, CellDirectory
 
     mode, shard_key, manifest, size, generation, center, radius = task
     if manifest is not None:
@@ -106,27 +106,16 @@ def _run_task(attached: dict, task: tuple):
     if attachment["generation"] != generation:
         attachment["directory"] = None
         attachment["generation"] = generation
-    radii = columns["_radii"][:size]
     directory = attachment["directory"]
     if directory is None:
         directory = attachment["directory"] = CellDirectory.build(
-            columns["_keys"][:size], columns["_key_sq"][:size],
-            radii, columns["_live"][:size],
+            *(columns[name][:size] for name in _DIRECTORY_COLUMNS)
         )
-    dists = np.empty(size)
-    mask, __ = directory.mask(center, radius, dists=dists)
     if mode == "mask":
-        return (generation, mask)
-    rows = np.nonzero(mask)[0]
-    block = ColumnBlock(
-        radii=radii[rows],
-        items=columns["_items"][rows],
-        peer_ids=columns["_peer_ids"][rows],
-        dists=dists[rows],
-    )
+        return (generation, directory.mask(center, radius)[0])
     # Eager arrays cross the pipe: the deferred table's row arrays are
     # more bytes than its totals, and a dict pickles slower than either.
-    table = level_scores(block, center, radius)
+    table = level_scores(directory.hits(center, radius), center, radius)
     return (generation, (table.peers, table.totals()))
 
 

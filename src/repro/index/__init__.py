@@ -11,6 +11,7 @@ from repro.index.store import (
     CandidateSet,
     CellDirectory,
     ColumnBlock,
+    Hits,
     LevelStore,
     NodeMembership,
 )
@@ -19,6 +20,7 @@ __all__ = [
     "CandidateSet",
     "CellDirectory",
     "ColumnBlock",
+    "Hits",
     "LevelStore",
     "NodeMembership",
 ]

@@ -31,6 +31,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from repro.geometry.batch import spheres_intersect_batch
 _INITIAL_CAPACITY = 64
 
 #: Width of the exact re-resolution band around sphere boundaries (see
-#: :meth:`CellDirectory.mask`); module-level so the mask kernel, the
+#: :meth:`CellDirectory.hits`); module-level so the scan kernel, the
 #: serve tier's stacked :meth:`LevelStore.intersection_masks` and the
 #: peer-side prefilter (:meth:`repro.core.peer.HyperMPeer.range_search`)
 #: share it.
@@ -61,29 +62,26 @@ _DIRECTORY_MIN_ROWS = 4096
 #: Rows per :class:`CellDirectory` grid cell the cell count aims for.
 _DIRECTORY_CELL_ROWS = 16
 
+#: The store columns a :class:`CellDirectory` keeps, in its argument order.
+_DIRECTORY_COLUMNS = ("_keys", "_key_sq", "_radii", "_live", "_items",
+                      "_peer_ids")
+
 
 @dataclass(frozen=True)
 class ColumnBlock:
-    """A raw scoring block: ``radii``, ``items``, ``peer_ids``, then
-    either ``keys`` + ``key_sq`` or the centre distances ``dists``.
+    """A raw scoring block: ``radii``, ``items``, ``peer_ids``, ``keys``
+    and ``key_sq`` of some gathered rows.
 
-    The process-boundary twin of :meth:`CandidateSet.columns`: engine
-    workers gather these arrays straight out of the shared-memory
-    columns and hand them to :func:`repro.core.scoring.level_scores`,
-    which scores them exactly as it scores a candidate set — same
-    arrays, same kernel. A block gathered right after a mask pass
-    carries that pass's centre distances as ``dists`` instead of the key
-    matrix (``keys`` and ``key_sq`` are then ``None``), so scoring
-    repeats neither the gather nor the matvec; its arrays are gathered
-    copies the scorer may keep.
+    The free-standing twin of :meth:`CandidateSet.columns`:
+    :func:`repro.core.scoring.level_scores` scores it exactly as it
+    scores a candidate set — same arrays, same kernel.
     """
 
     radii: np.ndarray
     items: np.ndarray
     peer_ids: np.ndarray
-    keys: np.ndarray | None = None
-    key_sq: np.ndarray | None = None
-    dists: np.ndarray | None = None
+    keys: np.ndarray
+    key_sq: np.ndarray
 
     def __len__(self) -> int:
         return int(self.radii.shape[0])
@@ -93,50 +91,69 @@ class ColumnBlock:
         return self.keys, self.radii, self.items, self.peer_ids, self.key_sq
 
 
+class Hits(NamedTuple):
+    """One query's scan of a :class:`CellDirectory`, in scan order.
+
+    ``positions`` index the directory's read-only columns, ``dists`` are
+    those rows' centre distances (one per hit) and ``scanned`` counts the
+    rows the scan looked at.
+    """
+
+    directory: "CellDirectory"
+    positions: np.ndarray
+    dists: np.ndarray
+    scanned: int
+
+
 class CellDirectory:
-    """Mask columns in grid-cell order, so a query scans only nearby rows.
+    """Scan columns in grid-cell order, so a query scans only nearby rows.
 
     Paper §4 needs only the stored spheres whose centre lies within
     ``r + ρ`` of the query key. The directory buckets the rows of one
-    consistent set of ``keys / key_sq / radii / live`` columns on a
-    uniform power-of-two grid over the unit key cube (cells per axis
-    dealt round-robin from axis 0, about :data:`_DIRECTORY_CELL_ROWS`
-    rows a cell; keys outside the cube land in the face cells), keeps
-    cell-ordered copies of the columns, the permutation ``rows`` back to
-    the caller's row order and a CSR ``offsets`` table over the
-    row-major cell codes. :meth:`mask` then runs the one mask kernel
-    over the cells meeting the query ball's bounding box.
+    consistent set of ``keys / key_sq / radii / live / items /
+    peer_ids`` columns on a uniform power-of-two grid over the unit key
+    cube (cells per axis dealt round-robin from axis 0, about
+    :data:`_DIRECTORY_CELL_ROWS` rows a cell; keys outside the cube land
+    in the face cells), keeps cell-ordered copies of the columns, the
+    permutation ``rows`` back to the caller's row order and a CSR
+    ``offsets`` table over the row-major cell codes. :meth:`hits` then
+    runs the one scan kernel over the cells meeting the query ball's
+    bounding box.
 
     Constructed directly it is the one-cell *identity* directory over
     the given arrays — no copies, ``rows`` is ``None``, every query
-    scans every row; :meth:`build` grids columns of
-    :data:`_DIRECTORY_MIN_ROWS` rows or more. Either way it is a
-    snapshot: the owner rebuilds it when the columns change.
+    scans every row; :meth:`build` copies the columns and grids them
+    from :data:`_DIRECTORY_MIN_ROWS` rows up. Either way it is a
+    snapshot the owner rebuilds when the columns change, never patches:
+    every array it holds is a read-only view, so what a :class:`Hits`
+    points into cannot move under it.
     """
 
-    __slots__ = ("keys", "key_sq", "radii", "live", "rows", "shape",
-                 "offsets", "reach")
+    __slots__ = ("keys", "key_sq", "radii", "live", "items", "peer_ids",
+                 "rows", "shape", "offsets", "reach")
 
     def __init__(self, keys: np.ndarray, key_sq: np.ndarray,
-                 radii: np.ndarray, live: np.ndarray):
-        self.keys = keys
-        self.key_sq = key_sq
-        self.radii = radii
-        self.live = live
+                 radii: np.ndarray, live: np.ndarray, items: np.ndarray,
+                 peer_ids: np.ndarray):
+        (self.keys, self.key_sq, self.radii, self.live, self.items,
+         self.peer_ids) = map(_frozen, (keys, key_sq, radii, live, items,
+                                        peer_ids))
         self.rows: np.ndarray | None = None
         #: Cells per gridded axis (the leading ``len(shape)`` axes).
         self.shape: tuple[int, ...] = ()
-        self.offsets = np.array([0, keys.shape[0]], dtype=np.int64)
+        self.offsets = _frozen(np.array([0, keys.shape[0]], dtype=np.int64))
         #: How far past the query radius a stored centre can still hit.
         self.reach = 0.0
 
     @classmethod
-    def build(cls, keys: np.ndarray, key_sq: np.ndarray,
-              radii: np.ndarray, live: np.ndarray) -> "CellDirectory":
-        """Grid the columns; under the row floor, the identity directory."""
+    def build(cls, keys: np.ndarray, key_sq: np.ndarray, radii: np.ndarray,
+              live: np.ndarray, items: np.ndarray,
+              peer_ids: np.ndarray) -> "CellDirectory":
+        """Copies of the columns; gridded from the row floor up."""
+        columns = (keys, key_sq, radii, live, items, peer_ids)
         n, d = keys.shape
         if n < _DIRECTORY_MIN_ROWS:
-            return cls(keys, key_sq, radii, live)
+            return cls(*(np.array(column) for column in columns))
         bits = (n // _DIRECTORY_CELL_ROWS).bit_length() - 1
         base, extra = divmod(bits, d)
         shape = tuple(
@@ -148,14 +165,12 @@ class CellDirectory:
             codes = codes * shape[axis] + cells[:, axis]
         # Stable, so a cell's rows stay in ascending row order.
         order = np.argsort(codes, kind="stable")
-        directory = cls(keys[order], key_sq[order], radii[order], live[order])
-        directory.rows = order
+        directory = cls(*(column[order] for column in columns))
+        directory.rows = _frozen(order)
         directory.shape = shape
-        directory.offsets = np.zeros(2 ** bits + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(codes, minlength=2 ** bits),
-            out=directory.offsets[1:],
-        )
+        offsets = np.zeros(2 ** bits + 1, dtype=np.int64)
+        np.cumsum(np.bincount(codes, minlength=2 ** bits), out=offsets[1:])
+        directory.offsets = _frozen(offsets)
         directory.reach = _BOUNDARY_BAND + float(
             radii.max(where=live, initial=0.0)
         )
@@ -207,34 +222,24 @@ class CellDirectory:
             stops[-1]
         )
 
-    def mask(
-        self, center: np.ndarray, radius: float, *,
-        dists: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, int]:
-        """Per-row intersection mask for one query, and the rows scanned.
+    def _scan(self, center: np.ndarray, radius: float):
+        """The one scan kernel: ``(sel, hit, dist)`` over the rows ``sel``
+        in cells meeting the query ball's box.
 
-        The one mask kernel — the level store, the shard workers and
-        the gathered-rows filter all land here. One BLAS pass
-        ``k·k − 2k·c + c·c`` over the selected rows; distances within
-        :data:`_BOUNDARY_BAND` of a sphere boundary are recomputed
+        The level store, the shard workers and the gathered-rows filter
+        all land here, through :meth:`hits` or :meth:`mask`. One BLAS
+        pass ``k·k − 2k·c + c·c`` over the selected rows; distances
+        within :data:`_BOUNDARY_BAND` of a sphere boundary are recomputed
         exactly, because the expansion loses ~sqrt(eps·d) absolute
         accuracy to cancellation (an exact-match point lookup gives
         ~1e-8 instead of 0), far coarser than the 1e-12
-        ``INTERSECTION_SLACK``; so the mask matches the scalar
-        ``StoredEntry.intersects`` oracle. The mask is in the
-        caller's row order, tombstones False. ``dists``, when given, is
-        a float64 array of one slot per row; it receives the centre
-        distance of every scanned row, so it is valid wherever the mask
-        is True and untouched elsewhere.
+        ``INTERSECTION_SLACK``; so ``hit`` matches the scalar
+        ``StoredEntry.intersects`` oracle. Tombstones never hit.
         """
         center = np.asarray(center, dtype=np.float64)
         radius = float(radius)
-        out = np.zeros(self.live.shape[0], dtype=bool)
         sel = self._meeting(center, radius)
         keys = _pick(self.keys, sel)
-        scanned = keys.shape[0]
-        if scanned == 0:
-            return out, 0
         radii = _pick(self.radii, sel)
         # One column: a product per row is the gemv's value (at most a
         # zero's sign apart, which the subtraction drops).
@@ -249,11 +254,31 @@ class CellDirectory:
             dist[near] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         hit = spheres_intersect_batch(radii, radius, dist)
         hit &= _pick(self.live, sel)
-        target = sel if self.rows is None else _pick(self.rows, sel)
-        out[target] = hit
-        if dists is not None:
-            dists[target] = dist
-        return out, scanned
+        return sel, hit, dist
+
+    def hits(self, center: np.ndarray, radius: float) -> Hits:
+        """The rows whose spheres meet the query ball, in scan order."""
+        sel, hit, dist = self._scan(center, radius)
+        found = np.flatnonzero(hit)
+        positions = (
+            found + sel.start if isinstance(sel, slice) else sel.take(found)
+        )
+        return Hits(self, positions, dist[found], hit.size)
+
+    def mask(self, center: np.ndarray, radius: float) -> tuple[np.ndarray, int]:
+        """The dense form of :meth:`hits`: ``(bool per caller row, rows
+        scanned)``."""
+        sel, hit, __ = self._scan(center, radius)
+        out = np.zeros(self.live.shape[0], dtype=bool)
+        out[sel if self.rows is None else _pick(self.rows, sel)] = hit
+        return out, hit.size
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """A read-only view of ``column`` (the caller's array stays writable)."""
+    view = column.view()
+    view.flags.writeable = False
+    return view
 
 
 def _pick(column: np.ndarray, sel) -> np.ndarray:
@@ -868,25 +893,15 @@ class LevelStore:
         self.generation += 1
         return rows
 
-    def column_block(
-        self, rows: np.ndarray, *, dists: np.ndarray | None = None
-    ) -> ColumnBlock:
-        """Gather a scoring :class:`ColumnBlock` for the given rows.
-
-        ``dists`` is the ``n_rows``-slot distance array an
-        :meth:`intersection_mask` pass filled for the same query (valid
-        where its mask is True, which is where ``rows`` must come
-        from); the block then carries ``dists[rows]`` and skips the key
-        gather.
-        """
+    def column_block(self, rows: np.ndarray) -> ColumnBlock:
+        """Gather a scoring :class:`ColumnBlock` for the given rows."""
         rows = np.asarray(rows, dtype=np.int64)
         return ColumnBlock(
             radii=self._radii[rows],
             items=self._items[rows],
             peer_ids=self._peer_ids[rows],
-            keys=self._keys[rows] if dists is None else None,
-            key_sq=self._key_sq[rows] if dists is None else None,
-            dists=None if dists is None else dists[rows],
+            keys=self._keys[rows],
+            key_sq=self._key_sq[rows],
         )
 
     def assign_rows(self, memberships, rows, starts) -> int:
@@ -1168,7 +1183,7 @@ class LevelStore:
     ) -> np.ndarray:
         """Subset of ``rows`` whose spheres intersect the query sphere.
 
-        :meth:`CellDirectory.mask` over the gathered rows — the
+        :meth:`CellDirectory.hits` over the gathered rows — the
         vectorized replacement for the per-entry ``intersects`` loop,
         and the same kernel as :meth:`intersection_mask`, so the two
         filters always agree.
@@ -1177,53 +1192,59 @@ class LevelStore:
         if rows.size == 0:
             return rows
         gathered = CellDirectory(
-            self._keys[rows], self._key_sq[rows], self._radii[rows],
-            self._live[rows],
+            *(getattr(self, name)[rows] for name in _DIRECTORY_COLUMNS)
         )
-        return rows[gathered.mask(center, radius)[0]]
+        return rows[gathered.hits(center, radius).positions]
 
     def _cell_directory(self) -> CellDirectory:
         """The directory over the current columns, built once per generation.
 
-        Whole and lazy: the first mask after any mutation pays one
-        rebuild. Under :data:`_DIRECTORY_MIN_ROWS` there is nothing to
-        build or keep — the identity directory is views of the columns.
+        Whole and lazy: the first scan after any mutation pays one
+        rebuild (:attr:`directory_builds` counts the gridded ones; under
+        :data:`_DIRECTORY_MIN_ROWS` it is the one-cell directory over
+        copies of the columns).
         """
         if self._directory_generation != self.generation:
             size = self._size
-            directory = CellDirectory.build(
-                self._keys[:size], self._key_sq[:size], self._radii[:size],
-                self._live[:size],
+            self._directory = CellDirectory.build(
+                *(getattr(self, name)[:size] for name in _DIRECTORY_COLUMNS)
             )
-            if directory.rows is None:
-                self._directory = None
-                return directory
-            self._directory = directory
             self._directory_generation = self.generation
-            self.directory_builds += 1
+            if self._directory.rows is not None:
+                self.directory_builds += 1
         return self._directory
 
-    def intersection_mask(
-        self, center: np.ndarray, radius: float, *,
-        dists: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Per-row intersection mask (``n_rows`` booleans) for one query.
-
-        Computed once per range query, so every visited node reduces to
-        a boolean gather of its membership rows. The store's
-        :class:`CellDirectory` confines the pass to the grid cells the
-        query ball can reach; rows elsewhere (and tombstones) are False
-        without being looked at. ``dists`` (``n_rows`` float64 slots)
-        receives centre distances and is valid where the mask is True.
-        """
+    def _query_center(self, center) -> np.ndarray:
         center = np.asarray(center, dtype=np.float64)
         if center.shape != (self._dim,):
             raise ValidationError(
                 f"center shape {center.shape} does not match store "
                 f"dimensionality {self._dim}"
             )
+        return center
+
+    def hits(self, center: np.ndarray, radius: float) -> Hits:
+        """One query's :class:`Hits` over the current directory.
+
+        The store's :class:`CellDirectory` confines the scan to the grid
+        cells the query ball can reach; rows elsewhere (and tombstones)
+        are never hits. The hits point into the directory's read-only
+        copies, so later store writes cannot reach them.
+        """
+        hits = self._cell_directory().hits(self._query_center(center), radius)
+        self.mask_queries += 1
+        self.rows_scanned += hits.scanned
+        return hits
+
+    def intersection_mask(self, center: np.ndarray, radius: float) -> np.ndarray:
+        """Per-row intersection mask (``n_rows`` booleans) for one query.
+
+        The dense form of :meth:`hits`, computed once per range query so
+        every visited node reduces to a boolean gather of its membership
+        rows.
+        """
         mask, scanned = self._cell_directory().mask(
-            center, radius, dists=dists
+            self._query_center(center), radius
         )
         self.mask_queries += 1
         self.rows_scanned += scanned
@@ -1243,6 +1264,8 @@ class LevelStore:
         with the exact difference norm, so every row of the result is
         bit-identical to the corresponding :meth:`intersection_mask` —
         batched serving inherits the scalar path's Theorem 4.1 guarantee.
+        It scans every row for every query, and counts so in
+        :meth:`health`.
         """
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
         radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
@@ -1256,6 +1279,8 @@ class LevelStore:
                 f"store dimensionality {self._dim}"
             )
         size = self._size
+        self.mask_queries += centers.shape[0]
+        self.rows_scanned += centers.shape[0] * size
         if size == 0:
             return np.empty((centers.shape[0], 0), dtype=bool)
         keys = self._keys[:size]

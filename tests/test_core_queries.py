@@ -108,6 +108,24 @@ class TestRangeQueries:
             query, 0.12, max_peers=2
         ).peers_contacted
 
+    @pytest.mark.parametrize("policy", ["bogus", "MIN", "max"])
+    def test_bad_aggregation_rejected_before_any_message(
+        self, tiny_histogram_workload, policy
+    ):
+        """An unknown policy used to be refused by ``aggregate_scores``,
+        after the index walk had charged its frames (9 on this network)."""
+        wl = tiny_histogram_workload
+        query = wl.ground_truth.data[0]
+        metrics = wl.network.fabric.metrics
+        before = metrics.total_messages
+        with pytest.raises(ValidationError, match="aggregation"):
+            wl.network.range_query(query, 0.1, aggregation=policy)
+        with pytest.raises(ValidationError, match="aggregation"):
+            wl.network.knn_query(query, 5, aggregation=policy)
+        with pytest.raises(ValidationError, match="aggregation"):
+            wl.network.knn_query(query, 5, aggregation=policy, exact=True)
+        assert metrics.total_messages == before
+
     def test_aggregation_override(self, tiny_histogram_workload):
         wl = tiny_histogram_workload
         query = wl.ground_truth.data[0]

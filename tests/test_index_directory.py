@@ -1,4 +1,4 @@
-"""The cell directory inside ``LevelStore.intersection_mask``.
+"""The cell directory inside ``LevelStore.hits`` / ``intersection_mask``.
 
 The directory may only change *which rows are looked at*, never an
 answer: every mask must equal the one-slab full scan (the identity
@@ -39,25 +39,38 @@ def _full_scan(store: LevelStore) -> CellDirectory:
     """The one-slab scan over the store's physical columns."""
     n = store.n_rows
     return CellDirectory(
-        store._keys[:n], store._key_sq[:n], store._radii[:n], store._live[:n]
+        *(getattr(store, name)[:n] for name in store_module._DIRECTORY_COLUMNS)
     )
+
+
+def _by_row(hits) -> tuple[np.ndarray, np.ndarray]:
+    """A scan's hit rows, ascending, and their distances."""
+    rows = hits.positions
+    if hits.directory.rows is not None:
+        rows = hits.directory.rows[rows]
+    order = np.argsort(rows)
+    return rows[order], hits.dists[order]
 
 
 def _assert_same_answer(store: LevelStore, center, radius) -> np.ndarray:
     n, d = store.n_rows, store.dimensionality
-    got_d, want_d = np.full(n, np.nan), np.full(n, np.nan)
-    got = store.intersection_mask(center, radius, dists=got_d)
-    want, scanned = _full_scan(store).mask(center, radius, dists=want_d)
+    got = store.intersection_mask(center, radius)
+    want, scanned = _full_scan(store).mask(center, radius)
     assert scanned == n
     assert got.dtype == bool and got.shape == (n,)
     np.testing.assert_array_equal(got, want)
+    hits = store.hits(center, radius)
+    full = _full_scan(store).hits(center, radius)
+    (rows, got_d), (want_rows, want_d) = _by_row(hits), _by_row(full)
+    np.testing.assert_array_equal(rows, np.flatnonzero(got))
+    np.testing.assert_array_equal(want_rows, np.flatnonzero(want))
     if d == 1:
-        np.testing.assert_array_equal(got_d[got], want_d[want])
+        np.testing.assert_array_equal(got_d, want_d)
     else:
         center = np.asarray(center, dtype=np.float64)
-        scale = 1.0 + store._key_sq[:n][got] + float(center @ center)
+        scale = 1.0 + store._key_sq[rows] + float(center @ center)
         assert np.all(
-            np.abs(got_d[got] ** 2 - want_d[want] ** 2) <= 1e-13 * d * scale
+            np.abs(got_d ** 2 - want_d ** 2) <= 1e-13 * d * scale
         )
     return got
 
@@ -134,11 +147,10 @@ class TestDirectoryMatchesFullScan:
     def test_grazers_land_inside_the_band(self, rng):
         """The ±1e-7 grazers really exercise the re-resolution path."""
         store = _awkward_store(rng, FLOOR, 3)
-        center, radius = list(_awkward_queries(rng, store))[-1]
-        dists = np.empty(store.n_rows)
-        store.intersection_mask(center, radius, dists=dists)
-        boundary = store._radii[: store.n_rows] + radius
-        assert np.any(np.abs(dists - boundary) <= BAND)
+        center, radius = list(_awkward_queries(rng, store))[-2]  # inside
+        hits = store.hits(center, radius)
+        boundary = hits.directory.radii[hits.positions] + radius
+        assert np.any(np.abs(hits.dists - boundary) <= BAND)
 
     def test_nan_centre_matches_nothing(self, rng):
         store = _awkward_store(rng, FLOOR, 2)
@@ -301,15 +313,13 @@ class TestHarnessShapeCountGate:
             )
             # Bit-identical to scoring the full scans (what the parent
             # of this change computed): d <= 2, many rows per pass.
-            full = {}
-            for (index, center, radius), level in zip(tasks, levels):
-                store = stores[index]
-                dists = np.empty(store.n_rows)
-                mask, __ = _full_scan(store).mask(center, radius, dists=dists)
-                full[level] = scoring.level_scores(
-                    store.column_block(np.nonzero(mask)[0], dists=dists),
+            full = {
+                level: scoring.level_scores(
+                    _full_scan(stores[index]).hits(center, radius),
                     center, radius,
                 )
+                for (index, center, radius), level in zip(tasks, levels)
+            }
             assert answer == scoring.aggregate_scores(full)
             assert answer
         for store in stores:

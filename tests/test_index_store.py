@@ -658,7 +658,7 @@ class TestParityProperties:
 
 class TestOneColumnKeys:
     """At d = 1 the mask kernel multiplies where it used to call ``gemv``
-    (:meth:`repro.index.CellDirectory.mask`): one product per row and
+    (:meth:`repro.index.CellDirectory.hits`): one product per row and
     nothing accumulated. Only the sign of a zero product can differ
     (``gemv`` adds it to +0.0), and ``key_sq - 2 * dots`` drops that
     sign — the squared distances are the same bits."""
@@ -694,15 +694,16 @@ class TestOneColumnKeys:
         store = LevelStore(1)
         _populate(store, int(rng.integers(1, 80)), 1, rng)
         center, eps = rng.random(1), float(rng.uniform(0.0, 0.5))
-        dists = np.full(store.n_rows, np.nan)
-        mask = store.intersection_mask(center, eps, dists=dists)
+        hits = store.hits(center, eps)  # under the floor: positions are rows
+        mask = store.intersection_mask(center, eps)
+        np.testing.assert_array_equal(hits.positions, np.flatnonzero(mask))
         keys, radii = store._keys[: store.n_rows], store._radii[: store.n_rows]
         d2 = store._key_sq[: store.n_rows] - 2.0 * (keys @ center)
         d2 += float(center @ center)
         expected = np.sqrt(np.maximum(d2, 0.0))
         near = np.abs(expected - (radii + eps)) <= 1e-5
         expected[near] = np.abs(keys[near, 0] - center[0])
-        assert dists.tobytes() == expected.tobytes()
+        assert hits.dists.tobytes() == expected[hits.positions].tobytes()
         assert mask.tolist() == [
             StoredEntry(key=k, radius=float(r), value=None).intersects(
                 center, eps

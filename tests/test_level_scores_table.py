@@ -21,7 +21,8 @@ from repro.core.scoring import (
     level_scores,
     level_scores_scalar,
 )
-from repro.exceptions import StaleCandidateError
+from repro.engine import SerialEngine
+from repro.exceptions import StaleCandidateError, ValidationError
 from repro.geometry.batch import spheres_intersect_batch
 from repro.index import ColumnBlock, LevelStore
 from tests.rows import scalar_entries
@@ -93,6 +94,12 @@ class TestAggregationParity:
             assert aggregate_scores(tables) == {}
         if n_levels == 1:
             assert set(aggregate_scores(tables)) == set(tables[0])
+
+    def test_unknown_policy_is_refused_with_no_levels_too(self):
+        """A query whose every level was lost used to accept any policy."""
+        for per_level in ({}, {0: {1: 2.0}}):
+            with pytest.raises(ValidationError, match="aggregation policy"):
+                aggregate_scores(per_level, policy="bogus")
 
     def test_eager_table_over_a_plain_mapping(self):
         table = LevelScoreTable.of({9: 2.0, 3: 5.0})
@@ -189,10 +196,9 @@ def _placed_rows(rng, eps: float, d: int, n: int):
     dists[lens] = low + rng.uniform(0.01, 0.99, lens.sum()) * (
         radii[lens] + eps - low
     )
-    return (
-        rng.integers(0, 7, n).astype(np.int64), radii, dists,
-        rng.integers(1, 50, n).astype(np.float64), eps, d,
-    )
+    peer_ids = rng.integers(0, 7, n).astype(np.int64)
+    items = rng.integers(1, 50, n).astype(np.float64)
+    return peer_ids, np.arange(n), dists, (radii, items, None), eps, d
 
 
 class TestStackedEvaluation:
@@ -245,7 +251,7 @@ class TestStackedEvaluation:
         stacked = [LevelScoreTable(None, rows=r) for r in rows]
         scoring.evaluate_tables(stacked)
         fractions = scoring.intersection_fraction_batch(
-            rows[1][1], 0.3, rows[1][2], 4
+            rows[1][3][0], 0.3, rows[1][2], 4
         )
         # The corpus reaches the floor, the clamp-free interior and 1.0.
         assert (fractions == 0.0).any() and (fractions == 1.0).any()
@@ -278,46 +284,151 @@ class TestSnapshotSemantics:
         with pytest.raises(StaleCandidateError):
             level_scores(candidates, center, 0.7)
 
-    def test_mask_pass_block_is_taken_as_is_and_stays_a_snapshot(self):
-        """A block gathered from a mask pass is copies already: with
-        nothing pruned the table keeps them (no second set of copies),
-        the accounting is unchanged, and store writes still cannot
-        reach it."""
+    def test_hits_are_taken_as_is_and_stay_a_snapshot(self):
+        """A store scan's hits are filtered already: the table takes
+        their positions and distances as they are, prunes nothing, reads
+        radii and items from the directory's read-only copies, and store
+        writes cannot reach it."""
         rng = np.random.default_rng(15)
         store, __, center = _level(rng, 60, 3, np.arange(8))
-        dists = np.empty(store.n_rows)
-        mask = store.intersection_mask(center, 0.4, dists=dists)
-        assert 0 < mask.sum() < store.n_rows
-        block = store.column_block(np.nonzero(mask)[0], dists=dists)
+        hits = store.hits(center, 0.4)
+        n = hits.positions.size
+        assert 0 < n < store.n_rows
         stats: dict = {}
-        table = level_scores(block, center, 0.4, stats=stats)
-        assert stats == {
-            "candidates": len(block), "pruned": 0, "surviving": len(block),
-        }
-        __, radii, table_dists, items, *___ = table._rows
-        assert radii is block.radii
-        assert table_dists is block.dists
-        assert items is block.items
+        table = level_scores(hits, center, 0.4, stats=stats)
+        assert stats == {"candidates": n, "pruned": 0, "surviving": n}
+        __, positions, dists, (radii, items, row_ids), *___ = table._rows
+        assert positions is hits.positions and dists is hits.dists
+        assert radii is hits.directory.radii and items is hits.directory.items
+        assert row_ids is None  # under the floor: scan order is row order
         assert not np.shares_memory(radii, store._radii)
-        expected = table.totals().copy()
+        expected = level_scores(hits, center, 0.4).totals().copy()
         store.update_entry(
-            store.entry_id_of(int(np.nonzero(mask)[0][0])), radius=0.9
+            store.entry_id_of(int(hits.positions[0])), radius=0.9,
+            value=_record(3, 999),
         )
-        np.testing.assert_array_equal(
-            level_scores(block, center, 0.4).totals(), expected
-        )
+        store.remove_entry(store.entry_id_of(int(hits.positions[1])))
+        np.testing.assert_array_equal(table.totals(), expected)
 
     def test_block_with_pruned_rows_is_still_copied(self):
         rng = np.random.default_rng(16)
         store, __, center = _level(rng, 60, 3, np.arange(8))
-        dists = np.empty(store.n_rows)
-        store.intersection_mask(center, 3.0, dists=dists)  # every row
-        block = store.column_block(np.arange(store.n_rows), dists=dists)
+        block = store.column_block(np.arange(store.n_rows))
         stats: dict = {}
         table = level_scores(block, center, 0.2, stats=stats)
         assert stats["pruned"] > 0
-        assert table._rows[1].shape[0] == stats["surviving"]
-        assert table._rows[1] is not block.radii
+        __, positions, ___, (radii, items, row_ids), *____ = table._rows
+        assert radii.shape[0] == positions.size == stats["surviving"]
+        assert row_ids is None
+        assert not np.shares_memory(radii, block.radii)
+        assert not np.shares_memory(items, block.items)
+
+
+class TestHitsTables:
+    """Engine tables built from scan hits over gridded stores with six
+    spheres a peer a level (the harness has two, where the order a
+    peer's terms are added in cannot show). Keys, radii and centres are
+    dyadic, so every distance either path computes is exact and the
+    paths can differ only in that order."""
+
+    RADII = (0.0625, 0.09375, 0.125)
+    N_PEERS, PER_PEER = 700, 6
+
+    def _stores(self, rng) -> list:
+        n = self.N_PEERS * self.PER_PEER
+        stores = []
+        for d in (1, 2, 3):
+            store = LevelStore(d)
+            store.bulk_add(
+                rng.integers(0, 256, (n, d)) / 256.0,
+                rng.integers(32, 160, n) / 1024.0,
+                peer_ids=rng.permutation(
+                    np.repeat(np.arange(self.N_PEERS), self.PER_PEER)
+                ),
+                items=rng.integers(1, 50, n).astype(np.float64),
+            )
+            stores.append(store)
+        return stores
+
+    def _engine(self, stores) -> SerialEngine:
+        engine = SerialEngine()
+        for index, store in enumerate(stores):
+            engine.register_store(index, store)
+        return engine
+
+    def _tasks(self, rng, stores) -> list:
+        return [
+            (index, rng.integers(0, 512, store.dimensionality) / 512.0, radius)
+            for index, (store, radius) in enumerate(zip(stores, self.RADII))
+        ]
+
+    def test_engine_tables_equal_the_candidate_path(self):
+        rng = np.random.default_rng(41)
+        stores = self._stores(rng)
+        engine = self._engine(stores)
+        for __ in range(8):
+            tasks = self._tasks(rng, stores)
+            tables = engine.score_levels(tasks)
+            assert all(table._rows[3][2] is not None for table in tables)
+            # Some peer adds three or more terms at a level.
+            assert max(
+                np.unique(table._rows[0], return_counts=True)[1].max()
+                for table in tables
+            ) >= 3
+            candidates = {}
+            for index, center, radius in tasks:
+                store = stores[index]
+                rows = np.flatnonzero(store.intersection_mask(center, radius))
+                candidates[index] = level_scores(
+                    store.candidate_set(rows), center, radius
+                )
+            for policy in POLICIES:
+                got = aggregate_scores(dict(enumerate(tables)), policy=policy)
+                assert got and got == aggregate_scores(candidates, policy=policy)
+            # ``min`` can hide a level's last bits: compare every peer.
+            for index, table in enumerate(tables):
+                assert dict(table) == dict(candidates[index])
+        assert [store.directory_builds for store in stores] == [1, 1, 1]
+
+    def test_store_writes_after_scoring_do_not_reach_the_tables(self):
+        rng = np.random.default_rng(42)
+        stores = self._stores(rng)
+        engine = self._engine(stores)
+        tasks = self._tasks(rng, stores)
+        tables = engine.score_levels(tasks)
+        expected = aggregate_scores(dict(enumerate(engine.score_levels(tasks))))
+        totals = [table.totals().copy() for table in engine.score_levels(tasks)]
+        assert expected
+        for store in stores:
+            d = store.dimensionality
+            for row in range(0, 600, 7):
+                store.update_entry(
+                    store.entry_id_of(row), key=np.full(d, 0.5), radius=0.3,
+                    value=_record(int(row), 999),
+                )
+            for row in range(1, store.n_rows, 3):
+                store.remove_entry(store.entry_id_of(row))
+            assert store.maybe_compact()
+        assert aggregate_scores(dict(enumerate(tables))) == expected
+        for table, before in zip(tables, totals):
+            assert table.totals().tobytes() == before.tobytes()
+
+    def test_directory_arrays_are_read_only(self):
+        rng = np.random.default_rng(43)
+        small = LevelStore(2)
+        small.bulk_add(rng.random((40, 2)), 0.1, peer_ids=0, items=1.0)
+        for store in (self._stores(rng)[1], small):
+            directory = store.hits(np.full(2, 0.5), 0.2).directory
+            names = ["keys", "key_sq", "radii", "live", "items", "peer_ids",
+                     "offsets"]
+            if directory.rows is not None:
+                names.append("rows")
+            for name in names:
+                column = getattr(directory, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[0]
+            assert not np.shares_memory(directory.radii, store._radii)
+            assert store._radii.flags.writeable
 
 
 def _peer_universe(kind: str, n: int, rng) -> np.ndarray:

@@ -271,6 +271,26 @@ class TestKernelCallsPerBatch:
             network, requests, served
         )
 
+    def test_stacked_scans_count_in_store_health(self, workload, queries):
+        """A batch's stacked look-up scans every row once per missed
+        look-up, and ``health()`` says so (it used to read 0 and 0)."""
+        network = workload.network
+        engine = ServeEngine(network, ServeConfig(mine_queries=False))
+        stores = [network.overlays[level].level_store
+                  for level in network.levels]
+        before = [store.health() for store in stores]
+        engine.execute_batch([
+            RangeRequest(query=q, epsilon=0.3, max_peers=3)
+            for q in queries[:4]
+        ])
+        for store, health in zip(stores, before):
+            after = store.health()
+            assert after["mask_queries"] - health["mask_queries"] == 4
+            assert (
+                after["rows_scanned"] - health["rows_scanned"]
+                == 4 * store.n_rows
+            )
+
     def test_one_scan_per_contacted_peer(
         self, workload, queries, monkeypatch
     ):

@@ -75,7 +75,8 @@ def _kmeans_pp_init(
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    closest_sq = np.einsum("ij,ij->i", points - centroids[0], points - centroids[0])
+    diff = points - centroids[0]
+    closest_sq = np.einsum("ij,ij->i", diff, diff)
     for i in range(1, k):
         total = closest_sq.sum()
         if total <= 0.0:
@@ -236,8 +237,10 @@ def _update_centroids(
     """Recompute centroids; re-seed any emptied cluster on its farthest point."""
     k = old_centroids.shape[0]
     counts = np.bincount(labels, minlength=k).astype(np.float64)
-    sums = np.zeros_like(old_centroids)
-    np.add.at(sums, labels, points)
+    # bincount adds a cluster's values in row order from 0.0, as add.at did.
+    sums = np.column_stack(
+        [np.bincount(labels, weights=col, minlength=k) for col in points.T]
+    )
     new_centroids = old_centroids.copy()
     nonempty = counts > 0
     new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]

@@ -92,14 +92,15 @@ def spheres_from_clustering(
     are dropped: they summarise nothing.
     """
     points = np.asarray(points, dtype=np.float64)
-    spheres: list[ClusterSphere] = []
-    for c in range(result.k):
-        members = points[result.labels == c]
-        if members.shape[0] == 0:
-            continue
-        centroid = result.centroids[c]
-        radius = float(np.linalg.norm(members - centroid, axis=1).max())
-        spheres.append(
-            ClusterSphere(centroid=centroid, radius=radius, items=members.shape[0])
-        )
-    return spheres
+    labels, centroids = result.labels, result.centroids
+    # Every point's distance to its own centroid, then the per-cluster max:
+    # the same row norms and maxima as one cluster at a time.
+    dists = np.linalg.norm(points - centroids[labels], axis=1)
+    radii = np.zeros(result.k)
+    np.maximum.at(radii, labels, dists)
+    counts = result.cluster_sizes().tolist()
+    return [
+        ClusterSphere(centroid=centroids[c], radius=radius, items=items)
+        for c, (radius, items) in enumerate(zip(radii.tolist(), counts))
+        if items > 0
+    ]

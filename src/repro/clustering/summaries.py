@@ -112,14 +112,13 @@ def summarize_peer_data(
                     f"level {level}: {result.k - len(spheres[level])} empty "
                     "cluster(s) produced degenerate spheres"
                 )
-            span.set(
-                clusters=len(spheres[level]),
-                mean_radius=float(
-                    np.mean([s.radius for s in spheres[level]])
-                    if spheres[level]
-                    else 0.0
-                ),
-            )
+            if recorder.enabled:
+                span.set(
+                    clusters=len(spheres[level]),
+                    mean_radius=float(
+                        np.mean([s.radius for s in spheres[level]])
+                    ),
+                )
         labels[level] = result.labels
     return PeerSummary(
         dimensionality=data.shape[1],

@@ -295,27 +295,33 @@ class HyperMNetwork:
     # -- publication (paper Figure 2) -------------------------------------------
 
     def _sphere_payload(self, peer_id: int, sphere, level: Level):
-        """Key-space key, radius, and record of one sphere at ``level``."""
-        key = np.clip(to_unit_cube(sphere.centroid, level), 0.0, 1.0)
+        """Key-space radius and record of one sphere at ``level``."""
         radius = key_space_radius(sphere.radius, level)
         record = ClusterRecord(
             peer_id=peer_id, items=sphere.items, level_name=str(level)
         )
-        return key, radius, record
+        return radius, record
 
-    def _insert_sphere(
-        self, overlay, origin: int, peer_id: int, sphere, level: Level
-    ):
-        """Insert one sphere; returns ``(receipt, entry_id)``.
+    def _insert_level(self, level: Level, peer_id: int, spheres) -> tuple[list, range]:
+        """Insert one level's spheres with one ``insert_many``.
 
-        The store assigns the next monotonic id to the inserted row, so
-        capturing ``next_entry_id`` beforehand pins the id the delta
+        Returns ``(receipts, entry_ids)``: the store gives rows monotonic
+        ids, so slot ``i`` holds ``next_entry_id + i`` — the id the delta
         pipeline will later patch or retract.
         """
-        key, radius, record = self._sphere_payload(peer_id, sphere, level)
-        entry_id = overlay.level_store.next_entry_id
-        receipt = overlay.insert(origin, key, record, radius=radius)
-        return receipt, entry_id
+        overlay = self.overlays[level]
+        keys = np.clip(
+            to_unit_cube(np.array([s.centroid for s in spheres]), level),
+            0.0, 1.0,
+        )
+        radii, records = zip(
+            *(self._sphere_payload(peer_id, s, level) for s in spheres)
+        )
+        first = overlay.level_store.next_entry_id
+        receipts = overlay.insert_many(
+            self.overlay_node(level, peer_id), keys, records, radii
+        )
+        return receipts, range(first, first + len(receipts))
 
     def publish_peer(
         self, peer_id: int, *, summary=None
@@ -362,36 +368,27 @@ class HyperMNetwork:
             bytes_before = self.fabric.metrics.total_bytes
             energy_before = self.fabric.energy.total
             for level in self.levels:
-                overlay = self.overlays[level]
-                origin = self.overlay_node(level, peer_id)
-                # Fresh-state sids are slot-aligned (sid = start + slot),
-                # so iterating the summary in slot order pairs each sphere
-                # with its sid for the entry mapping.
-                sids = (
-                    sorted(state.spheres[level]) if state is not None else None
-                )
-                mapping: dict[int, int] = {}
+                spheres = summary.spheres[level]
                 with recorder.span(
                     f"can_insert[{level}]", level=str(level)
                 ) as level_span:
-                    routing = replicas = 0
-                    for slot, sphere in enumerate(summary.spheres[level]):
-                        receipt, entry_id = self._insert_sphere(
-                            overlay, origin, peer_id, sphere, level
-                        )
-                        if sids is not None:
-                            mapping[sids[slot]] = entry_id
-                        report.spheres_inserted += 1
-                        routing += receipt.routing_hops
-                        replicas += receipt.replicas
+                    receipts, entry_ids = self._insert_level(
+                        level, peer_id, spheres
+                    )
+                    routing = sum(r.routing_hops for r in receipts)
+                    replicas = sum(r.replicas for r in receipts)
+                    report.spheres_inserted += len(receipts)
                     report.routing_hops += routing
                     report.replica_hops += replicas
                     level_span.set(
-                        spheres=len(summary.spheres[level]),
+                        spheres=len(spheres),
                         routing_hops=routing,
                         replica_hops=replicas,
                     )
-                self._published_entries[(level, peer_id)] = mapping
+                # Fresh-state sids are slot-aligned (sid = start + slot),
+                # so the sorted sids pair with the batch's rows in order.
+                sids = sorted(state.spheres[level]) if state is not None else []
+                self._published_entries[(level, peer_id)] = dict(zip(sids, entry_ids))
             report.bytes_sent = self.fabric.metrics.total_bytes - bytes_before
             report.energy = self.fabric.energy.total - energy_before
             publish_span.set(
@@ -547,10 +544,9 @@ class HyperMNetwork:
                     if eid is None or not store.has_entry(eid):
                         revive.append((sid, sphere))
                         continue
-                    __, radius, record = self._sphere_payload(
-                        peer_id, sphere, level
+                    patches.append(
+                        (eid, *self._sphere_payload(peer_id, sphere, level))
                     )
-                    patches.append((eid, radius, record))
                 patch_hops = extend_hops = 0
                 if patches:
                     patch_hops, extend_hops = overlay.patch_entries(
@@ -580,14 +576,15 @@ class HyperMNetwork:
                             continue
                         to_insert.append((sid, state.spheres[level][sid]))
                 routing = replicas = 0
-                for sid, sphere in to_insert:
-                    receipt, entry_id = self._insert_sphere(
-                        overlay, origin, peer_id, sphere, level
+                if to_insert:
+                    sids, spheres = zip(*to_insert)
+                    receipts, entry_ids = self._insert_level(
+                        level, peer_id, spheres
                     )
-                    mapping[sid] = entry_id
-                    report.spheres_inserted += 1
-                    routing += receipt.routing_hops
-                    replicas += receipt.replicas
+                    mapping.update(zip(sids, entry_ids))
+                    report.spheres_inserted += len(receipts)
+                    routing = sum(r.routing_hops for r in receipts)
+                    replicas = sum(r.replicas for r in receipts)
                 report.routing_hops += routing
                 report.replica_hops += replicas
                 level_span.set(

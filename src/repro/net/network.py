@@ -3,7 +3,8 @@
 Overlays send every overlay-hop through :meth:`Network.transmit`, which
 writes the frame once into the fabric's integer rows (per kind, per
 endpoint — :mod:`repro.net.metrics`) and (optionally) schedules the
-delivery callback on the event queue. ``fabric.metrics``, ``fabric.load``
+delivery callback on the event queue (:meth:`Network.transmit_path` is
+that write for a whole routed chain). ``fabric.metrics``, ``fabric.load``
 and ``fabric.energy`` are read-side views of that one write. Synchronous
 accounting plus an event-driven delivery mode covers both fast
 benchmarking and the paper's "parallel behaviour" simulation.
@@ -235,6 +236,38 @@ class Network:
                     self.hop_latency + extra_delay, lambda: deliver(message)
                 )
         return message
+
+    def transmit_path(self, kind: MessageKind, source: int, path, size_bytes: int):
+        """Forward one message along a routed chain ``source`` → ``path``.
+
+        ``path[i]`` receives frame ``i`` and sends frame ``i + 1`` (a
+        backtracking walk may revisit nodes). On a clean fabric with the
+        flight recorder off, the chain is checked as :meth:`transmit`
+        checks a frame and then is ONE :meth:`_charge` (rows created in
+        the per-frame order, no :class:`Message` built); otherwise every
+        frame needs its own verdict or edge, so it is a :meth:`transmit`
+        loop.
+        """
+        senders = [source, *path[:-1]]
+        if runtime.current.flight.enabled or (
+            self.faults is not None and not self.faults.passthrough
+        ):
+            for sender, hop_id in zip(senders, path):
+                self.transmit(sender, hop_id, kind, size_bytes)
+            return
+        if not path:
+            return
+        for i, node_id in enumerate((source, *path)):
+            if node_id not in self._nodes:
+                role = "destination" if i else "source"
+                raise ValidationError(f"unknown {role} node {node_id}")
+        if size_bytes < 0:
+            raise ValidationError(f"size_bytes must be >= 0, got {size_bytes}")
+        self._charge(
+            kind, [(s, 1) for s in senders], [(r, 1) for r in path], size_bytes
+        )
+        n = len(path)
+        runtime.current.tracer.add(messages=n, hops=n, bytes=size_bytes * n)
 
     def transmit_bulk(
         self, kind: MessageKind, senders, receivers, size_bytes: int

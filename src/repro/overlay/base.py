@@ -2,11 +2,12 @@
 
 Hyper-M "works independently of the underlying overlay structure" (paper
 contribution 1); this interface is the contract it relies on: insert a
-(possibly sphere-shaped) keyed entry, find all entries intersecting a
-query sphere, and maintain published entries in place (patch live ones,
-retract dead ones, extend a grown sphere's replica set — what the delta
-publish pipeline, :meth:`HyperMNetwork.publish_delta`, runs on), with
-hop accounting throughout.
+batch of (possibly sphere-shaped) keyed entries, find all entries
+intersecting a query sphere, and maintain published entries in place
+(patch live ones, retract dead ones, extend a grown sphere's replica
+set — what the delta publish pipeline,
+:meth:`HyperMNetwork.publish_delta`, runs on), with hop accounting
+throughout.
 
 One *capability plane* stays optional: :class:`AdaptationPlane`, the
 load-adaptation control surface (a per-node load snapshot, hot-owner
@@ -137,10 +138,18 @@ class Overlay(abc.ABC):
         """Identifiers of all member nodes."""
 
     @abc.abstractmethod
+    def insert_many(self, origin: int, keys, values, radii) -> list[InsertReceipt]:
+        """Publish ``(n, m)`` keys from node ``origin``; a receipt per row.
+
+        All rows are validated first, then handled in row order exactly
+        as ``n`` :meth:`insert` calls would be.
+        """
+
     def insert(
         self, origin: int, key: np.ndarray, value: object, *, radius: float = 0.0
     ) -> InsertReceipt:
         """Publish an entry from node ``origin``; returns hop accounting."""
+        return self.insert_many(origin, [key], [value], [radius])[0]
 
     @abc.abstractmethod
     def range_query(

@@ -15,17 +15,19 @@ from repro.net.messages import MessageKind, vector_message_size
 from repro.overlay.can.routing import flood
 
 
-def _spread_row(network, row: int, holder_ids) -> list[int]:
+def _spread_row(network, row: int, holder_ids, cover=None) -> list[int]:
     """Flood ``row`` from its holders to every other sphere-overlapping node.
 
     Each newly covered node receives one ``REPLICATE`` message and adds
     the *same* store row to its membership — replication is
-    multi-membership, not object copies. Returns the new holder ids.
+    multi-membership, not object copies (``cover``: the row's ``_cover``,
+    if the caller has it). Returns the new holder ids.
     """
     store = network.level_store
     key = store.key_of(row)
     size = vector_message_size(key.shape[0], scalars=2)
-    cover = network._cover(key, store.radius_of(row))
+    if cover is None:
+        cover = network._cover(key, store.radius_of(row))
     added: list[int] = []
     for sender_id, neighbor_id in flood(network, holder_ids, cover):
         network.fabric.transmit(
@@ -36,15 +38,16 @@ def _spread_row(network, row: int, holder_ids) -> list[int]:
     return added
 
 
-def replicate_sphere(network, owner_id: int, row: int) -> list[int]:
+def replicate_sphere(network, owner_id: int, row: int, cover=None) -> list[int]:
     """Propagate a stored row from its owner to all zone-overlapping nodes.
 
     Breadth-first over neighbour links, crossing only nodes whose zones
     intersect the row's sphere (that region is convex, so it is connected
-    in the neighbour graph). Returns the replica node ids (owner
-    excluded); one ``REPLICATE`` hop is charged per replica.
+    in the neighbour graph; ``cover``, if given, is that node set). Returns
+    the replica node ids (owner excluded); one ``REPLICATE`` hop is
+    charged per replica.
     """
-    replicas = _spread_row(network, row, [owner_id])
+    replicas = _spread_row(network, row, [owner_id], cover)
     recorder = runtime.current.tracer
     if recorder.enabled:
         recorder.add(replica_hops=len(replicas))

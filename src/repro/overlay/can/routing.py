@@ -14,7 +14,7 @@ as hops.
 Both walks here — the routed one and the breadth-first :func:`flood`
 that range queries and sphere replication share — take their geometry
 from one :class:`~repro.overlay.can.table.ZoneTable` pass per operation
-and then only look node ids up.
+(or per ``insert_many`` batch) and then only look node ids up.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.exceptions import RoutingError, ValidationError
 
 
 def route_to_owner(
-    network, start_id: int, point: np.ndarray, *, penalty=None
+    network, start_id: int, point: np.ndarray, *, penalty=None, keys=None
 ) -> tuple[int, list[int]]:
     """Route from ``start_id`` to the owner of ``point``.
 
@@ -49,6 +49,8 @@ def route_to_owner(
         and therefore all stored state — is identical with or without a
         penalty; only the path (and its per-node traffic) may differ.
         ``None`` (the default) reproduces the historical order exactly.
+    keys:
+        ``point``'s row of a batched :meth:`ZoneTable.routing_keys_many`.
 
     Returns
     -------
@@ -56,7 +58,8 @@ def route_to_owner(
         ``path`` is the full message trajectory excluding the start node
         (backtracking steps included) — ``len(path)`` is the hop count.
     """
-    keys = network.zone_table().routing_keys(point)
+    if keys is None:
+        keys = network.zone_table().routing_keys(point)
     if min(keys.values()) >= 0.0:
         raise ValidationError(
             f"no zone contains {point!r}: it lies outside the unit cube"

@@ -14,28 +14,31 @@ and drops it on every topology mutation. Neighbour snapshots always equal
 the neighbours' current zone sets (every mutation refreshes them), which
 is what lets one table of current zones stand in for all of them.
 
-Both kernels are elementwise-identical to the ``Zone`` scalar methods and
-take their row norms through the same BLAS dot ``np.linalg.norm`` uses on
-a vector, so keys and verdicts are bit-identical to the object walk — ties
-between neighbours included.
+Each question is one kernel over ``n`` points at once (``*_many``: a
+publishing peer routes and covers a level's spheres in one pass). Both
+are elementwise-identical to the ``Zone`` scalar methods and take their
+row norms through the same BLAS dot ``np.linalg.norm`` uses on a vector,
+so keys and verdicts are bit-identical to the object walk — ties between
+neighbours included — at any batch size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Torus images of a point: itself and its copies one period up and down.
-_SHIFTS = np.array([0.0, 1.0, -1.0])[:, None, None]
+#: Torus images of a point: itself and its copies one period up and down
+#: (leading axis; broadcast over ``(n points, zones, d)``).
+_SHIFTS = np.array([0.0, 1.0, -1.0])[:, None, None, None]
 
 
 def _row_norms(gaps: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, rounded as ``np.linalg.norm(row)`` is.
+    """Euclidean norm over the last axis, rounded as ``np.linalg.norm(row)`` is.
 
     A stacked (1×d)·(d×1) ``matmul`` runs one BLAS dot per row — the
     kernel behind the 1-d ``norm`` — where ``norm(axis=1)`` or ``einsum``
     sum in another order and differ in the last bit.
     """
-    return np.sqrt(np.matmul(gaps[:, None, :], gaps[:, :, None])[:, 0, 0])
+    return np.sqrt(np.matmul(gaps[..., None, :], gaps[..., :, None])[..., 0, 0])
 
 
 class ZoneTable:
@@ -55,32 +58,44 @@ class ZoneTable:
         counts = [len(node.zones) for node in nodes.values()]
         self.starts = np.cumsum([0] + counts[:-1])
 
-    def routing_keys(self, point: np.ndarray) -> dict[int, float]:
-        """Greedy routing key of every node for ``point``.
+    def routing_keys_many(self, points: np.ndarray) -> list[dict[int, float]]:
+        """Greedy routing key of every node for each row of ``points``.
 
-        -1.0 for the node owning ``point`` (so it always sorts first:
+        -1.0 for the node owning the point (so it always sorts first:
         torus distance reports 0 for seam-touching zones that do *not*
         contain it), else the min torus distance from the node's zones.
         No negative key means no zone contains the point — it lies
         outside the unit cube.
         """
-        p = np.asarray(point, dtype=np.float64)
+        p = np.asarray(points, dtype=np.float64)[:, None, :]
         inside = np.all(
             (p >= self.lo) & ((p < self.hi) | (self._outer & (p == 1.0))),
-            axis=1,
+            axis=2,
         )
         images = p + _SHIFTS
         per_dim = np.maximum(
             np.maximum(self.lo - images, images - self.hi), 0.0
         ).min(axis=0)
         keys = np.where(inside, -1.0, _row_norms(per_dim))
-        keys = np.minimum.reduceat(keys, self.starts)
-        return dict(zip(self._ids.tolist(), keys.tolist()))
+        keys = np.minimum.reduceat(keys, self.starts, axis=1)
+        ids = self._ids.tolist()
+        return [dict(zip(ids, row)) for row in keys.tolist()]
+
+    def routing_keys(self, point: np.ndarray) -> dict[int, float]:
+        """:meth:`routing_keys_many` for one point."""
+        return self.routing_keys_many(np.asarray(point, dtype=np.float64)[None])[0]
+
+    def meeting_many(self, centers: np.ndarray, radii) -> list[set[int]]:
+        """Ids of the nodes with a zone meeting each Euclidean ball."""
+        c = np.asarray(centers, dtype=np.float64)[:, None, :]
+        gaps = np.maximum(np.maximum(self.lo - c, c - self.hi), 0.0)
+        radii = np.asarray(radii, dtype=np.float64)[:, None]
+        meets = np.logical_or.reduceat(
+            _row_norms(gaps) <= radii + 1e-12, self.starts, axis=1
+        )
+        return [set(self._ids[row].tolist()) for row in meets]
 
     def meeting(self, center: np.ndarray, radius: float) -> set[int]:
-        """Ids of the nodes with a zone meeting the Euclidean ball."""
-        c = np.asarray(center, dtype=np.float64)
-        gaps = np.maximum(np.maximum(self.lo - c, c - self.hi), 0.0)
-        meets = _row_norms(gaps) <= radius + 1e-12
-        meets = np.logical_or.reduceat(meets, self.starts)
-        return set(self._ids[meets].tolist())
+        """:meth:`meeting_many` for one ball."""
+        center = np.asarray(center, dtype=np.float64)
+        return self.meeting_many(center[None], [radius])[0]

@@ -10,12 +10,13 @@ memberships — so it lives here, once:
 
 * construction, the member table and its accessors, ``grow``, and
   :meth:`StoreMaintenancePlane._admit` (store + member table + fabric);
-* the data plane — :meth:`~StoreMaintenancePlane.insert`,
-  :meth:`~StoreMaintenancePlane.lookup` and
-  :meth:`~StoreMaintenancePlane.extend_replication` — written against
-  three backend hooks: ``_locate`` (route a point to its owner),
-  ``_charge_route`` (pay for those hops) and ``_cover`` (the nodes a
-  sphere must be held by);
+* the data plane — :meth:`~StoreMaintenancePlane.insert_many` (which
+  ``insert`` calls with one row), :meth:`~StoreMaintenancePlane.lookup`
+  and :meth:`~StoreMaintenancePlane.extend_replication` — written
+  against three backend hooks: ``_locate`` (route a point to its owner),
+  ``_charge_route`` (pay for those hops: one
+  :meth:`~repro.net.network.Network.transmit_path` for the chain) and
+  ``_cover`` (the nodes a sphere must be held by);
 * the delta pipeline's in-place maintenance —
   :meth:`~StoreMaintenancePlane.patch_entries` and
   :meth:`~StoreMaintenancePlane.retract_entries`: find the holders of
@@ -24,9 +25,10 @@ memberships — so it lives here, once:
 
 A backend adds ``join``/``leave``, the three hooks and its own
 ``range_query`` walk (a flood, per-target routes, a tree chain — these
-genuinely differ). CAN alone also keeps its own ``insert`` and
+genuinely differ). CAN alone also keeps its own ``insert_many`` and
 ``extend_replication``: its replicas spread hop by hop across abutting
-zones, a different protocol from the direct owner-to-holder sends here.
+zones, a different protocol from the direct owner-to-holder sends here,
+and it routes and covers a whole batch with one zone-table pass.
 
 Message sizing: a routed key is one vector message (plus radius and
 payload scalars on ``INSERT``/``REPLICATE``); a delta is one
@@ -54,7 +56,9 @@ from repro.net.network import Network
 from repro.overlay.base import InsertReceipt, Overlay, RangeReceipt
 from repro.overlay.storage import StoreBackedNode
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_positive, check_unit_cube, check_vector
+from repro.utils.validation import (
+    check_matrix, check_positive, check_unit_cube, check_vector,
+)
 
 
 class StoreMaintenancePlane(Overlay):
@@ -158,10 +162,7 @@ class StoreMaintenancePlane(Overlay):
         self, origin: int, hops: list[int], kind: MessageKind, size: int
     ) -> None:
         """Pay for one :meth:`_locate` route: each hop forwards to the next."""
-        prev = origin
-        for hop_id in hops:
-            self.fabric.transmit(prev, hop_id, kind, size)
-            prev = hop_id
+        self.fabric.transmit_path(kind, origin, hops, size)
 
     @abc.abstractmethod
     def _cover(self, center: np.ndarray, radius: float):
@@ -175,34 +176,40 @@ class StoreMaintenancePlane(Overlay):
 
     # -- data plane ----------------------------------------------------------------
 
-    def insert(
-        self, origin: int, key: np.ndarray, value: object, *, radius: float = 0.0
-    ) -> InsertReceipt:
-        """Publish an entry from node ``origin``.
+    def _check_inserts(self, keys, values, radii) -> tuple[np.ndarray, list]:
+        """Validate one :meth:`insert_many` batch before any row moves."""
+        keys = check_unit_cube(check_matrix(keys, "keys", dim=self._dim), "keys")
+        radii = [check_positive(r, "radius", strict=False) for r in radii]
+        if not len(keys) == len(values) == len(radii):
+            raise ValidationError("keys, values and radii must align")
+        return keys, radii
 
-        Routes the key to its owner (one ``INSERT`` message per hop) and
-        adds it to the shared level store as one row the owner holds. A
-        sphere (``radius > 0``) is then replicated to the rest of its
+    def insert_many(self, origin: int, keys, values, radii) -> list[InsertReceipt]:
+        """Publish ``n`` entries from node ``origin``, in row order.
+
+        Each key is routed to its owner (one ``INSERT`` message per hop)
+        and added to the shared level store as one row the owner holds.
+        A sphere (``radius > 0``) is then replicated to the rest of its
         cover (paper Figure 6): one ``REPLICATE`` message each, the same
         row held again — replication is multi-membership, not copies.
         """
-        key = check_unit_cube(check_vector(key, "key", dim=self._dim), "key")
-        check_positive(radius, "radius", strict=False)
-        owner_id, hops = self._locate(origin, key)
-        self._charge_route(
-            origin, hops, MessageKind.INSERT,
-            vector_message_size(self._dim, scalars=2),
-        )
-        row = self.level_store.add(key, float(radius), value)
-        self.node(owner_id).add_row(row)
-        replicas = (
-            self.extend_replication(row, [owner_id]) if radius > 0.0 else []
-        )
-        receipt = InsertReceipt(
-            owner=owner_id, routing_hops=len(hops), replicas=len(replicas)
-        )
-        self.fabric.finish_operation(MessageKind.INSERT, receipt.total_hops)
-        return receipt
+        keys, radii = self._check_inserts(keys, values, radii)
+        size = vector_message_size(self._dim, scalars=2)
+        receipts = []
+        for key, value, radius in zip(keys, values, radii):
+            owner_id, hops = self._locate(origin, key)
+            self._charge_route(origin, hops, MessageKind.INSERT, size)
+            row = self.level_store.add(key, radius, value)
+            self.node(owner_id).add_row(row)
+            replicas = (
+                self.extend_replication(row, [owner_id]) if radius > 0.0 else []
+            )
+            receipt = InsertReceipt(
+                owner=owner_id, routing_hops=len(hops), replicas=len(replicas)
+            )
+            self.fabric.finish_operation(MessageKind.INSERT, receipt.total_hops)
+            receipts.append(receipt)
+        return receipts
 
     def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
         """Point query: entries at the owner of ``key`` whose spheres contain it."""

@@ -228,3 +228,82 @@ class TestInvalidation:
         small_can.range_query(small_can.node_ids[1], [0.4, 0.6], 0.3)
         small_can.lookup(small_can.node_ids[2], [0.4, 0.6])
         assert small_can.zone_table() is table
+
+
+def _key_bytes(keys: dict) -> bytes:
+    return np.array(list(keys.values())).tobytes()
+
+
+class TestBatchedKernels:
+    """A batch row is the one-point answer, bit for bit, in any batch."""
+
+    @staticmethod
+    def _assert_rows_match(can, points, radii):
+        table = can.zone_table()
+        batched_keys = table.routing_keys_many(points)
+        batched_meets = table.meeting_many(points, radii)
+        assert len(batched_keys) == len(batched_meets) == len(points)
+        for point, radius, keys, meets in zip(
+            points, radii, batched_keys, batched_meets
+        ):
+            single = table.routing_keys(point)
+            assert keys == single
+            assert list(keys) == can.node_ids
+            assert _key_bytes(keys) == _key_bytes(single)
+            for node_id, zones in can.all_zones().items():
+                assert keys[node_id] == reference.snapshot_distance(
+                    zones, point
+                )
+            assert meets == table.meeting(point, radius)
+            assert meets == {
+                node_id for node_id in can.node_ids
+                if can.node(node_id).intersects_sphere(point, radius)
+            }
+
+    @given(
+        can=st.builds(
+            grown_overlay,
+            dim=st.sampled_from([1, 2, 4]),
+            seed=st.integers(0, 10**6),
+            joins=st.integers(2, 24),
+            shakes=st.integers(0, 12),
+        ),
+        data=st.data(),
+    )
+    def test_rows_equal_one_point_answers(self, can, data):
+        n = data.draw(st.integers(1, 8))
+        d = can.dimensionality
+        drawn = [draw_point(data, can) for __ in range(n)]
+        # Always: the torus seam, the far cube face, and radius 0.
+        points = np.array(drawn + [np.zeros(d), np.ones(d)])
+        radii = [draw_radius(data, can, p) for p in drawn] + [0.0, 0.0]
+        self._assert_rows_match(can, points, radii)
+
+    def test_pinwheel_nodes_batch_like_single_points(self):
+        can = multi_zone_overlay()
+        rng = np.random.default_rng(9)
+        points = rng.random((40, 2)).round(rng.integers(0, 3))
+        points[:4] = [[0.0, 0.5], [1.0, 1.0], [1.0, 0.0], [0.5, 1.0]]
+        radii = rng.uniform(0.0, 0.4, 40)
+        radii[::5] = 0.0
+        self._assert_rows_match(can, points, radii)
+
+    def test_batched_insert_routes_and_covers_like_the_object_walk(self):
+        can = multi_zone_overlay()
+        rng = np.random.default_rng(4)
+        keys = rng.random((12, 2)).round(rng.integers(0, 3))
+        radii = rng.uniform(0.0, 0.3, 12)
+        radii[::4] = 0.0
+        origin = can.node_ids[1]
+        expected = []
+        for key, radius in zip(keys, radii):
+            owner, path = reference.route_to_owner(can, origin, key)
+            replicas = (
+                reference.flood_order(can, [owner], key, radius)
+                if radius > 0 else []
+            )
+            expected.append((owner, len(path), len(replicas)))
+        receipts = can.insert_many(origin, keys, list(range(12)), radii)
+        assert [
+            (r.owner, r.routing_hops, r.replicas) for r in receipts
+        ] == expected

@@ -178,3 +178,97 @@ class TestDepartureSemantics:
 
         with pytest.raises(ValidationError):
             crash_peer(network, 2)
+
+
+def _publication_digest() -> str:
+    """Hash of everything a routed publication session writes and answers.
+
+    16 peers publish (routed CAN inserts with replication), then delta
+    rounds insert, patch, retract and revive spheres. The hash covers
+    every report (energy by ``float.hex``), the ledger by kind and per
+    node in row-creation order, each level store's columns and ids, every
+    node's memberships, the entry mapping the delta pipeline keeps, and
+    20 routed range answers with their Eq. 1 scores by ``float.hex``.
+    """
+    import hashlib
+
+    from repro.datasets.histograms import generate_histograms
+    from repro.datasets.partition import partition_among_peers
+    from repro.evaluation.workloads import sample_queries
+
+    dataset = generate_histograms(32, 32, 64, rng=7)
+    net = HyperMNetwork(64, HyperMConfig(levels_used=4, n_clusters=6), rng=7)
+    for data, item_ids in partition_among_peers(
+        dataset.data, 16, item_ids=np.arange(dataset.data.shape[0]), rng=8
+    ):
+        net.add_peer(data, item_ids)
+    reports = [net.publish_peer(peer_id) for peer_id in net.peers]
+    mutations = np.random.default_rng(9)
+    for peer_id in range(4):
+        peer = net.peers[peer_id]
+        first_id = 10_000 + 6 * peer_id
+        peer.add_items(
+            mutations.random((6, 64)), np.arange(first_id, first_id + 6)
+        )
+        peer.remove_items(peer.item_ids[:4])
+        reports.append(net.publish_delta(peer_id))
+    net.withdraw_summaries(5)
+    reports.append(net.publish_delta(5))  # revives every withdrawn sphere
+    reports.append(net.publish_delta(6, force_full=True))
+    state = [
+        [
+            (r.items_published, r.spheres_inserted, r.spheres_updated,
+             r.spheres_removed, r.routing_hops, r.replica_hops, r.bytes_sent,
+             float(r.energy).hex())
+            for r in reports
+        ],
+        sorted(
+            (kind.value, row.messages, row.hops, row.bytes)
+            for kind, row in net.fabric.metrics.by_kind.items()
+        ),
+        [(node_id, row.to_record())
+         for node_id, row in net.fabric.load.per_node.items()],
+        float(net.fabric.energy.total).hex(),
+    ]
+    for level in net.levels:
+        overlay = net.overlays[level]
+        store = overlay.level_store
+        rows = store.live_rows()
+        block = store.column_block(rows)
+        state.append([
+            column.tobytes().hex() for column in block.columns()
+        ] + [
+            [store.entry_id_of(row) for row in rows],
+            store.generation,
+            {node_id: overlay.node(node_id).membership.rows().tolist()
+             for node_id in overlay.node_ids},
+        ])
+    state.append([
+        (str(level), peer_id, list(mapping.items()))
+        for (level, peer_id), mapping in net._published_entries.items()
+    ])
+    queries = sample_queries(dataset.data, 20, rng=10, jitter=0.01)
+    origins = np.random.default_rng(11).integers(0, net.n_peers, 20)
+    for query, origin in zip(queries, origins):
+        result = net.range_query(
+            query, 0.12, max_peers=6, origin_peer=int(origin)
+        )
+        state.append((
+            sorted(map(int, result.item_ids)), result.index_hops,
+            sorted(
+                (int(peer), float(score).hex())
+                for peer, score in result.peer_scores.items()
+            ),
+        ))
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+
+#: Recorded before publication was batched per (peer, level); regenerate
+#: with ``python -c "from tests.test_core_network import
+#: _publication_digest as d; print(d())"`` only for a deliberate protocol
+#: change.
+PUBLICATION_DIGEST = "bdde9eee7cda7d81"
+
+
+def test_publication_session_is_pinned():
+    assert _publication_digest() == PUBLICATION_DIGEST

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import ValidationError
 from repro.faults.injector import Verdict
 from repro.net import MessageKind, NodeLoad
 from tests.ledger_oracle import (
@@ -202,3 +203,123 @@ class TestBulkIsTheSameWrite:
         assert bulk.energy.snapshot() == pytest.approx(
             loop.energy.snapshot(), rel=REL
         )
+
+
+class TestPathIsTheSameWrite:
+    """``transmit_path`` against the per-frame ``transmit`` chain it replaces."""
+
+    #: From node 0 with backtracking: 5 and 3 are re-entered, 0 revisited.
+    BACKTRACK = [3, 5, 3, 7, 9, 7, 0, 11, 5]
+
+    @staticmethod
+    def _loop(net, kind, source, path, size):
+        for sender, receiver in zip([source, *path], path):
+            net.transmit(sender, receiver, kind, size)
+
+    def _twins(self, path, size=96, **fabric_kwargs):
+        chained, looped = fabric(16, **fabric_kwargs), fabric(16, **fabric_kwargs)
+        for net in (chained, looped):  # earlier traffic the chain lands on
+            net.transmit(4, 5, MessageKind.JOIN, 10)
+        chained.transmit_path(MessageKind.INSERT, 0, path, size)
+        self._loop(looped, MessageKind.INSERT, 0, path, size)
+        return chained, looped
+
+    def _assert_same_ledger(self, chained, looped):
+        assert kind_counts(chained) == kind_counts(looped)
+        assert chained.metrics.snapshot() == looped.metrics.snapshot()
+        assert load_records(chained) == load_records(looped)
+        assert list(chained.load.per_node) == list(looped.load.per_node)
+        assert chained.energy.total == pytest.approx(
+            looped.energy.total, rel=REL
+        )
+        for node_id, drain in looped.energy.per_node.items():
+            assert chained.energy.per_node[node_id] == pytest.approx(
+                drain, rel=REL
+            )
+
+    def test_backtracking_chain_equals_the_loop(self):
+        self._assert_same_ledger(*self._twins(self.BACKTRACK))
+
+    def test_rows_are_created_in_the_loops_order(self):
+        # No earlier traffic: every row of the ledger is made by the chain.
+        chained, looped = fabric(16), fabric(16)
+        chained.transmit_path(MessageKind.LOOKUP, 2, self.BACKTRACK, 40)
+        self._loop(looped, MessageKind.LOOKUP, 2, self.BACKTRACK, 40)
+        assert list(chained.load.per_node) == [2, 3, 5, 7, 9, 0, 11]
+        self._assert_same_ledger(chained, looped)
+
+    def test_the_tracer_gets_the_loops_totals(self):
+        from repro.obs.trace import TraceRecorder
+        from repro.runtime import run_context
+
+        counts = []
+        for charge in ("path", "loop"):
+            net, rec = fabric(16), TraceRecorder()
+            with run_context(tracer=rec), rec.span("op"):
+                if charge == "path":
+                    net.transmit_path(MessageKind.INSERT, 0, self.BACKTRACK, 64)
+                else:
+                    self._loop(net, MessageKind.INSERT, 0, self.BACKTRACK, 64)
+            counts.append(rec.spans[0].counts)
+        assert counts[0] == counts[1] == {
+            "messages": 9, "hops": 9, "bytes": 9 * 64,
+        }
+
+    def test_an_empty_path_charges_nothing(self):
+        chained, looped = self._twins([])
+        self._assert_same_ledger(chained, looped)
+        assert list(kind_counts(chained)) == [MessageKind.JOIN]
+
+    @pytest.mark.parametrize(
+        "source, path, message",
+        [
+            (0, [1, 2, 99, 3], "unknown destination node 99"),
+            (77, [1, 2], "unknown source node 77"),
+        ],
+    )
+    def test_an_unknown_endpoint_raises_before_any_row(
+        self, source, path, message
+    ):
+        net = fabric(8)
+        with pytest.raises(ValidationError, match=message):
+            net.transmit_path(MessageKind.INSERT, source, path, 64)
+        assert kind_counts(net) == {}
+        assert net.load.per_node == {}
+
+    def test_a_negative_size_raises_before_any_row(self):
+        net = fabric(8)
+        with pytest.raises(ValidationError, match="size_bytes"):
+            net.transmit_path(MessageKind.INSERT, 0, [1, 2], -1)
+        assert net.load.per_node == {}
+
+    def test_lossy_flight_recorded_chain_is_the_loop(self):
+        """Under faults and the flight recorder every frame keeps its own
+        verdict and edge: the same verdict stream, edges and ledger."""
+        from repro.faults.plan import FaultPlan
+        from repro.obs.flight import FlightRecorder
+        from repro.runtime import run_context
+
+        plan = FaultPlan(loss=0.1, duplication=0.02, seed=3)
+        runs = []
+        for charge in ("path", "loop"):
+            net, flight = fabric(16), FlightRecorder(clock=lambda: 0.0)
+            net.install_faults(plan)
+            with run_context(flight=flight):
+                for start in range(40):
+                    path = [(start + step) % 16 for step in (3, 5, 3, 8)]
+                    with flight.operation("insert", origin=start % 16):
+                        if charge == "path":
+                            net.transmit_path(
+                                MessageKind.INSERT, start % 16, path, 72
+                            )
+                        else:
+                            self._loop(
+                                net, MessageKind.INSERT, start % 16, path, 72
+                            )
+            runs.append((net, flight))
+        (chained, chained_flight), (looped, looped_flight) = runs
+        self._assert_same_ledger(chained, looped)
+        assert chained.faults.snapshot() == looped.faults.snapshot()
+        assert chained.faults.snapshot()["counters"]  # faults really fired
+        assert chained_flight.to_records() == looped_flight.to_records()
+        assert chained_flight.edges

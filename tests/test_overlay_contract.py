@@ -333,3 +333,78 @@ class TestDeltaPublishParity:
 
         for overlay in net.overlays.values():
             overlay.level_store.verify_integrity()
+
+
+# -- insert_many is n inserts ---------------------------------------------------
+
+
+def _overlay_state(overlay) -> dict:
+    """Everything an insert writes: store rows, memberships, the ledger."""
+    store = overlay.level_store
+    fabric = overlay.fabric
+    return {
+        "rows": [
+            (
+                store.entry_id_of(row), store.key_of(row).tobytes(),
+                store.radius_of(row), store.value_of(row),
+            )
+            for row in store.live_rows()
+        ],
+        "generation": store.generation,
+        "next_entry_id": store.next_entry_id,
+        "memberships": {
+            node_id: overlay.node(node_id).membership.rows().tolist()
+            for node_id in overlay.node_ids
+        },
+        "by_kind": {
+            kind: vars(row).copy() for kind, row in fabric.metrics.by_kind.items()
+        },
+        "per_node": [
+            (node_id, row.to_record())
+            for node_id, row in fabric.load.per_node.items()
+        ],
+        "energy": fabric.energy.total,
+    }
+
+
+@pytest.mark.parametrize("factory", FACTORIES, ids=lambda f: f.__name__)
+class TestInsertManyParity:
+    """One ``insert_many`` call leaves exactly what ``n`` inserts leave."""
+
+    def _twins(self, factory):
+        twins = []
+        for __ in range(2):
+            net = factory(2, rng=42)
+            net.grow(12)
+            twins.append(net)
+        return twins
+
+    def test_batch_equals_one_insert_per_row(self, factory, rng):
+        batched, single = self._twins(factory)
+        keys = rng.random((24, 2))
+        keys[:3] = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.25]]  # seam and faces
+        radii = np.where(rng.random(24) < 0.3, 0.0, rng.uniform(0, 0.3, 24))
+        values = [f"v{i}" for i in range(24)]
+        origin = batched.node_ids[4]
+        receipts = batched.insert_many(origin, keys, values, radii)
+        expected = [
+            single.insert(origin, key, value, radius=radius)
+            for key, value, radius in zip(keys, values, radii)
+        ]
+        assert receipts == expected
+        assert _overlay_state(batched) == _overlay_state(single)
+
+    def test_a_bad_row_refuses_the_whole_batch(self, factory, rng):
+        overlay, __ = self._twins(factory)
+        before = _overlay_state(overlay)
+        keys = rng.random((4, 2))
+        keys[2] = [0.5, 1.2]
+        with pytest.raises(ValidationError, match="unit cube"):
+            overlay.insert_many(overlay.node_ids[0], keys, list("abcd"), [0.1] * 4)
+        with pytest.raises(ValidationError, match="radius"):
+            overlay.insert_many(
+                overlay.node_ids[0], rng.random((2, 2)), ["a", "b"], [0.1, -1.0]
+            )
+        with pytest.raises(ValidationError, match="align"):
+            overlay.insert_many(overlay.node_ids[0], rng.random((2, 2)), ["a"], [0.1])
+        assert _overlay_state(overlay) == before

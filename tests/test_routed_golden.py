@@ -127,18 +127,21 @@ def run_session(kind: str = "can") -> dict:
     backend = OVERLAYS[kind]
     totals: Counter = Counter()
     visited: list[list[int]] = []
-    insert, range_query = backend.insert, backend.range_query
+    insert_many, range_query = backend.insert_many, backend.range_query
     # What the class itself defines, so the wrappers come off cleanly
-    # whether ``insert`` is the backend's own method or an inherited one.
+    # whether a method is the backend's own or an inherited one.
     own = {
-        name: vars(backend).get(name) for name in ("insert", "range_query")
+        name: vars(backend).get(name)
+        for name in ("insert_many", "range_query")
     }
 
-    def counting_insert(self, *args, **kwargs):
-        receipt = insert(self, *args, **kwargs)
-        totals["insert_routing_hops"] += receipt.routing_hops
-        totals["insert_replicas"] += receipt.replicas
-        return receipt
+    def counting_insert_many(self, *args, **kwargs):
+        # Every insert is a batch here: ``insert`` is a one-row call.
+        receipts = insert_many(self, *args, **kwargs)
+        for receipt in receipts:
+            totals["insert_routing_hops"] += receipt.routing_hops
+            totals["insert_replicas"] += receipt.replicas
+        return receipts
 
     def counting_range_query(self, *args, **kwargs):
         receipt = range_query(self, *args, **kwargs)
@@ -147,7 +150,7 @@ def run_session(kind: str = "can") -> dict:
         visited.append(list(receipt.nodes_visited))
         return receipt
 
-    backend.insert = counting_insert
+    backend.insert_many = counting_insert_many
     backend.range_query = counting_range_query
     try:
         with run_context(overlay=backend):

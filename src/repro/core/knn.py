@@ -344,7 +344,7 @@ def knn_query(
     recorder = runtime.current.tracer
     with recorder.span(
         "query", type="knn", k=k, c=float(c), origin=origin
-    ) as query_span, runtime.current.flight.operation(
+    ) as query_span, runtime.current.flight.span(
         "query", type="knn", origin=origin
     ):
         with recorder.span("translate", levels=len(network.levels)):

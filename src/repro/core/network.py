@@ -342,7 +342,7 @@ class HyperMNetwork:
         recorder = runtime.current.tracer
         with recorder.span(
             "publish", peer=peer_id
-        ) as publish_span, runtime.current.flight.operation(
+        ) as publish_span, runtime.current.flight.span(
             "publish", peer=peer_id
         ) as flight_op:
             if summary is None:
@@ -435,7 +435,7 @@ class HyperMNetwork:
         metrics = obs_registry.metrics()
         with recorder.span(
             "publish_delta", peer=peer_id
-        ) as delta_span, runtime.current.flight.operation(
+        ) as delta_span, runtime.current.flight.span(
             "publish_delta", peer=peer_id
         ):
             with recorder.span("delta_build", peer=peer_id) as build_span:

@@ -591,7 +591,7 @@ def range_query(
     fault_info: dict = {}
     with recorder.span(
         "query", type="range", epsilon=float(epsilon), origin=origin
-    ) as query_span, runtime.current.flight.operation(
+    ) as query_span, runtime.current.flight.span(
         "query", type="range", origin=origin
     ) as flight_op:
         aggregated, index_hops = index_phase(

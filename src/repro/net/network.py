@@ -285,8 +285,10 @@ class Network:
         Restricted to the clean fabric — bulk construction models an
         orchestrated bootstrap, which the fault injector (per-message
         verdicts) cannot meaningfully perturb — and to accounting-only
-        mode (no delivery callbacks). Returns the number of frames
-        charged.
+        mode (no delivery callbacks). With the flight recorder on, every
+        frame needs its own edge, so after the same checks it is a
+        :meth:`transmit` loop (as in :meth:`transmit_path`). Returns the
+        number of frames charged.
         """
         if self.faults is not None and not self.faults.passthrough:
             raise ValidationError(
@@ -310,6 +312,10 @@ class Network:
                 unknown = next(i for i in ids if i not in self._nodes)
                 raise ValidationError(f"unknown {role} node {unknown}")
             collapsed.append(zip(ids, counts.tolist()))
+        if runtime.current.flight.enabled:
+            for source, destination in zip(senders.tolist(), receivers.tolist()):
+                self.transmit(source, destination, kind, size_bytes)
+            return n_frames
         self._charge(kind, *collapsed, size_bytes)
         recorder = runtime.current.tracer
         if recorder.enabled:

@@ -8,14 +8,19 @@ Coordinated pieces (see ``docs/observability.md``):
 * :mod:`repro.obs.trace` — structured span trees for every publish and
   query (``publish → dwt → kmeans[level] → can_insert[level]``; ``query →
   translate → sphere_filter[level] → score → contact_peers``) with JSONL
-  export. Off by default: the active recorder is a no-op whose cost on
+  export, and the one recorder API: ``span()`` / ``record()`` /
+  ``mark_retry()`` over :class:`~repro.obs.trace.TraceRecorder` and its
+  one null object, :data:`~repro.obs.trace.NULL_RECORDER`, whose cost on
   the hot path is a single attribute check.
 * :mod:`repro.obs.profile` — per-phase time/hops/bytes aggregation and
   flame summaries, powering ``python -m repro profile <experiment>``.
-* :mod:`repro.obs.flight` — causal message tracing: hop-by-hop edges in
-  a bounded ring buffer, reconstructable into per-operation routing
-  trees (drops, retries, and duplicates appear as tagged edges). Off by
-  default with the same null-recorder idiom as tracing.
+* :mod:`repro.obs.flight` — causal message tracing: a
+  :class:`~repro.obs.trace.TraceRecorder` subclass whose spans are
+  operations with hop-by-hop edges in a bounded ring buffer,
+  reconstructable into per-operation routing trees (drops, retries, and
+  duplicates appear as tagged edges). Off by default: the same
+  ``NULL_RECORDER`` fills its run-context slot. ``read_jsonl`` reads
+  both exports; split a flight file on ``"record"``.
 * :mod:`repro.obs.loadmap` — per-zone / per-peer load accounting:
   generation-tagged hotspot/skew snapshots via
   :func:`~repro.obs.loadmap.build_loadmap`, read off the fabric's
@@ -29,14 +34,7 @@ Which registry and recorders are live is part of the run context
 """
 
 from repro.net.metrics import LoadLedger, NodeLoad
-from repro.obs.flight import (
-    NULL_FLIGHT_RECORDER,
-    FlightRecorder,
-    HopEdge,
-    NullFlightRecorder,
-    Operation,
-    read_flight_jsonl,
-)
+from repro.obs.flight import FlightRecorder, HopEdge
 from repro.obs.loadmap import build_loadmap
 from repro.obs.profile import (
     flame_summary,
@@ -71,12 +69,9 @@ __all__ = [
     "HopEdge",
     "LoadLedger",
     "MetricsRegistry",
-    "NULL_FLIGHT_RECORDER",
     "NULL_RECORDER",
     "NodeLoad",
-    "NullFlightRecorder",
     "NullRecorder",
-    "Operation",
     "Span",
     "Timer",
     "TraceRecorder",
@@ -87,7 +82,6 @@ __all__ = [
     "peak_rss_mb",
     "phase_rows",
     "phase_table",
-    "read_flight_jsonl",
     "read_jsonl",
     "rss_snapshot",
     "span_tree",

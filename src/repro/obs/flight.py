@@ -2,28 +2,33 @@
 
 Span traces (:mod:`repro.obs.trace`) answer *where time and traffic
 went*; the flight recorder answers *which messages moved, in what causal
-order, and what happened to each one*. Every logical operation — a
-publish, a routed insert, a range-query flood — opens an
-:class:`Operation`; every :meth:`repro.net.network.Network.transmit`
-inside it records one :class:`HopEdge` per radio frame, tagged with the
-fate the fault injector decided (``sent``, ``dropped``, ``retransmit``,
+order, and what happened to each one*. :class:`FlightRecorder` is a
+:class:`~repro.obs.trace.TraceRecorder`: every logical operation — a
+publish, a routed insert, a range-query flood — is a span opened with
+``span()``; every :meth:`repro.net.network.Network.transmit` inside it
+records one :class:`HopEdge` per radio frame, tagged with the fate the
+fault injector decided (``sent``, ``dropped``, ``retransmit``,
 ``duplicate``) and the retry attempt that produced it. Edges carry the
 operation id, the root *trace id*, and a per-operation hop index, so any
 operation can be reconstructed offline into the routing tree the message
 actually traversed — drops and retries appear as tagged edges, never as
 holes.
 
-Recording is **off by default**: the active recorder is a
-:class:`NullFlightRecorder` whose every operation is a no-op, so the
-disabled hot path costs a single attribute check per transmit. Enable it
-by putting a recorder in the run context (:mod:`repro.runtime`)::
+Recording is **off by default**: the run context's ``flight`` slot holds
+the same :data:`~repro.obs.trace.NULL_RECORDER` as its ``tracer`` slot,
+so the disabled hot path costs a single attribute check per transmit.
+Enable it by putting a recorder in the run context
+(:mod:`repro.runtime`)::
 
     rec = FlightRecorder()
     with run_context(flight=rec):
         network.publish_all()
         network.range_query(q, 0.1)
     rec.write_jsonl("flight.jsonl")
-    tree = rec.routing_tree(rec.ops[-1].op_id)
+    tree = rec.routing_tree(rec.ops[-1].span_id)
+
+The two slots hold two different trees: a trace span counts its
+descendants' traffic, a flight operation only its own frames.
 
 The edge buffer is a bounded ring (oldest edges evicted first) so
 long-running simulations cannot grow without bound; per-operation
@@ -35,11 +40,14 @@ load while preserving replayability.
 
 from __future__ import annotations
 
-import json
-import time
+from collections import deque
+from itertools import chain
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
+
+from repro.obs.trace import Span, TraceRecorder
 
 #: Statuses a hop edge can carry. ``sent`` and ``dropped`` are *primary*
 #: frames (what :class:`repro.net.metrics.NetworkMetrics` counts as
@@ -119,136 +127,19 @@ class HopEdge:
         )
 
 
-class Operation:
-    """One logical operation (a publish, an insert, a query flood).
+class FlightRecorder(TraceRecorder):
+    """A span recorder whose spans are operations with hop edges.
 
-    Summary counters are maintained as edges are recorded, so they stay
-    correct even after the ring buffer evicts the operation's edges:
-    ``hops`` counts primary frames (``sent`` + ``dropped``), matching
-    what :class:`~repro.net.metrics.NetworkMetrics` reports as per-kind
-    hops; ``drops``, ``retransmits`` and ``duplicates`` mirror the
-    tagged-edge counts.
-    """
-
-    __slots__ = (
-        "op_id", "trace_id", "parent_op", "kind", "attrs", "start", "end",
-        "hops", "bytes", "drops", "retransmits", "duplicates", "sampled",
-        "_next_seq",
-    )
-
-    def __init__(self, op_id, trace_id, parent_op, kind, attrs, start,
-                 sampled):
-        self.op_id = op_id
-        self.trace_id = trace_id
-        self.parent_op = parent_op
-        self.kind = kind
-        self.attrs = attrs
-        self.start = start
-        self.end = None
-        self.hops = 0
-        self.bytes = 0
-        self.drops = 0
-        self.retransmits = 0
-        self.duplicates = 0
-        self.sampled = sampled
-        self._next_seq = 0
-
-    def set(self, **attrs) -> None:
-        """Attach (or overwrite) annotations on this operation."""
-        self.attrs.update(attrs)
-
-    def to_record(self) -> dict:
-        """JSON-safe summary (one JSONL line, ``"record": "op"``)."""
-        return {
-            "record": "op",
-            "op": self.op_id,
-            "trace": self.trace_id,
-            "parent": self.parent_op,
-            "kind": self.kind,
-            "start": self.start,
-            "end": self.end,
-            "hops": self.hops,
-            "bytes": self.bytes,
-            "drops": self.drops,
-            "retransmits": self.retransmits,
-            "duplicates": self.duplicates,
-            "attrs": dict(self.attrs),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Operation({self.kind!r}, id={self.op_id}, hops={self.hops})"
-        )
-
-
-class _OpContext:
-    """Context manager opening one operation on enter, closing on exit."""
-
-    __slots__ = ("_recorder", "_kind", "_attrs", "_op")
-
-    def __init__(self, recorder, kind, attrs):
-        self._recorder = recorder
-        self._kind = kind
-        self._attrs = attrs
-
-    def __enter__(self) -> Operation:
-        self._op = self._recorder._open(self._kind, self._attrs)
-        return self._op
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            self._op.attrs.setdefault("error", exc_type.__name__)
-        self._recorder._close(self._op)
-        return False
-
-
-class _NullOperation:
-    """Shared do-nothing stand-in for :class:`Operation` when disabled."""
-
-    __slots__ = ()
-    op_id = None
-    trace_id = None
-    hops = 0
-    bytes = 0
-
-    def __enter__(self) -> "_NullOperation":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-    def set(self, **attrs) -> None:
-        """No-op."""
-
-
-NULL_OPERATION = _NullOperation()
-
-
-class NullFlightRecorder:
-    """Recorder used when flight recording is off: every call is a no-op."""
-
-    enabled = False
-    edges: tuple = ()
-    ops: tuple = ()
-
-    def operation(self, kind: str, **attrs) -> _NullOperation:
-        """Hand back the shared no-op operation."""
-        return NULL_OPERATION
-
-    def record(self, kind, source, dest, size_bytes, *, status="sent",
-               copies=0, retransmits=0, t=0.0):
-        """No-op; returns ``None`` (no trace context exists)."""
-        return None
-
-    def mark_retry(self, attempt: int) -> None:
-        """No-op."""
-
-
-NULL_FLIGHT_RECORDER = NullFlightRecorder()
-
-
-class FlightRecorder:
-    """Collects hop edges and operation summaries into bounded rings.
+    Operations open through the inherited :meth:`~TraceRecorder.span`;
+    on top of a span each carries ``trace_id`` (its root's id),
+    ``sampled`` (its root's sampling decision) and the counters
+    :meth:`record` writes into the innermost operation only: ``hops``
+    counts primary frames (``sent`` + ``dropped``), matching what
+    :class:`~repro.net.metrics.NetworkMetrics` reports as per-kind hops;
+    ``bytes`` their wire size; ``drops``, ``retransmits`` and
+    ``duplicates`` the tagged-edge counts. The counters survive the
+    eviction of the operation's edges. Finished operations are kept in
+    ``ops`` (close order, bounded); ``spans`` stays empty.
 
     Parameters
     ----------
@@ -269,8 +160,6 @@ class FlightRecorder:
         the same operations.
     """
 
-    enabled = True
-
     def __init__(
         self,
         *,
@@ -284,63 +173,36 @@ class FlightRecorder:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if not 0.0 <= sample <= 1.0:
             raise ValueError(f"sample must be in [0, 1], got {sample}")
+        super().__init__(clock)
         self.capacity = int(capacity)
         self.max_ops = int(max_ops)
-        self.clock = clock if clock is not None else time.perf_counter
         self.sample = float(sample)
         self._rng = np.random.default_rng(seed)
-        self.edges: list[HopEdge] = []
-        self.ops: list[Operation] = []
-        self.evicted_edges = 0
+        self.edges: deque[HopEdge] = deque(maxlen=self.capacity)
+        self.ops: list[Span] = []
+        self._recorded_edges = 0
         self.evicted_ops = 0
-        self._stack: list[Operation] = []
-        self._next_op_id = 1
         self._orphan_seq = 0
         self._retry_attempt = 0
 
     # -- operations ---------------------------------------------------------
 
-    def operation(self, kind: str, **attrs) -> _OpContext:
-        """Open a child operation of the innermost open one (``with`` it)."""
-        return _OpContext(self, kind, attrs)
-
-    def _open(self, kind: str, attrs: dict) -> Operation:
-        parent = self._stack[-1] if self._stack else None
+    def _opened(self, op: Span, parent: Span | None) -> None:
         if parent is None:
-            sampled = (
-                self.sample >= 1.0 or self._rng.random() < self.sample
-            )
+            op.trace_id = op.span_id
+            op.sampled = self.sample >= 1.0 or self._rng.random() < self.sample
         else:
-            sampled = parent.sampled
-        op = Operation(
-            op_id=self._next_op_id,
-            trace_id=parent.trace_id if parent else self._next_op_id,
-            parent_op=None if parent is None else parent.op_id,
-            kind=kind,
-            attrs=attrs,
-            start=self.clock(),
-            sampled=sampled,
-        )
-        self._next_op_id += 1
-        self._stack.append(op)
-        return op
+            op.trace_id = parent.trace_id
+            op.sampled = parent.sampled
+        op.hops = op.bytes = op.drops = op.retransmits = op.duplicates = 0
 
-    def _close(self, op: Operation) -> None:
-        while self._stack:
-            top = self._stack.pop()
-            if top is op:
-                break
-        op.end = self.clock()
+    def _close(self, op: Span) -> None:
+        super()._close(op)
         self.ops.append(op)
         if len(self.ops) > self.max_ops:
             evict = len(self.ops) - self.max_ops
             del self.ops[:evict]
             self.evicted_ops += evict
-
-    @property
-    def current(self) -> Operation | None:
-        """The innermost open operation, if any."""
-        return self._stack[-1] if self._stack else None
 
     # -- recording ----------------------------------------------------------
 
@@ -378,60 +240,58 @@ class FlightRecorder:
         op = self._stack[-1] if self._stack else None
         attempt = self._retry_attempt or 1
         self._retry_attempt = 0
-        if op is not None and not op.sampled:
-            return None
+        extras = retransmits + copies
         if op is None:
             op_id = trace_id = None
             seq = self._orphan_seq
-            self._orphan_seq += 1 + retransmits + copies
+            self._orphan_seq += 1 + extras
+        elif not op.sampled:
+            return None
         else:
-            op_id, trace_id = op.op_id, op.trace_id
-            seq = op._next_seq
-            op._next_seq += 1 + retransmits + copies
+            op_id, trace_id = op.span_id, op.trace_id
+            # The hop index counts every frame the operation recorded.
+            seq = op.hops + op.retransmits + op.duplicates
             op.hops += 1
             op.bytes += size_bytes
             if status == "dropped":
                 op.drops += 1
-            op.retransmits += retransmits
-            op.duplicates += copies
-        self._append(HopEdge(
+            if extras:
+                op.retransmits += retransmits
+                op.duplicates += copies
+        self._recorded_edges += 1 + extras
+        self.edges.append(HopEdge(
             op_id, trace_id, seq, kind, source, dest, size_bytes,
             status, attempt, t,
         ))
-        for offset in range(retransmits):
-            self._append(HopEdge(
-                op_id, trace_id, seq + 1 + offset, kind, source, dest,
-                size_bytes, "retransmit", attempt, t,
-            ))
-        for offset in range(copies):
-            self._append(HopEdge(
-                op_id, trace_id, seq + 1 + retransmits + offset, kind,
-                source, dest, size_bytes, "duplicate", attempt, t,
-            ))
+        if extras:
+            self.edges.extend(
+                HopEdge(
+                    op_id, trace_id, seq + offset, kind, source, dest,
+                    size_bytes,
+                    "retransmit" if offset <= retransmits else "duplicate",
+                    attempt, t,
+                )
+                for offset in range(1, 1 + extras)
+            )
         return (trace_id, op_id, seq)
 
-    def _append(self, edge: HopEdge) -> None:
-        self.edges.append(edge)
-        if len(self.edges) > self.capacity:
-            evict = len(self.edges) - self.capacity
-            del self.edges[:evict]
-            self.evicted_edges += evict
+    @property
+    def evicted_edges(self) -> int:
+        """Edges the ring has dropped, oldest first."""
+        return self._recorded_edges - len(self.edges)
 
     # -- reconstruction -----------------------------------------------------
 
     def edges_for(self, op_id: int, *, subtree: bool = False) -> list[HopEdge]:
         """Edges of one operation (optionally including descendants')."""
-        if not subtree:
-            return [e for e in self.edges if e.op_id == op_id]
         wanted = {op_id}
-        changed = True
-        ops = list(self.ops) + self._stack
-        while changed:
-            changed = False
+        if subtree:
+            # Ids grow in open order and a child opens after its parent,
+            # so one pass in id order reaches every descendant.
+            ops = sorted(chain(self.ops, self._stack), key=attrgetter("span_id"))
             for op in ops:
-                if op.parent_op in wanted and op.op_id not in wanted:
-                    wanted.add(op.op_id)
-                    changed = True
+                if op.parent_id in wanted:
+                    wanted.add(op.span_id)
         return [e for e in self.edges if e.op_id in wanted]
 
     def routing_tree(self, op_id: int, *, subtree: bool = True) -> dict:
@@ -475,8 +335,26 @@ class FlightRecorder:
     # -- aggregation --------------------------------------------------------
 
     def op_summaries(self) -> list[dict]:
-        """Finished operations as JSON-safe records, in close order."""
-        return [op.to_record() for op in self.ops]
+        """Finished operations as JSON-safe records (``"record": "op"``),
+        in close order."""
+        return [
+            {
+                "record": "op",
+                "op": op.span_id,
+                "trace": op.trace_id,
+                "parent": op.parent_id,
+                "kind": op.name,
+                "start": op.start,
+                "end": op.end,
+                "hops": op.hops,
+                "bytes": op.bytes,
+                "drops": op.drops,
+                "retransmits": op.retransmits,
+                "duplicates": op.duplicates,
+                "attrs": dict(op.attrs),
+            }
+            for op in self.ops
+        ]
 
     def per_op_histograms(self) -> dict:
         """Per-kind hop/byte distributions across finished operations.
@@ -490,7 +368,7 @@ class FlightRecorder:
 
         grouped: dict[str, dict] = {}
         for op in self.ops:
-            slot = grouped.setdefault(op.kind, {
+            slot = grouped.setdefault(op.name, {
                 "ops": 0,
                 "_hops": RunningStats(),
                 "_bytes": RunningStats(),
@@ -532,23 +410,9 @@ class FlightRecorder:
     # -- export -------------------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        """Edge records then operation summaries, JSON-safe."""
+        """Edge records then operation summaries, JSON-safe (what the
+        inherited ``dumps_jsonl`` / ``write_jsonl`` export)."""
         return [e.to_record() for e in self.edges] + self.op_summaries()
-
-    def dumps_jsonl(self) -> str:
-        """The whole flight log as JSON Lines text."""
-        return "\n".join(
-            json.dumps(record, sort_keys=True)
-            for record in self.to_records()
-        )
-
-    def write_jsonl(self, path) -> int:
-        """Write one JSON object per edge/op to ``path``; returns count."""
-        text = self.dumps_jsonl()
-        with open(path, "w") as handle:
-            if text:
-                handle.write(text + "\n")
-        return len(self.edges) + len(self.ops)
 
     def snapshot(self) -> dict:
         """Ring-buffer health summary for reports."""
@@ -560,20 +424,3 @@ class FlightRecorder:
             "capacity": self.capacity,
             "sample": self.sample,
         }
-
-
-def read_flight_jsonl(path) -> tuple[list[dict], list[dict]]:
-    """Load ``(edge_records, op_records)`` written by :meth:`write_jsonl`."""
-    edges: list[dict] = []
-    ops: list[dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("record") == "op":
-                ops.append(record)
-            else:
-                edges.append(record)
-    return edges, ops

@@ -55,11 +55,15 @@ class Span:
         Additive counters (``hops``, ``bytes``, ``messages``, …)
         accumulated via :meth:`TraceRecorder.add` while the span — or any
         of its descendants — was the innermost open span.
+
+    A recorder subclass hangs its own per-span fields on the span's
+    ``__dict__`` (the flight recorder's trace id, sampling decision and
+    frame counters), so there is one node class for every recorder.
     """
 
     __slots__ = (
         "name", "span_id", "parent_id", "depth", "start", "end",
-        "attrs", "counts",
+        "attrs", "counts", "__dict__",
     )
 
     def __init__(self, name, span_id, parent_id, depth, start, attrs):
@@ -139,10 +143,11 @@ NULL_SPAN = _NullSpan()
 
 
 class NullRecorder:
-    """Recorder used when tracing is disabled: every operation is a no-op.
+    """Recorder used when recording is off: every operation is a no-op.
 
-    ``span()`` returns the one shared :data:`NULL_SPAN`, so disabled
-    tracing allocates nothing per call.
+    One null object fills both run-context slots (``tracer`` and
+    ``flight``). ``span()`` returns the one shared :data:`NULL_SPAN`, so
+    a disabled recorder allocates nothing per call.
     """
 
     enabled = False
@@ -156,6 +161,12 @@ class NullRecorder:
         """No-op."""
 
     def add(self, **counts) -> None:
+        """No-op."""
+
+    def record(self, kind, source, dest, size_bytes, **fate) -> None:
+        """No-op; returns ``None`` (no operation to stamp)."""
+
+    def mark_retry(self, attempt: int) -> None:
         """No-op."""
 
 
@@ -190,18 +201,22 @@ class TraceRecorder:
 
     def _open(self, name: str, attrs: dict) -> Span:
         parent = self._stack[-1] if self._stack else None
-        span = Span(
-            name=name,
-            span_id=self._next_id,
-            parent_id=None if parent is None else parent.span_id,
-            depth=len(self._stack),
-            start=self.clock(),
-            attrs=attrs,
+        span = Span(  # positional: this is every instrumented call's cost
+            name,
+            self._next_id,
+            None if parent is None else parent.span_id,
+            len(self._stack),
+            self.clock(),
+            attrs,
         )
         self._next_id += 1
-        self.spans.append(span)
         self._stack.append(span)
+        self._opened(span, parent)
         return span
+
+    def _opened(self, span: Span, parent: Span | None) -> None:
+        """Keep a just-opened span; subclasses add their own fields."""
+        self.spans.append(span)
 
     def _close(self, span: Span) -> None:
         while self._stack:
@@ -228,6 +243,11 @@ class TraceRecorder:
                 bucket[key] = bucket.get(key, 0) + value
 
     @property
+    def current(self) -> Span | None:
+        """The innermost open span, if any."""
+        return self._stack[-1] if self._stack else None
+
+    @property
     def open_depth(self) -> int:
         """How many spans are currently open."""
         return len(self._stack)
@@ -245,12 +265,12 @@ class TraceRecorder:
         )
 
     def write_jsonl(self, path) -> int:
-        """Write one JSON object per span to ``path``; returns span count."""
-        text = self.dumps_jsonl()
+        """Write one JSON object per record to ``path``; returns the count."""
+        records = self.to_records()
         with open(path, "w") as handle:
-            if text:
-                handle.write(text + "\n")
-        return len(self.spans)
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        return len(records)
 
     def flame(self, *, max_depth: int | None = None) -> str:
         """Human-readable aggregated flame summary (indent = depth)."""
@@ -260,7 +280,11 @@ class TraceRecorder:
 
 
 def read_jsonl(path) -> list[dict]:
-    """Load span records written by :meth:`TraceRecorder.write_jsonl`."""
+    """Load the records of any recorder's :meth:`~TraceRecorder.write_jsonl`.
+
+    A flight file mixes edge records with operation summaries; split
+    them on ``record.get("record") == "op"``.
+    """
     records = []
     with open(path) as handle:
         for line in handle:

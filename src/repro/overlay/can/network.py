@@ -101,7 +101,7 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
             check_vector(point, "point", dim=self._dim), "point"
         )
         entry_id = int(self._rng.choice(list(self._nodes)))
-        with runtime.current.flight.operation("join", node=node_id):
+        with runtime.current.flight.span("join", node=node_id):
             owner_id, path = self._locate(entry_id, point)
             self._charge_route(
                 entry_id, path, MessageKind.JOIN,
@@ -355,7 +355,7 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
             given, kept = upper, lower
         else:
             given, kept = lower, upper
-        with runtime.current.flight.operation(
+        with runtime.current.flight.span(
             "rebalance", node=node_id, target=target_id
         ) as flight_op:
             hot.set_zones(self._replace_zone(hot.zones, zone, kept))
@@ -422,7 +422,7 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
             keys, values, radii,
             table.routing_keys_many(keys), table.meeting_many(keys, radii),
         ):
-            with runtime.current.flight.operation("insert", origin=origin):
+            with runtime.current.flight.span("insert", origin=origin):
                 owner_id, path = route_to_owner(
                     self, origin, key, penalty=self.route_penalty, keys=route_keys
                 )
@@ -473,7 +473,7 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
 
     def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
         """The shared point query, recorded as one flight operation."""
-        with runtime.current.flight.operation("lookup", origin=origin):
+        with runtime.current.flight.span("lookup", origin=origin):
             return super().lookup(origin, key)
 
     def range_query(
@@ -489,7 +489,7 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
         """
         center = check_vector(center, "center", dim=self._dim)
         check_positive(radius, "radius", strict=False)
-        with runtime.current.flight.operation(
+        with runtime.current.flight.span(
             "range_query", origin=origin
         ) as flight_op:
             owner_id, path = self._locate(origin, center)

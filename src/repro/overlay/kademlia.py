@@ -415,7 +415,7 @@ class KademliaNetwork(StoreMaintenancePlane, AdaptationPlane):
             row for row in hot.membership.rows()
             if row not in target.membership
         ]
-        with runtime.current.flight.operation(
+        with runtime.current.flight.span(
             "rebalance", node=node_id, target=target_id
         ) as flight_op:
             size = HEADER_BYTES

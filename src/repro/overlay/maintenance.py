@@ -271,7 +271,7 @@ class StoreMaintenancePlane(Overlay):
         """
         if not patches:
             return (0, 0)
-        with runtime.current.flight.operation("patch", origin=origin):
+        with runtime.current.flight.span("patch", origin=origin):
             store = self.level_store
             rows = [store.row_of(entry_id) for entry_id, __, __ in patches]
             row_set = set(rows)
@@ -324,7 +324,7 @@ class StoreMaintenancePlane(Overlay):
         """
         if not entry_ids:
             return 0
-        with runtime.current.flight.operation("retract", origin=origin):
+        with runtime.current.flight.span("retract", origin=origin):
             store = self.level_store
             rows = {
                 store.row_of(entry_id)

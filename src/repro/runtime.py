@@ -17,10 +17,15 @@ object, :data:`current`:
     The :class:`~repro.obs.registry.MetricsRegistry` instrumentation
     writes to (:func:`repro.obs.registry.metrics` returns it).
 ``tracer``
-    The span recorder (a :class:`~repro.obs.trace.NullRecorder` when
-    tracing is off).
+    The span recorder.
 ``flight``
-    The flight recorder (a null one when off).
+    The flight recorder (a :class:`~repro.obs.flight.FlightRecorder`,
+    whose operations are spans too).
+
+Both recorder slots default to the one null object,
+:data:`repro.obs.trace.NULL_RECORDER`. They stay two slots because they
+hold two different trees: a trace span counts its descendants' traffic,
+a flight operation only its own frames.
 
 ``HyperMNetwork`` and ``Network`` read the first three once, at
 construction; an explicit constructor argument wins over the context.
@@ -37,7 +42,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.obs.flight import NULL_FLIGHT_RECORDER
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER
 
@@ -56,7 +60,7 @@ class RunContext:
         self.adapt = None
         self.metrics = MetricsRegistry()
         self.tracer = NULL_RECORDER
-        self.flight = NULL_FLIGHT_RECORDER
+        self.flight = NULL_RECORDER
 
 
 #: The process-wide context. Bind the module (``from repro import

@@ -213,7 +213,7 @@ class ServeEngine:
         recorder = runtime.current.tracer
         with recorder.span(
             "serve_batch", size=len(requests)
-        ) as span, runtime.current.flight.operation(
+        ) as span, runtime.current.flight.span(
             "serve_batch", size=len(requests)
         ):
             self._maybe_prewarm()

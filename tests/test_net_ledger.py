@@ -204,6 +204,32 @@ class TestBulkIsTheSameWrite:
             loop.energy.snapshot(), rel=REL
         )
 
+    def test_flight_recorded_bulk_is_one_edge_per_frame(self):
+        """With the flight recorder on, every bulk frame is an edge of the
+        open operation, and the ledger reads what the bulk write leaves."""
+        from repro.obs.flight import FlightRecorder
+        from repro.runtime import run_context
+
+        senders, receivers = [0, 1, 2, 0, 5], [1, 2, 3, 3, 1]
+        bulk, recorded = fabric(8), fabric(8)
+        bulk.transmit_bulk(MessageKind.INSERT, senders, receivers, 10)
+        flight = FlightRecorder(clock=lambda: 0.0)
+        with run_context(flight=flight), flight.span("insert") as op:
+            charged = recorded.transmit_bulk(
+                MessageKind.INSERT, senders, receivers, 10
+            )
+            with pytest.raises(ValidationError, match="unknown destination"):
+                recorded.transmit_bulk(MessageKind.INSERT, [0, 1], [2, 99], 10)
+        assert charged == len(flight.edges) == op.hops == len(senders)
+        assert [(e.source, e.dest) for e in flight.edges] == list(
+            zip(senders, receivers)
+        )
+        assert kind_counts(recorded) == kind_counts(bulk)
+        assert load_records(recorded) == load_records(bulk)
+        assert recorded.energy.per_node == pytest.approx(
+            bulk.energy.per_node, rel=REL
+        )
+
 
 class TestPathIsTheSameWrite:
     """``transmit_path`` against the per-frame ``transmit`` chain it replaces."""
@@ -307,7 +333,7 @@ class TestPathIsTheSameWrite:
             with run_context(flight=flight):
                 for start in range(40):
                     path = [(start + step) % 16 for step in (3, 5, 3, 8)]
-                    with flight.operation("insert", origin=start % 16):
+                    with flight.span("insert", origin=start % 16):
                         if charge == "path":
                             net.transmit_path(
                                 MessageKind.INSERT, start % 16, path, 72

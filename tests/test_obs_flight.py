@@ -22,12 +22,8 @@ from repro.faults import FaultPlan
 from repro.net.messages import MessageKind
 from repro.net.network import Network
 from repro.net.node import SimNode
-from repro.obs.flight import (
-    NULL_FLIGHT_RECORDER,
-    FlightRecorder,
-    NullFlightRecorder,
-    read_flight_jsonl,
-)
+from repro.obs.flight import FlightRecorder
+from repro.obs.trace import NULL_RECORDER, NULL_SPAN, NullRecorder, read_jsonl
 
 
 class _Ticker:
@@ -44,35 +40,35 @@ class _Ticker:
 class TestOperations:
     def test_root_operation_is_its_own_trace(self):
         rec = FlightRecorder(clock=_Ticker())
-        with rec.operation("publish", peer=3) as op:
-            assert op.trace_id == op.op_id
-            assert op.parent_op is None
+        with rec.span("publish", peer=3) as op:
+            assert op.trace_id == op.span_id
+            assert op.parent_id is None
         assert rec.ops == [op]
         assert op.attrs == {"peer": 3}
         assert op.end is not None and op.end > op.start
 
     def test_children_inherit_root_trace_id(self):
         rec = FlightRecorder(clock=_Ticker())
-        with rec.operation("publish") as root:
-            with rec.operation("insert") as child:
-                with rec.operation("range_query") as grandchild:
-                    assert grandchild.trace_id == root.op_id
-            assert child.trace_id == root.op_id
-            assert child.parent_op == root.op_id
+        with rec.span("publish") as root:
+            with rec.span("insert") as child:
+                with rec.span("range_query") as grandchild:
+                    assert grandchild.trace_id == root.span_id
+            assert child.trace_id == root.span_id
+            assert child.parent_id == root.span_id
             assert rec.current is root
         assert rec.current is None
 
     def test_exception_annotates_and_closes(self):
         rec = FlightRecorder(clock=_Ticker())
         with pytest.raises(RuntimeError):
-            with rec.operation("insert"):
+            with rec.span("insert"):
                 raise RuntimeError("boom")
         assert rec.ops[-1].attrs["error"] == "RuntimeError"
         assert rec.current is None
 
     def test_set_annotations(self):
         rec = FlightRecorder(clock=_Ticker())
-        with rec.operation("query") as op:
+        with rec.span("query") as op:
             op.set(items=7, peers_contacted=2)
         assert op.attrs == {"items": 7, "peers_contacted": 2}
 
@@ -80,18 +76,18 @@ class TestOperations:
 class TestRecording:
     def test_edges_bump_operation_counters(self):
         rec = FlightRecorder(clock=_Ticker())
-        with rec.operation("insert") as op:
+        with rec.span("insert") as op:
             stamp = rec.record("insert", 1, 2, 100, t=0.5)
             rec.record("insert", 2, 3, 100, t=0.6)
             rec.record("replicate", 3, 4, 50, status="dropped", t=0.7)
-        assert stamp == (op.op_id, op.op_id, 0)
+        assert stamp == (op.span_id, op.span_id, 0)
         assert (op.hops, op.bytes, op.drops) == (3, 250, 1)
         assert [e.seq for e in rec.edges] == [0, 1, 2]
         assert [e.t for e in rec.edges] == [0.5, 0.6, 0.7]
 
     def test_retransmits_and_duplicates_are_tagged_edges(self):
         rec = FlightRecorder(clock=_Ticker())
-        with rec.operation("patch") as op:
+        with rec.span("patch") as op:
             rec.record("publish_delta", 1, 2, 64, retransmits=2, copies=1)
         statuses = [e.status for e in rec.edges]
         assert statuses == ["sent", "retransmit", "retransmit", "duplicate"]
@@ -109,7 +105,7 @@ class TestRecording:
 
     def test_mark_retry_is_one_shot(self):
         rec = FlightRecorder(clock=_Ticker())
-        with rec.operation("query"):
+        with rec.span("query"):
             rec.record("retrieve", 1, 2, 10)
             rec.mark_retry(2)
             rec.record("retrieve", 1, 2, 10)
@@ -118,7 +114,7 @@ class TestRecording:
 
     def test_ring_eviction_preserves_counters(self):
         rec = FlightRecorder(capacity=4, clock=_Ticker())
-        with rec.operation("insert") as op:
+        with rec.span("insert") as op:
             for hop in range(10):
                 rec.record("insert", hop, hop + 1, 8)
         assert len(rec.edges) == 4
@@ -131,7 +127,7 @@ class TestRecording:
     def test_max_ops_eviction(self):
         rec = FlightRecorder(max_ops=3, clock=_Ticker())
         for index in range(5):
-            with rec.operation("lookup", n=index):
+            with rec.span("lookup", n=index):
                 pass
         assert [op.attrs["n"] for op in rec.ops] == [2, 3, 4]
         assert rec.evicted_ops == 2
@@ -146,9 +142,9 @@ class TestRecording:
 class TestSampling:
     def test_sampled_out_root_records_nothing(self):
         rec = FlightRecorder(sample=0.0, clock=_Ticker())
-        with rec.operation("publish") as op:
+        with rec.span("publish") as op:
             assert rec.record("insert", 1, 2, 10) is None
-            with rec.operation("insert") as child:
+            with rec.span("insert") as child:
                 assert rec.record("insert", 2, 3, 10) is None
         assert not rec.edges
         assert (op.hops, child.hops) == (0, 0)
@@ -159,7 +155,7 @@ class TestSampling:
             rec = FlightRecorder(sample=0.5, seed=seed, clock=_Ticker())
             out = []
             for __ in range(64):
-                with rec.operation("op") as op:
+                with rec.span("op") as op:
                     out.append(op.sampled)
             return out
 
@@ -171,19 +167,19 @@ class TestSampling:
     def test_children_follow_root_decision(self):
         rec = FlightRecorder(sample=0.5, seed=1, clock=_Ticker())
         for __ in range(32):
-            with rec.operation("publish") as root:
-                with rec.operation("insert") as child:
+            with rec.span("publish") as root:
+                with rec.span("insert") as child:
                     assert child.sampled == root.sampled
 
 
 class TestReconstruction:
     def test_routing_tree_chain_and_branch(self):
         rec = FlightRecorder(clock=_Ticker())
-        with rec.operation("range_query") as op:
+        with rec.span("range_query") as op:
             rec.record("range_query", 1, 2, 10)
             rec.record("range_query", 2, 3, 10)
             rec.record("range_query", 2, 4, 10, status="dropped")
-        tree = rec.routing_tree(op.op_id)
+        tree = rec.routing_tree(op.span_id)
         assert tree["roots"] == [1]
         assert tree["children"][1] == [(2, "sent")]
         assert tree["children"][2] == [(3, "sent"), (4, "dropped")]
@@ -192,20 +188,20 @@ class TestReconstruction:
 
     def test_subtree_merges_child_operations(self):
         rec = FlightRecorder(clock=_Ticker())
-        with rec.operation("publish") as root:
+        with rec.span("publish") as root:
             rec.record("publish", 9, 1, 10)
-            with rec.operation("insert"):
+            with rec.span("insert"):
                 rec.record("insert", 1, 2, 10, retransmits=1)
-        tree = rec.routing_tree(root.op_id, subtree=True)
+        tree = rec.routing_tree(root.span_id, subtree=True)
         assert tree["primary_edges"] == 2
         assert tree["retransmits"] == 1
-        flat = rec.routing_tree(root.op_id, subtree=False)
+        flat = rec.routing_tree(root.span_id, subtree=False)
         assert flat["primary_edges"] == 1
 
     def test_per_op_histograms(self):
         rec = FlightRecorder(clock=_Ticker())
         for hops in (2, 2, 4):
-            with rec.operation("insert"):
+            with rec.span("insert"):
                 for hop in range(hops):
                     rec.record("insert", hop, hop + 1, 10)
         hist = rec.per_op_histograms()["insert"]
@@ -217,19 +213,21 @@ class TestReconstruction:
 class TestExport:
     def test_jsonl_roundtrip(self, tmp_path):
         rec = FlightRecorder(clock=_Ticker())
-        with rec.operation("query", origin=5):
+        with rec.span("query", origin=5):
             rec.record("retrieve", 1, 2, 10, t=1.0)
             rec.record("data", 2, 1, 99, status="dropped", copies=1, t=2.0)
         path = tmp_path / "flight.jsonl"
         assert rec.write_jsonl(path) == len(rec.edges) + len(rec.ops)
-        edges, ops = read_flight_jsonl(path)
+        records = read_jsonl(path)
+        ops = [r for r in records if r.get("record") == "op"]
+        edges = [r for r in records if r.get("record") != "op"]
         assert edges == [e.to_record() for e in rec.edges]
         assert ops == rec.op_summaries()
 
     def test_dumps_jsonl_is_deterministic(self):
         def run():
             rec = FlightRecorder(clock=_Ticker())
-            with rec.operation("insert", origin=1):
+            with rec.span("insert", origin=1):
                 rec.record("insert", 1, 2, 10, t=0.25)
             return rec.dumps_jsonl()
 
@@ -243,22 +241,22 @@ class TestExport:
 
 class TestGlobalState:
     def test_default_is_null_recorder(self):
-        assert runtime.current.flight is NULL_FLIGHT_RECORDER
+        assert runtime.current.flight is NULL_RECORDER
         assert not runtime.current.flight.enabled
 
     def test_null_recorder_is_inert(self):
-        null = NullFlightRecorder()
-        with null.operation("insert") as op:
+        null = NullRecorder()
+        with null.span("insert") as op:
             op.set(ignored=True)
             assert null.record("insert", 1, 2, 10) is None
         null.mark_retry(3)
-        assert op.op_id is None and op.hops == 0
+        assert op is NULL_SPAN
 
     def test_context_manager_installs_and_restores(self):
         rec = FlightRecorder(clock=_Ticker())
         with runtime.run_context(flight=rec):
             assert runtime.current.flight is rec
-        assert runtime.current.flight is NULL_FLIGHT_RECORDER
+        assert runtime.current.flight is NULL_RECORDER
 
     def test_set_flight_recorder_roundtrip(self):
         outer = FlightRecorder(clock=_Ticker())
@@ -274,10 +272,10 @@ class TestGlobalState:
         fabric.register(SimNode(2))
         rec = FlightRecorder(clock=_Ticker())
         with runtime.run_context(flight=rec):
-            with rec.operation("lookup") as op:
+            with rec.span("lookup") as op:
                 message = fabric.transmit(1, 2, MessageKind.LOOKUP, 40)
         assert message.trace_id == op.trace_id
-        assert message.parent_op == op.op_id
+        assert message.parent_op == op.span_id
         assert message.hop_index == 0
         # Without a recorder the fields stay None.
         clean = fabric.transmit(1, 2, MessageKind.LOOKUP, 40)
@@ -321,7 +319,7 @@ def _assert_flight_matches_metrics(rec, net):
     #    primary edge count equals its hop counter, drops/retries/dups
     #    appearing as tagged edges.
     for op in rec.ops:
-        tree = rec.routing_tree(op.op_id, subtree=False)
+        tree = rec.routing_tree(op.span_id, subtree=False)
         assert tree["primary_edges"] == op.hops
         assert tree["dropped"] == op.drops
         assert tree["retransmits"] == op.retransmits
@@ -329,7 +327,7 @@ def _assert_flight_matches_metrics(rec, net):
     # 2. Per-kind: the flight ops of each overlay kind reproduce exactly
     #    the per-op hop statistics the fabric metrics reported.
     for flight_kind, message_kind in KIND_MAP.items():
-        ops = [op for op in rec.ops if op.kind == flight_kind]
+        ops = [op for op in rec.ops if op.name == flight_kind]
         bucket = metrics.kind(message_kind)
         assert len(ops) == bucket.per_op_hops.count
         assert sum(op.hops for op in ops) == pytest.approx(
@@ -339,7 +337,7 @@ def _assert_flight_matches_metrics(rec, net):
             assert max(op.hops for op in ops) == bucket.per_op_hops.max
             assert min(op.hops for op in ops) == bucket.per_op_hops.min
     # 3. Patch + retract flight ops together are the PUBLISH_DELTA bucket.
-    delta_ops = [op for op in rec.ops if op.kind in ("patch", "retract")]
+    delta_ops = [op for op in rec.ops if op.name in ("patch", "retract")]
     delta = metrics.kind(MessageKind.PUBLISH_DELTA)
     assert len(delta_ops) == delta.per_op_hops.count
     assert sum(op.hops for op in delta_ops) == pytest.approx(
@@ -379,7 +377,7 @@ class TestMetricsInvariant:
             net.republish_peer(1)
             _run_queries(net, n=2, seed=4)
         _assert_flight_matches_metrics(rec, net)
-        assert any(op.kind == "patch" for op in rec.ops)
+        assert any(op.name == "patch" for op in rec.ops)
 
     @settings(max_examples=6, deadline=None)
     @given(

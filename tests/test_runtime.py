@@ -6,7 +6,7 @@ from repro import cli, runtime
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.engine.serial import SerialScheduler
 from repro.faults import FaultPlan
-from repro.obs.flight import NULL_FLIGHT_RECORDER, FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry, metrics
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.overlay.adapt import AdaptConfig
@@ -43,7 +43,7 @@ class TestRunContext:
             "fault_plan": None,
             "adapt": None,
             "tracer": NULL_RECORDER,
-            "flight": NULL_FLIGHT_RECORDER,
+            "flight": NULL_RECORDER,
         }
         # ...and the process starts (and every test leaves it) there.
         current = _fields()
@@ -81,7 +81,7 @@ class TestRunContext:
             assert runtime.current.flight is flight
             assert runtime.current.adapt is None
         assert runtime.current.tracer is NULL_RECORDER
-        assert runtime.current.flight is NULL_FLIGHT_RECORDER
+        assert runtime.current.flight is NULL_RECORDER
 
     def test_restores_after_an_exception(self):
         before = _fields()

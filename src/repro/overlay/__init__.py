@@ -7,38 +7,32 @@ replication for non-zero-sized (sphere) objects (paper Figure 6), and the
 departure protocol (zone merge / sibling-pair handoff / temporary
 multi-zone takeover).
 
-Four further substrates back the paper's overlay-independence claim:
+Three further substrates back the paper's overlay-independence claim:
 
 * :mod:`repro.overlay.baton` — BATON [Jagadish, Ooi, Vu, VLDB 2005], the
   balanced tree overlay the paper names explicitly;
 * :mod:`repro.overlay.vbi` — the VBI-tree [ICDE 2006], the paper's third
   named overlay: a distributed KD-tree with virtual internal nodes,
   natively multi-dimensional;
-* :mod:`repro.overlay.ring` — a Chord-style ring;
-* :mod:`repro.overlay.kademlia` — a Kademlia-style XOR DHT with
-  k-buckets and α-concurrent iterative lookups.
+* :mod:`repro.overlay.ring` — a Chord-style ring.
 
-BATON, the ring and Kademlia index multi-dimensional keys through the
-Z-order machinery shared in :mod:`repro.overlay.morton`; the VBI-tree
-partitions the multi-dimensional space directly.
+BATON and the ring index multi-dimensional keys through the Z-order
+machinery shared in :mod:`repro.overlay.morton`; the VBI-tree partitions
+the multi-dimensional space directly.
 
-In-place delta publication is part of the :class:`Overlay` contract; the
-one optional capability is the adaptation *plane* (the load-adaptation
-control surface, :mod:`repro.overlay.base`). :mod:`repro.overlay.registry`
-maps CLI names to backends.
+In-place delta publication is part of the :class:`Overlay` contract;
+load adaptation (:mod:`repro.overlay.adapt`) runs on CAN's zones only.
+:mod:`repro.overlay.registry` maps CLI names to backends.
 """
 
 from repro.overlay.base import (
-    AdaptationPlane,
     InsertReceipt,
     Overlay,
     RangeReceipt,
     StoredEntry,
-    adaptation_plane,
 )
 from repro.overlay.baton import BatonNetwork
 from repro.overlay.can import CANNetwork, Zone
-from repro.overlay.kademlia import KademliaNetwork
 from repro.overlay.registry import (
     OVERLAYS,
     overlay_names,
@@ -52,14 +46,11 @@ __all__ = [
     "StoredEntry",
     "InsertReceipt",
     "RangeReceipt",
-    "AdaptationPlane",
-    "adaptation_plane",
     "CANNetwork",
     "Zone",
     "RingNetwork",
     "BatonNetwork",
     "VBITree",
-    "KademliaNetwork",
     "OVERLAYS",
     "overlay_names",
     "resolve_overlay",

@@ -8,17 +8,15 @@ snapshot per *epoch* (every ``epoch_queries`` range queries) and reacts
 along four axes:
 
 * **Hot-owner rebalancing** — a node whose byte traffic exceeds
-  ``split_threshold`` × the level mean sheds load through the overlay's
-  own rebalance action
-  (:meth:`~repro.overlay.base.AdaptationPlane.rebalance_hot`: CAN
-  splits the hot zone and hands half to the least-loaded neighbour —
-  the GeoP2P idiom — while Kademlia bulk-replicates to the XOR-nearest
-  peer).
+  ``split_threshold`` × the level mean sheds load through
+  :meth:`~repro.overlay.can.CANNetwork.rebalance_hot`: CAN splits the
+  hot zone and hands half to the least-loaded neighbour — the GeoP2P
+  idiom.
 * **Replication retuning** — spheres whose query heat grew this epoch
   gain extra replicas on least-loaded nodes
-  (:meth:`~repro.overlay.base.AdaptationPlane.boost_replication`);
+  (:meth:`~repro.overlay.can.CANNetwork.boost_replication`);
   boosted spheres that went cold shed the extras
-  (:meth:`~repro.overlay.base.AdaptationPlane.shed_replication`). Both
+  (:meth:`~repro.overlay.can.CANNetwork.shed_replication`). Both
   reuse the shared-row membership machinery — no withdraw + republish
   round.
 * **Quality-scored multicast** — retrieval requests fan out through a
@@ -31,11 +29,10 @@ along four axes:
   ties towards low-penalty nodes (``route_penalty`` hook); the owner
   reached, and therefore all stored state, is unchanged.
 
-The controller is overlay-generic: it dispatches every action through
-:func:`repro.overlay.base.adaptation_plane`, so any backend
-implementing :class:`~repro.overlay.base.AdaptationPlane` (CAN,
-Kademlia) adapts, and any backend without the plane degrades gracefully
-— skipped, with the miss metered on the
+Adaptation is tied to a zone partition (GeoP2P), and only CAN has one:
+every action goes through :func:`adaptation_plane`, which returns a CAN
+overlay or a *metered* ``None``. Levels on any other backend are
+skipped, with the miss counted on the
 ``overlay.plane.adaptation.missing`` counter — never via ``hasattr``
 probing.
 
@@ -54,7 +51,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
-from repro.overlay.base import adaptation_plane
+from repro.obs import registry as obs_registry
+from repro.overlay.can import CANNetwork
+
+
+def adaptation_plane(overlay) -> CANNetwork | None:
+    """The overlay if it is a CAN, else a *metered* ``None``.
+
+    Every miss increments ``overlay.plane.adaptation.missing`` (plus a
+    per-backend-class counter), so a deployment whose control loop is
+    quietly skipped is visible in any metrics snapshot.
+    """
+    if isinstance(overlay, CANNetwork):
+        return overlay
+    metrics = obs_registry.metrics()
+    metrics.counter("overlay.plane.adaptation.missing").inc()
+    metrics.counter(
+        f"overlay.plane.adaptation.missing.{type(overlay).__name__}"
+    ).inc()
+    return None
 
 
 @dataclass(frozen=True)
@@ -90,8 +105,8 @@ class AdaptConfig:
         :meth:`AdaptationController.run_epoch` calls).
     top_k:
         Hotspot ranking depth for loadmap reporting around the control
-        loop (the loop itself consumes the adaptation plane's per-node
-        load snapshot, not a loadmap).
+        loop (the loop itself consumes CAN's per-node load snapshot, not
+        a loadmap).
     """
 
     split_threshold: float = 3.0
@@ -285,9 +300,8 @@ class AdaptationController:
         """Snapshot every level's load and apply every triggered action.
 
         Each level's overlay is consulted through
-        :func:`~repro.overlay.base.adaptation_plane`; backends without
-        the plane are skipped (the miss is metered) so mixed-capability
-        deployments adapt where they can.
+        :func:`adaptation_plane`; levels not on CAN are skipped (the miss
+        is metered) so mixed-backend deployments adapt where they can.
         """
         network = self.network
         epoch = self.epochs

@@ -1,4 +1,4 @@
-"""Abstract overlay interface, the adaptation plane, and receipt types.
+"""Abstract overlay interface and receipt types.
 
 Hyper-M "works independently of the underlying overlay structure" (paper
 contribution 1); this interface is the contract it relies on: insert a
@@ -8,14 +8,6 @@ intersecting a query sphere, and maintain published entries in place
 set — what the delta publish pipeline,
 :meth:`HyperMNetwork.publish_delta`, runs on), with hop accounting
 throughout.
-
-One *capability plane* stays optional: :class:`AdaptationPlane`, the
-load-adaptation control surface (a per-node load snapshot, hot-owner
-rebalancing, replication boost/shed) that only CAN and Kademlia
-implement. :class:`repro.overlay.adapt.AdaptationController` never
-``hasattr``-probes an overlay for it: it goes through
-:func:`adaptation_plane`, which returns the typed plane or a *metered*
-``None`` (the ``overlay.plane.adaptation.missing`` counter).
 """
 
 from __future__ import annotations
@@ -27,7 +19,6 @@ import numpy as np
 
 from repro.geometry.intersection import spheres_intersect
 from repro.index import CandidateSet, LevelStore
-from repro.obs import registry as obs_registry
 from repro.utils.validation import check_positive, check_vector
 
 
@@ -117,8 +108,8 @@ class Overlay(abc.ABC):
     """Minimal overlay contract Hyper-M builds on."""
 
     #: True when the overlay partitions the key space into geometric
-    #: zones (CAN). Zoneless substrates (ring arcs, tree ranges, XOR
-    #: buckets) leave this False so ``build_loadmap`` reports an empty
+    #: zones (CAN). Zoneless substrates (ring arcs, tree ranges) leave
+    #: this False so ``build_loadmap`` reports an empty
     #: zone section instead of fabricating zero-volume rows.
     zone_geometry = False
 
@@ -187,58 +178,3 @@ class Overlay(abc.ABC):
         message and adds the same store row; existing holders are never
         re-sent anything. Returns the new holder ids.
         """
-
-
-class AdaptationPlane(abc.ABC):
-    """Load-adaptation control surface consumed by the controller.
-
-    Implementors expose what the control loop needs: a deterministic
-    per-node load snapshot, a hot-owner rebalancing action, and
-    replication boost/shed for hot/cold spheres. The optional
-    ``route_penalty`` hook biases greedy routing tie-breaks towards
-    low-penalty nodes (``None`` keeps routing bit-identical).
-    """
-
-    #: Optional ``node_id -> float`` penalty installed by the
-    #: adaptation controller's quality-routing axis.
-    route_penalty = None
-
-    def load_snapshot(self) -> dict[int, int]:
-        """Deterministic ``{node_id: total bytes moved}`` load map."""
-        bytes_total = self.fabric.load.bytes_total
-        return {node_id: bytes_total(node_id) for node_id in self.node_ids}
-
-    @abc.abstractmethod
-    def rebalance_hot(
-        self, node_id: int, target_id: int | None = None
-    ) -> int | None:
-        """Shift load off a hot owner; returns the relieving node id.
-
-        Returns ``None`` when no rebalance is possible (no viable
-        target, or the hot node's territory cannot be split further).
-        """
-
-    @abc.abstractmethod
-    def boost_replication(self, row: int, extra: int) -> list[int]:
-        """Grant a hot row up to ``extra`` more replicas; new holder ids."""
-
-    @abc.abstractmethod
-    def shed_replication(self, row: int) -> list[int]:
-        """Drop a cold row's boosted replicas; returns the shedding ids."""
-
-
-def adaptation_plane(overlay) -> AdaptationPlane | None:
-    """The overlay's adaptation plane, or a *metered* ``None``.
-
-    Every miss increments ``overlay.plane.adaptation.missing`` (plus a
-    per-backend-class counter), so a deployment whose control loop is
-    quietly skipped is visible in any metrics snapshot.
-    """
-    if isinstance(overlay, AdaptationPlane):
-        return overlay
-    metrics = obs_registry.metrics()
-    metrics.counter("overlay.plane.adaptation.missing").inc()
-    metrics.counter(
-        f"overlay.plane.adaptation.missing.{type(overlay).__name__}"
-    ).inc()
-    return None

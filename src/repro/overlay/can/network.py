@@ -11,11 +11,7 @@ from repro.net.messages import (
     MessageKind,
     vector_message_size,
 )
-from repro.overlay.base import (
-    AdaptationPlane,
-    InsertReceipt,
-    RangeReceipt,
-)
+from repro.overlay.base import InsertReceipt, RangeReceipt
 from repro.overlay.can.node import CANNode
 from repro.overlay.can.routing import flood, route_to_owner
 from repro.overlay.can.table import ZoneTable
@@ -24,7 +20,7 @@ from repro.overlay.maintenance import StoreMaintenancePlane
 from repro.utils.validation import check_positive, check_unit_cube, check_vector
 
 
-class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
+class CANNetwork(StoreMaintenancePlane):
     """A CAN overlay over the simulated MANET fabric.
 
     Constructor parameters are the shared ones of
@@ -444,8 +440,10 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
     insert = StoreMaintenancePlane.insert
 
     # patch_entries / retract_entries come from StoreMaintenancePlane; the
-    # geometry-specific hooks below complete the maintenance and
-    # adaptation planes by delegating to the CAN zone machinery.
+    # geometry-specific hooks below complete the maintenance plane and
+    # give the adaptation controller its surface (load snapshot, hot-owner
+    # rebalance, replication boost/shed) by delegating to the CAN zone
+    # machinery.
 
     def extend_replication(self, row: int, holder_ids) -> list[int]:
         """Grow ``row``'s replica set to newly overlapped zones."""
@@ -453,10 +451,15 @@ class CANNetwork(StoreMaintenancePlane, AdaptationPlane):
 
         return extend_replication(self, row, holder_ids)
 
+    def load_snapshot(self) -> dict[int, int]:
+        """Deterministic ``{node_id: total bytes moved}`` load map."""
+        bytes_total = self.fabric.load.bytes_total
+        return {node_id: bytes_total(node_id) for node_id in self.node_ids}
+
     def rebalance_hot(
         self, node_id: int, target_id: int | None = None
     ) -> int | None:
-        """Adaptation-plane hot-owner action: split-and-hand-off a zone."""
+        """The controller's hot-owner action: :meth:`rebalance_zone`."""
         return self.rebalance_zone(node_id, target_id)
 
     def boost_replication(self, row: int, extra: int) -> list[int]:

@@ -1,10 +1,10 @@
-"""The store-backed overlay: everything the five backends share.
+"""The store-backed overlay: everything the four backends share.
 
 Hyper-M "works independently of the underlying overlay structure"
 (paper contribution 1). What makes an overlay *this* overlay is small:
 who owns a point, how a request reaches that owner, and which nodes a
 sphere must be held by. Everything else is the same on CAN, the ring,
-BATON, the VBI-tree and Kademlia, because all of them store entries as
+BATON and the VBI-tree, because all of them store entries as
 rows of one shared :class:`repro.index.LevelStore` with per-node
 memberships — so it lives here, once:
 
@@ -13,8 +13,8 @@ memberships — so it lives here, once:
 * the data plane — :meth:`~StoreMaintenancePlane.insert_many` (which
   ``insert`` calls with one row), :meth:`~StoreMaintenancePlane.lookup`
   and :meth:`~StoreMaintenancePlane.extend_replication` — written
-  against three backend hooks: ``_locate`` (route a point to its owner),
-  ``_charge_route`` (pay for those hops: one
+  against two backend hooks: ``_locate`` (route a point to its owner,
+  paid for by :meth:`~StoreMaintenancePlane._charge_route` as one
   :meth:`~repro.net.network.Network.transmit_path` for the chain) and
   ``_cover`` (the nodes a sphere must be held by);
 * the delta pipeline's in-place maintenance —
@@ -23,7 +23,7 @@ memberships — so it lives here, once:
   the touched rows, send each one batched scalar ``PUBLISH_DELTA``
   traffic, and mutate the store once.
 
-A backend adds ``join``/``leave``, the three hooks and its own
+A backend adds ``join``/``leave``, the two hooks and its own
 ``range_query`` walk (a flood, per-target routes, a tree chain — these
 genuinely differ). CAN alone also keeps its own ``insert_many`` and
 ``extend_replication``: its replicas spread hop by hop across abutting

@@ -35,8 +35,7 @@ def morton_code(point: np.ndarray, bits: int) -> int:
 
     Coordinates are quantised to ``bits`` bits and bit-interleaved
     (dimension 0 contributes the most significant bit of each group).
-    The Kademlia backend keeps this integer form as the XOR-metric key;
-    the ring/BATON backends normalise it to ``[0, 1)`` via
+    The ring/BATON backends normalise it to ``[0, 1)`` via
     :func:`morton_key`.
     """
     p = np.asarray(point, dtype=np.float64)

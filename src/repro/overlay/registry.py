@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro.exceptions import ValidationError
 from repro.overlay.baton import BatonNetwork
 from repro.overlay.can import CANNetwork
-from repro.overlay.kademlia import KademliaNetwork
 from repro.overlay.ring import RingNetwork
 from repro.overlay.vbi import VBITree
 
@@ -28,7 +27,6 @@ OVERLAYS: dict[str, type] = {
     "ring": RingNetwork,
     "baton": BatonNetwork,
     "vbi": VBITree,
-    "kademlia": KademliaNetwork,
 }
 
 DEFAULT_OVERLAY = "can"

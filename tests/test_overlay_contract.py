@@ -1,4 +1,4 @@
-"""The Overlay contract, verified uniformly across all five substrates.
+"""The Overlay contract, verified uniformly across all four substrates.
 
 Hyper-M only relies on the :class:`repro.overlay.base.Overlay` interface;
 these parametrised tests pin the behaviour every substrate must share, so
@@ -15,19 +15,11 @@ import pytest
 from repro.exceptions import StaleCandidateError, ValidationError
 from repro.index import CandidateSet
 from repro.net.messages import MessageKind
-from repro.overlay import (
-    BatonNetwork,
-    CANNetwork,
-    KademliaNetwork,
-    RingNetwork,
-    VBITree,
-)
+from repro.overlay import BatonNetwork, CANNetwork, RingNetwork, VBITree
 from repro.overlay.base import Overlay
 from tests.rows import held_values
 
-FACTORIES = [
-    CANNetwork, BatonNetwork, VBITree, RingNetwork, KademliaNetwork,
-]
+FACTORIES = [CANNetwork, BatonNetwork, VBITree, RingNetwork]
 
 
 @pytest.fixture(params=FACTORIES, ids=lambda f: f.__name__)
@@ -200,17 +192,18 @@ class TestCapabilityPlanes:
         assert overlay.retract_entries(overlay.node_ids[0], []) == 0
 
     def test_adaptation_plane_presence(self, overlay):
-        from repro.overlay.base import AdaptationPlane, adaptation_plane
+        from repro.overlay.adapt import adaptation_plane
 
-        expected = isinstance(overlay, (CANNetwork, KademliaNetwork))
-        assert isinstance(overlay, AdaptationPlane) is expected
+        # Adaptation needs a zone partition, and only CAN has one.
+        expected = type(overlay) is CANNetwork
+        assert overlay.zone_geometry is expected
         plane = adaptation_plane(overlay)
         assert (plane is overlay) is expected
 
     def test_missing_plane_is_metered(self):
         from repro.obs import registry as obs_registry
         from repro.obs.registry import MetricsRegistry
-        from repro.overlay.base import adaptation_plane
+        from repro.overlay.adapt import adaptation_plane
         from repro.runtime import run_context
 
         ring = RingNetwork(2, rng=0)
@@ -226,7 +219,7 @@ class TestCapabilityPlanes:
             ).value == 1
 
     def test_load_snapshot_covers_every_node(self, overlay):
-        from repro.overlay.base import adaptation_plane
+        from repro.overlay.adapt import adaptation_plane
 
         plane = adaptation_plane(overlay)
         if plane is None:

@@ -10,8 +10,8 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry, metrics
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.overlay.adapt import AdaptConfig
+from repro.overlay.baton import BatonNetwork
 from repro.overlay.can import CANNetwork
-from repro.overlay.kademlia import KademliaNetwork
 from repro.overlay.ring import RingNetwork
 from repro.runtime import RunContext, run_context
 
@@ -102,10 +102,10 @@ class TestRunContext:
         with run_context(overlay=RingNetwork):
             network = HyperMNetwork(
                 8, HyperMConfig(levels_used=2), rng=0,
-                overlay_factory=KademliaNetwork,
+                overlay_factory=BatonNetwork,
             )
         assert all(
-            type(overlay) is KademliaNetwork
+            type(overlay) is BatonNetwork
             for overlay in network.overlays.values()
         )
 
@@ -124,9 +124,9 @@ class TestCliFillsTheContext:
 
     @pytest.mark.parametrize("flags, reached", [
         (
-            ["--overlay", "kademlia"],
+            ["--overlay", "baton"],
             lambda net: all(
-                type(overlay) is KademliaNetwork
+                type(overlay) is BatonNetwork
                 for overlay in net.overlays.values()
             ),
         ),

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.evaluation.workloads import build_markov_network
+from repro.exceptions import ValidationError
 from repro.obs.flight import FlightRecorder
 from repro.obs.loadmap import build_loadmap
 from repro.obs.profile import phase_rows
@@ -75,8 +76,12 @@ def run_report(
 
     ``trace_out``/``flight_out``, when given, also export the raw span
     and flight JSONL artefacts next to the report (the files CI archives
-    and schema-checks).
+    and schema-checks). A negative ``n_queries`` or ``top_k`` raises
+    :class:`~repro.exceptions.ValidationError` before any network is built.
     """
+    for name, value in (("n_queries", n_queries), ("top_k", top_k)):
+        if value < 0:
+            raise ValidationError(f"{name} must be >= 0, got {value}")
     generator = ensure_rng(seed if rng is None else rng)
     recorder = TraceRecorder()
     flight = FlightRecorder(capacity=flight_capacity)
@@ -90,7 +95,7 @@ def run_report(
         )
         network = workload.network
         query_rows = generator.integers(
-            0, len(workload.data), size=max(n_queries, 0)
+            0, len(workload.data), size=n_queries
         )
         for row in query_rows:
             network.range_query(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.network import HyperMConfig, HyperMNetwork
+from repro.exceptions import ValidationError
 from repro.faults.injector import Verdict
 from repro.net import LoadLedger, MessageKind, NodeLoad
 from repro.obs.loadmap import build_loadmap
@@ -194,3 +195,8 @@ class TestBuildLoadmap:
 
     def test_snapshots_of_same_state_are_identical(self, network, loadmap):
         assert build_loadmap(network, top_k=5) == loadmap
+
+    def test_negative_top_k_is_refused(self, network):
+        # A [:-1] slice used to report every row but the coldest as "top".
+        with pytest.raises(ValidationError, match="top_k must be >= 0"):
+            build_loadmap(network, top_k=-1)

@@ -20,6 +20,7 @@ from repro.evaluation.report import (
     render_markdown,
     run_report,
 )
+from repro.exceptions import ValidationError
 from repro.obs.flight import FlightRecorder
 from repro.obs.loadmap import build_loadmap
 from repro.obs.schema import (
@@ -213,6 +214,18 @@ class TestRunReport:
         assert report["flight"]["edges"] > 0
         assert report["phases"], "expected span flame rows"
         assert report["loadmap"]["hotspots"]["zones"]
+
+    @pytest.mark.parametrize("knob", ["n_queries", "top_k"])
+    def test_negative_counts_refused_before_any_network(self, knob, monkeypatch):
+        # n_queries=-5 used to run 0 queries and record -5 in meta.
+        import repro.evaluation.report as report_module
+
+        def no_network(**kwargs):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(report_module, "build_markov_network", no_network)
+        with pytest.raises(ValidationError, match=f"{knob} must be >= 0"):
+            run_report(**{**REPORT_KNOBS, knob: -5})
 
     def test_bench_dir_fusion(self, tmp_path):
         (tmp_path / "BENCH_demo.json").write_text('{"speedup": 5.0}')

@@ -2,8 +2,8 @@
 """Head-to-head dissemination matrix across every overlay backend.
 
 Runs :func:`repro.evaluation.overlay_matrix.run_overlay_matrix` at a
-CI-friendly scale: every registered backend (CAN, ring, BATON, VBI,
-Kademlia) receives the identical Markov workload and is measured on
+CI-friendly scale: every registered backend (CAN, ring, BATON, VBI)
+receives the identical Markov workload and is measured on
 full publication, epoch-delta repair vs full republish, and
 recall-checked range queries.
 

@@ -8,7 +8,7 @@ Public API highlights
 * :mod:`repro.wavelets` — averaging-Haar and orthonormal DWT engines.
 * :mod:`repro.clustering` — k-means and cluster-sphere summaries.
 * :mod:`repro.geometry` — hypersphere intersection volumes, ε-inversion.
-* :mod:`repro.overlay` — a full CAN overlay on an event-driven simulator.
+* :mod:`repro.overlay` — a full CAN overlay on the :mod:`repro.net` fabric.
 * :mod:`repro.core` — the Hyper-M network: publish, range and k-NN search.
 * :mod:`repro.datasets` — the paper's synthetic workloads.
 * :mod:`repro.evaluation` — experiment runners for every figure.

@@ -285,7 +285,7 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help="run the experiment on a lossy fabric: a FaultPlan spec like "
-        "'loss=0.1,delay=0.005,dup=0.01,seed=3' applied to every network "
+        "'loss=0.1,dup=0.01,seed=3' applied to every network "
         "the command builds (see docs/faults.md)",
     )
     parser.add_argument(

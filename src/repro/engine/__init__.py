@@ -1,14 +1,13 @@
-"""The execution-engine plane: the clock + the scale harness's fan-out.
+"""The execution-engine plane: the scale harness's per-level fan-out.
 
-Extracted from the implicit event loop in ``repro.net``. The protocol
-(:class:`repro.core.network.HyperMNetwork`) uses only the scheduler;
-the engines serve ``repro scale-bench`` (:mod:`repro.evaluation.scale`).
-The package splits into:
+The protocol (:class:`repro.core.network.HyperMNetwork`) never builds
+an engine; the engines serve ``repro scale-bench``
+(:mod:`repro.evaluation.scale`) and hand its fabric the clock from
+:mod:`repro.net.events`. The package splits into:
 
 * :mod:`repro.engine.base` — the :class:`Engine` contract,
   :class:`EngineConfig`, and the single-sourced shard kernels;
-* :mod:`repro.engine.serial` — :class:`SerialScheduler` (the discrete-
-  event clock) and the inline :class:`SerialEngine`;
+* :mod:`repro.engine.serial` — the inline :class:`SerialEngine`;
 * :mod:`repro.engine.sharded` — :class:`ShardedEngine`: level shards on
   forked worker processes reading the level stores' shared-memory
   columns zero-copy, synchronized by epoch barriers;
@@ -22,7 +21,6 @@ shared-memory lifecycle.
 from repro.engine.base import (
     Engine,
     EngineConfig,
-    SchedulerProtocol,
     gather_block,
     store_mask,
 )
@@ -32,17 +30,14 @@ from repro.engine.registry import (
     engine_names,
     resolve_engine,
 )
-from repro.engine.serial import Event, SerialEngine, SerialScheduler
+from repro.engine.serial import SerialEngine
 from repro.engine.sharded import ShardedEngine
 
 __all__ = [
     "ENGINES",
     "Engine",
     "EngineConfig",
-    "Event",
-    "SchedulerProtocol",
     "SerialEngine",
-    "SerialScheduler",
     "ShardedEngine",
     "create_engine",
     "engine_names",

@@ -13,7 +13,7 @@ An :class:`Engine` runs that story for the scale harness
 per shard key (the level index), and :meth:`Engine.masks` /
 :meth:`Engine.score_levels` fan batched tasks out across the shards,
 returning after the epoch barrier. Either engine hands the harness's
-fabric the serial discrete-event scheduler.
+fabric the serial clock of :mod:`repro.net.events`.
 
 Both engines run the *same* per-level kernel — one
 :meth:`repro.index.CellDirectory.hits` scan handed to
@@ -29,31 +29,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.exceptions import ValidationError
-
-
-@runtime_checkable
-class SchedulerProtocol(Protocol):
-    """What the network fabric requires of its clock."""
-
-    events_processed: int
-
-    @property
-    def now(self) -> float: ...
-
-    def schedule_at(self, time: float, action) -> object: ...
-
-    def schedule_after(self, delay: float, action) -> object: ...
-
-    def step(self) -> bool: ...
-
-    def run(self, *, max_events: int | None = None) -> int: ...
-
-    def run_until(self, time: float) -> int: ...
+from repro.net.events import SerialScheduler
 
 
 @dataclass(frozen=True)
@@ -104,8 +84,8 @@ class Engine(ABC):
         self._stores: dict[int, object] = {}
 
     @abstractmethod
-    def create_scheduler(self) -> SchedulerProtocol:
-        """A fresh discrete-event scheduler for one network fabric."""
+    def create_scheduler(self) -> SerialScheduler:
+        """A fresh clock for one network fabric."""
 
     @abstractmethod
     def register_store(self, shard_key: int, store) -> None:

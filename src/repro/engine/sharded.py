@@ -37,8 +37,8 @@ import numpy as np
 
 from repro.core.scoring import LevelScoreTable, level_scores
 from repro.engine.base import Engine, EngineConfig
-from repro.engine.serial import SerialScheduler
 from repro.exceptions import StaleCandidateError, ValidationError
+from repro.net.events import SerialScheduler
 
 
 def _attach_columns(manifest: dict):

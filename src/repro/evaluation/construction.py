@@ -16,7 +16,7 @@ network with a scheduler class and an event queue":
   paper's conference-room scenario) transmissions serialize and the
   makespan is the total airtime.
 
-Both schedules are run through :class:`repro.engine.serial.SerialScheduler`.
+Both schedules are run through :class:`repro.net.events.SerialScheduler`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from repro.core.baselines import NaiveCANPublisher
 from repro.core.network import HyperMConfig
-from repro.engine.serial import SerialScheduler
 from repro.evaluation.workloads import build_markov_network
+from repro.net.events import SerialScheduler
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import check_positive
 

@@ -21,9 +21,9 @@ from repro.core.baselines import CentralizedIndex
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.datasets.histograms import generate_histograms
 from repro.datasets.partition import partition_among_peers
-from repro.engine.serial import SerialScheduler
 from repro.evaluation.metrics import precision_recall
 from repro.exceptions import ValidationError
+from repro.net.events import SerialScheduler
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 

@@ -5,13 +5,15 @@ One :class:`FaultInjector` per fabric: :meth:`repro.net.network.Network
 asks it whether end-to-end responses survived. All randomness comes from
 one private ``numpy`` generator seeded by the plan, drawn in strict call
 order — the same plan, seed, and workload replay the exact same drops,
-delays, and duplicates (the determinism the property tests pin).
+retransmits, and duplicates (the determinism the property tests pin).
+Every decision is counted (:meth:`FaultInjector.snapshot`); with a
+flight recorder on, each frame's fate is also a tagged edge.
 
 Two delivery planes, one boundary
 ---------------------------------
 * **Query plane** (``RETRIEVE``/``DATA`` messages, plus the synthetic
-  per-level index responses): loss is *end-to-end*. A dropped message has
-  ``delivered=False`` and the caller must retry
+  per-level index responses): loss is *end-to-end*. A dropped message
+  makes ``transmit`` return ``False`` and the caller must retry
   (:func:`repro.faults.resilience.reliable_send`) or degrade.
 * **Overlay plane** (everything else): the simulator executes overlay
   routing synchronously, so a lost frame is modelled as the link layer
@@ -27,7 +29,6 @@ crashed node.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,6 @@ REACTIVE_KINDS = frozenset(
     {MessageKind.RETRIEVE, MessageKind.DATA, MessageKind.RESPONSE}
 )
 
-#: Default bound on the recorded decision trace.
-_TRACE_LIMIT = 20_000
-
 #: Consecutive failed contacts before a peer is presumed crashed and its
 #: published spheres become eligible for tombstoning.
 DEFAULT_SUSPECT_THRESHOLD = 3
@@ -55,7 +53,6 @@ class Verdict:
 
     delivered: bool = True
     copies: int = 1
-    extra_delay: float = 0.0
     retransmits: int = 0
     reason: str = ""
 
@@ -74,8 +71,6 @@ class FaultInjector:
     suspect_threshold:
         Consecutive contact failures after which a peer is reported by
         :meth:`drain_suspects` for tombstoning.
-    trace_limit:
-        Max recorded fault events (oldest evicted first).
     """
 
     def __init__(
@@ -83,14 +78,12 @@ class FaultInjector:
         plan: FaultPlan | None = None,
         *,
         suspect_threshold: int = DEFAULT_SUSPECT_THRESHOLD,
-        trace_limit: int = _TRACE_LIMIT,
     ):
         self.plan = plan if plan is not None else FaultPlan()
         self._rng = np.random.default_rng(self.plan.seed)
         self.crashed_nodes: set[int] = set()
         self.crashed_peers: set[int] = set()
         self.counters: dict[str, int] = {}
-        self.trace: deque = deque(maxlen=max(int(trace_limit), 1))
         self.suspect_threshold = int(suspect_threshold)
         self._consecutive_failures: dict[int, int] = {}
         self._suspects: list[int] = []
@@ -108,10 +101,6 @@ class FaultInjector:
         self.counters[name] = self.counters.get(name, 0) + amount
         obs_registry.metrics().counter(f"faults.{name}").inc(amount)
 
-    def _record(self, kind: MessageKind, source: int, destination: int,
-                event: str) -> None:
-        self.trace.append((kind.value, int(source), int(destination), event))
-
     def snapshot(self) -> dict:
         """JSON-safe counter summary (sorted keys; diffs cleanly)."""
         return {
@@ -119,10 +108,6 @@ class FaultInjector:
             "crashed_peers": sorted(self.crashed_peers),
             "tombstoned_peers": sorted(self._tombstoned_peers),
         }
-
-    def trace_list(self) -> list:
-        """The recorded fault-event trace as a plain list."""
-        return list(self.trace)
 
     # -- crash registry ------------------------------------------------------
 
@@ -150,12 +135,10 @@ class FaultInjector:
             or destination in self.crashed_nodes
         ):
             self.count("crash_drops")
-            self._record(kind, source, destination, "crash_drop")
             return Verdict(delivered=False, reason="crashed endpoint")
         for window in self.plan.partitions:
             if window.severs(source, destination, now):
                 self.count("partition_drops")
-                self._record(kind, source, destination, "partition_drop")
                 if reactive:
                     return Verdict(delivered=False, reason="partitioned")
                 # Overlay plane: the simulator's synchronous walk cannot
@@ -169,34 +152,21 @@ class FaultInjector:
                 if self._rng.random() < loss:
                     delivered = False
                     self.count("drops")
-                    self._record(kind, source, destination, "drop")
             else:
                 # Link-layer ARQ: geometric retransmissions, capped.
                 extra = int(self._rng.geometric(1.0 - loss)) - 1
                 retransmits = min(extra, self.plan.max_link_retransmits)
                 if retransmits:
                     self.count("link_retransmits", retransmits)
-                    self._record(kind, source, destination, "retransmit")
         copies = 1
         if delivered and self.plan.duplication > 0.0:
             if self._rng.random() < self.plan.duplication:
                 copies = 2
                 self.count("duplicates")
-                self._record(kind, source, destination, "duplicate")
-        extra_delay = 0.0
-        if delivered and self.plan.delay_jitter > 0.0:
-            extra_delay = float(
-                self._rng.uniform(0.0, self.plan.delay_jitter)
-            )
-            if extra_delay > 0.0:
-                self.count("delayed")
-        if delivered and copies == 1 and extra_delay == 0.0 and not retransmits:
+        if delivered and copies == 1 and not retransmits:
             return _PASS
         return Verdict(
-            delivered=delivered,
-            copies=copies,
-            extra_delay=extra_delay,
-            retransmits=retransmits,
+            delivered=delivered, copies=copies, retransmits=retransmits
         )
 
     def index_response_lost(self) -> bool:

@@ -1,7 +1,7 @@
 """Declarative fault plans for lossy-MANET simulation.
 
 A :class:`FaultPlan` describes everything that can go wrong on the radio:
-per-message loss, delivery jitter, duplication, partition windows, and the
+per-message loss, duplication, partition windows, and the
 retry policy the resilience layer uses to fight back. Plans are immutable
 value objects — the same plan plus the same seed always reproduces the
 same fault sequence (see :class:`repro.faults.injector.FaultInjector`).
@@ -105,9 +105,6 @@ class FaultPlan:
         maintenance traffic recovers via link-layer retransmissions,
         which are *charged* (extra messages/bytes/energy) but never lose
         the message — see ``docs/faults.md``.
-    delay_jitter:
-        Extra per-hop delivery latency, uniform in ``[0, delay_jitter]``
-        virtual seconds (event-driven mode only).
     duplication:
         Probability a delivered message arrives twice.
     partitions:
@@ -118,9 +115,9 @@ class FaultPlan:
         tracks crashes registered via
         :func:`repro.faults.resilience.crash_peer`.
     seed:
-        Seed of the injector's private fault stream. Independent from
-        every data/overlay RNG, so installing a plan never perturbs
-        clustering or routing randomness.
+        Seed (``>= 0``) of the injector's private fault stream.
+        Independent from every data/overlay RNG, so installing a plan
+        never perturbs clustering or routing randomness.
     max_link_retransmits:
         Cap on charged link-layer retransmissions per overlay message.
     retry:
@@ -128,7 +125,6 @@ class FaultPlan:
     """
 
     loss: float = 0.0
-    delay_jitter: float = 0.0
     duplication: float = 0.0
     partitions: tuple = ()
     crash_fraction: float = 0.0
@@ -148,10 +144,8 @@ class FaultPlan:
             raise ValidationError(
                 f"crash_fraction must be in [0, 1], got {self.crash_fraction}"
             )
-        if self.delay_jitter < 0:
-            raise ValidationError(
-                f"delay_jitter must be >= 0, got {self.delay_jitter}"
-            )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.max_link_retransmits < 0:
             raise ValidationError(
                 "max_link_retransmits must be >= 0, got "
@@ -172,7 +166,6 @@ class FaultPlan:
         """
         return (
             self.loss == 0.0
-            and self.delay_jitter == 0.0
             and self.duplication == 0.0
             and not self.partitions
         )
@@ -183,10 +176,11 @@ def parse_fault_plan(spec: str) -> FaultPlan:
 
     The spec is a comma-separated ``key=value`` list::
 
-        loss=0.1,delay=0.005,dup=0.01,crash=0.2,seed=3,retries=5
+        loss=0.1,dup=0.01,crash=0.2,seed=3,retries=5
 
-    Keys: ``loss``, ``delay`` (jitter seconds), ``dup`` (duplication),
-    ``crash`` (crash fraction), ``seed``, ``retries`` (max attempts).
+    Keys: ``loss``, ``dup`` (duplication), ``crash`` (crash fraction),
+    ``seed``, ``retries`` (max attempts); ``seed`` and ``retries`` must
+    be whole numbers.
     """
     values: dict = {}
     spec = spec.strip()
@@ -203,19 +197,24 @@ def parse_fault_plan(spec: str) -> FaultPlan:
                 raise ValidationError(
                     f"fault-plan value for {key!r} is not a number: {raw!r}"
                 ) from None
-    known = {"loss", "delay", "dup", "crash", "seed", "retries"}
+    known = {"loss", "dup", "crash", "seed", "retries"}
     unknown = sorted(set(values) - known)
     if unknown:
         raise ValidationError(
             f"unknown fault-plan key(s) {', '.join(unknown)}; "
             f"expected {', '.join(sorted(known))}"
         )
+    for key in ("seed", "retries"):
+        if key in values and not values[key].is_integer():
+            raise ValidationError(
+                f"fault-plan value for {key!r} must be a whole number, "
+                f"got {values[key]}"
+            )
     retry = RetryPolicy()
     if "retries" in values:
         retry = RetryPolicy(max_attempts=int(values["retries"]))
     return FaultPlan(
         loss=values.get("loss", 0.0),
-        delay_jitter=values.get("delay", 0.0),
         duplication=values.get("dup", 0.0),
         crash_fraction=values.get("crash", 0.0),
         seed=int(values.get("seed", 0)),

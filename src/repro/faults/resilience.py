@@ -66,8 +66,8 @@ def reliable_send(
     :meth:`~repro.net.network.Network.transmit` (identical accounting to
     the pre-fault code path). With one, each failed attempt counts a
     timeout, waits ``policy.wait_before_attempt`` virtual seconds (the
-    fabric scheduler's clock advances via ``run_until``, letting pending
-    events fire and partitions heal), and retries until delivered or the
+    fabric scheduler's clock advances via ``run_until``, so partition
+    windows can close), and retries until delivered or the
     budget is spent.
     """
     injector = fabric.faults
@@ -92,8 +92,7 @@ def reliable_send(
             # the routing tree distinguishes backoff re-sends from the
             # first transmission (no-op when recording is off).
             runtime.current.flight.mark_retry(attempt)
-        message = fabric.transmit(source, destination, kind, size_bytes)
-        if message.delivered:
+        if fabric.transmit(source, destination, kind, size_bytes):
             return SendOutcome(
                 delivered=True,
                 attempts=attempt,

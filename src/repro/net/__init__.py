@@ -4,9 +4,9 @@ The paper evaluates on a simulated network: "We implemented CAN … and
 simulated the parallel behavior of a peer-to-peer network with a scheduler
 class and an event queue" (Section 5.2). This package is that substrate:
 
-* :mod:`repro.engine.serial` — the event queue / scheduler (re-exported
-  here as ``SerialScheduler`` / ``Event``);
-* :mod:`repro.net.messages` — typed messages with byte sizes;
+* :mod:`repro.net.events` — the event queue and its scheduler
+  (``SerialScheduler`` / ``Event``), the simulator's clock;
+* :mod:`repro.net.messages` — message kinds and wire sizes;
 * :mod:`repro.net.metrics` — the frame ledger: one integer row per
   message kind and one per node, written once per frame by the fabric,
   plus the ``fabric.metrics`` / ``fabric.load`` views that read them;
@@ -14,12 +14,13 @@ class and an event queue" (Section 5.2). This package is that substrate:
   ``fabric.energy`` view that prices the same rows at read time, backing
   the paper's energy-efficiency claims with measurable numbers;
 * :mod:`repro.net.network` — the network fabric that overlays send
-  through, and the ledger's only writer.
+  through, and the ledger's only writer: a synchronous write per frame
+  that returns whether the frame arrived.
 """
 
-from repro.engine.serial import Event, SerialScheduler
 from repro.net.energy import EnergyLedger, EnergyModel
-from repro.net.messages import Message, MessageKind
+from repro.net.events import Event, SerialScheduler
+from repro.net.messages import MessageKind
 from repro.net.metrics import (
     LoadLedger,
     NetworkMetrics,
@@ -31,7 +32,6 @@ from repro.net.network import Network
 __all__ = [
     "SerialScheduler",
     "Event",
-    "Message",
     "MessageKind",
     "EnergyLedger",
     "EnergyModel",

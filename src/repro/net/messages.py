@@ -1,15 +1,13 @@
-"""Typed messages with realistic byte sizes.
+"""Message kinds and realistic wire sizes.
 
-Every message carries a byte size so the energy model and bandwidth
-counters reflect what a MANET radio would actually move. Vector payloads
-dominate: 8 bytes per float64 coordinate plus a fixed header.
+Every frame the fabric charges has a kind and a byte size, so the energy
+model and bandwidth counters reflect what a MANET radio would actually
+move. Vector payloads dominate: 8 bytes per float64 coordinate plus a fixed header.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
 
 #: Fixed per-message header: ids, lengths, checksums (bytes).
 HEADER_BYTES = 32
@@ -17,8 +15,6 @@ HEADER_BYTES = 32
 BYTES_PER_COORD = 8
 #: Bytes for scalar metadata fields (radius, count, …).
 BYTES_PER_SCALAR = 8
-
-_message_counter = itertools.count()
 
 
 class MessageKind(enum.Enum):
@@ -33,47 +29,6 @@ class MessageKind(enum.Enum):
     RESPONSE = "response"
     RETRIEVE = "retrieve"
     DATA = "data"
-
-
-@dataclass
-class Message:
-    """One network message.
-
-    Attributes
-    ----------
-    kind:
-        The :class:`MessageKind` category.
-    source / destination:
-        Node identifiers (overlay-level).
-    size_bytes:
-        Wire size; use :func:`vector_message_size` for key payloads.
-    hops:
-        Number of overlay hops traversed so far (updated per transmit).
-    delivered:
-        False when a fault injector severed the message end-to-end
-        (loss, partition, crashed endpoint); always True on clean
-        fabrics. Query-plane callers must check it and retry or degrade.
-    msg_id:
-        Process-unique id for tracing.
-    trace_id / parent_op / hop_index:
-        Causal-trace coordinates, stamped by the fabric when a
-        :class:`repro.obs.flight.FlightRecorder` is active: the root
-        operation this message descends from, the innermost operation
-        that sent it, and its hop index within that operation. All
-        ``None`` when flight recording is off (the default) or when the
-        operation was sampled out.
-    """
-
-    kind: MessageKind
-    source: int
-    destination: int
-    size_bytes: int
-    hops: int = 0
-    delivered: bool = True
-    msg_id: int = field(default_factory=lambda: next(_message_counter))
-    trace_id: int | None = None
-    parent_op: int | None = None
-    hop_index: int | None = None
 
 
 def vector_message_size(

@@ -47,6 +47,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.exceptions import ValidationError
 from repro.obs.trace import Span, TraceRecorder
 
 #: Statuses a hop edge can carry. ``sent`` and ``dropped`` are *primary*
@@ -170,9 +171,11 @@ class FlightRecorder(TraceRecorder):
         seed: int = 0,
     ):
         if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+            raise ValidationError(f"capacity must be >= 1, got {capacity}")
+        if max_ops < 0:
+            raise ValidationError(f"max_ops must be >= 0, got {max_ops}")
         if not 0.0 <= sample <= 1.0:
-            raise ValueError(f"sample must be in [0, 1], got {sample}")
+            raise ValidationError(f"sample must be in [0, 1], got {sample}")
         super().__init__(clock)
         self.capacity = int(capacity)
         self.max_ops = int(max_ops)
@@ -227,15 +230,15 @@ class FlightRecorder(TraceRecorder):
         copies: int = 0,
         retransmits: int = 0,
         t: float = 0.0,
-    ):
+    ) -> None:
         """Record one transmit: a primary edge plus tagged extras.
 
         ``status`` is the primary frame's fate (``sent`` or
         ``dropped``); ``retransmits`` link-layer re-sends and
-        ``copies`` injected duplicates each add one tagged edge.
-        Returns ``(trace_id, op_id, seq)`` of the primary edge — what
-        the fabric stamps onto the :class:`repro.net.messages.Message`
-        — or ``None`` when the operation was sampled out.
+        ``copies`` injected duplicates each add one tagged edge. The
+        primary edge carries the frame's causal coordinates
+        ``(trace_id, op_id, seq)``; an operation sampled out records
+        nothing.
         """
         op = self._stack[-1] if self._stack else None
         attempt = self._retry_attempt or 1
@@ -246,7 +249,7 @@ class FlightRecorder(TraceRecorder):
             seq = self._orphan_seq
             self._orphan_seq += 1 + extras
         elif not op.sampled:
-            return None
+            return
         else:
             op_id, trace_id = op.span_id, op.trace_id
             # The hop index counts every frame the operation recorded.
@@ -273,7 +276,6 @@ class FlightRecorder(TraceRecorder):
                 )
                 for offset in range(1, 1 + extras)
             )
-        return (trace_id, op_id, seq)
 
     @property
     def evicted_edges(self) -> int:

@@ -3,8 +3,8 @@
 Counters, gauges, and histograms keyed by name plus optional labels, with
 a :class:`Timer` context manager for phase timing. Nothing here touches
 ``time.monotonic`` directly — every clock is an injectable zero-argument
-callable, so the discrete-event :class:`repro.engine.serial.SerialScheduler` can
-drive timers with *simulated* seconds (``clock=lambda: scheduler.now``)
+callable, so the discrete-event :class:`repro.net.events.SerialScheduler`
+can drive timers with *simulated* seconds (``clock=lambda: scheduler.now``)
 just as easily as ``time.perf_counter`` drives them with real ones.
 
 ``snapshot()`` emits plain dicts with deterministically sorted keys so

@@ -164,7 +164,7 @@ class NullRecorder:
         """No-op."""
 
     def record(self, kind, source, dest, size_bytes, **fate) -> None:
-        """No-op; returns ``None`` (no operation to stamp)."""
+        """No-op."""
 
     def mark_retry(self, attempt: int) -> None:
         """No-op."""

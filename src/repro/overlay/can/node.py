@@ -12,12 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import OverlayError
-from repro.net.node import SimNode
 from repro.overlay.can.zone import Zone
 from repro.overlay.storage import StoreBackedNode
 
 
-class CANNode(SimNode, StoreBackedNode):
+class CANNode(StoreBackedNode):
     """One CAN participant.
 
     Attributes
@@ -34,7 +33,7 @@ class CANNode(SimNode, StoreBackedNode):
     """
 
     def __init__(self, node_id: int, zone: Zone):
-        super().__init__(node_id)
+        self.node_id = node_id
         self.zones: list[Zone] = [zone]
         self.neighbors: dict[int, tuple[Zone, ...]] = {}
         self._init_storage()

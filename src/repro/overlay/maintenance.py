@@ -137,7 +137,7 @@ class StoreMaintenancePlane(Overlay):
         """Make ``node`` a member: shared store, member table, fabric."""
         node.attach_store(self.level_store)
         self._nodes[node.node_id] = node
-        self.fabric.register(node)
+        self.fabric.register(node.node_id)
 
     # -- what a backend implements -----------------------------------------------
 

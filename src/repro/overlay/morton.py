@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.exceptions import EmptyNetworkError
 from repro.net.messages import MessageKind, vector_message_size
-from repro.net.node import SimNode
 from repro.overlay.base import RangeReceipt
 from repro.overlay.maintenance import StoreMaintenancePlane
 from repro.overlay.storage import StoreBackedNode
@@ -111,11 +110,11 @@ def covering_intervals(
     return merged
 
 
-class MortonNode(SimNode, StoreBackedNode):
+class MortonNode(StoreBackedNode):
     """A member node of a Morton-mapped overlay: just its held rows."""
 
     def __init__(self, node_id: int):
-        super().__init__(node_id)
+        self.node_id = node_id
         self._init_storage()
 
 

@@ -42,6 +42,10 @@ class QueryLogMiner:
             raise ValidationError(f"grid must be >= 1, got {grid}")
         if capacity < 1:
             raise ValidationError(f"capacity must be >= 1, got {capacity}")
+        if decay_every < 1:
+            raise ValidationError(
+                f"decay_every must be >= 1, got {decay_every}"
+            )
         self._grid = int(grid)
         self._capacity = int(capacity)
         self._decay_every = int(decay_every)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.faults.injector import FaultInjector, Verdict
 from repro.net import EnergyModel, Network
-from repro.net.node import SimNode
 
 INT_FIELDS = (
     "msgs_in", "msgs_out", "bytes_in", "bytes_out",
@@ -46,7 +45,7 @@ def fabric(n_nodes: int, verdicts=None, **model) -> Network:
     """A fabric of nodes ``0..n_nodes-1``; scripted when ``verdicts``."""
     net = Network(energy_model=EnergyModel(**model) if model else None)
     for node_id in range(n_nodes):
-        net.register(SimNode(node_id))
+        net.register(node_id)
     if verdicts is not None:
         net.install_faults(ScriptedInjector(verdicts))
     return net

@@ -5,12 +5,13 @@ import doctest
 import pytest
 
 import repro.engine.serial
+import repro.net.events
 import repro.overlay.can.network
 
 
 @pytest.mark.parametrize(
     "module",
-    [repro.engine.serial, repro.overlay.can.network],
+    [repro.engine.serial, repro.net.events, repro.overlay.can.network],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):

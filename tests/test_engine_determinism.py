@@ -1,16 +1,11 @@
-"""Pin the event-ordering semantics the engine refactor must preserve.
+"""Pin the event-ordering and replay semantics of the simulator's clock.
 
-The scheduler extraction (``repro.net.events`` -> ``repro.engine``) is
-only safe if today's ordering contract is written down first.  Three
-families of guarantees are pinned here, all against the *public* import
-path so they hold verbatim before and after the move:
+Two families of guarantees are pinned here, against the public
+``repro.net`` import path:
 
 * **Same-tick tie-breaking** — events scheduled for the same simulated
   time fire in scheduling order (the ``(time, seq)`` heap key), even
   when interleaved with earlier/later times or scheduled mid-run.
-* **FIFO within a peer** — frames sent through ``Network.transmit``
-  toward one destination are delivered in send order whenever their
-  latencies tie (the per-hop schedule inherits the tie-break).
 * **Replay identity** — the same build seed plus the same seeded
   :class:`FaultPlan` reproduces identical fabric metrics, identical
   flight-recorder edge streams, and identical query scores across two
@@ -23,10 +18,7 @@ import numpy as np
 
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.faults import FaultPlan
-from repro.engine.serial import Event, SerialScheduler
-from repro.net.messages import MessageKind
-from repro.net.network import Network
-from repro.net.node import SimNode
+from repro.net import Event, SerialScheduler
 from repro.obs.flight import FlightRecorder
 from repro.runtime import run_context
 
@@ -93,48 +85,6 @@ class TestSameTickTieBreaking:
         late = Event(time=1.0, seq=6, action=lambda: None)
         other = Event(time=2.0, seq=0, action=lambda: None)
         assert early < late < other
-
-
-class TestFifoWithinAPeer:
-    def _fabric_with_nodes(self, n=3, **kwargs):
-        fabric = Network(**kwargs)
-        nodes = [SimNode(node_id=i) for i in range(n)]
-        for node in nodes:
-            fabric.register(node)
-        return fabric, nodes
-
-    def test_deliveries_to_one_peer_preserve_send_order(self):
-        fabric, nodes = self._fabric_with_nodes(2)
-        inbox = []
-        for tag in range(10):
-            fabric.transmit(
-                0, 1, MessageKind.DATA, 64,
-                deliver=lambda msg, t=tag: inbox.append(t),
-            )
-        fabric.scheduler.run()
-        assert inbox == list(range(10))
-
-    def test_two_senders_one_receiver_interleave_in_send_order(self):
-        fabric, nodes = self._fabric_with_nodes(3)
-        inbox = []
-        for tag in range(8):
-            fabric.transmit(
-                tag % 2, 2, MessageKind.DATA, 64,
-                deliver=lambda msg, t=tag: inbox.append(t),
-            )
-        fabric.scheduler.run()
-        assert inbox == list(range(8))
-
-    def test_zero_latency_frames_still_fifo(self):
-        fabric, nodes = self._fabric_with_nodes(2, hop_latency=0.0)
-        inbox = []
-        for tag in range(6):
-            fabric.transmit(
-                0, 1, MessageKind.DATA, 16,
-                deliver=lambda msg, t=tag: inbox.append(t),
-            )
-        fabric.scheduler.run()
-        assert inbox == list(range(6))
 
 
 def _build_network(seed=0, n_peers=5, dim=16):

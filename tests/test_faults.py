@@ -32,7 +32,6 @@ class TestFaultPlan:
 
     def test_any_fault_knob_clears_null(self):
         assert not FaultPlan(loss=0.1).is_null
-        assert not FaultPlan(delay_jitter=0.01).is_null
         assert not FaultPlan(duplication=0.05).is_null
         assert not FaultPlan(
             partitions=(PartitionWindow(0.0, 1.0, frozenset({1})),)
@@ -45,7 +44,7 @@ class TestFaultPlan:
             {"loss": 1.5},
             {"duplication": -0.2},
             {"crash_fraction": 2.0},
-            {"delay_jitter": -1.0},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -73,10 +72,9 @@ class TestFaultPlan:
 
     def test_parse_round_trip(self):
         plan = parse_fault_plan(
-            "loss=0.1,delay=0.005,dup=0.01,crash=0.25,seed=3,retries=5"
+            "loss=0.1,dup=0.01,crash=0.25,seed=3,retries=5"
         )
         assert plan.loss == pytest.approx(0.1)
-        assert plan.delay_jitter == pytest.approx(0.005)
         assert plan.duplication == pytest.approx(0.01)
         assert plan.crash_fraction == pytest.approx(0.25)
         assert plan.seed == 3
@@ -90,6 +88,25 @@ class TestFaultPlan:
         with pytest.raises(ValidationError):
             parse_fault_plan("loss")
 
+    def test_delay_is_an_unknown_key(self):
+        with pytest.raises(ValidationError, match="unknown fault-plan key"):
+            parse_fault_plan("delay=0.005")
+
+    @pytest.mark.parametrize("spec", ["seed=2.9", "retries=2.5"])
+    def test_parse_rejects_fractional_counts(self, spec):
+        with pytest.raises(ValidationError, match="whole number"):
+            parse_fault_plan(spec)
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            parse_fault_plan("seed=-1")
+
+    def test_cli_refuses_negative_seed_before_running(self):
+        from repro.cli import main
+
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            main(["fig9", "--peers", "6", "--fault-plan", "seed=-1"])
+
 
 class TestInjectorDeterminism:
     def _trace(self, plan, n=200):
@@ -101,8 +118,7 @@ class TestInjectorDeterminism:
             )
             verdict = injector.on_transmit(kind, i % 7, (i + 1) % 7, 0.0)
             out.append(
-                (verdict.delivered, verdict.copies, verdict.retransmits,
-                 round(verdict.extra_delay, 12))
+                (verdict.delivered, verdict.copies, verdict.retransmits)
             )
         return out
 
@@ -125,7 +141,7 @@ class TestInjectorDeterminism:
         assert injector.passthrough
         verdict = injector.on_transmit(MessageKind.RETRIEVE, 0, 1, 0.0)
         assert verdict.delivered and verdict.copies == 1
-        assert verdict.retransmits == 0 and verdict.extra_delay == 0.0
+        assert verdict.retransmits == 0
 
     def test_overlay_plane_always_delivers(self):
         injector = FaultInjector(FaultPlan(loss=0.9, seed=0))
@@ -182,11 +198,9 @@ class TestPartitionHealing:
 
 class TestReliableSend:
     def _fabric(self, plan=None):
-        from repro.net.node import SimNode
-
         fabric = Network(fault_plan=plan)
-        fabric.register(SimNode(0))
-        fabric.register(SimNode(1))
+        fabric.register(0)
+        fabric.register(1)
         return fabric
 
     def test_clean_fabric_single_attempt(self):

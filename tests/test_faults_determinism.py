@@ -3,9 +3,9 @@
 Two pinned contracts:
 
 * **Replay** — the same build seed plus the same :class:`FaultPlan`
-  reproduces identical fault traces, identical query results, and
-  identical injector counters (the fault stream is a private seeded RNG
-  drawn in strict call order).
+  reproduces identical flight-recorder edges (each frame's fate is a
+  tagged edge), identical query results, and identical injector counters
+  (the fault stream is a private seeded RNG drawn in strict call order).
 * **Zero-fault identity** — installing ``FaultPlan()`` (the null plan)
   yields results byte-identical to running with no plan at all: same
   items, same accounting, same fabric metrics, same obs metrics.
@@ -22,6 +22,7 @@ from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.core.scoring import partial_confidence
 from repro.exceptions import ValidationError
 from repro.faults import FaultPlan, crash_peer
+from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.runtime import run_context
 
@@ -57,6 +58,14 @@ def _run_queries(network, n=4, seed=0, max_peers=3):
     return out
 
 
+def _recorded_queries(network, seed=0):
+    """Run the queries under a flight recorder; returns results + edges."""
+    flight = FlightRecorder(clock=lambda: 0.0)
+    with run_context(flight=flight):
+        results = _run_queries(network, seed=seed)
+    return results, [edge.to_record() for edge in flight.edges]
+
+
 class TestReplayDeterminism:
     @settings(max_examples=8, deadline=None)
     @given(
@@ -70,10 +79,8 @@ class TestReplayDeterminism:
             injector = network.fabric.install_faults(
                 FaultPlan(loss=loss, seed=fault_seed)
             )
-            results = _run_queries(network, seed=fault_seed)
-            runs.append(
-                (results, injector.trace_list(), injector.snapshot())
-            )
+            results, edges = _recorded_queries(network, seed=fault_seed)
+            runs.append((results, edges, injector.snapshot()))
         assert runs[0] == runs[1]
 
     def test_crashes_replay_identically(self):
@@ -96,8 +103,8 @@ class TestReplayDeterminism:
             injector = network.fabric.install_faults(
                 FaultPlan(loss=0.4, seed=fault_seed)
             )
-            _run_queries(network, seed=0)
-            traces.append(injector.trace_list())
+            __, edges = _recorded_queries(network, seed=0)
+            traces.append((edges, injector.snapshot()))
         assert traces[0] != traces[1]
 
 
@@ -131,10 +138,10 @@ class TestZeroFaultIdentity:
         network = _build(seed=11)
         injector = network.fabric.install_faults(FaultPlan())
         state_before = injector._rng.bit_generator.state
-        _run_queries(network, seed=2)
+        __, edges = _recorded_queries(network, seed=2)
         assert injector._rng.bit_generator.state == state_before
         assert injector.counters == {}
-        assert injector.trace_list() == []
+        assert edges and {edge["status"] for edge in edges} == {"sent"}
 
 
 class TestDegradationContract:

@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 
 from repro import runtime
 from repro.core.network import HyperMConfig, HyperMNetwork
+from repro.exceptions import ValidationError
 from repro.faults import FaultPlan
 from repro.net.messages import MessageKind
-from repro.net.network import Network
-from repro.net.node import SimNode
 from repro.obs.flight import FlightRecorder
 from repro.obs.trace import NULL_RECORDER, NULL_SPAN, NullRecorder, read_jsonl
 
@@ -77,10 +76,13 @@ class TestRecording:
     def test_edges_bump_operation_counters(self):
         rec = FlightRecorder(clock=_Ticker())
         with rec.span("insert") as op:
-            stamp = rec.record("insert", 1, 2, 100, t=0.5)
+            rec.record("insert", 1, 2, 100, t=0.5)
             rec.record("insert", 2, 3, 100, t=0.6)
             rec.record("replicate", 3, 4, 50, status="dropped", t=0.7)
-        assert stamp == (op.span_id, op.span_id, 0)
+        first = rec.edges[0]
+        assert (first.trace_id, first.op_id, first.seq) == (
+            op.span_id, op.span_id, 0
+        )
         assert (op.hops, op.bytes, op.drops) == (3, 250, 1)
         assert [e.seq for e in rec.edges] == [0, 1, 2]
         assert [e.t for e in rec.edges] == [0.5, 0.6, 0.7]
@@ -98,10 +100,12 @@ class TestRecording:
 
     def test_orphan_edges_without_operation(self):
         rec = FlightRecorder(clock=_Ticker())
-        assert rec.record("data", 1, 2, 10) == (None, None, 0)
-        assert rec.record("data", 2, 3, 10, retransmits=1) == (None, None, 1)
-        assert rec.record("data", 3, 4, 10) == (None, None, 3)
-        assert all(e.op_id is None for e in rec.edges)
+        rec.record("data", 1, 2, 10)
+        rec.record("data", 2, 3, 10, retransmits=1)
+        rec.record("data", 3, 4, 10)
+        primaries = [e for e in rec.edges if e.status == "sent"]
+        assert [e.seq for e in primaries] == [0, 1, 3]
+        assert all(e.op_id is None and e.trace_id is None for e in rec.edges)
 
     def test_mark_retry_is_one_shot(self):
         rec = FlightRecorder(clock=_Ticker())
@@ -138,14 +142,18 @@ class TestRecording:
         with pytest.raises(ValueError):
             FlightRecorder(sample=1.5)
 
+    def test_negative_max_ops_is_refused(self):
+        with pytest.raises(ValidationError, match="max_ops"):
+            FlightRecorder(max_ops=-1)
+
 
 class TestSampling:
     def test_sampled_out_root_records_nothing(self):
         rec = FlightRecorder(sample=0.0, clock=_Ticker())
         with rec.span("publish") as op:
-            assert rec.record("insert", 1, 2, 10) is None
+            rec.record("insert", 1, 2, 10)
             with rec.span("insert") as child:
-                assert rec.record("insert", 2, 3, 10) is None
+                rec.record("insert", 2, 3, 10)
         assert not rec.edges
         assert (op.hops, child.hops) == (0, 0)
         assert not op.sampled and not child.sampled
@@ -248,7 +256,7 @@ class TestGlobalState:
         null = NullRecorder()
         with null.span("insert") as op:
             op.set(ignored=True)
-            assert null.record("insert", 1, 2, 10) is None
+            null.record("insert", 1, 2, 10)
         null.mark_retry(3)
         assert op is NULL_SPAN
 
@@ -265,21 +273,6 @@ class TestGlobalState:
             with runtime.run_context(flight=rec):
                 assert runtime.current.flight is rec
             assert runtime.current.flight is outer
-
-    def test_transmit_stamps_message_causal_fields(self):
-        fabric = Network()
-        fabric.register(SimNode(1))
-        fabric.register(SimNode(2))
-        rec = FlightRecorder(clock=_Ticker())
-        with runtime.run_context(flight=rec):
-            with rec.span("lookup") as op:
-                message = fabric.transmit(1, 2, MessageKind.LOOKUP, 40)
-        assert message.trace_id == op.trace_id
-        assert message.parent_op == op.span_id
-        assert message.hop_index == 0
-        # Without a recorder the fields stay None.
-        clean = fabric.transmit(1, 2, MessageKind.LOOKUP, 40)
-        assert clean.trace_id is None and clean.hop_index is None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ and one served batch):
 * the sha256 of both ``dumps_jsonl()`` texts;
 * the flight recorder's ``per_op_histograms()`` and ``snapshot()``;
 * every retained operation's ``routing_tree`` (digested);
-* the causal stamp of one transmitted ``Message``.
+* the causal coordinates ``(trace, op, seq)`` of every sampled primary
+  edge as it is recorded (counted, and the last one kept) — the ring
+  itself evicts most of them.
 
 Flight sampling is on (half the root operations) and both of its rings
 are small enough to evict, so sampling, eviction and the surviving
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 
 import numpy as np
 
@@ -164,17 +167,17 @@ def run_session() -> dict:
             DIM, HyperMConfig(levels_used=3, n_clusters=3), rng=0
         )
         stamps = []
-        transmit = network.fabric.transmit
 
-        def stamped(*args, **kwargs):
-            message = transmit(*args, **kwargs)
-            if message.trace_id is not None:
-                stamps.append(
-                    (message.trace_id, message.parent_op, message.hop_index)
-                )
-            return message
+        class Tap(deque):
+            # The recorder appends each primary edge (its tagged extras
+            # go through extend); a sampled-out operation records none
+            # and an orphan edge has no trace.
+            def append(self, edge):
+                super().append(edge)
+                if edge.trace_id is not None:
+                    stamps.append((edge.trace_id, edge.op_id, edge.seq))
 
-        network.fabric.transmit = stamped
+        flight.edges = Tap(maxlen=CAPACITY)
         rng = np.random.default_rng(5)
         for __ in range(8):
             network.add_peer(rng.random((20, DIM)))

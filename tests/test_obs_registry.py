@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.engine.serial import SerialScheduler
+from repro.net import SerialScheduler
 from repro.obs.registry import MetricsRegistry, metrics
 from repro.runtime import run_context
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import runtime
-from repro.engine.serial import SerialScheduler
+from repro.net import SerialScheduler
 from repro.obs.profile import flame_summary, phase_rows, span_tree
 from repro.obs.trace import (
     NULL_RECORDER,

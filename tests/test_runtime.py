@@ -4,8 +4,8 @@ import pytest
 
 from repro import cli, runtime
 from repro.core.network import HyperMConfig, HyperMNetwork
-from repro.engine.serial import SerialScheduler
 from repro.faults import FaultPlan
+from repro.net import SerialScheduler
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry, metrics
 from repro.obs.trace import NULL_RECORDER, TraceRecorder

@@ -134,3 +134,7 @@ class TestQueryLogMiner:
             QueryLogMiner(grid=0)
         with pytest.raises(ValidationError):
             QueryLogMiner(capacity=0)
+
+    def test_decay_every_zero_is_refused_at_construction(self):
+        with pytest.raises(ValidationError, match="decay_every"):
+            QueryLogMiner(decay_every=0)

@@ -16,7 +16,9 @@ replaces that layout with one shared, versioned store per overlay level:
   Replication is multi-membership of one row, and the store refcounts
   memberships per row, so an entry dies (is tombstoned) exactly when the
   last node holding it lets go — the behaviour per-node lists gave for
-  free, without duplicating the data.
+  free, without duplicating the data. A bulk-built overlay may hold
+  rows for nodes it has not built yet (:meth:`LevelStore.defer_rows`);
+  such holdings are refcounted like memberships until they land.
 * **Tombstones + compaction** — deletion marks rows dead; when the dead
   fraction passes a threshold, :meth:`LevelStore.maybe_compact` rewrites
   the columns densely and remaps every registered membership in place.
@@ -289,6 +291,16 @@ def _pick(column: np.ndarray, sel) -> np.ndarray:
     return column.take(sel, axis=0)
 
 
+def _bulk_column(values, n: int, dtype, name: str) -> np.ndarray:
+    """One per-row column of a bulk batch: a scalar or exactly ``n`` values."""
+    column = np.asarray(values, dtype=dtype)
+    if column.ndim and column.shape != (n,):
+        raise ValidationError(
+            f"{name} has shape {column.shape}; expected a scalar or ({n},)"
+        )
+    return np.broadcast_to(column, (n,))
+
+
 def _cell_coords(points: np.ndarray, shape: tuple) -> np.ndarray:
     """Grid cell per axis of ``points``, clamped to the face cells.
 
@@ -542,6 +554,9 @@ class LevelStore:
         self._values: list = []
         self._row_by_id: dict[int, int] = {}
         self._memberships: weakref.WeakSet[NodeMembership] = weakref.WeakSet()
+        #: ``(rows, holders)`` held for memberships not built yet (see
+        #: :meth:`defer_rows`); ``None`` when there are none.
+        self._deferred: tuple[np.ndarray, np.ndarray] | None = None
         self._shared = False
         self._shm_blocks: dict[str, shared_memory.SharedMemory] = {}
         self._shm_orphans: list[shared_memory.SharedMemory] = []
@@ -834,17 +849,13 @@ class LevelStore:
                 f"dimensionality {self._dim}"
             )
         n = keys.shape[0]
-        radii = np.broadcast_to(
-            np.asarray(radii, dtype=np.float64), (n,)
-        )
+        radii = _bulk_column(radii, n, np.float64, "radii")
         if np.any(radii < 0.0):
             raise ValidationError("radii must all be >= 0")
         items_col = (np.zeros(n, dtype=np.float64) if items is None
-                     else np.broadcast_to(
-                         np.asarray(items, dtype=np.float64), (n,)))
+                     else _bulk_column(items, n, np.float64, "items"))
         peer_col = (np.full(n, -1, dtype=np.int64) if peer_ids is None
-                    else np.broadcast_to(
-                        np.asarray(peer_ids, dtype=np.int64), (n,)))
+                    else _bulk_column(peer_ids, n, np.int64, "peer_ids"))
         if values is not None and len(values) != n:
             raise ValidationError(
                 f"values length {len(values)} does not match {n} keys"
@@ -931,6 +942,63 @@ class LevelStore:
                 fresh.extend(new)
         self._incref_bulk(np.asarray(fresh, dtype=np.int64))
         return len(fresh)
+
+    def defer_rows(self, rows, holders) -> None:
+        """Hold live ``rows`` for ``holders`` whose memberships do not exist yet.
+
+        A bulk-built overlay places rows before it builds the nodes that
+        hold them: ``holders[i]`` (an opaque id) holds ``rows[i]``. A
+        deferred holding counts in the row's refcount as a membership's
+        does, is let go by :meth:`remove_entry` and
+        :meth:`remove_peer_entries` as a membership's is, follows
+        compaction, and becomes a real one in :meth:`land_deferred`.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        holders = np.asarray(holders, dtype=np.int64)
+        if rows.ndim != 1 or rows.shape != holders.shape:
+            raise ValidationError("rows and holders must align")
+        self._incref_bulk(rows)
+        if self._deferred is not None:
+            rows = np.concatenate((self._deferred[0], rows))
+            holders = np.concatenate((self._deferred[1], holders))
+        self._deferred = (rows, holders)
+
+    def land_deferred(self, membership_of) -> int:
+        """Move every deferred holding onto its holder's membership.
+
+        ``membership_of(holder)`` names each holder's membership. The rows
+        land grouped per holder through :meth:`assign_rows`, so the
+        memberships and refcounts read exactly what assigning them at
+        :meth:`defer_rows` time would have left. Returns how many holdings
+        were new.
+        """
+        if self._deferred is None:
+            return 0
+        rows, holders = self._deferred
+        order = np.argsort(holders, kind="stable")
+        holders = holders[order]
+        starts = np.concatenate(
+            ([0], np.flatnonzero(np.diff(holders)) + 1, [holders.size])
+        )
+        memberships = [
+            membership_of(holder) for holder in holders[starts[:-1]].tolist()
+        ]
+        self._deferred = None
+        np.subtract.at(self._refcounts, rows, 1)
+        return self.assign_rows(memberships, rows[order], starts)
+
+    def _release_deferred(self, rows) -> None:
+        """Let the deferred holdings of ``rows`` go, as discards would."""
+        if self._deferred is None:
+            return
+        held, holders = self._deferred
+        hit = np.isin(held, rows)
+        if not hit.any():
+            return
+        keep = ~hit
+        self._deferred = (held[keep], holders[keep]) if keep.any() else None
+        for row in np.sort(held[hit]).tolist():
+            self._decref(row)
 
     def _incref(self, row: int) -> None:
         if not self._live[row]:
@@ -1044,6 +1112,7 @@ class LevelStore:
             return False
         for membership in list(self._memberships):
             membership.discard(row)
+        self._release_deferred([row])
         if self._live[row]:  # held by no membership at all
             self._tombstone(row)
         return True
@@ -1070,6 +1139,7 @@ class LevelStore:
             if held:
                 # Sorted for deterministic decref/tombstone order.
                 membership.discard_many(sorted(held))
+        self._release_deferred(rows)
         for row in rows:
             if self._live[row]:  # held by no membership at all
                 self._tombstone(int(row))
@@ -1134,6 +1204,10 @@ class LevelStore:
         }
         for membership in list(self._memberships):
             membership._remap(mapping)
+        if self._deferred is not None:
+            # Deferred rows are held, hence live: none maps to -1.
+            held, holders = self._deferred
+            self._deferred = (mapping[held], holders)
         self.compactions += 1
         self.generation += 1
 
@@ -1367,8 +1441,8 @@ class LevelStore:
         """Assert internal invariants (test helper; raises on violation).
 
         * every live row's refcount equals the number of registered
-          memberships holding it;
-        * every membership row is live;
+          memberships and deferred holdings holding it;
+        * every membership row and every deferred row is live;
         * the id map covers exactly the live rows;
         * the payload list stays exactly ``_size``-aligned.
         """
@@ -1384,6 +1458,11 @@ class LevelStore:
                         f"membership holds tombstoned row {row}"
                     )
                 counts[row] += 1
+        if self._deferred is not None:
+            held = self._deferred[0]
+            if not np.all(self._live[held]):
+                raise ValidationError("a deferred holding names a tombstoned row")
+            np.add.at(counts, held, 1)
         live = self._live[: self._size]
         if not np.array_equal(counts[live], self._refcounts[: self._size][live]):
             raise ValidationError("refcounts disagree with memberships")

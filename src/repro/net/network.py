@@ -82,6 +82,32 @@ class Network:
             raise ValidationError(f"node id {node_id} already registered")
         self._nodes.add(node_id)
 
+    def register_many(self, node_ids) -> None:
+        """Attach every id in ``node_ids`` at once, or none of them.
+
+        The batch is refused whole, before any id is added, when it names
+        an id twice or one already registered (the lowest such id is
+        reported, in :meth:`register`'s wording).
+        """
+        new = set(node_ids)
+        if len(new) != len(node_ids):
+            raise ValidationError("node ids must be distinct")
+        taken = new & self._nodes
+        if taken:
+            raise ValidationError(f"node id {min(taken)} already registered")
+        self._nodes |= new
+
+    def require_registered(self, node_ids, role: str) -> None:
+        """Refuse unless every id in ``node_ids`` is registered.
+
+        The message names the first unknown id as :meth:`transmit` does
+        (``unknown <role> node <id>``); the membership test runs at C
+        speed over the whole list first.
+        """
+        if not all(map(self._nodes.__contains__, node_ids)):
+            unknown = next(i for i in node_ids if i not in self._nodes)
+            raise ValidationError(f"unknown {role} node {unknown}")
+
     # -- transmission -------------------------------------------------------
 
     def _charge(
@@ -258,9 +284,7 @@ class Network:
         for endpoints, role in ((senders, "source"), (receivers, "destination")):
             ids, counts = np.unique(endpoints, return_counts=True)
             ids = ids.tolist()
-            if not all(map(self._nodes.__contains__, ids)):  # C-speed pass
-                unknown = next(i for i in ids if i not in self._nodes)
-                raise ValidationError(f"unknown {role} node {unknown}")
+            self.require_registered(ids, role)
             collapsed.append(zip(ids, counts.tolist()))
         if runtime.current.flight.enabled:
             for source, destination in zip(senders.tolist(), receivers.tolist()):

@@ -6,22 +6,32 @@ its zone, which is O(routing hops) per node and quadratic-ish overall —
 fine at hundreds of nodes, hopeless at 10⁵. But the *partition* that a
 full sequence of uniform midpoint splits converges to is known in closed
 form: a power-of-two grid whose per-dimension cell counts follow CAN's
-round-robin longest-side split order. This module materialises that end
-state directly:
+round-robin longest-side split order. This module builds that end state
+directly:
 
 * :func:`grid_shape` — the per-dimension cell counts for ``n`` nodes
   (``n`` rounded up to a power of two);
-* :func:`build_grid_can` — a fully wired :class:`CANNetwork` whose
-  nodes own the grid cells, with neighbour tables derived from grid
-  adjacency (±1 per dimension, torus wrap) instead of O(n²) geometry
-  scans — validated against :meth:`CANNetwork._rebuild_all_neighbors`
-  in the test suite;
+* :func:`build_grid_can` — a :class:`CANNetwork` whose node ids are
+  registered on the fabric (one :meth:`Network.register_many`) but whose
+  nodes do not exist yet. The first read of its topology (``node()``,
+  ``node_ids``, ``len``, ``zone_table()``, ``join``, ``leave``,
+  ``loads()``, a loadmap) builds them all in one step: zones from one
+  validated array pass, neighbour tables from grid adjacency (±1 per
+  dimension, torus wrap) instead of O(n²) geometry scans — validated
+  against :meth:`CANNetwork._rebuild_all_neighbors` in the test suite —
+  and memberships holding whatever was published before;
 * :func:`bulk_publish` — vectorised sphere publication: everything is
   validated before anything changes, then :meth:`LevelStore.bulk_add`
   appends every row in one pass, owners come from one
-  ``floor(key · counts)`` gather, memberships land in one
-  :meth:`LevelStore.assign_rows` refcount pass, and traffic is accounted
-  through the fabric's batched :meth:`~repro.net.network.Network.transmit_bulk`.
+  ``floor(key · counts)`` gather, and traffic is accounted through the
+  fabric's batched :meth:`~repro.net.network.Network.transmit_bulk`.
+  Each row's owner is recorded as a column
+  (:meth:`LevelStore.defer_rows`); the holdings land on the owners'
+  memberships in one :meth:`LevelStore.assign_rows` refcount pass when
+  the nodes are built — at once if they already are.
+
+A scale run that only scores through the level store therefore never
+builds a node.
 
 Fidelity notes. Bulk publication places each sphere at its key's owner
 only — the per-insert replication to every overlapped zone
@@ -39,6 +49,9 @@ flood walk should grow their overlay through the join protocol instead.
 
 from __future__ import annotations
 
+import numbers
+import weakref
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +64,15 @@ from repro.overlay.can.zone import Zone
 from repro.utils.validation import check_matrix, check_unit_cube
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an ``int`` >= 1; fractions, floats and bools refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 def grid_shape(dimensionality: int, n_nodes: int) -> tuple[int, ...]:
     """Per-dimension cell counts of the ``n_nodes``-cell CAN grid.
 
@@ -60,13 +82,8 @@ def grid_shape(dimensionality: int, n_nodes: int) -> tuple[int, ...]:
     tie-break under uniform midpoint splitting — so the grid is exactly
     the partition an idealised join sequence converges to.
     """
-    if dimensionality < 1:
-        raise ValidationError(
-            f"dimensionality must be >= 1, got {dimensionality}"
-        )
-    if n_nodes < 1:
-        raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
-    splits = (int(n_nodes) - 1).bit_length()
+    dimensionality = _whole(dimensionality, "dimensionality")
+    splits = (_whole(n_nodes, "n_nodes") - 1).bit_length()
     base, extra = divmod(splits, dimensionality)
     per_dim = [base + (1 if d < extra else 0) for d in range(dimensionality)]
     return tuple(2 ** s for s in per_dim)
@@ -92,8 +109,9 @@ class GridPlan:
     def owner_nodes(self, keys: np.ndarray) -> np.ndarray:
         """Owner node id per key row — one vectorised gather.
 
-        Keys on the outer face (coordinate exactly 1.0) clamp into the
-        last cell, mirroring :meth:`Zone.contains`' closed outer
+        Keys must be finite and in the unit cube (to the routed insert's
+        tolerance); keys on the outer face (coordinate exactly 1.0) clamp
+        into the last cell, mirroring :meth:`Zone.contains`' closed outer
         boundary.
         """
         keys = np.asarray(keys, dtype=np.float64)
@@ -102,6 +120,12 @@ class GridPlan:
                 f"keys shape {keys.shape} does not match a "
                 f"{len(self.counts)}-d grid"
             )
+        return self._owners(
+            check_unit_cube(check_matrix(keys, "keys", min_rows=0), "keys")
+        )
+
+    def _owners(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`owner_nodes` for keys already checked to be in the cube."""
         counts = np.asarray(self.counts, dtype=np.int64)
         cells = np.clip(
             np.floor(keys * counts).astype(np.int64), 0, counts - 1
@@ -110,29 +134,58 @@ class GridPlan:
         return self.node_id_offset + flat
 
 
-def build_grid_can(
-    dimensionality: int,
-    n_nodes: int,
-    *,
-    fabric=None,
-    rng=None,
-    node_id_offset: int = 0,
-) -> tuple[CANNetwork, GridPlan]:
-    """Materialise an ``n``-node CAN as its closed-form grid partition.
+class _UnbuiltGrid(MutableMapping):
+    """A grid CAN's member table before anything has read it.
 
-    Returns ``(network, plan)``: a :class:`CANNetwork` indistinguishable
-    from a protocol-grown one for the data and query planes (zones tile
-    the cube, neighbour tables satisfy the CAN neighbour relation, the
-    shared level store is attached), plus the :class:`GridPlan` that
-    maps keys to owners analytically. The cells are validated like any
-    zone, all at once (:meth:`Zone.from_rows`).
+    :func:`build_grid_can` puts this where the ``{node_id: CANNode}``
+    dict goes. Any use of it builds the nodes (:func:`_build_grid`),
+    which puts the real dict in its place on the network, and is then
+    answered by that dict. Until then it only knows the grid's
+    :class:`GridPlan`, which :func:`bulk_publish` reads to check owners.
     """
-    counts = grid_shape(dimensionality, n_nodes)
-    n_cells = int(np.prod(counts))
-    can = CANNetwork(
-        dimensionality, fabric=fabric, rng=rng,
-        node_id_offset=node_id_offset,
-    )
+
+    __slots__ = ("plan", "_can", "_nodes")
+
+    def __init__(self, can: CANNetwork, plan: GridPlan):
+        self.plan = plan
+        # Weak, so the network and its table form no reference cycle.
+        self._can = weakref.ref(can)
+        self._nodes: dict[int, CANNode] | None = None
+
+    def _built(self) -> dict[int, CANNode]:
+        if self._nodes is None:
+            self._nodes = _build_grid(self._can(), self.plan)
+        return self._nodes
+
+    def __getitem__(self, node_id):
+        return self._built()[node_id]
+
+    def __setitem__(self, node_id, node):
+        self._built()[node_id] = node
+
+    def __delitem__(self, node_id):
+        del self._built()[node_id]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self):
+        return len(self._built())
+
+
+def _build_grid(can: CANNetwork, plan: GridPlan) -> dict[int, CANNode]:
+    """Build a grid CAN's nodes and make them its member table.
+
+    Each cell becomes one node whose id :func:`build_grid_can` already
+    registered on the fabric. The cells are validated like any zone, all
+    at once (:meth:`Zone.from_rows`); neighbour tables come from grid
+    adjacency; the rows published so far land on their owners'
+    memberships (:meth:`LevelStore.land_deferred`). Returns the new
+    ``{node_id: CANNode}`` dict, now ``can._nodes``.
+    """
+    counts = plan.counts
+    n_cells = plan.n_cells
+    store = can.level_store
     counts_arr = np.asarray(counts, dtype=np.float64)
     cell_index = np.stack(
         np.unravel_index(np.arange(n_cells), counts), axis=1
@@ -141,18 +194,15 @@ def build_grid_can(
         cell_index / counts_arr, (cell_index + 1) / counts_arr
     )
     nodes: list[CANNode] = []
-    # Populate the overlay directly (same-package bootstrap): each cell
-    # becomes one node, registered on the fabric like a joined node.
     for cell, zone in enumerate(zones):
-        node = CANNode(node_id_offset + cell, zone)
-        can._admit(node)
+        node = CANNode(plan.node_id_offset + cell, zone)
+        node.attach_store(store)
         nodes.append(node)
-    can._next_id = node_id_offset + n_cells
 
     # Grid adjacency: ±1 (mod counts) in exactly one dimension. Each
     # +1 edge covers the matching -1 edge of its other endpoint;
     # dimensions of extent 1 have no distinct neighbour.
-    for d in range(dimensionality):
+    for d in range(len(counts)):
         if counts[d] < 2:
             continue
         up = cell_index.copy()
@@ -163,7 +213,44 @@ def build_grid_can(
             b = nodes[int(up_flat[cell])]
             a.add_neighbor(b.node_id, tuple(b.zones))
             b.add_neighbor(a.node_id, tuple(a.zones))
-    return can, GridPlan(counts=counts, node_id_offset=node_id_offset)
+    members = {node.node_id: node for node in nodes}
+    can._nodes = members
+    store.land_deferred(lambda holder: members[holder].membership)
+    return members
+
+
+def build_grid_can(
+    dimensionality: int,
+    n_nodes: int,
+    *,
+    fabric=None,
+    rng=None,
+    node_id_offset: int = 0,
+) -> tuple[CANNetwork, GridPlan]:
+    """An ``n``-node CAN as its closed-form grid partition, nodes deferred.
+
+    Returns ``(network, plan)``: a :class:`CANNetwork` indistinguishable
+    from a protocol-grown one for the data and query planes (zones tile
+    the cube, neighbour tables satisfy the CAN neighbour relation, the
+    shared level store is attached), plus the :class:`GridPlan` that
+    maps keys to owners analytically. The grid's ids are registered on
+    the fabric here, all or none; its nodes are built by the first read
+    of the topology (see the module docstring).
+    """
+    plan = GridPlan(
+        counts=grid_shape(dimensionality, n_nodes),
+        node_id_offset=node_id_offset,
+    )
+    can = CANNetwork(
+        dimensionality, fabric=fabric, rng=rng,
+        node_id_offset=node_id_offset,
+    )
+    can.fabric.register_many(
+        range(node_id_offset, node_id_offset + plan.n_cells)
+    )
+    can._next_id = node_id_offset + plan.n_cells
+    can._nodes = _UnbuiltGrid(can, plan)
+    return can, plan
 
 
 @dataclass(frozen=True)
@@ -192,8 +279,9 @@ def bulk_publish(
 
     One :meth:`LevelStore.bulk_add` appends every row (single generation
     bump), one :meth:`GridPlan.owner_nodes` gather finds the owners, and
-    memberships land grouped per owner in one
-    :meth:`LevelStore.assign_rows` pass. ``items`` is the per-sphere item
+    each row is held for its owner (:meth:`LevelStore.defer_rows`),
+    landing on the memberships in one :meth:`LevelStore.assign_rows`
+    pass once the nodes exist. ``items`` is the per-sphere item
     count column Eq. 1 weighs by (zeros when omitted, so every score is
     0.0 — fine for cost measurements only). ``origins``, when given, is the
     per-sphere publishing node id; traffic is charged as one INSERT
@@ -203,15 +291,17 @@ def bulk_publish(
 
     A batch is refused whole, before the store, a membership or a ledger
     changes: keys must be finite and in the unit cube as for a routed
-    insert, ``origins`` one registered node per sphere, and the fabric
-    clean when ``charge``. An empty batch publishes nothing.
+    insert, every owner a node of ``can`` (on a grid not built yet: an
+    id in its range), ``origins`` one registered node per sphere whether
+    or not the batch is charged, and the fabric clean when ``charge``.
+    An empty batch publishes nothing.
     """
     keys = check_unit_cube(
         check_matrix(keys, "keys", dim=can.dimensionality, min_rows=0), "keys"
     )
     store = can.level_store
     store.check_bulk(keys, radii, items=items, peer_ids=peer_ids, values=values)
-    owners = plan.owner_nodes(keys)
+    owners = plan._owners(keys)
     senders = owners if origins is None else np.asarray(
         origins, dtype=np.int64
     )
@@ -219,15 +309,23 @@ def bulk_publish(
         raise ValidationError("origins must name one node per sphere")
     if owners.size == 0:
         return BulkPublishReport(0, 0, 0, 0)
-    order = np.argsort(owners, kind="stable")
-    sorted_owners = owners[order]
-    starts = np.concatenate(
-        ([0], np.flatnonzero(np.diff(sorted_owners)) + 1, [owners.size])
-    )
-    memberships = [
-        can.node(owner).membership
-        for owner in sorted_owners[starts[:-1]].tolist()
-    ]
+    grid = can._nodes
+    unbuilt = isinstance(grid, _UnbuiltGrid)
+    if unbuilt:
+        low = grid.plan.node_id_offset
+        outside = owners[(owners < low) | (owners >= low + grid.plan.n_cells)]
+        if outside.size:
+            raise ValidationError(
+                f"unknown {type(can).__name__} node {int(outside.min())}"
+            )
+        nodes_touched = np.count_nonzero(np.bincount(owners - low))
+    else:
+        distinct = np.unique(owners).tolist()
+        for owner in distinct:
+            can.node(owner)
+        nodes_touched = len(distinct)
+    if origins is not None and not charge:
+        can.fabric.require_registered(np.unique(senders).tolist(), "source")
     size = vector_message_size(can.dimensionality, scalars=2)
     messages = 0
     if charge:
@@ -240,10 +338,12 @@ def bulk_publish(
     rows = store.bulk_add(
         keys, radii, items=items, peer_ids=peer_ids, values=values
     )
-    store.assign_rows(memberships, rows[order], starts)
+    store.defer_rows(rows, owners)
+    if not unbuilt:
+        store.land_deferred(lambda holder: can.node(holder).membership)
     return BulkPublishReport(
         spheres=int(rows.size),
-        nodes_touched=len(memberships),
+        nodes_touched=int(nodes_touched),
         messages=int(messages),
         bytes_sent=int(messages * size),
     )

@@ -9,7 +9,10 @@ join. These tests pin the equivalences that make the shortcut safe:
 * :meth:`GridPlan.owner_nodes` agrees with greedy-routing ownership
   (:meth:`CANNetwork.owner_of`) for every key, boundaries included;
 * :func:`bulk_publish` leaves the store, memberships, and the fabric's
-  metrics/energy/load ledgers exactly where the per-frame path would.
+  metrics/energy/load ledgers exactly where the per-frame path would;
+* a grid's nodes are built by the first read of its topology, never by
+  construction or publication, and publishing before that read ends
+  exactly where publishing after it does.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.net.messages import MessageKind, vector_message_size
 from repro.net.network import Network
 from repro.overlay.can import (
     BulkPublishReport,
+    CANNode,
     GridPlan,
     build_grid_can,
     bulk_publish,
@@ -32,6 +36,7 @@ from repro.overlay.can import (
 from repro.overlay.can.zone import Zone
 from repro.runtime import run_context
 from tests import can_reference as reference
+from tests.ledger_oracle import kind_counts, load_records
 
 GRIDS = [(1, 8), (2, 16), (2, 8), (3, 32), (4, 16), (2, 1), (1, 2), (16, 64)]
 
@@ -55,6 +60,19 @@ class TestGridShape:
             grid_shape(0, 4)
         with pytest.raises(ValidationError):
             grid_shape(2, 0)
+
+    @pytest.mark.parametrize("dim,n", [(2, 9.5), (2, 8.0), (2, True)])
+    def test_refuses_a_non_integral_count(self, dim, n):
+        with pytest.raises(ValidationError, match="n_nodes"):
+            grid_shape(dim, n)
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, "2"])
+    def test_refuses_a_non_integral_dimensionality(self, dim):
+        with pytest.raises(ValidationError, match="dimensionality"):
+            grid_shape(dim, 8)
+
+    def test_numpy_integers_are_whole_numbers(self):
+        assert grid_shape(np.int64(2), np.int32(16)) == (4, 4)
 
 
 class TestBuildGridCan:
@@ -103,6 +121,27 @@ class TestBuildGridCan:
         plan = GridPlan(counts=(4, 4), node_id_offset=0)
         with pytest.raises(ValidationError, match="shape"):
             plan.owner_nodes(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5], [0.5, -np.inf]])
+    def test_owner_nodes_refuses_non_finite_keys(self, bad):
+        plan = GridPlan(counts=(4, 4), node_id_offset=0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            plan.owner_nodes(np.array([[0.2, 0.2], bad]))
+
+    @pytest.mark.parametrize("bad", [[2.0, -1.0], [0.5, 1.0 + 1e-6]])
+    def test_owner_nodes_refuses_keys_outside_the_cube(self, bad):
+        plan = GridPlan(counts=(4, 4), node_id_offset=0)
+        with pytest.raises(ValidationError, match="unit cube"):
+            plan.owner_nodes(np.array([bad]))
+
+    def test_refused_build_registers_no_id(self):
+        fabric = Network()
+        build_grid_can(2, 16, fabric=fabric, node_id_offset=100)
+        with pytest.raises(ValidationError, match="node id 100 already"):
+            build_grid_can(2, 16, fabric=fabric, node_id_offset=92)
+        assert fabric.snapshot()["nodes"] == 16
+        can, __ = build_grid_can(2, 8, fabric=fabric, node_id_offset=92)
+        assert can.node_ids == list(range(92, 100))
 
 
 class TestGridBits:
@@ -343,8 +382,10 @@ class TestBulkPublishRefusesBeforeMutating:
         with pytest.raises(ValidationError, match="unknown source node 54"):
             bulk_publish(can, plan, keys, radii, origins=origins)
         self._assert_untouched(can)
-        bulk_publish(can, plan, keys, radii, origins=origins, charge=False)
-        assert can.level_store.n_rows == self.N  # nothing is charged to 54
+        # Uncharged, the batch still names a sender nobody registered.
+        with pytest.raises(ValidationError, match="unknown source node 54"):
+            bulk_publish(can, plan, keys, radii, origins=origins, charge=False)
+        self._assert_untouched(can)
 
     @pytest.mark.parametrize("bad", [
         [np.nan, 0.5], [np.inf, 0.5], [1.7, -0.2], [0.5, 1.0 + 1e-6],
@@ -434,3 +475,160 @@ class TestWorkCounts:
         # One collapse per side, shared by both ledgers.
         assert calls == {"incref": 1, "unique": 2}
         can.level_store.verify_integrity()
+
+
+class TestDeferredGrid:
+    """A grid's nodes exist only once its topology is read."""
+
+    def test_scale_publish_builds_no_node(self, monkeypatch):
+        built = []
+        original = CANNode.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CANNode, "__init__", counted)
+        can, plan = build_grid_can(16, 32768)
+        rng = np.random.default_rng(2)
+        origins = rng.integers(0, plan.n_cells, 2000)
+        report = bulk_publish(
+            can, plan, rng.random((2000, 16)), 0.01, origins=origins
+        )
+        assert report.spheres == report.messages == 2000
+        assert built == []
+        assert can.fabric.snapshot()["nodes"] == plan.n_cells
+        can.level_store.verify_integrity()
+        owners = plan.owner_nodes(can.level_store._keys[:2000])
+        assert report.nodes_touched == np.unique(owners).size
+        # The first read builds every node, holding what was published.
+        assert len(can.node(0).membership) == int((owners == 0).sum())
+        assert len(built) == plan.n_cells
+        can.level_store.verify_integrity()
+
+    @pytest.mark.parametrize("read,grown", [
+        (lambda can: can.node(3), 0),
+        (lambda can: can.node_ids, 0),
+        (len, 0),
+        (lambda can: can.zone_table(), 0),
+        (lambda can: can.join(np.array([0.3, 0.6])), 1),
+        (lambda can: can.leave(5), -1),
+        (lambda can: can.loads(), 0),
+        (lambda can: can.all_zones(), 0),
+    ])
+    def test_any_topology_read_builds_the_grid(self, read, grown):
+        can, plan = build_grid_can(2, 16)
+        assert type(can._nodes) is not dict
+        read(can)
+        assert type(can._nodes) is dict
+        assert len(can._nodes) == plan.n_cells + grown
+
+    def test_a_grown_overlay_keeps_a_plain_dict(self):
+        from repro.overlay.can import CANNetwork
+
+        can = CANNetwork(2, rng=0)
+        assert type(can._nodes) is dict
+        can.grow(4)
+        assert type(can._nodes) is dict
+
+    def test_a_plan_for_another_offset_is_refused_unbuilt(self):
+        can, __ = build_grid_can(2, 4, node_id_offset=10)
+        __, other = build_grid_can(2, 4, node_id_offset=2)
+        with pytest.raises(ValidationError, match="unknown CANNetwork node 2"):
+            bulk_publish(can, other, np.full((3, 2), 0.1), 0.01)
+        assert can.level_store.n_rows == 0
+        assert type(can._nodes) is not dict
+
+    def test_uncharged_unregistered_origins_change_nothing(self):
+        can, plan = build_grid_can(2, 16)
+        rng = np.random.default_rng(8)
+        bulk_publish(can, plan, rng.random((10, 2)), 0.01,
+                     origins=rng.integers(0, 16, 10))
+        store, fabric = can.level_store, can.fabric
+        before = (store.n_rows, store.generation, load_records(fabric),
+                  kind_counts(fabric), dict(fabric.energy.per_node))
+        with pytest.raises(ValidationError, match="unknown source node 999999"):
+            bulk_publish(can, plan, rng.random((10, 2)), 0.01,
+                         origins=np.full(10, 999999), charge=False)
+        assert (store.n_rows, store.generation, load_records(fabric),
+                kind_counts(fabric), dict(fabric.energy.per_node)) == before
+
+
+def _publish_twice(can, plan, seed):
+    """Two batches from fixed inputs: shared keys, outer face, origins."""
+    rng = np.random.default_rng(seed)
+    for batch in range(2):
+        keys = rng.random((70, 2))
+        keys[:5] = keys[5:10]
+        keys[10] = 1.0
+        bulk_publish(
+            can, plan, keys, 0.05 * rng.random(70),
+            peer_ids=(np.arange(70) + batch) % 6,
+            origins=plan.node_id_offset + rng.integers(0, plan.n_cells, 70),
+        )
+
+
+def _mutate(store, steps):
+    for step in steps:
+        if step == "remove_entry":
+            assert store.remove_entry(3) and store.remove_entry(77)
+            assert not store.remove_entry(3)
+        elif step == "remove_peer_entries":
+            assert store.remove_peer_entries(4) > 0
+        elif step == "compact":
+            assert store.n_tombstones
+            store.compact()
+
+
+def _state(can):
+    store, fabric = can.level_store, can.fabric
+    store.verify_integrity()
+    return {
+        "rows": {
+            node_id: can.node(node_id).membership.rows().tolist()
+            for node_id in can.node_ids
+        },
+        "refcounts": store._refcounts[: store.n_rows].tolist(),
+        "live": store._live[: store.n_rows].tolist(),
+        "health": store.health(),
+        "generation": store.generation,
+        "ledger": list(load_records(fabric).items()),
+        "kinds": kind_counts(fabric),
+        "energy": list(fabric.energy.per_node.items()),
+        "fabric_nodes": fabric.snapshot()["nodes"],
+    }
+
+
+class TestDeferredTwins:
+    """Publish-then-build ends exactly where build-then-publish does."""
+
+    @pytest.mark.parametrize("steps", [
+        (),
+        ("remove_entry",),
+        ("remove_peer_entries",),
+        ("remove_entry", "compact"),
+        ("remove_peer_entries", "remove_entry", "compact"),
+    ])
+    def test_deferred_equals_eager(self, steps):
+        eager, eager_plan = build_grid_can(2, 16, node_id_offset=300)
+        eager.node_ids  # build the nodes before anything is published
+        _publish_twice(eager, eager_plan, seed=5)
+        _mutate(eager.level_store, steps)
+
+        deferred, plan = build_grid_can(2, 16, node_id_offset=300)
+        _publish_twice(deferred, plan, seed=5)
+        _mutate(deferred.level_store, steps)
+        deferred.level_store.verify_integrity()
+        assert type(deferred._nodes) is not dict
+
+        assert _state(deferred) == _state(eager)
+        assert deferred.level_store._deferred is None
+
+    def test_rows_all_released_before_the_build(self):
+        can, plan = build_grid_can(2, 4)
+        bulk_publish(can, plan, np.full((3, 2), 0.1), 0.01, peer_ids=9)
+        store = can.level_store
+        assert store.remove_peer_entries(9) == 3
+        assert store._deferred is None and store.n_live == 0
+        assert all(len(can.node(i).membership) == 0 for i in can.node_ids)
+        store.verify_integrity()

@@ -163,6 +163,20 @@ class TestBulkLanding:
                 store.bulk_add(**bad)
         assert store.n_rows == 0 and store.generation == 0
 
+    @pytest.mark.parametrize("column", ["radii", "items", "peer_ids"])
+    def test_a_misaligned_column_is_named(self, rng, column):
+        store = LevelStore(2)
+        batch = dict(keys=rng.random((4, 2)), radii=0.1)
+        for length in (3, 5):
+            batch[column] = np.ones(length)
+            with pytest.raises(ValidationError, match=f"{column} has shape"):
+                store.check_bulk(**batch)
+            with pytest.raises(ValidationError, match=f"{column} has shape"):
+                store.bulk_add(**batch)
+        batch[column] = 1  # a scalar still broadcasts
+        assert store.check_bulk(**batch)[1].shape == (4,)
+        assert store.n_rows == 0 and store.generation == 0
+
     def _twins(self, rng, n_rows=24, n_members=5):
         stores = []
         for __ in range(2):
@@ -242,6 +256,52 @@ class TestBulkLanding:
         assert store.assign_rows(members[:1], [], [0, 0]) == 0
         assert store.generation == generation
         store.verify_integrity()
+
+
+class TestDeferredHoldings:
+    """Rows held for memberships that do not exist yet."""
+
+    def test_landing_equals_assigning_at_once(self, rng):
+        stores = [LevelStore(2, compact_min_tombstones=10**9)
+                  for __ in range(2)]
+        for store in stores:
+            store.bulk_add(rng.random((12, 2)), 0.1)
+        holders = np.array([7, 2, 7, 9, 2, 2, 7, 9, 9, 2, 7, 2])
+        rows = np.arange(12)
+        eager, deferred = stores
+        members = {holder: eager.new_membership() for holder in (2, 7, 9)}
+        order = np.argsort(holders, kind="stable")
+        eager.assign_rows(
+            [members[h] for h in (2, 7, 9)], rows[order], [0, 5, 9, 12]
+        )
+        deferred.defer_rows(rows, holders)
+        deferred.verify_integrity()  # deferred holdings count as refs
+        np.testing.assert_array_equal(
+            deferred._refcounts[:12], eager._refcounts[:12]
+        )
+        landed = {holder: deferred.new_membership() for holder in (2, 7, 9)}
+        assert deferred.land_deferred(landed.__getitem__) == 12
+        assert deferred.land_deferred(landed.__getitem__) == 0
+        for holder in (2, 7, 9):
+            np.testing.assert_array_equal(
+                landed[holder].rows(), members[holder].rows()
+            )
+        np.testing.assert_array_equal(
+            deferred._refcounts[:12], eager._refcounts[:12]
+        )
+        assert deferred.generation == eager.generation
+        deferred.verify_integrity()
+
+    def test_refuses_tombstoned_or_misaligned_rows(self, rng):
+        store = LevelStore(2)
+        store.bulk_add(rng.random((3, 2)), 0.1)
+        assert store.remove_entry(1)
+        with pytest.raises(ValidationError, match="tombstoned"):
+            store.defer_rows([0, 1], [5, 5])
+        with pytest.raises(ValidationError, match="align"):
+            store.defer_rows([0, 2], [5])
+        assert store._deferred is None
+        np.testing.assert_array_equal(store._refcounts[:3], [0, 0, 0])
 
 
 class TestCompaction:

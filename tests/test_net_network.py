@@ -94,6 +94,30 @@ class TestNetworkFabric:
         with pytest.raises(ValidationError):
             net.register(1)
 
+    def test_register_many_adds_every_id(self):
+        net = Network()
+        net.register(3)
+        net.register_many(range(4, 20))
+        assert net.snapshot()["nodes"] == 17
+        assert net.transmit(3, 19, MessageKind.DATA, 8) is True
+        with pytest.raises(ValidationError, match="node id 7 already"):
+            net.register(7)
+
+    def test_register_many_refuses_a_taken_id_adding_none(self):
+        net = Network()
+        net.register_many(range(100, 116))
+        with pytest.raises(ValidationError, match="node id 100 already"):
+            net.register_many(range(92, 108))
+        assert net.snapshot()["nodes"] == 16
+        net.register_many(range(92, 100))  # 92-99 were never taken
+        assert net.snapshot()["nodes"] == 24
+
+    def test_register_many_refuses_a_repeated_id(self):
+        net = Network()
+        with pytest.raises(ValidationError, match="distinct"):
+            net.register_many([5, 6, 5])
+        assert net.snapshot()["nodes"] == 0
+
     def test_unknown_nodes_rejected(self):
         net = Network()
         net.register(1)

@@ -26,6 +26,8 @@ import pytest
 
 from repro.core.network import HyperMConfig
 from repro.evaluation.workloads import build_histogram_network, sample_queries
+from repro.faults import FaultPlan
+from repro.overlay.adapt import AdaptConfig
 from repro.overlay.registry import OVERLAYS
 from repro.runtime import run_context
 
@@ -100,6 +102,47 @@ GOLDEN = {'can': {'by_kind': {'data': (187, 41360),
 }
 
 
+#: The CAN session's range queries with the load-adaptation loop on, and
+#: the same on a lossy fabric: retrieval then runs through the relay
+#: tree, delta-encoded responses and ``reliable_send``'s retries.
+#: ``decision_tuples`` digests every ``AdaptationDecision.as_tuple()``
+#: in order; ``counters`` is the fault injector's snapshot. Recorded before retrieval became one code path.
+ADAPTED_GOLDEN = {
+    'clean': {'by_kind': {'data': (161, 23104),
+                          'insert': (1169, 70720),
+                          'join': (86, 3960),
+                          'range_query': (519, 28544),
+                          'replicate': (845, 61736),
+                          'retrieve': (170, 96072)},
+              'node_traffic': 'c242ee29b4b0002f',
+              'decisions': 219,
+              'decision_tuples': 'bfb3437082af549b',
+              'counters': {},
+              'range_retrieval_messages': 331,
+              'range_items': 'f1fb06e4f76781db',
+              'failed_contacts': '61075316940f2cb1'},
+    'lossy': {'by_kind': {'data': (181, 26912),
+                          'insert': (1169, 70720),
+                          'join': (86, 3960),
+                          'range_query': (589, 32312),
+                          'replicate': (845, 61736),
+                          'retrieve': (185, 104512)},
+              'node_traffic': '4ff4798bb7a853c9',
+              'decisions': 219,
+              'decision_tuples': '31002522c6ac0e30',
+              'counters': {'counters': {'drops': 37,
+                                        'index_response_drops': 16,
+                                        'link_retransmits': 322,
+                                        'retries': 53,
+                                        'timeouts': 53},
+                           'crashed_peers': [],
+                           'tombstoned_peers': []},
+              'range_retrieval_messages': 366,
+              'range_items': 'f1fb06e4f76781db',
+              'failed_contacts': '61075316940f2cb1'},
+}
+
+
 def _digest(values) -> str:
     """Short stable hash of a nested list of ints (order-sensitive)."""
     return hashlib.sha256(repr(values).encode()).hexdigest()[:16]
@@ -169,20 +212,9 @@ def run_session(kind: str = "can") -> dict:
             else:
                 setattr(backend, name, original)
     return {
-        "by_kind": {
-            kind.value: (bucket.messages, bucket.bytes)
-            for kind, bucket in sorted(
-                network.fabric.metrics.by_kind.items(),
-                key=lambda item: item[0].value,
-            )
-        },
         # Who sent and who received: equal hop totals do not tell a
         # chain of forwards from a star of probes, this does.
-        "node_traffic": _digest([
-            (node_id, load.msgs_in, load.msgs_out, load.bytes_in,
-             load.bytes_out)
-            for node_id, load in sorted(network.fabric.load.per_node.items())
-        ]),
+        **_traffic(network),
         **range_totals,
         "range_nodes_visited": range_visited,
         "range_index_hops": sum(r.index_hops for r in ranges),
@@ -190,6 +222,59 @@ def run_session(kind: str = "can") -> dict:
         "range_items": _digest([sorted(map(int, r.item_ids)) for r in ranges]),
         "knn_index_hops": sum(r.index_hops for r in knns),
         "knn_items": _digest([sorted(map(int, r.item_ids)) for r in knns]),
+    }
+
+
+def _traffic(network) -> dict:
+    """Per-kind ``(messages, bytes)`` plus the per-node traffic digest."""
+    return {
+        "by_kind": {
+            kind.value: (bucket.messages, bucket.bytes)
+            for kind, bucket in sorted(
+                network.fabric.metrics.by_kind.items(),
+                key=lambda item: item[0].value,
+            )
+        },
+        "node_traffic": _digest([
+            (node_id, load.msgs_in, load.msgs_out, load.bytes_in,
+             load.bytes_out)
+            for node_id, load in sorted(network.fabric.load.per_node.items())
+        ]),
+    }
+
+
+def run_adapted_session(loss: float | None) -> dict:
+    """The CAN session's 30 range queries, adapted, optionally lossy."""
+    plan = None if loss is None else FaultPlan(loss=loss, seed=5)
+    with run_context(adapt=AdaptConfig(epoch_queries=4), fault_plan=plan):
+        workload = build_histogram_network(
+            n_peers=16,
+            n_objects=64,
+            views_per_object=8,
+            n_bins=64,
+            config=HyperMConfig(levels_used=4, n_clusters=6),
+            rng=2007,
+        )
+    network = workload.network
+    queries = sample_queries(workload.data, 30, rng=11, jitter=0.01)
+    origins = np.random.default_rng(12).integers(0, network.n_peers, 30)
+    ranges = [
+        network.range_query(
+            query, EPSILON, max_peers=6, origin_peer=int(origin)
+        )
+        for query, origin in zip(queries, origins)
+    ]
+    injector = network.fabric.faults
+    return {
+        **_traffic(network),
+        "decisions": len(network.adaptation.decisions),
+        "decision_tuples": _digest([
+            decision.as_tuple() for decision in network.adaptation.decisions
+        ]),
+        "counters": {} if injector is None else injector.snapshot(),
+        "range_retrieval_messages": sum(r.retrieval_messages for r in ranges),
+        "range_items": _digest([sorted(map(int, r.item_ids)) for r in ranges]),
+        "failed_contacts": _digest([r.failed_contacts for r in ranges]),
     }
 
 
@@ -211,9 +296,20 @@ def test_backend_session_counts_are_pinned(kind):
     _check(kind)
 
 
+@pytest.mark.parametrize("arm", ["clean", "lossy"])
+def test_adapted_session_counts_are_pinned(arm):
+    observed = run_adapted_session(None if arm == "clean" else 0.1)
+    for name, expected in ADAPTED_GOLDEN[arm].items():
+        assert observed[name] == expected, (arm, name)
+
+
 if __name__ == "__main__":
     import pprint
 
     pprint.pprint(
         {kind: run_session(kind) for kind in OVERLAYS}, sort_dicts=False
     )
+    pprint.pprint({
+        "clean": run_adapted_session(None),
+        "lossy": run_adapted_session(0.1),
+    }, sort_dicts=False)

@@ -65,18 +65,15 @@ def run_adaptation(
     epsilon: float = 0.5,
     hot_clusters: int = 2,
     epoch_queries: int = 12,
-    config: AdaptConfig | None = None,
 ) -> list[AdaptationRow]:
     """Run both arms; returns ``[clean row, adapted row]``.
 
-    ``config`` overrides the adapted arm's full operating point;
-    otherwise the default :class:`AdaptConfig` runs with the given
-    ``epoch_queries`` cadence. Construction happens under
-    ``run_context(adapt=None)`` so an ambient ``--adapt`` flag cannot leak
-    into the clean arm.
+    The adapted arm runs the control loop with an ``epoch_queries``
+    cadence. Construction happens under ``run_context(adapt=None)`` so
+    an ambient ``--adapt`` flag cannot leak into the clean arm.
     """
     seed = int(rng)
-    adapted_config = config or AdaptConfig(epoch_queries=epoch_queries)
+    adapted_config = AdaptConfig(epoch_queries=epoch_queries)
     rows: list[AdaptationRow] = []
     for mode in ("clean", "adapted"):
         with run_context(adapt=None):

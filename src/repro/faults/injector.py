@@ -44,7 +44,7 @@ REACTIVE_KINDS = frozenset(
 
 #: Consecutive failed contacts before a peer is presumed crashed and its
 #: published spheres become eligible for tombstoning.
-DEFAULT_SUSPECT_THRESHOLD = 3
+SUSPECT_THRESHOLD = 3
 
 
 @dataclass(frozen=True)
@@ -68,23 +68,14 @@ class FaultInjector:
     plan:
         The fault plan; ``FaultPlan()`` (the null plan) makes the
         injector a pure pass-through that never draws randomness.
-    suspect_threshold:
-        Consecutive contact failures after which a peer is reported by
-        :meth:`drain_suspects` for tombstoning.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan | None = None,
-        *,
-        suspect_threshold: int = DEFAULT_SUSPECT_THRESHOLD,
-    ):
+    def __init__(self, plan: FaultPlan | None = None):
         self.plan = plan if plan is not None else FaultPlan()
         self._rng = np.random.default_rng(self.plan.seed)
         self.crashed_nodes: set[int] = set()
         self.crashed_peers: set[int] = set()
         self.counters: dict[str, int] = {}
-        self.suspect_threshold = int(suspect_threshold)
         self._consecutive_failures: dict[int, int] = {}
         self._suspects: list[int] = []
         self._tombstoned_peers: set[int] = set()
@@ -188,7 +179,7 @@ class FaultInjector:
     def note_contact_failure(self, peer_id: int) -> bool:
         """Record one failed contact; True when the peer becomes suspect.
 
-        A peer turns *suspect* when :attr:`suspect_threshold` consecutive
+        A peer turns *suspect* when :data:`SUSPECT_THRESHOLD` consecutive
         contacts fail; it is then queued once for
         :meth:`drain_suspects`-driven tombstoning.
         """
@@ -197,7 +188,7 @@ class FaultInjector:
         self._consecutive_failures[peer_id] = count
         self.count("contact_failures")
         if (
-            count >= self.suspect_threshold
+            count >= SUSPECT_THRESHOLD
             and peer_id not in self._tombstoned_peers
         ):
             self._tombstoned_peers.add(peer_id)

@@ -8,7 +8,7 @@ snapshot per *epoch* (every ``epoch_queries`` range queries) and reacts
 along four axes:
 
 * **Hot-owner rebalancing** — a node whose byte traffic exceeds
-  ``split_threshold`` × the level mean sheds load through
+  :data:`SPLIT_THRESHOLD` × the level mean sheds load through
   :meth:`~repro.overlay.can.CANNetwork.rebalance_hot`: CAN splits the
   hot zone and hands half to the least-loaded neighbour — the GeoP2P
   idiom.
@@ -41,18 +41,33 @@ same seed and fault plan the decision sequence is bit-identical across
 runs (all inputs are deterministic ledgers and all iteration orders are
 explicitly sorted).
 
-The CLI's ``--adapt`` flag puts a config in the run context
+Adaptation is on or off: the operating point is this module's
+constants, and :class:`AdaptConfig` holds only the epoch cadence. The
+CLI's ``--adapt`` flag puts a config in the run context
 (``runtime.current.adapt``), which
 :class:`repro.core.network.HyperMNetwork` reads at construction time.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
 from repro.obs import registry as obs_registry
 from repro.overlay.can import CANNetwork
+
+#: Rebalance a zone when its bytes exceed this multiple of the level's
+#: mean zone bytes (max-over-mean trigger).
+SPLIT_THRESHOLD = 3.0
+#: Zone rebalances per level per epoch.
+MAX_SPLITS_PER_EPOCH = 1
+#: Extra replicas granted to each hot sphere per boost.
+BOOST_REPLICAS = 1
+#: Hot spheres boosted per level per epoch.
+MAX_BOOSTS_PER_EPOCH = 8
+#: Relay peers a retrieval request fans out through.
+RELAY_FANOUT = 2
 
 
 def adaptation_plane(overlay) -> CANNetwork | None:
@@ -74,65 +89,29 @@ def adaptation_plane(overlay) -> CANNetwork | None:
 
 @dataclass(frozen=True)
 class AdaptConfig:
-    """Operating point of the load-adaptation control loop.
+    """The load-adaptation control loop's one setting.
 
     Attributes
     ----------
-    split_threshold:
-        Rebalance a zone when its bytes exceed this multiple of the
-        level's mean zone bytes (max-over-mean trigger).
-    max_splits_per_epoch:
-        Zone rebalances per level per epoch (0 disables splitting).
-    boost_replicas:
-        Extra replicas granted to each hot sphere per boost.
-    max_boosts_per_epoch:
-        Hot spheres boosted per level per epoch (0 disables boosting).
-    shed_cold:
-        Drop boosted replicas of spheres that went cold for an epoch.
-    relay_fanout:
-        Retrieval requests fan out through this many relay peers
-        (0 restores flat unicast contact).
-    dedup_responses:
-        Responses ship only item vectors the querier has not already
-        received from that responder (scalar ids always ride along).
-    balance_interfaces:
-        Serve retrieval from each peer's least-loaded overlay node
-        instead of pinning all retrieval traffic to level 0.
-    quality_routing:
-        Install the ledger-driven tie-break penalty on overlay routing.
     epoch_queries:
         Range queries per adaptation epoch (0 = only explicit
-        :meth:`AdaptationController.run_epoch` calls).
-    top_k:
-        Hotspot ranking depth for loadmap reporting around the control
-        loop (the loop itself consumes CAN's per-node load snapshot, not
-        a loadmap).
+        :meth:`AdaptationController.run_epoch` calls): an integer >= 0.
+        Floats (``2.5`` would tick through float modulo, ``nan``
+        never) and bools are refused.
     """
 
-    split_threshold: float = 3.0
-    max_splits_per_epoch: int = 1
-    boost_replicas: int = 1
-    max_boosts_per_epoch: int = 8
-    shed_cold: bool = True
-    relay_fanout: int = 2
-    dedup_responses: bool = True
-    balance_interfaces: bool = True
-    quality_routing: bool = True
     epoch_queries: int = 16
-    top_k: int = 10
 
     def __post_init__(self) -> None:
-        if self.split_threshold <= 1.0:
-            raise ValidationError(
-                f"split_threshold must be > 1, got {self.split_threshold}"
-            )
-        for name in (
-            "max_splits_per_epoch", "boost_replicas",
-            "max_boosts_per_epoch", "relay_fanout",
-            "epoch_queries", "top_k",
+        value = self.epoch_queries
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Integral)
+            or value < 0
         ):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            raise ValidationError(
+                f"epoch_queries must be an integer >= 0, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -189,11 +168,10 @@ class AdaptationController:
         self._boosted: dict = {}
         #: ``(responder_peer, origin_peer) -> item ids already shipped``.
         self._sent: dict[tuple[int, int], set[int]] = {}
-        if self.config.quality_routing:
-            for overlay in network.overlays.values():
-                plane = adaptation_plane(overlay)
-                if plane is not None:
-                    plane.route_penalty = self.node_penalty
+        for overlay in network.overlays.values():
+            plane = adaptation_plane(overlay)
+            if plane is not None:
+                plane.route_penalty = self.node_penalty
 
     # -- quality signals ------------------------------------------------------
 
@@ -248,23 +226,23 @@ class AdaptationController:
 
         Returns ``[(target, children), ...]``: each target is contacted
         directly; a non-empty ``children`` tuple means the target relays
-        the request onward to those peers. With ``relay_fanout`` = 0 or
-        few enough targets, everyone is contacted flat. Relays are the
-        top-quality peers (ties broken by id); the rest are assigned
-        round-robin in sorted order, so the plan is deterministic.
+        the request onward to those peers. With at most
+        :data:`RELAY_FANOUT` targets, everyone is contacted flat. Relays
+        are the top-quality peers (ties broken by id); the rest are
+        assigned round-robin in sorted order, so the plan is
+        deterministic.
         """
-        fanout = self.config.relay_fanout
-        if fanout < 1 or len(peers) <= fanout:
+        if len(peers) <= RELAY_FANOUT:
             return [(peer_id, ()) for peer_id in peers]
         ranked = sorted(
             peers, key=lambda pid: (-self.peer_quality(pid), pid)
         )
-        relays = ranked[:fanout]
+        relays = ranked[:RELAY_FANOUT]
         children: dict[int, list[int]] = {relay: [] for relay in relays}
         relay_set = set(relays)
         rest = sorted(pid for pid in peers if pid not in relay_set)
         for index, peer_id in enumerate(rest):
-            children[relays[index % fanout]].append(peer_id)
+            children[relays[index % RELAY_FANOUT]].append(peer_id)
         return [(relay, tuple(children[relay])) for relay in relays]
 
     def filter_new(
@@ -289,9 +267,8 @@ class AdaptationController:
     def note_query(self) -> bool:
         """Count one range query; runs an epoch on the configured cadence."""
         self._queries_seen += 1
-        if self.config.epoch_queries < 1:
-            return False
-        if self._queries_seen % self.config.epoch_queries:
+        every = self.config.epoch_queries
+        if every < 1 or self._queries_seen % every:
             return False
         self.run_epoch()
         return True
@@ -318,9 +295,6 @@ class AdaptationController:
 
     def _rebalance(self, epoch, level, plane) -> list[AdaptationDecision]:
         """Rebalance owners whose traffic exceeds the max-over-mean threshold."""
-        config = self.config
-        if config.max_splits_per_epoch < 1:
-            return []
         snapshot = plane.load_snapshot()
         if len(snapshot) < 2:
             return []
@@ -332,8 +306,8 @@ class AdaptationController:
         if mean <= 0.0:
             return []
         made: list[AdaptationDecision] = []
-        for load, node_id in loads[: config.max_splits_per_epoch]:
-            if load <= config.split_threshold * mean:
+        for load, node_id in loads[:MAX_SPLITS_PER_EPOCH]:
+            if load <= SPLIT_THRESHOLD * mean:
                 break
             target = plane.rebalance_hot(int(node_id))
             if target is not None:
@@ -346,7 +320,6 @@ class AdaptationController:
 
     def _retune_replication(self, epoch, level, plane) -> list[AdaptationDecision]:
         """Boost spheres whose heat grew this epoch; shed the gone-cold."""
-        config = self.config
         store = plane.level_store
         heat = store.sphere_heat()
         previous = self._prev_heat.get(level)
@@ -359,38 +332,36 @@ class AdaptationController:
         }
         made: list[AdaptationDecision] = []
         boosted = self._boosted.setdefault(level, set())
-        if config.max_boosts_per_epoch >= 1 and config.boost_replicas >= 1:
-            hot = sorted(
-                (eid for eid, delta in deltas.items() if delta > 0),
-                key=lambda eid: (-deltas[eid], eid),
-            )[: config.max_boosts_per_epoch]
-            for entry_id in hot:
-                added = plane.boost_replication(
-                    store.row_of(entry_id), config.boost_replicas
-                )
-                if added:
-                    boosted.add(entry_id)
-                    made.append(
-                        AdaptationDecision(
-                            epoch, str(level), "boost",
-                            int(entry_id), tuple(added),
-                        )
-                    )
-        if config.shed_cold:
-            cold = sorted(
-                eid for eid in boosted
-                if eid in heat and deltas.get(eid, 0) == 0
+        hot = sorted(
+            (eid for eid, delta in deltas.items() if delta > 0),
+            key=lambda eid: (-deltas[eid], eid),
+        )[:MAX_BOOSTS_PER_EPOCH]
+        for entry_id in hot:
+            added = plane.boost_replication(
+                store.row_of(entry_id), BOOST_REPLICAS
             )
-            for entry_id in cold:
-                shed = plane.shed_replication(store.row_of(entry_id))
-                boosted.discard(entry_id)
-                if shed:
-                    made.append(
-                        AdaptationDecision(
-                            epoch, str(level), "shed",
-                            int(entry_id), tuple(shed),
-                        )
+            if added:
+                boosted.add(entry_id)
+                made.append(
+                    AdaptationDecision(
+                        epoch, str(level), "boost",
+                        int(entry_id), tuple(added),
                     )
+                )
+        cold = sorted(
+            eid for eid in boosted
+            if eid in heat and deltas.get(eid, 0) == 0
+        )
+        for entry_id in cold:
+            shed = plane.shed_replication(store.row_of(entry_id))
+            boosted.discard(entry_id)
+            if shed:
+                made.append(
+                    AdaptationDecision(
+                        epoch, str(level), "shed",
+                        int(entry_id), tuple(shed),
+                    )
+                )
         # Entries retracted or tombstoned underneath us stop being tracked.
         for entry_id in sorted(boosted):
             if entry_id not in heat:

@@ -211,13 +211,17 @@ class TestReplicationRetuning:
 
 class TestControllerUnits:
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            AdaptConfig(split_threshold=1.0)
-        with pytest.raises(ValidationError):
-            AdaptConfig(relay_fanout=-1)
+        # 2.5 used to run an epoch every 5th query (float modulo), nan
+        # never ran one, and True passed as 1.
+        bad_values = (-1, 2.5, 12.0, float("nan"), float("inf"), True, "4")
+        for bad in bad_values:
+            with pytest.raises(ValidationError):
+                AdaptConfig(epoch_queries=bad)
+        assert AdaptConfig(epoch_queries=np.int64(4)).epoch_queries == 4
+        assert AdaptConfig(epoch_queries=0).epoch_queries == 0
 
     def test_relay_plan_covers_every_peer_once(self):
-        net = _build(seed=1, adapt=AdaptConfig(relay_fanout=2))
+        net = _build(seed=1, adapt=AdaptConfig())
         plan = net.adaptation.relay_plan([5, 1, 4, 2, 3])
         assert len(plan) == 2
         covered = [r for r, __ in plan] + [
@@ -225,11 +229,9 @@ class TestControllerUnits:
         ]
         assert sorted(covered) == [1, 2, 3, 4, 5]
 
-    def test_relay_plan_flat_when_small_or_disabled(self):
-        net = _build(seed=1, adapt=AdaptConfig(relay_fanout=2))
+    def test_relay_plan_flat_when_small(self):
+        net = _build(seed=1, adapt=AdaptConfig())
         assert net.adaptation.relay_plan([7, 3]) == [(7, ()), (3, ())]
-        flat = AdaptationController(net, AdaptConfig(relay_fanout=0))
-        assert flat.relay_plan([5, 1, 4]) == [(5, ()), (1, ()), (4, ())]
 
     def test_response_dedup_bookkeeping(self):
         net = _build(seed=1, adapt=AdaptConfig())

@@ -39,6 +39,7 @@ from repro.evaluation.experiments import (
     EXPERIMENTS,
     SCALES,
     ExperimentOutput,
+    at_least,
     render_markdown,
     run_experiment,
     scale_params,
@@ -119,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace output path (default: trace-<experiment>.jsonl)",
     )
     trace_parser.add_argument(
-        "--depth", type=_at_least(1), default=3,
+        "--depth", type=at_least(1), default=3,
         help="max depth of the printed flame summary",
     )
 
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_args(profile_parser)
     profile_parser.add_argument(
-        "--top", type=_at_least(1), default=10,
+        "--top", type=at_least(1), default=10,
         help="how many individually slowest spans to list",
     )
 
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_args(stats_parser)
     stats_parser.add_argument(
-        "--churn", type=_at_least(0), default=0, metavar="N",
+        "--churn", type=at_least(0), default=0, metavar="N",
         help="make N peers leave after publishing (exercises the "
         "level stores' tombstone/compaction accounting)",
     )
@@ -155,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_args(report_parser)
     report_parser.add_argument(
-        "--queries", type=_at_least(0), default=None, metavar="N",
+        "--queries", type=at_least(0), default=None, metavar="N",
         help="range queries to issue (default: the scale preset's count)",
     )
     report_parser.add_argument(
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="range-query radius in the original space",
     )
     report_parser.add_argument(
-        "--top-k", type=_at_least(0), default=10,
+        "--top-k", type=at_least(0), default=10,
         help="hotspot ranking depth in the loadmap",
     )
     report_parser.add_argument(
@@ -190,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_args(serve_parser)
     serve_parser.add_argument(
-        "--queries", type=int, default=96, metavar="N",
+        "--queries", type=at_least(1), default=96, metavar="N",
         help="length of the Zipf-skewed hot query stream (default: 96)",
     )
     serve_parser.add_argument(
-        "--distinct", type=int, default=24, metavar="N",
+        "--distinct", type=at_least(1), default=24, metavar="N",
         help="distinct queries behind the hot stream (default: 24)",
     )
     serve_parser.add_argument(
@@ -202,16 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="range-query radius in the original space (default: 0.25)",
     )
     serve_parser.add_argument(
-        "--batch-size", type=int, default=16, metavar="B",
+        "--batch-size", type=at_least(1), default=16, metavar="B",
         help="queries coalesced per stacked intersection pass "
         "(default: 16)",
     )
     serve_parser.add_argument(
-        "--max-peers", type=int, default=3, metavar="N",
+        "--max-peers", type=at_least(0), default=3, metavar="N",
         help="retrieval contact budget per query (default: 3)",
     )
     serve_parser.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
+        "--repeats", type=at_least(1), default=3, metavar="N",
         help="timing repeats; the minimum ratio is reported (default: 3)",
     )
     serve_parser.add_argument(
@@ -240,15 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
         "over shared memory (see docs/scaling.md)",
     )
     scale_parser.add_argument(
-        "--workers", type=_at_least(1), default=2, metavar="N",
+        "--workers", type=at_least(1), default=2, metavar="N",
         help="worker processes for the sharded engine (default: 2)",
     )
     scale_parser.add_argument(
-        "--spheres-per-peer", type=int, default=2, metavar="N",
+        "--spheres-per-peer", type=at_least(1), default=2, metavar="N",
         help="cluster spheres published per peer per level (default: 2)",
     )
     scale_parser.add_argument(
-        "--queries", type=int, default=32, metavar="N",
+        "--queries", type=at_least(1), default=32, metavar="N",
         help="translated range queries to time (default: 32)",
     )
     scale_parser.add_argument(
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="range-query radius in the original space (default: 0.25)",
     )
     scale_parser.add_argument(
-        "--baseline-peers", type=int, default=192, metavar="N",
+        "--baseline-peers", type=at_least(2), default=192, metavar="N",
         help="size of the routed-vs-bulk construction race whose "
         "wall-clock ratio is the gated bulk_speedup (default: 192)",
     )
@@ -331,19 +332,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="emit machine-readable JSON (series + metrics snapshot)",
     )
-
-
-def _at_least(floor: int):
-    """A count flag's ``type=``: an int >= ``floor``, else exit 2."""
-
-    def count(text: str) -> int:
-        value = int(text)
-        if value < floor:
-            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
-        return value
-
-    count.__name__ = "int"  # argparse's "invalid int value" message
-    return count
 
 
 def _json_default(value):

@@ -12,6 +12,7 @@ exists in exactly one place.
 
 from __future__ import annotations
 
+import argparse
 import inspect
 import warnings
 from collections.abc import Callable
@@ -170,6 +171,19 @@ def _construction(comparison, *, title):
     )
 
 
+def at_least(floor: int):
+    """A count flag's ``type=``: an int >= ``floor``, else exit 2."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+
+    count.__name__ = "int"  # argparse's "invalid int value" message
+    return count
+
+
 @dataclass(frozen=True)
 class Option:
     """One experiment-specific knob, declared once for every caller."""
@@ -325,7 +339,7 @@ EXPERIMENTS = {row.name: row for row in (
                 "(no overlay cleanup)",
             )),
             Option("max_peers", "max_peers", None, dict(
-                type=int, metavar="N",
+                type=at_least(0), metavar="N",
                 help="contact budget per query "
                 "(default: every positive-score peer)",
             )),
@@ -347,11 +361,11 @@ EXPERIMENTS = {row.name: row for row in (
         "load adaptation: hotspot skew with the control loop on vs off",
         options=(
             Option("queries", "n_queries", 48, dict(
-                type=int, metavar="N",
+                type=at_least(0), metavar="N",
                 help="skewed range queries per arm (default: 48)",
             )),
             Option("epoch_queries", "epoch_queries", 12, dict(
-                type=int, metavar="N",
+                type=at_least(0), metavar="N",
                 help="queries per adaptation epoch (default: 12)",
             )),
         ),

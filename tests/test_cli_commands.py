@@ -194,13 +194,29 @@ class TestRunScopes:
         (["profile", "fig8a", "--top", "-2"], 1),
         (["report", "--top-k", "-1"], 0),
         (["report", "--queries", "-5"], 0),
+        *(
+            pytest.param(argv, floor, id=f"{argv[0]}{argv[-2]}-{floor}")
+            for argv, floor in [
+                (["adapt", "--queries", "-1"], 0),
+                (["adapt", "--epoch-queries", "-1"], 0),
+                (["faults", "--max-peers", "-1"], 0),
+                (["serve-bench", "--queries", "0"], 1),
+                (["serve-bench", "--distinct", "0"], 1),
+                (["serve-bench", "--batch-size", "0"], 1),
+                (["serve-bench", "--max-peers", "-1"], 0),
+                (["serve-bench", "--repeats", "0"], 1),
+                (["scale-bench", "--queries", "0"], 1),
+                (["scale-bench", "--spheres-per-peer", "0"], 1),
+                (["scale-bench", "--baseline-peers", "1"], 2),
+            ]
+        ),
     ], ids=lambda value: value[-2] if isinstance(value, list) else None)
     def test_count_flags_refuse_values_below_their_floor(
         self, argv, floor, capsys
     ):
-        # Each used to be clamped (or, for --top-k / --queries, passed on
-        # to print a wrong table); now it is an argparse error like
-        # --workers 0, before anything runs.
+        # Each used to be clamped, passed on to print a wrong table, or
+        # refused by its runner with a traceback; now it is an argparse
+        # error like --workers 0, before anything runs.
         with pytest.raises(SystemExit) as raised:
             main(argv)
         assert raised.value.code == 2

@@ -67,7 +67,6 @@ def run_report(
     rng=None,
     seed: int = 0,
     top_k: int = 10,
-    flight_capacity: int = 200_000,
     bench_dir=None,
     trace_out=None,
     flight_out=None,
@@ -84,7 +83,7 @@ def run_report(
             raise ValidationError(f"{name} must be >= 0, got {value}")
     generator = ensure_rng(seed if rng is None else rng)
     recorder = TraceRecorder()
-    flight = FlightRecorder(capacity=flight_capacity)
+    flight = FlightRecorder(capacity=200_000)
     registry = MetricsRegistry()
     with run_context(metrics=registry, tracer=recorder, flight=flight):
         workload, dissemination = build_markov_network(

@@ -113,7 +113,6 @@ def run_serve_bench(
     batch_size: int = 16,
     repeats: int = 3,
     load_fraction: float = 0.8,
-    serve_config: ServeConfig | None = None,
 ) -> dict:
     """Run the three serving arms; returns the JSON-safe report.
 
@@ -137,7 +136,7 @@ def run_serve_bench(
     distinct, hot_stream = _query_streams(workload, cfg)
     hot_requests = _requests(hot_stream, cfg)
     distinct_requests = _requests(distinct, cfg)
-    base_serve = serve_config or ServeConfig()
+    base_serve = ServeConfig()
 
     # Steady-state engine: caches warm across repeats (that *is* the
     # tier's deployed state); parity asserted on the first pass.

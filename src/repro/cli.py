@@ -322,10 +322,11 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     the flags :func:`_add_common_args` adds on top of these.
     """
     parser.add_argument(
-        "--peers", type=int, default=None, help="override the peer count"
+        "--peers", type=at_least(1), default=None,
+        help="override the peer count",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="master random seed"
+        "--seed", type=at_least(0), default=0, help="master random seed"
     )
     parser.add_argument(
         "--json",

@@ -47,6 +47,7 @@ from repro.obs.rss import rss_snapshot
 from repro.overlay.base import StoredEntry
 from repro.overlay.can import CANNetwork, build_grid_can, bulk_publish
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_positive
 from repro.wavelets.multiresolution import publication_levels
 
 
@@ -208,6 +209,7 @@ def run_scale_bench(
         raise ValidationError(
             f"baseline_peers must be >= 2, got {baseline_peers}"
         )
+    check_positive(epsilon, "epsilon", strict=False)
     rng = ensure_rng(seed)
     levels = publication_levels(dimensionality, levels_used)
     clock = _clock()

@@ -8,8 +8,8 @@ Three arms over one published Markov-corpus network:
 * **Batched** — the same request stream through
   :meth:`repro.serve.ServeEngine.execute_batch` in fixed-size batches:
   the same query pipeline over the co-located candidate source — one
-  stacked intersection GEMM per level per batch, a generation-keyed
-  candidate cache, query-log mining. Measured twice: a
+  stacked intersection GEMM per level per batch and a generation-keyed
+  candidate cache. Measured twice: a
   *steady-state* arm (warm engine on a Zipf-skewed hot stream — the
   serving tier as deployed) and a *cold* arm (fresh engine, distinct
   queries — pure batching with every cache missing).
@@ -25,7 +25,6 @@ speedups are pure execution strategy, never a different answer.
 from __future__ import annotations
 
 import gc
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,7 +32,8 @@ from repro.core.network import HyperMConfig
 from repro.evaluation.workloads import build_markov_network, sample_queries
 from repro.exceptions import ValidationError
 from repro.obs import registry as obs_registry
-from repro.serve import RangeRequest, ServeConfig, ServeEngine, run_open_loop
+from repro.serve import RangeRequest, ServeEngine, run_open_loop
+from repro.utils.validation import check_positive
 
 
 def _build(cfg: dict):
@@ -118,12 +118,13 @@ def run_serve_bench(
 
     ``load_fraction`` sets the open-loop offered rate as a fraction of
     the measured steady-state capacity, so the latency run exercises a
-    busy-but-stable engine on any machine.
+    busy-but-stable engine on any machine; it must be finite and > 0.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
+    check_positive(load_fraction, "load_fraction")
     cfg = {
         "n_peers": n_peers, "items_per_peer": items_per_peer,
         "dimensionality": dimensionality, "n_clusters": n_clusters,
@@ -136,11 +137,9 @@ def run_serve_bench(
     distinct, hot_stream = _query_streams(workload, cfg)
     hot_requests = _requests(hot_stream, cfg)
     distinct_requests = _requests(distinct, cfg)
-    base_serve = ServeConfig()
-
     # Steady-state engine: caches warm across repeats (that *is* the
     # tier's deployed state); parity asserted on the first pass.
-    engine = ServeEngine(network, base_serve)
+    engine = ServeEngine(network)
     batched_results = _run_batches(engine, hot_requests, batch_size)
     sequential_results = [
         network.range_query(
@@ -176,9 +175,7 @@ def run_serve_bench(
                 pair["batched"] = _timed(
                     lambda: _run_batches(engine, hot_requests, batch_size)
                 )
-        cold_engine = ServeEngine(
-            network, replace(base_serve, mine_queries=False)
-        )
+        cold_engine = ServeEngine(network)
         pair["cold_seq"] = _timed(lambda: [
             network.range_query(r.query, r.epsilon, max_peers=r.max_peers)
             for r in distinct_requests
@@ -196,7 +193,7 @@ def run_serve_bench(
     # Open-loop latency at a fixed fraction of measured capacity.
     capacity_qps = len(hot_requests) / min(batched_s)
     offered = max(load_fraction * capacity_qps, 1.0)
-    load_engine = ServeEngine(network, base_serve)
+    load_engine = ServeEngine(network)
     load_report = run_open_loop(load_engine, hot_requests, rate=offered)
 
     snapshot = engine.snapshot()
@@ -217,9 +214,7 @@ def run_serve_bench(
         "engine": {
             "batches": snapshot["batches"],
             "served": snapshot["served"],
-            "prewarmed": snapshot["prewarmed"],
             "candidate_cache": snapshot["candidate_cache"],
             "translation_cache": snapshot["translation_cache"],
         },
-        "hot_regions": snapshot.get("miner", {}).get("hot_regions", []),
     }

@@ -117,21 +117,6 @@ class CandidateCache:
         self.hits += 1
         return cached
 
-    def peek(self, key: CandidateKey) -> Lookup | None:
-        """Like :meth:`lookup` but without hit/miss accounting.
-
-        The pre-warmer uses this to decide what needs recomputing; a
-        peek must not inflate the serving hit rate.
-        """
-        cached = self._data.get(key)
-        if cached is None:
-            return None
-        if cached.is_stale():
-            del self._data[key]
-            self.stale += 1
-            return None
-        return cached
-
     def store(self, key: CandidateKey, entry: Lookup) -> None:
         """Insert (or refresh) one entry, evicting LRU entries past cap."""
         self._data[key] = entry
@@ -139,14 +124,6 @@ class CandidateCache:
         while len(self._data) > self._capacity:
             self._data.popitem(last=False)
             self.evictions += 1
-
-    def drop_stale(self) -> int:
-        """Evict every stale entry now; returns how many were dropped."""
-        doomed = [k for k, cs in self._data.items() if cs.is_stale()]
-        for key in doomed:
-            del self._data[key]
-        self.stale += len(doomed)
-        return len(doomed)
 
     def snapshot(self) -> dict:
         """Counter snapshot (JSON-safe) for reports and tests."""

@@ -17,11 +17,9 @@
   table), generation-keyed so publishes / deltas / rebalances
   invalidate exactly the mutated level (:mod:`repro.serve.cache`); key
   translations are memoized by the query pipeline itself
-  (:func:`repro.core.queries.level_plan`).
-* **Mining + pre-warming** — the served log feeds a
-  :class:`repro.serve.mining.QueryLogMiner`; after any store mutation
-  the hottest lookups are recomputed in one stacked pass before the next
-  batch pays the miss.
+  (:func:`repro.core.queries.level_plan`). A mutation's invalidated
+  look-ups are simply the next batch's misses, resolved in its stacked
+  pass.
 
 Batch execution itself is synchronous Python over the single-threaded
 simulator, so ``max_inflight`` dispatchers serialize on compute; the
@@ -40,7 +38,7 @@ retrieval + ``note_query`` tick runs in admission order.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +57,6 @@ from repro.exceptions import ServeError, ValidationError
 from repro.obs import registry as obs_registry
 from repro.serve.batch import StoreSource
 from repro.serve.cache import CandidateCache
-from repro.serve.mining import QueryLogMiner
 from repro.utils.validation import (
     check_peer_budget,
     check_positive,
@@ -69,7 +66,7 @@ from repro.utils.validation import (
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Admission, batching, caching, and mining knobs."""
+    """Admission, batching, and caching knobs."""
 
     #: Waiting requests admitted before new arrivals are shed.
     max_queue: int = 64
@@ -81,19 +78,12 @@ class ServeConfig:
     batch_window: float = 0.002
     #: Candidate-cache entries (per engine, across levels).
     cache_candidates: int = 256
-    #: Mine the query log and pre-warm invalidated hot lookups.
-    mine_queries: bool = True
-    #: Hot lookups re-primed per pre-warm sweep.
-    prewarm_keys: int = 8
-    #: Occupancy-grid resolution per key-space axis.
-    mining_grid: int = 8
 
     def __post_init__(self) -> None:
         # Every numeric knob is refused here, never at first use.
         for name, floor in (
             ("max_queue", 1), ("max_inflight", 1), ("max_batch", 1),
             ("batch_window", 0), ("cache_candidates", 1),
-            ("prewarm_keys", 0), ("mining_grid", 1),
         ):
             value = getattr(self, name)
             if value < floor:
@@ -155,10 +145,8 @@ class _Counters:
     shed: int = 0
     batches: int = 0
     served: int = 0
-    prewarmed: int = 0
     knn_early_stops: int = 0
     knn_peers_skipped: int = 0
-    generations: dict = field(default_factory=dict)
 
 
 class ServeEngine:
@@ -175,11 +163,6 @@ class ServeEngine:
         self.config = config or ServeConfig()
         self.candidates = CandidateCache(self.config.cache_candidates)
         self.source = StoreSource(network, self.candidates)
-        self.miner = (
-            QueryLogMiner(grid=self.config.mining_grid)
-            if self.config.mine_queries
-            else None
-        )
         self._counters = _Counters()
         self._queue: asyncio.Queue | None = None
         self._tasks: list[asyncio.Task] = []
@@ -216,7 +199,6 @@ class ServeEngine:
         ) as span, runtime.current.flight.span(
             "serve_batch", size=len(requests)
         ):
-            self._maybe_prewarm()
             origins = [
                 resolve_origin(network, req.origin_peer) for req in requests
             ]
@@ -301,18 +283,9 @@ class ServeEngine:
             return level_plan(network.dimensionality, network.levels, query)
         check_positive(request.epsilon, "epsilon", strict=False)
         check_peer_budget(request.max_peers, "max_peers")
-        plan = level_plan(
+        return level_plan(
             network.dimensionality, network.levels, query, request.epsilon
         )
-        self._observe(plan)
-        return plan
-
-    def _observe(self, plan: dict) -> None:
-        """Feed one served plan's per-level look-ups to the miner."""
-        if self.miner is None:
-            return
-        for index, (level, (key, radius)) in enumerate(plan.items()):
-            self.miner.observe(str(level), index, key, radius)
 
     def _knn(self, request: KnnRequest, origin: int, plan: dict) -> KnnResult:
         """Figure 5 k-NN over the cached store-direct index."""
@@ -322,10 +295,6 @@ class ServeEngine:
             aggregation=request.aggregation,
             early_stop=request.early_termination,
         )
-        self._observe({
-            level: (key, result.epsilon_per_level[level])
-            for level, (key, __) in plan.items()
-        })
         if skipped:
             self._counters.knn_early_stops += 1
             self._counters.knn_peers_skipped += skipped
@@ -333,45 +302,6 @@ class ServeEngine:
             metrics.counter("serve.knn.early_stops").inc()
             metrics.histogram("serve.knn.peers_skipped").observe(skipped)
         return result
-
-    # -- pre-warming ---------------------------------------------------------
-
-    def _maybe_prewarm(self) -> int:
-        """Pre-warm hot lookups when any level's store has mutated."""
-        if self.miner is None:
-            return 0
-        generations = {
-            str(level): self.network.overlays[level].level_store.generation
-            for level in self.network.levels
-        }
-        if generations == self._counters.generations:
-            return 0
-        self._counters.generations = generations
-        return self.prewarm()
-
-    def prewarm(self) -> int:
-        """Recompute the miner's hottest missing lookups, stacked per level.
-
-        Returns how many look-ups were primed. Heat is *not* bumped and
-        nothing is scored here — pre-warming is speculative compute, not
-        demand; the first range plan to hit a primed entry scores it.
-        """
-        if self.miner is None:
-            return 0
-        by_level: dict[int, dict] = {}
-        for ck in self.miner.hot_keys(self.config.prewarm_keys):
-            if self.candidates.peek(ck) is None:
-                by_level.setdefault(ck[0], {})[ck] = (
-                    np.frombuffer(ck[1], dtype=np.float64), ck[2]
-                )
-        primed = sum(
-            len(self.source.resolve(level_index, missing))
-            for level_index, missing in by_level.items()
-        )
-        if primed:
-            self._counters.prewarmed += primed
-            obs_registry.metrics().counter("serve.prewarm.keys").inc(primed)
-        return primed
 
     # -- asyncio admission + coalescing layer -------------------------------
 
@@ -483,20 +413,16 @@ class ServeEngine:
     # -- introspection -------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Engine counters + cache/miner state (JSON-safe)."""
+        """Engine counters + cache state (JSON-safe)."""
         counters = self._counters
-        summary = {
+        return {
             "admitted": counters.admitted,
             "shed": counters.shed,
             "batches": counters.batches,
             "served": counters.served,
-            "prewarmed": counters.prewarmed,
             "knn_early_stops": counters.knn_early_stops,
             "knn_peers_skipped": counters.knn_peers_skipped,
             "waiting": self._waiting,
             "candidate_cache": self.candidates.snapshot(),
             "translation_cache": translation_cache_info(),
         }
-        if self.miner is not None:
-            summary["miner"] = self.miner.snapshot()
-        return summary

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.serve.engine import KnnRequest, RangeRequest, ServeEngine
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,7 @@ def run_open_loop(
     against completion QPS but not against the latency percentiles
     (their latency is the admission check, which is ~0 by design).
     """
-    if rate <= 0:
-        raise ValidationError(f"rate must be > 0, got {rate}")
+    check_positive(rate, "rate")
     if not requests:
         raise ValidationError("no requests to fire")
     return asyncio.run(_drive(engine, requests, rate))

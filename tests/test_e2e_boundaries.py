@@ -120,7 +120,6 @@ def test_serve_snapshot_keeps_the_counters_the_harness_reads(
     from repro.serve import ServeEngine
 
     snapshot = ServeEngine(tiny_histogram_workload.network).snapshot()
-    assert "prewarmed" in snapshot
     for cache in ("candidate_cache", "translation_cache"):
         assert {"hits", "misses"} <= set(snapshot[cache])
     assert "stale" in snapshot["candidate_cache"]

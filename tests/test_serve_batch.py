@@ -170,7 +170,7 @@ class TestBatchedCandidates:
             for index, (level, (key, radius)) in enumerate(plan.items()):
                 store = network.overlays[level].level_store
                 expected = fresh_candidates(store, key, radius)
-                held = cache.peek(candidate_key(index, key, radius))
+                held = cache.lookup(candidate_key(index, key, radius))
                 assert np.array_equal(
                     held.candidates.rows, expected.candidates.rows
                 )

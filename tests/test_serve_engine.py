@@ -1,13 +1,12 @@
-"""The serving engine: parity, admission, coalescing, mining, prewarm.
+"""The serving engine: parity, admission, coalescing.
 
 The contract under test: :class:`repro.serve.ServeEngine` is an
 *execution strategy*, not a different query plane — batched range
 results match :meth:`HyperMNetwork.range_query` and batched k-NN (with
 early termination off) matches :meth:`HyperMNetwork.knn_query`
 exactly, ``index_hops`` excepted (the engine co-locates the index).
-On top of that sit the serving behaviours: bounded-queue shedding,
-batch coalescing, query-log mining, and generation-triggered
-pre-warming.
+On top of that sit the serving behaviours: bounded-queue shedding
+and batch coalescing.
 """
 
 import asyncio
@@ -26,7 +25,13 @@ from repro.exceptions import QueryError, ServeError, ValidationError
 from repro.faults import FaultPlan
 from repro.obs.flight import FlightRecorder
 from repro.runtime import run_context
-from repro.serve import KnnRequest, RangeRequest, ServeConfig, ServeEngine
+from repro.serve import (
+    KnnRequest,
+    RangeRequest,
+    ServeConfig,
+    ServeEngine,
+    run_open_loop,
+)
 from repro.serve import cache as serve_cache
 
 
@@ -64,11 +69,6 @@ class TestConfig:
             ServeConfig(batch_window=-0.1)
         with pytest.raises(ValidationError):
             ServeConfig(cache_candidates=0)
-        with pytest.raises(ValidationError):
-            ServeConfig(prewarm_keys=-1)
-        with pytest.raises(ValidationError):
-            ServeConfig(mining_grid=0, mine_queries=False)
-        assert ServeConfig(prewarm_keys=0).prewarm_keys == 0
 
 
 class TestRangeParity:
@@ -246,7 +246,7 @@ class TestKernelCallsPerBatch:
         self, workload, queries, monkeypatch
     ):
         network = workload.network
-        engine = ServeEngine(network, ServeConfig(mine_queries=False))
+        engine = ServeEngine(network)
         requests = [
             RangeRequest(query=q, epsilon=epsilon, max_peers=3)
             for epsilon in (0.3, 0.2) for q in queries
@@ -275,7 +275,7 @@ class TestKernelCallsPerBatch:
         """A batch's stacked look-up scans every row once per missed
         look-up, and ``health()`` says so (it used to read 0 and 0)."""
         network = workload.network
-        engine = ServeEngine(network, ServeConfig(mine_queries=False))
+        engine = ServeEngine(network)
         stores = [network.overlays[level].level_store
                   for level in network.levels]
         before = [store.health() for store in stores]
@@ -465,49 +465,14 @@ class TestKnnParity:
             engine.execute(KnnRequest(query=queries[0], k=2, c=0.0))
 
 
-class TestMiningAndPrewarm:
-    def test_miner_tracks_hot_regions(self, workload, queries):
-        engine = ServeEngine(workload.network)
-        for __ in range(3):
-            engine.execute(RangeRequest(query=queries[0], epsilon=0.3))
-        snap = engine.snapshot()["miner"]
-        assert snap["observed"] >= 3 * len(workload.network.levels)
-        assert snap["hot_regions"]
-        assert engine.miner.hot_keys(4)
-
-    def test_prewarm_refills_after_mutation(self, workload, queries):
-        network = workload.network
-        engine = ServeEngine(network)
-        engine.execute(RangeRequest(query=queries[0], epsilon=0.3))
-        # Mutate a peer's items and republish: generations move, cached
-        # candidate sets go stale.
-        peer_id = next(iter(network.peers))
-        peer = network.peers[peer_id]
-        rng = np.random.default_rng(31)
-        peer.add_items(
-            rng.random((5, network.dimensionality)),
-            np.arange(900_000, 900_005),
-        )
-        network.publish_delta(peer_id)
-        primed_before = engine.snapshot()["prewarmed"]
-        engine.execute(RangeRequest(query=queries[1], epsilon=0.3))
-        assert engine.snapshot()["prewarmed"] > primed_before
-        # The pre-warmed hot lookup serves the next repeat as a fresh hit.
-        stale_before = engine.snapshot()["candidate_cache"]["stale"]
-        engine.execute(RangeRequest(query=queries[0], epsilon=0.3))
-        assert engine.snapshot()["candidate_cache"]["stale"] == stale_before
-
-    def test_mining_disabled_leaves_no_miner(self, workload, queries):
-        engine = ServeEngine(
-            workload.network, ServeConfig(mine_queries=False)
-        )
-        engine.execute(RangeRequest(query=queries[0], epsilon=0.2))
-        assert engine.miner is None
-        assert engine.prewarm() == 0
-        assert "miner" not in engine.snapshot()
-
-
 class TestAsyncLayer:
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_open_loop_refuses_a_meaningless_rate(self, workload, queries,
+                                                  rate):
+        requests = [RangeRequest(query=queries[0], epsilon=0.2)]
+        with pytest.raises(ValidationError, match="rate must be"):
+            run_open_loop(ServeEngine(workload.network), requests, rate=rate)
+
     def test_submit_before_start_raises(self, workload, queries):
         engine = ServeEngine(workload.network)
 

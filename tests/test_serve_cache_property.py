@@ -16,10 +16,16 @@ tier's safety contract:
 * a churned serving session (range batches at the default
   :class:`ServeConfig`, a write round after every 2nd batch) keeps its
   exact answers, ``peer_scores`` bits, fabric traffic and per-level
-  sphere heat (``CHURN_GOLDEN``). Cache hit/miss counts are not pinned:
-  they are an execution strategy, not an answer. Regenerate the values
-  with ``python tests/test_serve_cache_property.py`` only for a
-  deliberate change of what the serving tier answers or sends.
+  sphere heat (``CHURN_GOLDEN``);
+* so does a repeating session (``REPEAT_GOLDEN``): Zipf batches over a
+  few queries with k-NN requests mixed in, where a contacted peer adds
+  and drops items *without* publishing (the next answers must see it),
+  one delta is published, and a second pass runs adapted.
+
+Cache hit/miss counts are not pinned: they are an execution strategy,
+not an answer. Regenerate the values with ``python
+tests/test_serve_cache_property.py`` only for a deliberate change of
+what the serving tier answers or sends.
 """
 
 import hashlib
@@ -31,13 +37,14 @@ from hypothesis import strategies as st
 
 from repro.core.network import HyperMConfig
 from repro.evaluation.workloads import build_markov_network, sample_queries
-from repro.serve import RangeRequest, ServeConfig, ServeEngine
+from repro.serve import KnnRequest, RangeRequest, ServeConfig, ServeEngine
 
 N_PEERS = 6
 N_QUERIES = 4
 EPSILON = 0.3
 BATCH = 8
 CHURN_BATCHES = 12
+REPEAT_BATCHES = 8
 
 #: Recorded with the query-log pre-warmer still in the engine, which
 #: re-primed 40 invalidated look-ups in this session.
@@ -51,6 +58,20 @@ CHURN_GOLDEN = {
                 'replicate': (29, 1624),
                 'retrieve': (225, 39600)},
     'sphere_heat': {'A': '34372b8f225ea29a', 'D0': 'f2419ca8c30370db'},
+}
+
+
+#: Recorded before the serve tier memoized repeated requests.
+REPEAT_GOLDEN = {
+    'item_ids': '2dc2e972b666358d',
+    'peer_scores': '4e3ee0cb49878b31',
+    'by_kind': {'data': (307, 80064),
+                'insert': (52, 2912),
+                'join': (7, 280),
+                'publish_delta': (5, 304),
+                'replicate': (61, 3416),
+                'retrieve': (307, 54200)},
+    'sphere_heat': {'A': 'c43685a40771c46e', 'D0': '3707c04ec8157be6'},
 }
 
 
@@ -191,6 +212,31 @@ def _write(network, peer, rng, next_item_id: int) -> int:
     return next_item_id + 6
 
 
+def _pinned(network, served) -> dict:
+    """What a session's golden pins: answers, scores, traffic, heat."""
+    return {
+        "item_ids": _digest([sorted(map(int, r.item_ids)) for r in served]),
+        "peer_scores": _digest([
+            sorted((int(peer), float(score).hex())
+                   for peer, score in r.peer_scores.items())
+            for r in served
+        ]),
+        "by_kind": {
+            kind.value: (bucket.messages, bucket.bytes)
+            for kind, bucket in sorted(
+                network.fabric.metrics.by_kind.items(),
+                key=lambda item: item[0].value,
+            )
+        },
+        "sphere_heat": {
+            str(level): _digest(sorted(
+                network.overlays[level].level_store.sphere_heat().items()
+            ))
+            for level in network.levels
+        },
+    }
+
+
 def run_churn_session() -> dict:
     """Zipf-skewed range batches; after every 2nd one a peer writes."""
     workload = _build()
@@ -212,26 +258,75 @@ def run_churn_session() -> dict:
             peer = network.peers[peer_ids[number // 2 % N_PEERS]]
             next_item_id = _write(network, peer, rng, next_item_id)
     return {
-        "item_ids": _digest([sorted(map(int, r.item_ids)) for r in served]),
-        "peer_scores": _digest([
-            sorted((int(peer), float(score).hex())
-                   for peer, score in r.peer_scores.items())
-            for r in served
-        ]),
-        "by_kind": {
-            kind.value: (bucket.messages, bucket.bytes)
-            for kind, bucket in sorted(
-                network.fabric.metrics.by_kind.items(),
-                key=lambda item: item[0].value,
-            )
-        },
-        "sphere_heat": {
-            str(level): _digest(sorted(
-                network.overlays[level].level_store.sphere_heat().items()
-            ))
-            for level in network.levels
-        },
+        **_pinned(network, served),
         "stale": engine.snapshot()["candidate_cache"]["stale"],
+    }
+
+
+def run_repeat_session() -> dict:
+    """Repeated Zipf batches; peers change between them, one publishes.
+
+    Two passes of ``REPEAT_BATCHES`` batches over 4 distinct queries,
+    every 3rd batch ending in a k-NN request; the second pass runs with
+    adaptation on. In each pass, after batch 2 a peer the last answer
+    contacted adds jittered copies of the hottest query and drops the
+    items it just returned, and publishes nothing: direct retrieval
+    filters every held item, so the next answers must change. After
+    pass 1's batch 5 that peer publishes one delta.
+    """
+    workload = _build()
+    network = workload.network
+    rng = np.random.default_rng(43)
+    distinct = sample_queries(workload.data, 4, rng=rng)
+    weights = 1.0 / np.arange(1, 5, dtype=np.float64)
+    engine = ServeEngine(network, ServeConfig())
+    next_item_id = 1_000_000
+    served = []
+    added = set()
+    dropped = []  # (answers served before the drop, dropped ids)
+    for adapted in (False, True):
+        if adapted:
+            network.enable_adaptation()
+        picks = rng.choice(
+            4, size=BATCH * REPEAT_BATCHES, p=weights / weights.sum()
+        )
+        for number in range(REPEAT_BATCHES):
+            batch = [
+                RangeRequest(query=distinct[pick], epsilon=EPSILON, max_peers=3)
+                for pick in picks[number * BATCH:(number + 1) * BATCH]
+            ]
+            if number % 3 == 2:
+                batch[-1] = KnnRequest(query=batch[-1].query, k=3)
+            served.extend(engine.execute_batch(batch))
+            if number == 2:
+                last = served[-2]
+                peer = network.peers[last.peers_contacted[0]]
+                views = np.clip(
+                    distinct[0] + rng.normal(
+                        0.0, 0.002, (4, network.dimensionality)
+                    ),
+                    0.0, 1.0,
+                )
+                fresh = np.arange(next_item_id, next_item_id + 4)
+                peer.add_items(views, fresh)
+                next_item_id += 4
+                added.update(fresh.tolist())
+                gone = sorted(
+                    item.item_id for item in last.items
+                    if item.peer_id == peer.peer_id
+                )[:2] or peer.item_ids[:2].tolist()
+                peer.remove_items(gone)
+                dropped.append((len(served), set(gone)))
+            if number == 5 and not adapted:
+                network.publish_delta(peer.peer_id)
+    answered = set().union(*(r.item_ids for r in served))
+    return {
+        **_pinned(network, served),
+        "unpublished_served": bool(added & answered),
+        "dropped_served_after": any(
+            gone & r.item_ids for start, gone in dropped
+            for r in served[start:]
+        ),
     }
 
 
@@ -243,9 +338,22 @@ def test_churned_session_answers_are_pinned():
     assert observed == CHURN_GOLDEN
 
 
+def test_repeated_session_answers_are_pinned():
+    observed = run_repeat_session()
+    # Items added without a publish reach the answers, dropped ones
+    # leave them: the pin covers a peer whose data moved under a warm
+    # cache.
+    assert observed.pop("unpublished_served")
+    assert not observed.pop("dropped_served_after")
+    assert observed == REPEAT_GOLDEN
+
+
 if __name__ == "__main__":
     import pprint
 
-    session = run_churn_session()
-    session.pop("stale")
-    pprint.pprint(session, width=79, compact=True, sort_dicts=False)
+    for name, run in (("CHURN", run_churn_session), ("REPEAT", run_repeat_session)):
+        session = run()
+        for flag in ("stale", "unpublished_served", "dropped_served_after"):
+            session.pop(flag, None)
+        print(f"{name}_GOLDEN =")
+        pprint.pprint(session, width=79, compact=True, sort_dicts=False)

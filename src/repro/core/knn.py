@@ -157,6 +157,20 @@ def _peer_lower_bounds(
     return bounds
 
 
+def check_knn_budget(k, c) -> None:
+    """Refuse a ``k`` that is not an integer >= 1 or a non-finite ``C``.
+
+    :class:`~repro.exceptions.QueryError`, raised before any frame is
+    charged. ``k`` sizes and slices the answer, so a fractional or bool
+    value is refused, not rounded; a NaN or infinite ``C`` would
+    otherwise fail only after the index phase had run.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise QueryError(f"k must be an integer >= 1, got {k!r}")
+    if not (c > 0 and math.isfinite(c)):
+        raise QueryError(f"C must be a finite number > 0, got {c!r}")
+
+
 def run_knn(
     network,
     query: np.ndarray,
@@ -183,10 +197,7 @@ def run_knn(
     query's step s3, with :meth:`~repro.core.peer.HyperMPeer.
     nearest_items` as each peer's local search.
     """
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
-    if c <= 0:
-        raise QueryError(f"C must be > 0, got {c}")
+    check_knn_budget(k, c)
     check_peer_budget(top_p, "top_p")
     check_policy(aggregation or network.config.aggregation)
     recorder = runtime.current.tracer

@@ -58,6 +58,10 @@ class HyperMPeer:
         #: ``remove_items``); :meth:`range_search` prefilters with it.
         self._data_sq = _row_norms_sq(data)
         self.item_ids = item_ids
+        #: Bumped by every change to the held items (``add_items``,
+        #: ``remove_items``): a :meth:`scan`'s hits stay exact while it
+        #: holds. Publishing neither reads nor moves it.
+        self.items_version = 0
         self.summary: PeerSummary | None = None
         #: Items added after publication (Figure 10c staleness experiments):
         #: visible to direct retrieval, invisible to the published index.
@@ -231,6 +235,7 @@ class HyperMPeer:
             [self._data_sq, _row_norms_sq(new_data)]
         )
         self.item_ids = np.concatenate([self.item_ids, new_ids])
+        self.items_version += 1
 
     def remove_items(self, item_ids) -> int:
         """Drop held items by id; returns how many were removed.
@@ -256,6 +261,7 @@ class HyperMPeer:
         self.data = np.delete(self.data, positions, axis=0)
         self._data_sq = np.delete(self._data_sq, positions)
         self.item_ids = np.delete(self.item_ids, positions)
+        self.items_version += 1
         self.unpublished_from -= int(published.size)
         return int(positions.size)
 

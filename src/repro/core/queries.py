@@ -496,19 +496,22 @@ def finish_range(
     index_hops: int = 0,
     levels_answered: int | None = None,
     searched: dict | None = None,
+    ranked: list | None = None,
 ) -> RangeQueryResult:
     """Retrieval phase + result assembly for one scored range query.
 
     ``searched``, when given, holds every possible contact's hits (the
     serving tier's one scan per peer); otherwise each reached peer runs
-    its own :meth:`~repro.core.peer.HyperMPeer.range_search`.
+    its own :meth:`~repro.core.peer.HyperMPeer.range_search`. ``ranked``
+    is ``rank_peers(aggregated)`` when the caller already has it.
     """
     if searched is None:
         def search(peer_id: int) -> list:
             return network.peers[peer_id].range_search(query, epsilon)
     else:
         search = searched.__getitem__
-    ranked = rank_peers(aggregated)
+    if ranked is None:
+        ranked = rank_peers(aggregated)
     with runtime.current.tracer.span("contact_peers") as contact_span:
         items, answered, failed, messages = retrieval_phase(
             network, ranked, search,

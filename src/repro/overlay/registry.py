@@ -47,10 +47,3 @@ def resolve_overlay(name: str) -> type:
             f"unknown overlay {name!r}; known backends: {known}"
         ) from None
 
-
-def overlay_name_of(factory) -> str:
-    """The registry name of a backend class (best-effort; for labels)."""
-    for name, cls in OVERLAYS.items():
-        if cls is factory:
-            return name
-    return getattr(factory, "__name__", str(factory))

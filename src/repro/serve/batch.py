@@ -8,7 +8,8 @@ de-multiplexed per look-up afterwards — the amortization the columnar
 store was built for — and each look-up is scored once
 (:meth:`repro.serve.cache.Lookup.table`) and kept with its candidates:
 its table depends on nothing but ``(store generation, level, key,
-radius)``, so the per-request work left is the cross-level join.
+radius)``. The engine joins a request's look-ups once and memoizes the
+join on them (:class:`repro.serve.cache.Joined`).
 
 Why store-direct candidates equal the overlay walk's: an entry is
 replicated into every zone its sphere overlaps, and a range query visits
@@ -76,7 +77,8 @@ class StoreSource:
         """Resolve a batch of range plans with one GEMM per level.
 
         ``plans`` holds one ``{level: (key, radius)}`` dict per query; the
-        return value mirrors it as ``{level: LevelScoreTable}``, ready for
+        return value mirrors it as ``{level: Lookup}``, each look-up's
+        ``table()`` evaluated, ready for
         :func:`repro.core.queries.score_peers`. Per level, the batch is
         first served from the cache (generation-checked), duplicate
         misses are deduplicated, and the surviving distinct look-ups go
@@ -116,9 +118,8 @@ class StoreSource:
                     )
                     if cache is not None:
                         cache.store(ck, resolved[ck])
-            scored = {ck: found.table() for ck, found in resolved.items()}
-            evaluate_tables(scored.values())
-            for tables, ck in zip(out, wanted, strict=True):
+            evaluate_tables([found.table() for found in resolved.values()])
+            for lookups, ck in zip(out, wanted, strict=True):
                 store.bump_heat(resolved[ck].candidates.rows)
-                tables[level] = scored[ck]
+                lookups[level] = resolved[ck]
         return out

@@ -14,6 +14,11 @@ level's store invalidates exactly that level's entries and nothing
 else, and a stale entry is *never* served (it is re-computed, never
 raised as a :class:`repro.exceptions.StaleCandidateError`).
 
+A look-up also anchors the memo of the range request whose last level
+it resolves (:class:`Joined`): that request's join, ranking and peer
+scans. It lives and dies with its cache entry, so the cache's bound is
+the memo's bound too.
+
 The cache is a bounded LRU map; eviction never affects correctness, only
 hit rate. (Query translations are memoized once, process-wide, by
 :func:`repro.core.queries.level_plan`.)
@@ -21,6 +26,7 @@ hit rate. (Query translations are memoized once, process-wide, by
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -46,10 +52,14 @@ class Lookup:
     k-NN discovery probes only read ``candidates`` and never pay for it.
     """
 
-    __slots__ = ("candidates", "_key", "_radius", "_table")
+    __slots__ = (
+        "candidates", "joined", "_key", "_radius", "_table", "__weakref__",
+    )
 
     def __init__(self, store, key: np.ndarray, radius: float, rows: np.ndarray):
         self.candidates = store.candidate_set(rows)
+        #: The last range request anchored here (its last level's look-up).
+        self.joined: Joined | None = None
         self._key = key
         self._radius = radius
         self._table: LevelScoreTable | None = None
@@ -72,6 +82,50 @@ class Lookup:
         if self._table is None:
             self._table = level_scores(self.candidates, self._key, self._radius)
         return self._table
+
+
+class Joined:
+    """One range request's join, ranking and peer scans, memoized.
+
+    ``scores`` (the joined ``{peer: score}``; results get copies) and
+    ``ranked`` (its ``rank_peers`` order) are a pure function of the
+    request's per-level look-ups and its aggregation policy. The memo is
+    held by one of those look-ups and refers to all of them by weak
+    reference: it dies with its holder, and stops matching once any
+    other is evicted or goes stale, since a re-fetched look-up is a new
+    object. It keeps none of them alive.
+
+    :meth:`hits_of` holds the peer scans of one ``(query bytes,
+    epsilon)`` column: ``{peer: (items_version, hits)}``, each exact
+    while that peer's ``items_version`` holds.
+    """
+
+    __slots__ = ("_lookups", "_policy", "scores", "ranked", "_column", "_hits")
+
+    def __init__(self, lookups, policy: str, scores: dict, ranked: list):
+        self._lookups = [weakref.ref(found) for found in lookups]
+        self._policy = policy
+        self.scores = scores
+        self.ranked = ranked
+        self._column = None
+        self._hits: dict = {}
+
+    def matches(self, lookups, policy: str) -> bool:
+        """True when ``lookups`` are exactly the ones joined, by identity.
+
+        Every request anchored on one look-up has as many levels, since
+        a cache key names its level.
+        """
+        return policy == self._policy and all(
+            ref() is found
+            for ref, found in zip(self._lookups, lookups, strict=True)
+        )
+
+    def hits_of(self, column: tuple) -> dict:
+        """The scan memo of ``column``; a new column replaces the old one."""
+        if column != self._column:
+            self._column, self._hits = column, {}
+        return self._hits
 
 
 class CandidateCache:

@@ -20,6 +20,13 @@
   (:func:`repro.core.queries.level_plan`). A mutation's invalidated
   look-ups are simply the next batch's misses, resolved in its stacked
   pass.
+* **Repeats** — a range request's join and ranking are memoized on the
+  look-ups they were computed from (:class:`repro.serve.cache.Joined`,
+  held by the last level's look-up, so the candidate cache bounds it
+  and a stale or evicted look-up ends it), and so are its peers' scan
+  hits, each valid while that peer's ``items_version`` (bumped by
+  ``add_items`` / ``remove_items``) holds. A repeated request re-joins
+  nothing, sorts nothing and scans only peers whose items changed.
 
 Batch execution itself is synchronous Python over the single-threaded
 simulator, so ``max_inflight`` dispatchers serialize on compute; the
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import runtime
-from repro.core.knn import run_knn
+from repro.core.knn import check_knn_budget, run_knn
 from repro.core.queries import (
     finish_range,
     level_plan,
@@ -56,8 +63,9 @@ from repro.core.scoring import rank_peers
 from repro.exceptions import ServeError, ValidationError
 from repro.obs import registry as obs_registry
 from repro.serve.batch import StoreSource
-from repro.serve.cache import CandidateCache
+from repro.serve.cache import CandidateCache, Joined
 from repro.utils.validation import (
+    check_count,
     check_peer_budget,
     check_positive,
     check_vector,
@@ -80,16 +88,17 @@ class ServeConfig:
     cache_candidates: int = 256
 
     def __post_init__(self) -> None:
-        # Every numeric knob is refused here, never at first use.
-        for name, floor in (
-            ("max_queue", 1), ("max_inflight", 1), ("max_batch", 1),
-            ("batch_window", 0), ("cache_candidates", 1),
+        # Every knob is refused here, never at first use: the counts are
+        # integers (a bool is not one), the window finite seconds.
+        for name in (
+            "max_queue", "max_inflight", "max_batch", "cache_candidates",
         ):
-            value = getattr(self, name)
-            if value < floor:
-                raise ValidationError(
-                    f"{name} must be >= {floor}, got {value}"
-                )
+            check_count(getattr(self, name), name)
+        if isinstance(self.batch_window, bool):
+            raise ValidationError(
+                f"batch_window must be a number, got {self.batch_window!r}"
+            )
+        check_positive(self.batch_window, "batch_window", strict=False)
 
 
 @dataclass(frozen=True)
@@ -208,20 +217,19 @@ class ServeEngine:
                 if isinstance(req, RangeRequest)
             ]
             fetched = self.source.fetch_batch([plans[p] for p in ranges])
-            # Join every range query before any retrieval runs: the
-            # level tables are evaluated arrays of their own and the
-            # join ends in a plain dict per request, so a mid-batch
-            # adaptation epoch (store generation bump) cannot stale a
-            # later query's scoring.
-            scored = {
-                position: score_peers(
-                    tables,
+            # Join every range query before any retrieval runs: a join
+            # is kept read-only on its look-ups and each result gets a
+            # copy, so a mid-batch adaptation epoch (store generation
+            # bump) cannot stale a later query's scoring.
+            joins = {
+                position: self._join(
+                    lookups,
                     requests[position].aggregation
                     or network.config.aggregation,
                 )
-                for position, tables in zip(ranges, fetched, strict=True)
+                for position, lookups in zip(ranges, fetched, strict=True)
             }
-            searched = self._search(requests, scored)
+            searched = self._search(requests, joins)
             results = []
             for position, request in enumerate(requests):
                 if isinstance(request, KnnRequest):
@@ -229,10 +237,12 @@ class ServeEngine:
                         request, origins[position], plans[position]
                     ))
                     continue
+                joined = joins[position]
                 results.append(finish_range(
                     network, request.query, request.epsilon,
-                    scored[position], origin_peer=origins[position],
+                    dict(joined.scores), origin_peer=origins[position],
                     max_peers=request.max_peers, searched=searched[position],
+                    ranked=joined.ranked,
                 ))
                 if network.adaptation is not None:
                     network.adaptation.note_query()
@@ -244,33 +254,59 @@ class ServeEngine:
         metrics.histogram("serve.batch_size").observe(len(requests))
         return results
 
-    def _search(self, requests: list, scored: dict) -> dict:
-        """``{position: {peer: hits}}`` from one scan per peer for the batch.
+    @staticmethod
+    def _join(lookups: dict, policy: str) -> Joined:
+        """The request's join and ranking, memoized on its look-ups."""
+        found = list(lookups.values())
+        joined = found[-1].joined
+        if joined is None or not joined.matches(found, policy):
+            scores = score_peers(
+                {level: lookup.table() for level, lookup in lookups.items()},
+                policy,
+            )
+            joined = Joined(found, policy, scores, rank_peers(scores))
+            found[-1].joined = joined
+        return joined
 
-        A request contacts at most ``rank_peers(scores)[:max_peers]`` (a
-        relay plan only reorders it); exact, as no batch writes peer data.
+    def _search(self, requests: list, joins: dict) -> dict:
+        """``{position: {peer: hits}}``, at most one scan per peer a batch.
+
+        A request contacts at most ``ranked[:max_peers]`` (a relay plan
+        only reorders it). A peer is scanned only for the columns its
+        join's memo lacks at the peer's current ``items_version``; exact,
+        as no batch writes peer data.
         """
+        peers = self.network.peers
         columns: dict = {}  # peer -> {(query bytes, epsilon): None}, in order
         asked = {}
-        for position, scores in scored.items():
+        for position, joined in joins.items():
             request = requests[position]
             query = np.asarray(request.query, dtype=np.float64)
             column = (query.tobytes(), float(request.epsilon))
-            peers = [peer for peer, __ in rank_peers(scores)[:request.max_peers]]
-            asked[position] = (column, peers)
-            for peer in peers:
-                columns.setdefault(peer, {})[column] = None
+            memo = joined.hits_of(column)
+            contacts = [
+                peer for peer, __ in joined.ranked[:request.max_peers]
+            ]
+            asked[position] = (column, memo, contacts)
+            for peer in contacts:
+                held = memo.get(peer)
+                if held is None or held[0] != peers[peer].items_version:
+                    columns.setdefault(peer, {})[column] = None
         hits = {}
         for peer, wanted in columns.items():
             queries = np.stack([np.frombuffer(query) for query, __ in wanted])
             radii = np.array([epsilon for __, epsilon in wanted])
-            found = self.network.peers[peer].scan(queries, radii)
+            found = peers[peer].scan(queries, radii)
+            version = peers[peer].items_version
             for column, peer_hits in zip(wanted, found, strict=True):
-                hits[peer, column] = peer_hits
-        return {
-            position: {peer: hits[peer, column] for peer in peers}
-            for position, (column, peers) in asked.items()
-        }
+                hits[peer, column] = (version, peer_hits)
+        searched = {}
+        for position, (column, memo, contacts) in asked.items():
+            for peer in contacts:
+                if (peer, column) in hits:
+                    memo[peer] = hits[peer, column]
+            searched[position] = {peer: memo[peer][1] for peer in contacts}
+        return searched
 
     def _plan(self, request) -> dict:
         """One request's ``{level: (key, radius)}`` plan (k-NN: no radii)."""
@@ -279,6 +315,7 @@ class ServeEngine:
             request.query, "query", dim=network.dimensionality
         )
         if isinstance(request, KnnRequest):
+            check_knn_budget(request.k, request.c)
             check_peer_budget(request.top_p, "top_p")
             return level_plan(network.dimensionality, network.levels, query)
         check_positive(request.epsilon, "epsilon", strict=False)

@@ -72,16 +72,23 @@ class TestKnnQueries:
         assert all(e >= 0 for e in result.epsilon_per_level.values())
 
     def test_invalid_k(self, tiny_histogram_workload):
-        with pytest.raises(QueryError):
-            tiny_histogram_workload.network.knn_query(
-                tiny_histogram_workload.ground_truth.data[0], 0
-            )
+        network = tiny_histogram_workload.network
+        sent = network.fabric.metrics.snapshot()
+        for k in (0, 2.5, True, np.float64(3.0)):
+            with pytest.raises(QueryError):
+                network.knn_query(tiny_histogram_workload.ground_truth.data[0], k)
+        # Refused before the index phase: no frame was charged.
+        assert network.fabric.metrics.snapshot() == sent
 
     def test_invalid_c(self, tiny_histogram_workload):
-        with pytest.raises(QueryError):
-            tiny_histogram_workload.network.knn_query(
-                tiny_histogram_workload.ground_truth.data[0], 5, c=0.0
-            )
+        network = tiny_histogram_workload.network
+        sent = network.fabric.metrics.snapshot()
+        for c in (0.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(QueryError):
+                network.knn_query(
+                    tiny_histogram_workload.ground_truth.data[0], 5, c=c
+                )
+        assert network.fabric.metrics.snapshot() == sent
 
     def test_index_hops_charged(self, tiny_histogram_workload):
         wl = tiny_histogram_workload

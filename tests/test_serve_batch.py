@@ -166,7 +166,7 @@ class TestBatchedCandidates:
         plans = _plans(network, queries, 0.3)
         cache = CandidateCache(64)
         batched = StoreSource(network, cache).fetch_batch(plans)
-        for plan, tables in zip(plans, batched):
+        for plan, lookups in zip(plans, batched):
             for index, (level, (key, radius)) in enumerate(plan.items()):
                 store = network.overlays[level].level_store
                 expected = fresh_candidates(store, key, radius)
@@ -178,9 +178,9 @@ class TestBatchedCandidates:
                     held.candidates.generation
                     == expected.candidates.generation
                 )
-                # The request got the entry's own table, fully evaluated.
-                assert tables[level] is held.table()
-                _assert_same_table(tables[level], expected.table())
+                # The request got the cached entry itself.
+                assert lookups[level] is held
+                _assert_same_table(held.table(), expected.table())
 
     def test_cache_dedupes_within_and_across_batches(self, served_workload):
         network = served_workload.network
@@ -225,8 +225,8 @@ class TestBatchedCandidates:
         plans = _plans(network, queries, 0.2)
         batched = StoreSource(network).fetch_batch(plans)
         assert len(batched) == 2
-        for plan, tables in zip(plans, batched):
+        for plan, lookups in zip(plans, batched):
             for level, (key, radius) in plan.items():
                 store = network.overlays[level].level_store
                 expected = fresh_candidates(store, key, radius)
-                _assert_same_table(tables[level], expected.table())
+                _assert_same_table(lookups[level].table(), expected.table())

@@ -10,11 +10,13 @@ and batch coalescing.
 """
 
 import asyncio
+import weakref
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from repro.core import queries as core_queries
 from repro.core import scoring as core_scoring
 from repro.core.network import HyperMConfig
 from repro.core.peer import HyperMPeer
@@ -33,6 +35,7 @@ from repro.serve import (
     run_open_loop,
 )
 from repro.serve import cache as serve_cache
+from repro.serve import engine as serve_engine
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,21 @@ class TestConfig:
             ServeConfig(batch_window=-0.1)
         with pytest.raises(ValidationError):
             ServeConfig(cache_candidates=0)
+        # Values a comparison with the floor lets through: a fractional
+        # count, a bool, a non-finite window.
+        for bad in (
+            {"max_inflight": 1.5},
+            {"cache_candidates": 2.7},
+            {"max_queue": True},
+            {"max_batch": np.float64(4.0)},
+            {"batch_window": float("nan")},
+            {"batch_window": float("inf")},
+            {"batch_window": False},
+        ):
+            with pytest.raises(ValidationError):
+                ServeConfig(**bad)
+        config = ServeConfig(max_queue=np.int64(8), batch_window=0)
+        assert config.max_queue == 8
 
 
 class TestRangeParity:
@@ -235,6 +253,127 @@ class TestScoreOncePerLookup:
         engine.execute_batch([KnnRequest(query=q, k=3) for q in queries[:4]])
         assert len(engine.candidates) > 0  # the probes went through the cache
         assert scored == []
+
+
+def _fresh_network():
+    """The ``workload`` network, built anew for a test that writes to it."""
+    built, __ = build_markov_network(
+        n_peers=8,
+        items_per_peer=40,
+        dimensionality=16,
+        config=HyperMConfig(levels_used=3, n_clusters=4),
+        rng=21,
+        publish=True,
+    )
+    return built.network
+
+
+class TestRepeatedRequests:
+    """A repeated range request is joined, ranked and scanned once.
+
+    The join and its order are memoized on the request's look-ups, and
+    each peer's hits on the peer's ``items_version``; whatever changes
+    under them is recomputed, and answers stay ``==`` sequential.
+    """
+
+    @staticmethod
+    def _spy(monkeypatch) -> dict:
+        scans: list = []
+        scan = HyperMPeer.scan
+
+        def spy(self, batch, radii):
+            scans.append(self.peer_id)
+            return scan(self, batch, radii)
+
+        monkeypatch.setattr(HyperMPeer, "scan", spy)
+        return {
+            "joins": _count_calls(monkeypatch, serve_engine, "score_peers"),
+            "ranks": _count_calls(monkeypatch, core_queries, "rank_peers"),
+            "scans": scans,
+        }
+
+    def test_repeat_joins_ranks_and_scans_nothing(
+        self, workload, queries, monkeypatch
+    ):
+        network = workload.network
+        engine = ServeEngine(network)
+        requests = TestScoreOncePerLookup._requests(queries)
+        first = engine.execute_batch(requests)
+        calls = self._spy(monkeypatch)
+        second = engine.execute_batch(requests)
+        assert calls == {"joins": [], "ranks": [], "scans": []}
+        for before, after in zip(first, second):
+            assert after.peer_scores == before.peer_scores
+            assert after.peer_scores is not before.peer_scores
+            assert after.items == before.items
+        TestScoreOncePerLookup._assert_equals_sequential(
+            network, requests, second
+        )
+
+    def test_unpublished_write_rescans_only_that_peer(self, monkeypatch):
+        network = _fresh_network()
+        engine = ServeEngine(network)
+        query = network.peers[2].data[0]
+        request = RangeRequest(query=query, epsilon=0.3, max_peers=4)
+        first = engine.execute(request)
+        assert 2 in first.peers_contacted
+        peer = network.peers[2]
+        version = peer.items_version
+        peer.add_items(query[None, :], np.array([990_000]))
+        assert peer.items_version > version
+        calls = self._spy(monkeypatch)
+        second = engine.execute(request)
+        # No store moved, so the join holds; the peer's hits did not.
+        assert calls == {"joins": [], "ranks": [], "scans": [2]}
+        assert 990_000 in second.item_ids - first.item_ids
+        peer.remove_items([990_000])
+        third = engine.execute(request)
+        assert third.item_ids == first.item_ids
+        TestScoreOncePerLookup._assert_equals_sequential(
+            network, [request], [third]
+        )
+
+    def test_publish_rejoins(self, monkeypatch):
+        network = _fresh_network()
+        engine = ServeEngine(network)
+        request = RangeRequest(query=network.peers[1].data[0], epsilon=0.3)
+        engine.execute(request)
+        network.peers[1].add_items(
+            np.random.default_rng(43).random((5, network.dimensionality)),
+            np.arange(920_000, 920_005),
+        )
+        network.publish_delta(1)
+        calls = self._spy(monkeypatch)
+        served = engine.execute(request)
+        assert len(calls["joins"]) == 1
+        TestScoreOncePerLookup._assert_equals_sequential(
+            network, [request], [served]
+        )
+
+    def test_memo_keeps_no_lookup_alive(
+        self, workload, queries, monkeypatch
+    ):
+        """Evicted look-ups are freed though their memo's holder lives."""
+        network = workload.network
+        n_levels = len(network.levels)
+        engine = ServeEngine(network, ServeConfig(cache_candidates=n_levels))
+        request = RangeRequest(query=queries[0], epsilon=0.3, max_peers=3)
+        first = engine.execute(request)
+        held = list(engine.candidates._data.values())
+        anchor = held[-1]
+        assert anchor.joined.matches(held, network.config.aggregation)
+        others = [weakref.ref(found) for found in held[:-1]]
+        del held
+        # Another query's look-ups fill the cache: the first request's
+        # are evicted, and only the anchor is still referenced (here).
+        engine.execute(RangeRequest(query=queries[1], epsilon=0.3))
+        assert anchor.joined is not None
+        assert [ref() for ref in others] == [None] * (n_levels - 1)
+        calls = self._spy(monkeypatch)
+        again = engine.execute(request)
+        assert len(calls["joins"]) == 1  # re-fetched look-ups: a new join
+        assert again.peer_scores == first.peer_scores
+        assert again.item_ids == first.item_ids
 
 
 class TestKernelCallsPerBatch:
@@ -463,6 +602,18 @@ class TestKnnParity:
             engine.execute(KnnRequest(query=queries[0], k=0))
         with pytest.raises(QueryError):
             engine.execute(KnnRequest(query=queries[0], k=2, c=0.0))
+
+    def test_bad_k_refused_before_any_frame(self, workload, queries):
+        network = workload.network
+        engine = ServeEngine(network)
+        sent = network.fabric.metrics.snapshot()
+        for bad in ({"k": 2.5}, {"k": True}, {"k": 2, "c": float("nan")}):
+            with pytest.raises(QueryError):
+                engine.execute_batch([
+                    RangeRequest(query=queries[1], epsilon=0.3),
+                    KnnRequest(query=queries[0], **bad),
+                ])
+        assert network.fabric.metrics.snapshot() == sent
 
 
 class TestAsyncLayer:

@@ -50,12 +50,11 @@ CLI's ``--adapt`` flag puts a config in the run context
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
-from repro.exceptions import ValidationError
 from repro.obs import registry as obs_registry
 from repro.overlay.can import CANNetwork
+from repro.utils.validation import check_count
 
 #: Rebalance a zone when its bytes exceed this multiple of the level's
 #: mean zone bytes (max-over-mean trigger).
@@ -103,15 +102,7 @@ class AdaptConfig:
     epoch_queries: int = 16
 
     def __post_init__(self) -> None:
-        value = self.epoch_queries
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Integral)
-            or value < 0
-        ):
-            raise ValidationError(
-                f"epoch_queries must be an integer >= 0, got {value!r}"
-            )
+        check_count(self.epoch_queries, "epoch_queries", floor=0)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ flood walk should grow their overlay through the join protocol instead.
 
 from __future__ import annotations
 
-import numbers
 import weakref
 from collections.abc import MutableMapping
 from dataclasses import dataclass
@@ -61,16 +60,7 @@ from repro.net.messages import MessageKind, vector_message_size
 from repro.overlay.can.network import CANNetwork
 from repro.overlay.can.node import CANNode
 from repro.overlay.can.zone import Zone
-from repro.utils.validation import check_matrix, check_unit_cube
-
-
-def _whole(value, name: str) -> int:
-    """``value`` as an ``int`` >= 1; fractions, floats and bools refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be a whole number, got {value!r}")
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1, got {value}")
-    return int(value)
+from repro.utils.validation import check_count, check_matrix, check_unit_cube
 
 
 def grid_shape(dimensionality: int, n_nodes: int) -> tuple[int, ...]:
@@ -82,8 +72,8 @@ def grid_shape(dimensionality: int, n_nodes: int) -> tuple[int, ...]:
     tie-break under uniform midpoint splitting — so the grid is exactly
     the partition an idealised join sequence converges to.
     """
-    dimensionality = _whole(dimensionality, "dimensionality")
-    splits = (_whole(n_nodes, "n_nodes") - 1).bit_length()
+    dimensionality = check_count(dimensionality, "dimensionality")
+    splits = (check_count(n_nodes, "n_nodes") - 1).bit_length()
     base, extra = divmod(splits, dimensionality)
     per_dim = [base + (1 if d < extra else 0) for d in range(dimensionality)]
     return tuple(2 ** s for s in per_dim)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import DimensionalityError, ValidationError
 from repro.utils.validation import (
+    check_count,
     check_matrix,
     check_positive,
     check_power_of_two,
@@ -37,6 +38,18 @@ class TestCheckPositive:
 
     def test_returns_float(self):
         assert isinstance(check_positive(3, "x"), float)
+
+
+class TestCheckCount:
+    def test_accepts_whole_numbers(self):
+        assert check_count(3, "n") == 3
+        assert check_count(np.int64(0), "n", floor=0) == 0
+        assert type(check_count(np.int32(5), "n")) is int
+
+    @pytest.mark.parametrize("value", [0, -1, 2.7, 3.0, True, "4", None])
+    def test_rejects_fractions_bools_and_values_below_the_floor(self, value):
+        with pytest.raises(ValidationError, match="n must be an integer >= 1"):
+            check_count(value, "n")
 
 
 class TestCheckProbability:

@@ -134,6 +134,8 @@ class HyperMNetwork:
         if runtime.current.adapt is not None:
             self.enable_adaptation(runtime.current.adapt)
         self._overlay_node: dict[tuple[Level, int], int] = {}
+        #: ``peer_id -> level-0 node``, read per frame (:meth:`home_node`).
+        self._home_node: dict[int, int] = {}
         #: ``(level, peer_id) -> {sid -> entry_id}``: which overlay entry
         #: each published sphere (by its epoch-state sphere id) lives at.
         #: The delta pipeline patches/retracts these entries in place.
@@ -173,9 +175,14 @@ class HyperMNetwork:
             )
         self.peers[peer_id] = peer
         for level, overlay in self.overlays.items():
-            node_id = overlay.join()
-            self._overlay_node[(level, peer_id)] = node_id
+            self.place_node(level, peer_id, overlay.join())
         return peer
+
+    def place_node(self, level: Level, peer_id: int, node_id: int) -> None:
+        """Record ``node_id`` as ``peer_id``'s overlay node at ``level``."""
+        self._overlay_node[(level, peer_id)] = node_id
+        if level == self.levels[0]:
+            self._home_node[peer_id] = node_id
 
     def depart(
         self, peer_id: int, *, withdraw_summaries: bool = False
@@ -281,6 +288,11 @@ class HyperMNetwork:
             raise ValidationError(
                 f"peer {peer_id} has no node at level {level}"
             ) from None
+
+    def home_node(self, peer_id: int) -> int:
+        """``overlay_node(levels[0], peer_id)`` without hashing a ``Level``."""
+        node = self._home_node.get(peer_id)
+        return self.overlay_node(self.levels[0], peer_id) if node is None else node
 
     @property
     def n_peers(self) -> int:

@@ -78,6 +78,12 @@ def _translate_query_cached(levels: tuple, query_bytes: bytes) -> tuple:
     return tuple(keys)
 
 
+@lru_cache(maxsize=512)
+def _level_radius(dimensionality: int, level, epsilon: float) -> float:
+    """The Theorem 3.1 key-space radius of an ``epsilon`` ball, memoized."""
+    return key_space_radius(epsilon * radius_scale(dimensionality, level), level)
+
+
 def translation_cache_info() -> dict:
     """Counters of the (process-wide) query translation cache, JSON-safe."""
     info = _translate_query_cached.cache_info()
@@ -118,8 +124,8 @@ def level_plan(
     levels = tuple(levels)
     keys = _translate_query_cached(levels, query.tobytes())
     return {
-        level: (key, None if epsilon is None else key_space_radius(
-            epsilon * radius_scale(dimensionality, level), level
+        level: (key, None if epsilon is None else _level_radius(
+            dimensionality, level, epsilon
         ))
         for level, key in zip(levels, keys)
     }
@@ -299,7 +305,7 @@ def retrieval_node(network, peer_id: int) -> int:
     controller = network.adaptation
     if controller is not None:
         return controller.retrieval_node(peer_id)
-    return network.overlay_node(network.levels[0], peer_id)
+    return network.home_node(peer_id)
 
 
 def contact_peers(

@@ -90,7 +90,8 @@ class LevelScoreTable(Mapping):
     writable store column.
     """
 
-    __slots__ = ("_peers", "_inverse", "_totals", "_rows", "_scores")
+    __slots__ = ("_peers", "_inverse", "_totals", "_rows", "_scores",
+                 "_carry", "_kept", "__weakref__")
 
     def __init__(self, peers: np.ndarray | None, totals=None, rows=None):
         self._peers = peers
@@ -98,6 +99,9 @@ class LevelScoreTable(Mapping):
         self._totals = totals
         self._rows = rows
         self._scores = None
+        #: A store look-up's ``(generation, rows, stamps, prior's _kept)``;
+        #: once evaluated ``_kept``: ``(generation, rows, dists, terms)``.
+        self._carry = self._kept = None
 
     @classmethod
     def of(cls, scores: Mapping) -> "LevelScoreTable":
@@ -138,7 +142,8 @@ class LevelScoreTable(Mapping):
             return self._totals[where]
         wanted = np.zeros(peers.size, dtype=bool)
         wanted[where] = True
-        return _eq1([self], [wanted[self._inverse]])[0][where]
+        (terms, inverse), = _terms([self], [wanted[self._inverse]])
+        return np.bincount(inverse, terms, peers.size)[where]
 
     def _narrowed(self, keep: np.ndarray) -> "LevelScoreTable":
         """A new table over the rows (eager: the peers) ``keep`` selects."""
@@ -163,12 +168,13 @@ class LevelScoreTable(Mapping):
         return self._scores[peer]
 
 
-def _eq1(tables: list, keeps: list) -> list:
-    """Per-peer sums of fraction x items over each table's ``keep`` rows.
+def _terms(tables: list, keeps: list) -> list:
+    """Each table's Eq. 1 terms (fraction x items) over its ``keep`` rows.
 
-    Radii and items are read at the kept positions only, one kernel call
-    serves all (they share ``(eps, d)``), then one ``bincount`` per table
-    over its slice in row order: bit-identical to the table alone.
+    Radii and items are read at the kept positions only and one kernel
+    call serves all (they share ``(eps, d)``). Returns one ``(terms,
+    inverse)`` pair per table, in row order: the kernel is elementwise,
+    so each term is bit-identical to its table's alone.
     """
     eps, d = tables[0]._rows[4:]
     picked = []  # (radii, dists, items, inverse) of each table's kept rows
@@ -192,21 +198,38 @@ def _eq1(tables: list, keeps: list) -> list:
     np.maximum(fractions, MIN_INTERSECTING_FRACTION,
                where=fractions <= 0.0, out=fractions)
     weighted = fractions * items
-    sums, start = [], 0
-    for table, (*__, inverse) in zip(tables, picked):
-        sums.append(np.bincount(
-            inverse, weights=weighted[start:start + inverse.size],
-            minlength=table._peers.size,
-        ))
+    out, start = [], 0
+    for *__, inverse in picked:
+        out.append((weighted[start:start + inverse.size], inverse))
         start += inverse.size
-    return sums
+    return out
+
+
+def _reused(table) -> tuple:
+    """``(terms, need)``: the prior's terms, and the rows they do not hold.
+
+    A term carries over when its row is unstamped since the prior and its
+    distance has the prior's bits (a matvec over another row set may move
+    a row's last bit). ``(None, every row)`` without a prior.
+    """
+    __, rows, stamps, prior = table._carry or (None,) * 4
+    if prior is None or prior[1].size == 0:
+        return None, slice(None)
+    generation, old_rows, old_dists, old_terms = prior
+    dists = table._rows[2]
+    at = np.searchsorted(old_rows, rows)
+    moved = old_dists.take(at, mode="clip").view(np.int64) != dists.view(np.int64)
+    need = moved | (stamps > generation) | (old_rows.take(at, mode="clip") != rows)
+    return old_terms.take(at, mode="clip"), need
 
 
 def evaluate_tables(tables) -> None:
     """Evaluate distinct tables for every peer, one kernel call per radius.
 
-    Each ``(eps, d)`` group of unevaluated tables goes through :func:`_eq1`
-    once; each table then holds ``peers`` + ``totals`` only.
+    Each ``(eps, d)`` group of unevaluated tables goes through
+    :func:`_terms` once, over the rows a table cannot carry over from its
+    prior (:func:`_reused`), then one ``bincount`` per table in row
+    order; each then holds ``peers`` + ``totals`` (and ``_kept``).
     """
     groups: dict = {}
     for table in tables:
@@ -214,10 +237,22 @@ def evaluate_tables(tables) -> None:
             table.peers  # the deferred sort: builds the bincount inverse
             groups.setdefault(table._rows[4:], []).append(table)
     for group in groups.values():
-        sums = _eq1(group, [slice(None)] * len(group))
-        for table, totals in zip(group, sums):
-            table._totals = totals
-            table._rows = table._inverse = None
+        reused = [_reused(table) for table in group]
+        scored = _terms(group, [need for __, need in reused])
+        for table, (terms, need), (fresh, inverse) in zip(
+            group, reused, scored
+        ):
+            if terms is None:  # every row scored, in row order
+                terms = fresh
+            else:
+                terms[need], inverse = fresh, table._inverse
+            if table._carry is not None:
+                generation, rows, *__ = table._carry
+                table._kept = (generation, rows, table._rows[2], terms)
+            table._totals = np.bincount(
+                inverse, weights=terms, minlength=table._peers.size
+            )
+            table._rows = table._inverse = table._carry = None
 
 
 def level_scores(
@@ -226,6 +261,7 @@ def level_scores(
     query_radius: float,
     *,
     stats: dict | None = None,
+    prior: LevelScoreTable | None = None,
 ) -> LevelScoreTable:
     """Eq. 1 scores per peer for one level's index-query results (batched).
 
@@ -247,6 +283,10 @@ def level_scores(
         (genuinely disjoint from the query ball) and ``surviving``
         (``candidates - pruned``) — the pruning-power numbers traces and
         Figure-style analyses report per level.
+    prior:
+        An evaluated table of the same ball over an older snapshot of the
+        same store: evaluating this one carries over the terms of rows
+        neither stamped since nor moved (:func:`evaluate_tables`).
     """
     query_center = np.asarray(query_center, dtype=np.float64)
     d = int(query_center.shape[0])
@@ -273,10 +313,17 @@ def level_scores(
     radii, dists, items, peer_ids = (
         column[intersecting] for column in (radii, dists, items, peer_ids)
     )
-    return LevelScoreTable(None, rows=(
+    table = LevelScoreTable(None, rows=(
         peer_ids, np.arange(peer_ids.size), dists, (radii, items, None),
         float(query_radius), d,
     ))
+    if isinstance(entries, CandidateSet):
+        rows = entries.rows[intersecting]
+        table._carry = (
+            entries.generation, rows, entries.store.stamps_of(rows),
+            None if prior is None else prior._kept,
+        )
+    return table
 
 
 def level_scores_scalar(

@@ -208,8 +208,7 @@ class SessionSimulator:
                 node_id = self.network.overlay_node(level, peer_id)
                 if node_id not in overlay.node_ids:
                     # Rejoin costs a fresh overlay position; remap it.
-                    new_node = overlay.join()
-                    self.network._overlay_node[(level, peer_id)] = new_node
+                    self.network.place_node(level, peer_id, overlay.join())
             self.network.republish_peer(peer_id)
             self.outcome.arrivals += 1
         self._schedule(

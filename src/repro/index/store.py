@@ -503,6 +503,10 @@ class CandidateSet:
             )
         return self._columns
 
+    def release(self) -> None:
+        """Drop the memoized :meth:`columns`; the next call gathers again."""
+        self._columns = None
+
     def values(self) -> list:
         """The candidate rows' payloads, in row order."""
         self.ensure_fresh()
@@ -550,6 +554,8 @@ class LevelStore:
         self._entry_ids = np.empty(0, dtype=np.int64)
         self._refcounts = np.empty(0, dtype=np.int64)
         self._heat = np.empty(0, dtype=np.int64)
+        #: Per row, the generation it last changed at (from :meth:`stamps_of`).
+        self._stamps: np.ndarray | None = None
         self._live = np.empty(0, dtype=bool)
         self._values: list = []
         self._row_by_id: dict[int, int] = {}
@@ -647,6 +653,7 @@ class LevelStore:
         "_entry_ids": (np.int64, False),
         "_refcounts": (np.int64, False),
         "_heat": (np.int64, False),
+        "_stamps": (np.int64, False),
         "_live": (bool, True),
     }
 
@@ -685,6 +692,8 @@ class LevelStore:
             new_cap *= 2
         released = []
         for name, (dtype, zero_fill) in self._COLUMN_SPECS.items():
+            if getattr(self, name) is None:  # no stamps asked for yet
+                continue
             shape = (new_cap, self._dim) if name == "_keys" else (new_cap,)
             col, block = self._alloc_array(name, shape, dtype)
             if zero_fill:
@@ -830,7 +839,7 @@ class LevelStore:
         self._row_by_id[entry_id] = row
         self._size += 1
         self._next_entry_id = max(self._next_entry_id, entry_id + 1)
-        self.generation += 1
+        self._bump(row)
         return row
 
     def check_bulk(self, keys, radii, *, items=None, peer_ids=None,
@@ -901,7 +910,7 @@ class LevelStore:
         self._row_by_id.update(zip(ids.tolist(), rows.tolist()))
         self._size = stop
         self._next_entry_id += n
-        self.generation += 1
+        self._bump(slice(start, stop))
         return rows
 
     def column_block(self, rows: np.ndarray) -> ColumnBlock:
@@ -1000,6 +1009,12 @@ class LevelStore:
         for row in np.sort(held[hit]).tolist():
             self._decref(row)
 
+    def _bump(self, rows) -> None:
+        """Bump the generation; stamp ``rows`` (an index or slice) with it."""
+        self.generation += 1
+        if self._stamps is not None:
+            self._stamps[rows] = self.generation
+
     def _incref(self, row: int) -> None:
         if not self._live[row]:
             raise ValidationError(f"row {row} is tombstoned")
@@ -1027,7 +1042,7 @@ class LevelStore:
         self._n_tombstones += 1
         self._row_by_id.pop(int(self._entry_ids[row]), None)
         self._values[row] = None  # release the payload immediately
-        self.generation += 1
+        self._bump(row)
 
     def has_entry(self, entry_id: int) -> bool:
         """True when ``entry_id`` names a live row."""
@@ -1088,7 +1103,7 @@ class LevelStore:
             self._items[row] = items
             self._peer_ids[row] = peer_id
         if changed:
-            self.generation += 1
+            self._bump(row)
         return row
 
     @staticmethod
@@ -1209,7 +1224,7 @@ class LevelStore:
             held, holders = self._deferred
             self._deferred = (mapping[held], holders)
         self.compactions += 1
-        self.generation += 1
+        self._bump(slice(None))  # every row moved: stamp them all
 
     # -- lookups -------------------------------------------------------------
 
@@ -1235,6 +1250,16 @@ class LevelStore:
     def value_of(self, row: int) -> object:
         """Payload of one row."""
         return self._values[int(row)]
+
+    def stamps_of(self, rows) -> np.ndarray:
+        """Change stamps of ``rows``: the generation each row last changed at.
+
+        The first call stamps every row with the current generation, which
+        no older snapshot holds: to it, every row has changed.
+        """
+        if self._stamps is None:
+            self._stamps = np.full(self._capacity, self.generation, np.int64)
+        return self._stamps[rows]
 
     def items_of(self, rows: np.ndarray) -> np.ndarray:
         """Item counts of ``rows`` (vectorized gather)."""
@@ -1325,20 +1350,21 @@ class LevelStore:
         return mask
 
     def intersection_masks(
-        self, centers: np.ndarray, radii: np.ndarray
+        self, centers: np.ndarray, radii: np.ndarray, rows=None
     ) -> np.ndarray:
         """Stacked :meth:`intersection_mask` for a batch of queries.
 
         ``centers`` is ``(B, d)`` and ``radii`` length ``B``; the result is
-        ``(B, rows)`` boolean. The whole batch's distances come from *one*
+        ``(B, rows)`` boolean — over every row, or over the ascending row
+        ids ``rows`` only. The whole batch's distances come from *one*
         GEMM instead of B matrix-vector passes — the serving tier's
         amortization lever. The GEMM expansion differs from the per-query
         matvec by ~1e-12 at worst, orders of magnitude inside the
         :data:`_BOUNDARY_BAND` whose near-boundary pairs are re-resolved
-        with the exact difference norm, so every row of the result is
-        bit-identical to the corresponding :meth:`intersection_mask` —
+        with the exact difference norm, so every entry of the result is
+        bit-identical to the corresponding :meth:`intersection_mask` one —
         batched serving inherits the scalar path's Theorem 4.1 guarantee.
-        It scans every row for every query, and counts so in
+        It scans every row it is given for every query, and counts so in
         :meth:`health`.
         """
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
@@ -1352,20 +1378,24 @@ class LevelStore:
                 f"center dimensionality {centers.shape[1]} does not match "
                 f"store dimensionality {self._dim}"
             )
-        size = self._size
+        rows = slice(0, self._size) if rows is None else rows
+        keys, key_sq, row_radii, live = (
+            column[rows]
+            for column in (self._keys, self._key_sq, self._radii, self._live)
+        )
+        size = live.size
         self.mask_queries += centers.shape[0]
         self.rows_scanned += centers.shape[0] * size
         if size == 0:
             return np.empty((centers.shape[0], 0), dtype=bool)
-        keys = self._keys[:size]
         d2 = (
-            self._key_sq[:size][None, :]
+            key_sq[None, :]
             - 2.0 * (centers @ keys.T)
             + np.einsum("ij,ij->i", centers, centers)[:, None]
         )
         np.maximum(d2, 0.0, out=d2)
         dist = np.sqrt(d2)
-        boundary = self._radii[:size][None, :] + radii[:, None]
+        boundary = row_radii[None, :] + radii[:, None]
         near = np.abs(dist - boundary) <= _BOUNDARY_BAND
         if near.any():
             q_idx, r_idx = np.nonzero(near)
@@ -1377,9 +1407,9 @@ class LevelStore:
         mask = np.empty((centers.shape[0], size), dtype=bool)
         for i in range(centers.shape[0]):
             mask[i] = spheres_intersect_batch(
-                self._radii[:size], float(radii[i]), dist[i]
+                row_radii, float(radii[i]), dist[i]
             )
-        mask &= self._live[:size][None, :]
+        mask &= live[None, :]
         return mask
 
     def candidate_set(self, rows: np.ndarray) -> CandidateSet:

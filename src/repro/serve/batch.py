@@ -43,6 +43,43 @@ def fresh_candidates(store, key: np.ndarray, radius: float) -> Lookup:
     return Lookup(store, key, radius, np.flatnonzero(mask))
 
 
+def refresh(store, missing: dict, priors: dict) -> dict:
+    """Resolve ``missing`` look-ups (``{cache key: (key, radius)}``) anew.
+
+    One stacked mask pass over the rows stamped since the oldest prior
+    (every row when one has none): each look-up keeps its prior's other
+    rows and adds the changed rows that meet its ball — exactly what a
+    whole-store mask finds — and scores against its prior's table, or
+    takes it as it is when its rows are the prior's, none changed.
+    """
+    since = [
+        priors[ck].candidates.generation if ck in priors else -1
+        for ck in missing
+    ]
+    oldest = min(since)
+    changed = None if oldest < 0 else np.flatnonzero(  # None: every row
+        store.stamps_of(slice(0, store.n_rows)) > oldest
+    )
+    masks = store.intersection_masks(
+        np.stack([key for key, __ in missing.values()]),
+        np.asarray([radius for __, radius in missing.values()]),
+        changed,
+    )
+    out = {}
+    for mask, generation, (ck, (key, radius)) in zip(
+        masks, since, missing.items(), strict=True
+    ):
+        rows = np.flatnonzero(mask) if changed is None else changed[mask]
+        prior, same = priors.get(ck), False
+        if prior is not None:
+            held = prior.candidates.rows
+            stamps = store.stamps_of(held)
+            rows = np.sort(np.concatenate([held[stamps <= oldest], rows]))
+            same = rows.size == held.size and not np.any(stamps > generation)
+        out[ck] = Lookup(store, key, radius, rows, prior, same)
+    return out
+
+
 class StoreSource:
     """Look-ups straight from the level stores, generation-cached.
 
@@ -60,10 +97,10 @@ class StoreSource:
     def probe(self, index: int, level, key: np.ndarray, radius: float):
         """One cached single-query look-up: ``(candidates, 0 hops)``."""
         store = self.network.overlays[level].level_store
-        ck = candidate_key(index, key, radius)
-        found = self.cache.lookup(ck) if self.cache is not None else None
+        ck, priors = candidate_key(index, key, radius), {}
+        found = self.cache.lookup(ck, priors) if self.cache is not None else None
         if found is None:
-            found = fresh_candidates(store, key, radius)
+            found = refresh(store, {ck: (key, radius)}, priors)[ck]
             if self.cache is not None:
                 self.cache.store(ck, found)
         store.bump_heat(found.candidates.rows)
@@ -95,29 +132,20 @@ class StoreSource:
             wanted = [candidate_key(level_index, *plan[level]) for plan in plans]
             resolved: dict = {}
             missing: dict = {}  # cache key -> (key, radius), in order
+            priors: dict = {}  # cache key -> its stale entry
             for ck, plan in zip(wanted, plans, strict=True):
                 if ck in resolved or ck in missing:
                     continue
-                cached = cache.lookup(ck) if cache is not None else None
+                cached = cache.lookup(ck, priors) if cache is not None else None
                 if cached is not None:
                     resolved[ck] = cached
                 else:
                     missing[ck] = plan[level]
             if missing:
-                centers = np.stack([key for key, __ in missing.values()])
-                radii = np.asarray(
-                    [radius for __, radius in missing.values()],
-                    dtype=np.float64,
-                )
-                masks = store.intersection_masks(centers, radii)
-                for mask, (ck, (key, radius)) in zip(
-                    masks, missing.items(), strict=True
-                ):
-                    resolved[ck] = Lookup(
-                        store, key, radius, np.flatnonzero(mask)
-                    )
+                for ck, found in refresh(store, missing, priors).items():
+                    resolved[ck] = found
                     if cache is not None:
-                        cache.store(ck, resolved[ck])
+                        cache.store(ck, found)
             evaluate_tables([found.table() for found in resolved.values()])
             for lookups, ck in zip(out, wanted, strict=True):
                 store.bump_heat(resolved[ck].candidates.rows)

@@ -4,15 +4,19 @@
 ``(level, query key bytes, radius)``. An entry is a :class:`Lookup`: the
 :class:`repro.index.CandidateSet` snapshot the mask pass found and, from
 the first time a range plan asks, its Eq. 1 table evaluated for every
-peer (``peers`` + ``totals``, no row copies). Both are pure functions of
-the key plus the store generation, and staleness is *exact*, not
+peer (``peers`` + ``totals``, and each scored row's distance and term
+for the next refresh). Both are pure functions of the key plus the
+store generation, and staleness is *exact*, not
 heuristic: every snapshot carries the store generation it was taken at,
 every publish / delta / rebalance / compaction bumps that level's
-generation, and :meth:`CandidateCache.lookup` discards an entry the
+generation, and :meth:`CandidateCache.lookup` drops an entry the
 moment its generation disagrees with its store — so a mutation in one
 level's store invalidates exactly that level's entries and nothing
-else, and a stale entry is *never* served (it is re-computed, never
-raised as a :class:`repro.exceptions.StaleCandidateError`).
+else, and a stale entry is *never* served (it is refreshed, never
+raised as a :class:`repro.exceptions.StaleCandidateError`). Refreshing
+patches it: the dropped entry is the new one's *prior*, and only the
+rows the store stamped since are re-resolved and re-scored
+(:func:`repro.serve.batch.refresh`).
 
 A look-up also anchors the memo of the range request whose last level
 it resolves (:class:`Joined`): that request's join, ranking and peer
@@ -32,7 +36,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.scoring import LevelScoreTable, level_scores
-from repro.exceptions import ValidationError
+from repro.utils.validation import check_count
 
 #: Cache key for one per-level candidate lookup:
 #: ``(level position, query key bytes, key-space radius)``.
@@ -53,16 +57,23 @@ class Lookup:
     """
 
     __slots__ = (
-        "candidates", "joined", "_key", "_radius", "_table", "__weakref__",
+        "candidates", "joined", "_key", "_radius", "_table", "_prior",
+        "__weakref__",
     )
 
-    def __init__(self, store, key: np.ndarray, radius: float, rows: np.ndarray):
+    def __init__(self, store, key: np.ndarray, radius: float,
+                 rows: np.ndarray, prior: "Lookup | None" = None,
+                 same: bool = False):
         self.candidates = store.candidate_set(rows)
-        #: The last range request anchored here (its last level's look-up).
-        self.joined: Joined | None = None
+        #: The last range request anchored here (its last level's look-up),
+        #: or the stale ``prior``'s: a re-join inherits its scan hits.
+        self.joined: Joined | None = None if prior is None else prior.joined
         self._key = key
         self._radius = radius
-        self._table: LevelScoreTable | None = None
+        # The ``same`` rows as ``prior``, none changed: its table is ours.
+        table = None if prior is None else prior._table
+        self._table: LevelScoreTable | None = table if same else None
+        self._prior = None if same else table
 
     def is_stale(self) -> bool:
         """True once the store has mutated since the snapshot."""
@@ -76,11 +87,16 @@ class Lookup:
         evaluation because the table outlives the request: whichever
         peers a later request's other levels join to, their totals are a
         take from this one, bit-equal to the subset evaluation
-        (:meth:`LevelScoreTable.totals`). Build it while the candidates
+        (:meth:`LevelScoreTable.totals`); a refreshed look-up's carries
+        its prior's unchanged terms over. Build it while the candidates
         are fresh (``StaleCandidateError``).
         """
         if self._table is None:
-            self._table = level_scores(self.candidates, self._key, self._radius)
+            self._table = level_scores(
+                self.candidates, self._key, self._radius, prior=self._prior
+            )
+            self._prior = None
+            self.candidates.release()  # the table keeps what it reads
         return self._table
 
 
@@ -89,36 +105,41 @@ class Joined:
 
     ``scores`` (the joined ``{peer: score}``; results get copies) and
     ``ranked`` (its ``rank_peers`` order) are a pure function of the
-    request's per-level look-ups and its aggregation policy. The memo is
-    held by one of those look-ups and refers to all of them by weak
+    request's per-level tables and its aggregation policy. The memo is
+    held by the last level's look-up and refers to the tables by weak
     reference: it dies with its holder, and stops matching once any
-    other is evicted or goes stale, since a re-fetched look-up is a new
-    object. It keeps none of them alive.
+    look-up is evicted or re-scored, since that makes a new table. A
+    look-up refreshed with its rows unchanged keeps its table, so the
+    memo holds across it. It keeps no table alive.
 
     :meth:`hits_of` holds the peer scans of one ``(query bytes,
     epsilon)`` column: ``{peer: (items_version, hits)}``, each exact
     while that peer's ``items_version`` holds.
     """
 
-    __slots__ = ("_lookups", "_policy", "scores", "ranked", "_column", "_hits")
+    __slots__ = ("_tables", "_policy", "scores", "ranked", "_column", "_hits")
 
-    def __init__(self, lookups, policy: str, scores: dict, ranked: list):
-        self._lookups = [weakref.ref(found) for found in lookups]
+    def __init__(self, lookups, policy: str, scores: dict, ranked: list,
+                 prior: "Joined | None" = None):
+        self._tables = [weakref.ref(found.table()) for found in lookups]
         self._policy = policy
         self.scores = scores
         self.ranked = ranked
-        self._column = None
-        self._hits: dict = {}
+        # Scan hits hang on peer data, not on the index: a re-join keeps
+        # the memo it replaces.
+        self._column, self._hits = (
+            (None, {}) if prior is None else (prior._column, prior._hits)
+        )
 
     def matches(self, lookups, policy: str) -> bool:
-        """True when ``lookups`` are exactly the ones joined, by identity.
+        """True when ``lookups`` hold exactly the tables joined, by identity.
 
         Every request anchored on one look-up has as many levels, since
         a cache key names its level.
         """
         return policy == self._policy and all(
-            ref() is found
-            for ref, found in zip(self._lookups, lookups, strict=True)
+            ref() is found.table()
+            for ref, found in zip(self._tables, lookups, strict=True)
         )
 
     def hits_of(self, column: tuple) -> dict:
@@ -134,9 +155,7 @@ class CandidateCache:
     __slots__ = ("_capacity", "_data", "hits", "misses", "stale", "evictions")
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValidationError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = int(capacity)
+        self._capacity = check_count(capacity, "capacity")
         self._data: OrderedDict[CandidateKey, Lookup] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -151,12 +170,13 @@ class CandidateCache:
         """Maximum cached entries."""
         return self._capacity
 
-    def lookup(self, key: CandidateKey) -> Lookup | None:
+    def lookup(self, key: CandidateKey, priors: dict | None = None):
         """Return a *fresh* cached entry or None, with hit/miss accounting.
 
         An entry whose store has mutated since the snapshot is
         dropped here — the generation check is what turns "cache" from a
-        staleness hazard into exact invalidation.
+        staleness hazard into exact invalidation — and handed to
+        ``priors[key]`` when given, for the caller to refresh.
         """
         cached = self._data.get(key)
         if cached is None:
@@ -166,6 +186,8 @@ class CandidateCache:
             del self._data[key]
             self.stale += 1
             self.misses += 1
+            if priors is not None:
+                priors[key] = cached
             return None
         self._data.move_to_end(key)
         self.hits += 1

@@ -18,15 +18,17 @@
   invalidate exactly the mutated level (:mod:`repro.serve.cache`); key
   translations are memoized by the query pipeline itself
   (:func:`repro.core.queries.level_plan`). A mutation's invalidated
-  look-ups are simply the next batch's misses, resolved in its stacked
-  pass.
+  look-ups are the next batch's misses, each patched from its stale
+  prior in that batch's stacked pass: only the rows the mutation
+  stamped are re-resolved and re-scored (:func:`repro.serve.batch.refresh`).
 * **Repeats** — a range request's join and ranking are memoized on the
-  look-ups they were computed from (:class:`repro.serve.cache.Joined`,
+  tables they were computed from (:class:`repro.serve.cache.Joined`,
   held by the last level's look-up, so the candidate cache bounds it
-  and a stale or evicted look-up ends it), and so are its peers' scan
-  hits, each valid while that peer's ``items_version`` (bumped by
-  ``add_items`` / ``remove_items``) holds. A repeated request re-joins
-  nothing, sorts nothing and scans only peers whose items changed.
+  and a re-scored or evicted look-up ends it), and so are its peers'
+  scan hits, each valid while that peer's ``items_version`` (bumped by
+  ``add_items`` / ``remove_items``) holds — across a re-join too. A
+  repeated request re-joins nothing, sorts nothing and scans only peers
+  whose items changed.
 
 Batch execution itself is synchronous Python over the single-threaded
 simulator, so ``max_inflight`` dispatchers serialize on compute; the
@@ -256,7 +258,10 @@ class ServeEngine:
 
     @staticmethod
     def _join(lookups: dict, policy: str) -> Joined:
-        """The request's join and ranking, memoized on its look-ups."""
+        """The request's join and ranking, memoized on its look-ups.
+
+        A re-join keeps the scan hits of the memo it replaces.
+        """
         found = list(lookups.values())
         joined = found[-1].joined
         if joined is None or not joined.matches(found, policy):
@@ -264,7 +269,7 @@ class ServeEngine:
                 {level: lookup.table() for level, lookup in lookups.items()},
                 policy,
             )
-            joined = Joined(found, policy, scores, rank_peers(scores))
+            joined = Joined(found, policy, scores, rank_peers(scores), joined)
             found[-1].joined = joined
         return joined
 

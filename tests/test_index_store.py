@@ -90,6 +90,58 @@ class TestLevelStoreBasics:
         assert store.generation > g1
 
 
+class TestChangeStamps:
+    """Every generation bump stamps the rows it changed, and only those:
+    a snapshot at generation ``g`` still holds on rows stamped ``<= g``."""
+
+    @staticmethod
+    def _stamps(store):
+        return store.stamps_of(slice(0, store.n_rows)).tolist()
+
+    def test_add_stamps_the_new_row(self, rng):
+        store = LevelStore(2)
+        _populate(store, 3, 2, rng)
+        before = self._stamps(store)
+        row = store.add(rng.random(2), 0.1, _record(0))
+        assert self._stamps(store) == before + [store.generation]
+        assert store.stamps_of(row) == store.generation
+
+    def test_bulk_add_stamps_its_rows_with_one_generation(self, rng):
+        store = LevelStore(2)
+        _populate(store, 3, 2, rng)
+        before = self._stamps(store)
+        rows = store.bulk_add(rng.random((70, 2)), 0.1)  # grows too
+        assert self._stamps(store) == before + [store.generation] * 70
+        assert rows.tolist() == list(range(3, 73))
+
+    def test_tombstone_stamps_the_row(self, rng):
+        store = LevelStore(2)
+        rows = _populate(store, 4, 2, rng)
+        before = self._stamps(store)
+        store.remove_entry(store.entry_id_of(rows[1]))
+        before[rows[1]] = store.generation
+        assert self._stamps(store) == before
+
+    def test_update_stamps_only_a_real_change(self, rng):
+        store = LevelStore(3)
+        rows = _populate(store, 4, 3, rng)
+        entry_id = store.entry_id_of(rows[2])
+        before = self._stamps(store)
+        store.update_entry(entry_id, radius=store.radius_of(rows[2]))
+        assert self._stamps(store) == before  # a no-op patch stamps nothing
+        store.update_entry(entry_id, value=_record(5, items=99))
+        before[rows[2]] = store.generation
+        assert self._stamps(store) == before
+
+    def test_compact_stamps_every_row(self, rng):
+        store = LevelStore(2)
+        rows = _populate(store, 6, 2, rng)
+        for row in rows[:3]:
+            store.remove_entry(store.entry_id_of(row))
+        store.compact()
+        assert self._stamps(store) == [store.generation] * 3
+
+
 class TestMembershipRefcounts:
     def test_last_discard_tombstones(self, rng):
         store = LevelStore(2)

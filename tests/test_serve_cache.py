@@ -31,6 +31,21 @@ class TestCandidateCache:
         with pytest.raises(ValidationError):
             CandidateCache(0)
 
+    def test_rejects_a_fractional_capacity(self):
+        with pytest.raises(ValidationError, match="capacity"):
+            CandidateCache(2.5)  # was silently a cache of 2
+
+    def test_rejects_a_bool_capacity(self):
+        with pytest.raises(ValidationError, match="capacity"):
+            CandidateCache(True)  # was silently a cache of 1
+
+    def test_rejects_a_string_capacity(self):
+        with pytest.raises(ValidationError, match="capacity"):
+            CandidateCache("3")  # was a bare TypeError
+
+    def test_accepts_a_numpy_integer_capacity(self):
+        assert CandidateCache(np.int64(3)).capacity == 3
+
     def test_lookup_accounting(self):
         store, rows = _store_with_rows(4)
         cache = CandidateCache(8)

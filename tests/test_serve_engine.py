@@ -376,6 +376,85 @@ class TestRepeatedRequests:
         assert again.item_ids == first.item_ids
 
 
+class TestRefreshAfterAWrite:
+    """A one-peer ``publish_delta`` re-scores and re-scans what it touched.
+
+    Its stale look-ups are patched from their priors: the Eq. 1 kernel
+    sees only rows the write stamped (all the writer's) or whose
+    distance bits moved, a re-join keeps the other peers' scan hits,
+    and the answers stay ``==`` sequential.
+    """
+
+    WRITER = 1
+
+    @classmethod
+    def _write(cls, network, seed: int) -> None:
+        network.peers[cls.WRITER].add_items(
+            np.random.default_rng(seed).random((5, network.dimensionality)),
+            np.arange(930_000, 930_005),
+        )
+        network.publish_delta(cls.WRITER)
+
+    def test_kernel_sees_only_the_writers_rows_and_moved_distances(
+        self, queries, monkeypatch
+    ):
+        network = _fresh_network()
+        engine = ServeEngine(network)
+        requests = TestScoreOncePerLookup._requests(queries)
+        engine.execute_batch(requests)
+        before = {
+            ck: (found.candidates.generation, found.table()._kept)
+            for ck, found in engine.candidates._data.items()
+        }
+        self._write(network, 44)
+        kernel = _count_calls(
+            monkeypatch, core_scoring, "intersection_fraction_batch"
+        )
+        served = engine.execute_batch(requests)
+        allowed = scored = 0
+        for ck, found in engine.candidates._data.items():
+            generation, (__, old_rows, old_dists, ___) = before[ck]
+            __, rows, dists, ___ = found.table()._kept
+            store = found.candidates.store
+            stamped = store.stamps_of(rows) > generation
+            assert np.isin(
+                rows[stamped], store.rows_for_peer(self.WRITER)
+            ).all()
+            at = np.minimum(
+                np.searchsorted(old_rows, rows), old_rows.size - 1
+            )
+            moved = (old_rows[at] != rows) | (
+                old_dists[at].view(np.int64) != dists.view(np.int64)
+            )
+            allowed += int(np.count_nonzero(stamped | moved))
+            scored += rows.size
+        assert sum(args[0].size for args in kernel) <= allowed < scored
+        TestScoreOncePerLookup._assert_equals_sequential(
+            network, requests, served
+        )
+
+    def test_only_the_writer_is_rescanned(self, queries, monkeypatch):
+        network = _fresh_network()
+        engine = ServeEngine(network)
+        # No contact budget: every ranked peer is contacted, and only
+        # the writer's spheres moved, so the ranked peers stay the same.
+        requests = [
+            RangeRequest(query=query, epsilon=0.3)
+            for query in [network.peers[self.WRITER].data[0], *queries[:3]]
+        ]
+        first = engine.execute_batch(requests)
+        assert self.WRITER in first[0].peers_contacted
+        assert len({p for r in first for p in r.peers_contacted}) > 1
+        self._write(network, 45)
+        calls = TestRepeatedRequests._spy(monkeypatch)
+        served = engine.execute_batch(requests)
+        assert calls["joins"]  # the write re-joined the writer's requests
+        assert set(calls["scans"]) == {self.WRITER}
+        TestScoreOncePerLookup._assert_equals_sequential(
+            network, requests, served
+        )
+
+
 class TestKernelCallsPerBatch:
     """A batch pays each kernel once, not once per request: Eq. 1 once
     per (level, radius) over its misses, and one scan per peer it may

@@ -1,10 +1,9 @@
-"""Ablation — overlay independence: CAN vs BATON vs VBI-tree vs ring.
+"""Ablation — overlay independence: CAN vs BATON vs VBI-tree.
 
 The paper claims Hyper-M works over any structured overlay with
-multi-dimensional indexing and names BATON and CAN explicitly; this bench
-runs the same workload over all four substrates — including every overlay
-the paper names (CAN, BATON, VBI-tree) — and compares dissemination cost
-and range recall.
+multi-dimensional indexing and names BATON, VBI-tree and CAN; this bench
+runs the same workload over those three substrates and compares
+dissemination cost and range recall.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from repro.evaluation.metrics import precision_recall
 from repro.evaluation.workloads import sample_queries
 from repro.overlay.baton import BatonNetwork
 from repro.overlay.can import CANNetwork
-from repro.overlay.ring import RingNetwork
 from repro.overlay.vbi import VBITree
 from repro.utils.rng import spawn_rngs
 from repro.utils.tables import format_table
@@ -33,7 +31,9 @@ def _run_overlay(factory, parts, dims, rng):
 
 
 def _run_ablation():
-    (data_rng, part_rng, can_rng, ring_rng, baton_rng, vbi_rng,
+    # Seven streams, one unused: each row keeps the stream its recorded
+    # results in benchmarks/results/ablation_overlay.txt came from.
+    (data_rng, part_rng, can_rng, __, baton_rng, vbi_rng,
      query_rng) = spawn_rngs(8_012, 7)
     dataset = generate_histograms(120, 12, 64, rng=data_rng)
     ids = np.arange(dataset.n_items)
@@ -48,7 +48,6 @@ def _run_ablation():
         ("CAN", CANNetwork, can_rng),
         ("BATON", BatonNetwork, baton_rng),
         ("VBI-tree", VBITree, vbi_rng),
-        ("ring", RingNetwork, ring_rng),
     ):
         network, report = _run_overlay(factory, parts, 64, rng)
         recalls = []
@@ -76,9 +75,9 @@ def test_ablation_overlay(benchmark, record_table):
         format_table(
             ["overlay", "hops/item", "hops/sphere", "recall@8 peers"],
             rows,
-            title="Ablation — Hyper-M over CAN / BATON / VBI-tree / ring "
+            title="Ablation — Hyper-M over CAN / BATON / VBI-tree "
             "(all the paper's named overlays)",
         ),
     )
     for row in rows:
-        assert row[3] > 0.5  # both substrates retrieve usefully
+        assert row[3] > 0.5  # every substrate retrieves usefully

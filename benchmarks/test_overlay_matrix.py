@@ -2,7 +2,7 @@
 """Head-to-head dissemination matrix across every overlay backend.
 
 Runs :func:`repro.evaluation.overlay_matrix.run_overlay_matrix` at a
-CI-friendly scale: every registered backend (CAN, ring, BATON, VBI)
+CI-friendly scale: every registered backend (CAN, BATON, VBI)
 receives the identical Markov workload and is measured on
 full publication, epoch-delta repair vs full republish, and
 recall-checked range queries.

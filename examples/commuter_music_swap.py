@@ -7,7 +7,7 @@ Hyper-M the other examples don't:
 * late boarders: items added *after* the overlay is built are never
   republished, so the index goes stale (paper Figure 10c);
 * overlay independence: the same session runs over the CAN overlay and
-  over the Chord-style Z-order ring;
+  over the BATON tree;
 * per-device energy: the dissemination phase's radio budget.
 
 Run:  python examples/commuter_music_swap.py
@@ -18,7 +18,7 @@ import numpy as np
 from repro.core import CentralizedIndex, HyperMConfig, HyperMNetwork
 from repro.datasets import generate_audio_features, partition_among_peers
 from repro.evaluation.metrics import precision_recall
-from repro.overlay import CANNetwork, RingNetwork
+from repro.overlay import BatonNetwork, CANNetwork
 from repro.utils.tables import format_table
 
 N_PASSENGERS = 20
@@ -35,7 +35,7 @@ library = audio.data
 collections = partition_among_peers(library, N_PASSENGERS, rng=master_rng)
 
 results = []
-for overlay_name, factory in (("CAN", CANNetwork), ("Z-order ring", RingNetwork)):
+for overlay_name, factory in (("CAN", CANNetwork), ("BATON", BatonNetwork)):
     network = HyperMNetwork(
         DIMS, HyperMConfig(levels_used=4, n_clusters=10),
         rng=np.random.default_rng(1), overlay_factory=factory,

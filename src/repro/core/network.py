@@ -82,7 +82,7 @@ class HyperMNetwork:
         Overlay``. When ``None``, the run context's ``overlay`` (the
         CLI's ``--overlay`` flag; :mod:`repro.runtime`) wins, then
         :class:`repro.overlay.can.CANNetwork`. Any registered
-        backend (ring, BATON, VBI) demonstrates overlay
+        backend (BATON, VBI) demonstrates overlay
         independence.
 
     Examples

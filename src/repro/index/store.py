@@ -343,6 +343,10 @@ class NodeMembership:
     def __contains__(self, row: int) -> bool:
         return int(row) in self._rows
 
+    def held_of(self, rows: set[int]) -> set[int]:
+        """Those of ``rows`` this membership holds (one set intersection)."""
+        return self._rows & rows
+
     def rows(self) -> np.ndarray:
         """Member rows as a sorted ``int64`` array (cached until mutated)."""
         if self._cache is None:

@@ -62,7 +62,7 @@ def build_loadmap(network, *, top_k: int = 10) -> dict:
     peer's nodes across every level. Both are sorted by their ids so two
     snapshots of the same state diff cleanly.
 
-    On zoneless overlays (ring, BATON, VBI — anything with
+    On zoneless overlays (BATON, VBI — anything with
     ``zone_geometry`` False) the ``zones`` section, its hotspot ranking
     and its skew statistics are simply empty; peer rows and peer skew
     are always present, computed from the same per-node ledger records.
@@ -103,11 +103,11 @@ def build_loadmap(network, *, top_k: int = 10) -> dict:
             ],
         }
         # Zone rows only exist where the overlay partitions the key space
-        # into geometric zones (CAN); zoneless substrates (ring arcs,
-        # tree ranges) contribute no zone rows rather than
-        # fabricated zero-volume ones. Per-peer aggregation below always
-        # runs from the same per-node records, so peer rows and their
-        # skew statistics stay complete on every backend.
+        # into geometric zones (CAN); zoneless substrates (tree ranges)
+        # contribute no zone rows rather than fabricated zero-volume ones.
+        # Per-peer aggregation below always runs from the same per-node
+        # records, so peer rows and their skew statistics stay complete
+        # on every backend.
         has_zones = overlay.zone_geometry
         for node_id in sorted(overlay.node_ids):
             node = overlay.node(node_id)

@@ -7,18 +7,15 @@ replication for non-zero-sized (sphere) objects (paper Figure 6), and the
 departure protocol (zone merge / sibling-pair handoff / temporary
 multi-zone takeover).
 
-Three further substrates back the paper's overlay-independence claim:
+The paper's two other named substrates back its overlay-independence
+claim:
 
 * :mod:`repro.overlay.baton` — BATON [Jagadish, Ooi, Vu, VLDB 2005], the
-  balanced tree overlay the paper names explicitly;
-* :mod:`repro.overlay.vbi` — the VBI-tree [ICDE 2006], the paper's third
-  named overlay: a distributed KD-tree with virtual internal nodes,
-  natively multi-dimensional;
-* :mod:`repro.overlay.ring` — a Chord-style ring.
-
-BATON and the ring index multi-dimensional keys through the Z-order
-machinery shared in :mod:`repro.overlay.morton`; the VBI-tree partitions
-the multi-dimensional space directly.
+  balanced tree overlay, indexing multi-dimensional keys through the
+  Z-order helpers of :mod:`repro.overlay.morton`;
+* :mod:`repro.overlay.vbi` — the VBI-tree [ICDE 2006]: a distributed
+  KD-tree with virtual internal nodes that partitions the
+  multi-dimensional space directly.
 
 In-place delta publication is part of the :class:`Overlay` contract;
 load adaptation (:mod:`repro.overlay.adapt`) runs on CAN's zones only.
@@ -38,7 +35,6 @@ from repro.overlay.registry import (
     overlay_names,
     resolve_overlay,
 )
-from repro.overlay.ring import RingNetwork
 from repro.overlay.vbi import VBITree
 
 __all__ = [
@@ -48,7 +44,6 @@ __all__ = [
     "RangeReceipt",
     "CANNetwork",
     "Zone",
-    "RingNetwork",
     "BatonNetwork",
     "VBITree",
     "OVERLAYS",

@@ -108,7 +108,7 @@ class Overlay(abc.ABC):
     """Minimal overlay contract Hyper-M builds on."""
 
     #: True when the overlay partitions the key space into geometric
-    #: zones (CAN). Zoneless substrates (ring arcs, tree ranges) leave
+    #: zones (CAN). Zoneless substrates (tree ranges) leave
     #: this False so ``build_loadmap`` reports an empty
     #: zone section instead of fabricating zero-volume rows.
     zone_geometry = False

@@ -5,8 +5,10 @@ One of the overlays the paper explicitly names as a substrate for Hyper-M
 occupies one position of a near-complete binary tree — internal positions
 included — and owns a contiguous key range; ranges follow the tree's
 in-order traversal, so the tree *is* a distributed index over ``[0, 1)``.
-Multi-dimensional keys arrive through the shared Morton machinery of
-:mod:`repro.overlay.morton`.
+Multi-dimensional keys reach it through the Z-order (Morton) curve of
+:mod:`repro.overlay.morton`: a point is owned by the node whose range
+holds its scalar Morton key, and a sphere or query ball by the owners of
+the Morton intervals covering its bounding box.
 
 Each node maintains the links the BATON paper prescribes:
 
@@ -25,8 +27,21 @@ leaf as a substitute, which adopts the leaver's tree position *and* range.
 
 from __future__ import annotations
 
-from repro.exceptions import RoutingError, ValidationError
-from repro.overlay.morton import MortonNode, MortonOverlayBase
+import bisect
+
+import numpy as np
+
+from repro.exceptions import EmptyNetworkError, RoutingError, ValidationError
+from repro.net.messages import MessageKind, vector_message_size
+from repro.overlay.base import RangeReceipt
+from repro.overlay.maintenance import StoreMaintenancePlane
+from repro.overlay.morton import (
+    MortonNode,
+    bits_per_dim,
+    covering_intervals,
+    morton_key,
+)
+from repro.utils.validation import check_positive, check_vector
 
 
 class BatonNode(MortonNode):
@@ -79,7 +94,7 @@ class BatonNode(MortonNode):
         return out
 
 
-class BatonNetwork(MortonOverlayBase):
+class BatonNetwork(StoreMaintenancePlane):
     """The BATON overlay.
 
     Nodes are added level-order (BATON's balance guarantee keeps the real
@@ -96,6 +111,7 @@ class BatonNetwork(MortonOverlayBase):
             rng=rng,
             node_id_offset=node_id_offset,
         )
+        self._bits = bits_per_dim(self._dim)
         self._by_position: dict[tuple[int, int], int] = {}
 
     # -- membership -----------------------------------------------------------
@@ -275,7 +291,81 @@ class BatonNetwork(MortonOverlayBase):
                 else None
             )
 
-    # -- MortonOverlayBase hooks -------------------------------------------------
+    # -- Morton keys and ownership -----------------------------------------------
+
+    def scalar_key(self, point: np.ndarray) -> float:
+        """The Morton key of a unit-cube point at this overlay's resolution."""
+        return morton_key(point, self._bits)
+
+    def _locate(self, origin: int, point: np.ndarray) -> tuple[int, list[int]]:
+        """Route to the owner of ``point``'s Morton key."""
+        return self._route(origin, self.scalar_key(point))
+
+    def _interval_owner_ids(self, lo: float, hi: float) -> list[int]:
+        """Ids of nodes whose ranges overlap the key interval ``[lo, hi)``."""
+        starts, ids = self._range_starts()
+        n = len(starts)
+        if n == 0:
+            raise EmptyNetworkError("overlay has no nodes")
+        at = (bisect.bisect_right(starts, lo) - 1) % n
+        owners = [ids[at]]
+        idx = at
+        for __ in range(n - 1):
+            idx = (idx + 1) % n
+            if starts[idx] >= hi or starts[idx] < lo:
+                break
+            owners.append(ids[idx])
+        return owners
+
+    def _cover(self, key: np.ndarray, radius: float) -> list[int]:
+        """Ids of all nodes owning Morton intervals covering the sphere's box."""
+        lows = np.clip(key - radius, 0.0, 1.0)
+        highs = np.clip(key + radius, 0.0, 1.0)
+        owners: list[int] = []
+        seen: set[int] = set()
+        for lo, hi in covering_intervals(lows, highs, self._bits):
+            for node_id in self._interval_owner_ids(lo, hi):
+                if node_id not in seen:
+                    seen.add(node_id)
+                    owners.append(node_id)
+        return owners
+
+    # -- range walk --------------------------------------------------------------
+
+    def range_query(
+        self, origin: int, center: np.ndarray, radius: float
+    ) -> RangeReceipt:
+        """Entries intersecting the query ball, via its Morton interval cover."""
+        center = check_vector(center, "center", dim=self._dim)
+        check_positive(radius, "radius", strict=False)
+        size = vector_message_size(self._dim, scalars=1)
+        targets = self._cover(np.clip(center, 0.0, 1.0), radius)
+        # One store-wide intersection pass per query; each visited node
+        # then filters its membership with a boolean gather.
+        mask = self.level_store.intersection_mask(center, radius)
+        row_arrays: list[np.ndarray] = []
+        visited: list[int] = []
+        routing_hops = 0
+        for node_id in targets:
+            __, path = self._route(origin, self._node_start_key(node_id))
+            self._charge_route(origin, path, MessageKind.RANGE_QUERY, size)
+            routing_hops += len(path)
+            visited.append(node_id)
+            row_arrays.append(self.node(node_id).rows_matching(mask))
+        self.fabric.finish_operation(MessageKind.RANGE_QUERY, routing_hops)
+        return RangeReceipt(
+            entries=self.level_store.union_candidates(row_arrays),
+            routing_hops=routing_hops,
+            flood_hops=0,
+            nodes_visited=visited,
+        )
+
+    def _node_start_key(self, node_id: int) -> float:
+        """The start of ``node_id``'s range (a key that routes to it)."""
+        starts, ids = self._range_starts()
+        return starts[ids.index(node_id)]
+
+    # -- routing -----------------------------------------------------------------
 
     def _range_starts(self) -> tuple[list[float], list[int]]:
         """The in-order partition of [0, 1): sorted (start, node id)."""

@@ -1,10 +1,10 @@
-"""The store-backed overlay: everything the four backends share.
+"""The store-backed overlay: everything the three backends share.
 
 Hyper-M "works independently of the underlying overlay structure"
 (paper contribution 1). What makes an overlay *this* overlay is small:
 who owns a point, how a request reaches that owner, and which nodes a
-sphere must be held by. Everything else is the same on CAN, the ring,
-BATON and the VBI-tree, because all of them store entries as
+sphere must be held by. Everything else is the same on CAN, BATON
+and the VBI-tree, because all of them store entries as
 rows of one shared :class:`repro.index.LevelStore` with per-node
 memberships — so it lives here, once:
 
@@ -252,6 +252,19 @@ class StoreMaintenancePlane(Overlay):
             added.append(node_id)
         return added
 
+    def _holders(self, rows: set[int]) -> dict[int, set[int]]:
+        """Each node holding any of ``rows``, mapped to the rows it holds.
+
+        Nodes come in member order, one set intersection each: the one
+        holder pass :meth:`patch_entries` and :meth:`retract_entries` share.
+        """
+        holders = {}
+        for node_id, node in self._nodes.items():
+            held = node.membership.held_of(rows)
+            if held:
+                holders[node_id] = held
+        return holders
+
     def patch_entries(
         self, origin: int, patches: list
     ) -> tuple[int, int]:
@@ -274,22 +287,16 @@ class StoreMaintenancePlane(Overlay):
         with runtime.current.flight.span("patch", origin=origin):
             store = self.level_store
             rows = [store.row_of(entry_id) for entry_id, __, __ in patches]
-            row_set = set(rows)
-            holders_by_row: dict[int, list[int]] = {row: [] for row in row_set}
-            holder_counts: dict[int, int] = {}
-            for node_id in self._nodes:
-                membership = self.node(node_id).membership
-                held = [row for row in row_set if row in membership]
-                if not held:
-                    continue
-                holder_counts[node_id] = len(held)
+            holders = self._holders(set(rows))
+            holders_by_row: dict[int, list[int]] = {row: [] for row in rows}
+            for node_id, held in holders.items():
                 for row in held:
                     holders_by_row[row].append(node_id)
             patch_hops = 0
-            for holder_id, count in holder_counts.items():
+            for holder_id, held in holders.items():
                 if holder_id == origin:
                     continue  # patching a locally held row is free
-                size = HEADER_BYTES + 3 * BYTES_PER_SCALAR * count
+                size = HEADER_BYTES + 3 * BYTES_PER_SCALAR * len(held)
                 self.fabric.transmit(
                     origin, holder_id, MessageKind.PUBLISH_DELTA, size
                 )
@@ -332,12 +339,10 @@ class StoreMaintenancePlane(Overlay):
                 if store.has_entry(entry_id)
             }
             hops = 0
-            for node_id in self._nodes:
-                membership = self.node(node_id).membership
-                count = sum(1 for row in rows if row in membership)
-                if count == 0 or node_id == origin:
+            for node_id, held in self._holders(rows).items():
+                if node_id == origin:
                     continue
-                size = HEADER_BYTES + BYTES_PER_SCALAR * count
+                size = HEADER_BYTES + BYTES_PER_SCALAR * len(held)
                 self.fabric.transmit(
                     origin, node_id, MessageKind.PUBLISH_DELTA, size
                 )

@@ -17,14 +17,12 @@ from __future__ import annotations
 from repro.exceptions import ValidationError
 from repro.overlay.baton import BatonNetwork
 from repro.overlay.can import CANNetwork
-from repro.overlay.ring import RingNetwork
 from repro.overlay.vbi import VBITree
 
 #: Every registered backend, by CLI name. Insertion order is the
 #: canonical presentation order (matrix experiment, docs, CI).
 OVERLAYS: dict[str, type] = {
     "can": CANNetwork,
-    "ring": RingNetwork,
     "baton": BatonNetwork,
     "vbi": VBITree,
 }

@@ -3,7 +3,7 @@ ICDE 2006].
 
 The third overlay the paper names ("BATON, VBI-tree, CAN or any
 peer-to-peer overlay … so long as they can support multi-dimensional
-indexing"). Unlike BATON and the ring, the VBI-tree indexes
+indexing"). Unlike BATON, the VBI-tree indexes
 multi-dimensional regions *natively* — no space-filling curve:
 
 * the key space ``[0,1]^m`` is partitioned KD-style into leaf regions,

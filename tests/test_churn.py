@@ -1,4 +1,4 @@
-"""Churn tests: zone merge/handoff, ring departure, peer removal semantics."""
+"""Churn tests: zone merge/handoff, CAN departure, peer removal semantics."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.exceptions import QueryError
 from repro.overlay.can import CANNetwork
 from repro.overlay.can.zone import Zone
-from repro.overlay.ring import RingNetwork
 from tests.rows import held_values
 
 
@@ -150,44 +149,6 @@ class TestCANLeave:
         nid = can.join()
         can.leave(nid)
         assert len(can) == 0
-
-
-class TestRingLeave:
-    def test_entries_survive(self):
-        ring = RingNetwork(2, rng=0)
-        ids = ring.grow(10)
-        rng = np.random.default_rng(1)
-        points = rng.random((30, 2))
-        for i, p in enumerate(points):
-            ring.insert(ids[i % 10], p, i)
-        for nid in ids[:5]:
-            ring.leave(nid)
-        held = set()
-        for nid in ring.node_ids:
-            for value in held_values(ring, nid):
-                if isinstance(value, int):
-                    held.add(value)
-        assert held == set(range(30))
-
-    def test_queries_complete_after_leaves(self):
-        ring = RingNetwork(2, rng=2)
-        ids = ring.grow(12)
-        rng = np.random.default_rng(3)
-        points = rng.random((40, 2))
-        for i, p in enumerate(points):
-            ring.insert(ids[i % 12], p, i)
-        for nid in ids[:4]:
-            ring.leave(nid)
-        center = np.array([0.5, 0.5])
-        receipt = ring.range_query(ring.node_ids[0], center, 0.25)
-        got = sorted(
-            v for v in receipt.entries.values() if isinstance(v, int)
-        )
-        want = sorted(
-            i for i, p in enumerate(points)
-            if np.linalg.norm(p - center) <= 0.25 + 1e-12
-        )
-        assert got == want
 
 
 class TestPeerChurn:

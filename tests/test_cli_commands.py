@@ -164,7 +164,7 @@ class TestRunScopes:
 
     @pytest.mark.parametrize(
         "flag", [
-            ["--adapt"], ["--overlay", "ring"], ["--republish", "delta"],
+            ["--adapt"], ["--overlay", "baton"], ["--republish", "delta"],
             ["--fault-plan", "loss=0.1"], ["--plot"], ["--scale", "paper"],
         ]
     )
@@ -249,6 +249,16 @@ class TestRunScopes:
         assert "invalid choice: 'kademlia'" in capsys.readouterr().err
         with pytest.raises(ValidationError) as refused:
             resolve_overlay("kademlia")
-        assert str(refused.value).endswith(
-            "known backends: can, ring, baton, vbi"
-        )
+        assert str(refused.value).endswith("known backends: can, baton, vbi")
+
+    def test_ring_is_not_a_backend(self, capsys):
+        from repro.exceptions import ValidationError
+        from repro.overlay.registry import resolve_overlay
+
+        with pytest.raises(SystemExit) as raised:
+            main(["fig8a", "--overlay", "ring"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'ring'" in capsys.readouterr().err
+        with pytest.raises(ValidationError) as refused:
+            resolve_overlay("ring")
+        assert str(refused.value).endswith("known backends: can, baton, vbi")

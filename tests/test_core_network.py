@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.exceptions import ValidationError
-from repro.overlay.ring import RingNetwork
+from repro.overlay.baton import BatonNetwork
 from repro.wavelets.multiresolution import Level
 from tests.rows import held_values
 
@@ -121,11 +121,11 @@ class TestPublication:
 
 
 class TestOverlayIndependence:
-    def test_runs_on_ring_overlay(self, rng):
+    def test_runs_on_baton_overlay(self, rng):
         """The paper's claim: Hyper-M is overlay-agnostic."""
         config = HyperMConfig(levels_used=3, n_clusters=3)
         net = HyperMNetwork(
-            16, config, rng=0, overlay_factory=RingNetwork
+            16, config, rng=0, overlay_factory=BatonNetwork
         )
         for __ in range(4):
             net.add_peer(rng.random((15, 16)))

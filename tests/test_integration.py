@@ -14,7 +14,7 @@ from repro.core.serialization import load_summary, save_summary
 from repro.datasets.histograms import generate_histograms
 from repro.datasets.partition import partition_among_peers
 from repro.evaluation.metrics import precision_recall
-from repro.overlay.ring import RingNetwork
+from repro.overlay.baton import BatonNetwork
 
 
 def build_network(rng_seed=0, n_peers=10, overlay_factory=None):
@@ -92,16 +92,16 @@ class TestFullLifecycle:
     def test_same_results_on_both_overlays(self):
         """Range-query completeness is overlay-independent."""
         can_net, dataset = build_network(rng_seed=30)
-        ring_net, __ = build_network(rng_seed=30, overlay_factory=RingNetwork)
+        baton_net, __ = build_network(rng_seed=30, overlay_factory=BatonNetwork)
         for qi in (3, 47, 111):
             query = dataset.data[qi]
             can_ids = can_net.range_query(query, 0.12).item_ids
-            ring_ids = ring_net.range_query(query, 0.12).item_ids
+            baton_ids = baton_net.range_query(query, 0.12).item_ids
             truth = CentralizedIndex.from_network(can_net).range_search(
                 query, 0.12
             )
             assert truth <= can_ids
-            assert truth <= ring_ids
+            assert truth <= baton_ids
 
     def test_aggregation_policies_all_complete_at_full_contact(self):
         """Sum/product aggregation also contact every candidate when

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.network import HyperMConfig, HyperMNetwork
-from repro.exceptions import ValidationError
+from repro.exceptions import EmptyNetworkError, ValidationError
 from repro.overlay.baton import BatonNetwork
 from tests.rows import held_values
 
@@ -117,6 +117,10 @@ class TestRoutingAndData:
         # Found when querying near the sphere edge.
         out = baton.range_query(ids[3], np.array([0.68, 0.5]), 0.05)
         assert "s" in out.entries.values()
+
+    def test_empty_network_cover_raises(self):
+        with pytest.raises(EmptyNetworkError):
+            BatonNetwork(2, rng=8)._cover(np.array([0.5, 0.5]), 0.1)
 
 
 class TestJoinSplitsRanges:

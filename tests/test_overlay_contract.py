@@ -1,4 +1,4 @@
-"""The Overlay contract, verified uniformly across all four substrates.
+"""The Overlay contract, verified uniformly across all three substrates.
 
 Hyper-M only relies on the :class:`repro.overlay.base.Overlay` interface;
 these parametrised tests pin the behaviour every substrate must share, so
@@ -15,11 +15,11 @@ import pytest
 from repro.exceptions import StaleCandidateError, ValidationError
 from repro.index import CandidateSet
 from repro.net.messages import MessageKind
-from repro.overlay import BatonNetwork, CANNetwork, RingNetwork, VBITree
+from repro.overlay import BatonNetwork, CANNetwork, VBITree
 from repro.overlay.base import Overlay
 from tests.rows import held_values
 
-FACTORIES = [CANNetwork, BatonNetwork, VBITree, RingNetwork]
+FACTORIES = [CANNetwork, BatonNetwork, VBITree]
 
 
 @pytest.fixture(params=FACTORIES, ids=lambda f: f.__name__)
@@ -206,16 +206,16 @@ class TestCapabilityPlanes:
         from repro.overlay.adapt import adaptation_plane
         from repro.runtime import run_context
 
-        ring = RingNetwork(2, rng=0)
-        ring.grow(4)
+        baton = BatonNetwork(2, rng=0)
+        baton.grow(4)
         with run_context(metrics=MetricsRegistry()):
-            assert adaptation_plane(ring) is None
+            assert adaptation_plane(baton) is None
             metrics = obs_registry.metrics()
             assert metrics.counter(
                 "overlay.plane.adaptation.missing"
             ).value == 1
             assert metrics.counter(
-                "overlay.plane.adaptation.missing.RingNetwork"
+                "overlay.plane.adaptation.missing.BatonNetwork"
             ).value == 1
 
     def test_load_snapshot_covers_every_node(self, overlay):

@@ -1,4 +1,4 @@
-"""Direct tests for the shared Morton-overlay machinery."""
+"""Direct tests for the Z-order (Morton) helpers and the Morton node."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -43,6 +43,27 @@ class TestMortonKey:
         high = morton_key(np.array([0.9, 0.1]), 8)
         assert high > low
 
+    def test_in_unit_interval_three_dims(self, rng):
+        for __ in range(50):
+            assert 0.0 <= morton_key(rng.random(3), 8) < 1.0
+
+    def test_identity_in_one_dim(self):
+        for v in (0.0, 0.25, 0.5, 0.99):
+            assert abs(morton_key(np.array([v]), 16) - v) < 2**-16 + 1e-12
+
+    def test_locality_same_cell(self):
+        a = morton_key(np.array([0.1001, 0.2001]), 8)
+        b = morton_key(np.array([0.1002, 0.2002]), 8)
+        assert abs(a - b) < 2**-10
+
+    def test_distinct_cells_distinct_keys(self):
+        a = morton_key(np.array([0.1, 0.1]), 8)
+        b = morton_key(np.array([0.9, 0.9]), 8)
+        assert a != b
+
+    def test_boundary_clipping(self):
+        assert 0.0 <= morton_key(np.array([1.0, 1.0]), 8) < 1.0
+
 
 class TestCoveringIntervals:
     def test_small_box_few_intervals(self):
@@ -74,6 +95,33 @@ class TestCoveringIntervals:
         intervals = covering_intervals(lows, highs, 8, max_cells=16)
         # Merged intervals never exceed the cell budget.
         assert len(intervals) <= 16 * 4
+
+    @given(seed=st.integers(0, 500))
+    @settings(max_examples=20)
+    def test_box_points_are_covered(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 4))
+        lows = rng.random(dim) * 0.5
+        highs = np.minimum(lows + rng.random(dim) * 0.4, 1.0)
+        bits = 6
+        intervals = covering_intervals(lows, highs, bits)
+        for __ in range(30):
+            p = lows + rng.random(dim) * (highs - lows)
+            key = morton_key(p, bits)
+            assert any(lo <= key < hi + 1e-12 for lo, hi in intervals), (
+                p, key, intervals,
+            )
+
+    def test_full_cube_is_single_interval(self):
+        intervals = covering_intervals(np.zeros(2), np.ones(2), 6)
+        assert intervals == [(0.0, 1.0)]
+
+    def test_intervals_sorted_and_disjoint(self):
+        lows = np.array([0.2, 0.3])
+        highs = np.array([0.7, 0.8])
+        intervals = covering_intervals(lows, highs, 6)
+        for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
+            assert hi1 < lo2
 
 
 class TestMortonNode:

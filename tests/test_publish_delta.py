@@ -8,6 +8,13 @@ from repro.clustering.summaries import summarize_peer_data
 from repro.core.baselines import CentralizedIndex
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.exceptions import ValidationError
+from repro.net.messages import (
+    BYTES_PER_SCALAR,
+    HEADER_BYTES,
+    MessageKind,
+    vector_message_size,
+)
+from repro.overlay import BatonNetwork, VBITree
 
 
 def _peer_entry_ids(net, peer_id):
@@ -279,3 +286,79 @@ class TestLevelStorePatch:
         gen = store.generation
         store.update_entry(entry_id, radius=0.3)
         assert store.generation == gen + 1
+
+
+class TestHolderPass:
+    """``patch_entries`` / ``retract_entries`` frame every holder once."""
+
+    @staticmethod
+    def _holder_counts(overlay, rows):
+        """``{node_id: held rows among rows}`` by a plain scan, node order."""
+        counts = {}
+        for node_id in overlay.node_ids:
+            held = set(overlay.node(node_id).membership.rows()) & set(rows)
+            if held:
+                counts[node_id] = len(held)
+        return counts
+
+    @staticmethod
+    def _record(overlay, monkeypatch):
+        frames = []
+        transmit = overlay.fabric.transmit
+
+        def recording(source, destination, kind, size):
+            frames.append((kind, source, destination, size))
+            return transmit(source, destination, kind, size)
+
+        monkeypatch.setattr(overlay.fabric, "transmit", recording)
+        return frames
+
+    @pytest.mark.parametrize("backend", [BatonNetwork, VBITree])
+    def test_patch_then_retract_after_compact(self, backend, monkeypatch):
+        overlay = backend(2, rng=5)
+        ids = overlay.grow(16)
+        store = overlay.level_store
+        filler = store.next_entry_id
+        overlay.insert(ids[1], [0.1, 0.1], "filler")
+        sphere, point = filler + 1, filler + 2
+        overlay.insert(ids[2], [0.5, 0.5], "sphere", radius=0.15)
+        overlay.insert(ids[3], [0.55, 0.45], "point")
+        rows = [store.row_of(sphere), store.row_of(point)]
+        before = self._holder_counts(overlay, rows)
+        sphere_holders = [
+            n for n in ids if store.row_of(sphere) in overlay.node(n).membership
+        ]
+        assert len(sphere_holders) >= 3
+        origin = next(iter(before))  # a holder: its own patch is free
+        frames = self._record(overlay, monkeypatch)
+
+        overlay.patch_entries(origin, [(sphere, 0.3, "grown"), (point, 0.0, "p")])
+        cover = overlay._cover(store.key_of(store.row_of(sphere)), 0.3)
+        replicas = [n for n in cover if n not in sphere_holders]
+        assert replicas  # the radius grew past the old cover
+        assert frames == [
+            (MessageKind.PUBLISH_DELTA, origin, node_id,
+             HEADER_BYTES + 3 * BYTES_PER_SCALAR * count)
+            for node_id, count in before.items() if node_id != origin
+        ] + [
+            (MessageKind.REPLICATE, min(sphere_holders), node_id,
+             vector_message_size(2, scalars=2))
+            for node_id in replicas
+        ]
+
+        overlay.retract_entries(ids[0], [filler])
+        store.compact()
+        remapped = [store.row_of(sphere), store.row_of(point)]
+        assert remapped == [row - 1 for row in rows]
+        rows = remapped
+        after = self._holder_counts(overlay, rows)
+        assert set(after) == set(before) | set(replicas)
+        frames.clear()
+        hops = overlay.retract_entries(origin, [sphere, point])
+        assert frames == [
+            (MessageKind.PUBLISH_DELTA, origin, node_id,
+             HEADER_BYTES + BYTES_PER_SCALAR * count)
+            for node_id, count in after.items() if node_id != origin
+        ]
+        assert hops == len(frames)
+        assert not store.has_entry(sphere) and not store.has_entry(point)

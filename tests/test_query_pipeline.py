@@ -5,7 +5,7 @@ driver are written once in ``repro.core``; what varies is where the
 candidate spheres come from — :class:`repro.core.queries.RoutedSource`
 (the paper's overlay walk) or :class:`repro.serve.batch.StoreSource`
 (the co-located, generation-cached level stores). These tests drive the
-shared functions over both sources, on CAN and on one Morton overlay,
+shared functions over both sources, on CAN and on BATON,
 and pin that the source changes the cost and nothing else.
 """
 
@@ -30,7 +30,7 @@ from repro.core.queries import (
 from repro.evaluation.workloads import build_markov_network, sample_queries
 from repro.exceptions import EmptyNetworkError, QueryError
 from repro.index.store import CandidateSet
-from repro.overlay import CANNetwork, RingNetwork
+from repro.overlay import BatonNetwork, CANNetwork
 from repro.serve import CandidateCache, StoreSource
 
 EPSILON = 0.3
@@ -38,7 +38,7 @@ K = 8
 
 
 @pytest.fixture(
-    scope="module", params=[CANNetwork, RingNetwork], ids=["can", "ring"]
+    scope="module", params=[CANNetwork, BatonNetwork], ids=["can", "baton"]
 )
 def workload(request):
     built, __ = build_markov_network(

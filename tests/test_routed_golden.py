@@ -6,12 +6,12 @@ reaches, which items come back. A change that claims to be "compute
 only" (the zone table, a faster kernel, a cache) or "code motion only"
 (hoisting the backends' shared data plane) must leave all of it alone —
 this test pins the lot for a 16-peer session (publish, 30 range
-queries, 4 k-NN) on each of the four backends, so a moved hop fails
+queries, 4 k-NN) on each of the three backends, so a moved hop fails
 tier-1 instead of surfacing as a figure diff. The per-node traffic
 digest tells a chain of forwards from a star of probes even where the
 hop counts agree. The CAN values were recorded on the commit
 before the zone table (``overlay/can/table.py``) existed, the other
-four on the commit before the backends shared one ``insert``/``lookup``;
+two on the commit before the backends shared one ``insert``/``lookup``;
 regenerate them with ``python tests/test_routed_golden.py`` only for a
 deliberate protocol change, and say so in the commit.
 """
@@ -51,22 +51,6 @@ GOLDEN = {'can': {'by_kind': {'data': (187, 41360),
          'range_items': '61c0dacf775d3c27',
          'knn_index_hops': 211,
          'knn_items': 'ef94625e252f8921'},
- 'ring': {'by_kind': {'data': (187, 41360),
-                      'insert': (680, 43368),
-                      'range_query': (678, 41096),
-                      'replicate': (644, 48104),
-                      'retrieve': (187, 104720)},
-          'node_traffic': 'f9b5b57fd6587d00',
-          'insert_routing_hops': 680,
-          'insert_replicas': 644,
-          'range_routing_hops': 496,
-          'range_flood_hops': 0,
-          'range_nodes_visited': 'ac75e3116532b3c9',
-          'range_index_hops': 496,
-          'range_retrieval_messages': 320,
-          'range_items': '61c0dacf775d3c27',
-          'knn_index_hops': 182,
-          'knn_items': 'ef94625e252f8921'},
  'baton': {'by_kind': {'data': (187, 41360),
                        'insert': (661, 41752),
                        'range_query': (708, 43480),
@@ -289,7 +273,7 @@ def test_routed_session_counts_are_pinned():
 
 
 @pytest.mark.parametrize(
-    "kind", ["ring", "baton", "vbi"],
+    "kind", ["baton", "vbi"],
     ids=lambda kind: OVERLAYS[kind].__name__,  # what CI's matrix -k selects
 )
 def test_backend_session_counts_are_pinned(kind):

@@ -12,7 +12,7 @@ from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.overlay.adapt import AdaptConfig
 from repro.overlay.baton import BatonNetwork
 from repro.overlay.can import CANNetwork
-from repro.overlay.ring import RingNetwork
+from repro.overlay.vbi import VBITree
 from repro.runtime import RunContext, run_context
 
 FIELDS = (
@@ -62,7 +62,7 @@ class TestRunContext:
     def test_overrides_only_the_named_fields(self):
         before = _fields()
         plan = FaultPlan(loss=0.2, seed=1)
-        with run_context(fault_plan=plan, overlay=RingNetwork):
+        with run_context(fault_plan=plan, overlay=BatonNetwork):
             inside = _fields()
         changed = {name for name in FIELDS if inside[name] is not before[name]}
         assert changed == {"fault_plan", "overlay"}
@@ -99,7 +99,7 @@ class TestRunContext:
         assert _fields() == before
 
     def test_explicit_constructor_arguments_beat_the_context(self):
-        with run_context(overlay=RingNetwork):
+        with run_context(overlay=VBITree):
             network = HyperMNetwork(
                 8, HyperMConfig(levels_used=2), rng=0,
                 overlay_factory=BatonNetwork,
@@ -147,12 +147,12 @@ class TestCliFillsTheContext:
 
     def test_all_flags_together(self, built):
         assert cli.main([
-            "fig9", "--adapt", "--overlay", "ring",
+            "fig9", "--adapt", "--overlay", "baton",
             "--fault-plan", "loss=0.1,seed=3",
         ]) == 0
         (network,) = built
         assert network.adaptation is not None
-        assert type(network.overlays[network.levels[0]]) is RingNetwork
+        assert type(network.overlays[network.levels[0]]) is BatonNetwork
         assert network.fabric.faults.plan.loss == 0.1
 
     @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.core.baselines import CentralizedIndex
 from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.overlay.baton import BatonNetwork
-from repro.overlay.ring import RingNetwork
 from repro.overlay.vbi import VBITree
 
 
@@ -54,7 +53,7 @@ def test_no_false_dismissals_can(seed, n_clusters, levels_used, radius):
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 10_000), radius=st.floats(0.1, 1.0))
-@pytest.mark.parametrize("overlay", [RingNetwork, BatonNetwork, VBITree])
+@pytest.mark.parametrize("overlay", [BatonNetwork, VBITree])
 def test_no_false_dismissals_other_overlays(overlay, seed, radius):
     network, rng = _build(seed, 4, 3, overlay=overlay)
     truth_index = CentralizedIndex.from_network(network)

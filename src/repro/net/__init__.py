@@ -8,10 +8,10 @@ class and an event queue" (Section 5.2). This package is that substrate:
   (``SerialScheduler`` / ``Event``), the simulator's clock;
 * :mod:`repro.net.messages` — message kinds and wire sizes;
 * :mod:`repro.net.metrics` — the frame ledger: one integer row per
-  message kind and one per node, written once per frame by the fabric,
-  plus the ``fabric.metrics`` / ``fabric.load`` views that read them;
+  message kind and an int64 column slot per node, written once per frame
+  by the fabric, plus the ``fabric.metrics`` / ``fabric.load`` views;
 * :mod:`repro.net.energy` — a radio energy model (tx/rx per byte) and the
-  ``fabric.energy`` view that prices the same rows at read time, backing
+  ``fabric.energy`` view that prices the same counters at read time, backing
   the paper's energy-efficiency claims with measurable numbers;
 * :mod:`repro.net.network` — the network fabric that overlays send
   through, and the ledger's only writer: a synchronous write per frame

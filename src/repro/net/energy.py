@@ -51,7 +51,7 @@ class EnergyModel:
 
 
 class EnergyLedger:
-    """Radio energy, read off the frame ledger's integer rows.
+    """Radio energy, read off the frame ledger's integer counters.
 
     The model is linear, so drain *is* ``cost × count``: nothing is
     accumulated here. ``metrics`` and ``load`` are the fabric's
@@ -99,8 +99,7 @@ class EnergyLedger:
 
     def node_energy(self, node_id: int) -> float:
         """Energy drained from ``node_id`` so far (µJ)."""
-        row = self._load.per_node.get(node_id)
-        return self._drain(row) if row is not None else 0.0
+        return self._drain(self._load.node_load(node_id))
 
     def snapshot(self) -> dict:
         """Deterministic summary for reports: total plus spread statistics.

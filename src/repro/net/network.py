@@ -1,11 +1,11 @@
 """The network fabric: a synchronous frame ledger.
 
 Overlays send every overlay-hop through :meth:`Network.transmit`, which
-writes the frame once into the fabric's integer rows (per kind, per
-endpoint — :mod:`repro.net.metrics`) and returns whether it arrived
-(:meth:`Network.transmit_path` is that write for a whole routed chain).
-``fabric.metrics``, ``fabric.load`` and ``fabric.energy`` are read-side
-views of that one write. Overlay routing runs synchronously; the
+writes the frame once (per kind, and at each endpoint's column slot —
+:mod:`repro.net.metrics`) and returns whether it arrived;
+:meth:`Network.transmit_path` checks a routed chain whole before writing
+it, :meth:`Network.transmit_bulk` writes a batch in array passes, and the
+``fabric.*`` views only read. Overlay routing runs synchronously; the
 fabric's clock (:mod:`repro.net.events`) moves only when retry backoff
 waits, so partition windows can heal under a retried send.
 """
@@ -17,6 +17,7 @@ import numpy as np
 from repro import runtime
 from repro.exceptions import ValidationError
 from repro.faults.injector import FaultInjector
+from repro.net import metrics as rows  # rows of the load ledger's columns
 from repro.net.energy import EnergyLedger, EnergyModel
 from repro.net.events import SerialScheduler
 from repro.net.messages import MessageKind
@@ -53,7 +54,7 @@ class Network:
         self.energy = EnergyLedger(
             energy_model or EnergyModel(), self.metrics, self.load
         )
-        self._nodes: set[int] = set()
+        self._slot_of = self.load._slot  # the per-frame write's id -> slot
         self.install_faults(
             fault_plan if fault_plan is not None
             else runtime.current.fault_plan
@@ -78,9 +79,10 @@ class Network:
 
     def register(self, node_id: int) -> None:
         """Attach node ``node_id`` to the fabric."""
-        if node_id in self._nodes:
+        slot = self.load._slot_for(node_id, create=True)
+        if self.load._views[rows.REGISTERED][slot]:
             raise ValidationError(f"node id {node_id} already registered")
-        self._nodes.add(node_id)
+        self.load._views[rows.REGISTERED][slot] = 1
 
     def register_many(self, node_ids) -> None:
         """Attach every id in ``node_ids`` at once, or none of them.
@@ -89,24 +91,45 @@ class Network:
         an id twice or one already registered (the lowest such id is
         reported, in :meth:`register`'s wording).
         """
-        new = set(node_ids)
-        if len(new) != len(node_ids):
+        ids = np.sort(np.asarray(node_ids, dtype=np.int64))
+        if (ids[1:] == ids[:-1]).any():
             raise ValidationError("node ids must be distinct")
-        taken = new & self._nodes
-        if taken:
-            raise ValidationError(f"node id {min(taken)} already registered")
-        self._nodes |= new
+        slots, found = self.load._lookup(ids)
+        taken = ids[found][self.load._cols[rows.REGISTERED, slots[found]] == 1]
+        if taken.size:
+            raise ValidationError(f"node id {taken[0]} already registered")
+        slots[~found] = self.load._new_slots(ids[~found])
+        self.load._cols[rows.REGISTERED, slots] = 1
 
-    def require_registered(self, node_ids, role: str) -> None:
+    def require_registered(self, node_ids, role: str) -> np.ndarray:
         """Refuse unless every id in ``node_ids`` is registered.
 
         The message names the first unknown id as :meth:`transmit` does
-        (``unknown <role> node <id>``); the membership test runs at C
-        speed over the whole list first.
+        (``unknown <role> node <id>``); one sorted-index search covers
+        the whole list. Returns the ids' ledger slots.
         """
-        if not all(map(self._nodes.__contains__, node_ids)):
-            unknown = next(i for i in node_ids if i not in self._nodes)
-            raise ValidationError(f"unknown {role} node {unknown}")
+        ids = np.asarray(node_ids, dtype=np.int64)
+        slots, found = self.load._lookup(ids)
+        found[found] = self.load._cols[rows.REGISTERED, slots[found]] == 1
+        if not found.all():
+            raise ValidationError(f"unknown {role} node {ids[~found][0]}")
+        return slots
+
+    def _admit(self, node_ids, size_bytes: int) -> list[int]:
+        """Ledger slots of a chain ``node_ids[0]`` → ``node_ids[1:]``, all
+        checked as :meth:`transmit` checks a frame before any is touched."""
+        load = self.load
+        slots = [load._slot_for(node_id) for node_id in node_ids]
+        for i, slot in enumerate(slots):
+            if slot is None or not load._views[rows.REGISTERED][slot]:
+                role = "destination" if i else "source"
+                raise ValidationError(f"unknown {role} node {node_ids[i]}")
+        if size_bytes < 0:
+            raise ValidationError(f"size_bytes must be >= 0, got {size_bytes}")
+        for node_id, slot in zip(node_ids, slots):
+            load._touch(slot)
+            load._slot[node_id] = slot
+        return slots
 
     # -- transmission -------------------------------------------------------
 
@@ -114,57 +137,44 @@ class Network:
         self, kind, sent, received, size_bytes,
         retransmits=0, duplicates=0, dropped=False,
     ) -> None:
-        """The one write of the frame ledger.
+        """The per-frame write of the frame ledger.
 
-        ``sent`` / ``received`` each yield ``(node_id, count)`` — a node
-        that transmitted / was addressed and its primary frames — and
-        every primary frame carries the same ``retransmits``,
-        ``duplicates`` and ``dropped`` verdict. Per-kind totals count the
-        primary frame only (Figure 8's cost), fault overhead goes in its
-        own buckets. The load view counts every frame on the air,
-        duplicates included, and gives a dropped frame's receiver no
-        ``msgs_in``; the radio bills primaries and retransmits on both
-        endpoints whether or not the frame arrived, so a faulty frame
-        also books that difference (see
-        :class:`~repro.net.metrics.NodeLoad`).
+        One primary frame from ledger slot ``sent`` to slot ``received``
+        with its fault verdict. Per-kind totals count the primary frame
+        only (Figure 8's cost), fault overhead goes in its own buckets.
+        The load view counts every frame on the air, duplicates included,
+        and gives a dropped frame's receiver no ``msgs_in``; the radio
+        bills primaries and retransmits on both endpoints whether or not
+        the frame arrived, so a faulty frame also books that difference
+        (see :class:`~repro.net.metrics.NodeLoad`).
         """
+        msgs_in, msgs_out, bytes_in, bytes_out = self.load._io
         on_air = 1 + retransmits + duplicates
-        heard = 0 if dropped else on_air
-        faulty = on_air > 1 or dropped
-        rows = self.load.per_node
-        primaries = 0
-        for node_id, count in sent:
-            row = rows[node_id]
-            frames = count * on_air
-            row.msgs_out += frames
-            row.bytes_out += frames * size_bytes
-            primaries += count
-            if faulty:
-                row.retransmits += count * retransmits
-                row.duplicates += count * duplicates
-                row.drops += count * dropped
-                row.tx_msgs_adjust -= count * duplicates
-                row.tx_bytes_adjust -= count * duplicates * size_bytes
-        for node_id, count in received:
-            row = rows[node_id]
-            frames = count * heard
-            row.msgs_in += frames
-            row.bytes_in += frames * size_bytes
-            if faulty:
-                row.retransmits += count * retransmits
-                row.duplicates += count * duplicates
-                row.drops += count * dropped
-                unheard = count * (1 + retransmits) - frames
-                row.rx_msgs_adjust += unheard
-                row.rx_bytes_adjust += unheard * size_bytes
+        frame_bytes = on_air * size_bytes
+        msgs_out[sent] += on_air
+        bytes_out[sent] += frame_bytes
+        if not dropped:
+            msgs_in[received] += on_air
+            bytes_in[received] += frame_bytes
         bucket = self.metrics.by_kind[kind]
-        bucket.messages += primaries
-        bucket.hops += primaries
-        bucket.bytes += primaries * size_bytes
-        if faulty:
-            bucket.retransmits += primaries * retransmits
-            bucket.retransmit_bytes += primaries * retransmits * size_bytes
-            bucket.duplicates += primaries * duplicates
+        bucket.messages += 1
+        bucket.hops += 1
+        bucket.bytes += size_bytes
+        if on_air > 1 or dropped:
+            bucket.retransmits += retransmits
+            bucket.retransmit_bytes += retransmits * size_bytes
+            bucket.duplicates += duplicates
+            views = self.load._views
+            for slot, msgs_adjust, bytes_adjust, frames in (
+                (sent, rows.TX_MSGS_ADJUST, rows.TX_BYTES_ADJUST, -duplicates),
+                (received, rows.RX_MSGS_ADJUST, rows.RX_BYTES_ADJUST,
+                 1 + retransmits - (0 if dropped else on_air)),
+            ):
+                views[rows.RETRANSMITS][slot] += retransmits
+                views[rows.DUPLICATES][slot] += duplicates
+                views[rows.DROPS][slot] += dropped
+                views[msgs_adjust][slot] += frames
+                views[bytes_adjust][slot] += frames * size_bytes
 
     def transmit(
         self, source: int, destination: int, kind: MessageKind, size_bytes: int
@@ -179,12 +189,10 @@ class Network:
         frame may be duplicated. Without an injector this path is
         exactly the clean-fabric code.
         """
-        if source not in self._nodes:
-            raise ValidationError(f"unknown source node {source}")
-        if destination not in self._nodes:
-            raise ValidationError(f"unknown destination node {destination}")
-        if size_bytes < 0:
-            raise ValidationError(f"size_bytes must be >= 0, got {size_bytes}")
+        sent = self._slot_of.get(source, -1)
+        received = self._slot_of.get(destination, -1)
+        if sent < 0 or received < 0 or size_bytes < 0:
+            sent, received = self._admit((source, destination), size_bytes)
         delivered = True
         retransmits = duplicates = 0
         if self.faults is not None:
@@ -195,7 +203,7 @@ class Network:
             retransmits = verdict.retransmits
             duplicates = verdict.copies - 1
         self._charge(
-            kind, ((source, 1),), ((destination, 1),), size_bytes,
+            kind, sent, received, size_bytes,
             retransmits, duplicates, not delivered,
         )
         recorder = runtime.current.tracer
@@ -219,31 +227,38 @@ class Network:
         """Forward one message along a routed chain ``source`` → ``path``.
 
         ``path[i]`` receives frame ``i`` and sends frame ``i + 1`` (a
-        backtracking walk may revisit nodes). On a clean fabric with the
-        flight recorder off, the chain is checked as :meth:`transmit`
-        checks a frame and then is ONE :meth:`_charge` (rows created in
-        the per-frame order); otherwise every frame needs its own verdict
-        or edge, so it is a :meth:`transmit` loop.
+        backtracking walk may revisit nodes). The whole chain is checked
+        as :meth:`transmit` checks a frame before any frame is charged.
+        On a clean fabric with the flight recorder off its frames are then
+        written in one loop (nodes touched in the per-frame order);
+        otherwise every frame needs its own verdict or edge, so it is a
+        :meth:`transmit` loop.
         """
-        senders = [source, *path[:-1]]
+        if not path:
+            return
+        chain = (source, *path)
+        slots = [self._slot_of.get(node_id, -1) for node_id in chain]
+        if min(slots) < 0 or size_bytes < 0:
+            slots = self._admit(chain, size_bytes)
         if runtime.current.flight.enabled or (
             self.faults is not None and not self.faults.passthrough
         ):
-            for sender, hop_id in zip(senders, path):
+            for sender, hop_id in zip(chain, path):
                 self.transmit(sender, hop_id, kind, size_bytes)
             return
-        if not path:
-            return
-        for i, node_id in enumerate((source, *path)):
-            if node_id not in self._nodes:
-                role = "destination" if i else "source"
-                raise ValidationError(f"unknown {role} node {node_id}")
-        if size_bytes < 0:
-            raise ValidationError(f"size_bytes must be >= 0, got {size_bytes}")
-        self._charge(
-            kind, [(s, 1) for s in senders], [(r, 1) for r in path], size_bytes
-        )
+        # _charge's clean-frame write, inlined: a routed chain is ~10
+        # frames, and one call per frame cost it ~25 %.
+        msgs_in, msgs_out, bytes_in, bytes_out = self.load._io
+        for sent, received in zip(slots, slots[1:]):
+            msgs_out[sent] += 1
+            bytes_out[sent] += size_bytes
+            msgs_in[received] += 1
+            bytes_in[received] += size_bytes
         n = len(path)
+        bucket = self.metrics.by_kind[kind]
+        bucket.messages += n
+        bucket.hops += n
+        bucket.bytes += n * size_bytes
         runtime.current.tracer.add(messages=n, hops=n, bytes=size_bytes * n)
 
     def transmit_bulk(
@@ -251,14 +266,12 @@ class Network:
     ) -> int:
         """Account many equal-sized one-hop frames in one batched pass.
 
-        The scale-harness companion to :meth:`transmit`, and the same
-        write: each side is collapsed once to ``(id, count)`` pairs —
-        distinct node ids ascending, frames each — and handed to the
-        :meth:`_charge` every single frame goes through, so the ledger
-        rows read exactly what the per-frame loop would have left, at
-        O(distinct nodes) Python cost. Everything is checked before a
-        row is touched, endpoints by the rule and wording of
-        :meth:`transmit` (one membership test per *distinct* id).
+        The scale-harness companion to :meth:`transmit`, leaving what the
+        per-frame loop would in array passes: each side is collapsed to
+        its distinct ids (ascending) and frame counts, checked registered
+        and mapped to ledger slots by one sorted-index search (the rule
+        and wording of :meth:`transmit`), and added with one fancy-index
+        add per column, senders first. All is checked before any write.
         Restricted to the clean fabric — bulk construction models an
         orchestrated bootstrap, which the fault injector (per-message
         verdicts) cannot meaningfully perturb. With the flight recorder
@@ -280,17 +293,25 @@ class Network:
         n_frames = senders.size
         if n_frames == 0:
             return 0
-        collapsed = []
+        sides = []
         for endpoints, role in ((senders, "source"), (receivers, "destination")):
-            ids, counts = np.unique(endpoints, return_counts=True)
-            ids = ids.tolist()
-            self.require_registered(ids, role)
-            collapsed.append(zip(ids, counts.tolist()))
+            ids, frames = np.unique(endpoints, return_counts=True)
+            sides.append((self.require_registered(ids, role), frames))
         if runtime.current.flight.enabled:
             for source, destination in zip(senders.tolist(), receivers.tolist()):
                 self.transmit(source, destination, kind, size_bytes)
             return n_frames
-        self._charge(kind, *collapsed, size_bytes)
+        cols = self.load._cols
+        for (slots, frames), msgs, nbytes in zip(
+            sides, (rows.MSGS_OUT, rows.MSGS_IN), (rows.BYTES_OUT, rows.BYTES_IN)
+        ):
+            self.load._touch_many(slots)  # senders first, as the loop would
+            cols[msgs, slots] += frames
+            cols[nbytes, slots] += frames * size_bytes
+        bucket = self.metrics.by_kind[kind]
+        bucket.messages += n_frames
+        bucket.hops += n_frames
+        bucket.bytes += n_frames * size_bytes
         recorder = runtime.current.tracer
         if recorder.enabled:
             recorder.add(
@@ -313,7 +334,7 @@ class Network:
         snapshot = {
             "metrics": self.metrics.snapshot(),
             "energy": self.energy.snapshot(),
-            "nodes": len(self._nodes),
+            "nodes": int(self.load._cols[rows.REGISTERED].sum()),
         }
         if self.faults is not None:
             snapshot["faults"] = self.faults.snapshot()

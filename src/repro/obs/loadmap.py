@@ -1,14 +1,14 @@
 """Zone and peer load accounting: who pays for dissemination, and how unevenly.
 
 :func:`build_loadmap` is a *reader* of the fabric's frame ledger
-(:mod:`repro.net.metrics` — the per-node :class:`NodeLoad` rows the
-fabric writes once per frame, seen through ``fabric.load`` and priced by
-``fabric.energy``). It fuses those rows with overlay geometry (zones,
-store rows held) and the level stores' generation counters into one
-generation-tagged snapshot: per-zone and per-peer rows, top-k hotspot
-rankings, and Gini / max-over-mean skew statistics. This is the signal
-ROADMAP's load-aware replication and GeoP2P-style zone rebalancing
-consume.
+(:mod:`repro.net.metrics` — the per-node counter columns the fabric
+writes once per frame, read as :class:`NodeLoad` records through
+``fabric.load``, priced by ``fabric.energy``). It fuses those with
+overlay geometry (zones, store rows held) and the level stores'
+generation counters into one generation-tagged snapshot: per-zone and
+per-peer rows, top-k hotspot rankings, and Gini / max-over-mean skew
+statistics. This is the signal ROADMAP's load-aware replication and
+GeoP2P-style zone rebalancing consume.
 
 ``build_loadmap`` reads a :class:`repro.core.network.HyperMNetwork`
 through its attributes only and imports nothing from ``repro.core``, so

@@ -236,7 +236,7 @@ def build_grid_can(
         node_id_offset=node_id_offset,
     )
     can.fabric.register_many(
-        range(node_id_offset, node_id_offset + plan.n_cells)
+        np.arange(node_id_offset, node_id_offset + plan.n_cells)
     )
     can._next_id = node_id_offset + plan.n_cells
     can._nodes = _UnbuiltGrid(can, plan)

@@ -101,6 +101,14 @@ class ReplayOracle:
         dst["retransmits"] += retransmits
         dst["duplicates"] += duplicates
 
+    def bulk(self, senders, receivers, kind, size) -> None:
+        """``transmit_bulk``: distinct senders, then distinct receivers,
+        are touched in ascending id order; then every frame is replayed."""
+        for node_id in sorted(set(senders)) + sorted(set(receivers)):
+            self._slot(node_id)
+        for source, destination in zip(senders, receivers):
+            self.frame(source, destination, kind, size)
+
     def query_hit(self, node_id: int, n: int = 1) -> None:
         self._slot(node_id)["query_hits"] += n
 

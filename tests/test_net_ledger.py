@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.faults.injector import Verdict
-from repro.net import MessageKind, NodeLoad
+from repro.net import MessageKind, Network
 from tests.ledger_oracle import (
     ReplayOracle,
+    ScriptedInjector,
     fabric,
     kind_counts,
     load_records,
@@ -147,36 +150,37 @@ class TestViews:
     def test_total_energy_reads_kinds_not_nodes(self):
         """``energy.total`` is O(kinds): 1e5 touched nodes, none visited."""
 
-        class CountingRows(dict):
+        class CountingLedger:
+            """Counts every read the energy view makes of the load ledger."""
+
             visits = 0
 
-            def _visit(self, view):
-                CountingRows.visits += 1
-                return view
+            def __init__(self, ledger):
+                self._ledger = ledger
 
-            def __iter__(self):
-                return self._visit(super().__iter__())
+            def __getattr__(self, name):
+                CountingLedger.visits += 1
+                return getattr(self._ledger, name)
 
-            def values(self):
-                return self._visit(super().values())
-
-            def items(self):
-                return self._visit(super().items())
-
-        net = fabric(2)
+        net = Network()
+        net.register_many(range(100_002))
         net.transmit(0, 1, MessageKind.INSERT, 64)
         net.transmit(1, 0, MessageKind.DATA, 512)
-        rows = CountingRows(net.load.per_node)
-        for node_id in range(2, 100_002):
-            rows[node_id] = NodeLoad()
-        net.load.per_node = rows
+        net.transmit_bulk(
+            MessageKind.JOIN, range(2, 100_002), range(2, 100_002), 0
+        )
+        assert net.load.snapshot()["nodes"] == 100_002
+        net.energy._load = CountingLedger(net.load)
         model = net.energy.model
-        expected = model.hop_cost(64) + model.hop_cost(512)
+        expected = (
+            model.hop_cost(64) + model.hop_cost(512)
+            + 100_000 * model.hop_cost(0)
+        )
         assert net.energy.total == pytest.approx(expected, rel=REL)
-        assert CountingRows.visits == 0
-        assert len(net.metrics.by_kind) == 2
-        net.energy.snapshot()  # the per-node statistics do walk the rows
-        assert CountingRows.visits > 0
+        assert CountingLedger.visits == 0
+        assert len(net.metrics.by_kind) == 3
+        net.energy.snapshot()  # the per-node statistics do read the ledger
+        assert CountingLedger.visits > 0
 
 
 class TestBulkIsTheSameWrite:
@@ -228,6 +232,36 @@ class TestBulkIsTheSameWrite:
         assert load_records(recorded) == load_records(bulk)
         assert recorded.energy.per_node == pytest.approx(
             bulk.energy.per_node, rel=REL
+        )
+
+
+    def test_an_empty_fabric_refuses_a_batch(self):
+        net = Network()
+        with pytest.raises(ValidationError, match="unknown source node 5"):
+            net.transmit_bulk(MessageKind.INSERT, [5], [6], 8)
+        assert net.load.per_node == {} and net.snapshot()["nodes"] == 0
+
+    def test_a_fresh_scale_grid_batch_equals_the_per_frame_loop(self):
+        """One level of the scale harness: 32 768 nodes registered as a
+        block, two frames from each, charged in one batch."""
+        n_nodes = 32_768
+        ids = 1_000_000 + np.arange(n_nodes)
+        senders = np.repeat(ids, 2)
+        receivers = ids[np.random.default_rng(13).integers(n_nodes, size=senders.size)]
+        bulk, loop = Network(), Network()
+        for net in (bulk, loop):
+            net.register_many(ids)
+        bulk.transmit_bulk(MessageKind.INSERT, senders, receivers, 88)
+        for source, destination in zip(senders.tolist(), receivers.tolist()):
+            loop.transmit(source, destination, MessageKind.INSERT, 88)
+        assert kind_counts(bulk) == kind_counts(loop)
+        assert bulk.metrics.snapshot() == loop.metrics.snapshot()
+        assert load_records(bulk) == load_records(loop)
+        assert bulk.load.snapshot() == loop.load.snapshot()
+        assert bulk.energy.total == loop.energy.total
+        assert bulk.energy.per_node == loop.energy.per_node
+        assert bulk.energy.snapshot() == pytest.approx(
+            loop.energy.snapshot(), rel=REL
         )
 
 
@@ -349,3 +383,141 @@ class TestPathIsTheSameWrite:
         assert chained.faults.snapshot()["counters"]  # faults really fired
         assert chained_flight.to_records() == looped_flight.to_records()
         assert chained_flight.edges
+
+    @staticmethod
+    def _ledger(net):
+        return (
+            kind_counts(net), load_records(net), list(net.load.per_node),
+            net.load.snapshot(),
+        )
+
+    def _refuse_bad_chains(self, net):
+        with pytest.raises(ValidationError, match="unknown destination node 99"):
+            net.transmit_path(MessageKind.INSERT, 0, [1, 2, 99], 10)
+        with pytest.raises(ValidationError, match="unknown source node 77"):
+            net.transmit_path(MessageKind.INSERT, 77, [1, 2], 10)
+        with pytest.raises(ValidationError, match="size_bytes"):
+            net.transmit_path(MessageKind.INSERT, 0, [1, 2], -1)
+
+    def test_a_flight_recorded_chain_refuses_before_any_frame(self):
+        from repro.obs.flight import FlightRecorder
+        from repro.runtime import run_context
+
+        net, flight = fabric(8), FlightRecorder(clock=lambda: 0.0)
+        with run_context(flight=flight), flight.span("insert"):
+            net.transmit(4, 5, MessageKind.JOIN, 10)
+            edges, ledger = flight.to_records(), self._ledger(net)
+            self._refuse_bad_chains(net)
+            assert flight.to_records() == edges
+        assert self._ledger(net) == ledger
+
+    def test_a_lossy_chain_refuses_before_any_frame(self):
+        from repro.faults.plan import FaultPlan
+
+        net = fabric(8)
+        net.install_faults(FaultPlan(loss=0.3, duplication=0.1, seed=3))
+        net.transmit(4, 5, MessageKind.JOIN, 10)
+        faults, ledger = net.faults.snapshot(), self._ledger(net)
+        self._refuse_bad_chains(net)
+        assert net.faults.snapshot() == faults
+        assert self._ledger(net) == ledger
+
+
+KINDS_ST = st.sampled_from(KINDS)
+SIZES = st.integers(0, 1500)
+VERDICTS = st.builds(
+    Verdict,
+    delivered=st.booleans(),
+    copies=st.integers(1, 3),
+    retransmits=st.integers(0, 3),
+)
+#: Ids a query hit may name before (or without) their registration.
+LOOSE_IDS = st.integers(0, 15) | st.builds(
+    lambda level, k: level * 1_000_000 + k, st.integers(1, 4), st.integers(0, 7)
+)
+
+
+class TestColumnLedgerProperty:
+    """Any interleaving of the four writes, on ids registered one by one
+    and in blocks at the scale grids' offsets, reads as the replay."""
+
+    @staticmethod
+    def _assert_replayed(net, oracle):
+        assert kind_counts(net) == oracle.by_kind
+        assert load_records(net) == oracle.load
+        assert list(net.load.per_node) == list(oracle.load)
+        assert net.load.snapshot() == oracle.load_snapshot()
+        assert net.energy.total == pytest.approx(oracle.energy_total, rel=REL)
+        per_node = net.energy.per_node
+        assert set(per_node) == set(oracle.energy_per_node)
+        for node_id, drain in oracle.energy_per_node.items():
+            assert per_node[node_id] == pytest.approx(drain, rel=REL)
+            assert net.energy.node_energy(node_id) == per_node[node_id]
+        snapshot, expected = net.energy.snapshot(), oracle.energy_snapshot()
+        assert snapshot["nodes_charged"] == expected["nodes_charged"]
+        for key, value in expected.items():
+            assert snapshot[key] == pytest.approx(value, rel=REL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_interleaving_reads_as_the_replay(self, data):
+        net = Network()
+        oracle = ReplayOracle(net.energy.model)
+        registered: list[int] = []
+        next_level = 1
+        for __ in range(data.draw(st.integers(1, 30))):
+            step = data.draw(st.sampled_from(
+                ["one", "block", "frame", "lossy", "path", "bulk", "hit"]
+            ))
+            if step == "one":
+                node_id = data.draw(st.integers(0, 15))
+                if node_id in registered:
+                    with pytest.raises(ValidationError, match="already"):
+                        net.register(node_id)
+                    continue
+                net.register(node_id)
+                registered.append(node_id)
+            elif step == "block":
+                ids = next_level * 1_000_000 + np.arange(
+                    data.draw(st.integers(1, 8))
+                )
+                next_level += 1
+                net.register_many(ids)
+                registered.extend(ids.tolist())
+            elif step == "hit":
+                node_id = data.draw(st.sampled_from(registered) | LOOSE_IDS
+                                    if registered else LOOSE_IDS)
+                n = data.draw(st.integers(0, 3))
+                net.load.note_query_hit(node_id, n)
+                oracle.query_hit(node_id, n)
+            elif not registered:
+                continue
+            else:
+                nodes = st.sampled_from(registered)
+                kind, size = data.draw(KINDS_ST), data.draw(SIZES)
+                if step == "frame":
+                    source, destination = data.draw(nodes), data.draw(nodes)
+                    assert net.transmit(source, destination, kind, size)
+                    oracle.frame(source, destination, kind, size)
+                elif step == "lossy":
+                    source, destination = data.draw(nodes), data.draw(nodes)
+                    verdict = data.draw(VERDICTS)
+                    net.install_faults(ScriptedInjector([verdict]))
+                    net.transmit(source, destination, kind, size)
+                    net.install_faults(None)
+                    oracle.frame(source, destination, kind, size, verdict)
+                elif step == "path":
+                    source = data.draw(nodes)
+                    path = data.draw(st.lists(nodes, min_size=1, max_size=6))
+                    net.transmit_path(kind, source, path, size)
+                    for sender, receiver in zip([source, *path], path):
+                        oracle.frame(sender, receiver, kind, size)
+                else:
+                    pairs = data.draw(st.lists(
+                        st.tuples(nodes, nodes), min_size=1, max_size=10
+                    ))
+                    senders, receivers = (list(side) for side in zip(*pairs))
+                    net.transmit_bulk(kind, senders, receivers, size)
+                    oracle.bulk(senders, receivers, kind, size)
+            self._assert_replayed(net, oracle)
+        assert net.snapshot()["nodes"] == len(registered)

@@ -200,7 +200,7 @@ def level_store_from_dict(payload: dict) -> LevelStore:
         store = LevelStore(int(payload["dimensionality"]))
         for record in payload["entries"]:
             store.restore(
-                int(record["entry_id"]),
+                record["entry_id"],
                 np.asarray(record["key"], dtype=np.float64),
                 float(record["radius"]),
                 _record_from_dict(record["value"]),

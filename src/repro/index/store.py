@@ -39,9 +39,13 @@ import numpy as np
 
 from repro.exceptions import StaleCandidateError, ValidationError
 from repro.geometry.batch import spheres_intersect_batch
+from repro.utils.validation import check_count
 
 #: Initial column capacity (rows) of an empty store.
 _INITIAL_CAPACITY = 64
+
+#: Entry ids a store can map (8 B per id in the span: at most 1 GiB).
+_MAX_ENTRY_IDS = 1 << 27
 
 #: Width of the exact re-resolution band around sphere boundaries (see
 #: :meth:`CellDirectory.hits`); module-level so the scan kernel, the
@@ -528,7 +532,13 @@ class CandidateSet:
 
 
 class LevelStore:
-    """All of one overlay level's published entries, in columnar arrays."""
+    """All of one overlay level's published entries, in columnar arrays.
+
+    Entry ids are issued consecutively from 0; one dense int64 column maps
+    each to its live row (−1: tombstoned or never held), at 8 B per id in
+    its span however few rows live, so an id from ``_MAX_ENTRY_IDS`` (2**27)
+    up is refused before anything changes.
+    """
 
     def __init__(self, dimensionality: int, *, compact_fraction: float = _COMPACT_FRACTION,
                  compact_min_tombstones: int = _COMPACT_MIN_TOMBSTONES):
@@ -562,7 +572,7 @@ class LevelStore:
         self._stamps: np.ndarray | None = None
         self._live = np.empty(0, dtype=bool)
         self._values: list = []
-        self._row_by_id: dict[int, int] = {}
+        self._row_of_id = np.empty(0, dtype=np.int64)
         self._memberships: weakref.WeakSet[NodeMembership] = weakref.WeakSet()
         #: ``(rows, holders)`` held for memberships not built yet (see
         #: :meth:`defer_rows`); ``None`` when there are none.
@@ -800,9 +810,9 @@ class LevelStore:
 
     def restore(self, entry_id: int, key: np.ndarray, radius: float,
                 value: object) -> int:
-        """Append one entry with an explicit id (deserialization path)."""
-        entry_id = int(entry_id)
-        if entry_id in self._row_by_id:
+        """Append one entry with an explicit whole id >= 0 no live row holds."""
+        entry_id = check_count(entry_id, "entry_id", floor=0)
+        if self._live_row(entry_id) >= 0:
             raise ValidationError(f"duplicate entry id {entry_id}")
         return self._append(entry_id, key, radius, value)
 
@@ -812,9 +822,21 @@ class LevelStore:
         Deserialization uses this to resume past a snapshot's high-water
         mark — including ids that were tombstoned before the snapshot and
         therefore do not appear in it — so restored and future entries can
-        never collide.
+        never collide. A floor past the id map's bound is refused.
         """
+        self._map_ids(int(floor))
         self._next_entry_id = max(self._next_entry_id, int(floor))
+
+    def _map_ids(self, stop: int) -> None:
+        """Grow the id map (geometrically) to cover ids below ``stop``."""
+        old = self._row_of_id
+        if stop <= old.size:
+            return
+        if stop > _MAX_ENTRY_IDS:
+            raise ValidationError(f"entry id {stop - 1} is past the id map's bound")
+        size = min(max(stop, 2 * old.size), _MAX_ENTRY_IDS)
+        self._row_of_id = np.full(size, -1, dtype=np.int64)
+        self._row_of_id[: old.size] = old
 
     def _append(self, entry_id: int, key: np.ndarray, radius: float,
                 value: object) -> int:
@@ -827,6 +849,7 @@ class LevelStore:
         radius = float(radius)
         if radius < 0.0:
             raise ValidationError(f"radius must be >= 0, got {radius}")
+        self._map_ids(entry_id + 1)
         if self._size == self._capacity:
             self._grow_to(self._size + 1)
         row = self._size
@@ -840,7 +863,7 @@ class LevelStore:
         self._heat[row] = 0
         self._live[row] = True
         self._values.append(value)
-        self._row_by_id[entry_id] = row
+        self._row_of_id[entry_id] = row
         self._size += 1
         self._next_entry_id = max(self._next_entry_id, entry_id + 1)
         self._bump(row)
@@ -887,31 +910,34 @@ class LevelStore:
         from); ``values`` defaults to ``None`` payloads, which scoring
         never touches.
         """
-        keys, radii, items_col, peer_col = self.check_bulk(
+        columns = self.check_bulk(
             keys, radii, items=items, peer_ids=peer_ids, values=values
         )
+        return self._bulk_append(*columns, values)
+
+    def _bulk_append(self, keys, radii, items_col, peer_col, values) -> np.ndarray:
+        """:meth:`bulk_add` of the columns :meth:`check_bulk` returned."""
         n = keys.shape[0]
         if n == 0:
             return np.empty(0, dtype=np.int64)
+        first = self._next_entry_id
+        self._map_ids(first + n)
         if self._size + n > self._capacity:
             self._grow_to(self._size + n)
         start = self._size
         stop = start + n
         rows = np.arange(start, stop, dtype=np.int64)
-        ids = np.arange(
-            self._next_entry_id, self._next_entry_id + n, dtype=np.int64
-        )
         self._keys[start:stop] = keys
         self._key_sq[start:stop] = np.einsum("ij,ij->i", keys, keys)
         self._radii[start:stop] = radii
         self._items[start:stop] = items_col
         self._peer_ids[start:stop] = peer_col
-        self._entry_ids[start:stop] = ids
+        self._entry_ids[start:stop] = np.arange(first, first + n, dtype=np.int64)
         self._refcounts[start:stop] = 0
         self._heat[start:stop] = 0
         self._live[start:stop] = True
         self._values.extend([None] * n if values is None else values)
-        self._row_by_id.update(zip(ids.tolist(), rows.tolist()))
+        self._row_of_id[first : first + n] = rows
         self._size = stop
         self._next_entry_id += n
         self._bump(slice(start, stop))
@@ -1044,13 +1070,18 @@ class LevelStore:
     def _tombstone(self, row: int) -> None:
         self._live[row] = False
         self._n_tombstones += 1
-        self._row_by_id.pop(int(self._entry_ids[row]), None)
+        self._row_of_id[self._entry_ids[row]] = -1
         self._values[row] = None  # release the payload immediately
         self._bump(row)
 
     def has_entry(self, entry_id: int) -> bool:
         """True when ``entry_id`` names a live row."""
-        return int(entry_id) in self._row_by_id
+        return self._live_row(entry_id) >= 0
+
+    def _live_row(self, entry_id) -> int:
+        """Row holding ``entry_id``, or −1 when no live row does."""
+        ids, entry_id = self._row_of_id, int(entry_id)
+        return ids.item(entry_id) if 0 <= entry_id < len(ids) else -1
 
     def update_entry(
         self,
@@ -1126,8 +1157,8 @@ class LevelStore:
         Returns False when the id is unknown (already dead). The row is
         tombstoned by the final membership release.
         """
-        row = self._row_by_id.get(int(entry_id))
-        if row is None:
+        row = self._live_row(entry_id)
+        if row < 0:
             return False
         for membership in list(self._memberships):
             membership.discard(row)
@@ -1218,9 +1249,8 @@ class LevelStore:
         self._live[new_size:] = False
         self._size = new_size
         self._n_tombstones = 0
-        self._row_by_id = {
-            int(self._entry_ids[row]): row for row in range(new_size)
-        }
+        # Dead ids already read -1; every live id takes its new row.
+        self._row_of_id[self._entry_ids[:new_size]] = np.arange(new_size)
         for membership in list(self._memberships):
             membership._remap(mapping)
         if self._deferred is not None:
@@ -1234,10 +1264,10 @@ class LevelStore:
 
     def row_of(self, entry_id: int) -> int:
         """Row index of a live entry id."""
-        try:
-            return self._row_by_id[int(entry_id)]
-        except KeyError:
-            raise ValidationError(f"unknown entry id {entry_id}") from None
+        row = self._live_row(entry_id)
+        if row < 0:
+            raise ValidationError(f"unknown entry id {entry_id}")
+        return row
 
     def entry_id_of(self, row: int) -> int:
         """Stable entry id of a row."""
@@ -1456,7 +1486,7 @@ class LevelStore:
         """Query-heat counters of ``rows`` (vectorized gather)."""
         return self._heat[np.asarray(rows, dtype=np.int64)]
 
-    def sphere_heat(self) -> dict[int, int]:
+    def sphere_heat(self) -> dict:
         """``{entry_id: times a range query returned it}`` over live rows.
 
         The per-sphere demand signal the adaptation controller consumes:
@@ -1500,6 +1530,7 @@ class LevelStore:
         live = self._live[: self._size]
         if not np.array_equal(counts[live], self._refcounts[: self._size][live]):
             raise ValidationError("refcounts disagree with memberships")
-        ids = {int(self._entry_ids[row]) for row in np.flatnonzero(live)}
-        if ids != set(self._row_by_id):
+        expected = np.full(self._row_of_id.size, -1)
+        expected[self._entry_ids[: self._size][live]] = np.flatnonzero(live)
+        if not np.array_equal(expected, self._row_of_id):
             raise ValidationError("entry-id map disagrees with live rows")

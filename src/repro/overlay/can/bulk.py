@@ -21,8 +21,8 @@ directly:
   against :meth:`CANNetwork._rebuild_all_neighbors` in the test suite —
   and memberships holding whatever was published before;
 * :func:`bulk_publish` — vectorised sphere publication: everything is
-  validated before anything changes, then :meth:`LevelStore.bulk_add`
-  appends every row in one pass, owners come from one
+  validated once before anything changes, then :meth:`LevelStore.bulk_add`'s
+  append takes the checked columns in one pass, owners come from one
   ``floor(key · counts)`` gather, and traffic is accounted through the
   fabric's batched :meth:`~repro.net.network.Network.transmit_bulk`.
   Each row's owner is recorded as a column
@@ -290,7 +290,7 @@ def bulk_publish(
         check_matrix(keys, "keys", dim=can.dimensionality, min_rows=0), "keys"
     )
     store = can.level_store
-    store.check_bulk(keys, radii, items=items, peer_ids=peer_ids, values=values)
+    cols = store.check_bulk(keys, radii, items=items, peer_ids=peer_ids, values=values)
     owners = plan._owners(keys)
     senders = owners if origins is None else np.asarray(
         origins, dtype=np.int64
@@ -325,9 +325,7 @@ def bulk_publish(
             MessageKind.INSERT, senders, owners, size
         )
         can.fabric.finish_operation(MessageKind.INSERT, messages)
-    rows = store.bulk_add(
-        keys, radii, items=items, peer_ids=peer_ids, values=values
-    )
+    rows = store._bulk_append(*cols, values)  # checked once, above
     store.defer_rows(rows, owners)
     if not unbuilt:
         store.land_deferred(lambda holder: can.node(holder).membership)

@@ -24,6 +24,7 @@ from repro.exceptions import DimensionalityError, ValidationError
 from repro.faults import FaultPlan
 from repro.index import LevelStore
 from repro.net.messages import MessageKind, vector_message_size
+from repro.net import network as fabric_module
 from repro.net.network import Network
 from repro.overlay.can import (
     BulkPublishReport,
@@ -458,7 +459,7 @@ class TestWorkCounts:
     def test_one_refcount_pass_and_no_sort_per_ledger(self, monkeypatch):
         can, plan = build_grid_can(2, 64)
         rng = np.random.default_rng(5)
-        calls = {"incref": 0, "unique": 0}
+        calls = {"incref": 0, "collapse": 0, "unique": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -470,10 +471,15 @@ class TestWorkCounts:
             LevelStore, "_incref_bulk",
             counted("incref", LevelStore._incref_bulk),
         )
+        monkeypatch.setattr(
+            fabric_module, "_collapse",
+            counted("collapse", fabric_module._collapse),
+        )
         monkeypatch.setattr(np, "unique", counted("unique", np.unique))
         bulk_publish(can, plan, rng.random((500, 2)), 0.01)
-        # One collapse per side, shared by both ledgers.
-        assert calls == {"incref": 1, "unique": 2}
+        # One collapse per side, shared by both ledgers; a grid's ids are
+        # dense, so neither collapse sorts.
+        assert calls == {"incref": 1, "collapse": 2, "unique": 0}
         can.level_store.verify_integrity()
 
 

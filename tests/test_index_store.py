@@ -7,6 +7,7 @@ filtering and scoring must match the scalar ``StoredEntry.intersects`` /
 ``level_scores_scalar`` oracle to 1e-9.
 """
 
+import json
 from collections.abc import Mapping
 
 import numpy as np
@@ -501,6 +502,143 @@ class TestSerializationRoundTrip:
         restored = level_store_from_dict(payload)
         assert restored.n_live == 5
         assert list(restored.live_rows()) == list(range(5))
+
+
+class TestEntryIdRefusals:
+    """``restore`` takes a whole id >= 0 the dense id map can hold."""
+
+    @pytest.mark.parametrize("bad", [2.7, True, -5, "3", 2.0])
+    def test_restore_refuses_an_id_that_is_not_a_whole_count(self, bad):
+        store = LevelStore(2)
+        with pytest.raises(ValidationError, match="entry_id"):
+            store.restore(bad, np.zeros(2), 0.1, _record(0))
+        assert store.n_rows == 0 and store.generation == 0
+        assert store.next_entry_id == 0
+
+    def test_restore_takes_a_numpy_integer(self):
+        store = LevelStore(2)
+        row = store.restore(np.int64(4), np.zeros(2), 0.1, _record(0))
+        assert store.row_of(4) == row and store.next_entry_id == 5
+
+    @pytest.mark.parametrize("ids", [(0, 10**15), (0,)])
+    def test_a_snapshot_past_the_map_span_is_refused_unchanged(self, ids):
+        payload = {
+            "store_format_version": 1,
+            "dimensionality": 2,
+            "next_entry_id": 10**15 + 1,
+            "entries": [
+                {"entry_id": eid, "key": [0.5, 0.5], "radius": 0.1,
+                 "value": {"kind": "cluster", "peer_id": 0, "items": 1,
+                           "level_name": "A"}}
+                for eid in ids
+            ],
+        }
+        with pytest.raises(ValidationError, match="entry id"):
+            level_store_from_dict(payload)
+        store = LevelStore(2)
+        store.add(np.zeros(2), 0.1, _record(0))
+        generation = store.generation
+        with pytest.raises(ValidationError, match="entry id"):
+            store.restore(10**15, np.zeros(2), 0.1, _record(0))
+        assert store.generation == generation and store.n_rows == 1
+        assert store.next_entry_id == 1 and not store.has_entry(10**15)
+
+    def test_a_churned_round_trip_always_restores(self, rng):
+        store = LevelStore(2)
+        for peer in rng.integers(4, size=3000).tolist():
+            store.add(rng.random(2), 0.05, _record(peer))
+        store.restore(90_000, rng.random(2), 0.1, _record(1))
+        for eid in range(1, 3000, 7):
+            store.remove_entry(eid)
+        store.remove_peer_entries(2)
+        store.compact()
+        store.add(rng.random(2), 0.2, _record(3))
+        text = json.dumps(level_store_to_dict(store))
+        restored = level_store_from_dict(json.loads(text))
+        restored.verify_integrity()
+        assert restored.next_entry_id == store.next_entry_id == 90_002
+        assert restored.n_live == store.n_live
+        for row in store.live_rows().tolist():
+            eid = store.entry_id_of(row)
+            twin = restored.row_of(eid)
+            assert restored.key_of(twin).tolist() == store.key_of(row).tolist()
+            assert restored.radius_of(twin) == store.radius_of(row)
+
+
+class TestEntryIdMapProperty:
+    """The dense id map against a dict oracle over interleaved writes."""
+
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.integers(0, 3)),
+            st.tuples(st.just("restore"), st.integers(0, 80), st.integers(0, 3)),
+            st.tuples(st.just("bulk"), st.integers(0, 9), st.integers(0, 3)),
+            st.tuples(st.just("update"), st.integers(0, 10**6)),
+            st.tuples(st.just("remove"), st.integers(-2, 90)),
+            st.tuples(st.just("reap"), st.integers(0, 3)),
+            st.tuples(st.just("compact")),
+        ),
+        max_size=40,
+    )
+
+    @given(ops=OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_lookups_equal_the_oracle_after_every_step(self, ops):
+        # Compaction runs only when forced, so the oracle can renumber.
+        store = LevelStore(2, compact_min_tombstones=10**9)
+        ledger: list = []  # per row: [entry id, peer, live]
+        next_id, issued = 0, set()
+
+        def append(eid, peer):
+            nonlocal next_id
+            ledger.append([eid, peer, True])
+            issued.add(eid)
+            next_id = max(next_id, eid + 1)
+
+        for step, (op, *args) in enumerate(ops):
+            oracle = {eid: row for row, (eid, __, live) in enumerate(ledger) if live}
+            key = np.full(2, (step % 10) / 10.0)
+            if op == "add":
+                store.add(key, 0.1, _record(args[0]))
+                append(next_id, args[0])
+            elif op == "restore":
+                eid, peer = args
+                if eid in oracle:
+                    with pytest.raises(ValidationError, match="duplicate"):
+                        store.restore(eid, key, 0.1, _record(peer))
+                else:
+                    store.restore(eid, key, 0.1, _record(peer))
+                    append(eid, peer)
+            elif op == "bulk":
+                n, peer = args
+                store.bulk_add(np.tile(key, (n, 1)), 0.1, peer_ids=peer)
+                for eid in range(next_id, next_id + n):
+                    append(eid, peer)
+            elif op == "update" and oracle:
+                eid = sorted(oracle)[args[0] % len(oracle)]
+                assert store.update_entry(eid, radius=0.2) == oracle[eid]
+            elif op == "remove":
+                assert store.remove_entry(args[0]) == (args[0] in oracle)
+                if args[0] in oracle:
+                    ledger[oracle[args[0]]][2] = False
+            elif op == "reap":
+                doomed = [r for r in ledger if r[2] and r[1] == args[0]]
+                assert store.remove_peer_entries(args[0]) == len(doomed)
+                for record in doomed:
+                    record[2] = False
+            elif op == "compact":
+                store.compact()
+                ledger[:] = [record for record in ledger if record[2]]
+            oracle = {eid: row for row, (eid, __, live) in enumerate(ledger) if live}
+            assert store.next_entry_id == next_id
+            for eid in issued | {-1, store.next_entry_id}:
+                assert store.has_entry(eid) == (eid in oracle)
+                if eid in oracle:
+                    assert store.row_of(eid) == oracle[eid]
+                else:
+                    with pytest.raises(ValidationError):
+                        store.row_of(eid)
+            store.verify_integrity()
 
 
 class TestUpdateEntry:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ValidationError
 from repro.faults.injector import Verdict
 from repro.net import MessageKind, Network
+from repro.net import network as network_module
 from tests.ledger_oracle import (
     ReplayOracle,
     ScriptedInjector,
@@ -263,6 +264,40 @@ class TestBulkIsTheSameWrite:
         assert bulk.energy.snapshot() == pytest.approx(
             loop.energy.snapshot(), rel=REL
         )
+
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_the_collapse_is_unique_on_both_branches(self, sparse, monkeypatch):
+        """A grid's contiguous span is counted without a sort; a wide,
+        sparse span takes ``np.unique``. Both read as ``np.unique``."""
+        rng = np.random.default_rng(17)
+        ids = (
+            rng.choice([0, 10**12], size=500) if sparse
+            else 1_000_000 + rng.integers(32_768, size=65_536)
+        )
+        expected = np.unique(ids, return_counts=True)
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *a, **k: (sorts.append(1), unique(*a, **k))[1]
+        )
+        got = network_module._collapse(ids)
+        assert len(sorts) == int(sparse)
+        for column, want in zip(got, expected):
+            assert column.dtype == want.dtype
+            assert np.array_equal(column, want)
+
+    def test_a_sparse_id_batch_equals_the_per_frame_loop(self):
+        ids = np.array([0, 10**12, 7])
+        senders, receivers = ids[[0, 1, 1, 2]], ids[[1, 0, 2, 1]]
+        bulk, loop = Network(), Network()
+        for net in (bulk, loop):
+            net.register_many(ids)
+        bulk.transmit_bulk(MessageKind.INSERT, senders, receivers, 16)
+        for source, destination in zip(senders.tolist(), receivers.tolist()):
+            loop.transmit(source, destination, MessageKind.INSERT, 16)
+        assert load_records(bulk) == load_records(loop)
+        assert bulk.metrics.snapshot() == loop.metrics.snapshot()
 
 
 class TestPathIsTheSameWrite:

@@ -91,7 +91,7 @@ class BloomPublisher:
     """The rejected design, end to end: per-peer Bloom filters of item keys.
 
     Peers broadcast their filters once (one message per peer pair in a
-    shared-space MANET); queries test membership locally and fetch from
+    shared-space MANET); queries test the filters locally and fetch from
     claiming peers.
     """
 

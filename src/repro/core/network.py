@@ -79,7 +79,7 @@ class HyperMNetwork:
         peer's clustering.
     overlay_factory:
         Callable ``(dimensionality, *, fabric, rng, node_id_offset) ->
-        Overlay``. When ``None``, the run context's ``overlay`` (the
+        StoreMaintenancePlane``. When ``None``, the run context's ``overlay`` (the
         CLI's ``--overlay`` flag; :mod:`repro.runtime`) wins, then
         :class:`repro.overlay.can.CANNetwork`. Any registered
         backend (BATON, VBI) demonstrates overlay
@@ -160,7 +160,7 @@ class HyperMNetwork:
             f"peers={self.n_peers}, overlay={overlay})"
         )
 
-    # -- membership -----------------------------------------------------------
+    # -- peers ----------------------------------------------------------------
 
     def add_peer(
         self, data: np.ndarray, item_ids: np.ndarray | None = None
@@ -227,13 +227,13 @@ class HyperMNetwork:
 
     def withdraw_summaries(self, peer_id: int, *, charge: bool = False) -> int:
         """Drop every published cluster record of ``peer_id``; returns the
-        number of node-level removals (one per membership dropped).
+        number of node-level removals (one per holding dropped).
 
         The peer's rows come from one vectorized scan of the level store's
-        peer-id column; each holding node releases its membership of those
-        rows, the last release tombstones the row, and the store compacts
-        if the tombstone threshold is passed — so a withdrawn sphere can
-        never be scored again (any outstanding
+        peer-id column; the overlay releases every holding of them and
+        tombstones them (:meth:`StoreMaintenancePlane.withdraw_rows`), and
+        the store compacts if the tombstone threshold is passed — so a
+        withdrawn sphere can never be scored again (any outstanding
         :class:`repro.index.CandidateSet` turns stale).
 
         With ``charge=True`` the withdrawal traffic is accounted: one
@@ -242,42 +242,14 @@ class HyperMNetwork:
         leaves withdrawal free, matching the dissemination experiments
         (which measure publication only).
         """
-        from repro.net.messages import MessageKind, vector_message_size
-
         removed = 0
         for level in self.levels:
             self._published_entries.pop((level, peer_id), None)
         for level, overlay in self.overlays.items():
-            store = overlay.level_store
-            doomed = store.rows_for_peer(peer_id)
-            if doomed.size == 0:
-                continue
-            holders_by_entry: dict[int, list[int]] = {}
-            for node_id in overlay.node_ids:
-                node = overlay.node(node_id)
-                held = np.intersect1d(
-                    doomed, node.membership.rows(), assume_unique=True
-                )
-                if held.size == 0:
-                    continue
-                for row in held:
-                    holders_by_entry.setdefault(
-                        store.entry_id_of(row), []
-                    ).append(node_id)
-                removed += node.membership.discard_many(held)
-            origin = self._overlay_node.get((level, peer_id))
-            if charge and origin is not None:
-                size = vector_message_size(level.dimensionality, scalars=1)
-                for holders in holders_by_entry.values():
-                    prev = origin
-                    for holder in holders:
-                        if holder == prev:
-                            continue
-                        self.fabric.transmit(
-                            prev, holder, MessageKind.REPLICATE, size
-                        )
-                        prev = holder
-            store.maybe_compact()
+            removed += overlay.withdraw_rows(
+                overlay.level_store.rows_for_peer(peer_id),
+                origin=self._overlay_node.get((level, peer_id)) if charge else None,
+            )
         return removed
 
     def overlay_node(self, level: Level, peer_id: int) -> int:
@@ -349,8 +321,17 @@ class HyperMNetwork:
         :mod:`repro.core.serialization` from a previous session) skips the
         decomposition/clustering step entirely — it must match this
         network's dimensionality and levels.
+
+        A peer publishes in full once: while its spheres are published
+        (until :meth:`withdraw_summaries`), bring it up to date with
+        :meth:`republish_peer` instead — a second full publication would
+        add a second copy of every sphere that no delta ever retracts.
         """
         peer = self.peers[peer_id]
+        if any((level, peer_id) in self._published_entries for level in self.levels):
+            raise ValidationError(
+                f"peer {peer_id} is already published; use republish_peer"
+            )
         recorder = runtime.current.tracer
         with recorder.span(
             "publish", peer=peer_id
@@ -535,16 +516,10 @@ class HyperMNetwork:
                     doomed_sids = [
                         sid for sid in level_delta.removed if sid in mapping
                     ]
-                doomed_entries = [mapping.pop(sid) for sid in doomed_sids]
-                live_doomed = [
-                    eid for eid in doomed_entries if store.has_entry(eid)
-                ]
-                retract_hops = 0
-                if live_doomed:
-                    retract_hops = overlay.retract_entries(
-                        origin, live_doomed
-                    )
-                    report.routing_hops += retract_hops
+                retract_hops = overlay.retract_entries(
+                    origin, [mapping.pop(sid) for sid in doomed_sids]
+                )
+                report.routing_hops += retract_hops
                 report.spheres_removed += len(level_delta.removed)
 
                 # 2. in-place updates; dead entries fall through to revival.
@@ -696,12 +671,12 @@ class HyperMNetwork:
     def stats(self) -> dict:
         """Structured network health summary.
 
-        One call for dashboards and debugging: membership, publication
+        One call for dashboards and debugging: peers, publication
         state per level (spheres, replication factor, level-store health),
         and fabric totals. Replication accounting runs on the level
         store's stable entry ids: every live row is one distinct sphere
         (it exists exactly while some node holds it), and the replication
-        factor is total memberships over live rows.
+        factor is total holdings over live rows.
         """
         online = sum(1 for peer in self.peers.values() if peer.online)
         per_level = {}

@@ -9,7 +9,7 @@ step *i1*/*i2* entirely.
 
 :func:`level_store_to_dict` / :func:`level_store_from_dict` snapshot one
 level's columnar :class:`repro.index.LevelStore`. The stable entry ids are
-part of the format: replication is multi-membership of one row, and the
+part of the format: replication is one row held by several nodes, and the
 network's dedup accounting is keyed by entry id, so a restored store must
 present the same ids (``LevelStore.restore``) — not freshly minted ones —
 for cross-snapshot references to stay valid.
@@ -144,6 +144,8 @@ def _record_to_dict(value: object) -> dict:
 
 
 def _record_from_dict(payload: dict) -> ClusterRecord:
+    if not isinstance(payload, dict):
+        raise ValidationError(f"entry value must be a dict, got {payload!r}")
     if payload.get("kind") != "cluster":
         raise ValidationError(
             f"unknown entry value kind {payload.get('kind')!r}"
@@ -186,7 +188,7 @@ def level_store_from_dict(payload: dict) -> LevelStore:
     Entry ids are restored verbatim via :meth:`LevelStore.restore`, and the
     id allocator resumes past the snapshot's high-water mark so new entries
     can never collide with restored ones. Restored rows start with no
-    memberships; overlay reconstruction re-attaches holders.
+    holders; overlay reconstruction re-attaches them.
     """
     if not isinstance(payload, dict):
         raise ValidationError("level-store payload must be a dict")

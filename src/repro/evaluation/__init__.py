@@ -24,7 +24,6 @@ Modules
 from repro.evaluation.metrics import (
     PrecisionRecall,
     f1_score,
-    gini_coefficient,
     precision_recall,
 )
 from repro.evaluation.resilience import FaultRecallRow, run_fault_recall
@@ -41,7 +40,6 @@ __all__ = [
     "PrecisionRecall",
     "precision_recall",
     "f1_score",
-    "gini_coefficient",
     "HistogramWorkload",
     "MarkovWorkload",
     "build_histogram_network",

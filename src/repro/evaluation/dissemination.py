@@ -16,9 +16,10 @@ from repro.core.network import HyperMConfig, HyperMNetwork
 from repro.datasets.markov import generate_markov_vectors
 from repro.datasets.partition import partition_among_peers
 from repro.datasets.skewed import generate_skewed_dataset
-from repro.evaluation.metrics import gini_coefficient, participation_fraction
+from repro.evaluation.metrics import participation_fraction
 from repro.evaluation.workloads import build_markov_network
 from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.stats import gini
 
 
 # --------------------------------------------------------------------------
@@ -344,6 +345,6 @@ def _fig9_row(configuration: str, skew: int, loads: list[float]) -> Fig9Row:
         configuration=configuration,
         skew_clusters=skew,
         participation=participation_fraction(loads),
-        gini=gini_coefficient(loads),
+        gini=gini(loads),
         max_load_fraction=(max(loads) / total) if total else 0.0,
     )

@@ -49,26 +49,6 @@ def f1_score(retrieved: set, relevant: set) -> float:
     return precision_recall(retrieved, relevant).f1
 
 
-def gini_coefficient(loads) -> float:
-    """Gini coefficient of a load vector: 0 = perfectly even, →1 = one node.
-
-    Used to quantify the Figure 9 claim that wavelet subspaces spread data
-    more evenly than the original space.
-    """
-    arr = np.sort(np.asarray(list(loads), dtype=np.float64))
-    if arr.size == 0:
-        raise ValidationError("loads must be non-empty")
-    if np.any(arr < 0):
-        raise ValidationError("loads must be non-negative")
-    total = arr.sum()
-    if total == 0:
-        return 0.0
-    n = arr.size
-    # Standard formula: G = (2 * sum_i i*x_i) / (n * sum x) - (n + 1) / n
-    index = np.arange(1, n + 1)
-    return float((2.0 * np.sum(index * arr)) / (n * total) - (n + 1.0) / n)
-
-
 def participation_fraction(loads) -> float:
     """Fraction of nodes holding at least one entry (Figure 9's
     "average number of peers holding the data", normalised)."""

@@ -395,6 +395,18 @@ class NodeMembership:
                 dropped += 1
         return dropped
 
+    def _drop(self, rows: set[int]) -> None:
+        """Let the held ones of ``rows`` go without tombstoning them.
+
+        Only :meth:`LevelStore.remove_rows` calls this; it tombstones the
+        rows itself once every holder has let go.
+        """
+        held = self._rows & rows
+        if held:
+            self._rows -= held
+            self._cache = None
+            self._store._refcounts[list(held)] -= 1
+
     def clear(self) -> int:
         """Drop every member row (a departing node releasing its holdings)."""
         dropped = len(self._rows)
@@ -988,8 +1000,7 @@ class LevelStore:
         A bulk-built overlay places rows before it builds the nodes that
         hold them: ``holders[i]`` (an opaque id) holds ``rows[i]``. A
         deferred holding counts in the row's refcount as a membership's
-        does, is let go by :meth:`remove_entry` and
-        :meth:`remove_peer_entries` as a membership's is, follows
+        does, is let go by :meth:`remove_rows` as a membership's is, follows
         compaction, and becomes a real one in :meth:`land_deferred`.
         """
         rows = np.asarray(rows, dtype=np.int64)
@@ -1025,19 +1036,6 @@ class LevelStore:
         self._deferred = None
         np.subtract.at(self._refcounts, rows, 1)
         return self.assign_rows(memberships, rows[order], starts)
-
-    def _release_deferred(self, rows) -> None:
-        """Let the deferred holdings of ``rows`` go, as discards would."""
-        if self._deferred is None:
-            return
-        held, holders = self._deferred
-        hit = np.isin(held, rows)
-        if not hit.any():
-            return
-        keep = ~hit
-        self._deferred = (held[keep], holders[keep]) if keep.any() else None
-        for row in np.sort(held[hit]).tolist():
-            self._decref(row)
 
     def _bump(self, rows) -> None:
         """Bump the generation; stamp ``rows`` (an index or slice) with it."""
@@ -1152,49 +1150,54 @@ class LevelStore:
             return False
 
     def remove_entry(self, entry_id: int) -> bool:
-        """Drop one entry everywhere: every membership forgets its row.
+        """Drop one entry everywhere (:meth:`remove_rows` of its row).
 
-        Returns False when the id is unknown (already dead). The row is
-        tombstoned by the final membership release.
+        Returns False when the id is unknown (already dead).
         """
         row = self._live_row(entry_id)
-        if row < 0:
-            return False
+        return row >= 0 and self.remove_rows([row]) == 1
+
+    def remove_rows(self, rows) -> int:
+        """Drop the live ones of ``rows`` everywhere; returns how many.
+
+        The one way rows leave a level: a single sweep over the registered
+        memberships lets every holder of any of them go, their deferred
+        holdings are released, and then each is tombstoned in the order
+        given (duplicates skipped), whatever held it. No compaction runs
+        here — callers compact at the end of their batch.
+        """
+        doomed = [
+            row for row in dict.fromkeys(map(int, rows)) if self._live[row]
+        ]
+        if not doomed:
+            return 0
+        dropped = set(doomed)
         for membership in list(self._memberships):
-            membership.discard(row)
-        self._release_deferred([row])
-        if self._live[row]:  # held by no membership at all
+            membership._drop(dropped)
+        if self._deferred is not None:
+            held, holders = self._deferred
+            hit = np.isin(held, doomed)
+            keep = ~hit
+            self._deferred = (held[keep], holders[keep]) if keep.any() else None
+            np.subtract.at(self._refcounts, held[hit], 1)
+        for row in doomed:
             self._tombstone(row)
-        return True
+        return len(doomed)
 
     def remove_peer_entries(self, peer_id: int) -> int:
         """Tombstone every live entry published by ``peer_id``.
 
-        One vectorized peer-id column scan finds the doomed rows, then a
-        *single* sweep over the registered memberships drops every doomed
-        row each holds — not one full membership scan per entry, which
-        made reaping a large crashed peer quadratic in its sphere count.
-        Rows still live afterwards (held by no membership) are tombstoned
-        directly, and the store compacts if past threshold. The resilience
-        layer uses this to reap the dangling spheres of a crashed peer
+        One vectorized peer-id column scan finds the doomed rows, one
+        :meth:`remove_rows` drops them, and the store compacts if past
+        threshold. The resilience layer uses this to reap the dangling
+        spheres of a crashed peer
         (:func:`repro.faults.resilience.tombstone_peer`); returns the
         number of entries removed.
         """
-        rows = self.rows_for_peer(peer_id)
-        if rows.size == 0:
-            return 0
-        doomed = {int(row) for row in rows}
-        for membership in list(self._memberships):
-            held = doomed & membership._rows
-            if held:
-                # Sorted for deterministic decref/tombstone order.
-                membership.discard_many(sorted(held))
-        self._release_deferred(rows)
-        for row in rows:
-            if self._live[row]:  # held by no membership at all
-                self._tombstone(int(row))
-        self.maybe_compact()
-        return int(rows.size)
+        removed = self.remove_rows(self.rows_for_peer(peer_id))
+        if removed:
+            self.maybe_compact()
+        return removed
 
     # -- compaction ----------------------------------------------------------
 

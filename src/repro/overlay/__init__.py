@@ -17,14 +17,17 @@ claim:
   KD-tree with virtual internal nodes that partitions the
   multi-dimensional space directly.
 
-In-place delta publication is part of the :class:`Overlay` contract;
-load adaptation (:mod:`repro.overlay.adapt`) runs on CAN's zones only.
+All three extend one store-backed class,
+:class:`repro.overlay.maintenance.StoreMaintenancePlane`: the overlay
+contract — insert, look-up, the range answer and in-place delta
+maintenance — lives there once, and a backend adds only its
+``join``/``leave`` and three hooks (``_locate``, ``_cover``, ``_walk``).
+Load adaptation (:mod:`repro.overlay.adapt`) runs on CAN's zones only.
 :mod:`repro.overlay.registry` maps CLI names to backends.
 """
 
 from repro.overlay.base import (
     InsertReceipt,
-    Overlay,
     RangeReceipt,
     StoredEntry,
 )
@@ -38,7 +41,6 @@ from repro.overlay.registry import (
 from repro.overlay.vbi import VBITree
 
 __all__ = [
-    "Overlay",
     "StoredEntry",
     "InsertReceipt",
     "RangeReceipt",

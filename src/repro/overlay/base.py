@@ -1,24 +1,19 @@
-"""Abstract overlay interface and receipt types.
+"""The overlay's receipt types and its scalar parity oracle.
 
-Hyper-M "works independently of the underlying overlay structure" (paper
-contribution 1); this interface is the contract it relies on: insert a
-batch of (possibly sphere-shaped) keyed entries, find all entries
-intersecting a query sphere, and maintain published entries in place
-(patch live ones, retract dead ones, extend a grown sphere's replica
-set — what the delta publish pipeline,
-:meth:`HyperMNetwork.publish_delta`, runs on), with hop accounting
-throughout.
+The overlay contract itself — insert, range query, look-up and in-place
+maintenance, with hop accounting throughout — is
+:class:`repro.overlay.maintenance.StoreMaintenancePlane`, the one class
+every backend extends.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.geometry.intersection import spheres_intersect
-from repro.index import CandidateSet, LevelStore
+from repro.index import CandidateSet
 from repro.utils.validation import check_positive, check_vector
 
 
@@ -102,79 +97,3 @@ class RangeReceipt:
     def total_hops(self) -> int:
         """Routing plus flooding hops."""
         return self.routing_hops + self.flood_hops
-
-
-class Overlay(abc.ABC):
-    """Minimal overlay contract Hyper-M builds on."""
-
-    #: True when the overlay partitions the key space into geometric
-    #: zones (CAN). Zoneless substrates (tree ranges) leave
-    #: this False so ``build_loadmap`` reports an empty
-    #: zone section instead of fabricating zero-volume rows.
-    zone_geometry = False
-
-    #: The columnar :class:`repro.index.LevelStore` holding every
-    #: published entry of this overlay; nodes hold row memberships into
-    #: it. Every backend's constructor sets it.
-    level_store: LevelStore
-
-    @property
-    @abc.abstractmethod
-    def dimensionality(self) -> int:
-        """Dimensionality of the overlay's key space."""
-
-    @property
-    @abc.abstractmethod
-    def node_ids(self) -> list[int]:
-        """Identifiers of all member nodes."""
-
-    @abc.abstractmethod
-    def insert_many(self, origin: int, keys, values, radii) -> list[InsertReceipt]:
-        """Publish ``(n, m)`` keys from node ``origin``; a receipt per row.
-
-        All rows are validated first, then handled in row order exactly
-        as ``n`` :meth:`insert` calls would be.
-        """
-
-    def insert(
-        self, origin: int, key: np.ndarray, value: object, *, radius: float = 0.0
-    ) -> InsertReceipt:
-        """Publish an entry from node ``origin``; returns hop accounting."""
-        return self.insert_many(origin, [key], [value], [radius])[0]
-
-    @abc.abstractmethod
-    def range_query(
-        self, origin: int, center: np.ndarray, radius: float
-    ) -> RangeReceipt:
-        """Find all entries whose spheres intersect the query sphere."""
-
-    @abc.abstractmethod
-    def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
-        """Point query: entries stored at the owner of ``key`` that contain it."""
-
-    # -- in-place maintenance (the delta publish pipeline) -------------------
-    # All three account their traffic on the shared fabric.
-
-    @abc.abstractmethod
-    def patch_entries(self, origin: int, patches: list) -> tuple[int, int]:
-        """Update live entries in place from node ``origin``.
-
-        ``patches`` is a list of ``(entry_id, radius, value)`` triples
-        for live entries whose keys are unchanged. Returns
-        ``(patch_hops, replica_hops)`` — message hops spent patching
-        holders plus hops spent extending replication of grown spheres.
-        """
-
-    @abc.abstractmethod
-    def retract_entries(self, origin: int, entry_ids: list) -> int:
-        """Remove published entries from node ``origin``; returns hops."""
-
-    @abc.abstractmethod
-    def extend_replication(self, row: int, holder_ids) -> list[int]:
-        """Grow ``row``'s replica set after its radius increased.
-
-        ``holder_ids`` are the nodes currently holding the row. Every
-        node the grown sphere newly covers receives one ``REPLICATE``
-        message and adds the same store row; existing holders are never
-        re-sent anything. Returns the new holder ids.
-        """

@@ -32,8 +32,7 @@ import bisect
 import numpy as np
 
 from repro.exceptions import EmptyNetworkError, RoutingError, ValidationError
-from repro.net.messages import MessageKind, vector_message_size
-from repro.overlay.base import RangeReceipt
+from repro.net.messages import MessageKind
 from repro.overlay.maintenance import StoreMaintenancePlane
 from repro.overlay.morton import (
     MortonNode,
@@ -41,7 +40,6 @@ from repro.overlay.morton import (
     covering_intervals,
     morton_key,
 )
-from repro.utils.validation import check_positive, check_vector
 
 
 class BatonNode(MortonNode):
@@ -332,33 +330,17 @@ class BatonNetwork(StoreMaintenancePlane):
 
     # -- range walk --------------------------------------------------------------
 
-    def range_query(
-        self, origin: int, center: np.ndarray, radius: float
-    ) -> RangeReceipt:
-        """Entries intersecting the query ball, via its Morton interval cover."""
-        center = check_vector(center, "center", dim=self._dim)
-        check_positive(radius, "radius", strict=False)
-        size = vector_message_size(self._dim, scalars=1)
-        targets = self._cover(np.clip(center, 0.0, 1.0), radius)
-        # One store-wide intersection pass per query; each visited node
-        # then filters its membership with a boolean gather.
-        mask = self.level_store.intersection_mask(center, radius)
-        row_arrays: list[np.ndarray] = []
-        visited: list[int] = []
+    def _walk(
+        self, origin: int, center: np.ndarray, radius: float, size: int
+    ) -> tuple[list[int], int, int]:
+        """Route from ``origin`` to each owner of the ball's Morton cover."""
+        visited = self._cover(np.clip(center, 0.0, 1.0), radius)
         routing_hops = 0
-        for node_id in targets:
+        for node_id in visited:
             __, path = self._route(origin, self._node_start_key(node_id))
             self._charge_route(origin, path, MessageKind.RANGE_QUERY, size)
             routing_hops += len(path)
-            visited.append(node_id)
-            row_arrays.append(self.node(node_id).rows_matching(mask))
-        self.fabric.finish_operation(MessageKind.RANGE_QUERY, routing_hops)
-        return RangeReceipt(
-            entries=self.level_store.union_candidates(row_arrays),
-            routing_hops=routing_hops,
-            flood_hops=0,
-            nodes_visited=visited,
-        )
+        return visited, routing_hops, 0
 
     def _node_start_key(self, node_id: int) -> float:
         """The start of ``node_id``'s range (a key that routes to it)."""

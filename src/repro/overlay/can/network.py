@@ -1,4 +1,4 @@
-"""The CAN overlay network: joins, departures, inserts, lookups, queries."""
+"""The CAN overlay network: joins, departures, inserts and its query flood."""
 
 from __future__ import annotations
 
@@ -11,13 +11,13 @@ from repro.net.messages import (
     MessageKind,
     vector_message_size,
 )
-from repro.overlay.base import InsertReceipt, RangeReceipt
+from repro.overlay.base import InsertReceipt
 from repro.overlay.can.node import CANNode
 from repro.overlay.can.routing import flood, route_to_owner
 from repro.overlay.can.table import ZoneTable
 from repro.overlay.can.zone import Zone
 from repro.overlay.maintenance import StoreMaintenancePlane
-from repro.utils.validation import check_positive, check_unit_cube, check_vector
+from repro.utils.validation import check_unit_cube, check_vector
 
 
 class CANNetwork(StoreMaintenancePlane):
@@ -72,6 +72,26 @@ class CANNetwork(StoreMaintenancePlane):
     def _cover(self, center: np.ndarray, radius: float) -> set[int]:
         """Ids of the nodes with a zone meeting the (Euclidean) ball."""
         return self.zone_table().meeting(center, radius)
+
+    def _walk(
+        self, origin: int, center: np.ndarray, radius: float, size: int
+    ) -> tuple[list[int], int, int]:
+        """Route to ``center``'s owner, then flood every zone the ball meets.
+
+        The ball's region is convex, hence connected in the neighbour
+        graph, so the breadth-first flood is complete.
+        """
+        owner_id, path = self._locate(origin, center)
+        self._charge_route(origin, path, MessageKind.RANGE_QUERY, size)
+        visited = [owner_id]
+        for sender_id, neighbor_id in flood(
+            self, [owner_id], self._cover(center, radius)
+        ):
+            self.fabric.transmit(
+                sender_id, neighbor_id, MessageKind.RANGE_QUERY, size
+            )
+            visited.append(neighbor_id)
+        return visited, len(path), len(visited) - 1
 
     # -- membership -----------------------------------------------------------
 
@@ -474,63 +494,9 @@ class CANNetwork(StoreMaintenancePlane):
 
         return shed_replication(self, row)
 
-    def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
-        """The shared point query, recorded as one flight operation."""
-        with runtime.current.flight.span("lookup", origin=origin):
-            return super().lookup(origin, key)
-
-    def range_query(
-        self, origin: int, center: np.ndarray, radius: float
-    ) -> RangeReceipt:
-        """All entries whose spheres intersect the query ball.
-
-        Routes to the owner of ``center`` then floods breadth-first across
-        every zone the (Euclidean) query ball intersects — that region is
-        convex, hence connected in the neighbour graph, so flooding is
-        complete. Request hops are charged; response traffic is not modelled
-        (results are evaluated by precision/recall, matching the paper).
-        """
-        center = check_vector(center, "center", dim=self._dim)
-        check_positive(radius, "radius", strict=False)
-        with runtime.current.flight.span(
-            "range_query", origin=origin
-        ) as flight_op:
-            owner_id, path = self._locate(origin, center)
-            size = vector_message_size(self._dim, scalars=1)
-            self._charge_route(origin, path, MessageKind.RANGE_QUERY, size)
-
-            # One store-wide intersection pass per query; each visited node
-            # then filters its membership with a boolean gather.
-            mask = self.level_store.intersection_mask(center, radius)
-            order = [owner_id]
-            for sender_id, neighbor_id in flood(
-                self, [owner_id], self._cover(center, radius)
-            ):
-                self.fabric.transmit(
-                    sender_id, neighbor_id, MessageKind.RANGE_QUERY, size
-                )
-                order.append(neighbor_id)
-            flood_hops = len(order) - 1
-            row_arrays = [
-                self.node(node_id).rows_matching(mask) for node_id in order
-            ]
-            self.fabric.finish_operation(
-                MessageKind.RANGE_QUERY, len(path) + flood_hops
-            )
-            flight_op.set(zones_visited=len(order))
-        for node_id in order:
-            self.fabric.load.note_query_hit(node_id)
-        recorder = runtime.current.tracer
-        if recorder.enabled:
-            recorder.add(
-                flood_hops=flood_hops, zones_visited=len(order)
-            )
-        return RangeReceipt(
-            entries=self.level_store.union_candidates(row_arrays),
-            routing_hops=len(path),
-            flood_hops=flood_hops,
-            nodes_visited=order,
-        )
+    #: CAN's own attribute, like :attr:`insert`, so the e2e benchmark
+    #: harness can wrap CAN's range queries by name.
+    range_query = StoreMaintenancePlane.range_query
 
     # -- introspection ----------------------------------------------------------
 

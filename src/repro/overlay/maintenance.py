@@ -1,40 +1,46 @@
-"""The store-backed overlay: everything the three backends share.
+"""The store-backed overlay: the one overlay class every backend extends.
 
 Hyper-M "works independently of the underlying overlay structure"
 (paper contribution 1). What makes an overlay *this* overlay is small:
-who owns a point, how a request reaches that owner, and which nodes a
-sphere must be held by. Everything else is the same on CAN, BATON
-and the VBI-tree, because all of them store entries as
-rows of one shared :class:`repro.index.LevelStore` with per-node
-memberships — so it lives here, once:
+who owns a point, how a request reaches that owner, which nodes a
+sphere must be held by, and which nodes a query ball is walked to.
+Everything else is the same on CAN, BATON and the VBI-tree, because all
+of them store entries as rows of one shared
+:class:`repro.index.LevelStore` with per-node memberships — so it lives
+here, once, in :class:`StoreMaintenancePlane`:
 
 * construction, the member table and its accessors, ``grow``, and
   :meth:`StoreMaintenancePlane._admit` (store + member table + fabric);
 * the data plane — :meth:`~StoreMaintenancePlane.insert_many` (which
-  ``insert`` calls with one row), :meth:`~StoreMaintenancePlane.lookup`
-  and :meth:`~StoreMaintenancePlane.extend_replication` — written
-  against two backend hooks: ``_locate`` (route a point to its owner,
-  paid for by :meth:`~StoreMaintenancePlane._charge_route` as one
-  :meth:`~repro.net.network.Network.transmit_path` for the chain) and
-  ``_cover`` (the nodes a sphere must be held by);
+  ``insert`` calls with one row), :meth:`~StoreMaintenancePlane.lookup`,
+  :meth:`~StoreMaintenancePlane.range_query` and
+  :meth:`~StoreMaintenancePlane.extend_replication` — written against
+  three backend hooks: ``_locate`` (route a point to its owner, paid for
+  by :meth:`~StoreMaintenancePlane._charge_route` as one
+  :meth:`~repro.net.network.Network.transmit_path` for the chain),
+  ``_cover`` (the nodes a sphere must be held by) and ``_walk`` (reach
+  and charge every node a query ball is answered from). Each insert,
+  look-up and range query is one flight-recorder operation, and a range
+  query notes one query hit per visited node on the load ledger;
 * the delta pipeline's in-place maintenance —
-  :meth:`~StoreMaintenancePlane.patch_entries` and
-  :meth:`~StoreMaintenancePlane.retract_entries`: find the holders of
-  the touched rows, send each one batched scalar ``PUBLISH_DELTA``
-  traffic, and mutate the store once.
+  :meth:`~StoreMaintenancePlane.patch_entries`,
+  :meth:`~StoreMaintenancePlane.retract_entries` and
+  :meth:`~StoreMaintenancePlane.withdraw_rows`: find the holders of the
+  touched rows in one pass, send each one its traffic, and mutate the
+  store once — rows leave a level only through
+  :meth:`repro.index.LevelStore.remove_rows`.
 
-A backend adds ``join``/``leave``, the two hooks and its own
-``range_query`` walk (a flood, per-target routes, a tree chain — these
-genuinely differ). CAN alone also keeps its own ``insert_many`` and
-``extend_replication``: its replicas spread hop by hop across abutting
-zones, a different protocol from the direct owner-to-holder sends here,
-and it routes and covers a whole batch with one zone-table pass.
+A backend adds ``join``/``leave`` and the three hooks. CAN alone also
+keeps its own ``insert_many`` and ``extend_replication``: its replicas
+spread hop by hop across abutting zones, a different protocol from the
+direct owner-to-holder sends here, and it routes and covers a whole
+batch with one zone-table pass.
 
 Message sizing: a routed key is one vector message (plus radius and
-payload scalars on ``INSERT``/``REPLICATE``); a delta is one
-``PUBLISH_DELTA`` per holder, ``HEADER_BYTES`` plus three scalars per
-patched sphere (entry id, new radius, new item count) or one scalar per
-retracted entry id.
+payload scalars on ``INSERT``/``REPLICATE``, one radius scalar on
+``RANGE_QUERY``); a delta is one ``PUBLISH_DELTA`` per holder,
+``HEADER_BYTES`` plus three scalars per patched sphere (entry id, new
+radius, new item count) or one scalar per retracted entry id.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from repro.net.messages import (
     vector_message_size,
 )
 from repro.net.network import Network
-from repro.overlay.base import InsertReceipt, Overlay, RangeReceipt
+from repro.overlay.base import InsertReceipt, RangeReceipt
 from repro.overlay.storage import StoreBackedNode
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
@@ -61,8 +67,16 @@ from repro.utils.validation import (
 )
 
 
-class StoreMaintenancePlane(Overlay):
-    """An :class:`Overlay` over shared-store row memberships.
+class StoreMaintenancePlane(abc.ABC):
+    """The overlay contract Hyper-M builds on, over shared-store rows.
+
+    Insert a batch of (possibly sphere-shaped) keyed entries, find all
+    entries intersecting a query sphere, and maintain published entries
+    in place (patch live ones, retract dead ones, extend a grown
+    sphere's replica set — what the delta publish pipeline,
+    :meth:`HyperMNetwork.publish_delta`, runs on), with hop accounting
+    throughout. Every published entry is a row of :attr:`level_store`;
+    nodes hold row memberships into it.
 
     Parameters
     ----------
@@ -78,6 +92,12 @@ class StoreMaintenancePlane(Overlay):
         First node id to allocate — lets several overlays share a fabric
         without id collisions.
     """
+
+    #: True when the overlay partitions the key space into geometric
+    #: zones (CAN). Zoneless substrates (tree ranges) leave this False so
+    #: ``build_loadmap`` reports an empty zone section instead of
+    #: fabricating zero-volume rows.
+    zone_geometry = False
 
     def __init__(
         self,
@@ -174,6 +194,18 @@ class StoreMaintenancePlane(Overlay):
         a deterministic sequence (CAN floods instead and returns a set).
         """
 
+    @abc.abstractmethod
+    def _walk(
+        self, origin: int, center: np.ndarray, radius: float, size: int
+    ) -> tuple[list[int], int, int]:
+        """Reach every node the query ball may be answered from.
+
+        Charges the walk's ``RANGE_QUERY`` frames (``size`` bytes each)
+        and returns ``(visited, routing_hops, flood_hops)``: the node ids
+        in visit order, the hops spent reaching the first of them and the
+        hops spent spreading from there.
+        """
+
     # -- data plane ----------------------------------------------------------------
 
     def _check_inserts(self, keys, values, radii) -> tuple[np.ndarray, list]:
@@ -197,33 +229,81 @@ class StoreMaintenancePlane(Overlay):
         size = vector_message_size(self._dim, scalars=2)
         receipts = []
         for key, value, radius in zip(keys, values, radii):
-            owner_id, hops = self._locate(origin, key)
-            self._charge_route(origin, hops, MessageKind.INSERT, size)
-            row = self.level_store.add(key, radius, value)
-            self.node(owner_id).add_row(row)
-            replicas = (
-                self.extend_replication(row, [owner_id]) if radius > 0.0 else []
-            )
-            receipt = InsertReceipt(
-                owner=owner_id, routing_hops=len(hops), replicas=len(replicas)
-            )
-            self.fabric.finish_operation(MessageKind.INSERT, receipt.total_hops)
-            receipts.append(receipt)
+            with runtime.current.flight.span("insert", origin=origin):
+                owner_id, hops = self._locate(origin, key)
+                self._charge_route(origin, hops, MessageKind.INSERT, size)
+                row = self.level_store.add(key, radius, value)
+                self.node(owner_id).add_row(row)
+                replicas = (
+                    self.extend_replication(row, [owner_id])
+                    if radius > 0.0 else []
+                )
+                receipts.append(InsertReceipt(owner_id, len(hops), len(replicas)))
+                self.fabric.finish_operation(
+                    MessageKind.INSERT, receipts[-1].total_hops
+                )
         return receipts
+
+    def insert(
+        self, origin: int, key: np.ndarray, value: object, *, radius: float = 0.0
+    ) -> InsertReceipt:
+        """Publish one entry from node ``origin``: a one-row :meth:`insert_many`."""
+        return self.insert_many(origin, [key], [value], [radius])[0]
 
     def lookup(self, origin: int, key: np.ndarray) -> RangeReceipt:
         """Point query: entries at the owner of ``key`` whose spheres contain it."""
-        key = check_unit_cube(check_vector(key, "key", dim=self._dim), "key")
-        owner_id, hops = self._locate(origin, key)
-        self._charge_route(
-            origin, hops, MessageKind.LOOKUP, vector_message_size(self._dim)
-        )
-        rows = self.node(owner_id).rows_intersecting(key, 0.0)
-        self.fabric.finish_operation(MessageKind.LOOKUP, len(hops))
+        with runtime.current.flight.span("lookup", origin=origin):
+            key = check_unit_cube(check_vector(key, "key", dim=self._dim), "key")
+            owner_id, hops = self._locate(origin, key)
+            self._charge_route(
+                origin, hops, MessageKind.LOOKUP, vector_message_size(self._dim)
+            )
+            rows = self.node(owner_id).membership.intersecting_rows(key, 0.0)
+            self.fabric.finish_operation(MessageKind.LOOKUP, len(hops))
         return RangeReceipt(
             entries=self.level_store.candidate_set(rows),
             routing_hops=len(hops),
             nodes_visited=[owner_id],
+        )
+
+    def range_query(
+        self, origin: int, center: np.ndarray, radius: float
+    ) -> RangeReceipt:
+        """All entries whose spheres intersect the query ball.
+
+        The backend's :meth:`_walk` reaches (and charges) every node the
+        ball may be answered from; one store-wide intersection pass then
+        reduces each visited node to a boolean gather of its membership.
+        Request hops are charged; response traffic is not modelled
+        (results are evaluated by precision/recall, matching the paper).
+        """
+        center = check_vector(center, "center", dim=self._dim)
+        check_positive(radius, "radius", strict=False)
+        with runtime.current.flight.span(
+            "range_query", origin=origin
+        ) as flight_op:
+            visited, routing_hops, flood_hops = self._walk(
+                origin, center, radius, vector_message_size(self._dim, scalars=1)
+            )
+            mask = self.level_store.intersection_mask(center, radius)
+            row_arrays = [
+                self.node(node_id).membership.rows_matching(mask)
+                for node_id in visited
+            ]
+            self.fabric.finish_operation(
+                MessageKind.RANGE_QUERY, routing_hops + flood_hops
+            )
+            flight_op.set(zones_visited=len(visited))
+        for node_id in visited:
+            self.fabric.load.note_query_hit(node_id)
+        recorder = runtime.current.tracer
+        if recorder.enabled:
+            recorder.add(flood_hops=flood_hops, zones_visited=len(visited))
+        return RangeReceipt(
+            entries=self.level_store.union_candidates(row_arrays),
+            routing_hops=routing_hops,
+            flood_hops=flood_hops,
+            nodes_visited=visited,
         )
 
     # -- in-place maintenance ----------------------------------------------------
@@ -256,7 +336,8 @@ class StoreMaintenancePlane(Overlay):
         """Each node holding any of ``rows``, mapped to the rows it holds.
 
         Nodes come in member order, one set intersection each: the one
-        holder pass :meth:`patch_entries` and :meth:`retract_entries` share.
+        holder pass :meth:`patch_entries`, :meth:`retract_entries` and
+        :meth:`withdraw_rows` share.
         """
         holders = {}
         for node_id, node in self._nodes.items():
@@ -264,6 +345,21 @@ class StoreMaintenancePlane(Overlay):
             if held:
                 holders[node_id] = held
         return holders
+
+    def _send_deltas(self, origin: int, holders: dict, scalars: int) -> int:
+        """One batched ``PUBLISH_DELTA`` to each holder but ``origin``.
+
+        Each carries ``scalars`` scalars per held row; returns the hops.
+        """
+        hops = 0
+        for node_id, held in holders.items():
+            if node_id != origin:  # a locally held row costs nothing
+                size = HEADER_BYTES + scalars * BYTES_PER_SCALAR * len(held)
+                self.fabric.transmit(
+                    origin, node_id, MessageKind.PUBLISH_DELTA, size
+                )
+                hops += 1
+        return hops
 
     def patch_entries(
         self, origin: int, patches: list
@@ -288,19 +384,8 @@ class StoreMaintenancePlane(Overlay):
             store = self.level_store
             rows = [store.row_of(entry_id) for entry_id, __, __ in patches]
             holders = self._holders(set(rows))
-            holders_by_row: dict[int, list[int]] = {row: [] for row in rows}
-            for node_id, held in holders.items():
-                for row in held:
-                    holders_by_row[row].append(node_id)
-            patch_hops = 0
-            for holder_id, held in holders.items():
-                if holder_id == origin:
-                    continue  # patching a locally held row is free
-                size = HEADER_BYTES + 3 * BYTES_PER_SCALAR * len(held)
-                self.fabric.transmit(
-                    origin, holder_id, MessageKind.PUBLISH_DELTA, size
-                )
-                patch_hops += 1
+            patch_hops = self._send_deltas(origin, holders, 3)
+            holders_by_row = _by_row(holders)
             grown: list[int] = []
             for (entry_id, radius, value), row in zip(
                 patches, rows, strict=True
@@ -308,13 +393,10 @@ class StoreMaintenancePlane(Overlay):
                 if float(radius) > store.radius_of(row):
                     grown.append(row)
                 store.update_entry(entry_id, radius=radius, value=value)
-            replica_hops = 0
-            if grown:
-                for row in grown:
-                    added = self.extend_replication(
-                        row, holders_by_row[row] or [origin]
-                    )
-                    replica_hops += len(added)
+            replica_hops = sum(
+                len(self.extend_replication(row, holders_by_row.get(row, [origin])))
+                for row in grown
+            )
             self.fabric.finish_operation(
                 MessageKind.PUBLISH_DELTA, patch_hops + replica_hops
             )
@@ -325,30 +407,54 @@ class StoreMaintenancePlane(Overlay):
 
         The delta pipeline's removal plane: every node holding any doomed
         row gets one batched ``PUBLISH_DELTA`` message listing the entry
-        ids to drop (scalar payload only), then the entries are removed
-        everywhere through the store's tombstone machinery and the store
-        compacts if past threshold.
+        ids to drop (scalar payload only), then the rows leave the store
+        in one :meth:`~repro.index.LevelStore.remove_rows` (tombstoned in
+        ``entry_ids`` order) and the store compacts if past threshold.
+        Ids that name no live entry are skipped; with none left the call
+        costs nothing.
         """
-        if not entry_ids:
+        store = self.level_store
+        rows = [store.row_of(eid) for eid in entry_ids if store.has_entry(eid)]
+        if not rows:
             return 0
         with runtime.current.flight.span("retract", origin=origin):
-            store = self.level_store
-            rows = {
-                store.row_of(entry_id)
-                for entry_id in entry_ids
-                if store.has_entry(entry_id)
-            }
-            hops = 0
-            for node_id, held in self._holders(rows).items():
-                if node_id == origin:
-                    continue
-                size = HEADER_BYTES + BYTES_PER_SCALAR * len(held)
-                self.fabric.transmit(
-                    origin, node_id, MessageKind.PUBLISH_DELTA, size
-                )
-                hops += 1
-            for entry_id in entry_ids:
-                store.remove_entry(entry_id)
+            hops = self._send_deltas(origin, self._holders(set(rows)), 1)
+            store.remove_rows(rows)
             store.maybe_compact()
             self.fabric.finish_operation(MessageKind.PUBLISH_DELTA, hops)
         return hops
+
+    def withdraw_rows(self, rows, *, origin: int | None = None) -> int:
+        """Drop ``rows`` from every holder; returns the holdings released.
+
+        With ``origin`` the deletions are charged: each row's deletion
+        retraces its replica path, one ``REPLICATE`` message (a key plus
+        one scalar) from ``origin`` through each of its holders in member
+        order. The rows then leave the store in one
+        :meth:`~repro.index.LevelStore.remove_rows` and the store compacts
+        if past threshold.
+        """
+        rows = [int(row) for row in rows]
+        if not rows:
+            return 0
+        holders = self._holders(set(rows))
+        if origin is not None:
+            size = vector_message_size(self._dim, scalars=1)
+            for chain in _by_row(holders).values():
+                hops = chain[1:] if chain[0] == origin else chain
+                self._charge_route(origin, hops, MessageKind.REPLICATE, size)
+        self.level_store.remove_rows(rows)
+        self.level_store.maybe_compact()
+        return sum(len(held) for held in holders.values())
+
+
+def _by_row(holders: dict[int, set[int]]) -> dict[int, list[int]]:
+    """Invert a holder pass: each held row's holders, in member order.
+
+    Rows come in first-seen order (member order, ascending within a node).
+    """
+    by_row: dict[int, list[int]] = {}
+    for node_id, held in holders.items():
+        for row in sorted(held):
+            by_row.setdefault(row, []).append(node_id)
+    return by_row

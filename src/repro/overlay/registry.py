@@ -2,9 +2,10 @@
 
 The paper's first contribution is that Hyper-M "works independently of
 the underlying overlay structure"; this registry is where that claim
-becomes operational. Every registered backend satisfies the
-:class:`repro.overlay.base.Overlay` contract (and is pinned to it by the
-parametrized contract suite), so any of them can back a
+becomes operational. Every registered backend extends
+:class:`repro.overlay.maintenance.StoreMaintenancePlane`, the overlay
+contract (and is pinned to it by the parametrized contract suite), so
+any of them can back a
 :class:`repro.core.network.HyperMNetwork`.
 
 The CLI's ``--overlay`` flag puts the resolved class in the run context

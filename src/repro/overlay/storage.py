@@ -4,10 +4,9 @@ An overlay node owns no entry objects. It holds a
 :class:`repro.index.NodeMembership` — a set of row indices into the
 overlay's shared :class:`repro.index.LevelStore` — and this mixin provides
 the row-level storage surface every overlay node class shares
-(``add_row`` / ``absorb_rows`` / ``rows_intersecting`` /
-``rows_matching``), where node-local filtering is one vectorized
-``spheres_intersect_batch`` call over the node's row slice. Whatever else
-a caller wants of a held entry it reads from the store by row
+(``add_row`` / ``absorb_rows`` / ``load``). Reads go to the membership
+itself (``rows_matching`` / ``intersecting_rows``), and whatever else a
+caller wants of a held entry it reads from the store by row
 (``key_of`` / ``radius_of`` / ``value_of`` / ``items_of``).
 
 Nodes constructed inside an overlay are attached to the overlay's shared
@@ -15,8 +14,6 @@ store via :meth:`attach_store`; a node holds nothing before that.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.exceptions import OverlayError
 from repro.index import LevelStore, NodeMembership
@@ -59,23 +56,6 @@ class StoreBackedNode:
         is held once.
         """
         return self.membership.add_many(rows)
-
-    def rows_intersecting(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Held rows whose spheres intersect the query sphere (one batch call)."""
-        if self.membership is None or not len(self.membership):
-            return np.empty(0, dtype=np.int64)
-        return self.membership.intersecting_rows(center, radius)
-
-    def rows_matching(self, mask: np.ndarray) -> np.ndarray:
-        """Held rows selected by a per-query store-wide intersection mask.
-
-        Range queries compute one :meth:`LevelStore.intersection_mask`
-        per query; each visited node then filters its membership with a
-        boolean gather instead of re-gathering its keys.
-        """
-        if self.membership is None or not len(self.membership):
-            return np.empty(0, dtype=np.int64)
-        return self.membership.rows_matching(mask)
 
     @property
     def load(self) -> int:

@@ -30,12 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import EmptyNetworkError, RoutingError, ValidationError
-from repro.net.messages import MessageKind, vector_message_size
-from repro.overlay.base import RangeReceipt
+from repro.net.messages import MessageKind
 from repro.overlay.can.zone import Zone
 from repro.overlay.maintenance import StoreMaintenancePlane
 from repro.overlay.morton import MortonNode
-from repro.utils.validation import check_positive, check_vector
 
 
 class VBILeaf(MortonNode):
@@ -278,49 +276,28 @@ class VBITree(StoreMaintenancePlane):
 
     # -- range walk --------------------------------------------------------------
 
-    def range_query(
-        self, origin: int, center: np.ndarray, radius: float
-    ) -> RangeReceipt:
-        """Entries intersecting the query ball, by tree traversal.
+    def _walk(
+        self, origin: int, center: np.ndarray, radius: float, size: int
+    ) -> tuple[list[int], int, int]:
+        """Route to the ball centre's leaf, then visit every leaf it meets.
 
-        Routes to the ball centre's leaf, climbs to the lowest ancestor
-        covering the whole ball, then visits every leaf beneath it whose
-        region intersects the ball (one message per distinct manager/leaf
-        transition).
+        The visit follows :meth:`_cover`'s tree traversal, one message
+        per distinct manager/leaf transition.
         """
-        center = check_vector(center, "center", dim=self._dim)
-        check_positive(radius, "radius", strict=False)
-        size = vector_message_size(self._dim, scalars=1)
         in_cube = np.clip(center, 0.0, 1.0)
         owner_id, path = self._locate(origin, in_cube)
         self._charge_route(origin, path, MessageKind.RANGE_QUERY, size)
-
-        targets = self._cover(in_cube, radius)
-        # One store-wide intersection pass per query; each visited node
-        # then filters its membership with a boolean gather.
-        mask = self.level_store.intersection_mask(center, radius)
-        row_arrays: list[np.ndarray] = []
-        visited: list[int] = []
+        visited = self._cover(in_cube, radius)
         flood_hops = 0
         previous = owner_id
-        for leaf_id in targets:
+        for leaf_id in visited:
             if leaf_id != previous:
                 self.fabric.transmit(
                     previous, leaf_id, MessageKind.RANGE_QUERY, size
                 )
                 flood_hops += 1
                 previous = leaf_id
-            visited.append(leaf_id)
-            row_arrays.append(self.node(leaf_id).rows_matching(mask))
-        self.fabric.finish_operation(
-            MessageKind.RANGE_QUERY, len(path) + flood_hops
-        )
-        return RangeReceipt(
-            entries=self.level_store.union_candidates(row_arrays),
-            routing_hops=len(path),
-            flood_hops=flood_hops,
-            nodes_visited=visited,
-        )
+        return visited, len(path), flood_hops
 
     def _cover(self, center: np.ndarray, radius: float) -> list[int]:
         """Leaf ids whose regions intersect the (Euclidean) ball."""

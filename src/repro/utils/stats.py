@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.exceptions import ValidationError
+
 
 @dataclass
 class RunningStats:
@@ -88,15 +90,16 @@ class RunningStats:
 def gini(values) -> float:
     """Gini coefficient of a non-negative sample (0 = equal, →1 = skewed).
 
-    The loadmap's headline skew statistic: how unevenly traffic, rows, or
-    energy are spread across zones/peers. Empty and all-zero samples are
-    perfectly equal (0.0); negative values are rejected.
+    The one skew statistic: how unevenly traffic, rows, or energy are
+    spread across zones/peers (the loadmap's headline) and how evenly the
+    wavelet subspaces spread entries (Figure 9). Empty and all-zero samples
+    are perfectly equal (0.0); negative values are rejected.
     """
     arr = np.sort(np.asarray(list(values), dtype=np.float64))
     if arr.size == 0:
         return 0.0
     if np.any(arr < 0):
-        raise ValueError("gini is defined for non-negative values only")
+        raise ValidationError("gini is defined for non-negative values only")
     total = arr.sum()
     if total == 0.0:
         return 0.0

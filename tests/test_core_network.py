@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import runtime
 from repro.core.network import HyperMConfig, HyperMNetwork
+from repro.evaluation.workloads import build_markov_network
 from repro.exceptions import ValidationError
+from repro.net.messages import MessageKind
+from repro.obs.flight import FlightRecorder
 from repro.overlay.baton import BatonNetwork
 from repro.wavelets.multiresolution import Level
 from tests.rows import held_values
@@ -118,6 +122,59 @@ class TestPublication:
         merged = r0.merge(r1)
         assert merged.items_published == 20
         assert merged.total_hops == r0.total_hops + r1.total_hops
+
+    def test_a_published_peer_is_refused_a_second_full_publication(self):
+        workload, __ = build_markov_network(n_peers=6, items_per_peer=40, rng=0)
+        net = workload.network
+
+        def rows_of_peer_0():
+            return [
+                overlay.level_store.rows_for_peer(0).size
+                for overlay in net.overlays.values()
+            ]
+
+        published = rows_of_peer_0()
+        bytes_before = net.fabric.metrics.total_bytes
+        with pytest.raises(ValidationError, match="republish_peer"):
+            net.publish_peer(0)
+        assert rows_of_peer_0() == published
+        assert net.fabric.metrics.total_bytes == bytes_before
+        # Withdrawn first, the peer publishes again (``republish_peer(full=True)``).
+        net.withdraw_summaries(0)
+        assert rows_of_peer_0() == [0] * len(net.levels)
+        report = net.publish_peer(0)
+        assert sum(rows_of_peer_0()) == report.spheres_inserted > 0
+
+
+class TestChargedWithdrawal:
+    def test_each_row_retraces_its_holders_from_the_peer(self):
+        """One ``REPLICATE`` chain per row, from the peer's node through
+        the row's holders in member order, skipping a first holder that is
+        the peer's node itself."""
+        workload, __ = build_markov_network(n_peers=6, items_per_peer=40, rng=0)
+        net = workload.network
+        expected, skipped = [], 0
+        for level, overlay in net.overlays.items():
+            doomed = set(overlay.level_store.rows_for_peer(2).tolist())
+            chains: dict[int, list[int]] = {}
+            for node_id in overlay.node_ids:
+                held = overlay.node(node_id).membership.rows().tolist()
+                for row in sorted(doomed.intersection(held)):
+                    chains.setdefault(row, []).append(node_id)
+            origin = net.overlay_node(level, 2)
+            for holders in chains.values():
+                skipped += holders[0] == origin
+                previous = origin
+                for holder in holders:
+                    if holder != previous:
+                        expected.append((previous, holder))
+                        previous = holder
+        assert skipped and len(expected) > len(net.levels)
+        rec = FlightRecorder()
+        with runtime.run_context(flight=rec), rec.span("withdraw"):
+            net.withdraw_summaries(2, charge=True)
+        assert [(e.source, e.dest) for e in rec.edges] == expected
+        assert {e.kind for e in rec.edges} == {MessageKind.REPLICATE.value}
 
 
 class TestOverlayIndependence:

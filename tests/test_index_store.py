@@ -543,6 +543,19 @@ class TestEntryIdRefusals:
         assert store.generation == generation and store.n_rows == 1
         assert store.next_entry_id == 1 and not store.has_entry(10**15)
 
+    @pytest.mark.parametrize("value", [None, 3, "cluster", ["cluster"]])
+    def test_an_entry_value_that_is_not_a_dict_is_refused(self, value):
+        payload = {
+            "store_format_version": 1,
+            "dimensionality": 2,
+            "entries": [
+                {"entry_id": 0, "key": [0.5, 0.5], "radius": 0.1,
+                 "value": value},
+            ],
+        }
+        with pytest.raises(ValidationError, match="entry value"):
+            level_store_from_dict(payload)
+
     def test_a_churned_round_trip_always_restores(self, rng):
         store = LevelStore(2)
         for peer in rng.integers(4, size=3000).tolist():

@@ -1,6 +1,7 @@
-"""The Overlay contract, verified uniformly across all three substrates.
+"""The overlay contract, verified uniformly across all three substrates.
 
-Hyper-M only relies on the :class:`repro.overlay.base.Overlay` interface;
+Hyper-M only relies on the
+:class:`repro.overlay.maintenance.StoreMaintenancePlane` interface;
 these parametrised tests pin the behaviour every substrate must share, so
 a new overlay implementation can be validated by adding one line.
 ``TestCapabilityPlanes`` pins which backends expose which plane, and
@@ -9,14 +10,19 @@ delta repair leaves the index bit-equivalent to from-scratch publication
 — on *every* registered backend.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro import runtime
 from repro.exceptions import StaleCandidateError, ValidationError
 from repro.index import CandidateSet
 from repro.net.messages import MessageKind
+from repro.obs.flight import FlightRecorder
+from repro.obs.trace import TraceRecorder
 from repro.overlay import BatonNetwork, CANNetwork, VBITree
-from repro.overlay.base import Overlay
+from repro.overlay.maintenance import StoreMaintenancePlane
 from tests.rows import held_values
 
 FACTORIES = [CANNetwork, BatonNetwork, VBITree]
@@ -31,7 +37,7 @@ def overlay(request):
 
 class TestContract:
     def test_is_overlay(self, overlay):
-        assert isinstance(overlay, Overlay)
+        assert isinstance(overlay, StoreMaintenancePlane)
         assert overlay.dimensionality == 2
         assert len(overlay.node_ids) == 12
 
@@ -179,14 +185,67 @@ class TestContract:
             overlay.node(10_000)
 
 
+class TestUnifiedReadPath:
+    """One base range answer, look-up and insert serve every backend.
+
+    Each records the same observability on every backend: one flight
+    operation per range query, look-up and inserted row, one load-ledger
+    query hit per visited node, and the walk's counts on the trace span.
+    """
+
+    CENTER = np.array([0.5, 0.5])
+
+    @pytest.fixture
+    def populated(self, overlay, rng):
+        overlay.insert_many(
+            overlay.node_ids[0], rng.random((30, 2)), list(range(30)), [0.05] * 30
+        )
+        return overlay
+
+    def test_one_query_hit_per_visited_node(self, populated):
+        load = populated.fabric.load
+        before = {n: load.node_load(n).query_hits for n in populated.node_ids}
+        receipt = populated.range_query(populated.node_ids[3], self.CENTER, 0.3)
+        visited = Counter(receipt.nodes_visited)
+        assert visited and max(visited.values()) == 1
+        assert {
+            n: load.node_load(n).query_hits - before[n] for n in populated.node_ids
+        } == {n: visited[n] for n in populated.node_ids}
+
+    def test_range_query_is_one_flight_operation(self, populated):
+        rec = FlightRecorder()
+        with runtime.run_context(flight=rec):
+            receipt = populated.range_query(populated.node_ids[3], self.CENTER, 0.3)
+        assert [op.name for op in rec.ops] == ["range_query"]
+        assert rec.ops[0].attrs["zones_visited"] == len(receipt.nodes_visited)
+        assert rec.ops[0].hops == receipt.total_hops
+
+    def test_range_query_sets_its_walk_on_the_trace_span(self, populated):
+        rec = TraceRecorder()
+        with runtime.run_context(tracer=rec), rec.span("query") as span:
+            receipt = populated.range_query(populated.node_ids[3], self.CENTER, 0.3)
+        assert span.counts["flood_hops"] == receipt.flood_hops
+        assert span.counts["zones_visited"] == len(receipt.nodes_visited)
+
+    def test_lookup_and_each_inserted_row_are_one_operation(self, overlay, rng):
+        rec = FlightRecorder()
+        with runtime.run_context(flight=rec):
+            overlay.insert_many(
+                overlay.node_ids[0], rng.random((3, 2)), ["a", "b", "c"],
+                [0.0, 0.1, 0.0],
+            )
+            overlay.insert(overlay.node_ids[1], [0.3, 0.3], "d")
+            overlay.lookup(overlay.node_ids[2], [0.3, 0.3])
+        roots = [op.name for op in rec.ops if op.parent_id is None]
+        assert roots == ["insert"] * 4 + ["lookup"]
+
+
 class TestCapabilityPlanes:
     """Which backend exposes which plane — and metered degradation."""
 
     def test_every_backend_has_a_maintenance_plane(self, overlay):
-        # In-place maintenance is part of the Overlay contract; every
+        # In-place maintenance is part of the overlay contract; every
         # backend gets it from the shared store-backed implementation.
-        from repro.overlay.maintenance import StoreMaintenancePlane
-
         assert isinstance(overlay, StoreMaintenancePlane)
         assert overlay.patch_entries(overlay.node_ids[0], []) == (0, 0)
         assert overlay.retract_entries(overlay.node_ids[0], []) == 0

@@ -146,22 +146,13 @@ class BatonNetwork(StoreMaintenancePlane):
                 parent.right_child = node_id
                 node.range_lo, node.range_hi = mid, parent.range_hi
                 parent.range_hi = mid
-            store = self.level_store
 
-            def belongs(row: int, holder: BatonNode) -> bool:
-                key = store.key_of(row)
-                radius = store.radius_of(row)
-                return holder.owns(self.scalar_key(key)) or (
+            def belongs(holder: BatonNode):
+                return lambda key, radius: holder.owns(self.scalar_key(key)) or (
                     radius > 0 and holder.node_id in self._cover(key, radius)
                 )
 
-            parent_rows = parent.membership.rows()
-            moved = [r for r in parent_rows if belongs(r, node)]
-            released = [r for r in parent_rows if not belongs(r, parent)]
-            # New holder first, then release: a row held only by the parent
-            # must never be transiently unreferenced (it would tombstone).
-            node.absorb_rows(moved)
-            parent.membership.discard_many(released)
+            self._hand_over(parent, node, belongs(node), belongs(parent))
         self._rebuild_tables()
         return node_id
 
@@ -295,7 +286,7 @@ class BatonNetwork(StoreMaintenancePlane):
         """The Morton key of a unit-cube point at this overlay's resolution."""
         return morton_key(point, self._bits)
 
-    def _locate(self, origin: int, point: np.ndarray) -> tuple[int, list[int]]:
+    def _locate(self, origin: int, point, route=None) -> tuple[int, list[int]]:
         """Route to the owner of ``point``'s Morton key."""
         return self._route(origin, self.scalar_key(point))
 

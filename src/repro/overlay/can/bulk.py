@@ -35,7 +35,7 @@ builds a node.
 
 Fidelity notes. Bulk publication places each sphere at its key's owner
 only — the per-insert replication to every overlapped zone
-(:mod:`repro.overlay.can.replication`) is intentionally skipped, because
+(``StoreMaintenancePlane._replicate``) is intentionally skipped, because
 at scale-bench sizes it is the dominant cost and the scale query plane
 never depends on it: scale queries score through the *store-wide*
 intersection mask (:meth:`LevelStore.intersection_mask`, or its sharded

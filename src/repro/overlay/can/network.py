@@ -11,7 +11,6 @@ from repro.net.messages import (
     MessageKind,
     vector_message_size,
 )
-from repro.overlay.base import InsertReceipt
 from repro.overlay.can.node import CANNode
 from repro.overlay.can.routing import flood, route_to_owner
 from repro.overlay.can.table import ZoneTable
@@ -65,13 +64,24 @@ class CANNetwork(StoreMaintenancePlane):
 
     # -- backend hooks ----------------------------------------------------------
 
-    def _locate(self, origin: int, point: np.ndarray) -> tuple[int, list[int]]:
+    def _locate(self, origin: int, point, route=None) -> tuple[int, list[int]]:
         """Greedy torus routing (with backtracking) to ``point``'s zone owner."""
-        return route_to_owner(self, origin, point, penalty=self.route_penalty)
+        return route_to_owner(
+            self, origin, point, penalty=self.route_penalty, keys=route
+        )
+
+    def _plan_inserts(self, keys: np.ndarray, radii: list):
+        """Every row's routing keys and cover from one zone-table pass."""
+        table = self.zone_table()
+        return zip(table.routing_keys_many(keys), table.meeting_many(keys, radii))
 
     def _cover(self, center: np.ndarray, radius: float) -> set[int]:
         """Ids of the nodes with a zone meeting the (Euclidean) ball."""
         return self.zone_table().meeting(center, radius)
+
+    def _spread(self, holder_ids, cover):
+        """Flood from the holders over ``cover`` (convex, hence connected)."""
+        return flood(self, holder_ids, cover)
 
     def _walk(
         self, origin: int, center: np.ndarray, radius: float, size: int
@@ -141,7 +151,10 @@ class CANNetwork(StoreMaintenancePlane):
             new_node = CANNode(node_id, new_zone)
             owner.set_zone(owner_zone)
         self._admit(new_node)
-        self._handoff_state(owner, new_node)
+        self._hand_over(
+            owner, new_node, new_node.intersects_sphere, owner.intersects_sphere
+        )
+        self._relink(owner, new_node)
         return node_id
 
     def _admit(self, node: CANNode) -> None:
@@ -149,27 +162,8 @@ class CANNetwork(StoreMaintenancePlane):
         super()._admit(node)
         self._zone_table = None
 
-    def _handoff_state(self, owner: CANNode, new_node: CANNode) -> None:
-        """Redistribute entries and rebuild neighbour links after a join."""
-        store = self.level_store
-        moved: list[int] = []
-        released: list[int] = []
-        for row in owner.membership.rows():
-            key = store.key_of(row)
-            radius = store.radius_of(row)
-            in_owner = owner.intersects_sphere(key, radius)
-            in_new = new_node.intersects_sphere(key, radius)
-            if in_new:
-                moved.append(row)
-            if not in_owner and in_new:
-                released.append(row)
-            # Rows intersecting neither zone (degenerate float boundary)
-            # stay at the owner so nothing is silently lost.
-        # New holder first, then release: a row held only by the owner must
-        # never be transiently unreferenced (it would tombstone).
-        new_node.absorb_rows(moved)
-        owner.membership.discard_many(released)
-
+    def _relink(self, owner: CANNode, new_node: CANNode) -> None:
+        """Rebuild neighbour links after ``new_node`` split ``owner``'s region."""
         # Any neighbour of the new ownership regions was a neighbour of the
         # pre-join owner, so candidates are its old neighbours plus the pair.
         candidates = dict(owner.neighbors)
@@ -330,10 +324,9 @@ class CANNetwork(StoreMaintenancePlane):
         its largest zone is cut at ``fraction`` along its longest side and
         the half nearer ``target_id`` (default: the hot node's least-loaded
         neighbour by LoadLedger byte totals, node id as tie-break) moves
-        there. Rows overlapping the given half are absorbed by the target
-        *before* the hot node releases any — the same
-        new-holder-first ordering as :meth:`_handoff_state`, so a row held
-        only by the hot node is never transiently unreferenced. The
+        there. Rows overlapping the given half move by the join's rule,
+        :meth:`_hand_over` (new holder first, so a row held only by the
+        hot node is never transiently unreferenced). The
         transfer is charged as one batched ``REPLICATE`` message carrying
         the moved keys plus a header-sized zone-transfer control message,
         then every neighbour table is rebuilt from geometry.
@@ -376,19 +369,9 @@ class CANNetwork(StoreMaintenancePlane):
         ) as flight_op:
             hot.set_zones(self._replace_zone(hot.zones, zone, kept))
             target.set_zones(list(target.zones) + [given])
-            store = self.level_store
-            moved: list[int] = []
-            released: list[int] = []
-            for row in hot.membership.rows():
-                key = store.key_of(row)
-                radius = store.radius_of(row)
-                if not given.intersects_sphere(key, radius):
-                    continue
-                moved.append(row)
-                if not hot.intersects_sphere(key, radius):
-                    released.append(row)
-            # New holder first, then release (see _handoff_state).
-            target.absorb_rows(moved)
+            moved, released = self._hand_over(
+                hot, target, given.intersects_sphere, hot.intersects_sphere
+            )
             size = HEADER_BYTES
             if moved:
                 size = vector_message_size(
@@ -400,7 +383,6 @@ class CANNetwork(StoreMaintenancePlane):
             self.fabric.transmit(
                 node_id, target_id, MessageKind.JOIN, HEADER_BYTES
             )
-            hot.membership.discard_many(released)
             self._rebuild_all_neighbors()
             self.fabric.finish_operation(MessageKind.REPLICATE, 2)
             flight_op.set(rows_moved=len(moved), rows_released=len(released))
@@ -418,58 +400,11 @@ class CANNetwork(StoreMaintenancePlane):
                 return node_id
         raise OverlayError(f"no zone contains {point!r}; zones do not tile?")
 
-    def insert_many(self, origin: int, keys, values, radii) -> list[InsertReceipt]:
-        """Publish ``n`` entries from node ``origin``, in row order.
-
-        Each key is routed to its owner (one INSERT message per hop) and
-        stored there; a sphere (``radius > 0``) is then replicated to
-        every node whose zone it overlaps (one REPLICATE hop per replica),
-        per the paper's Figure 6 discussion. Inserts never change
-        topology, so one zone-table pass gives every row's routing keys
-        and cover up front.
-        """
-        from repro.overlay.can.replication import replicate_sphere
-
-        keys, radii = self._check_inserts(keys, values, radii)
-        table = self.zone_table()
-        size = vector_message_size(self._dim, scalars=2)
-        receipts = []
-        for key, value, radius, route_keys, cover in zip(
-            keys, values, radii,
-            table.routing_keys_many(keys), table.meeting_many(keys, radii),
-        ):
-            with runtime.current.flight.span("insert", origin=origin):
-                owner_id, path = route_to_owner(
-                    self, origin, key, penalty=self.route_penalty, keys=route_keys
-                )
-                self._charge_route(origin, path, MessageKind.INSERT, size)
-                row = self.level_store.add(key, radius, value)
-                self.node(owner_id).add_row(row)
-                replicas = (
-                    replicate_sphere(self, owner_id, row, cover)
-                    if radius > 0.0 else []
-                )
-                receipts.append(InsertReceipt(owner_id, len(path), len(replicas)))
-                self.fabric.finish_operation(
-                    MessageKind.INSERT, receipts[-1].total_hops
-                )
-        return receipts
-
     #: CAN's own attribute, not only an inherited one, so the e2e
     #: benchmark harness can wrap CAN's inserts by name.
     insert = StoreMaintenancePlane.insert
 
-    # patch_entries / retract_entries come from StoreMaintenancePlane; the
-    # geometry-specific hooks below complete the maintenance plane and
-    # give the adaptation controller its surface (load snapshot, hot-owner
-    # rebalance, replication boost/shed) by delegating to the CAN zone
-    # machinery.
-
-    def extend_replication(self, row: int, holder_ids) -> list[int]:
-        """Grow ``row``'s replica set to newly overlapped zones."""
-        from repro.overlay.can.replication import extend_replication
-
-        return extend_replication(self, row, holder_ids)
+    # -- the adaptation controller's surface -------------------------------------
 
     def load_snapshot(self) -> dict[int, int]:
         """Deterministic ``{node_id: total bytes moved}`` load map."""
@@ -483,16 +418,68 @@ class CANNetwork(StoreMaintenancePlane):
         return self.rebalance_zone(node_id, target_id)
 
     def boost_replication(self, row: int, extra: int) -> list[int]:
-        """Grant a hot row up to ``extra`` frontier replicas."""
-        from repro.overlay.can.replication import boost_replication
+        """Raise a hot row's replication degree by up to ``extra`` copies.
 
-        return boost_replication(self, row, extra)
+        The adaptation controller's hot-sphere action: neighbours of the
+        current holders that do not yet hold the row adopt it,
+        least-loaded first (LoadLedger byte totals, node id as the
+        deterministic tie-break). Each new copy is one ``REPLICATE``
+        message from an adjacent holder. Boosted copies are pure extras —
+        queries dedup the shared row, so results are unchanged (Theorem
+        4.1 set equality) — and they pre-position the row for radius
+        growth and zone handoffs. Returns the new holder ids.
+        """
+        if extra < 1:
+            return []
+        size = vector_message_size(self._dim, scalars=2)
+        holders = sorted(self._holders({row}))
+        frontier: set[int] = set()
+        for holder_id in holders:
+            for neighbor_id in self.node(holder_id).neighbors:
+                if neighbor_id not in holders:
+                    frontier.add(neighbor_id)
+        chosen = sorted(frontier, key=self.fabric.load.least_loaded)[:extra]
+        added: list[int] = []
+        for node_id in chosen:
+            source = next(
+                h for h in holders if node_id in self.node(h).neighbors
+            )
+            self.fabric.transmit(source, node_id, MessageKind.REPLICATE, size)
+            if self.node(node_id).add_row(row):
+                added.append(node_id)
+        recorder = runtime.current.tracer
+        if recorder.enabled and added:
+            recorder.add(replica_hops=len(added))
+        return added
 
     def shed_replication(self, row: int) -> list[int]:
-        """Drop a cold row's boosted, zone-disjoint replicas."""
-        from repro.overlay.can.replication import shed_replication
+        """Drop a cold row's *boosted* replicas; returns the shedding node ids.
 
-        return shed_replication(self, row)
+        Only copies on nodes whose zones do **not** overlap the row's
+        sphere are released — those are exactly the boosted extras (and
+        stale holders left behind by zone rebalancing). Zone-overlapping
+        holders are the inviolable baseline: a query ball meeting the
+        sphere only inside one holder's zone must still find the row
+        there, so shedding below that set would break Theorem 4.1 set
+        equality. The owner zone contains the sphere's centre, so the
+        refcount can never reach zero here.
+        """
+        store = self.level_store
+        key = store.key_of(row)
+        radius = store.radius_of(row)
+        holders = sorted(self._holders({row}))
+        doomed = [
+            node_id
+            for node_id in holders
+            if not self.node(node_id).intersects_sphere(key, radius)
+        ]
+        if len(doomed) == len(holders) and doomed:
+            # Degenerate float-boundary row overlapping no zone at all: keep
+            # one holder so the entry is never tombstoned by adaptation.
+            doomed = doomed[1:]
+        for node_id in doomed:
+            self.node(node_id).membership.discard(row)
+        return doomed
 
     #: CAN's own attribute, like :attr:`insert`, so the e2e benchmark
     #: harness can wrap CAN's range queries by name.

@@ -12,7 +12,8 @@ neighbour graph. Backtrack traversals are real messages and are counted
 as hops.
 
 Both walks here — the routed one and the breadth-first :func:`flood`
-that range queries and sphere replication share — take their geometry
+that range queries and sphere replication (``CANNetwork._spread``)
+share — take their geometry
 from one :class:`~repro.overlay.can.table.ZoneTable` pass per operation
 (or per ``insert_many`` batch) and then only look node ids up.
 """

@@ -22,6 +22,9 @@ here, once, in :class:`StoreMaintenancePlane`:
   and charge every node a query ball is answered from). Each insert,
   look-up and range query is one flight-recorder operation, and a range
   query notes one query hit per visited node on the load ledger;
+* row movement onto nodes: every replica goes through
+  :meth:`~StoreMaintenancePlane._replicate`, every join or rebalance
+  hand-over through :meth:`~StoreMaintenancePlane._hand_over`;
 * the delta pipeline's in-place maintenance —
   :meth:`~StoreMaintenancePlane.patch_entries`,
   :meth:`~StoreMaintenancePlane.retract_entries` and
@@ -30,11 +33,9 @@ here, once, in :class:`StoreMaintenancePlane`:
   store once — rows leave a level only through
   :meth:`repro.index.LevelStore.remove_rows`.
 
-A backend adds ``join``/``leave`` and the three hooks. CAN alone also
-keeps its own ``insert_many`` and ``extend_replication``: its replicas
-spread hop by hop across abutting zones, a different protocol from the
-direct owner-to-holder sends here, and it routes and covers a whole
-batch with one zone-table pass.
+A backend adds ``join``/``leave`` and the three hooks. CAN also
+overrides two defaults: ``_plan_inserts`` (one zone-table pass per
+insert batch) and ``_spread`` (replicas flood across abutting zones).
 
 Message sizing: a routed key is one vector message (plus radius and
 payload scalars on ``INSERT``/``REPLICATE``, one radius scalar on
@@ -46,6 +47,7 @@ radius, new item count) or one scalar per retracted entry id.
 from __future__ import annotations
 
 import abc
+import itertools
 
 import numpy as np
 
@@ -170,13 +172,22 @@ class StoreMaintenancePlane(abc.ABC):
         """Remove ``node_id`` gracefully; its rows go to their new holders."""
 
     @abc.abstractmethod
-    def _locate(self, origin: int, point: np.ndarray) -> tuple[int, list[int]]:
+    def _locate(self, origin: int, point, route=None) -> tuple[int, list[int]]:
         """Route from ``origin`` to the owner of the unit-cube ``point``.
 
+        ``route`` is the point's plan from :meth:`_plan_inserts`, if any.
         Returns ``(owner_id, hops)``: ``hops`` are the node ids that each
         receive one message on the way, the owner last (empty when
         ``origin`` owns the point).
         """
+
+    def _plan_inserts(self, keys: np.ndarray, radii: list):
+        """Per-row ``(route, cover)`` for an :meth:`insert_many` batch.
+
+        The default plans nothing. Only keys and covers are planned, never
+        walks: a route penalty may read load the batch's earlier rows add.
+        """
+        return itertools.repeat((None, None))
 
     def _charge_route(
         self, origin: int, hops: list[int], kind: MessageKind, size: int
@@ -189,10 +200,22 @@ class StoreMaintenancePlane(abc.ABC):
         """Ids of the nodes that must hold a sphere centred in the cube.
 
         The backend's answer to Figure 6: every node a query meeting the
-        sphere could be answered from. :meth:`extend_replication` sends
+        sphere could be answered from. The default :meth:`_spread` sends
         replicas in iteration order, so a backend relying on it returns
-        a deterministic sequence (CAN floods instead and returns a set).
+        a deterministic sequence (CAN's ``_spread`` floods instead, and
+        its cover is a set).
         """
+
+    def _spread(self, holder_ids, cover):
+        """``(sender, receiver)`` edges taking a row to ``cover``'s non-holders.
+
+        In message order; by default direct from the lowest-id holder.
+        """
+        holders = set(holder_ids)
+        source = min(holders)
+        return (
+            (source, node_id) for node_id in cover if node_id not in holders
+        )
 
     @abc.abstractmethod
     def _walk(
@@ -223,21 +246,26 @@ class StoreMaintenancePlane(abc.ABC):
         and added to the shared level store as one row the owner holds.
         A sphere (``radius > 0``) is then replicated to the rest of its
         cover (paper Figure 6): one ``REPLICATE`` message each, the same
-        row held again — replication is multi-membership, not copies.
+        row held again — replication is multi-membership, not copies —
+        and its replica count added to the trace span as ``replica_hops``.
         """
         keys, radii = self._check_inserts(keys, values, radii)
         size = vector_message_size(self._dim, scalars=2)
+        recorder = runtime.current.tracer
         receipts = []
-        for key, value, radius in zip(keys, values, radii):
+        for key, value, radius, (route, cover) in zip(
+            keys, values, radii, self._plan_inserts(keys, radii)
+        ):
             with runtime.current.flight.span("insert", origin=origin):
-                owner_id, hops = self._locate(origin, key)
+                owner_id, hops = self._locate(origin, key, route)
                 self._charge_route(origin, hops, MessageKind.INSERT, size)
                 row = self.level_store.add(key, radius, value)
                 self.node(owner_id).add_row(row)
-                replicas = (
-                    self.extend_replication(row, [owner_id])
-                    if radius > 0.0 else []
-                )
+                replicas = []
+                if radius > 0.0:
+                    replicas = self._replicate(row, [owner_id], cover)
+                    if recorder.enabled:
+                        recorder.add(replica_hops=len(replicas))
                 receipts.append(InsertReceipt(owner_id, len(hops), len(replicas)))
                 self.fabric.finish_operation(
                     MessageKind.INSERT, receipts[-1].total_hops
@@ -309,28 +337,59 @@ class StoreMaintenancePlane(abc.ABC):
     # -- in-place maintenance ----------------------------------------------------
 
     def extend_replication(self, row: int, holder_ids) -> list[int]:
-        """Replicate ``row`` to the nodes of its cover not yet holding it.
+        """Replicate a grown sphere's ``row`` from its ``holder_ids``.
 
-        Recomputes the sphere's cover at its current radius and sends one
-        ``REPLICATE`` message (key + radius + payload scalars, the
-        insert-time size) from the lowest-id current holder to every
-        covering node outside ``holder_ids``. Existing holders keep
-        their copies untouched.
+        Existing holders are sent nothing — the saving over tombstone +
+        re-insert. Returns the new holder ids.
+        """
+        added = self._replicate(row, holder_ids)
+        recorder = runtime.current.tracer
+        if recorder.enabled and added:
+            recorder.add(replica_hops=len(added))
+        return added
+
+    def _replicate(self, row: int, holder_ids, cover=None) -> list[int]:
+        """Send ``row`` to the nodes of its ``cover`` not yet holding it.
+
+        One ``REPLICATE`` message (the insert-time size) per
+        :meth:`_spread` edge; ``cover`` defaults to the row's
+        :meth:`_cover` at its current radius. Returns the new holder ids.
         """
         store = self.level_store
-        holders = set(holder_ids)
-        source = min(holders)
+        if cover is None:
+            cover = self._cover(
+                np.clip(store.key_of(row), 0.0, 1.0), store.radius_of(row)
+            )
         size = vector_message_size(self._dim, scalars=2)
         added: list[int] = []
-        for node_id in self._cover(
-            np.clip(store.key_of(row), 0.0, 1.0), store.radius_of(row)
-        ):
-            if node_id in holders:
-                continue
-            self.fabric.transmit(source, node_id, MessageKind.REPLICATE, size)
+        for sender_id, node_id in self._spread(holder_ids, cover):
+            self.fabric.transmit(sender_id, node_id, MessageKind.REPLICATE, size)
             self.node(node_id).add_row(row)
             added.append(node_id)
         return added
+
+    def _hand_over(self, giver, taker, takes, keeps) -> tuple[list, list]:
+        """Move ``giver``'s rows into the region it gave ``taker``.
+
+        ``takes`` / ``keeps`` tell, from ``(key, radius)``, whether a sphere
+        meets the taker's / the giver's new region. The taker absorbs what
+        it takes before the giver releases what it no longer keeps, so no
+        row is ever unheld; a row meeting neither side stays with the
+        giver. Returns ``(moved, released)``.
+        """
+        store = self.level_store
+        moved: list[int] = []
+        released: list[int] = []
+        for row in giver.membership.rows():
+            key = store.key_of(row)
+            radius = store.radius_of(row)
+            if takes(key, radius):
+                moved.append(row)
+                if not keeps(key, radius):
+                    released.append(row)
+        taker.absorb_rows(moved)
+        giver.membership.discard_many(released)
+        return moved, released
 
     def _holders(self, rows: set[int]) -> dict[int, set[int]]:
         """Each node holding any of ``rows``, mapped to the rows it holds.

@@ -120,21 +120,10 @@ class VBITree(StoreMaintenancePlane):
         parent_vn.children = (left_index, right_index)
         self._refresh_managers()
 
-        # Hand over the entries falling in (or overlapping) the new region.
-        store = self.level_store
-        old_rows = old_leaf.membership.rows()
-        moved = [
-            r for r in old_rows
-            if right_region.intersects_sphere(store.key_of(r), store.radius_of(r))
-        ]
-        released = [
-            r for r in old_rows
-            if not left_region.intersects_sphere(store.key_of(r), store.radius_of(r))
-        ]
-        # New holder first, then release (rows held only here must never be
-        # transiently unreferenced).
-        new_leaf.absorb_rows(moved)
-        old_leaf.membership.discard_many(released)
+        self._hand_over(
+            old_leaf, new_leaf,
+            right_region.intersects_sphere, left_region.intersects_sphere,
+        )
         return node_id
 
     def leave(self, node_id: int) -> None:
@@ -228,7 +217,7 @@ class VBITree(StoreMaintenancePlane):
 
     # -- routing ----------------------------------------------------------------
 
-    def _locate(self, start_id: int, point: np.ndarray) -> tuple[int, list[int]]:
+    def _locate(self, start_id: int, point, route=None) -> tuple[int, list[int]]:
         """Climb to the lowest covering ancestor, then descend.
 
         Each step moves between *managing peers*; consecutive virtual

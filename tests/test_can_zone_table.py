@@ -11,14 +11,16 @@ points on cube faces, zone boundaries and the torus seam.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.overlay.can import CANNetwork
-from repro.overlay.can.replication import extend_replication, replicate_sphere
 from repro.overlay.can.routing import route_to_owner
+from repro.overlay.can.table import ZoneTable
 from tests import can_reference as reference
 
 
@@ -182,12 +184,12 @@ class TestWalksMatchTheObjectWalk:
         expected = reference.flood_order(can, [owner], key, radius)
         row = can.level_store.add(key, radius, "sphere")
         can.node(owner).add_row(row)
-        assert replicate_sphere(can, owner, row) == expected
+        assert can.extend_replication(row, [owner]) == expected
         # Growing from several holders at once (the delta-publish path).
         holders = [owner] + expected[::2]
         grown = can.level_store.add(key, radius, "grown")
-        assert extend_replication(
-            can, grown, holders
+        assert can.extend_replication(
+            grown, holders
         ) == reference.flood_order(can, holders, key, radius)
 
     def test_multi_zone_nodes_route_and_flood_identically(self):
@@ -307,3 +309,28 @@ class TestBatchedKernels:
         assert [
             (r.owner, r.routing_hops, r.replicas) for r in receipts
         ] == expected
+
+
+class TestWorkCounts:
+    """The zone-table work an operation does, counted call by call."""
+
+    KERNELS = ("routing_keys_many", "meeting_many", "routing_keys", "meeting")
+
+    def test_an_insert_batch_is_one_zone_table_pass(self, monkeypatch):
+        calls: Counter = Counter()
+        for name in self.KERNELS:
+            def counted(table, *args, _name=name, _kernel=getattr(ZoneTable, name)):
+                calls[_name] += 1
+                return _kernel(table, *args)
+
+            monkeypatch.setattr(ZoneTable, name, counted)
+        can = grown_overlay(2, seed=7, joins=16, shakes=4)
+        rng = np.random.default_rng(2)
+        radii = rng.uniform(0.0, 0.3, 24)
+        radii[::3] = 0.0
+        calls.clear()
+        receipts = can.insert_many(
+            can.node_ids[0], rng.random((24, 2)), list(range(24)), radii
+        )
+        assert sum(receipt.replicas for receipt in receipts) > 0
+        assert calls == {"routing_keys_many": 1, "meeting_many": 1}

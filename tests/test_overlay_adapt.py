@@ -29,7 +29,6 @@ from repro.overlay.adapt import (
     AdaptationController,
 )
 from repro.overlay.can import CANNetwork
-from repro.overlay.can.replication import boost_replication, shed_replication
 
 
 def _record(peer: int, items: int = 10) -> ClusterRecord:
@@ -173,7 +172,7 @@ class TestReplicationRetuning:
             n for n in small_can.node_ids
             if row in small_can.node(n).membership
         }
-        added = boost_replication(small_can, row, 2)
+        added = small_can.boost_replication(row, 2)
         assert 0 < len(added) <= 2
         assert not set(added) & holders
         for node_id in added:
@@ -182,13 +181,13 @@ class TestReplicationRetuning:
 
     def test_boost_zero_extra_is_noop(self, small_can, rng):
         _publish(small_can, rng)
-        assert boost_replication(small_can, self._hot_row(small_can), 0) == []
+        assert small_can.boost_replication(self._hot_row(small_can), 0) == []
 
     def test_boost_does_not_change_query_results(self, small_can, rng):
         _publish(small_can, rng)
         centers = rng.random((10, 2))
         before = _query_entry_ids(small_can, centers)
-        boost_replication(small_can, self._hot_row(small_can), 3)
+        small_can.boost_replication(self._hot_row(small_can), 3)
         assert _query_entry_ids(small_can, centers) == before
 
     def test_shed_releases_exactly_the_boosted_extras(self, small_can, rng):
@@ -196,10 +195,10 @@ class TestReplicationRetuning:
         store = small_can.level_store
         row = self._hot_row(small_can)
         # Freshly replicated rows have zone-overlapping holders only.
-        assert shed_replication(small_can, row) == []
-        added = boost_replication(small_can, row, 2)
+        assert small_can.shed_replication(row) == []
+        added = small_can.boost_replication(row, 2)
         n_live = store.n_live
-        shed = shed_replication(small_can, row)
+        shed = small_can.shed_replication(row)
         assert set(shed) == set(added)
         assert store.n_live == n_live  # shedding never tombstones
         key, radius = store.key_of(row), store.radius_of(row)

@@ -227,6 +227,17 @@ class TestUnifiedReadPath:
         assert span.counts["flood_hops"] == receipt.flood_hops
         assert span.counts["zones_visited"] == len(receipt.nodes_visited)
 
+    def test_insert_sets_its_replicas_on_the_trace_span(self, overlay, rng):
+        rec = TraceRecorder()
+        with runtime.run_context(tracer=rec), rec.span("publish") as span:
+            receipts = overlay.insert_many(
+                overlay.node_ids[0], rng.random((30, 2)), list(range(30)),
+                [0.1] * 30,
+            )
+        replicas = sum(receipt.replicas for receipt in receipts)
+        assert replicas > 0
+        assert span.counts["replica_hops"] == replicas
+
     def test_lookup_and_each_inserted_row_are_one_operation(self, overlay, rng):
         rec = FlightRecorder()
         with runtime.run_context(flight=rec):
@@ -238,6 +249,99 @@ class TestUnifiedReadPath:
             overlay.lookup(overlay.node_ids[2], [0.3, 0.3])
         roots = [op.name for op in rec.ops if op.parent_id is None]
         assert roots == ["insert"] * 4 + ["lookup"]
+
+
+def _meets(overlay, node_id):
+    """The backend's "does a sphere meet this node's region" test."""
+    node = overlay.node(node_id)
+    if isinstance(overlay, CANNetwork):
+        return node.intersects_sphere
+    if isinstance(overlay, VBITree):
+        return node.region.intersects_sphere
+    return lambda key, radius: node.owns(overlay.scalar_key(key)) or (
+        radius > 0 and node_id in overlay._cover(key, radius)
+    )
+
+
+def _join(overlay, rng) -> tuple[int, int]:
+    """One join; returns ``(giver, taker)``: the split node and the newcomer."""
+    if isinstance(overlay, CANNetwork):
+        point = rng.random(2)
+        giver = overlay.owner_of(point)
+        return giver, overlay.join(point)
+    taker = overlay.join()
+    node = overlay.node(taker)
+    if isinstance(overlay, BatonNetwork):
+        return node.parent, taker
+    giver = next(  # the VBI newcomer is the right child of the split leaf
+        n for n in overlay.node_ids
+        if overlay.node(n).tree_index == node.tree_index - 1
+    )
+    return giver, taker
+
+
+class TestHandOver:
+    """Join and rebalance move rows by one rule on every backend.
+
+    The taker absorbs each of the giver's rows its region meets, and the
+    giver releases only those its own region no longer meets: a row
+    meeting neither side (a stray holding) stays where it was, and no
+    row is ever left unheld.
+    """
+
+    def _populated(self, overlay, rng) -> dict[int, int]:
+        """Publish spheres, then plant on every node a row it does not meet.
+
+        Returns ``{node_id: stray row}``.
+        """
+        overlay.insert_many(
+            overlay.node_ids[0], rng.random((40, 2)), list(range(40)),
+            rng.uniform(0.0, 0.15, 40),
+        )
+        strays = {}
+        for node_id in overlay.node_ids:
+            meets = _meets(overlay, node_id)
+            point = rng.random(2)
+            while meets(point, 0.0):
+                point = rng.random(2)
+            strays[node_id] = overlay.level_store.add(point, 0.0, "stray")
+            overlay.node(node_id).add_row(strays[node_id])
+        return strays
+
+    def _check(self, overlay, n_live, strays, giver_rows, taker):
+        store = overlay.level_store
+        assert store.n_live == n_live  # nothing tombstoned
+        for node_id, row in strays.items():
+            assert row in overlay.node(node_id).membership
+        meets = _meets(overlay, taker)
+        for row in giver_rows - set(strays.values()):
+            if meets(store.key_of(row), store.radius_of(row)):
+                assert row in overlay.node(taker).membership
+        store.verify_integrity()
+
+    def test_join_hands_over_by_the_one_rule(self, overlay, rng):
+        strays = self._populated(overlay, rng)
+        n_live, held = overlay.level_store.n_live, _holdings(overlay)
+        giver, taker = _join(overlay, rng)
+        self._check(overlay, n_live, strays, held[giver], taker)
+
+    def test_can_rebalance_hands_over_by_the_one_rule(self, rng):
+        can = CANNetwork(2, rng=42)
+        can.grow(12)
+        strays = self._populated(can, rng)
+        n_live, held = can.level_store.n_live, _holdings(can)
+        hot = can.node_ids[0]
+        taker = can.rebalance_zone(hot)
+        assert taker is not None
+        self._check(can, n_live, strays, held[hot], taker)
+
+
+def _holdings(overlay) -> dict[int, set[int]]:
+    """The rows each node holds."""
+    return {
+        node_id: set(overlay.node(node_id).membership.rows().tolist())
+        for node_id in overlay.node_ids
+    }
 
 
 class TestCapabilityPlanes:
